@@ -346,7 +346,8 @@ def _run_zn_scenario(cfg: dict, outdir: Path) -> dict:
     braiding = run.braiding_abs()
     kp_mod = run.k_plus_moduli()
     km_mod = run.k_minus_moduli()
-    phi_dev = run.phi_one() - 1.0
+    phi_one = run.phi_one()
+    phi_dev = phi_one - 1.0
     header = (
         ["t"]
         + [f"reality_{i}" for i in range(n)]
@@ -361,7 +362,7 @@ def _run_zn_scenario(cfg: dict, outdir: Path) -> dict:
     sites = run.phi_sites()
     cums = run.phi_cumulative()
     header = ["t"] + [f"phi_{i}" for i in range(n)] + [f"phi_cum_{i}" for i in range(n)] + ["phi_one"]
-    body = np.hstack([t[:, None], sites, cums, run.phi_one()[:, None]])
+    body = np.hstack([t[:, None], sites, cums, phi_one[:, None]])
     write_csv(outdir / "state.csv", header, body)
 
     plots = _try_plots(
@@ -416,7 +417,8 @@ def _run_m2_scenario(cfg: dict, outdir: Path) -> dict:
 
     reality = run.reality_fro()
     braiding = run.braiding_fro()
-    phi_dev = run.phi_one() - 1.0
+    phi_one = run.phi_one()
+    phi_dev = phi_one - 1.0
     bloch_pts = run.bloch_series()
     r2 = (bloch_pts ** 2).sum(axis=1)
     header = ["t", "reality_fro", "braiding_fro", "phi_one_dev", "bloch_r2"]
@@ -424,16 +426,13 @@ def _run_m2_scenario(cfg: dict, outdir: Path) -> dict:
     write_csv(outdir / "invariants.csv", header, body)
 
     header = ["t", "s", "x", "y", "phi_one"]
-    body = np.column_stack([t, bloch_pts, run.phi_one()])
+    body = np.column_stack([t, bloch_pts, phi_one])
     write_csv(outdir / "state.csv", header, body)
 
     circle = np.linspace(0.0, 2.0 * math.pi, 257)
     k1_cols = _interleave(run.k1)
     k2_cols = _interleave(run.k2)
-    comms = np.array(
-        [(k1 @ k2 - k2 @ k1).reshape(-1) for k1, k2 in zip(run.k1, run.k2)], dtype=np.complex128
-    )
-    comm_cols = np.ascontiguousarray(comms).view(np.float64)
+    comm_cols = _interleave(run.commutator)
     labels = [f"{i}{j}_{p}" for i in range(2) for j in range(2) for p in ("re", "im")]
     plots = _try_plots(
         outdir,

@@ -12,6 +12,12 @@ part of b to be zero, so b is fully determined by K:
 satisfying the reality condition and from the braided compatibility
 constraint that the flow preserves.  Both vanish on admissible initial
 data and are monitored, not enforced, along trajectories.
+
+``_m2_system`` is the one place where the M2 equations are written: B, b,
+the velocity flow dK_i/dt and the transport dm/dt, on the twelve complex
+entries of (K1, K2, m).  ``solve_b`` here, ``flow.m2_rhs``,
+``transport.m2_transport_rhs`` and the coupled ``transport.m2_coupled_rhs``
+are wrappers over it.
 """
 
 from __future__ import annotations
@@ -20,15 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    AlgebraElement,
-    E12,
-    E21,
-    Mat2Element,
-    ZnElement,
-    _shift_indices,
-    commutator,
-)
+from .algebra import AlgebraElement, Mat2Element, ZnElement, _shift_indices, commutator
 from .calculus import VectorField, apply_vf, d
 
 __all__ = [
@@ -47,19 +45,45 @@ def _b_zn(kp: np.ndarray, km: np.ndarray) -> np.ndarray:
     return 0.5 * (kp[_shift_indices(n, 1)] - kp + km[_shift_indices(n, -1)] - km)
 
 
-_E12A = E12.entries
-_E21A = E21.entries
+def _m2_system(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md):
+    """Coupled M2 right-hand side on the row-major entries of K1, K2 and m.
 
-
-def _b_m2(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    return 0.5 * (_E12A @ k1 - k1 @ _E12A + _E21A @ k2 - k2 @ _E21A)
+    ``B = E12 K1 + E21 K2 + K1 E12 + K2 E21 = [[s, t1], [t2, s]]`` with
+    ``t_i = tr K_i``; its scalar diagonal s drops out of ``[K_i, B]``.
+    ``b = ([E12, K1] + [E21, K2]) / 2 = [[p, q], [r, -p]]``.  Returns the
+    twelve entries of ``dK1 = [K1, B]/2``, ``dK2 = [K2, B]/2`` and
+    ``dm = -b m - K1 [E12, m] - K2 [E21, m]`` as a list.  Works on Python
+    complex scalars, where it is far cheaper than 2x2 numpy products.
+    """
+    t1 = a1 + d1
+    t2 = a2 + d2
+    p = 0.5 * (c1 - b2)
+    q = 0.5 * (d1 - a1)
+    r = 0.5 * (a2 - d2)
+    u = ma - md
+    return [
+        0.5 * (b1 * t2 - c1 * t1),
+        0.5 * (t1 * (a1 - d1)),
+        0.5 * (t2 * (d1 - a1)),
+        0.5 * (c1 * t1 - b1 * t2),
+        0.5 * (b2 * t2 - c2 * t1),
+        0.5 * (t1 * (a2 - d2)),
+        0.5 * (t2 * (d2 - a2)),
+        0.5 * (c2 * t1 - b2 * t2),
+        -(p * ma + q * mc) - a1 * mc + a2 * mb - b2 * u,
+        -(p * mb + q * md) + a1 * u + b1 * mc - b2 * mb,
+        -(r * ma - p * mc) - c1 * mc + c2 * mb - d2 * u,
+        -(r * mb - p * md) + c1 * u + d1 * mc - d2 * mb,
+    ]
 
 
 def solve_b(field: VectorField) -> AlgebraElement:
     """The b with zero gauge part satisfying the divergence condition."""
     if isinstance(field.k1, ZnElement):
         return ZnElement(_b_zn(field.k1.samples, field.k2.samples))
-    return Mat2Element(_b_m2(field.k1.entries, field.k2.entries))
+    # The unit commutes with E12 and E21, so dm/dt = -b at m = 1.
+    dm = _m2_system(*field.k1.entries.ravel().tolist(), *field.k2.entries.ravel().tolist(), 1, 0, 0, 1)[8:]
+    return Mat2Element([[-dm[0], -dm[1]], [-dm[2], -dm[3]]])
 
 
 def reality_residual(field: VectorField) -> AlgebraElement:

@@ -6,19 +6,21 @@ The velocity equations evolve the generator values of the vector field:
   ``dK_+/dt = K_+ (R_{-1} beta - beta)``,
   ``dK_-/dt = K_- (R_{+1} beta - beta)``.
 * M2(C), with ``B = E12 K1 + E21 K2 + K1 E12 + K2 E21``:
-  ``dK_i/dt = [K_i, B] / 2``.
+  ``dK_i/dt = [K_i, B] / 2``.  These equations live once, together with b
+  and the transport of m, in ``connection._m2_system``; ``m2_rhs`` wraps it.
 
 Integration happens on flat float64 vectors: complex states are packed as
 interleaved real/imaginary parts (``pack_complex`` / ``split_complex``)
 and the complex structure is reassembled inside each right-hand side.
 The default integrator is fixed-step classical RK4; an adaptive
 Dormand-Prince 4(5) pair is available as ``method="rk45"`` and lands on
-the same output grid.  Both abort with :class:`BlowupError` when the
-state leaves the finite ball ``|entry| <= max_abs``.
+the same output grid.  Both abort with :class:`BlowupError` when an
+accepted state leaves the finite ball ``|entry| <= max_abs``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from .algebra import Mat2Element, ZnElement, _shift_indices
 from .calculus import VectorField
-from .connection import _b_zn, _E12A, _E21A
+from .connection import _b_zn, _m2_system
 
 __all__ = [
     "BlowupError",
@@ -122,9 +124,10 @@ def _dopri_step(f: Rhs, t: float, y: np.ndarray, h: float):
 
 
 def _check_state(y: np.ndarray, t_good: float, max_abs: float) -> None:
-    if not np.isfinite(y).all():
+    peak = np.abs(y).max()  # nan or inf if any entry is
+    if not math.isfinite(peak):
         raise BlowupError("non-finite state encountered", t_good)
-    if np.abs(y).max() > max_abs:
+    if peak > max_abs:
         raise BlowupError(f"state magnitude exceeded {max_abs:g}", t_good)
 
 
@@ -185,8 +188,7 @@ def integrate(
                 scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
                 err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
                 if err_norm <= 1.0 or hs <= 1e-13 * max(1.0, t_target):
-                    if not np.isfinite(y_new).all() or np.abs(y_new).max() > max_abs:
-                        raise BlowupError("adaptive step left admissible region", t)
+                    _check_state(y_new, t, max_abs)
                     t += hs
                     y = y_new
                 factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
@@ -217,11 +219,6 @@ def _rhs_zn(kp: np.ndarray, km: np.ndarray, beta: np.ndarray | None = None):
     return dkp, dkm
 
 
-def _rhs_m2(k1: np.ndarray, k2: np.ndarray):
-    big = _E12A @ k1 + _E21A @ k2 + k1 @ _E12A + k2 @ _E21A
-    return 0.5 * (k1 @ big - big @ k1), 0.5 * (k2 @ big - big @ k2)
-
-
 def zn_rhs(field: VectorField) -> VectorField:
     """Time derivative of the Z_n vector field (b recomputed from K)."""
     if not isinstance(field.k1, ZnElement):
@@ -234,5 +231,5 @@ def m2_rhs(field: VectorField) -> VectorField:
     """Time derivative of the M2 vector field ``[K_i, B]/2``."""
     if not isinstance(field.k1, Mat2Element):
         raise TypeError("m2_rhs expects an M2 vector field")
-    dk1, dk2 = _rhs_m2(field.k1.entries, field.k2.entries)
-    return VectorField(Mat2Element(dk1), Mat2Element(dk2))
+    d = _m2_system(*field.k1.entries.ravel().tolist(), *field.k2.entries.ravel().tolist(), 0, 0, 0, 0)
+    return VectorField(Mat2Element([d[0:2], d[2:4]]), Mat2Element([d[4:6], d[6:8]]))

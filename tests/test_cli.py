@@ -186,6 +186,21 @@ def test_blowup_exits_3(tmp_path, capsys):
     assert "blowup" in capsys.readouterr().err.lower()
 
 
+def test_run_m2_with_large_m_entries(tmp_path):
+    # phi values near 1e12 carry round-off of order 1e-5 in their imaginary parts
+    cfg = {
+        "scenario": "m2",
+        "k1": [[1, 0], [0, 2]],
+        "k2": [[-1, 0], [0, -2]],
+        "m": [[[680726.914, 240617.034], [-540640.166, 480304.273]],
+              [[-510885.819, 326174.077], [493539.900, 144720.410]]],
+        "t_end": 0.1,
+    }
+    path = tmp_path / "large_m.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "large")]) == 0
+
+
 def test_sweep(tmp_path):
     cfg1 = tmp_path / "one.json"
     cfg1.write_text(json.dumps({"scenario": "m2row", "t_end": 1.0}))

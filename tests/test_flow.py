@@ -115,6 +115,44 @@ def test_integrate_blowup_reports_last_good_time():
     assert 0.4 < excinfo.value.last_good_time <= 0.5
 
 
+def _nan_from(t0, value):
+    """-y up to t0, then a constant non-finite derivative."""
+    return lambda t, y: np.full_like(y, value) if t >= t0 else -y
+
+
+# (method, rhs, y0, t_end, h, max_abs, message, last_good_time); the last
+# good time is the start of the step that failed.
+_BLOWUPS = [
+    ("rk4", _nan_from(0.25, np.nan), [1.0, 2.0], 1.0, 1e-3, 1e9, "non-finite state", 0.249),
+    ("rk4", _nan_from(0.25, np.inf), [1.0, 2.0], 1.0, 1e-3, 1e9, "non-finite state", 0.249),
+    ("rk4", _nan_from(0.25, np.inf), [1.0, 2.0], 1.0, 1e-3, math.inf, "non-finite state", 0.249),
+    ("rk4", lambda t, y: -y, [1.0, np.nan], 1.0, 1e-3, 1e9, "non-finite state", 0.0),
+    ("rk4", lambda t, y: -y, [np.inf, 1.0], 1.0, 1e-3, 1e9, "non-finite state", 0.0),
+    ("rk4", lambda t, y: y, [1.0, -0.5], 5.0, 1e-3, 10.0, "state magnitude exceeded 10", 2.302),
+    ("rk4", lambda t, y: -y, [1.0, 20.0], 1.0, 1e-3, 10.0, "state magnitude exceeded 10", 0.0),
+    ("rk45", lambda t, y: -y, [1.0, np.nan], 1.0, 1e-3, 1e9, "non-finite state", 0.0),
+    ("rk45", lambda t, y: -y, [np.inf, 1.0], 1.0, 1e-3, 1e9, "non-finite state", 0.0),
+    # a step at the 1e-13 floor is accepted whatever its error estimate
+    ("rk45", _nan_from(0.0, np.nan), [1.0], 5e-14, 5e-14, 1e9, "non-finite state", 0.0),
+    ("rk45", _nan_from(0.0, np.inf), [1.0], 5e-14, 5e-14, 1e9, "non-finite state", 0.0),
+    ("rk45", lambda t, y: y, [1.0, -0.5], 5.0, 1e-3, 10.0, "state magnitude exceeded 10", 2.302),
+    ("rk45", lambda t, y: -y, [1.0, 20.0], 1.0, 1e-3, 10.0, "state magnitude exceeded 10", 0.0),
+    ("rk45", lambda t, y: y * y, [2.0], 1.0, 1e-3, 1e9, "state magnitude exceeded 1e+09", 0.49999999896698627),
+    # a non-finite trial step fails error control, so the state never becomes non-finite
+    ("rk45", _nan_from(0.25, np.nan), [1.0, 2.0], 1.0, 1e-3, 1e9, "adaptive step size underflow",
+     0.24999999999950268),
+]
+
+
+@pytest.mark.parametrize("method, f, y0, t_end, h, max_abs, message, last_good", _BLOWUPS,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(_BLOWUPS)])
+def test_blowup_message_and_last_good_time(method, f, y0, t_end, h, max_abs, message, last_good):
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(BlowupError) as excinfo:
+        integrate(f, np.array(y0), t_end, h=h, method=method, max_abs=max_abs)
+    assert str(excinfo.value).startswith(message)
+    assert excinfo.value.last_good_time == pytest.approx(last_good, rel=0, abs=1e-15)
+
+
 def test_integrate_rejects_bad_arguments():
     f = lambda t, y: y
     with pytest.raises(ValueError):

@@ -10,14 +10,17 @@ from ncgflow import (
     VectorField,
     ZnElement,
     bloch,
+    braiding_residual,
     d,
     m2_transport_rhs,
+    reality_residual,
     run_m2,
     run_zn,
     state_eval,
     velocity_functional,
     zn_transport_rhs,
 )
+from ncgflow.transport import _real_state_value
 from oracles import m2_transport_oracle, zn3_transport_oracle
 
 
@@ -159,3 +162,77 @@ def test_m2_state_positivity_along_run(short_m2_run, a):
 def test_run_zn_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         run_zn([1, 1, 1], [1, 1], [0, 0, 0], t_end=0.1)
+
+
+# Time-axis series against the per-sample element API ----------------------
+
+def _unit(rng, shape):
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return z / np.sqrt((np.abs(z) ** 2).sum())
+
+
+def _random_zn_run(rng, admissible, n=5):
+    if admissible:  # |K_+| constant and K_- = -R_1(K_+^*)
+        kp = 0.8 * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        km = -np.conj(np.roll(kp, -1))
+    else:
+        kp, km = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+    return run_zn(kp, km, _unit(rng, n), t_end=0.5, h=1e-3, stride=25)
+
+
+def _random_m2_run(rng, admissible):
+    if admissible:  # K1 normal and K2 = -K1^*
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        k1 = u @ np.diag(rng.uniform(-2, 2, 2)) @ u.conj().T
+        k2 = -k1.conj().T
+    else:
+        k1, k2 = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2))
+    return run_m2(k1, k2, _unit(rng, (2, 2)), t_end=0.5, h=1e-3, stride=25)
+
+
+@pytest.mark.parametrize("admissible", [True, False])
+def test_zn_run_series_match_element_api(admissible):
+    run = _random_zn_run(np.random.default_rng(11), admissible)
+    fields = [VectorField(ZnElement(kp), ZnElement(km)) for kp, km in zip(run.k_plus, run.k_minus)]
+    ms = [ZnElement(m) for m in run.m]
+    assert (run.reality_abs().max() <= 1e-12) == admissible
+    np.testing.assert_allclose(run.reality_abs(), [np.abs(reality_residual(f).samples) for f in fields],
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(run.braiding_abs(), [np.abs(braiding_residual(f).samples) for f in fields],
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(run.phi_one(), [state_eval(m, ZnElement.ones(run.n)).real for m in ms],
+                               rtol=0, atol=1e-14)
+    sites = [[state_eval(m, ZnElement.delta(run.n, i)).real for i in range(run.n)] for m in ms]
+    np.testing.assert_allclose(run.phi_sites(), sites, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("admissible", [True, False])
+def test_m2_run_series_match_element_api(admissible):
+    run = _random_m2_run(np.random.default_rng(12), admissible)
+    fields = [VectorField(Mat2Element(k1), Mat2Element(k2)) for k1, k2 in zip(run.k1, run.k2)]
+    ms = [Mat2Element(m) for m in run.m]
+    assert (run.reality_fro().max() <= 1e-12) == admissible
+    np.testing.assert_allclose(run.reality_fro(), [np.linalg.norm(reality_residual(f).entries) for f in fields],
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(run.commutator, [braiding_residual(f).entries for f in fields], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(run.braiding_fro(), [np.linalg.norm(braiding_residual(f).entries) for f in fields],
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(run.phi_one(), [state_eval(m, I2).real for m in ms], rtol=0, atol=1e-14)
+    pts = [bloch(m) for m in ms]
+    np.testing.assert_allclose(run.bloch_series(), [[p.s, p.x, p.y] for p in pts], rtol=0, atol=1e-14)
+
+
+def test_bloch_tolerance_is_relative_to_phi_one():
+    # entries near 6e5: Im phi(a) picks up round-off near 5e-6, far below 1e-10 * phi(1)
+    m = Mat2Element([[680726.914 + 240617.034j, -540640.166 + 480304.273j],
+                     [-510885.819 + 326174.077j, 493539.900 + 144720.410j]])
+    scale = state_eval(m, I2).real
+    p = bloch(m)
+    q = bloch(m / np.sqrt(scale))
+    assert (p.s / scale, p.x / scale, p.y / scale) == pytest.approx((q.s, q.x, q.y), abs=1e-12)
+
+
+def test_bloch_check_still_rejects_complex_values():
+    m = Mat2Element([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="imaginary part"):
+        _real_state_value(m, Mat2Element([[1j, 0.0], [0.0, 0.0]]), 1.0)
