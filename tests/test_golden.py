@@ -1,16 +1,20 @@
-"""Golden outputs: the CSV rows at whole times of every scenario default.
+"""Golden outputs: the CSV rows at whole times of pinned runs.
 
 ``golden/scenario_defaults.json`` holds, for each scenario default, the
 header and the rows at t = 0, 1, ..., t_end of ``trajectory.csv``,
-``invariants.csv`` and ``state.csv``.  A refactor that changes the order
-of floating-point operations may move values by round-off only: each value
-must stay within ``1e-12 * max(1, max|column|)`` of the pinned one.  The
-tolerance is absolute per column because invariant columns hold values
-near 1e-15, where a relative bound means nothing.
+``invariants.csv`` and ``state.csv``.  ``golden/rk45.json`` holds the same
+for the adaptive integrator on the zn, m2 and classical-geodesic defaults
+up to t = 2.  A refactor that changes the order of floating-point
+operations may move values by round-off only: each value must stay within
+``1e-12 * max(1, max|column|)`` of the pinned one.  The tolerance is
+absolute per column because invariant columns hold values near 1e-15,
+where a relative bound means nothing.
 
-Regenerate the data file (only for a deliberate change of results) with::
+Regenerate data files (only for a deliberate change of results) with::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [rk45.json ...]
+
+which rewrites the named files, or all of them when none is named.
 """
 
 import json
@@ -22,20 +26,29 @@ import pytest
 
 from ncgflow.cli import main
 
-GOLDEN = Path(__file__).parent / "golden" / "scenario_defaults.json"
-RUNS = {
-    "paper-fig1": ["--preset", "paper-fig1"],
-    "paper-fig2": ["--preset", "paper-fig2"],
-    "m2row": ["--scenario", "m2row"],
-    "classical-geodesic": ["--scenario", "classical-geodesic"],
-    "classical-burgers": ["--scenario", "classical-burgers"],
+GOLDEN_DIR = Path(__file__).parent / "golden"
+RK45 = ["--method", "rk45", "--t-end", "2"]
+# data file -> run name -> cli arguments
+GOLDENS = {
+    "scenario_defaults.json": {
+        "paper-fig1": ["--preset", "paper-fig1"],
+        "paper-fig2": ["--preset", "paper-fig2"],
+        "m2row": ["--scenario", "m2row"],
+        "classical-geodesic": ["--scenario", "classical-geodesic"],
+        "classical-burgers": ["--scenario", "classical-burgers"],
+    },
+    "rk45.json": {
+        "zn": ["--scenario", "zn", *RK45],
+        "m2": ["--scenario", "m2", *RK45],
+        "classical-geodesic": ["--scenario", "classical-geodesic", *RK45],
+    },
 }
 CSVS = ("trajectory.csv", "invariants.csv", "state.csv")
 TOL = 1e-12
 
 
-def _run(name: str, out: Path) -> Path:
-    assert main(["run", *RUNS[name], "--out", str(out)]) == 0
+def _run(args: list, out: Path) -> Path:
+    assert main(["run", *args, "--out", str(out)]) == 0
     return out
 
 
@@ -54,15 +67,15 @@ def _pinned(outdir: Path) -> dict:
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+    return {data: json.loads((GOLDEN_DIR / data).read_text(encoding="utf-8")) for data in GOLDENS}
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_scenario_default_matches_golden(name, golden, tmp_path):
-    first = _run(name, tmp_path / "a")
+def _check_against_golden(data: str, name: str, golden: dict, tmp_path: Path) -> None:
+    args = GOLDENS[data][name]
+    first = _run(args, tmp_path / "a")
     got = _pinned(first)
     for csv in CSVS:
-        want = golden[name][csv]
+        want = golden[data][name][csv]
         assert got[csv]["header"] == want["header"], (name, csv)
         assert len(got[csv]["rows"]) == len(want["rows"]), (name, csv)
         for c, column in enumerate(want["header"]):
@@ -75,20 +88,32 @@ def test_scenario_default_matches_golden(name, golden, tmp_path):
                 else:
                     assert v == g or (math.isnan(v) and math.isnan(g)), (name, csv, column, v, g)
 
-    second = _run(name, tmp_path / "b")
+    second = _run(args, tmp_path / "b")
     for csv in CSVS:
         assert (first / csv).read_bytes() == (second / csv).read_bytes(), (name, csv)
 
 
-def _regenerate(scratch: Path) -> None:
-    data = {name: _pinned(_run(name, scratch / name)) for name in sorted(RUNS)}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+@pytest.mark.parametrize("name", sorted(GOLDENS["scenario_defaults.json"]))
+def test_scenario_default_matches_golden(name, golden, tmp_path):
+    _check_against_golden("scenario_defaults.json", name, golden, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS["rk45.json"]))
+def test_rk45_run_matches_golden(name, golden, tmp_path):
+    _check_against_golden("rk45.json", name, golden, tmp_path)
+
+
+def _regenerate(scratch: Path, files: list) -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for data in files:
+        runs = GOLDENS[data]
+        pinned = {name: _pinned(_run(args, scratch / data / name)) for name, args in sorted(runs.items())}
+        (GOLDEN_DIR / data).write_text(json.dumps(pinned, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        _regenerate(Path(tmp))
+        _regenerate(Path(tmp), sys.argv[1:] or list(GOLDENS))
     sys.exit(0)
