@@ -6,7 +6,11 @@ velocity-field equation on a periodic 1-d grid.
     ``dx/dt = v,   dv^i/dt = -Gamma^i_jk(x) v^j v^k``
 
 and ``pullback_geodesic_check`` measures, by second-order finite
-differences, how far a sampled curve is from solving it.
+differences, how far a sampled curve is from solving it.  A manifold is
+given by ``ChristoffelProvider.symbols``, the list of its nonzero
+``(i, j, k, Gamma^i_jk)`` at a point; both functions and the
+``integrate_geodesic`` right-hand side contract it with v in one scalar
+loop.
 
 On the line the velocity-field equation reduces to an inviscid transport
 equation, ``dK/dt = -K K' - Gamma K^2`` on a periodic grid over [0, 2pi);
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -44,51 +48,68 @@ __all__ = [
 GRID_SPAN = 2.0 * math.pi
 
 
+Symbols = list[tuple[int, int, int, float]]
+
+
 @dataclass(frozen=True)
 class ChristoffelProvider:
-    """Christoffel symbols Gamma(point, i, j, k), plus an optional metric for speed checks."""
+    """Christoffel symbols of a chart, plus an optional metric for speed checks.
+
+    ``symbols(x)`` returns the nonzero ``(i, j, k, Gamma^i_jk(x))`` in
+    lexicographic order of ``(i, j, k)``; x is a sequence of floats.
+    """
 
     dim: int
-    gamma: Callable[[np.ndarray, int, int, int], float]
+    symbols: Callable[[Sequence[float]], Symbols]
     metric: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def gamma(self, x, i: int, j: int, k: int) -> float:
+        """The single symbol Gamma^i_jk(x)."""
+        for a, b, c, g in self.symbols(x):
+            if (a, b, c) == (i, j, k):
+                return g
+        return 0.0
 
 
 def flat_space(dim: int = 2) -> ChristoffelProvider:
-    return ChristoffelProvider(dim, lambda x, i, j, k: 0.0, lambda x: np.eye(dim))
+    return ChristoffelProvider(dim, lambda x: [], lambda x: np.eye(dim))
 
 
 def round_sphere() -> ChristoffelProvider:
     """Unit 2-sphere in (theta, phi) coordinates."""
 
-    def gamma(x, i, j, k):
-        theta = x[0]
-        if i == 0 and j == 1 and k == 1:
-            return -math.sin(theta) * math.cos(theta)
-        if i == 1 and ((j, k) == (0, 1) or (j, k) == (1, 0)):
-            return math.cos(theta) / math.sin(theta)
-        return 0.0
+    def symbols(x):
+        sin, cos = math.sin(x[0]), math.cos(x[0])
+        cot = cos / sin
+        return [(0, 1, 1, -sin * cos), (1, 0, 1, cot), (1, 1, 0, cot)]
 
     def metric(x):
         return np.diag([1.0, math.sin(x[0]) ** 2])
 
-    return ChristoffelProvider(2, gamma, metric)
+    return ChristoffelProvider(2, symbols, metric)
+
+
+def _add_christoffel_term(acc: list, symbols: Symbols, v: Sequence[float]) -> list:
+    """``acc[i] += Gamma^i_jk v^j v^k`` over the symbols, in place; returns acc."""
+    for i, j, k, g in symbols:
+        acc[i] += g * v[j] * v[k]
+    return acc
+
+
+def _geodesic_system(y: list, provider: ChristoffelProvider) -> list:
+    """(dx/dt, dv/dt) of the state y = x + v as one list of floats."""
+    dim = provider.dim
+    v = y[dim:]
+    acc = _add_christoffel_term([0.0] * dim, provider.symbols(y[:dim]), v)
+    return v + [-a for a in acc]
 
 
 def geodesic_rhs(x: np.ndarray, v: np.ndarray, provider: ChristoffelProvider):
     """(dx/dt, dv/dt) of the geodesic equation at (x, v)."""
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    dim = provider.dim
-    dv = np.zeros(dim)
-    for i in range(dim):
-        acc = 0.0
-        for j in range(dim):
-            for k in range(dim):
-                g = provider.gamma(x, i, j, k)
-                if g != 0.0:
-                    acc += g * v[j] * v[k]
-        dv[i] = -acc
-    return v.copy(), dv
+    out = np.array(_geodesic_system(x.tolist() + v.tolist(), provider))
+    return out[: provider.dim], out[provider.dim :]
 
 
 def speed_squared(x, v, provider: ChristoffelProvider) -> float:
@@ -127,8 +148,7 @@ def integrate_geodesic(
         raise ValueError(f"x0 and v0 must have shape ({dim},)")
 
     def rhs(t, y):
-        dx, dv = geodesic_rhs(y[:dim], y[dim:], provider)
-        return np.concatenate([dx, dv])
+        return np.array(_geodesic_system(y.tolist(), provider))
 
     traj = integrate(rhs, np.concatenate([x0, v0]), t_end, h=h, stride=stride, method=method)
     return GeodesicRun(traj.times, traj.states[:, :dim], traj.states[:, dim:], provider)
@@ -233,6 +253,8 @@ def pullback_geodesic_check(times, samples, provider: ChristoffelProvider) -> fl
         samples = samples[:, None]
     if samples.shape[0] != times.shape[0]:
         raise ValueError("times and samples disagree in length")
+    if samples.shape[1] != provider.dim:
+        raise ValueError(f"samples must have {provider.dim} columns, one per coordinate")
     if times.shape[0] < 3:
         raise ValueError("need at least 3 samples")
     steps = np.diff(times)
@@ -242,17 +264,8 @@ def pullback_geodesic_check(times, samples, provider: ChristoffelProvider) -> fl
 
     vel = (samples[2:] - samples[:-2]) / (2.0 * dt)
     acc = (samples[2:] - 2.0 * samples[1:-1] + samples[:-2]) / (dt * dt)
-    dim = provider.dim
     worst = 0.0
-    for p in range(vel.shape[0]):
-        x = samples[p + 1]
-        v = vel[p]
-        for i in range(dim):
-            r = acc[p, i]
-            for j in range(dim):
-                for k in range(dim):
-                    g = provider.gamma(x, i, j, k)
-                    if g != 0.0:
-                        r += g * v[j] * v[k]
+    for x, v, a in zip(samples[1:-1].tolist(), vel.tolist(), acc.tolist()):
+        for r in _add_christoffel_term(a, provider.symbols(x), v):
             worst = max(worst, abs(r))
     return worst

@@ -38,7 +38,7 @@ from .classical import (
     sine_field,
 )
 from .connection import braiding_residual, reality_residual
-from .flow import BlowupError
+from .flow import BlowupError, step_count
 from .mobius import metric_preservation_check, run_row
 from .svgplot import line_chart
 from .transport import run_m2, run_zn, state_eval
@@ -99,8 +99,8 @@ def _as_real_list(value, field: str) -> list[float]:
 
 
 def _positive(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-        raise ConfigError(f"field '{field}': expected a positive number")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ConfigError(f"field '{field}': expected a finite positive number")
     return float(value)
 
 
@@ -705,6 +705,10 @@ def _resolve_config(args) -> dict:
     if getattr(args, "method", None) is not None:
         overrides["method"] = args.method
     cfg.update(overrides)
+    try:
+        step_count(cfg["t_end"], cfg["step"])
+    except ValueError as exc:
+        raise ConfigError(f"fields 't_end'/'step': {exc}") from exc
     return cfg
 
 
@@ -715,7 +719,11 @@ def _cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     outdir = Path(args.out if args.out is not None else cfg.get("out", "out"))
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create output directory {outdir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         summary = _RUNNERS[cfg["scenario"]](cfg, outdir)
     except BlowupError as exc:

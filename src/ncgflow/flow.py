@@ -14,8 +14,13 @@ interleaved real/imaginary parts (``pack_complex`` / ``split_complex``)
 and the complex structure is reassembled inside each right-hand side.
 The default integrator is fixed-step classical RK4; an adaptive
 Dormand-Prince 4(5) pair is available as ``method="rk45"`` and lands on
-the same output grid.  Both abort with :class:`BlowupError` when an
-accepted state leaves the finite ball ``|entry| <= max_abs``.
+the same output grid.  Its seven stages are the rows of one ``(7, N)``
+array, each stage input is one product of a tableau row with the stages
+before it, and the pair is FSAL (first same as last): the last stage of
+an accepted step is the first stage of the next, so an attempt costs six
+right-hand-side calls.  Both abort with :class:`BlowupError` when an
+accepted state leaves the finite ball ``|entry| <= max_abs``.  A run may
+take at most ``MAX_STEPS`` steps.
 """
 
 from __future__ import annotations
@@ -31,17 +36,21 @@ from .calculus import VectorField
 from .connection import _b_zn, _m2_system
 
 __all__ = [
+    "MAX_STEPS",
     "BlowupError",
     "Trajectory",
     "pack_complex",
     "split_complex",
     "rk4_step",
+    "step_count",
     "integrate",
     "zn_rhs",
     "m2_rhs",
 ]
 
 Rhs = Callable[[float, np.ndarray], np.ndarray]
+
+MAX_STEPS = 10**8  # bounds the time and memory of any accepted run
 
 
 class BlowupError(RuntimeError):
@@ -93,34 +102,49 @@ def rk4_step(f: Rhs, t: float, y, h: float):
 
 # Dormand-Prince 4(5) tableau.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+_DP_A = tuple(
+    np.array(row)
+    for row in (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
 )
-_DP_ERR = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
+_DP_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
 
 
-def _dopri_step(f: Rhs, t: float, y: np.ndarray, h: float):
-    ks = [f(t, y)]
+def _dopri_step(f: Rhs, t: float, y: np.ndarray, h: float, k1: np.ndarray):
+    """One Dormand-Prince attempt from ``(t, y)`` with first stage ``k1 = f(t, y)``.
+
+    Returns the 5th-order solution, the error estimate and the last stage,
+    which is ``f(t + h, y5)``: the first stage of the next step (FSAL).
+    """
+    ks = np.empty((7, y.shape[0]))
+    ks[0] = k1
     for stage in range(1, 7):
-        acc = y + h * sum(a * k for a, k in zip(_DP_A[stage], ks))
-        ks.append(f(t + _DP_C[stage] * h, acc))
-    y5 = acc  # stage 7 input is the 5th-order solution (FSAL structure)
-    err = h * sum(e * k for e, k in zip(_DP_ERR, ks))
-    return y5, err
+        acc = y + h * (_DP_A[stage] @ ks[:stage])
+        ks[stage] = f(t + _DP_C[stage] * h, acc)
+    return acc, h * (_DP_E @ ks), ks[6]
+
+
+def step_count(t_end: float, h: float) -> int:
+    """Number of steps, ``round(t_end / h)`` and at least 1, of a run.
+
+    Raises ValueError unless t_end and h are finite and positive and the
+    count is at most ``MAX_STEPS``.
+    """
+    if not (0 < t_end < math.inf):
+        raise ValueError("t_end must be positive and finite")
+    if not (0 < h < math.inf):
+        raise ValueError("step must be positive and finite")
+    ratio = t_end / h
+    if not math.isfinite(ratio) or round(ratio) > MAX_STEPS:
+        raise ValueError(f"t_end / step = {ratio:g} exceeds the limit of {MAX_STEPS} steps")
+    return max(1, int(round(ratio)))
 
 
 def _check_state(y: np.ndarray, t_good: float, max_abs: float) -> None:
@@ -145,14 +169,13 @@ def integrate(
 ) -> Trajectory:
     """Integrate ``dy/dt = f(t, y)`` from t=0, sampling every ``stride`` steps.
 
-    The step count is ``round(t_end / h)`` and the actual step is adjusted
-    so the grid ends exactly at ``t_end``; output times are multiples of
-    ``stride * h`` (plus the endpoint).  Deterministic for fixed inputs.
+    The step count is ``step_count(t_end, h)`` and the actual step is
+    adjusted so the grid ends exactly at ``t_end``; output times are
+    multiples of ``stride * h`` (plus the endpoint).  ``rk45`` calls f
+    once at t=0 and then six times per attempted step.  Deterministic for
+    fixed inputs.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if h <= 0:
-        raise ValueError("step must be positive")
+    n_steps = step_count(t_end, h)
     stride = int(stride)
     if stride < 1:
         raise ValueError("stride must be at least 1")
@@ -160,14 +183,10 @@ def integrate(
         raise ValueError(f"unknown method {method!r}")
 
     y = np.ascontiguousarray(np.asarray(y0, dtype=np.float64).ravel())
-    n_steps = max(1, int(round(t_end / h)))
     h_eff = t_end / n_steps
-    sample_steps = list(range(0, n_steps + 1, stride))
-    if sample_steps[-1] != n_steps:
-        sample_steps.append(n_steps)
-    wanted = set(sample_steps)
 
     _check_state(y, 0.0, max_abs)
+    times = [0.0]
     samples = [y.copy()]
 
     if method == "rk4":
@@ -175,31 +194,37 @@ def integrate(
             t_prev = (k - 1) * h_eff
             y = rk4_step(f, t_prev, y, h_eff)
             _check_state(y, t_prev, max_abs)
-            if k in wanted:
+            if k % stride == 0 or k == n_steps:
+                times.append(k * h_eff)
                 samples.append(y.copy())
     else:
+        size = y.shape[0]
         h_try = h_eff
+        k1 = f(0.0, y)
         for k in range(1, n_steps + 1):
             t = (k - 1) * h_eff
             t_target = k * h_eff
             while t < t_target - 1e-14 * max(1.0, t_target):
                 hs = min(h_try, t_target - t)
-                y_new, err = _dopri_step(f, t, y, hs)
-                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-                err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+                y_new, err, k7 = _dopri_step(f, t, y, hs, k1)
+                r = err / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+                err_norm = math.sqrt(r @ r / size)
                 if err_norm <= 1.0 or hs <= 1e-13 * max(1.0, t_target):
                     _check_state(y_new, t, max_abs)
                     t += hs
                     y = y_new
+                    k1 = k7
                 factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
                 h_try = hs * factor
                 if h_try < 1e-13 * max(1.0, t_target):
+                    if not math.isfinite(err_norm):  # fails error control at every step size
+                        raise BlowupError("non-finite state encountered", t)
                     raise BlowupError("adaptive step size underflow", t)
-            if k in wanted:
+            if k % stride == 0 or k == n_steps:
+                times.append(k * h_eff)
                 samples.append(y.copy())
 
-    times = np.array([k * h_eff for k in sample_steps])
-    return Trajectory(times, np.vstack(samples))
+    return Trajectory(np.array(times), np.vstack(samples))
 
 
 # Flow right-hand sides (array kernels + element-level wrappers).

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import integrate, pack_complex, rk4_step, split_complex
+from .flow import integrate, pack_complex, rk4_step, step_count
 
 __all__ = [
     "SpherePoint",
@@ -140,8 +140,9 @@ def integrate_riccati(
     Returns (times, points); points are :class:`SpherePoint` samples, so
     pole passages are represented faithfully instead of overflowing.
     """
-    if t_end <= 0 or h <= 0 or stride < 1:
-        raise ValueError("need t_end > 0, h > 0, stride >= 1")
+    n_steps = step_count(t_end, h)
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
     q1 = complex(q1)
     q2 = complex(q2)
     start = _as_point(z0)
@@ -157,7 +158,6 @@ def integrate_riccati(
             return SpherePoint.infinity() if coord == 0.0 else SpherePoint(1.0 / coord)
         return SpherePoint(coord)
 
-    n_steps = max(1, int(round(t_end / h)))
     h_eff = t_end / n_steps
     times = [0.0]
     points = [emit()]
@@ -214,9 +214,7 @@ def run_row(
     q0, q1, q2 = complex(q0), complex(q1), complex(q2)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        (pair,) = split_complex(y, (2,))
-        dlam, dmu = row_rhs(pair[0], pair[1], q0, q1, q2)
-        return pack_complex(np.array([dlam, dmu]))
+        return np.array(row_rhs(*y.view(np.complex128).tolist(), q0, q1, q2)).view(np.float64)
 
     y0 = pack_complex(np.array([complex(lam0), complex(mu0)]))
     traj = integrate(rhs, y0, t_end, h=h, stride=stride, method=method)

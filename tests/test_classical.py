@@ -42,6 +42,38 @@ def test_geodesic_rhs_shape():
     assert dv.shape == (2,)
 
 
+def _generic_contraction(provider, x, v, acc):
+    """acc^i + Gamma^i_jk(x) v^j v^k, one gamma(x, i, j, k) lookup per index triple."""
+    out = []
+    for i in range(provider.dim):
+        r = acc[i]
+        for j in range(provider.dim):
+            for k in range(provider.dim):
+                g = provider.gamma(x, i, j, k)
+                if g != 0.0:
+                    r += g * v[j] * v[k]
+        out.append(r)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("provider", [round_sphere(), flat_space(3)], ids=["sphere", "flat3"])
+def test_geodesic_rhs_equals_generic_contraction(provider):
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        x = rng.uniform(0.05, math.pi - 0.05, provider.dim)
+        v = rng.normal(size=provider.dim)
+        dx, dv = geodesic_rhs(x, v, provider)
+        assert np.array_equal(dx, v)
+        assert np.array_equal(dv, -_generic_contraction(provider, x, v, np.zeros(provider.dim)))
+
+    times = np.arange(0.0, 1.0, 0.125)
+    samples = rng.uniform(0.5, 2.5, (times.shape[0], provider.dim))
+    vel = (samples[2:] - samples[:-2]) / 0.25
+    acc = (samples[2:] - 2.0 * samples[1:-1] + samples[:-2]) / 0.125**2
+    worst = max(np.abs(_generic_contraction(provider, x, v, a)).max() for x, v, a in zip(samples[1:-1], vel, acc))
+    assert pullback_geodesic_check(times, samples, provider) == worst
+
+
 def test_equatorial_great_circle_stays_on_equator():
     run = integrate_geodesic([math.pi / 2, 0.0], [0.0, 1.0], round_sphere(), t_end=10.0, h=1e-3, stride=100)
     assert np.abs(run.xs[:, 0] - math.pi / 2).max() <= 1e-8
@@ -167,3 +199,5 @@ def test_pullback_check_input_validation():
         pullback_geodesic_check([0.0, 1.0], np.zeros((2, 2)), flat)
     with pytest.raises(ValueError):
         pullback_geodesic_check([0.0, 0.5, 2.0], np.zeros((3, 2)), flat)
+    with pytest.raises(ValueError):
+        pullback_geodesic_check([0.0, 0.5, 1.0], np.zeros((3, 3)), flat)

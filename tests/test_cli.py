@@ -177,6 +177,24 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--preset", "unknown", "--out", str(tmp_path / "v")]) == 2
 
 
+def test_unbounded_runs_and_bad_out_exit_2(tmp_path, capsys):
+    # each of these once ended in a traceback (OverflowError or FileExistsError)
+    for flags in (["--t-end", "inf"], ["--step", "1e-300"], ["--step", "nan"], ["--t-end", "1e9"]):
+        assert main(["run", "--preset", "paper-fig1", *flags, "--out", str(tmp_path / "a")]) == 2, flags
+        assert capsys.readouterr().err.startswith("config error:"), flags
+    for text in ('{"scenario": "zn", "t_end": 1e309}', '{"scenario": "zn", "step": Infinity}'):
+        path = tmp_path / "inf.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "b")]) == 2, text
+        assert capsys.readouterr().err.startswith("config error:"), text
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+    taken = tmp_path / "file"
+    taken.write_text("")
+    assert main(["run", "--scenario", "m2row", "--t-end", "0.01", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_blowup_exits_3(tmp_path, capsys):
     cfg = {"scenario": "m2row", "lam": [1, 0], "mu": [0, 0], "q0": [5, 0], "q1": [0, 0], "q2": [0, 0],
            "t_end": 10.0, "step": 1e-2}

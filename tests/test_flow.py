@@ -16,6 +16,7 @@ from ncgflow import (
     split_complex,
     zn_rhs,
 )
+from ncgflow import flow
 from oracles import m2_flow_oracle, zn3_flow_oracle
 
 
@@ -138,8 +139,8 @@ _BLOWUPS = [
     ("rk45", lambda t, y: y, [1.0, -0.5], 5.0, 1e-3, 10.0, "state magnitude exceeded 10", 2.302),
     ("rk45", lambda t, y: -y, [1.0, 20.0], 1.0, 1e-3, 10.0, "state magnitude exceeded 10", 0.0),
     ("rk45", lambda t, y: y * y, [2.0], 1.0, 1e-3, 1e9, "state magnitude exceeded 1e+09", 0.49999999896698627),
-    # a non-finite trial step fails error control, so the state never becomes non-finite
-    ("rk45", _nan_from(0.25, np.nan), [1.0, 2.0], 1.0, 1e-3, 1e9, "adaptive step size underflow",
+    # a non-finite trial step fails error control until the step underflows; the cause is named
+    ("rk45", _nan_from(0.25, np.nan), [1.0, 2.0], 1.0, 1e-3, 1e9, "non-finite state",
      0.24999999999950268),
 ]
 
@@ -163,6 +164,39 @@ def test_integrate_rejects_bad_arguments():
         integrate(f, np.array([1.0]), 1.0, stride=0)
     with pytest.raises(ValueError):
         integrate(f, np.array([1.0]), 1.0, method="euler")
+    for t_end, h in ((math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan), (1.0, 1e-300), (1e300, 1e-300),
+                     (flow.MAX_STEPS * 1e-3 + 1e-3, 1e-3)):
+        with pytest.raises(ValueError):
+            integrate(f, np.array([1.0]), t_end, h=h)
+
+
+def _counting_rk45(monkeypatch, f):
+    """Wrap f and the Dormand-Prince attempt with call counters."""
+    counts = {"rhs": 0, "attempts": 0}
+    step = flow._dopri_step
+
+    def rhs(t, y):
+        counts["rhs"] += 1
+        return f(t, y)
+
+    def attempt(*args):
+        counts["attempts"] += 1
+        return step(*args)
+
+    monkeypatch.setattr(flow, "_dopri_step", attempt)
+    return rhs, counts
+
+
+@pytest.mark.parametrize("rate, h, rejects", [(1.0, 0.05, False), (50.0, 0.1, True)])
+def test_rk45_fsal_calls_and_accuracy(monkeypatch, rate, h, rejects):
+    # y' = -rate y; at rate 50 trial steps of 0.1 fail error control
+    rhs, counts = _counting_rk45(monkeypatch, lambda t, y: -rate * y)
+    y0 = np.array([1.0, -2.0])
+    traj = integrate(rhs, y0, 1.0, h=h, method="rk45", rtol=1e-9, atol=1e-9)
+    assert counts["rhs"] == 1 + 6 * counts["attempts"]
+    assert (counts["attempts"] > round(1.0 / h)) == rejects
+    exact = np.exp(-rate * traj.times)[:, None] * y0
+    assert np.all(np.abs(traj.states - exact) <= 1e-9 + 1e-9 * np.abs(exact))
 
 
 def test_rk45_matches_rk4():
