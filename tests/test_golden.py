@@ -10,13 +10,20 @@ operations may move values by round-off only: each value must stay within
 absolute per column because invariant columns hold values near 1e-15,
 where a relative bound means nothing.
 
+``golden/run_reports.json`` holds, for every run above, the sorted names
+of the files written and the stdout summary of ``ncgflow run`` without
+the output path.  Integers, booleans and strings in it must match
+exactly, floats within ``1e-12 * max(1, |v|)``.
+
 Regenerate data files (only for a deliberate change of results) with::
 
-    PYTHONPATH=src python tests/test_golden.py [rk45.json ...]
+    PYTHONPATH=src python tests/test_golden.py [rk45.json run_reports.json ...]
 
 which rewrites the named files, or all of them when none is named.
 """
 
+import contextlib
+import io
 import json
 import math
 import sys
@@ -44,12 +51,34 @@ GOLDENS = {
     },
 }
 CSVS = ("trajectory.csv", "invariants.csv", "state.csv")
+REPORTS = "run_reports.json"
 TOL = 1e-12
 
 
 def _run(args: list, out: Path) -> Path:
     assert main(["run", *args, "--out", str(out)]) == 0
     return out
+
+
+def _token(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return {"True": True, "False": False}.get(text, text)
+
+
+def _report(args: list, out: Path) -> dict:
+    """The files a run writes and its stdout summary, split into tokens, without the output path."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _run(args, out)
+    lines = [line.removesuffix(f" to {out}") for line in buf.getvalue().splitlines()]
+    return {
+        "files": sorted(p.name for p in out.iterdir()),
+        "summary": [[_token(word) for word in line.split()] for line in lines],
+    }
 
 
 def _whole_time_rows(path: Path) -> dict:
@@ -103,11 +132,29 @@ def test_rk45_run_matches_golden(name, golden, tmp_path):
     _check_against_golden("rk45.json", name, golden, tmp_path)
 
 
+@pytest.mark.parametrize("data,name", [(data, name) for data in GOLDENS for name in sorted(GOLDENS[data])])
+def test_run_report_matches_golden(data, name, tmp_path):
+    want = json.loads((GOLDEN_DIR / REPORTS).read_text(encoding="utf-8"))[data][name]
+    got = _report(GOLDENS[data][name], tmp_path / "out")
+    assert got["files"] == want["files"], name
+    assert [len(line) for line in got["summary"]] == [len(line) for line in want["summary"]], name
+    for line, gold in zip(got["summary"], want["summary"]):
+        for v, g in zip(line, gold):
+            if isinstance(g, float):
+                assert isinstance(v, float) and abs(v - g) <= TOL * max(1.0, abs(g)), (name, line, gold)
+            else:
+                assert type(v) is type(g) and v == g, (name, line, gold)
+
+
 def _regenerate(scratch: Path, files: list) -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for data in files:
-        runs = GOLDENS[data]
-        pinned = {name: _pinned(_run(args, scratch / data / name)) for name, args in sorted(runs.items())}
+        if data == REPORTS:
+            pinned = {d: {name: _report(args, scratch / data / d / name) for name, args in sorted(runs.items())}
+                      for d, runs in GOLDENS.items()}
+        else:
+            runs = GOLDENS[data]
+            pinned = {name: _pinned(_run(args, scratch / data / name)) for name, args in sorted(runs.items())}
         (GOLDEN_DIR / data).write_text(json.dumps(pinned, indent=1) + "\n", encoding="utf-8")
 
 
@@ -115,5 +162,5 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        _regenerate(Path(tmp), sys.argv[1:] or list(GOLDENS))
+        _regenerate(Path(tmp), sys.argv[1:] or [*GOLDENS, REPORTS])
     sys.exit(0)
