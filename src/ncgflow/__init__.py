@@ -24,7 +24,6 @@ from .algebra import (
 )
 from .calculus import OneForm, VectorField, apply_vf, d, left_multiply_form, right_multiply_form
 from .connection import (
-    ConnectionData,
     braiding_residual,
     divergence_pairing,
     reality_residual,
@@ -72,8 +71,6 @@ from .transport import (
     run_m2,
     run_zn,
     state_eval,
-    unpack_m2_state,
-    unpack_zn_state,
     velocity_functional,
     zn_coupled_rhs,
     zn_transport_rhs,

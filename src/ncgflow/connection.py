@@ -13,16 +13,17 @@ satisfying the reality condition and from the braided compatibility
 constraint that the flow preserves.  Both vanish on admissible initial
 data and are monitored, not enforced, along trajectories.
 
-``_m2_system`` is the one place where the M2 equations are written: B, b,
-the velocity flow dK_i/dt and the transport dm/dt, on the twelve complex
-entries of (K1, K2, m).  ``solve_b`` here, ``flow.m2_rhs``,
-``transport.m2_transport_rhs`` and the coupled ``transport.m2_coupled_rhs``
-are wrappers over it.
+Each algebra's equations are written once, as one kernel: b (through
+``beta = b + K_+ + K_-`` on Z_n), the velocity flow dK/dt and the
+transport dm/dt.  ``_zn_system`` works on the sample arrays of
+(K_+, K_-, m); ``_m2_system`` on the twelve Python complex entries of
+(K1, K2, m).  ``solve_b`` here, ``flow.zn_rhs`` / ``flow.m2_rhs``,
+``transport.zn_transport_rhs`` / ``transport.m2_transport_rhs`` and the
+coupled ``transport.zn_coupled_rhs`` / ``transport.m2_coupled_rhs`` are
+wrappers over them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,15 +35,27 @@ __all__ = [
     "reality_residual",
     "braiding_residual",
     "divergence_pairing",
-    "ConnectionData",
 ]
 
 
 # Array kernels shared with the integrator hot path (flow / transport).
 
-def _b_zn(kp: np.ndarray, km: np.ndarray) -> np.ndarray:
+def _zn_system(kp: np.ndarray, km: np.ndarray, m: np.ndarray):
+    """Coupled Z_n right-hand side on the samples of K_+, K_- and m.
+
+    ``beta = b + K_+ + K_- = (K_+ + R_{+1}K_+ + K_- + R_{-1}K_-) / 2``.
+    Returns ``dK_+ = K_+ (R_{-1}beta - beta)``, ``dK_- = K_- (R_{+1}beta - beta)``
+    and ``dm = -m b - K_+ (m - R_{-1}m) - K_- (m - R_{+1}m)``.  One
+    statement per equation: a single tuple expression of the same
+    arithmetic is measurably slower at large n.
+    """
     n = kp.shape[0]
-    return 0.5 * (kp[_shift_indices(n, 1)] - kp + km[_shift_indices(n, -1)] - km)
+    up, down = _shift_indices(n, 1), _shift_indices(n, -1)
+    beta = 0.5 * (kp + kp[up] + km + km[down])
+    dkp = kp * (beta[down] - beta)
+    dkm = km * (beta[up] - beta)
+    dm = -m * (beta - kp - km) - kp * (m - m[down]) - km * (m - m[up])
+    return dkp, dkm, dm
 
 
 def _m2_system(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md):
@@ -79,9 +92,9 @@ def _m2_system(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md):
 
 def solve_b(field: VectorField) -> AlgebraElement:
     """The b with zero gauge part satisfying the divergence condition."""
+    # The unit commutes with the generators, so dm/dt = -b at m = 1.
     if isinstance(field.k1, ZnElement):
-        return ZnElement(_b_zn(field.k1.samples, field.k2.samples))
-    # The unit commutes with E12 and E21, so dm/dt = -b at m = 1.
+        return ZnElement(-_zn_system(field.k1.samples, field.k2.samples, np.ones(field.k1.n, complex))[2])
     dm = _m2_system(*field.k1.entries.ravel().tolist(), *field.k2.entries.ravel().tolist(), 1, 0, 0, 1)[8:]
     return Mat2Element([[-dm[0], -dm[1]], [-dm[2], -dm[3]]])
 
@@ -110,14 +123,3 @@ def divergence_pairing(field: VectorField, b: AlgebraElement, a: AlgebraElement)
     """integral(b*a + K(da) + a*b^*); zero for every a iff (b, K) satisfies the divergence condition."""
     return (b * a + apply_vf(field, d(a)) + a * b.star()).integral()
 
-
-@dataclass(frozen=True)
-class ConnectionData:
-    """A vector field together with its divergence-fixing b."""
-
-    field: VectorField
-    b: AlgebraElement
-
-    @classmethod
-    def from_vector_field(cls, field: VectorField) -> "ConnectionData":
-        return cls(field, solve_b(field))

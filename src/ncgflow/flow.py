@@ -4,7 +4,9 @@ The velocity equations evolve the generator values of the vector field:
 
 * Z_n, with ``beta = b + K_+ + K_-`` and b recomputed from K:
   ``dK_+/dt = K_+ (R_{-1} beta - beta)``,
-  ``dK_-/dt = K_- (R_{+1} beta - beta)``.
+  ``dK_-/dt = K_- (R_{+1} beta - beta)``.  These equations live once,
+  together with b and the transport of m, in ``connection._zn_system``;
+  ``zn_rhs`` wraps it.
 * M2(C), with ``B = E12 K1 + E21 K2 + K1 E12 + K2 E21``:
   ``dK_i/dt = [K_i, B] / 2``.  These equations live once, together with b
   and the transport of m, in ``connection._m2_system``; ``m2_rhs`` wraps it.
@@ -31,9 +33,9 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import Mat2Element, ZnElement, _shift_indices
+from .algebra import Mat2Element, ZnElement
 from .calculus import VectorField
-from .connection import _b_zn, _m2_system
+from .connection import _m2_system, _zn_system
 
 __all__ = [
     "MAX_STEPS",
@@ -227,28 +229,14 @@ def integrate(
     return Trajectory(np.array(times), np.vstack(samples))
 
 
-# Flow right-hand sides (array kernels + element-level wrappers).
-
-def _zn_beta(kp: np.ndarray, km: np.ndarray) -> np.ndarray:
-    """beta = b + K_+ + K_- with the divergence-fixing b."""
-    n = kp.shape[0]
-    return 0.5 * (kp + kp[_shift_indices(n, 1)] + km + km[_shift_indices(n, -1)])
-
-
-def _rhs_zn(kp: np.ndarray, km: np.ndarray, beta: np.ndarray | None = None):
-    n = kp.shape[0]
-    if beta is None:
-        beta = _b_zn(kp, km) + kp + km
-    dkp = kp * (beta[_shift_indices(n, -1)] - beta)
-    dkm = km * (beta[_shift_indices(n, 1)] - beta)
-    return dkp, dkm
-
+# Flow right-hand sides (element-level wrappers of the connection kernels).
 
 def zn_rhs(field: VectorField) -> VectorField:
     """Time derivative of the Z_n vector field (b recomputed from K)."""
     if not isinstance(field.k1, ZnElement):
         raise TypeError("zn_rhs expects a Z_n vector field")
-    dkp, dkm = _rhs_zn(field.k1.samples, field.k2.samples)
+    kp = field.k1.samples
+    dkp, dkm, _ = _zn_system(kp, field.k2.samples, np.zeros_like(kp))
     return VectorField(ZnElement(dkp), ZnElement(dkm))
 
 

@@ -11,8 +11,9 @@ with b recomputed from K at every stage.  The induced positive map is
 
 K and m are integrated as one coupled system (``run_zn`` / ``run_m2``)
 rather than sequentially, so no interpolation error enters through K(t).
-The M2 system is written once, in ``connection._m2_system``, on Python
-complex scalars; ``m2_coupled_rhs`` and ``m2_transport_rhs`` wrap it.
+The systems are written once, in ``connection._zn_system`` (on sample
+arrays) and ``connection._m2_system`` (on Python complex scalars); the
+``*_coupled_rhs`` and ``*_transport_rhs`` functions here wrap them.
 
 ``ZnRun`` and ``M2Run`` compute their residual and state series as array
 expressions over the leading time axis; the element functions
@@ -37,10 +38,10 @@ from .algebra import (
     inner_product,
 )
 from .calculus import OneForm, VectorField, apply_vf, left_multiply_form
-from .connection import _b_zn, _m2_system
+from .connection import _m2_system, _zn_system
 # The residual functions stay in this namespace: perfbench/spans.py wraps them here.
 from .connection import braiding_residual, reality_residual  # noqa: F401
-from .flow import Trajectory, _rhs_zn, _zn_beta, integrate, pack_complex, split_complex
+from .flow import Trajectory, integrate, pack_complex
 
 __all__ = [
     "zn_transport_rhs",
@@ -52,9 +53,7 @@ __all__ = [
     "zn_coupled_rhs",
     "m2_coupled_rhs",
     "pack_zn_state",
-    "unpack_zn_state",
     "pack_m2_state",
-    "unpack_m2_state",
     "ZnRun",
     "M2Run",
     "run_zn",
@@ -62,18 +61,11 @@ __all__ = [
 ]
 
 
-def _transport_zn(m: np.ndarray, kp: np.ndarray, km: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    n = m.shape[0]
-    if b is None:
-        b = _b_zn(kp, km)
-    return -m * b - kp * (m - m[_shift_indices(n, -1)]) - km * (m - m[_shift_indices(n, 1)])
-
-
 def zn_transport_rhs(m: ZnElement, field: VectorField) -> ZnElement:
     """dm/dt for Z_n transport."""
     if not isinstance(m, ZnElement):
         raise TypeError("zn_transport_rhs expects a ZnElement")
-    return ZnElement(_transport_zn(m.samples, field.k1.samples, field.k2.samples))
+    return ZnElement(_zn_system(field.k1.samples, field.k2.samples, m.samples)[2])
 
 
 def m2_transport_rhs(m: Mat2Element, field: VectorField) -> Mat2Element:
@@ -143,15 +135,7 @@ def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         z = y.view(np.complex128)
-        kp, km, m = z[:n], z[n : 2 * n], z[2 * n :]
-        beta = _zn_beta(kp, km)
-        dkp, dkm = _rhs_zn(kp, km, beta)
-        dm = _transport_zn(m, kp, km, beta - kp - km)
-        out = np.empty(3 * n, dtype=np.complex128)
-        out[:n] = dkp
-        out[n : 2 * n] = dkm
-        out[2 * n :] = dm
-        return out.view(np.float64)
+        return np.concatenate(_zn_system(z[:n], z[n : 2 * n], z[2 * n :])).view(np.float64)
 
     return rhs
 
@@ -174,18 +158,8 @@ def pack_zn_state(k_plus, k_minus, m) -> np.ndarray:
     return pack_complex(k_plus, k_minus, m)
 
 
-def unpack_zn_state(y: np.ndarray, n: int):
-    kp, km, m = split_complex(np.ascontiguousarray(y), (n, n, n))
-    return kp.copy(), km.copy(), m.copy()
-
-
 def pack_m2_state(k1, k2, m) -> np.ndarray:
     return pack_complex(k1, k2, m)
-
-
-def unpack_m2_state(y: np.ndarray):
-    k1, k2, m = split_complex(np.ascontiguousarray(y), (4, 4, 4))
-    return k1.reshape(2, 2).copy(), k2.reshape(2, 2).copy(), m.reshape(2, 2).copy()
 
 
 # Decoded runs -------------------------------------------------------------

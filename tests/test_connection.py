@@ -5,7 +5,6 @@ from hypothesis import given
 
 from conftest import m2_real_vector_fields, zn_real_vector_fields
 from ncgflow import (
-    ConnectionData,
     E12,
     E21,
     E11,
@@ -102,9 +101,3 @@ def test_m2_b_hermitian(K):
     b = solve_b(K)
     np.testing.assert_allclose(b.entries, b.star().entries, atol=TOL)
 
-
-def test_connection_data_factory(fig1_data):
-    K = _fig1_field(fig1_data)
-    data = ConnectionData.from_vector_field(K)
-    np.testing.assert_allclose(data.b.samples, solve_b(K).samples)
-    assert data.field is K
