@@ -148,7 +148,10 @@ def integrate_geodesic(
         raise ValueError(f"x0 and v0 must have shape ({dim},)")
 
     def rhs(t, y):
-        return np.array(_geodesic_system(y.tolist(), provider))
+        try:
+            return np.array(_geodesic_system(y.tolist(), provider))
+        except (ValueError, ZeroDivisionError):  # a stage left the chart: sin(inf), or a pole of the sphere
+            return np.full(y.shape, math.nan)  # non-finite, so the integrator reports a blow-up
 
     traj = integrate(rhs, np.concatenate([x0, v0]), t_end, h=h, stride=stride, method=method)
     return GeodesicRun(traj.times, traj.states[:, :dim], traj.states[:, dim:], provider)

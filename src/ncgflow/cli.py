@@ -194,14 +194,6 @@ def _stepping(cfg: dict) -> dict:
 
 
 # Scenarios -----------------------------------------------------------------
-#
-# A runner writes the three CSVs and returns ``(times, plots, summary)``:
-# ``plots`` is a list of ``(file name, line_chart keywords)`` and
-# ``summary`` the report lines after ``samples``.  It calls ``run_zn``,
-# ``write_csv`` and the rest through this module's globals, so a wrapper
-# installed on the module sees every call.  ``checks`` returns
-# ``(name, value, tol)`` triples; a bool value is a yes/no fact whose
-# third field is the warning for "no".
 
 _STEPPING = {"t_end": 10.0, "step": 1e-3, "stride": 10, "method": "rk4"}
 _TOL = 1e-9
@@ -210,6 +202,21 @@ _M2_LABELS = ("00", "01", "10", "11")  # row-major entries of a 2x2 matrix
 
 @dataclass(frozen=True)
 class _Scenario:
+    """The four functions that make up one scenario.
+
+    ``default()`` is the raw default config.  ``parse(raw)`` validates the
+    scenario's own fields of a raw dict whose defaults are filled in.
+    ``run(cfg, outdir)`` writes the three CSVs and returns ``(times, plots,
+    summary)``: ``plots`` lists ``(file name, line_chart keywords)`` and
+    ``summary`` the report items after ``samples``.  ``checks(cfg)``
+    returns ``(name, value, tol)`` triples on the initial data; a bool
+    value is a yes/no fact whose third field is the warning for "no".
+
+    Runners call ``run_zn``, ``write_csv``, ``line_chart`` and the rest
+    through this module's globals, so a wrapper installed on the module
+    sees every call.
+    """
+
     default: Callable[[], dict]
     parse: Callable[[dict], dict]
     run: Callable[[dict, Path], tuple]
@@ -345,7 +352,7 @@ def _row_run(cfg: dict, outdir: Path) -> tuple:
     t = run.times
     gone = np.flatnonzero((run.lam == 0) & (run.mu == 0))
     if gone.size:  # underflow from a subnormal start: 0:0 is no point of the sphere
-        raise BlowupError("row state underflowed to (0, 0)", float(t[gone[0] - 1]) if gone[0] else 0.0)
+        raise BlowupError("row state underflowed to (0, 0)", float(t[gone[0] - 1]))
     z = np.array([p.z if not p.is_infinity else complex("inf") for p in run.z_points()])
     _write_table(outdir, "trajectory.csv", t, ["lam_re", "lam_im", "mu_re", "mu_im", "z_re", "z_im"],
                  [run.lam.real, run.lam.imag, run.mu.real, run.mu.imag, z.real, z.imag])
@@ -469,10 +476,7 @@ _SCENARIOS = {
 }
 SCENARIOS = tuple(_SCENARIOS)
 
-PRESETS = {
-    "paper-fig1": _zn_default,
-    "paper-fig2": _m2_default,
-}
+PRESETS = {"paper-fig1": _zn_default, "paper-fig2": _m2_default}
 
 
 def build_config(raw: dict) -> dict:
@@ -564,12 +568,12 @@ def _run_config(cfg: dict, out) -> int:
     outdir = Path(out)
     try:
         warnings = _report(cfg)[1]
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot create output directory {outdir}: {exc}") from exc
     except ConfigError as exc:
         return _config_error(exc)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        return _config_error(f"cannot create output directory {outdir}: {exc}")
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     try:

@@ -1,9 +1,14 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+from ncgflow import cli
 from ncgflow.cli import ConfigError, PRESETS, build_config, load_config, main
 
 
@@ -283,3 +288,153 @@ def test_scenario_config_mismatch(tmp_path):
     path = tmp_path / "zn.json"
     path.write_text(json.dumps({"scenario": "zn"}))
     assert main(["run", "--config", str(path), "--scenario", "m2", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_run_prints_validate_warnings(tmp_path, capsys):
+    cfg = {
+        "scenario": "zn",
+        "n": 3,
+        "k_plus": [[1, 0], [0, 0], [0, 0]],
+        "k_minus": [[1, 0], [0, 0], [0, 0]],
+        "m": [[1, 0], [0, 0], [0, 0]],
+        "t_end": 0.01,
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "bad")]) == 0
+    assert "warning: reality residual = 1.000e+00 exceeds 1e-09" in capsys.readouterr().err.splitlines()
+
+    assert main(["run", "--preset", "paper-fig1", "--t-end", "0.01", "--out", str(tmp_path / "fig1")]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
+# Each of these once ended in a traceback (AlgebraError or ZeroDivisionError).
+_ZN_1E309 = '{"scenario": "zn", "k_plus": [[1e309, 0], [1, 0], [1, 0]]}'
+_ZN_NAN = '{"scenario": "zn", "k_plus": [[NaN, 0], [1, 0], [1, 0]]}'
+_SPHERE_POLE = '{"scenario": "classical-geodesic", "x": [0.0, 0.0], "v": [1.0, 0.0]}'
+# These ran into a ValueError: a stage past the pole took sin(inf); the row decayed to 0:0.
+_NEAR_POLE = '{"scenario": "classical-geodesic", "x": [1e-300, 0.0], "v": [1.0, 1.0]}'
+_ROW_UNDERFLOW = '{"scenario": "m2row", "lam": 5e-324, "mu": 0, "q0": -2000}'
+
+
+@pytest.mark.parametrize("text", [_ZN_1E309, _ZN_NAN, _SPHERE_POLE])
+def test_non_finite_values_and_the_pole_exit_2(text, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", [_NEAR_POLE, _ROW_UNDERFLOW])
+def test_states_that_leave_the_chart_exit_3(text, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--t-end", "0.002", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.splitlines()[-1].startswith("numerical blowup:")
+
+
+def test_every_source_applies_the_same_rules(tmp_path, capsys):
+    with pytest.raises(ConfigError):
+        build_config({"scenario": "classical-burgers", "n_grid": 10**9})  # would allocate GBs per array
+    assert build_config({"scenario": "classical-burgers", "n_grid": cli.MAX_GRID})["n_grid"] == cli.MAX_GRID
+    for raw in ({"scenario": "classical-burgers", "amplitude": math.inf},
+                {"scenario": "m2row", "lam": 10**400},
+                {"scenario": "classical-geodesic", "v": [1.0, math.nan]}):
+        with pytest.raises(ConfigError):
+            build_config(raw)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"scenario": "zn", "t_end": 1e9}))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_sweep_refuses_configs_that_share_a_stem(tmp_path, capsys):
+    paths = []
+    for parent in ("d1", "d2"):
+        (tmp_path / parent).mkdir()
+        paths.append(tmp_path / parent / "x.json")
+        paths[-1].write_text(json.dumps({"scenario": "m2row", "t_end": 0.01}))
+    assert main(["sweep", "--configs", *map(str, paths), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "s").exists()
+
+
+def test_sweep_starts_no_more_workers_than_configs(tmp_path, monkeypatch):
+    started = []
+
+    class FakePool:  # a real pool would fork every worker at the first submit
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        path.write_text(json.dumps({"scenario": "m2row", "t_end": 0.01}))
+    assert main(["sweep", "--configs", *map(str, paths), "--out", str(tmp_path / "s"), "--jobs", "5000"]) == 0
+    assert started == [2]
+    assert (tmp_path / "s" / "b" / "trajectory.csv").exists()
+
+
+_FIELDS = {
+    "zn": ["n", "k_plus", "k_minus", "m"],
+    "m2": ["k1", "k2", "m"],
+    "m2row": ["lam", "mu", "q0", "q1", "q2"],
+    "classical-geodesic": ["manifold", "x", "v"],
+    "classical-burgers": ["n_grid", "amplitude", "stencil", "values"],
+}
+_BIG = "1e309 literal"  # json.dumps cannot write 1e309; the string is replaced in the text
+_numbers = st.one_of(
+    st.floats(),
+    st.integers(-3, 70),
+    st.sampled_from([math.inf, -math.inf, math.nan, _BIG, 10**400]),
+)
+_pairs = st.lists(_numbers, min_size=2, max_size=2)
+_values = st.one_of(
+    _numbers,
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["sphere", "flat", "rk4", "rk45", ""]),
+    _pairs,
+    st.lists(_pairs, min_size=1, max_size=4),
+    st.lists(st.lists(_pairs, min_size=2, max_size=2), min_size=2, max_size=2),
+    st.lists(_numbers, min_size=1, max_size=20),
+)
+
+
+@st.composite
+def _config_texts(draw):
+    scenario = draw(st.sampled_from(sorted(_FIELDS)))
+    keys = draw(st.lists(st.sampled_from(_FIELDS[scenario] + ["t_end", "step", "stride", "method"]),
+                         unique=True, max_size=6))
+    raw = {"scenario": scenario, **{key: draw(_values) for key in keys}}
+    return json.dumps(raw).replace(f'"{_BIG}"', "1e309")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_config_texts())
+@example(_ZN_1E309)
+@example(_ZN_NAN)
+@example(_SPHERE_POLE)
+@example(_NEAR_POLE)
+@example(_ROW_UNDERFLOW)
+def test_any_config_ends_in_an_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) in (0, 2)
+        out = str(Path(tmp) / "out")
+        assert main(["run", "--config", str(path), "--t-end", "0.002", "--step", "0.001", "--out", out]) in (0, 2, 3)
