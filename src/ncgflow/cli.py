@@ -554,10 +554,10 @@ def _resolve_config(args) -> dict:
     elif scenario:
         raw = {"scenario": scenario}
     else:
-        raise ConfigError("one of --preset or --config" + (" or --scenario" if hasattr(args, "scenario") else "")
-                          + " is required")
-    flags = {key: getattr(args, key, None) for key in _STEPPING}
-    cfg = build_config({**raw, **{key: value for key, value in flags.items() if value is not None}})
+        sources = "--preset, --config or --scenario" if hasattr(args, "scenario") else "--preset or --config"
+        raise ConfigError(f"one of {sources} is required")
+    flags = {key: getattr(args, key) for key in _STEPPING if getattr(args, key, None) is not None}
+    cfg = build_config({**raw, **flags})
     if scenario and scenario != cfg["scenario"]:
         raise ConfigError(f"--scenario {scenario} contradicts config scenario {cfg['scenario']!r}")
     return cfg
