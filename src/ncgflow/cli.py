@@ -102,8 +102,8 @@ def _as_complex(value, field: str) -> complex:
         parts = value
     else:
         parts = (value, 0.0)
-    re, im = (_real(p, field, "a number or [re, im] pair") for p in parts)
-    return complex(re, im)
+    what = "a number or [re, im] pair"
+    return complex(_real(parts[0], field, what), _real(parts[1], field, what))
 
 
 def _as_complex_list(value, field: str, length: int) -> list[complex]:
