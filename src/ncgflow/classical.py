@@ -26,6 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .algebra import _shift_indices
 from .flow import Trajectory, integrate
 
 __all__ = [
@@ -147,13 +148,13 @@ def integrate_geodesic(
     if x0.shape != (dim,) or v0.shape != (dim,):
         raise ValueError(f"x0 and v0 must have shape ({dim},)")
 
-    def rhs(t, y):
+    def rhs(t: float, y: list) -> list:
         try:
-            return np.array(_geodesic_system(y.tolist(), provider))
+            return _geodesic_system(y, provider)
         except (ValueError, ZeroDivisionError):  # a stage left the chart: sin(inf), or a pole of the sphere
-            return np.full(y.shape, math.nan)  # non-finite, so the integrator reports a blow-up
+            return [math.nan] * len(y)  # non-finite, so the integrator reports a blow-up
 
-    traj = integrate(rhs, np.concatenate([x0, v0]), t_end, h=h, stride=stride, method=method)
+    traj = integrate(rhs, np.concatenate([x0, v0]), t_end, h=h, stride=stride, method=method, scalars=float)
     return GeodesicRun(traj.times, traj.states[:, :dim], traj.states[:, dim:], provider)
 
 
@@ -192,20 +193,32 @@ def sine_field(n: int = 256, amplitude: float = 0.1, stencil: int = 4) -> GridFi
 
 def spatial_derivative(values: np.ndarray, dx: float, stencil: int = 4) -> np.ndarray:
     """Centred periodic derivative, 2nd or 4th order."""
+    values = np.asarray(values)
+    n = values.shape[0]
+
+    def shifted(steps: int) -> np.ndarray:  # values[(i + steps) % n]
+        return values[_shift_indices(n, steps)]
+
     if stencil == 2:
-        return (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * dx)
-    return (
-        -np.roll(values, -2) + 8.0 * np.roll(values, -1) - 8.0 * np.roll(values, 1) + np.roll(values, 2)
-    ) / (12.0 * dx)
+        return (shifted(1) - shifted(-1)) / (2.0 * dx)
+    return (-shifted(2) + 8.0 * shifted(1) - 8.0 * shifted(-1) + shifted(-2)) / (12.0 * dx)
+
+
+def _burgers_rate(v: np.ndarray, dx: float, stencil: int, gamma_values: Optional[np.ndarray]) -> np.ndarray:
+    """``-K K' - Gamma K^2`` on grid samples, with Gamma sampled on the grid (or None)."""
+    out = -v * spatial_derivative(v, dx, stencil)
+    if gamma_values is not None:
+        out = out - gamma_values * v * v
+    return out
+
+
+def _gamma_values(gamma, field: GridField) -> Optional[np.ndarray]:
+    return None if gamma is None else np.asarray(gamma(field.x), dtype=np.float64)
 
 
 def burgers_rhs(field: GridField, gamma: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
     """dK/dt = -K K' - Gamma(x) K^2 on the grid (pre-shock regime assumed)."""
-    v = field.values
-    out = -v * spatial_derivative(v, field.dx, field.stencil)
-    if gamma is not None:
-        out = out - np.asarray(gamma(field.x), dtype=np.float64) * v * v
-    return out
+    return _burgers_rate(field.values, field.dx, field.stencil, _gamma_values(gamma, field))
 
 
 @dataclass(frozen=True)
@@ -229,17 +242,9 @@ def integrate_burgers(
     stride: int = 10,
     method: str = "rk4",
 ) -> BurgersRun:
-    stencil = field.stencil
-    gamma_values = None if gamma is None else np.asarray(gamma(field.x), dtype=np.float64)
-    dx = field.dx
-
-    def rhs(t, y):
-        out = -y * spatial_derivative(y, dx, stencil)
-        if gamma_values is not None:
-            out = out - gamma_values * y * y
-        return out
-
-    traj = integrate(rhs, field.values, t_end, h=h, stride=stride, method=method)
+    stencil, dx, gamma_values = field.stencil, field.dx, _gamma_values(gamma, field)
+    traj = integrate(lambda t, y: _burgers_rate(y, dx, stencil, gamma_values), field.values, t_end,
+                     h=h, stride=stride, method=method)
     return BurgersRun(traj.times, traj.states, stencil)
 
 

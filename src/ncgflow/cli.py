@@ -17,7 +17,10 @@ the same rules; ``run`` prints the warnings of the checks that
 ``validate`` reports.
 
 Config values that are complex numbers are written as ``[re, im]`` pairs
-(plain numbers are accepted as reals); every number must be finite.  CSV
+(plain numbers are accepted as reals); every number must be finite.  A
+run may take at most ``flow.MAX_STEPS`` steps, and its samples times the
+length of its state vector may be at most ``flow.MAX_SAMPLE_VALUES``
+(1 GiB of float64), so an accepted config has bounded time and memory.  CSV
 floats carry 17 significant digits and output bytes are deterministic
 for a fixed config.
 
@@ -49,7 +52,7 @@ from .classical import (
     sine_field,
 )
 from .connection import braiding_residual, reality_residual
-from .flow import BlowupError, step_count
+from .flow import MAX_SAMPLE_VALUES, BlowupError, sample_count, step_count
 from .mobius import metric_preservation_check, run_row
 from .svgplot import line_chart
 from .transport import run_m2, run_zn, state_eval
@@ -202,10 +205,11 @@ _M2_LABELS = ("00", "01", "10", "11")  # row-major entries of a 2x2 matrix
 
 @dataclass(frozen=True)
 class _Scenario:
-    """The four functions that make up one scenario.
+    """The five functions that make up one scenario.
 
     ``default()`` is the raw default config.  ``parse(raw)`` validates the
     scenario's own fields of a raw dict whose defaults are filled in.
+    ``columns(cfg)`` is the length of the integrated state vector.
     ``run(cfg, outdir)`` writes the three CSVs and returns ``(times, plots,
     summary)``: ``plots`` lists ``(file name, line_chart keywords)`` and
     ``summary`` the report items after ``samples``.  ``checks(cfg)``
@@ -219,6 +223,7 @@ class _Scenario:
 
     default: Callable[[], dict]
     parse: Callable[[dict], dict]
+    columns: Callable[[dict], int]
     run: Callable[[dict, Path], tuple]
     checks: Callable[[dict], list]
 
@@ -467,12 +472,17 @@ def _no_checks(cfg: dict) -> list:
     return []
 
 
+def _burgers_columns(cfg: dict) -> int:
+    return len(cfg["values"]) if "values" in cfg else cfg["n_grid"]
+
+
 _SCENARIOS = {
-    "zn": _Scenario(_zn_default, _zn_parse, _zn_run, _zn_checks),
-    "m2": _Scenario(_m2_default, _m2_parse, _m2_run, _m2_checks),
-    "m2row": _Scenario(_row_default, _row_parse, _row_run, _row_checks),
-    "classical-geodesic": _Scenario(_geodesic_default, _geodesic_parse, _geodesic_run, _no_checks),
-    "classical-burgers": _Scenario(_burgers_default, _burgers_parse, _burgers_run, _no_checks),
+    "zn": _Scenario(_zn_default, _zn_parse, lambda cfg: 6 * cfg["n"], _zn_run, _zn_checks),
+    "m2": _Scenario(_m2_default, _m2_parse, lambda cfg: 24, _m2_run, _m2_checks),
+    "m2row": _Scenario(_row_default, _row_parse, lambda cfg: 4, _row_run, _row_checks),
+    "classical-geodesic": _Scenario(_geodesic_default, _geodesic_parse, lambda cfg: 2 * len(cfg["x"]),
+                                    _geodesic_run, _no_checks),
+    "classical-burgers": _Scenario(_burgers_default, _burgers_parse, _burgers_columns, _burgers_run, _no_checks),
 }
 SCENARIOS = tuple(_SCENARIOS)
 
@@ -498,7 +508,7 @@ def build_config(raw: dict) -> dict:
     if cfg["method"] not in ("rk4", "rk45"):
         raise ConfigError(f"field 'method': expected 'rk4' or 'rk45', got {cfg['method']!r}")
     try:
-        step_count(cfg["t_end"], cfg["step"])
+        n_steps = step_count(cfg["t_end"], cfg["step"])
     except ValueError as exc:
         raise ConfigError(f"fields 't_end'/'step': {exc}") from exc
     if "out" in full:
@@ -506,6 +516,10 @@ def build_config(raw: dict) -> dict:
             raise ConfigError("field 'out': expected a non-empty path string")
         cfg["out"] = full["out"]
     cfg.update(spec.parse(full))
+    samples, columns = sample_count(n_steps, cfg["stride"]), spec.columns(cfg)
+    if samples * columns > MAX_SAMPLE_VALUES:
+        raise ConfigError(f"fields 't_end'/'step'/'stride': {samples} samples of {columns} state values exceed "
+                          f"the limit of {MAX_SAMPLE_VALUES} values; raise 'stride'")
     return cfg
 
 

@@ -13,14 +13,18 @@ satisfying the reality condition and from the braided compatibility
 constraint that the flow preserves.  Both vanish on admissible initial
 data and are monitored, not enforced, along trajectories.
 
-Each algebra's equations are written once, as one kernel: b (through
+Each algebra's equations are written once: b (through
 ``beta = b + K_+ + K_-`` on Z_n), the velocity flow dK/dt and the
-transport dm/dt.  ``_zn_system`` works on the sample arrays of
-(K_+, K_-, m); ``_m2_system`` on the twelve Python complex entries of
+transport dm/dt.  On Z_n they are four elementwise functions,
+``_zn_beta`` (beta at a site from its four neighbours) and the three
+rates ``_zn_dkp``, ``_zn_dkm`` and ``_zn_dm``, and they come in two
+forms: ``_zn_system`` calls each once on the gathered sample arrays of
+(K_+, K_-, m), and ``_zn_sites`` calls each once per site on Python
+complex scalars, which is cheaper below ``transport.ZN_SCALAR_CROSSOVER``
+sites.  ``_m2_system`` works on the twelve Python complex entries of
 (K1, K2, m).  ``solve_b`` here, ``flow.zn_rhs`` / ``flow.m2_rhs``,
 ``transport.zn_transport_rhs`` / ``transport.m2_transport_rhs`` and the
-coupled ``transport.zn_coupled_rhs`` / ``transport.m2_coupled_rhs`` are
-wrappers over them.
+coupled right-hand sides of ``transport`` are wrappers over them.
 """
 
 from __future__ import annotations
@@ -38,24 +42,57 @@ __all__ = [
 ]
 
 
-# Array kernels shared with the integrator hot path (flow / transport).
+# Kernels shared with the integrator hot path (flow / transport).
+
+def _zn_beta(kp, kp_up, km, km_down):
+    """``beta = b + K_+ + K_- = (K_+ + R_{+1}K_+ + K_- + R_{-1}K_-) / 2`` at a site.
+
+    Like the three rates below it is elementwise: the arguments are the
+    values at one site and at its neighbours, as scalars or as gathered
+    arrays.
+    """
+    return 0.5 * (kp + kp_up + km + km_down)
+
+
+def _zn_dkp(kp, beta, beta_down):
+    """``dK_+ = K_+ (R_{-1}beta - beta)``."""
+    return kp * (beta_down - beta)
+
+
+def _zn_dkm(km, beta, beta_up):
+    """``dK_- = K_- (R_{+1}beta - beta)``."""
+    return km * (beta_up - beta)
+
+
+def _zn_dm(kp, km, m, beta, m_up, m_down):
+    """``dm = -m b - K_+ (m - R_{-1}m) - K_- (m - R_{+1}m)``, with ``b = beta - K_+ - K_-``."""
+    return -m * (beta - kp - km) - kp * (m - m_down) - km * (m - m_up)
+
 
 def _zn_system(kp: np.ndarray, km: np.ndarray, m: np.ndarray):
-    """Coupled Z_n right-hand side on the samples of K_+, K_- and m.
+    """Coupled Z_n right-hand side on the sample arrays of K_+, K_- and m.
 
-    ``beta = b + K_+ + K_- = (K_+ + R_{+1}K_+ + K_- + R_{-1}K_-) / 2``.
-    Returns ``dK_+ = K_+ (R_{-1}beta - beta)``, ``dK_- = K_- (R_{+1}beta - beta)``
-    and ``dm = -m b - K_+ (m - R_{-1}m) - K_- (m - R_{+1}m)``.  One
-    statement per equation: a single tuple expression of the same
-    arithmetic is measurably slower at large n.
+    Each rate gathers its neighbours in its own call: holding all four
+    gathers at once measurably slows large n (the allocator returns and
+    refetches the extra memory on every call).
     """
     n = kp.shape[0]
     up, down = _shift_indices(n, 1), _shift_indices(n, -1)
-    beta = 0.5 * (kp + kp[up] + km + km[down])
-    dkp = kp * (beta[down] - beta)
-    dkm = km * (beta[up] - beta)
-    dm = -m * (beta - kp - km) - kp * (m - m[down]) - km * (m - m[up])
-    return dkp, dkm, dm
+    beta = _zn_beta(kp, kp[up], km, km[down])
+    return _zn_dkp(kp, beta, beta[down]), _zn_dkm(km, beta, beta[up]), _zn_dm(kp, km, m, beta, m[up], m[down])
+
+
+def _zn_sites(kp: list, km: list, m: list) -> list:
+    """``_zn_system`` site by site on lists of Python complex scalars.
+
+    Returns the rates of K_+, K_- and m as one flat list, in that order.
+    """
+    beta = list(map(_zn_beta, kp, kp[1:] + kp[:1], km, km[-1:] + km[:-1]))
+    return [
+        *map(_zn_dkp, kp, beta, beta[-1:] + beta[:-1]),
+        *map(_zn_dkm, km, beta, beta[1:] + beta[:1]),
+        *map(_zn_dm, kp, km, m, beta, m[1:] + m[:1], m[-1:] + m[:-1]),
+    ]
 
 
 def _m2_system(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md):

@@ -175,6 +175,14 @@ def integrate_riccati(
     return np.array(times), points
 
 
+def _ldexp(z: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """``z * 2**exponent``, exact part by part (signed zeros included)."""
+    out = np.empty_like(z)
+    out.real = np.ldexp(z.real, exponent)
+    out.imag = np.ldexp(z.imag, exponent)
+    return out
+
+
 @dataclass(frozen=True)
 class RowRun:
     """Sampled row transport; lam and mu are complex time series."""
@@ -191,10 +199,17 @@ class RowRun:
         return [SpherePoint.from_ratio(l, m) for l, m in zip(self.lam, self.mu)]
 
     def bloch_series(self) -> np.ndarray:
-        """Normalised state coordinates (s, x, y) of the induced pure state."""
-        norm = self.norms()
-        s = 0.5 * (np.abs(self.mu) ** 2 - np.abs(self.lam) ** 2) / norm
-        cross = self.lam * np.conj(self.mu) / norm
+        """Normalised state coordinates (s, x, y) of the induced pure state.
+
+        Each sample is scaled by the power of two that brings max(|lam|, |mu|)
+        into [1/2, 1) before squaring, so the norm cannot underflow (or
+        overflow); the scaling is exact and cancels in every ratio.
+        """
+        exponent = np.frexp(np.maximum(np.abs(self.lam), np.abs(self.mu)))[1]
+        lam, mu = _ldexp(self.lam, -exponent), _ldexp(self.mu, -exponent)
+        norm = np.abs(lam) ** 2 + np.abs(mu) ** 2
+        s = 0.5 * (np.abs(mu) ** 2 - np.abs(lam) ** 2) / norm
+        cross = lam * np.conj(mu) / norm
         return np.column_stack([s, cross.real, cross.imag])
 
 
@@ -210,13 +225,13 @@ def run_row(
     stride: int = 10,
     method: str = "rk4",
 ) -> RowRun:
-    """Integrate the (lam, mu) transport as a flat real system."""
+    """Integrate the (lam, mu) transport on Python complex scalars."""
     q0, q1, q2 = complex(q0), complex(q1), complex(q2)
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(row_rhs(*y.view(np.complex128).tolist(), q0, q1, q2)).view(np.float64)
+    def rhs(t: float, y: list) -> tuple:
+        return row_rhs(*y, q0, q1, q2)
 
     y0 = pack_complex(np.array([complex(lam0), complex(mu0)]))
-    traj = integrate(rhs, y0, t_end, h=h, stride=stride, method=method)
+    traj = integrate(rhs, y0, t_end, h=h, stride=stride, method=method, scalars=complex)
     blocks = traj.states.view(np.complex128)
     return RowRun(traj.times, blocks[:, 0].copy(), blocks[:, 1].copy())

@@ -11,9 +11,21 @@ with b recomputed from K at every stage.  The induced positive map is
 
 K and m are integrated as one coupled system (``run_zn`` / ``run_m2``)
 rather than sequentially, so no interpolation error enters through K(t).
-The systems are written once, in ``connection._zn_system`` (on sample
-arrays) and ``connection._m2_system`` (on Python complex scalars); the
-``*_coupled_rhs`` and ``*_transport_rhs`` functions here wrap them.
+The systems are written once, in ``connection`` (the elementwise Z_n
+functions ``_zn_beta``, ``_zn_dkp``, ``_zn_dkm``, ``_zn_dm``, and
+``_m2_system``); the ``*_coupled_rhs`` and ``*_transport_rhs`` functions
+here wrap them.
+
+``flow.integrate`` steps these systems in one of its two state forms.
+M2 always runs on Python complex scalars (``scalars=complex``).  Z_n runs
+site by site on scalars (``connection._zn_sites``) below
+``ZN_SCALAR_CROSSOVER`` sites and on sample arrays (``_zn_system``) from
+there on: the cost of the scalar form grows with n while that of the
+array form is nearly flat at small n, and the constant is where a whole
+rk4 step costs the same in both.  Either way the state handed to
+``integrate`` is the packed float64 vector of ``pack_zn_state`` /
+``pack_m2_state``, so a wrapper of ``integrate`` reads the same ``y0``
+(the benchmark's tracer names a Z_n right-hand side by ``len(y0) // 6``).
 
 ``ZnRun`` and ``M2Run`` compute their residual and state series as array
 expressions over the leading time axis; the element functions
@@ -38,10 +50,10 @@ from .algebra import (
     inner_product,
 )
 from .calculus import OneForm, VectorField, apply_vf, left_multiply_form
-from .connection import _m2_system, _zn_system
+from .connection import _m2_system, _zn_sites, _zn_system
 # The residual functions stay in this namespace: perfbench/spans.py wraps them here.
 from .connection import braiding_residual, reality_residual  # noqa: F401
-from .flow import Trajectory, integrate, pack_complex
+from .flow import Trajectory, array_rhs, integrate, pack_complex
 
 __all__ = [
     "zn_transport_rhs",
@@ -58,7 +70,12 @@ __all__ = [
     "M2Run",
     "run_zn",
     "run_m2",
+    "ZN_SCALAR_CROSSOVER",
 ]
+
+# Z_n systems with fewer sites than this step on Python scalars (see the module
+# docstring): a whole rk4 step costs the same in both forms at about 10 sites.
+ZN_SCALAR_CROSSOVER = 10
 
 
 def zn_transport_rhs(m: ZnElement, field: VectorField) -> ZnElement:
@@ -140,13 +157,23 @@ def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
     return rhs
 
 
-def m2_coupled_rhs() -> Callable[[float, np.ndarray], np.ndarray]:
-    """Flat RHS for the coupled (K1, K2, m) M2 system."""
+def _zn_site_rates(n: int):
+    """The coupled Z_n right-hand side on the 3n Python complex entries of (K_+, K_-, m)."""
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(_m2_system(*y.view(np.complex128).tolist())).view(np.float64)
+    def rhs(t: float, y: list) -> list:
+        return _zn_sites(y[:n], y[n : 2 * n], y[2 * n :])
 
     return rhs
+
+
+def _m2_rates(t: float, y: list) -> list:
+    """The coupled M2 right-hand side on the twelve Python complex entries of (K1, K2, m)."""
+    return _m2_system(*y)
+
+
+def m2_coupled_rhs() -> Callable[[float, np.ndarray], np.ndarray]:
+    """Flat RHS for the coupled (K1, K2, m) M2 system."""
+    return array_rhs(_m2_rates)
 
 
 def _as_complex(value, shape) -> np.ndarray:
@@ -252,7 +279,11 @@ def run_zn(
     n = kp0.shape[0]
     if km0.shape[0] != n or m0.shape[0] != n:
         raise ValueError("k_plus, k_minus and m must have the same length")
-    traj = integrate(zn_coupled_rhs(n), pack_zn_state(kp0, km0, m0), t_end, h=h, stride=stride, method=method)
+    y0 = pack_zn_state(kp0, km0, m0)
+    if n < ZN_SCALAR_CROSSOVER:
+        traj = integrate(_zn_site_rates(n), y0, t_end, h=h, stride=stride, method=method, scalars=complex)
+    else:
+        traj = integrate(zn_coupled_rhs(n), y0, t_end, h=h, stride=stride, method=method)
     blocks = traj.states.view(np.complex128)
     return ZnRun(traj.times, blocks[:, :n], blocks[:, n : 2 * n], blocks[:, 2 * n :], traj)
 
@@ -271,7 +302,8 @@ def run_m2(
     k10 = _as_complex(k1, (2, 2))
     k20 = _as_complex(k2, (2, 2))
     m0 = _as_complex(m, (2, 2))
-    traj = integrate(m2_coupled_rhs(), pack_m2_state(k10, k20, m0), t_end, h=h, stride=stride, method=method)
+    y0 = pack_m2_state(k10, k20, m0)
+    traj = integrate(_m2_rates, y0, t_end, h=h, stride=stride, method=method, scalars=complex)
     blocks = traj.states.view(np.complex128)
     T = blocks.shape[0]
     return M2Run(

@@ -9,6 +9,7 @@ from ncgflow import (
     burgers_rhs,
     flat_space,
     geodesic_rhs,
+    integrate,
     integrate_burgers,
     integrate_geodesic,
     pullback_geodesic_check,
@@ -112,6 +113,25 @@ def test_spatial_derivative_orders():
     err2 = np.abs(spatial_derivative(f, 2 * math.pi / n, 2) - exact).max()
     assert err4 < 1e-5 < err2 < 1e-2
     assert err4 < err2 / 100
+
+
+@pytest.mark.parametrize("stencil", [2, 4])
+def test_spatial_derivative_equals_the_rolled_stencil(stencil):
+    v = np.random.default_rng(3).normal(size=64)
+    dx = 2 * math.pi / 64
+    if stencil == 2:
+        rolled = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * dx)
+    else:
+        rolled = (-np.roll(v, -2) + 8.0 * np.roll(v, -1) - 8.0 * np.roll(v, 1) + np.roll(v, 2)) / (12.0 * dx)
+    assert spatial_derivative(v, dx, stencil).tobytes() == rolled.tobytes()
+
+
+def test_integrate_burgers_steps_burgers_rhs():
+    field = sine_field(32, 0.1, 2)
+    gamma = lambda x: 0.1 * np.cos(x)
+    run = integrate_burgers(field, gamma, t_end=0.05, h=1e-3, stride=10)
+    ref = integrate(lambda t, y: burgers_rhs(GridField(y, field.stencil), gamma), field.values, 0.05, h=1e-3, stride=10)
+    assert run.values.tobytes() == ref.states.tobytes()
 
 
 def test_burgers_rhs_constant_field():

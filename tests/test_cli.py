@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from ncgflow import cli
+from ncgflow import cli, flow
 from ncgflow.cli import ConfigError, PRESETS, build_config, load_config, main
 
 
@@ -315,6 +316,8 @@ _SPHERE_POLE = '{"scenario": "classical-geodesic", "x": [0.0, 0.0], "v": [1.0, 0
 # These ran into a ValueError: a stage past the pole took sin(inf); the row decayed to 0:0.
 _NEAR_POLE = '{"scenario": "classical-geodesic", "x": [1e-300, 0.0], "v": [1.0, 1.0]}'
 _ROW_UNDERFLOW = '{"scenario": "m2row", "lam": 5e-324, "mu": 0, "q0": -2000}'
+# This wrote NaN state coordinates: the row norm |lam|^2 + |mu|^2 underflowed to 0.
+_ROW_TINY = '{"scenario": "m2row", "lam": 1e-200, "mu": 0}'
 
 
 @pytest.mark.parametrize("text", [_ZN_1E309, _ZN_NAN, _SPHERE_POLE])
@@ -351,6 +354,36 @@ def test_every_source_applies_the_same_rules(tmp_path, capsys):
         load_config(path)
     assert main(["validate", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_sample_memory_is_capped(tmp_path, capsys):
+    # only build_config and validate see these configs: none of them is integrated
+    cap = flow.MAX_SAMPLE_VALUES
+    row = {"scenario": "m2row", "step": 1.0, "stride": 1}  # 4 state values per sample
+    assert build_config({**row, "t_end": cap // 4 - 1})["t_end"] == cap // 4 - 1  # exactly cap values
+    for raw in ({**row, "t_end": cap // 4},
+                {"scenario": "zn", "t_end": 1e5, "stride": 1},
+                {"scenario": "classical-burgers", "n_grid": cli.MAX_GRID, "stride": 1}):
+        with pytest.raises(ConfigError, match="exceed the limit"):
+            build_config(raw)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({**row, "t_end": cap // 4}))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_row_norm_below_the_square_root_of_the_smallest_float(tmp_path, capsys):
+    # |lam|^2 + |mu|^2 underflows to 0 here; the state coordinates must not turn NaN
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"scenario": "m2row", "lam": 1e-200, "mu": 0, "t_end": 0.1}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    header, data = _read_csv(tmp_path / "o" / "state.csv")
+    assert np.isfinite(data).all()
+    np.testing.assert_array_equal(data[0, 1:], [-0.5, 0.0, 0.0])  # lam : mu = 1 : 0, the point at infinity
 
 
 def test_sweep_refuses_configs_that_share_a_stem(tmp_path, capsys):
@@ -431,6 +464,7 @@ def _config_texts(draw):
 @example(_SPHERE_POLE)
 @example(_NEAR_POLE)
 @example(_ROW_UNDERFLOW)
+@example(_ROW_TINY)
 def test_any_config_ends_in_an_exit_code(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"

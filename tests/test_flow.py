@@ -16,7 +16,7 @@ from ncgflow import (
     split_complex,
     zn_rhs,
 )
-from ncgflow import flow
+from ncgflow import flow, transport
 from oracles import m2_flow_oracle, zn3_flow_oracle
 
 
@@ -154,6 +154,100 @@ def test_blowup_message_and_last_good_time(method, f, y0, t_end, h, max_abs, mes
     assert excinfo.value.last_good_time == pytest.approx(last_good, rel=0, abs=1e-15)
 
 
+@pytest.mark.parametrize("method, f, y0, t_end, h, max_abs, message, last_good", _BLOWUPS,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(_BLOWUPS)])
+def test_blowup_message_and_last_good_time_on_scalars(method, f, y0, t_end, h, max_abs, message, last_good):
+    def on_floats(t, y):  # the same right-hand side on a list of Python floats
+        return f(t, np.array(y)).tolist()
+
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(BlowupError) as excinfo:
+        integrate(on_floats, np.array(y0), t_end, h=h, method=method, max_abs=max_abs, scalars=float)
+    assert str(excinfo.value).startswith(message)
+    assert excinfo.value.last_good_time == pytest.approx(last_good, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("z, max_abs", [
+    (1e308 + 1e308j, math.inf),  # |z| overflows, the parts do not
+    (8.0 + 8.0j, 10.0),  # |z| > 10 >= each part
+    (11.0 + 0.0j, 10.0),
+    (complex(0.0, math.inf), math.inf),
+    (complex(-math.inf, 1.0), 1e9),
+    (complex(1.0, math.nan), 1e9),
+    (complex(math.nan, math.inf), math.inf),
+])
+def test_scalar_check_applies_the_rule_to_each_part(z, max_abs):
+    y = [0.5 + 0.5j, z]
+    packed = np.array(y).view(np.float64)
+    outcomes = []
+    for check, state in ((flow._check_state, packed), (flow._check_scalars, y)):
+        try:
+            check(state, 0.5, max_abs)
+            outcomes.append(None)
+        except BlowupError as exc:
+            outcomes.append((str(exc), exc.last_good_time))
+    assert outcomes[0] == outcomes[1]
+
+
+def _fig2_state(fig2_data):
+    return transport.pack_m2_state(fig2_data["k1"], fig2_data["k2"], fig2_data["m"])
+
+
+def test_scalar_rk4_equals_array_rk4_on_m2(fig2_data):
+    y0 = _fig2_state(fig2_data)
+    on_scalars = integrate(transport._m2_rates, y0, 2.0, h=1e-3, stride=10, scalars=complex)
+    on_arrays = integrate(transport.m2_coupled_rhs(), y0, 2.0, h=1e-3, stride=10)
+    assert np.array_equal(on_scalars.times, on_arrays.times)
+    assert np.array_equal(on_scalars.states, on_arrays.states)
+
+
+def test_scalar_rk45_is_byte_identical_to_the_array_rhs(fig2_data):
+    y0 = _fig2_state(fig2_data)
+    on_scalars = integrate(transport._m2_rates, y0, 2.0, h=1e-3, stride=10, method="rk45", scalars=complex)
+    on_arrays = integrate(transport.m2_coupled_rhs(), y0, 2.0, h=1e-3, stride=10, method="rk45")
+    assert on_scalars.states.tobytes() == on_arrays.states.tobytes()
+    assert on_scalars.times.tobytes() == on_arrays.times.tobytes()
+
+
+def _zn_state(n, seed=5):
+    rng = np.random.default_rng(seed)
+    k_plus = rng.uniform(0.5, 1.5) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    m = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return transport.pack_zn_state(k_plus, -np.conj(np.roll(k_plus, -1)), m / np.linalg.norm(m))
+
+
+@pytest.mark.parametrize("n", [3, transport.ZN_SCALAR_CROSSOVER - 1, transport.ZN_SCALAR_CROSSOVER])
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_zn_scalar_and_array_forms_agree(n, method):
+    y0 = _zn_state(n)
+    on_scalars = integrate(transport._zn_site_rates(n), y0, 1.0, h=1e-3, stride=50, method=method, scalars=complex)
+    on_arrays = integrate(transport.zn_coupled_rhs(n), y0, 1.0, h=1e-3, stride=50, method=method)
+    assert np.array_equal(on_scalars.times, on_arrays.times)
+    assert np.abs(on_scalars.states - on_arrays.states).max() <= 1e-13 * np.abs(on_arrays.states).max()
+
+
+def test_run_zn_picks_the_form_by_crossover(monkeypatch):
+    forms = []
+
+    def recording(f, y0, t_end, **kwargs):
+        forms.append((len(y0) // 6, kwargs.get("scalars")))
+        return integrate(f, y0, t_end, **kwargs)
+
+    monkeypatch.setattr(transport, "integrate", recording)
+    for n in (3, transport.ZN_SCALAR_CROSSOVER - 1, transport.ZN_SCALAR_CROSSOVER, 64):
+        z = _zn_state(n).view(np.complex128)
+        transport.run_zn(z[:n], z[n : 2 * n], z[2 * n :], t_end=0.01, h=1e-3, stride=5)
+    c = transport.ZN_SCALAR_CROSSOVER
+    assert forms == [(3, complex), (c - 1, complex), (c, None), (64, None)]
+
+
+def test_integrate_preallocates_the_sampled_rows():
+    traj = integrate(lambda t, y: [-v for v in y], np.array([1.0, 2.0]), 1.0, h=0.1, stride=3, scalars=float)
+    assert flow.sample_count(10, 3) == len(traj) == 5
+    np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0])
+    assert flow.sample_count(10, 5) == 3 and flow.sample_count(10, 10**9) == 2 and flow.sample_count(1, 1) == 2
+    assert len(integrate(lambda t, y: -y, np.array([1.0]), 1.0, h=0.1, stride=10**30)) == 2
+
+
 def test_integrate_rejects_bad_arguments():
     f = lambda t, y: y
     with pytest.raises(ValueError):
@@ -164,6 +258,8 @@ def test_integrate_rejects_bad_arguments():
         integrate(f, np.array([1.0]), 1.0, stride=0)
     with pytest.raises(ValueError):
         integrate(f, np.array([1.0]), 1.0, method="euler")
+    with pytest.raises(ValueError):
+        integrate(f, np.array([1.0]), 1.0, scalars=int)
     for t_end, h in ((math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan), (1.0, 1e-300), (1e300, 1e-300),
                      (flow.MAX_STEPS * 1e-3 + 1e-3, 1e-3)):
         with pytest.raises(ValueError):
