@@ -4,7 +4,10 @@
 header and the rows at t = 0, 1, ..., t_end of ``trajectory.csv``,
 ``invariants.csv`` and ``state.csv``.  ``golden/rk45.json`` holds the same
 for the adaptive integrator on the zn, m2 and classical-geodesic defaults
-up to t = 2.  A refactor that changes the order of floating-point
+up to t = 2.  ``golden/zn_array.json`` holds the same for rk4 and rk45 on
+``golden/zn12.json``, admissible Z_12 data up to t = 2 (perfbench's
+``workloads.zn_config`` with ``numpy.random.default_rng(12)``): unlike the
+n = 3 default it runs the array form of the Z_n system.  A refactor that changes the order of floating-point
 operations may move values by round-off only: each value must stay within
 ``1e-12 * max(1, max|column|)`` of the pinned one.  The tolerance is
 absolute per column because invariant columns hold values near 1e-15,
@@ -19,7 +22,9 @@ Regenerate data files (only for a deliberate change of results) with::
 
     PYTHONPATH=src python tests/test_golden.py [rk45.json run_reports.json ...]
 
-which rewrites the named files, or all of them when none is named.
+which rewrites the named files, or all of them when none is named.  In
+``run_reports.json`` it rewrites the sections of the other data files
+named, or every section when it is named alone.
 """
 
 import contextlib
@@ -35,6 +40,7 @@ from ncgflow.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 RK45 = ["--method", "rk45", "--t-end", "2"]
+ZN12 = ["--config", str(GOLDEN_DIR / "zn12.json")]
 # data file -> run name -> cli arguments
 GOLDENS = {
     "scenario_defaults.json": {
@@ -48,6 +54,10 @@ GOLDENS = {
         "zn": ["--scenario", "zn", *RK45],
         "m2": ["--scenario", "m2", *RK45],
         "classical-geodesic": ["--scenario", "classical-geodesic", *RK45],
+    },
+    "zn_array.json": {
+        "rk4": ZN12,
+        "rk45": [*ZN12, "--method", "rk45"],
     },
 }
 CSVS = ("trajectory.csv", "invariants.csv", "state.csv")
@@ -132,6 +142,11 @@ def test_rk45_run_matches_golden(name, golden, tmp_path):
     _check_against_golden("rk45.json", name, golden, tmp_path)
 
 
+@pytest.mark.parametrize("name", sorted(GOLDENS["zn_array.json"]))
+def test_zn_array_run_matches_golden(name, golden, tmp_path):
+    _check_against_golden("zn_array.json", name, golden, tmp_path)
+
+
 @pytest.mark.parametrize("data,name", [(data, name) for data in GOLDENS for name in sorted(GOLDENS[data])])
 def test_run_report_matches_golden(data, name, tmp_path):
     want = json.loads((GOLDEN_DIR / REPORTS).read_text(encoding="utf-8"))[data][name]
@@ -150,8 +165,10 @@ def _regenerate(scratch: Path, files: list) -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for data in files:
         if data == REPORTS:
-            pinned = {d: {name: _report(args, scratch / data / d / name) for name, args in sorted(runs.items())}
-                      for d, runs in GOLDENS.items()}
+            path = GOLDEN_DIR / REPORTS
+            pinned = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+            for d in [d for d in files if d in GOLDENS] or GOLDENS:
+                pinned[d] = {name: _report(args, scratch / data / d / name) for name, args in sorted(GOLDENS[d].items())}
         else:
             runs = GOLDENS[data]
             pinned = {name: _pinned(_run(args, scratch / data / name)) for name, args in sorted(runs.items())}
