@@ -23,8 +23,10 @@ forms: ``_zn_system`` calls each once on the gathered sample arrays of
 complex scalars, which is cheaper below ``transport.ZN_SCALAR_CROSSOVER``
 sites.  ``_m2_system`` works on the twelve Python complex entries of
 (K1, K2, m).  ``solve_b`` here, ``flow.zn_rhs`` / ``flow.m2_rhs``,
-``transport.zn_transport_rhs`` / ``transport.m2_transport_rhs`` and the
-coupled right-hand sides of ``transport`` are wrappers over them.
+``transport.zn_transport_rhs`` / ``transport.m2_transport_rhs`` and
+``transport.m2_coupled_rhs`` are wrappers over them;
+``transport.zn_coupled_rhs`` restates ``_zn_system`` on reused buffers
+and is tested byte for byte against it.
 """
 
 from __future__ import annotations

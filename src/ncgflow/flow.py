@@ -18,7 +18,10 @@ interleaved real/imaginary parts (``pack_complex`` / ``split_complex``).
 
 * the array form (``scalars=None``, the default): f maps the float64
   vector to a float64 vector, and the complex structure is reassembled
-  inside f;
+  inside f.  rk4 then steps through ``_rk4_arrays``, which keeps its
+  stage inputs in buffers made once per run; f may return its input or
+  a fresh array, but not a buffer it overwrites on its next call, since
+  the four stages are held at once;
 * the scalar form (``scalars=complex`` or ``scalars=float``): f maps a
   list of Python complex numbers (the entries of the packed vector read
   as complex128) or of Python floats to a list of the same length.  For
@@ -131,6 +134,43 @@ def rk4_step(f: Rhs, t: float, y, h: float):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _rk4_arrays(size: int):
+    """``rk4_step`` and ``_check_state`` on float64 vectors of ``size``, with reused buffers.
+
+    The stage inputs y2, y3 and y4 and the weighted stage sum live in four
+    buffers made once, so a step allocates only its fresh result: callers
+    keep the states it returns.  The association is ``rk4_step``'s, so the
+    result is bit for bit the same.  An f may return its input: the only
+    buffer free for 2 k3 is then k2's input, y2.
+    """
+    y2, y3, y4, acc = np.empty((4, size))
+
+    def step(f: Rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
+        half = 0.5 * h
+        k1 = f(t, y)
+        np.multiply(half, k1, out=y2)
+        np.add(y, y2, out=y2)
+        k2 = f(t + half, y2)
+        np.multiply(half, k2, out=y3)
+        np.add(y, y3, out=y3)
+        k3 = f(t + half, y3)
+        np.multiply(h, k3, out=y4)
+        np.add(y, y4, out=y4)
+        k4 = f(t + h, y4)
+        np.multiply(2.0, k2, out=acc)
+        np.add(k1, acc, out=acc)
+        np.multiply(2.0, k3, out=y2)
+        np.add(acc, y2, out=acc)
+        np.add(acc, k4, out=acc)
+        np.multiply(h / 6.0, acc, out=acc)
+        return y + acc
+
+    def check(y: np.ndarray, t_good: float, max_abs: float) -> None:
+        _check_state(y, t_good, max_abs, scratch=acc)  # acc is free between steps
+
+    return step, check
+
+
 def _rk4_scalars(f, t: float, y: list, h: float) -> list:
     """``rk4_step`` on a list of Python scalars, entry by entry in the same association."""
     half = 0.5 * h
@@ -209,8 +249,8 @@ def sample_count(n_steps: int, stride: int) -> int:
     return n_steps // stride + 1 + (1 if n_steps % stride else 0)
 
 
-def _check_state(y: np.ndarray, t_good: float, max_abs: float) -> None:
-    peak = np.abs(y).max()  # nan or inf if any entry is
+def _check_state(y: np.ndarray, t_good: float, max_abs: float, scratch=None) -> None:
+    peak = np.abs(y, out=scratch).max()  # nan or inf if any entry is
     if not math.isfinite(peak):
         raise BlowupError("non-finite state encountered", t_good)
     if peak > max_abs:
@@ -276,7 +316,7 @@ def integrate(
 
     if method == "rk4":
         if scalars is None:
-            step, check, out = rk4_step, _check_state, states
+            (step, check), out = _rk4_arrays(y.shape[0]), states
         else:
             step, check = _rk4_scalars, _check_scalars
             out = states.view(np.complex128) if scalars is complex else states

@@ -13,14 +13,15 @@ K and m are integrated as one coupled system (``run_zn`` / ``run_m2``)
 rather than sequentially, so no interpolation error enters through K(t).
 The systems are written once, in ``connection`` (the elementwise Z_n
 functions ``_zn_beta``, ``_zn_dkp``, ``_zn_dkm``, ``_zn_dm``, and
-``_m2_system``); the ``*_coupled_rhs`` and ``*_transport_rhs`` functions
-here wrap them.
+``_m2_system``); the ``*_transport_rhs`` functions and ``m2_coupled_rhs``
+here wrap them, and ``zn_coupled_rhs`` restates ``_zn_system`` on reused
+buffers, byte for byte.
 
 ``flow.integrate`` steps these systems in one of its two state forms.
 M2 always runs on Python complex scalars (``scalars=complex``).  Z_n runs
 site by site on scalars (``connection._zn_sites``) below
-``ZN_SCALAR_CROSSOVER`` sites and on sample arrays (``_zn_system``) from
-there on: the cost of the scalar form grows with n while that of the
+``ZN_SCALAR_CROSSOVER`` sites and on sample arrays (``zn_coupled_rhs``)
+from there on: the cost of the scalar form grows with n while that of the
 array form is nearly flat at small n, and the constant is where a whole
 rk4 step costs the same in both.  Either way the state handed to
 ``integrate`` is the packed float64 vector of ``pack_zn_state`` /
@@ -148,11 +149,54 @@ def velocity_functional(m: AlgebraElement, field: VectorField, xi: OneForm) -> c
 # Coupled flat systems -----------------------------------------------------
 
 def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Flat RHS for the coupled (K_+, K_-, m) Z_n system; b is computed once per call."""
+    """Flat RHS for the coupled (K_+, K_-, m) Z_n system; b is computed once per call.
+
+    ``_zn_system`` written with ufunc ``out=`` calls, so a call allocates
+    nothing but its result, which stays fresh because rk4 holds all four
+    stages at once.  K_+, K_-, m and beta are copied into ghost-padded
+    scratch of length n + 2 (entry 0 holds site n - 1, entry n + 1 site 0),
+    so every neighbour R_{+-1} is a slice view, not a gather.  Each
+    operation keeps ``_zn_system``'s association and operand order: numpy's
+    complex multiply uses FMA, so ``a * b`` and ``b * a`` can differ in the
+    last bit, and the result is byte-identical to ``_zn_system``'s.
+    """
+    ghost = np.empty((3, n + 2), dtype=np.complex128)  # rows K_+, K_-, m
+    beta_g = np.empty(n + 2, dtype=np.complex128)
+    work = np.empty(n, dtype=np.complex128)
+    (kp, km, m), beta = ghost[:, 1:-1], beta_g[1:-1]
+    kp_up, km_down, m_up, m_down = ghost[0, 2:], ghost[1, :-2], ghost[2, 2:], ghost[2, :-2]
+    beta_up, beta_down = beta_g[2:], beta_g[:-2]
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        z = y.view(np.complex128)
-        return np.concatenate(_zn_system(z[:n], z[n : 2 * n], z[2 * n :])).view(np.float64)
+        ghost[:, 1:-1] = y.view(np.complex128).reshape(3, n)
+        ghost[:, 0] = ghost[:, n]
+        ghost[:, -1] = ghost[:, 1]
+        out = np.empty(3 * n, dtype=np.complex128)
+        dkp, dkm, dm = out[:n], out[n : 2 * n], out[2 * n :]
+        # beta = 0.5 * (kp + kp_up + km + km_down)
+        np.add(kp, kp_up, out=beta)
+        np.add(beta, km, out=beta)
+        np.add(beta, km_down, out=beta)
+        np.multiply(0.5, beta, out=beta)
+        beta_g[0] = beta[-1]
+        beta_g[-1] = beta[0]
+        # dK_+ = kp * (beta_down - beta), dK_- = km * (beta_up - beta)
+        np.subtract(beta_down, beta, out=dkp)
+        np.multiply(kp, dkp, out=dkp)
+        np.subtract(beta_up, beta, out=dkm)
+        np.multiply(km, dkm, out=dkm)
+        # dm = -m * (beta - kp - km) - kp * (m - m_down) - km * (m - m_up)
+        np.negative(m, out=dm)
+        np.subtract(beta, kp, out=work)
+        np.subtract(work, km, out=work)
+        np.multiply(dm, work, out=dm)
+        np.subtract(m, m_down, out=work)
+        np.multiply(kp, work, out=work)
+        np.subtract(dm, work, out=dm)
+        np.subtract(m, m_up, out=work)
+        np.multiply(km, work, out=work)
+        np.subtract(dm, work, out=dm)
+        return out.view(np.float64)
 
     return rhs
 

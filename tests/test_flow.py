@@ -312,3 +312,35 @@ def test_rk4_step_backwards_consistent():
     there = rk4_step(f, 0.5, y, 1e-3)
     back = rk4_step(f, 0.5 + 1e-3, there, -1e-3)
     np.testing.assert_allclose(back, y, atol=1e-15)
+
+
+_STEP_RHSS = {
+    "identity": lambda t, y: y,  # returns its input: the buffers must not alias a live stage
+    "decay": lambda t, y: -y,
+    "quadratic": lambda t, y: y * y - t,
+    "zn12": transport.zn_coupled_rhs(12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STEP_RHSS))
+def test_buffered_rk4_equals_rk4_step_bit_for_bit(name):
+    f = _STEP_RHSS[name]
+    y = _zn_state(12, seed=9)
+    step, _ = flow._rk4_arrays(y.shape[0])
+    for h in (1e-3, 0.1, -0.05, 1e-3):  # repeated steps reuse the buffers
+        want = rk4_step(f, 0.25, y, h)
+        got = step(f, 0.25, y, h)
+        assert got.tobytes() == want.tobytes()
+        assert got is not y
+        y = got
+
+
+@pytest.mark.parametrize("name", sorted(_STEP_RHSS))
+def test_array_rk4_run_equals_a_loop_of_rk4_step(name):
+    f = _STEP_RHSS[name]
+    y = 0.1 * _zn_state(12, seed=10)
+    traj = integrate(f, y, 0.05, h=1e-3, stride=10)
+    for k in range(1, 51):
+        y = rk4_step(f, (k - 1) * 1e-3, y, 1e-3)
+        if k % 10 == 0:
+            assert traj.states[k // 10].tobytes() == y.tobytes(), k

@@ -20,6 +20,8 @@ from ncgflow import (
     velocity_functional,
     zn_transport_rhs,
 )
+from ncgflow import transport
+from ncgflow.connection import _zn_system
 from ncgflow.transport import _real_state_value
 from oracles import m2_transport_oracle, zn3_transport_oracle
 
@@ -236,3 +238,51 @@ def test_bloch_check_still_rejects_complex_values():
     m = Mat2Element([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="imaginary part"):
         _real_state_value(m, Mat2Element([[1j, 0.0], [0.0, 0.0]]), 1.0)
+
+
+def _zn_flat(n, rng, admissible):
+    """A packed Z_n state: admissible data as perfbench generates it, or arbitrary complex entries."""
+    if not admissible:
+        return rng.normal(size=6 * n) * rng.uniform(0.1, 10.0)
+    k_plus = rng.uniform(0.5, 1.5) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+    m = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return transport.pack_zn_state(k_plus, -np.conj(np.roll(k_plus, -1)), m / np.linalg.norm(m))
+
+
+def _zn_reference(y, n):
+    z = y.view(np.complex128)
+    return np.concatenate(_zn_system(z[:n], z[n : 2 * n], z[2 * n :])).view(np.float64)
+
+
+def test_buffered_zn_rhs_is_byte_identical_to_the_reference_system():
+    """Every n the parser accepts (n >= 2) up to 4096, on admissible and arbitrary data."""
+    rng = np.random.default_rng(7)
+    for n in range(2, 4097):
+        rhs = transport.zn_coupled_rhs(n)
+        for admissible in (True, False):
+            y = _zn_flat(n, rng, admissible)
+            assert rhs(0.0, y).tobytes() == _zn_reference(y, n).tobytes(), (n, admissible)
+
+
+def test_buffered_zn_rhs_is_byte_identical_on_special_values():
+    rng = np.random.default_rng(8)
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1e308, 1.0])
+    for n in (2, 3, 10, 17, 333):
+        rhs = transport.zn_coupled_rhs(n)
+        for _ in range(20):
+            y = rng.choice(values, size=6 * n)
+            with np.errstate(all="ignore"):
+                assert rhs(0.0, y).tobytes() == _zn_reference(y, n).tobytes(), n
+
+
+@pytest.mark.parametrize("n", [2, 10, 64, 4096])
+def test_buffered_zn_rhs_keeps_no_stale_scratch(n):
+    rng = np.random.default_rng(n)
+    y_a, y_b = _zn_flat(n, rng, True), _zn_flat(n, rng, False)
+    rhs = transport.zn_coupled_rhs(n)
+    first = rhs(0.0, y_a)
+    first_bytes = first.tobytes()
+    second = rhs(0.0, y_b)
+    third = rhs(0.0, y_a)
+    assert third.tobytes() == first_bytes == first.tobytes()  # each result is fresh
+    assert second.tobytes() == _zn_reference(y_b, n).tobytes()
