@@ -24,7 +24,9 @@ length of its state vector may be at most ``flow.MAX_SAMPLE_VALUES``
 floats carry 17 significant digits and output bytes are deterministic
 for a fixed config.
 
-Exit codes: 0 success, 2 config error, 3 numerical blow-up.
+Exit codes: 0 success, 2 config error, 3 numerical blow-up.  In a
+``sweep``, a config whose run fails in any other way prints
+``internal error: ...`` and reports exit 1 while the others finish.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .transport import run_m2, run_zn, state_eval
 __all__ = ["main", "ConfigError", "PRESETS", "build_config", "load_config"]
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 
@@ -148,15 +151,18 @@ def _read_json(path) -> dict:
 
 # Output helpers ------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the 2-d float ``rows`` under ``header``, each value as ``format(v, ".17g")`` gives it.
+
+    One ``%``-template per table formats a whole row, and the file is
+    written row by row, so no whole-file string is held.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(line % tuple(row.tolist()))
 
 
 def _write_table(outdir: Path, name: str, t: np.ndarray, header: list[str], columns: list) -> None:
@@ -633,12 +639,17 @@ def _cmd_validate(args) -> int:
 
 
 def _run_one_sweep(payload) -> tuple[str, int]:
+    """Run one sweep config; any failure ends in its exit code, so the other configs still finish."""
     config_path, out_path = payload
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:
         return config_path, _config_error(exc)
-    return config_path, _run_config(cfg, out_path)
+    try:
+        return config_path, _run_config(cfg, out_path)
+    except Exception as exc:
+        print(f"internal error: {config_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return config_path, EXIT_INTERNAL
 
 
 def _cmd_sweep(args) -> int:

@@ -1,6 +1,9 @@
 import json
+import contextlib
 import math
+import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -140,6 +143,15 @@ def test_csv_floats_roundtrip(tmp_path):
     assert main(["run", "--preset", "paper-fig1", "--t-end", "0.5", "--out", str(out)]) == 0
     header, data = _read_csv(out / "trajectory.csv")
     assert _col(header, data, "m_0_re")[0] == 2.0 ** -0.5  # 17 significant digits survive parsing
+
+
+def test_write_csv_formats_like_format_17g(tmp_path):
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, sys.float_info.max,
+              -sys.float_info.max, 1e16, 1 / 3, -2.0 ** -0.5, 123456789.0, 1e-300]
+    rows = np.array([values, values[::-1], values[3:] + values[:3]]).T
+    cli.write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
+    want = "a,b,c\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows.tolist())
+    assert (tmp_path / "t.csv").read_bytes() == want.encode("utf-8")
 
 
 def test_validate_preset(capsys):
@@ -420,6 +432,27 @@ def test_sweep_starts_no_more_workers_than_configs(tmp_path, monkeypatch):
     assert main(["sweep", "--configs", *map(str, paths), "--out", str(tmp_path / "s"), "--jobs", "5000"]) == 0
     assert started == [2]
     assert (tmp_path / "s" / "b" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_reports_an_internal_error_per_config(tmp_path, monkeypatch, capsys, jobs):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "integrate_burgers", boom)
+    # with --jobs 2 the jobs run in this process, through a stand-in for the pool
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: contextlib.nullcontext(types.SimpleNamespace(map=map)))
+    paths = [tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"]
+    paths[0].write_text(json.dumps({"scenario": "m2row", "t_end": 0.01}))
+    paths[1].write_text(json.dumps({"scenario": "classical-burgers", "n_grid": 16, "t_end": 0.01}))
+    paths[2].write_text(json.dumps({"scenario": "m2row", "t_end": 0.01}))
+    assert main(["sweep", "--configs", *map(str, paths), "--out", str(tmp_path / "s"), "--jobs", jobs]) == 1
+    out, err = capsys.readouterr()
+    assert f"internal error: {paths[1]}: RuntimeError: boom" in err
+    assert "Traceback" not in err
+    assert [line.rsplit(": ", 1)[1] for line in out.splitlines()[-3:]] == ["exit 0", "exit 1", "exit 0"]
+    assert (tmp_path / "s" / "a" / "trajectory.csv").exists() and (tmp_path / "s" / "c" / "trajectory.csv").exists()
 
 
 _FIELDS = {
