@@ -38,7 +38,6 @@ from .mobius import (
     metric_preservation_check,
     mobius_apply,
     mobius_exact,
-    mobius_rhs,
     row_rhs,
     run_row,
     sphere_distance,

@@ -28,7 +28,6 @@ __all__ = [
     "SpherePoint",
     "sphere_distance",
     "row_rhs",
-    "mobius_rhs",
     "flow_matrix",
     "mobius_apply",
     "mobius_exact",
@@ -83,11 +82,6 @@ def sphere_distance(p, q) -> float:
 def row_rhs(lam: complex, mu: complex, q0: complex, q1: complex, q2: complex):
     """Transport equation for the row (lam, mu)."""
     return q0 * lam + q2 * mu, q0 * mu + q1 * lam
-
-
-def mobius_rhs(z: complex, q1: complex, q2: complex) -> complex:
-    """Riccati right-hand side dz/dt = Q2 - Q1 z^2 (z-chart only)."""
-    return q2 - q1 * z * z
 
 
 def flow_matrix(q1: complex, q2: complex, t: float) -> np.ndarray:

@@ -13,7 +13,6 @@ from ncgflow import (
     metric_preservation_check,
     mobius_apply,
     mobius_exact,
-    mobius_rhs,
     row_rhs,
     run_row,
     sphere_distance,
@@ -34,8 +33,14 @@ def test_row_rhs_examples():
     assert dmu == pytest.approx(-0.7)
 
 
-def test_mobius_rhs_is_riccati():
-    assert mobius_rhs(0.5j, 2, 3) == pytest.approx(3 - 2 * (0.5j) ** 2)
+def test_riccati_rhs_is_q2_minus_q1_z_squared():
+    """dz/dt = Q2 - Q1 z^2: the slope at t = 0 of the flow_matrix action, and of integrate_riccati's first step."""
+    z0, q1, q2, eps = 0.5j, 2, 3, 1e-5
+    rhs = 3 - 2 * (0.5j) ** 2
+    ahead, behind = (mobius_apply(flow_matrix(q1, q2, t), z0).z for t in (eps, -eps))
+    assert (ahead - behind) / (2 * eps) == pytest.approx(rhs, rel=1e-8)
+    _, points = integrate_riccati(z0, q1, q2, eps, h=eps)
+    assert (points[1].z - z0) / eps == pytest.approx(rhs, rel=1e-4)
 
 
 def test_flow_matrix_branches():
