@@ -36,6 +36,7 @@ import cmath
 import json
 import math
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -647,8 +648,10 @@ def _run_one_sweep(payload) -> tuple[str, int]:
         return config_path, _config_error(exc)
     try:
         return config_path, _run_config(cfg, out_path)
-    except Exception as exc:
-        print(f"internal error: {config_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:  # a fault of the program, not of the config: name it and where it was raised
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {config_path}: {type(exc).__name__}: {exc} "
+              f"(in {frame.name}, {Path(frame.filename).name}:{frame.lineno})", file=sys.stderr)
         return config_path, EXIT_INTERNAL
 
 

@@ -137,31 +137,36 @@ def rk4_step(f: Rhs, t: float, y, h: float):
 def _rk4_arrays(size: int):
     """``rk4_step`` and ``_check_state`` on float64 vectors of ``size``, with reused buffers.
 
-    The stage inputs y2, y3 and y4 and the weighted stage sum live in four
-    buffers made once, so a step allocates only its fresh result: callers
-    keep the states it returns.  The association is ``rk4_step``'s, so the
-    result is bit for bit the same.  An f may return its input: the only
-    buffer free for 2 k3 is then k2's input, y2.
+    The stage inputs alternate between two buffers made once, and the
+    weighted stage sum ``k1 + 2 k2 + 2 k3 + k4`` is accumulated in a third
+    as each stage arrives, so a step allocates only its fresh result
+    (callers keep the states it returns) and holds at most two stages at
+    a time.  The association is ``rk4_step``'s, so the result is bit for
+    bit the same.  f may return its input, so a stage input buffer is
+    written only once its stage has been used: 2 k3 goes into k3's own
+    input buffer, after y4 = y + h k3 has been formed.
     """
-    y2, y3, y4, acc = np.empty((4, size))
+    y_a, y_b, acc = np.empty((3, size))
 
     def step(f: Rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
         half = 0.5 * h
-        k1 = f(t, y)
-        np.multiply(half, k1, out=y2)
-        np.add(y, y2, out=y2)
-        k2 = f(t + half, y2)
-        np.multiply(half, k2, out=y3)
-        np.add(y, y3, out=y3)
-        k3 = f(t + half, y3)
-        np.multiply(h, k3, out=y4)
-        np.add(y, y4, out=y4)
-        k4 = f(t + h, y4)
+        k = f(t, y)  # k1
+        np.multiply(half, k, out=y_a)
+        np.add(y, y_a, out=y_a)
+        k2 = f(t + half, y_a)
+        np.multiply(half, k2, out=y_b)
+        np.add(y, y_b, out=y_b)
         np.multiply(2.0, k2, out=acc)
-        np.add(k1, acc, out=acc)
-        np.multiply(2.0, k3, out=y2)
-        np.add(acc, y2, out=acc)
-        np.add(acc, k4, out=acc)
+        np.add(k, acc, out=acc)
+        del k2
+        k = f(t + half, y_b)  # k3
+        np.multiply(h, k, out=y_a)
+        np.add(y, y_a, out=y_a)
+        np.multiply(2.0, k, out=y_b)
+        np.add(acc, y_b, out=acc)
+        del k
+        k = f(t + h, y_a)  # k4
+        np.add(acc, k, out=acc)
         np.multiply(h / 6.0, acc, out=acc)
         return y + acc
 

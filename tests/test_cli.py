@@ -449,7 +449,7 @@ def test_sweep_reports_an_internal_error_per_config(tmp_path, monkeypatch, capsy
     paths[2].write_text(json.dumps({"scenario": "m2row", "t_end": 0.01}))
     assert main(["sweep", "--configs", *map(str, paths), "--out", str(tmp_path / "s"), "--jobs", jobs]) == 1
     out, err = capsys.readouterr()
-    assert f"internal error: {paths[1]}: RuntimeError: boom" in err
+    assert f"internal error: {paths[1]}: RuntimeError: boom (in boom, test_cli.py:" in err
     assert "Traceback" not in err
     assert [line.rsplit(": ", 1)[1] for line in out.splitlines()[-3:]] == ["exit 0", "exit 1", "exit 0"]
     assert (tmp_path / "s" / "a" / "trajectory.csv").exists() and (tmp_path / "s" / "c" / "trajectory.csv").exists()
