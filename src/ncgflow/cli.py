@@ -152,18 +152,25 @@ def _read_json(path) -> dict:
 
 # Output helpers ------------------------------------------------------------
 
+_CSV_BLOCK = 1024  # values formatted per write; bounds the temporaries of a wide row
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Write the 2-d float ``rows`` under ``header``, each value as ``format(v, ".17g")`` gives it.
 
-    One ``%``-template per table formats a whole row, and the file is
-    written row by row, so no whole-file string is held.
+    Each row is written in blocks of at most ``_CSV_BLOCK`` values, each
+    formatted by one ``%``-template, so neither a whole-file string nor the
+    Python floats of a whole wide row (24,577 columns at n = 4096) are held.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    cols = rows.shape[1]
+    blocks = [(a, min(a + _CSV_BLOCK, cols)) for a in range(0, cols, _CSV_BLOCK)]
+    templates = [",".join(["%.17g"] * (b - a)) + ("\n" if b == cols else ",") for a, b in blocks]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(line % tuple(row.tolist()))
+            for (a, b), template in zip(blocks, templates):
+                fh.write(template % tuple(row[a:b].tolist()))
 
 
 def _write_table(outdir: Path, name: str, t: np.ndarray, header: list[str], columns: list) -> None:

@@ -21,7 +21,7 @@ interleaved real/imaginary parts (``pack_complex`` / ``split_complex``).
   inside f.  rk4 then steps through ``_rk4_arrays``, which keeps its
   stage inputs in buffers made once per run; f may return its input or
   a fresh array, but not a buffer it overwrites on its next call, since
-  the four stages are held at once;
+  a stage is still read after the next stage is computed;
 * the scalar form (``scalars=complex`` or ``scalars=float``): f maps a
   list of Python complex numbers (the entries of the packed vector read
   as complex128) or of Python floats to a list of the same length.  For

@@ -152,8 +152,8 @@ def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
     """Flat RHS for the coupled (K_+, K_-, m) Z_n system; b is computed once per call.
 
     ``_zn_system`` written with ufunc ``out=`` calls, so a call allocates
-    nothing but its result, which stays fresh because rk4 holds all four
-    stages at once.  K_+, K_-, m and beta are copied into ghost-padded
+    nothing but its result, which stays fresh because rk4 still reads a
+    stage after computing the next.  K_+, K_-, m and beta are copied into ghost-padded
     scratch of length n + 2 (entry 0 holds site n - 1, entry n + 1 site 0),
     so every neighbour R_{+-1} is a slice view, not a gather.  Each
     operation keeps ``_zn_system``'s association and operand order: numpy's

@@ -148,10 +148,13 @@ def test_csv_floats_roundtrip(tmp_path):
 def test_write_csv_formats_like_format_17g(tmp_path):
     values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, sys.float_info.max,
               -sys.float_info.max, 1e16, 1 / 3, -2.0 ** -0.5, 123456789.0, 1e-300]
-    rows = np.array([values, values[::-1], values[3:] + values[:3]]).T
-    cli.write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
-    want = "a,b,c\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows.tolist())
-    assert (tmp_path / "t.csv").read_bytes() == want.encode("utf-8")
+    for cols in (1, 3, 2 * cli._CSV_BLOCK + 5):  # a wide row is written in blocks
+        rows = np.resize(np.array([values, values[::-1], values[3:] + values[:3]]), (3, cols))
+        header = [f"c{i}" for i in range(cols)]
+        cli.write_csv(tmp_path / "t.csv", header, rows)
+        want = "".join(",".join(line) + "\n" for line in [header, *([format(v, ".17g") for v in row]
+                                                                     for row in rows.tolist())])
+        assert (tmp_path / "t.csv").read_bytes() == want.encode("utf-8"), cols
 
 
 def test_validate_preset(capsys):
