@@ -158,7 +158,9 @@ def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
     so every neighbour R_{+-1} is a slice view, not a gather.  Each
     operation keeps ``_zn_system``'s association and operand order: numpy's
     complex multiply uses FMA, so ``a * b`` and ``b * a`` can differ in the
-    last bit, and the result is byte-identical to ``_zn_system``'s.
+    last bit, and the result is byte-identical to ``_zn_system``'s.  The
+    scratch is shared by every call, so one closure serves one integration
+    at a time.
     """
     ghost = np.empty((3, n + 2), dtype=np.complex128)  # rows K_+, K_-, m
     beta_g = np.empty(n + 2, dtype=np.complex128)

@@ -152,8 +152,8 @@ def test_write_csv_formats_like_format_17g(tmp_path):
         rows = np.resize(np.array([values, values[::-1], values[3:] + values[:3]]), (3, cols))
         header = [f"c{i}" for i in range(cols)]
         cli.write_csv(tmp_path / "t.csv", header, rows)
-        want = "".join(",".join(line) + "\n" for line in [header, *([format(v, ".17g") for v in row]
-                                                                     for row in rows.tolist())])
+        lines = [header] + [[format(v, ".17g") for v in row] for row in rows.tolist()]
+        want = "".join(",".join(line) + "\n" for line in lines)
         assert (tmp_path / "t.csv").read_bytes() == want.encode("utf-8"), cols
 
 
