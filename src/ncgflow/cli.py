@@ -35,6 +35,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -662,14 +663,25 @@ def _run_one_sweep(payload) -> tuple[str, int]:
         return config_path, EXIT_INTERNAL
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        return _config_error(f"--jobs: expected an integer >= 1, got {args.jobs}")
     stems = [Path(c).stem for c in args.configs]
     shared = sorted({stem for stem in stems if stems.count(stem) > 1})
     if shared:
         return _config_error(f"configs would share the output directories {', '.join(shared)} under {args.out}")
     jobs = [(str(c), str(Path(args.out) / stem)) for c, stem in zip(args.configs, stems)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
+    workers = min(args.jobs, len(jobs), _usable_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one_sweep, jobs))
     else:
         results = [_run_one_sweep(j) for j in jobs]
@@ -704,7 +716,8 @@ def main(argv=None) -> int:
     sweep_p = sub.add_parser("sweep", help="run several configs into sibling output directories")
     sweep_p.add_argument("--configs", nargs="+", required=True, help="config files")
     sweep_p.add_argument("--out", default="sweep", help="parent output directory")
-    sweep_p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    sweep_p.add_argument("--jobs", type=int, default=1,
+                         help="parallel workers, at most one per config and per usable CPU (default 1)")
     sweep_p.set_defaults(func=_cmd_sweep)
 
     args = parser.parse_args(argv)

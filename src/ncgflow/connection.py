@@ -15,7 +15,11 @@ data and are monitored, not enforced, along trajectories.
 
 Each algebra's equations are written once: b (through
 ``beta = b + K_+ + K_-`` on Z_n), the velocity flow dK/dt and the
-transport dm/dt.  On Z_n they are four elementwise functions,
+transport dm/dt.  The paper's Z_n transport
+``dm/dt = -m b - K_+ (m - R_{-1}m) - K_- (m - R_{+1}m)`` is evaluated as
+``dm/dt = K_+ R_{-1}m + K_- R_{+1}m - beta m``: C(Z_n) is commutative, so
+the ``K_+ m`` and ``K_- m`` terms cancel against those of ``-m b``.  On Z_n
+the equations are four elementwise functions,
 ``_zn_beta`` (beta at a site from its four neighbours) and the three
 rates ``_zn_dkp``, ``_zn_dkm`` and ``_zn_dm``, and they come in two
 forms: ``_zn_system`` calls each once on the gathered sample arrays of
@@ -67,8 +71,12 @@ def _zn_dkm(km, beta, beta_up):
 
 
 def _zn_dm(kp, km, m, beta, m_up, m_down):
-    """``dm = -m b - K_+ (m - R_{-1}m) - K_- (m - R_{+1}m)``, with ``b = beta - K_+ - K_-``."""
-    return -m * (beta - kp - km) - kp * (m - m_down) - km * (m - m_up)
+    """``dm = -m b - K_+ (m - R_{-1}m) - K_- (m - R_{+1}m) = K_+ R_{-1}m + K_- R_{+1}m - beta m``.
+
+    C(Z_n) is commutative and ``b = beta - K_+ - K_-``, so the ``K_+ m`` and
+    ``K_- m`` terms cancel.
+    """
+    return kp * m_down + km * m_up - beta * m
 
 
 def _zn_system(kp: np.ndarray, km: np.ndarray, m: np.ndarray):

@@ -7,7 +7,10 @@ The velocity equations evolve the generator values of the vector field:
   ``dK_-/dt = K_- (R_{+1} beta - beta)``.  These equations live once,
   together with b and the transport of m, as the elementwise functions
   ``connection._zn_beta``, ``_zn_dkp``, ``_zn_dkm`` and ``_zn_dm``;
-  ``zn_rhs`` wraps them.
+  ``zn_rhs`` wraps them.  The transport
+  ``dm/dt = -m b - K_+ (m - R_{-1} m) - K_- (m - R_{+1} m)`` reduces to
+  ``K_+ R_{-1} m + K_- R_{+1} m - beta m`` there, since the algebra is
+  commutative.
 * M2(C), with ``B = E12 K1 + E21 K2 + K1 E12 + K2 E21``:
   ``dK_i/dt = [K_i, B] / 2``.  These equations live once, together with b
   and the transport of m, in ``connection._m2_system``; ``m2_rhs`` wraps it.

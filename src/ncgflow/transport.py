@@ -5,8 +5,14 @@ The transported element m obeys the parallel equation
 * Z_n:   ``dm/dt = -m b - K_+ (m - R_{-1} m) - K_- (m - R_{+1} m)``
 * M2(C): ``dm/dt = -b m - K1 [E12, m] - K2 [E21, m]``
 
-with b recomputed from K at every stage.  The induced positive map is
-``phi(a) = inner_product(m*a, m)`` and, for M2, its Bloch coordinates are
+with b recomputed from K at every stage.  On Z_n the algebra is
+commutative and ``b = beta - K_+ - K_-`` with
+``beta = (K_+ + R_{+1}K_+ + K_- + R_{-1}K_-) / 2``, so the ``K_+ m`` and
+``K_- m`` terms cancel and every Z_n kernel evaluates the same rate in
+three products: ``dm/dt = K_+ R_{-1} m + K_- R_{+1} m - beta m``.
+
+The induced positive map is ``phi(a) = inner_product(m*a, m)`` and, for
+M2, its Bloch coordinates are
 ``(s, x, y) = (phi(diag(-1,1)), phi(X), phi(Y)) / 2``.
 
 K and m are integrated as one coupled system (``run_zn`` / ``run_m2``)
@@ -187,16 +193,11 @@ def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
         np.multiply(kp, dkp, out=dkp)
         np.subtract(beta_up, beta, out=dkm)
         np.multiply(km, dkm, out=dkm)
-        # dm = -m * (beta - kp - km) - kp * (m - m_down) - km * (m - m_up)
-        np.negative(m, out=dm)
-        np.subtract(beta, kp, out=work)
-        np.subtract(work, km, out=work)
-        np.multiply(dm, work, out=dm)
-        np.subtract(m, m_down, out=work)
-        np.multiply(kp, work, out=work)
-        np.subtract(dm, work, out=dm)
-        np.subtract(m, m_up, out=work)
-        np.multiply(km, work, out=work)
+        # dm = kp * m_down + km * m_up - beta * m
+        np.multiply(kp, m_down, out=dm)
+        np.multiply(km, m_up, out=work)
+        np.add(dm, work, out=dm)
+        np.multiply(beta, m, out=work)
         np.subtract(dm, work, out=dm)
         return out.view(np.float64)
 

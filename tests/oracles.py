@@ -2,14 +2,21 @@
 
 The site-by-site systems below are hand-expanded literal transcriptions
 of the coupled equations for n = 3 and for M2; they share no code with
-the package kernels.  The Moebius oracle goes through scipy's generic
+the package kernels.  ``zn_transport_oracle`` writes the Z_n transport at
+any n in the paper's form, with ``np.roll`` for the shifts.  The Moebius oracle goes through scipy's generic
 matrix exponential instead of the closed-form branches, and the
 transport-on-a-line oracle inverts the characteristic map by Newton
-iteration.
+iteration.  ``line_chart_oracle`` is the per-point SVG writer that
+``svgplot.line_chart`` replaced, kept verbatim as its byte reference.
 """
+
+import math
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+
+from ncgflow.svgplot import _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE, _expand, _fmt
 
 
 def zn3_flow_oracle(kp, km):
@@ -32,6 +39,16 @@ def zn3_transport_oracle(kp, km, m):
     dm1 = -m1 * (-kp1 + kp2 - km1 + km0) / 2 - kp1 * (m1 - m0) - km1 * (m1 - m2)
     dm2 = -m2 * (-kp2 + kp0 - km2 + km1) / 2 - kp2 * (m2 - m1) - km2 * (m2 - m0)
     return np.array([dm0, dm1, dm2])
+
+
+def zn_transport_oracle(kp, km, m):
+    """``dm = -m b - K_+ (m - R_{-1}m) - K_- (m - R_{+1}m)`` with ``b = (R_{+1}K_+ - K_+ + R_{-1}K_- - K_-) / 2``.
+
+    ``(R_{+1}f)(i) = f(i + 1)`` is ``np.roll(f, -1)``.
+    """
+    kp, km, m = (np.asarray(a, dtype=complex) for a in (kp, km, m))
+    b = (np.roll(kp, -1) - kp + np.roll(km, 1) - km) / 2
+    return -m * b - kp * (m - np.roll(m, 1)) - km * (m - np.roll(m, -1))
 
 
 def m2_flow_oracle(K1, K2):
@@ -108,3 +125,110 @@ def great_circle(inclination):
 
 def great_circle_initial_velocity(inclination):
     return np.array([-np.sin(inclination), np.cos(inclination)])
+
+
+def line_chart_oracle(
+    path,
+    series,
+    *,
+    title: str = "",
+    xlabel: str = "",
+    ylabel: str = "",
+    width: int = 640,
+    height: int = 420,
+    equal_aspect: bool = False,
+) -> None:
+    """Write a line chart; ``series`` is a list of (label, xs, ys)."""
+    cleaned = []
+    for label, xs, ys in series:
+        pts = [(float(x), float(y)) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
+        cleaned.append((str(label), pts))
+    all_pts = [p for _, pts in cleaned for p in pts]
+    if not all_pts:
+        raise ValueError("no finite data to plot")
+
+    xmin, xmax = _expand(min(p[0] for p in all_pts), max(p[0] for p in all_pts))
+    ymin, ymax = _expand(min(p[1] for p in all_pts), max(p[1] for p in all_pts))
+
+    plot_w = width - _MARGIN_L - _MARGIN_R
+    plot_h = height - _MARGIN_T - _MARGIN_B
+    if equal_aspect:
+        x_scale = (xmax - xmin) / plot_w
+        y_scale = (ymax - ymin) / plot_h
+        scale = max(x_scale, y_scale)
+        xc, yc = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
+        xmin, xmax = xc - 0.5 * scale * plot_w, xc + 0.5 * scale * plot_w
+        ymin, ymax = yc - 0.5 * scale * plot_h, yc + 0.5 * scale * plot_h
+
+    def sx(v: float) -> float:
+        return _MARGIN_L + (v - xmin) / (xmax - xmin) * plot_w
+
+    def sy(v: float) -> float:
+        return height - _MARGIN_B - (v - ymin) / (ymax - ymin) * plot_h
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
+        'fill="none" stroke="#444444" stroke-width="1"/>',
+    ]
+
+    for i in range(5):
+        frac = i / 4.0
+        xv = xmin + frac * (xmax - xmin)
+        yv = ymin + frac * (ymax - ymin)
+        px = _MARGIN_L + frac * plot_w
+        py = height - _MARGIN_B - frac * plot_h
+        out.append(
+            f'<line x1="{px:.2f}" y1="{_MARGIN_T}" x2="{px:.2f}" y2="{height - _MARGIN_B}" '
+            'stroke="#dddddd" stroke-width="1"/>'
+        )
+        out.append(
+            f'<line x1="{_MARGIN_L}" y1="{py:.2f}" x2="{width - _MARGIN_R}" y2="{py:.2f}" '
+            'stroke="#dddddd" stroke-width="1"/>'
+        )
+        out.append(
+            f'<text x="{px:.2f}" y="{height - _MARGIN_B + 16}" font-size="11" '
+            f'text-anchor="middle" fill="#222222">{_fmt(xv)}</text>'
+        )
+        out.append(
+            f'<text x="{_MARGIN_L - 6}" y="{py + 4:.2f}" font-size="11" '
+            f'text-anchor="end" fill="#222222">{_fmt(yv)}</text>'
+        )
+
+    if title:
+        out.append(
+            f'<text x="{width / 2:.0f}" y="18" font-size="13" text-anchor="middle" '
+            f'fill="#000000">{title}</text>'
+        )
+    if xlabel:
+        out.append(
+            f'<text x="{width / 2:.0f}" y="{height - 8}" font-size="12" '
+            f'text-anchor="middle" fill="#000000">{xlabel}</text>'
+        )
+    if ylabel:
+        out.append(
+            f'<text x="14" y="{height / 2:.0f}" font-size="12" text-anchor="middle" '
+            f'transform="rotate(-90 14 {height / 2:.0f})" fill="#000000">{ylabel}</text>'
+        )
+
+    for idx, (label, pts) in enumerate(cleaned):
+        color = _PALETTE[idx % len(_PALETTE)]
+        if pts:
+            coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+            out.append(
+                f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.4"/>'
+            )
+        ly = _MARGIN_T + 14 + 14 * idx
+        lx = width - _MARGIN_R - 150
+        out.append(
+            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
+            f'stroke="{color}" stroke-width="2"/>'
+        )
+        out.append(
+            f'<text x="{lx + 22}" y="{ly}" font-size="11" fill="#222222">{label}</text>'
+        )
+
+    out.append("</svg>")
+    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")

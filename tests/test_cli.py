@@ -412,7 +412,8 @@ def test_sweep_refuses_configs_that_share_a_stem(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
-def test_sweep_starts_no_more_workers_than_configs(tmp_path, monkeypatch):
+def _fake_pool(monkeypatch, cpus):
+    """Stand in for the process pool and the CPU count; returns the max_workers of each pool started."""
     started = []
 
     class FakePool:  # a real pool would fork every worker at the first submit
@@ -429,12 +430,45 @@ def test_sweep_starts_no_more_workers_than_configs(tmp_path, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    return started
+
+
+def _sweep_configs(tmp_path, count):
+    paths = [tmp_path / f"{chr(ord('a') + i)}.json" for i in range(count)]
     for path in paths:
         path.write_text(json.dumps({"scenario": "m2row", "t_end": 0.01}))
+    return paths
+
+
+def test_sweep_starts_no_more_workers_than_configs(tmp_path, monkeypatch):
+    started = _fake_pool(monkeypatch, cpus=64)
+    paths = _sweep_configs(tmp_path, 2)
     assert main(["sweep", "--configs", *map(str, paths), "--out", str(tmp_path / "s"), "--jobs", "5000"]) == 0
     assert started == [2]
     assert (tmp_path / "s" / "b" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("cpus, expected", [(3, [3]), (1, [])])
+def test_sweep_starts_no_more_workers_than_usable_cpus(tmp_path, monkeypatch, cpus, expected):
+    started = _fake_pool(monkeypatch, cpus)
+    paths = _sweep_configs(tmp_path, 5)
+    assert main(["sweep", "--configs", *map(str, paths), "--out", str(tmp_path / "s"), "--jobs", "5000"]) == 0
+    assert started == expected  # one usable CPU: the configs run in this process
+    assert (tmp_path / "s" / "e" / "trajectory.csv").exists()
+
+
+def test_usable_cpus_is_positive():
+    assert cli._usable_cpus() >= 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(tmp_path, monkeypatch, capsys, jobs):
+    started = _fake_pool(monkeypatch, cpus=64)
+    paths = _sweep_configs(tmp_path, 2)
+    assert main(["sweep", "--configs", *map(str, paths), "--out", str(tmp_path / "s"), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"config error: --jobs: expected an integer >= 1, got {jobs}\n"
+    assert started == [] and not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

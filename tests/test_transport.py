@@ -21,9 +21,9 @@ from ncgflow import (
     zn_transport_rhs,
 )
 from ncgflow import transport
-from ncgflow.connection import _zn_system
+from ncgflow.connection import _zn_sites, _zn_system
 from ncgflow.transport import _real_state_value
-from oracles import m2_transport_oracle, zn3_transport_oracle
+from oracles import m2_transport_oracle, zn3_transport_oracle, zn_transport_oracle
 
 
 def _zn_field(data):
@@ -286,3 +286,38 @@ def test_buffered_zn_rhs_keeps_no_stale_scratch(n):
     third = rhs(0.0, y_a)
     assert third.tobytes() == first_bytes == first.tobytes()  # each result is fresh
     assert second.tobytes() == _zn_reference(y_b, n).tobytes()
+
+
+# The three Z_n forms against the paper's form of the transport -------------
+
+def _zn_transport_cases(n):
+    """(K_+, K_-, m, packed state) on admissible and on arbitrary data."""
+    rng = np.random.default_rng(n)
+    for admissible in (True, False):
+        y = _zn_flat(n, rng, admissible)
+        z = y.view(np.complex128)
+        yield z[:n], z[n : 2 * n], z[2 * n :], y
+
+
+def _assert_matches_transport_oracle(dm, kp, km, m):
+    tol = 1e-13 * max(1.0, np.abs(np.concatenate([kp, km])).max() * np.abs(m).max())
+    np.testing.assert_allclose(dm, zn_transport_oracle(kp, km, m), rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 10, 64, 4096])
+def test_zn_system_transport_matches_the_paper_form(n):
+    for kp, km, m, _ in _zn_transport_cases(n):
+        _assert_matches_transport_oracle(_zn_system(kp, km, m)[2], kp, km, m)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_zn_sites_transport_matches_the_paper_form(n):
+    for kp, km, m, _ in _zn_transport_cases(n):
+        _assert_matches_transport_oracle(_zn_sites(kp.tolist(), km.tolist(), m.tolist())[2 * n :], kp, km, m)
+
+
+@pytest.mark.parametrize("n", [10, 64, 4096])
+def test_buffered_zn_transport_matches_the_paper_form(n):
+    rhs = transport.zn_coupled_rhs(n)
+    for kp, km, m, y in _zn_transport_cases(n):
+        _assert_matches_transport_oracle(rhs(0.0, y).view(np.complex128)[2 * n :], kp, km, m)
