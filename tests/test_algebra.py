@@ -144,3 +144,44 @@ def test_constructor_rejects_bad_data():
         Mat2Element([[np.inf, 0], [0, 0]])
     with pytest.raises(AlgebraError):
         Mat2Element([[1, 0, 0], [0, 1, 0]])
+
+
+_RNG = np.random.default_rng(20180)
+
+
+def _random_complex(shape):
+    return _RNG.standard_normal(shape) + 1j * _RNG.standard_normal(shape)
+
+
+# (element class, data attribute, shape, algebra product on the data, an element of the other algebra)
+_ALGEBRAS = {
+    "zn": (ZnElement, "samples", (5,), np.multiply, I2),
+    "m2": (Mat2Element, "entries", (2, 2), np.matmul, ZnElement.ones(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ALGEBRAS))
+def test_operators_match_numpy_bit_for_bit(name):
+    cls, attr, shape, product, other = _ALGEBRAS[name]
+    x, y = _random_complex(shape), _random_complex(shape)
+    a, b = cls(x), cls(y)
+    cases = [(a + b, x + y), (a - b, x - y), (-a, -x), (a * b, product(x, y))]
+    for c in (3, -0.7, 0.25 - 1.5j, np.float64(2.5), np.complex128(1j)):
+        cases += [(a * c, x * c), (c * a, c * x), (a / c, x / c)]
+    for element, expected in cases:
+        assert type(element) is cls
+        assert getattr(element, attr).tobytes() == np.asarray(expected, dtype=np.complex128).tobytes()
+
+    with pytest.raises(TypeError):
+        a / b
+    for operand in ("x", None, x):
+        with pytest.raises(TypeError):
+            a * operand
+    with pytest.raises(ValueError):
+        getattr(a, attr)[0] = 1.0
+    assert np.array_equal(getattr(eval(repr(a), {cls.__name__: cls}), attr), x)
+    with pytest.raises(AlgebraMismatchError, match=f"cannot combine {cls.__name__} with {type(other).__name__}"):
+        a + other
+    if cls is ZnElement:
+        with pytest.raises(AlgebraMismatchError, match="group orders differ: 5 vs 4"):
+            a - ZnElement.ones(4)
