@@ -26,10 +26,14 @@ from .calculus import OneForm, VectorField, apply_vf, d, left_multiply_form, rig
 from .connection import (
     braiding_residual,
     divergence_pairing,
+    m2_rhs,
+    m2_transport_rhs,
     reality_residual,
     solve_b,
+    zn_rhs,
+    zn_transport_rhs,
 )
-from .flow import BlowupError, Trajectory, integrate, m2_rhs, pack_complex, rk4_step, split_complex, zn_rhs
+from .flow import BlowupError, Trajectory, integrate, pack_complex, rk4_step, split_complex
 from .mobius import (
     RowRun,
     SpherePoint,
@@ -64,7 +68,6 @@ from .transport import (
     ZnRun,
     bloch,
     m2_coupled_rhs,
-    m2_transport_rhs,
     pack_m2_state,
     pack_zn_state,
     run_m2,
@@ -72,7 +75,6 @@ from .transport import (
     state_eval,
     velocity_functional,
     zn_coupled_rhs,
-    zn_transport_rhs,
 )
 
 __version__ = "0.1.0"

@@ -13,8 +13,10 @@ Elements are thin immutable wrappers around numpy arrays:
 one operand is a plain number).  ``inner_product(a, c)`` pairs elements as
 ``integral(a * star(c))``, which is positive definite for both algebras.
 
-All constructors reject non-finite entries; mixing algebras (or different
-group orders) raises :class:`AlgebraMismatchError`.
+Both classes take their operators (``+``, ``-``, ``*``, ``/`` by a scalar)
+and their constructor's check from one private base class: the entries
+are finite and locked, and mixing algebras (or different group orders)
+raises :class:`AlgebraMismatchError`.
 """
 
 from __future__ import annotations
@@ -58,27 +60,88 @@ def _locked(arr: np.ndarray) -> np.ndarray:
 def _shift_indices(n: int, steps: int) -> np.ndarray:
     """Index array realising R_a: ``f[_shift_indices(n, a)][i] == f[(i + a) % n]``.
 
-    Much cheaper than np.roll for the small arrays in the integrator hot path.
+    Much cheaper than np.roll on small arrays.  Besides ``ZnElement.shift`` and
+    the reference ``connection._zn_system``, the burgers stencil and the run
+    series gather through it.
     """
     return _locked((np.arange(n) + steps) % n)
 
 
-class ZnElement:
+class _Element:
+    """The operators both algebras share, on the locked complex array ``_data``.
+
+    A subclass names its data (``samples`` / ``entries``), checks its shape
+    before calling this constructor and sets ``_product``, the algebra
+    product of two data arrays.  ``*`` is that product, or scalar
+    multiplication when the other operand is a plain number.
+    """
+
+    __slots__ = ("_data",)
+    _product: np.ufunc
+
+    def __init__(self, arr: np.ndarray):
+        if not np.isfinite(arr).all():
+            raise AlgebraError(f"non-finite entries in {type(self).__name__}")
+        self._data = _locked(arr)
+
+    def _coerce(self, other) -> np.ndarray:
+        """The data of an operand of the same algebra and group order."""
+        name, other_name = type(self).__name__, type(other).__name__
+        if not isinstance(other, _Element):
+            raise TypeError(f"expected {name}, got {other_name}")
+        if type(other) is not type(self):
+            raise AlgebraMismatchError(f"cannot combine {name} with {other_name}")
+        if other._data.shape != self._data.shape:
+            raise AlgebraMismatchError(f"group orders differ: {len(self._data)} vs {len(other._data)}")
+        return other._data
+
+    def __add__(self, other):
+        return type(self)(self._data + self._coerce(other))
+
+    def __sub__(self, other):
+        return type(self)(self._data - self._coerce(other))
+
+    def __neg__(self):
+        return type(self)(-self._data)
+
+    def __mul__(self, other):
+        if isinstance(other, _SCALAR):
+            return type(self)(self._data * other)
+        return type(self)(self._product(self._data, self._coerce(other)))
+
+    def __rmul__(self, other):
+        if isinstance(other, _SCALAR):
+            return type(self)(other * self._data)
+        return NotImplemented
+
+    def __truediv__(self, other):
+        if isinstance(other, _SCALAR):
+            return type(self)(self._data / other)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._data.tolist()!r})"
+
+
+class ZnElement(_Element):
     """A complex-valued function on Z_n; ``samples[i]`` is the value at i."""
 
-    __slots__ = ("samples",)
+    __slots__ = ()
+    _product = np.multiply
 
     def __init__(self, samples):
         arr = np.array(samples, dtype=np.complex128)
         if arr.ndim != 1 or arr.shape[0] < 2:
             raise AlgebraError("ZnElement needs a 1-d array with at least 2 samples")
-        if not np.isfinite(arr).all():
-            raise AlgebraError("non-finite entries in ZnElement")
-        self.samples = _locked(arr)
+        super().__init__(arr)
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self._data
 
     @property
     def n(self) -> int:
-        return self.samples.shape[0]
+        return self._data.shape[0]
 
     @classmethod
     def zeros(cls, n: int) -> "ZnElement":
@@ -98,64 +161,31 @@ class ZnElement:
 
     def shift(self, steps: int) -> "ZnElement":
         """Group translation: ``(R_a f)(i) = f(i + a mod n)`` with a = steps."""
-        return ZnElement(self.samples[_shift_indices(self.n, int(steps))])
+        return ZnElement(self._data[_shift_indices(self.n, int(steps))])
 
     def star(self) -> "ZnElement":
-        return ZnElement(np.conj(self.samples))
+        return ZnElement(np.conj(self._data))
 
     def integral(self) -> complex:
         """Sum over the group; linear and star-compatible."""
-        return complex(self.samples.sum())
-
-    def _coerce(self, other) -> np.ndarray:
-        if isinstance(other, Mat2Element):
-            raise AlgebraMismatchError("cannot combine ZnElement with Mat2Element")
-        if not isinstance(other, ZnElement):
-            raise TypeError(f"expected ZnElement, got {type(other).__name__}")
-        if other.n != self.n:
-            raise AlgebraMismatchError(f"group orders differ: {self.n} vs {other.n}")
-        return other.samples
-
-    def __add__(self, other):
-        return ZnElement(self.samples + self._coerce(other))
-
-    def __sub__(self, other):
-        return ZnElement(self.samples - self._coerce(other))
-
-    def __neg__(self):
-        return ZnElement(-self.samples)
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALAR):
-            return ZnElement(self.samples * other)
-        return ZnElement(self.samples * self._coerce(other))
-
-    def __rmul__(self, other):
-        if isinstance(other, _SCALAR):
-            return ZnElement(other * self.samples)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, _SCALAR):
-            return ZnElement(self.samples / other)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"ZnElement({self.samples.tolist()!r})"
+        return complex(self._data.sum())
 
 
-class Mat2Element:
+class Mat2Element(_Element):
     """A 2x2 complex matrix with the matrix product and trace integral."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
+    _product = np.matmul
 
     def __init__(self, entries):
         arr = np.array(entries, dtype=np.complex128)
         if arr.shape != (2, 2):
             raise AlgebraError("Mat2Element needs a 2x2 array")
-        if not np.isfinite(arr).all():
-            raise AlgebraError("non-finite entries in Mat2Element")
-        self.entries = _locked(arr)
+        super().__init__(arr)
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self._data
 
     @classmethod
     def zeros(cls) -> "Mat2Element":
@@ -177,45 +207,11 @@ class Mat2Element:
         return cls(np.diag([complex(a), complex(d)]))
 
     def star(self) -> "Mat2Element":
-        return Mat2Element(self.entries.conj().T)
+        return Mat2Element(self._data.conj().T)
 
     def integral(self) -> complex:
         """Trace functional."""
-        return complex(self.entries[0, 0] + self.entries[1, 1])
-
-    def _coerce(self, other) -> np.ndarray:
-        if isinstance(other, ZnElement):
-            raise AlgebraMismatchError("cannot combine Mat2Element with ZnElement")
-        if not isinstance(other, Mat2Element):
-            raise TypeError(f"expected Mat2Element, got {type(other).__name__}")
-        return other.entries
-
-    def __add__(self, other):
-        return Mat2Element(self.entries + self._coerce(other))
-
-    def __sub__(self, other):
-        return Mat2Element(self.entries - self._coerce(other))
-
-    def __neg__(self):
-        return Mat2Element(-self.entries)
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALAR):
-            return Mat2Element(self.entries * other)
-        return Mat2Element(self.entries @ self._coerce(other))
-
-    def __rmul__(self, other):
-        if isinstance(other, _SCALAR):
-            return Mat2Element(other * self.entries)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, _SCALAR):
-            return Mat2Element(self.entries / other)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"Mat2Element({self.entries.tolist()!r})"
+        return complex(self._data[0, 0] + self._data[1, 1])
 
 
 AlgebraElement = ZnElement | Mat2Element

@@ -54,7 +54,7 @@ Symbols = list[tuple[int, int, int, float]]
 
 @dataclass(frozen=True)
 class ChristoffelProvider:
-    """Christoffel symbols of a chart, plus an optional metric for speed checks.
+    """Christoffel symbols of a chart, plus its metric for speed checks.
 
     ``symbols(x)`` returns the nonzero ``(i, j, k, Gamma^i_jk(x))`` in
     lexicographic order of ``(i, j, k)``; x is a sequence of floats.
@@ -62,7 +62,7 @@ class ChristoffelProvider:
 
     dim: int
     symbols: Callable[[Sequence[float]], Symbols]
-    metric: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    metric: Callable[[np.ndarray], np.ndarray]
 
     def gamma(self, x, i: int, j: int, k: int) -> float:
         """The single symbol Gamma^i_jk(x)."""
@@ -115,8 +115,6 @@ def geodesic_rhs(x: np.ndarray, v: np.ndarray, provider: ChristoffelProvider):
 
 def speed_squared(x, v, provider: ChristoffelProvider) -> float:
     v = np.asarray(v, dtype=np.float64)
-    if provider.metric is None:
-        return float(v @ v)
     g = provider.metric(np.asarray(x, dtype=np.float64))
     return float(v @ g @ v)
 

@@ -610,6 +610,8 @@ def _run_config(cfg: dict, out) -> int:
     except BlowupError as exc:
         print(f"numerical blowup: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
+    except OSError as exc:  # a CSV could not be written
+        return _config_error(f"cannot write output in {outdir}: {exc}")
     written = ["trajectory.csv", "invariants.csv", "state.csv"]
     for name, kwargs in plots:
         try:

@@ -1,4 +1,4 @@
-"""Connection data (b, K) for the transport bimodule, and its residuals.
+"""The coupled equations of the flow and the transport, and the connection data (b, K).
 
 For a vector field K the inner product is preserved when two conditions
 hold: the divergence condition, which pins the Hermitian part of b, and
@@ -8,47 +8,62 @@ part of b to be zero, so b is fully determined by K:
 * Z_n:   ``b = (R_{+1}K_+ - K_+ + R_{-1}K_- - K_-) / 2``
 * M2(C): ``b = ([E12, K1] + [E21, K2]) / 2``
 
+With b recomputed from K, the velocity flow of K and the transport of
+the element m are
+
+* Z_n, with ``beta = b + K_+ + K_-``:
+  ``dK_+/dt = K_+ (R_{-1} beta - beta)``, ``dK_-/dt = K_- (R_{+1} beta - beta)``
+  and ``dm/dt = -m b - K_+ (m - R_{-1}m) - K_- (m - R_{+1}m)``;
+* M2(C), with ``B = E12 K1 + E21 K2 + K1 E12 + K2 E21``:
+  ``dK_i/dt = [K_i, B] / 2`` and ``dm/dt = -b m - K1 [E12, m] - K2 [E21, m]``.
+
+C(Z_n) is commutative, so the ``K_+ m`` and ``K_- m`` terms of the Z_n
+transport cancel against those of ``-m b`` and every Z_n kernel evaluates
+``dm/dt = K_+ R_{-1}m + K_- R_{+1}m - beta m``.
+
+Each algebra's equations are written once.  On Z_n they are four
+elementwise functions, ``_zn_beta`` (beta at a site from its four
+neighbours) and the three rates ``_zn_dkp``, ``_zn_dkm`` and ``_zn_dm``,
+in two forms: ``_zn_system`` calls each once on the gathered sample
+arrays of (K_+, K_-, m), and ``_zn_sites`` calls each once per site on
+Python complex scalars, which is cheaper below
+``transport.ZN_SCALAR_CROSSOVER`` sites.  ``_m2_system`` works on the
+twelve Python complex entries of (K1, K2, m).  ``transport.zn_coupled_rhs``
+restates ``_zn_system`` on reused buffers and is tested byte for byte
+against it.
+
+The element entry points are ``solve_b`` (b = -dm/dt at m = 1),
+``zn_rhs`` / ``m2_rhs`` (dK/dt as a vector field) and
+``zn_transport_rhs`` / ``m2_transport_rhs`` (dm/dt).  Each checks its
+algebra and calls ``_coupled_rates``, the one place where elements are
+unpacked into the kernels.
+
 ``reality_residual`` and ``braiding_residual`` quantify how far K is from
 satisfying the reality condition and from the braided compatibility
 constraint that the flow preserves.  Both vanish on admissible initial
 data and are monitored, not enforced, along trajectories.
-
-Each algebra's equations are written once: b (through
-``beta = b + K_+ + K_-`` on Z_n), the velocity flow dK/dt and the
-transport dm/dt.  The paper's Z_n transport
-``dm/dt = -m b - K_+ (m - R_{-1}m) - K_- (m - R_{+1}m)`` is evaluated as
-``dm/dt = K_+ R_{-1}m + K_- R_{+1}m - beta m``: C(Z_n) is commutative, so
-the ``K_+ m`` and ``K_- m`` terms cancel against those of ``-m b``.  On Z_n
-the equations are four elementwise functions,
-``_zn_beta`` (beta at a site from its four neighbours) and the three
-rates ``_zn_dkp``, ``_zn_dkm`` and ``_zn_dm``, and they come in two
-forms: ``_zn_system`` calls each once on the gathered sample arrays of
-(K_+, K_-, m), and ``_zn_sites`` calls each once per site on Python
-complex scalars, which is cheaper below ``transport.ZN_SCALAR_CROSSOVER``
-sites.  ``_m2_system`` works on the twelve Python complex entries of
-(K1, K2, m).  ``solve_b`` here, ``flow.zn_rhs`` / ``flow.m2_rhs``,
-``transport.zn_transport_rhs`` / ``transport.m2_transport_rhs`` and
-``transport.m2_coupled_rhs`` are wrappers over them;
-``transport.zn_coupled_rhs`` restates ``_zn_system`` on reused buffers
-and is tested byte for byte against it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, Mat2Element, ZnElement, _shift_indices, commutator
+from .algebra import I2, AlgebraElement, Mat2Element, ZnElement, _shift_indices, commutator
 from .calculus import VectorField, apply_vf, d
 
 __all__ = [
     "solve_b",
+    "zn_rhs",
+    "m2_rhs",
+    "zn_transport_rhs",
+    "m2_transport_rhs",
     "reality_residual",
     "braiding_residual",
     "divergence_pairing",
 ]
 
 
-# Kernels shared with the integrator hot path (flow / transport).
+# Kernels shared with the integrator hot path (transport).
 
 def _zn_beta(kp, kp_up, km, km_down):
     """``beta = b + K_+ + K_- = (K_+ + R_{+1}K_+ + K_- + R_{-1}K_-) / 2`` at a site.
@@ -82,9 +97,10 @@ def _zn_dm(kp, km, m, beta, m_up, m_down):
 def _zn_system(kp: np.ndarray, km: np.ndarray, m: np.ndarray):
     """Coupled Z_n right-hand side on the sample arrays of K_+, K_- and m.
 
-    Each rate gathers its neighbours in its own call: holding all four
-    gathers at once measurably slows large n (the allocator returns and
-    refetches the extra memory on every call).
+    The array reference: the element entry points call it, and
+    ``transport.zn_coupled_rhs``, which steps every run of
+    ``transport.ZN_SCALAR_CROSSOVER`` sites or more, is tested byte for
+    byte against it.
     """
     n = kp.shape[0]
     up, down = _shift_indices(n, 1), _shift_indices(n, -1)
@@ -137,13 +153,49 @@ def _m2_system(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md):
     ]
 
 
+def _coupled_rates(field: VectorField, m: AlgebraElement):
+    """The data arrays of ``(dK1, dK2, dm)`` at (K, m); K and m must be of one algebra."""
+    if isinstance(m, ZnElement):
+        return _zn_system(field.k1.samples, field.k2.samples, m.samples)
+    entries = np.concatenate((field.k1.entries, field.k2.entries, m.entries)).ravel().tolist()
+    return np.array(_m2_system(*entries)).reshape(3, 2, 2)
+
+
 def solve_b(field: VectorField) -> AlgebraElement:
     """The b with zero gauge part satisfying the divergence condition."""
     # The unit commutes with the generators, so dm/dt = -b at m = 1.
-    if isinstance(field.k1, ZnElement):
-        return ZnElement(-_zn_system(field.k1.samples, field.k2.samples, np.ones(field.k1.n, complex))[2])
-    dm = _m2_system(*field.k1.entries.ravel().tolist(), *field.k2.entries.ravel().tolist(), 1, 0, 0, 1)[8:]
-    return Mat2Element([[-dm[0], -dm[1]], [-dm[2], -dm[3]]])
+    unit = ZnElement.ones(field.k1.n) if isinstance(field.k1, ZnElement) else I2
+    return type(unit)(-_coupled_rates(field, unit)[2])
+
+
+def zn_rhs(field: VectorField) -> VectorField:
+    """Time derivative of the Z_n vector field (b recomputed from K)."""
+    if not isinstance(field.k1, ZnElement):
+        raise TypeError("zn_rhs expects a Z_n vector field")
+    dkp, dkm, _ = _coupled_rates(field, ZnElement.zeros(field.k1.n))
+    return VectorField(ZnElement(dkp), ZnElement(dkm))
+
+
+def m2_rhs(field: VectorField) -> VectorField:
+    """Time derivative of the M2 vector field ``[K_i, B]/2``."""
+    if not isinstance(field.k1, Mat2Element):
+        raise TypeError("m2_rhs expects an M2 vector field")
+    dk1, dk2, _ = _coupled_rates(field, Mat2Element.zeros())
+    return VectorField(Mat2Element(dk1), Mat2Element(dk2))
+
+
+def zn_transport_rhs(m: ZnElement, field: VectorField) -> ZnElement:
+    """dm/dt for Z_n transport."""
+    if not isinstance(m, ZnElement):
+        raise TypeError("zn_transport_rhs expects a ZnElement")
+    return ZnElement(_coupled_rates(field, m)[2])
+
+
+def m2_transport_rhs(m: Mat2Element, field: VectorField) -> Mat2Element:
+    """dm/dt for M2 transport."""
+    if not isinstance(m, Mat2Element):
+        raise TypeError("m2_transport_rhs expects a Mat2Element")
+    return Mat2Element(_coupled_rates(field, m)[2])
 
 
 def reality_residual(field: VectorField) -> AlgebraElement:

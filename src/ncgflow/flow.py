@@ -1,22 +1,6 @@
-"""Right-hand sides of the geodesic-velocity equations and ODE integrators.
+"""ODE integrators on flat float64 state vectors.
 
-The velocity equations evolve the generator values of the vector field:
-
-* Z_n, with ``beta = b + K_+ + K_-`` and b recomputed from K:
-  ``dK_+/dt = K_+ (R_{-1} beta - beta)``,
-  ``dK_-/dt = K_- (R_{+1} beta - beta)``.  These equations live once,
-  together with b and the transport of m, as the elementwise functions
-  ``connection._zn_beta``, ``_zn_dkp``, ``_zn_dkm`` and ``_zn_dm``;
-  ``zn_rhs`` wraps them.  The transport
-  ``dm/dt = -m b - K_+ (m - R_{-1} m) - K_- (m - R_{+1} m)`` reduces to
-  ``K_+ R_{-1} m + K_- R_{+1} m - beta m`` there, since the algebra is
-  commutative.
-* M2(C), with ``B = E12 K1 + E21 K2 + K1 E12 + K2 E21``:
-  ``dK_i/dt = [K_i, B] / 2``.  These equations live once, together with b
-  and the transport of m, in ``connection._m2_system``; ``m2_rhs`` wraps it.
-
-Integration happens on flat float64 vectors: complex states are packed as
-interleaved real/imaginary parts (``pack_complex`` / ``split_complex``).
+Complex states are packed as interleaved real/imaginary parts (``pack_complex`` / ``split_complex``).
 ``integrate`` steps a state in one of two forms:
 
 * the array form (``scalars=None``, the default): f maps the float64
@@ -47,7 +31,9 @@ the same output grid.  Its seven stages are the rows of one ``(7, N)``
 array, each stage input is one product of a tableau row with the stages
 before it, and the pair is FSAL (first same as last): the last stage of
 an accepted step is the first stage of the next, so an attempt costs six
-right-hand-side calls.  It runs in the array form only: a scalar f is
+right-hand-side calls, and an attempt is accepted when the RMS of its
+error estimate over ``ATOL + RTOL * |y|`` is at most 1.  It runs in the
+array form only: a scalar f is
 called through ``array_rhs``.  Both abort with :class:`BlowupError` when
 an accepted state leaves the finite ball ``|entry| <= max_abs``.  A run
 may take at most ``MAX_STEPS`` steps.
@@ -62,12 +48,10 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import Mat2Element, ZnElement
-from .calculus import VectorField
-from .connection import _m2_system, _zn_system
-
 __all__ = [
     "MAX_STEPS",
+    "RTOL",
+    "ATOL",
     "MAX_SAMPLE_VALUES",
     "BlowupError",
     "Trajectory",
@@ -78,13 +62,12 @@ __all__ = [
     "sample_count",
     "array_rhs",
     "integrate",
-    "zn_rhs",
-    "m2_rhs",
 ]
 
 Rhs = Callable[[float, np.ndarray], np.ndarray]
 
 MAX_STEPS = 10**8  # bounds the time of any accepted run
+RTOL = ATOL = 1e-9  # rk45 error tolerances, relative and absolute
 # Bounds the memory of an accepted config: floats in its (samples, state columns)
 # block, 1 GiB of float64.  It admits a MAX_GRID burgers run at the default stride.
 MAX_SAMPLE_VALUES = 2**27
@@ -196,12 +179,11 @@ def array_rhs(f, scalars=complex) -> Rhs:
     With ``scalars=complex`` the values are the entries of the vector read
     as complex128, otherwise its floats.
     """
-    if scalars is complex:
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            return np.array(f(t, y.view(np.complex128).tolist()), dtype=np.complex128).view(np.float64)
-    else:
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            return np.array(f(t, y.tolist()), dtype=np.float64)
+    dtype = np.complex128 if scalars is complex else np.float64
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        return np.array(f(t, y.view(dtype).tolist()), dtype=dtype).view(np.float64)
+
     return rhs
 
 
@@ -287,8 +269,6 @@ def integrate(
     h: float = 1e-3,
     stride: int = 1,
     method: str = "rk4",
-    rtol: float = 1e-9,
-    atol: float = 1e-9,
     max_abs: float = 1e9,
     scalars=None,
 ) -> Trajectory:
@@ -348,7 +328,7 @@ def integrate(
             while t < t_target - 1e-14 * max(1.0, t_target):
                 hs = min(h_try, t_target - t)
                 y_new, err, k7 = _dopri_step(f, t, y, hs, k1)
-                r = err / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+                r = err / (ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new)))
                 err_norm = math.sqrt(r @ r / size)
                 if err_norm <= 1.0 or hs <= 1e-13 * max(1.0, t_target):
                     _check_state(y_new, t, max_abs)
@@ -366,22 +346,3 @@ def integrate(
                 states[row] = y
 
     return Trajectory(sampled * h_eff, states)
-
-
-# Flow right-hand sides (element-level wrappers of the connection kernels).
-
-def zn_rhs(field: VectorField) -> VectorField:
-    """Time derivative of the Z_n vector field (b recomputed from K)."""
-    if not isinstance(field.k1, ZnElement):
-        raise TypeError("zn_rhs expects a Z_n vector field")
-    kp = field.k1.samples
-    dkp, dkm, _ = _zn_system(kp, field.k2.samples, np.zeros_like(kp))
-    return VectorField(ZnElement(dkp), ZnElement(dkm))
-
-
-def m2_rhs(field: VectorField) -> VectorField:
-    """Time derivative of the M2 vector field ``[K_i, B]/2``."""
-    if not isinstance(field.k1, Mat2Element):
-        raise TypeError("m2_rhs expects an M2 vector field")
-    d = _m2_system(*field.k1.entries.ravel().tolist(), *field.k2.entries.ravel().tolist(), 0, 0, 0, 0)
-    return VectorField(Mat2Element([d[0:2], d[2:4]]), Mat2Element([d[4:6], d[6:8]]))

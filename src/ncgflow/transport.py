@@ -5,11 +5,8 @@ The transported element m obeys the parallel equation
 * Z_n:   ``dm/dt = -m b - K_+ (m - R_{-1} m) - K_- (m - R_{+1} m)``
 * M2(C): ``dm/dt = -b m - K1 [E12, m] - K2 [E21, m]``
 
-with b recomputed from K at every stage.  On Z_n the algebra is
-commutative and ``b = beta - K_+ - K_-`` with
-``beta = (K_+ + R_{+1}K_+ + K_- + R_{-1}K_-) / 2``, so the ``K_+ m`` and
-``K_- m`` terms cancel and every Z_n kernel evaluates the same rate in
-three products: ``dm/dt = K_+ R_{-1} m + K_- R_{+1} m - beta m``.
+with b recomputed from K at every stage (``connection`` gives the
+equations of K and the reduced form of the Z_n rate).
 
 The induced positive map is ``phi(a) = inner_product(m*a, m)`` and, for
 M2, its Bloch coordinates are
@@ -17,11 +14,9 @@ M2, its Bloch coordinates are
 
 K and m are integrated as one coupled system (``run_zn`` / ``run_m2``)
 rather than sequentially, so no interpolation error enters through K(t).
-The systems are written once, in ``connection`` (the elementwise Z_n
-functions ``_zn_beta``, ``_zn_dkp``, ``_zn_dkm``, ``_zn_dm``, and
-``_m2_system``); the ``*_transport_rhs`` functions and ``m2_coupled_rhs``
-here wrap them, and ``zn_coupled_rhs`` restates ``_zn_system`` on reused
-buffers, byte for byte.
+The systems are written once, in ``connection``, together with their
+element-level entry points.  ``zn_coupled_rhs`` restates
+``connection._zn_system`` on reused buffers, byte for byte.
 
 ``flow.integrate`` steps these systems in one of its two state forms.
 M2 always runs on Python complex scalars (``scalars=complex``).  Z_n runs
@@ -48,23 +43,14 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (
-    AlgebraElement,
-    I2,
-    Mat2Element,
-    ZnElement,
-    _shift_indices,
-    inner_product,
-)
+from .algebra import AlgebraElement, I2, Mat2Element, _shift_indices, inner_product
 from .calculus import OneForm, VectorField, apply_vf, left_multiply_form
-from .connection import _m2_system, _zn_sites, _zn_system
+from .connection import _m2_system, _zn_sites
 # The residual functions stay in this namespace: perfbench/spans.py wraps them here.
 from .connection import braiding_residual, reality_residual  # noqa: F401
 from .flow import Trajectory, array_rhs, integrate, pack_complex
 
 __all__ = [
-    "zn_transport_rhs",
-    "m2_transport_rhs",
     "state_eval",
     "BlochPoint",
     "bloch",
@@ -83,21 +69,6 @@ __all__ = [
 # Z_n systems with fewer sites than this step on Python scalars (see the module
 # docstring): a whole rk4 step costs the same in both forms at about 10 sites.
 ZN_SCALAR_CROSSOVER = 10
-
-
-def zn_transport_rhs(m: ZnElement, field: VectorField) -> ZnElement:
-    """dm/dt for Z_n transport."""
-    if not isinstance(m, ZnElement):
-        raise TypeError("zn_transport_rhs expects a ZnElement")
-    return ZnElement(_zn_system(field.k1.samples, field.k2.samples, m.samples)[2])
-
-
-def m2_transport_rhs(m: Mat2Element, field: VectorField) -> Mat2Element:
-    """dm/dt for M2 transport."""
-    if not isinstance(m, Mat2Element):
-        raise TypeError("m2_transport_rhs expects a Mat2Element")
-    d = _m2_system(*field.k1.entries.ravel().tolist(), *field.k2.entries.ravel().tolist(), *m.entries.ravel().tolist())
-    return Mat2Element([d[8:10], d[10:12]])
 
 
 def state_eval(m: AlgebraElement, a: AlgebraElement) -> complex:

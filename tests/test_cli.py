@@ -216,6 +216,21 @@ def test_unbounded_runs_and_bad_out_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    # a directory where a CSV goes; chmod would not stop a process running as root
+    (tmp_path / "run" / "trajectory.csv").mkdir(parents=True)
+    assert main(["run", "--preset", "paper-fig1", "--t-end", "0.01", "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output in {tmp_path / 'run'}: ") and "Traceback" not in err
+
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"scenario": "zn", "t_end": 0.01}))
+    assert main(["sweep", "--configs", str(config), "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == f"{config}: exit 2"
+    assert err.startswith("config error: cannot write output in ") and "internal error" not in err
+
+
 def test_blowup_exits_3(tmp_path, capsys):
     cfg = {"scenario": "m2row", "lam": [1, 0], "mu": [0, 0], "q0": [5, 0], "q1": [0, 0], "q2": [0, 0],
            "t_end": 10.0, "step": 1e-2}
