@@ -86,11 +86,10 @@ class _Element:
 
     def _coerce(self, other) -> np.ndarray:
         """The data of an operand of the same algebra and group order."""
-        name, other_name = type(self).__name__, type(other).__name__
         if not isinstance(other, _Element):
-            raise TypeError(f"expected {name}, got {other_name}")
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
         if type(other) is not type(self):
-            raise AlgebraMismatchError(f"cannot combine {name} with {other_name}")
+            raise AlgebraMismatchError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if other._data.shape != self._data.shape:
             raise AlgebraMismatchError(f"group orders differ: {len(self._data)} vs {len(other._data)}")
         return other._data
