@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .algebra import (
     AlgebraElement,
-    AlgebraMismatchError,
     E12,
     E21,
     Mat2Element,
@@ -40,11 +39,15 @@ __all__ = [
 ]
 
 
-def _check_pair(a, b, what: str) -> None:
-    if type(a) is not type(b):
-        raise AlgebraMismatchError(f"{what}: mixed element types")
-    if isinstance(a, ZnElement) and a.n != b.n:
-        raise AlgebraMismatchError(f"{what}: group orders differ")
+def _operands(a, b) -> None:
+    """The element layer's operand check on a coefficient pair.
+
+    TypeError unless both are algebra elements; ``AlgebraMismatchError``
+    (from ``_coerce``) for two algebras or two group orders.
+    """
+    if not isinstance(a, AlgebraElement):
+        raise TypeError(f"expected an algebra element, got {type(a).__name__}")
+    a._coerce(b)
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class OneForm:
     c2: AlgebraElement
 
     def __post_init__(self):
-        _check_pair(self.c1, self.c2, "OneForm")
+        _operands(self.c1, self.c2)
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class VectorField:
     k2: AlgebraElement
 
     def __post_init__(self):
-        _check_pair(self.k1, self.k2, "VectorField")
+        _operands(self.k1, self.k2)
 
 
 def d(a: AlgebraElement) -> OneForm:
@@ -98,5 +101,4 @@ def right_multiply_form(xi: OneForm, a: AlgebraElement) -> OneForm:
 
 def apply_vf(field: VectorField, xi: OneForm) -> AlgebraElement:
     """Evaluate a vector field on a 1-form: ``k1*c1 + k2*c2``."""
-    _check_pair(field.k1, xi.c1, "apply_vf")
     return field.k1 * xi.c1 + field.k2 * xi.c2

@@ -27,15 +27,18 @@ into an array one.
 
 The default integrator is fixed-step classical RK4; an adaptive
 Dormand-Prince 4(5) pair is available as ``method="rk45"`` and lands on
-the same output grid.  Its seven stages are the rows of one ``(7, N)``
-array, each stage input is one product of a tableau row with the stages
-before it, and the pair is FSAL (first same as last): the last stage of
-an accepted step is the first stage of the next, so an attempt costs six
-right-hand-side calls, and an attempt is accepted when the RMS of its
-error estimate over ``ATOL + RTOL * |y|`` is at most 1.  It runs in the
-array form only: a scalar f is
-called through ``array_rhs``.  Both abort with :class:`BlowupError` when
-an accepted state leaves the finite ball ``|entry| <= max_abs``.  A run
+the same output grid.  It steps one ``(8, N)`` float64 block
+``[y, k1, ..., k7]``, made once per run: each stage input is one
+``np.dot`` of a coefficient row ``[1, h a_s1, ..., h a_s,s-1]`` (rebuilt
+only when the step size changes) with the rows before it, and f's
+result goes straight into the stage's own row; a scalar f reads the
+stage input as a list and its list is written into the row's complex
+(or float) view.  The pair is FSAL (first same as last): the last stage
+of an accepted step is the first stage of the next, a row copy, so an
+attempt costs six right-hand-side calls, and an attempt is accepted when
+the RMS of its error estimate over ``ATOL + RTOL * max(|y|, |y5|)`` is
+at most 1.  Both methods abort with :class:`BlowupError` when an
+accepted state leaves the finite ball ``|entry| <= max_abs``.  A run
 may take at most ``MAX_STEPS`` steps.
 """
 
@@ -44,7 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,6 +71,7 @@ Rhs = Callable[[float, np.ndarray], np.ndarray]
 
 MAX_STEPS = 10**8  # bounds the time of any accepted run
 RTOL = ATOL = 1e-9  # rk45 error tolerances, relative and absolute
+_RTOL, _ATOL = np.array(RTOL), np.array(ATOL)  # ufuncs take 0-d arrays faster than floats
 # Bounds the memory of an accepted config: floats in its (samples, state columns)
 # block, 1 GiB of float64.  It admits a MAX_GRID burgers run at the default stride.
 MAX_SAMPLE_VALUES = 2**27
@@ -187,35 +191,78 @@ def array_rhs(f, scalars=complex) -> Rhs:
     return rhs
 
 
-# Dormand-Prince 4(5) tableau.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = tuple(
-    np.array(row)
-    for row in (
-        (),
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-    )
-)
-_DP_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
+# Dormand-Prince 4(5) tableau: the nodes of stages 2-7, and one row per stage
+# 2-7 of the weights of k1..k6 (the last row is the 5th-order solution, so its
+# stage is FSAL), then the error weights of k1..k7 (5th order minus 4th order).
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = np.array([row + (0.0,) * (7 - len(row)) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),
+)])
 
 
-def _dopri_step(f: Rhs, t: float, y: np.ndarray, h: float, k1: np.ndarray):
-    """One Dormand-Prince attempt from ``(t, y)`` with first stage ``k1 = f(t, y)``.
+class _DopriWork(NamedTuple):
+    """The buffers of an rk45 run, made once per run by ``_dopri_work``."""
 
-    Returns the 5th-order solution, the error estimate and the last stage,
-    which is ``f(t + h, y5)``: the first stage of the next step (FSAL).
+    stages: tuple  # per stage 2-7: (c_s, coefficient row, the block rows it reads, its own row)
+    err_row: np.ndarray  # h E, the error weights of k1..k7
+    y: np.ndarray  # block[0]
+    ks: np.ndarray  # block[1:], the stages k1..k7
+    y5: np.ndarray  # the stage input; after the last stage, the 5th-order solution
+    err: np.ndarray
+    abs_y5: np.ndarray
+    scale: np.ndarray  # ATOL + RTOL * max(|y|, |y5|), then the error over it
+    read: Callable | None  # the stage input as a list of scalars, or None in the array form
+
+
+def _dopri_work(size: int, scalars):
+    """The block ``[y, k1, ..., k7]`` and the buffers around it for vectors of ``size``.
+
+    The coefficient rows are ``[1, h a_s1, ..., h a_s,s-1]`` for stages 2-7
+    and then ``h E``: their first column is 1 and the rest, ``h_coef``, is
+    ``h * _DP_A``, which the caller writes whenever the step size changes.
+    With ``scalars`` set, each stage's own row is its complex (or float)
+    view, so f's list is written into it directly.  Returns the work,
+    ``h_coef`` and the row (or view) that the first stage goes into.
     """
-    ks = np.empty((7, y.shape[0]))
-    ks[0] = k1
-    for stage in range(1, 7):
-        acc = y + h * (_DP_A[stage] @ ks[:stage])
-        ks[stage] = f(t + _DP_C[stage] * h, acc)
-    return acc, h * (_DP_E @ ks), ks[6]
+    block, coef = np.empty((8, size)), np.ones((7, 8))
+    y5, err, abs_y5, scale = np.empty((4, size))
+    dtype = np.complex128 if scalars is complex else np.float64
+    rows = [row if scalars is None else row.view(dtype) for row in block[1:]]
+    stages = tuple((c, coef[i, : i + 2], block[: i + 2], rows[i + 1]) for i, c in enumerate(_DP_C))
+    read = None if scalars is None else y5.view(dtype).tolist
+    return _DopriWork(stages, coef[6, 1:], block[0], block[1:], y5, err, abs_y5, scale, read), coef[:, 1:], rows[0]
+
+
+def _dopri_step(f, t: float, h: float, work: _DopriWork) -> float:
+    """One Dormand-Prince attempt of size h from ``t`` on the buffers of ``_dopri_work``.
+
+    On entry ``work.y`` holds y, ``work.ks[0]`` its first stage ``f(t, y)``
+    and the coefficient rows are scaled by h.  Each stage input is one
+    product of its coefficient row with the rows before it, and f's result
+    goes into the stage's own row; with ``read`` set, f takes and gives
+    lists of scalars.  The last input, ``y5``, is the 5th-order solution,
+    and its stage ``f(t + h, y5)`` (``ks[6]``) is the first stage of the
+    next step (FSAL).  Returns the RMS of the error estimate over
+    ``ATOL + RTOL * max(|y|, |y5|)`` and leaves ``|y5|`` in ``abs_y5``.
+    """
+    stages, err_row, y, ks, y5, err, abs_y5, scale, read = work
+    for c, row, before, out in stages:
+        np.dot(row, before, out=y5)
+        out[:] = f(t + c * h, y5 if read is None else read())
+    np.dot(err_row, ks, out=err)
+    np.abs(y, out=scale)
+    np.abs(y5, out=abs_y5)
+    np.maximum(scale, abs_y5, out=scale)
+    np.multiply(scale, _RTOL, out=scale)
+    np.add(scale, _ATOL, out=scale)
+    np.divide(err, scale, out=scale)
+    return math.sqrt(np.dot(scale, scale) / y5.shape[0])
 
 
 def step_count(t_end: float, h: float) -> int:
@@ -240,7 +287,11 @@ def sample_count(n_steps: int, stride: int) -> int:
 
 
 def _check_state(y: np.ndarray, t_good: float, max_abs: float, scratch=None) -> None:
-    peak = np.abs(y, out=scratch).max()  # nan or inf if any entry is
+    _check_peak(np.abs(y, out=scratch).max(), t_good, max_abs)
+
+
+def _check_peak(peak: float, t_good: float, max_abs: float) -> None:
+    """The state rule on the peak ``max |entry|`` of a state, nan or inf if any entry is."""
     if not math.isfinite(peak):
         raise BlowupError("non-finite state encountered", t_good)
     if peak > max_abs:
@@ -317,32 +368,36 @@ def integrate(
                 row += 1
                 out[row] = y
     else:
-        if scalars is not None:
-            f = array_rhs(f, scalars)
-        size = y.shape[0]
+        work, h_coef, k1 = _dopri_work(y.shape[0], scalars)
+        y5, ks, abs_y5 = work.y5, work.ks, work.abs_y5
+        work.y[:] = y5[:] = y
+        k1[:] = f(0.0, y5 if work.read is None else work.read())
         h_try = h_eff
-        k1 = f(0.0, y)
-        for k in range(1, n_steps + 1):
-            t = (k - 1) * h_eff
-            t_target = k * h_eff
-            while t < t_target - 1e-14 * max(1.0, t_target):
-                hs = min(h_try, t_target - t)
-                y_new, err, k7 = _dopri_step(f, t, y, hs, k1)
-                r = err / (ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new)))
-                err_norm = math.sqrt(r @ r / size)
-                if err_norm <= 1.0 or hs <= 1e-13 * max(1.0, t_target):
-                    _check_state(y_new, t, max_abs)
-                    t += hs
-                    y = y_new
-                    k1 = k7
-                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-                h_try = hs * factor
-                if h_try < 1e-13 * max(1.0, t_target):
-                    if not math.isfinite(err_norm):  # fails error control at every step size
-                        raise BlowupError("non-finite state encountered", t)
-                    raise BlowupError("adaptive step size underflow", t)
-            if k % stride == 0 or k == n_steps:
-                row += 1
-                states[row] = y
+        h_prev = None
+        # a non-finite stage ends in BlowupError below; numpy need not warn about it first
+        with np.errstate(invalid="ignore", over="ignore"):
+            for k in range(1, n_steps + 1):
+                t = (k - 1) * h_eff
+                t_target = k * h_eff
+                while t < t_target - 1e-14 * max(1.0, t_target):
+                    hs = min(h_try, t_target - t)
+                    if hs != h_prev:
+                        np.multiply(hs, _DP_A, out=h_coef)
+                        h_prev = hs
+                    err_norm = _dopri_step(f, t, hs, work)
+                    if err_norm <= 1.0 or hs <= 1e-13 * max(1.0, t_target):
+                        _check_peak(np.maximum.reduce(abs_y5), t, max_abs)
+                        t += hs
+                        work.y[:] = y5
+                        ks[0] = ks[6]
+                    factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+                    h_try = hs * factor
+                    if h_try < 1e-13 * max(1.0, t_target):
+                        if not math.isfinite(err_norm):  # fails error control at every step size
+                            raise BlowupError("non-finite state encountered", t)
+                        raise BlowupError("adaptive step size underflow", t)
+                if k % stride == 0 or k == n_steps:
+                    row += 1
+                    states[row] = work.y
 
     return Trajectory(sampled * h_eff, states)

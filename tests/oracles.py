@@ -8,9 +8,12 @@ matrix exponential instead of the closed-form branches, and the
 transport-on-a-line oracle inverts the characteristic map by Newton
 iteration.  ``line_chart_oracle`` is the per-point SVG writer that
 ``svgplot.line_chart`` replaced, kept verbatim as its byte reference.
+``dopri_attempt_oracle`` is one Dormand-Prince attempt written from the
+published tableau in exact fractions, stage by stage.
 """
 
 import math
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +81,37 @@ def m2_transport_oracle(K1, K2, M):
     dmc = -(a2 * ma - 2 * c2 * mb + b2 * mc + c1 * mc + d2 * (ma - 2 * md)) / 2
     dmd = -(a2 * mb + d2 * mb - 2 * d1 * mc + b2 * md + c1 * (-2 * ma + md)) / 2
     return np.array([[dma, dmb], [dmc, dmd]])
+
+
+# Dormand & Prince, "A family of embedded Runge-Kutta formulae", J. Comput. Appl.
+# Math. 6 (1980): the nodes c, the matrix a and the 5th- and 4th-order weights.
+_DOPRI_C = (F(0), F(1, 5), F(3, 10), F(4, 5), F(8, 9), F(1), F(1))
+_DOPRI_A = (
+    (),
+    (F(1, 5),),
+    (F(3, 40), F(9, 40)),
+    (F(44, 45), F(-56, 15), F(32, 9)),
+    (F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)),
+    (F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)),
+    (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)),
+)
+_DOPRI_B5 = _DOPRI_A[6] + (F(0),)
+_DOPRI_B4 = (F(5179, 57600), F(0), F(7571, 16695), F(393, 640), F(-92097, 339200), F(187, 2100), F(1, 40))
+
+
+def dopri_attempt_oracle(f, t, y, h):
+    """One Dormand-Prince attempt of size h from ``(t, y)`` for ``dy/dt = f(t, y)`` on float64 vectors.
+
+    Each stage input is ``y + h * sum_j a_ij k_j``; returns the 5th-order
+    solution and the error estimate ``h * sum_j (b5_j - b4_j) k_j``.
+    """
+    assert all(sum(row) == c for row, c in zip(_DOPRI_A, _DOPRI_C)) and sum(_DOPRI_B4) == 1
+    ks = []
+    for c, row in zip(_DOPRI_C, _DOPRI_A):
+        stage = y + h * sum((float(a) * k for a, k in zip(row, ks)), np.zeros_like(y))
+        ks.append(np.asarray(f(t + float(c) * h, stage), dtype=np.float64))
+    err = h * sum(float(b5 - b4) * k for b5, b4, k in zip(_DOPRI_B5, _DOPRI_B4, ks))
+    return stage, err
 
 
 def mobius_expm_oracle(z0, q1, q2, t):

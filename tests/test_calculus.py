@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given
 
 from conftest import mat2_elements, zn_elements, zn_vector_fields
 from ncgflow import (
+    AlgebraMismatchError,
     E11,
     E12,
     E21,
@@ -114,3 +116,18 @@ def test_summation_by_parts(kp, f):
     lhs = (kp * (f - f.shift(-1))).integral()
     rhs = ((kp - kp.shift(1)) * f).integral()
     assert abs(lhs - rhs) <= TOL
+
+
+def test_forms_and_fields_take_elements_of_one_algebra():
+    for cls in (OneForm, VectorField):
+        for a, b in ((1, 2), ("a", "b"), (None, None), (ZnElement.ones(3), 1), (1, ZnElement.ones(3))):
+            with pytest.raises(TypeError):
+                cls(a, b)
+        with pytest.raises(AlgebraMismatchError, match="cannot combine ZnElement with Mat2Element"):
+            cls(ZnElement.ones(3), I2)
+        with pytest.raises(AlgebraMismatchError, match="group orders differ: 3 vs 4"):
+            cls(ZnElement.ones(3), ZnElement.ones(4))
+    with pytest.raises(AlgebraMismatchError):
+        apply_vf(VectorField(ZnElement.ones(3), ZnElement.ones(3)), OneForm(I2, I2))
+    with pytest.raises(AlgebraMismatchError, match="group orders differ: 3 vs 4"):
+        apply_vf(VectorField(ZnElement.ones(3), ZnElement.ones(3)), OneForm(ZnElement.ones(4), ZnElement.ones(4)))

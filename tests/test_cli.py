@@ -361,11 +361,19 @@ def test_non_finite_values_and_the_pole_exit_2(text, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("text", [_NEAR_POLE, _ROW_UNDERFLOW])
-def test_states_that_leave_the_chart_exit_3(text, tmp_path, capsys):
+_LEAVE_THE_CHART = [(text, method) for method in ("rk4", "rk45") for text in (_NEAR_POLE, _ROW_UNDERFLOW)]
+
+
+@pytest.mark.parametrize("text, method", _LEAVE_THE_CHART,
+                         ids=[text if method == "rk4" else f"{text}-{method}" for text, method in _LEAVE_THE_CHART])
+def test_states_that_leave_the_chart_exit_3(text, method, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(text)
-    assert main(["run", "--config", str(path), "--t-end", "0.002", "--out", str(tmp_path / "o")]) == 3
+    argv = ["run", "--config", str(path), "--t-end", "0.002", "--method", method, "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # as a plain run prints them
+        assert main(argv) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert capsys.readouterr().err.splitlines()[-1].startswith("numerical blowup:")
 
 

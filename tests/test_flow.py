@@ -17,7 +17,7 @@ from ncgflow import (
     zn_rhs,
 )
 from ncgflow import flow, transport
-from oracles import m2_flow_oracle, zn3_flow_oracle
+from oracles import dopri_attempt_oracle, m2_flow_oracle, zn3_flow_oracle
 
 
 def test_pack_split_roundtrip():
@@ -293,6 +293,34 @@ def test_rk45_fsal_calls_and_accuracy(monkeypatch, rate, h, rejects):
     assert (counts["attempts"] > round(1.0 / h)) == rejects
     exact = np.exp(-rate * traj.times)[:, None] * y0
     assert np.all(np.abs(traj.states - exact) <= 1e-9 + 1e-9 * np.abs(exact))
+
+
+def _on_packed(f):
+    """A right-hand side on lists of complex scalars, as one on the packed float64 vector."""
+    return lambda t, y: np.array(f(t, y.view(np.complex128).tolist())).view(np.float64)
+
+
+@pytest.mark.parametrize("system", ["zn12-arrays", "m2-scalars"])
+def test_one_accepted_rk45_step_matches_the_oracle(system, fig2_data):
+    if system == "zn12-arrays":
+        y0, f, scalars, f_oracle = _zn_state(12), transport.zn_coupled_rhs(12), None, transport.zn_coupled_rhs(12)
+    else:
+        y0, f, scalars, f_oracle = _fig2_state(fig2_data), transport._m2_rates, complex, _on_packed(transport._m2_rates)
+    times = []
+
+    def counted(t, y):
+        times.append(t)
+        return f(t, y)
+
+    h = 0.01
+    traj = integrate(counted, y0, h, h=h, method="rk45", scalars=scalars)
+    y5, err = dopri_attempt_oracle(f_oracle, 0.0, y0, h)
+    assert len(times) == 7  # k1, then one attempt, accepted
+    r = err / (flow.ATOL + flow.RTOL * np.maximum(np.abs(y0), np.abs(y5)))
+    assert math.sqrt(np.mean(r * r)) <= 1.0
+    scale = np.maximum(1.0, np.abs(traj.states).max(axis=0))
+    assert np.all(np.abs(traj.states[-1] - y5) <= 1e-15 * scale)
+    assert traj.states[0].tobytes() == y0.tobytes()
 
 
 def test_rk45_matches_rk4():
