@@ -8,7 +8,9 @@ Complex states are packed as interleaved real/imaginary parts (``pack_complex`` 
   inside f.  rk4 then steps through ``_rk4_arrays``, which keeps its
   stage inputs in buffers made once per run; f may return its input or
   a fresh array, but not a buffer it overwrites on its next call, since
-  a stage is still read after the next stage is computed;
+  a stage is still read after the next stage is computed.  rk45 passes
+  f a buffer that the next stage overwrites, so f must not keep a
+  reference to its input past the call;
 * the scalar form (``scalars=complex`` or ``scalars=float``): f maps a
   list of Python complex numbers (the entries of the packed vector read
   as complex128) or of Python floats to a list of the same length.  For
@@ -29,9 +31,9 @@ The default integrator is fixed-step classical RK4; an adaptive
 Dormand-Prince 4(5) pair is available as ``method="rk45"`` and lands on
 the same output grid.  It steps one ``(8, N)`` float64 block
 ``[y, k1, ..., k7]``, made once per run: each stage input is one
-``np.dot`` of a coefficient row ``[1, h a_s1, ..., h a_s,s-1]`` (rebuilt
-only when the step size changes) with the rows before it, and f's
-result goes straight into the stage's own row; a scalar f reads the
+``np.dot`` of a coefficient row ``[1, h a_s1, ..., h a_s,s-1]`` (scaled
+by each attempt's h) with the rows before it, and f's result goes
+straight into the stage's own row; a scalar f reads the
 stage input as a list and its list is written into the row's complex
 (or float) view.  The pair is FSAL (first same as last): the last stage
 of an accepted step is the first stage of the next, a row copy, so an
@@ -47,7 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -71,7 +73,6 @@ Rhs = Callable[[float, np.ndarray], np.ndarray]
 
 MAX_STEPS = 10**8  # bounds the time of any accepted run
 RTOL = ATOL = 1e-9  # rk45 error tolerances, relative and absolute
-_RTOL, _ATOL = np.array(RTOL), np.array(ATOL)  # ufuncs take 0-d arrays faster than floats
 # Bounds the memory of an accepted config: floats in its (samples, state columns)
 # block, 1 GiB of float64.  It admits a MAX_GRID burgers run at the default stride.
 MAX_SAMPLE_VALUES = 2**27
@@ -206,63 +207,36 @@ _DP_A = np.array([row + (0.0,) * (7 - len(row)) for row in (
 )])
 
 
-class _DopriWork(NamedTuple):
-    """The buffers of an rk45 run, made once per run by ``_dopri_work``."""
+def _dopri_step(f, t: float, h: float, h_coef, stages, y, ks, y5, read, err, scale) -> tuple[float, float]:
+    """One Dormand-Prince attempt of size h from ``t`` on the block ``[y, k1, ..., k7]``.
 
-    stages: tuple  # per stage 2-7: (c_s, coefficient row, the block rows it reads, its own row)
-    err_row: np.ndarray  # h E, the error weights of k1..k7
-    y: np.ndarray  # block[0]
-    ks: np.ndarray  # block[1:], the stages k1..k7
-    y5: np.ndarray  # the stage input; after the last stage, the 5th-order solution
-    err: np.ndarray
-    abs_y5: np.ndarray
-    scale: np.ndarray  # ATOL + RTOL * max(|y|, |y5|), then the error over it
-    read: Callable | None  # the stage input as a list of scalars, or None in the array form
-
-
-def _dopri_work(size: int, scalars):
-    """The block ``[y, k1, ..., k7]`` and the buffers around it for vectors of ``size``.
-
+    On entry ``y`` holds the state and ``ks[0]`` its first stage ``f(t, y)``.
     The coefficient rows are ``[1, h a_s1, ..., h a_s,s-1]`` for stages 2-7
-    and then ``h E``: their first column is 1 and the rest, ``h_coef``, is
-    ``h * _DP_A``, which the caller writes whenever the step size changes.
-    With ``scalars`` set, each stage's own row is its complex (or float)
-    view, so f's list is written into it directly.  Returns the work,
-    ``h_coef`` and the row (or view) that the first stage goes into.
+    and then ``[1, h E]``; ``h_coef`` is the part after their leading 1 and
+    is set to ``h * _DP_A`` here.  Each stage ``(c_s, row, before, out)``
+    forms its input in ``y5`` as the product of its coefficient row with
+    the block rows before it and puts f's result into its own row ``out``;
+    with ``read`` set, f takes the input as a list of scalars and its list
+    goes into ``out``, a complex (or float) view.  The last input, ``y5``,
+    is the 5th-order solution, and its stage ``f(t + h, y5)`` (``ks[6]``)
+    is the first stage of the next step (FSAL).  ``err`` and ``scale`` are
+    scratch.  Returns the RMS of the error estimate over
+    ``ATOL + RTOL * max(|y|, |y5|)`` and the peak ``max |y5|``, nan if
+    any entry is.
     """
-    block, coef = np.empty((8, size)), np.ones((7, 8))
-    y5, err, abs_y5, scale = np.empty((4, size))
-    dtype = np.complex128 if scalars is complex else np.float64
-    rows = [row if scalars is None else row.view(dtype) for row in block[1:]]
-    stages = tuple((c, coef[i, : i + 2], block[: i + 2], rows[i + 1]) for i, c in enumerate(_DP_C))
-    read = None if scalars is None else y5.view(dtype).tolist
-    return _DopriWork(stages, coef[6, 1:], block[0], block[1:], y5, err, abs_y5, scale, read), coef[:, 1:], rows[0]
-
-
-def _dopri_step(f, t: float, h: float, work: _DopriWork) -> float:
-    """One Dormand-Prince attempt of size h from ``t`` on the buffers of ``_dopri_work``.
-
-    On entry ``work.y`` holds y, ``work.ks[0]`` its first stage ``f(t, y)``
-    and the coefficient rows are scaled by h.  Each stage input is one
-    product of its coefficient row with the rows before it, and f's result
-    goes into the stage's own row; with ``read`` set, f takes and gives
-    lists of scalars.  The last input, ``y5``, is the 5th-order solution,
-    and its stage ``f(t + h, y5)`` (``ks[6]``) is the first stage of the
-    next step (FSAL).  Returns the RMS of the error estimate over
-    ``ATOL + RTOL * max(|y|, |y5|)`` and leaves ``|y5|`` in ``abs_y5``.
-    """
-    stages, err_row, y, ks, y5, err, abs_y5, scale, read = work
+    np.multiply(h, _DP_A, out=h_coef)
     for c, row, before, out in stages:
         np.dot(row, before, out=y5)
         out[:] = f(t + c * h, y5 if read is None else read())
-    np.dot(err_row, ks, out=err)
+    np.abs(y5, out=err)
+    peak = np.maximum.reduce(err)
     np.abs(y, out=scale)
-    np.abs(y5, out=abs_y5)
-    np.maximum(scale, abs_y5, out=scale)
-    np.multiply(scale, _RTOL, out=scale)
-    np.add(scale, _ATOL, out=scale)
+    np.maximum(scale, err, out=scale)
+    np.multiply(scale, RTOL, out=scale)
+    np.add(scale, ATOL, out=scale)
+    np.dot(h_coef[6], ks, out=err)
     np.divide(err, scale, out=scale)
-    return math.sqrt(np.dot(scale, scale) / y5.shape[0])
+    return math.sqrt(np.dot(scale, scale) / y5.shape[0]), peak
 
 
 def step_count(t_end: float, h: float) -> int:
@@ -368,12 +342,16 @@ def integrate(
                 row += 1
                 out[row] = y
     else:
-        work, h_coef, k1 = _dopri_work(y.shape[0], scalars)
-        y5, ks, abs_y5 = work.y5, work.ks, work.abs_y5
-        work.y[:] = y5[:] = y
-        k1[:] = f(0.0, y5 if work.read is None else work.read())
+        block, coef = np.empty((8, y.shape[0])), np.ones((7, 8))  # coefficient rows: see _dopri_step
+        y5, err, scale = np.empty((3, y.shape[0]))
+        dtype = np.complex128 if scalars is complex else np.float64
+        rows = [k if scalars is None else k.view(dtype) for k in block[1:]]
+        stages = tuple((c, coef[i, : i + 2], block[: i + 2], rows[i + 1]) for i, c in enumerate(_DP_C))
+        read = None if scalars is None else y5.view(dtype).tolist
+        y, ks, h_coef = block[0], block[1:], coef[:, 1:]
+        y[:] = y5[:] = states[0]
+        rows[0][:] = f(0.0, y5 if read is None else read())
         h_try = h_eff
-        h_prev = None
         # a non-finite stage ends in BlowupError below; numpy need not warn about it first
         with np.errstate(invalid="ignore", over="ignore"):
             for k in range(1, n_steps + 1):
@@ -381,14 +359,11 @@ def integrate(
                 t_target = k * h_eff
                 while t < t_target - 1e-14 * max(1.0, t_target):
                     hs = min(h_try, t_target - t)
-                    if hs != h_prev:
-                        np.multiply(hs, _DP_A, out=h_coef)
-                        h_prev = hs
-                    err_norm = _dopri_step(f, t, hs, work)
+                    err_norm, peak = _dopri_step(f, t, hs, h_coef, stages, y, ks, y5, read, err, scale)
                     if err_norm <= 1.0 or hs <= 1e-13 * max(1.0, t_target):
-                        _check_peak(np.maximum.reduce(abs_y5), t, max_abs)
+                        _check_peak(peak, t, max_abs)
                         t += hs
-                        work.y[:] = y5
+                        y[:] = y5
                         ks[0] = ks[6]
                     factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
                     h_try = hs * factor
@@ -398,6 +373,6 @@ def integrate(
                         raise BlowupError("adaptive step size underflow", t)
                 if k % stride == 0 or k == n_steps:
                     row += 1
-                    states[row] = work.y
+                    states[row] = y
 
     return Trajectory(sampled * h_eff, states)
