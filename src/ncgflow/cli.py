@@ -20,9 +20,10 @@ Config values that are complex numbers are written as ``[re, im]`` pairs
 (plain numbers are accepted as reals); every number must be finite.  A
 run may take at most ``flow.MAX_STEPS`` steps, and its samples times the
 length of its state vector may be at most ``flow.MAX_SAMPLE_VALUES``
-(1 GiB of float64), so an accepted config has bounded time and memory.  CSV
-floats carry 17 significant digits and output bytes are deterministic
-for a fixed config.
+(1 GiB of float64), and a flat geodesic may have at most
+``flow.MAX_SCALAR_STATE / 2`` components, so an accepted config has
+bounded time and memory.  CSV floats carry 17 significant digits and
+output bytes are deterministic for a fixed config.
 
 Exit codes: 0 success, 2 config error, 3 numerical blow-up.  In a
 ``sweep``, a config whose run fails in any other way prints
@@ -56,7 +57,7 @@ from .classical import (
     sine_field,
 )
 from .connection import braiding_residual, reality_residual
-from .flow import MAX_SAMPLE_VALUES, BlowupError, sample_count, step_count
+from .flow import MAX_SAMPLE_VALUES, MAX_SCALAR_STATE, BlowupError, sample_count, step_count
 from .mobius import metric_preservation_check, run_row
 from .svgplot import line_chart
 from .transport import run_m2, run_zn, state_eval
@@ -415,6 +416,8 @@ def _geodesic_parse(raw: dict) -> dict:
     dim = 2 if manifold == "sphere" else len(x)
     if len(x) != dim or len(v) != dim:
         raise ConfigError(f"fields 'x'/'v': expected {dim} components each")
+    if 2 * dim > MAX_SCALAR_STATE:
+        raise ConfigError(f"fields 'x'/'v': a geodesic has at most {MAX_SCALAR_STATE // 2} components")
     if manifold == "sphere" and math.sin(x[0]) == 0.0:
         raise ConfigError("field 'x': x[0] is a pole of the sphere chart, where cot x[0] is undefined")
     return {"manifold": manifold, "x": x, "v": v}

@@ -24,13 +24,17 @@ transport cancel against those of ``-m b`` and every Z_n kernel evaluates
 Each algebra's equations are written once.  On Z_n they are four
 elementwise functions, ``_zn_beta`` (beta at a site from its four
 neighbours) and the three rates ``_zn_dkp``, ``_zn_dkm`` and ``_zn_dm``,
-in two forms: ``_zn_system`` calls each once on the gathered sample
-arrays of (K_+, K_-, m), and ``_zn_sites`` calls each once per site on
-Python complex scalars, which is cheaper below
-``transport.ZN_SCALAR_CROSSOVER`` sites.  ``_m2_system`` works on the
-twelve Python complex entries of (K1, K2, m).  ``transport.zn_coupled_rhs``
-restates ``_zn_system`` on reused buffers and is tested byte for byte
-against it.
+used in two forms: ``_zn_system`` calls each once on the gathered sample
+arrays of (K_+, K_-, m), and ``_zn_site_rates(n)`` applies each once per
+site to ``_Expr`` symbols, which write the operations out as code, and
+compiles the text into one straight-line right-hand side on the 3n
+Python complex entries; below ``transport.ZN_SCALAR_CROSSOVER`` sites
+that is cheaper than the arrays.  The compiled source is made of site
+indices, fixed names and the ``repr`` of the equations' float constants,
+so it performs the equations' operations in their order, and is compiled
+once per n, on first use.  ``_m2_system`` works on the twelve Python
+complex entries of (K1, K2, m).  ``transport.zn_coupled_rhs`` restates
+``_zn_system`` on reused buffers and is tested byte for byte against it.
 
 The element entry points are ``solve_b`` (b = -dm/dt at m = 1),
 ``zn_rhs`` / ``m2_rhs`` (dK/dt as a vector field) and
@@ -46,10 +50,13 @@ data and are monitored, not enforced, along trajectories.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .algebra import I2, AlgebraElement, Mat2Element, ZnElement, _shift_indices, commutator
 from .calculus import VectorField, apply_vf, d
+from .flow import _compile
 
 __all__ = [
     "solve_b",
@@ -108,17 +115,53 @@ def _zn_system(kp: np.ndarray, km: np.ndarray, m: np.ndarray):
     return _zn_dkp(kp, beta, beta[down]), _zn_dkm(km, beta, beta[up]), _zn_dm(kp, km, m, beta, m[up], m[down])
 
 
-def _zn_sites(kp: list, km: list, m: list) -> list:
-    """``_zn_system`` site by site on lists of Python complex scalars.
+def _expr_op(op: str, reflected: bool = False):
+    def method(self, other):
+        other = other.text if isinstance(other, _Expr) else repr(other)
+        return _Expr(f"({other} {op} {self.text})" if reflected else f"({self.text} {op} {other})")
 
-    Returns the rates of K_+, K_- and m as one flat list, in that order.
+    return method
+
+
+class _Expr:
+    """Expression text: the site equations applied to these write themselves out as code.
+
+    Each ``+``, ``-`` and ``*`` (reflected too) returns the fully
+    parenthesised text of the operation, with a float operand written as
+    its ``repr``, so the text evaluates the same operations in the same
+    order and operand order as the equation does on numbers.
     """
-    beta = list(map(_zn_beta, kp, kp[1:] + kp[:1], km, km[-1:] + km[:-1]))
-    return [
-        *map(_zn_dkp, kp, beta, beta[-1:] + beta[:-1]),
-        *map(_zn_dkm, km, beta, beta[1:] + beta[:1]),
-        *map(_zn_dm, kp, km, m, beta, m[1:] + m[:1], m[-1:] + m[:-1]),
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    __add__, __radd__ = _expr_op("+"), _expr_op("+", True)
+    __sub__, __rsub__ = _expr_op("-"), _expr_op("-", True)
+    __mul__, __rmul__ = _expr_op("*"), _expr_op("*", True)
+
+
+@functools.lru_cache(maxsize=32)
+def _zn_site_rates(n: int):
+    """``_zn_system`` as one straight-line ``rhs(t, y)`` on the 3n Python complex entries of (K_+, K_-, m).
+
+    Compiled once per n from the four site equations applied to
+    ``_Expr`` symbols: it unpacks y into one local per entry (ValueError
+    unless y has 3n entries), assigns beta once per site and returns the
+    rates of K_+, K_- and m as one list, in that order.
+    """
+    kp, km, m, beta = ([_Expr(f"{name}{i}") for i in range(n)] for name in ("kp", "km", "m", "b"))
+    up = [(i + 1) % n for i in range(n)]  # R_{+1}; index i - 1 is R_{-1}
+    rates = [
+        *(_zn_dkp(kp[i], beta[i], beta[i - 1]) for i in range(n)),
+        *(_zn_dkm(km[i], beta[i], beta[up[i]]) for i in range(n)),
+        *(_zn_dm(kp[i], km[i], m[i], beta[i], m[up[i]], m[i - 1]) for i in range(n)),
     ]
+    lines = [f"    {', '.join(e.text for e in kp + km + m)}, = y"]
+    lines += [f"    b{i} = {_zn_beta(kp[i], kp[up[i]], km[i], km[i - 1]).text}" for i in range(n)]
+    lines.append(f"    return [{', '.join(e.text for e in rates)}]")
+    return _compile("\n".join(["def rhs(t, y):", *lines, ""]), "rhs")
 
 
 def _m2_system(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md):

@@ -13,12 +13,17 @@ Complex states are packed as interleaved real/imaginary parts (``pack_complex`` 
   reference to its input past the call;
 * the scalar form (``scalars=complex`` or ``scalars=float``): f maps a
   list of Python complex numbers (the entries of the packed vector read
-  as complex128) or of Python floats to a list of the same length.  For
-  the small systems (M2, the m2row module, Z_n below
+  as complex128) or of Python floats to a list (or tuple) of the same
+  length.  For the small systems (M2, the m2row module, Z_n below
   ``transport.ZN_SCALAR_CROSSOVER`` sites, the geodesic) numpy's per-call
   overhead costs more than the arithmetic, so rk4 then steps the list
   itself, with ``rk4_step``'s association, and checks each real and
-  imaginary part by ``_check_state``'s rule.
+  imaginary part by ``_check_state``'s rule.  That step is straight-line
+  code, ``rk4_step`` unrolled entry by entry, compiled on first use for
+  each state length (``_rk4_unrolled``, through ``_compile``); its source
+  is made of entry indices and fixed names only, never of a value.
+  Compiling costs time and memory per entry, so a scalar-form state may
+  hold at most ``MAX_SCALAR_STATE`` floats.
 
 In both forms ``y0`` is the packed float64 vector and the samples land in
 the same float64 ``Trajectory.states`` block, preallocated from the step
@@ -47,6 +52,7 @@ may take at most ``MAX_STEPS`` steps.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -58,6 +64,7 @@ __all__ = [
     "RTOL",
     "ATOL",
     "MAX_SAMPLE_VALUES",
+    "MAX_SCALAR_STATE",
     "BlowupError",
     "Trajectory",
     "pack_complex",
@@ -76,6 +83,10 @@ RTOL = ATOL = 1e-9  # rk45 error tolerances, relative and absolute
 # Bounds the memory of an accepted config: floats in its (samples, state columns)
 # block, 1 GiB of float64.  It admits a MAX_GRID burgers run at the default stride.
 MAX_SAMPLE_VALUES = 2**27
+# Floats in a scalar-form state.  It bounds the compile time and memory of the
+# unrolled rk4 step: at 256 float entries, about 20 ms and a 3.5 MB peak.  Z_n
+# on scalars, below transport.ZN_SCALAR_CROSSOVER sites of 6 floats, fits.
+MAX_SCALAR_STATE = 256
 
 
 class BlowupError(RuntimeError):
@@ -167,15 +178,38 @@ def _rk4_arrays(size: int):
     return step, check
 
 
-def _rk4_scalars(f, t: float, y: list, h: float) -> list:
-    """``rk4_step`` on a list of Python scalars, entry by entry in the same association."""
-    half = 0.5 * h
-    k1 = f(t, y)
-    k2 = f(t + half, [a + half * b for a, b in zip(y, k1)])
-    k3 = f(t + half, [a + half * b for a, b in zip(y, k2)])
-    k4 = f(t + h, [a + h * b for a, b in zip(y, k3)])
-    sixth = h / 6.0
-    return [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+def _compile(source: str, name: str):
+    """The function ``name`` defined by the generated Python ``source``."""
+    namespace = {}
+    exec(compile(source, f"<ncgflow {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+@functools.lru_cache(maxsize=16)
+def _rk4_unrolled(size: int):
+    """``rk4_step`` on a list of ``size`` Python scalars, unrolled entry by entry.
+
+    The step unpacks y and each stage into one local per entry, so it
+    checks that f returns ``size`` entries (ValueError otherwise), and
+    forms every entry in ``rk4_step``'s association; the result is bit for
+    bit that of ``rk4_step`` on the entries.
+    """
+
+    def entries(template: str) -> str:
+        return ", ".join(template.format(i=i) for i in range(size))
+
+    return _compile(
+        f"def step(f, t, y, h):\n"
+        f"    half = 0.5 * h\n"
+        f"    {entries('y{i}')}, = y\n"
+        f"    {entries('a{i}')}, = f(t, y)\n"
+        f"    {entries('b{i}')}, = f(t + half, [{entries('y{i} + half * a{i}')}])\n"
+        f"    {entries('c{i}')}, = f(t + half, [{entries('y{i} + half * b{i}')}])\n"
+        f"    {entries('d{i}')}, = f(t + h, [{entries('y{i} + h * c{i}')}])\n"
+        f"    sixth = h / 6.0\n"
+        f"    return [{entries('y{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')}]\n",
+        "step",
+    )
 
 
 def array_rhs(f, scalars=complex) -> Rhs:
@@ -217,17 +251,17 @@ def _dopri_step(f, t: float, h: float, h_coef, stages, y, ks, y5, read, err, sca
     forms its input in ``y5`` as the product of its coefficient row with
     the block rows before it and puts f's result into its own row ``out``;
     with ``read`` set, f takes the input as a list of scalars and its list
-    goes into ``out``, a complex (or float) view.  The last input, ``y5``,
-    is the 5th-order solution, and its stage ``f(t + h, y5)`` (``ks[6]``)
-    is the first stage of the next step (FSAL).  ``err`` and ``scale`` are
-    scratch.  Returns the RMS of the error estimate over
+    goes into ``out``, a complex (or float) view.  ``_store`` checks the
+    length of what f returns.  The last input, ``y5``, is the 5th-order
+    solution, and its stage ``f(t + h, y5)`` (``ks[6]``) is the first
+    stage of the next step (FSAL).  ``err`` and ``scale`` are scratch.  Returns the RMS of the error estimate over
     ``ATOL + RTOL * max(|y|, |y5|)`` and the peak ``max |y5|``, nan if
     any entry is.
     """
     np.multiply(h, _DP_A, out=h_coef)
     for c, row, before, out in stages:
         np.dot(row, before, out=y5)
-        out[:] = f(t + c * h, y5 if read is None else read())
+        _store(out, f(t + c * h, y5 if read is None else read()))
     np.abs(y5, out=err)
     peak = np.maximum.reduce(err)
     np.abs(y, out=scale)
@@ -237,6 +271,13 @@ def _dopri_step(f, t: float, h: float, h_coef, stages, y, ks, y5, read, err, sca
     np.dot(h_coef[6], ks, out=err)
     np.divide(err, scale, out=scale)
     return math.sqrt(np.dot(scale, scale) / y5.shape[0]), peak
+
+
+def _store(row: np.ndarray, k) -> None:
+    """Write the stage k that f returned into its block row; ValueError unless their lengths agree."""
+    if len(k) != len(row):  # numpy would broadcast a single entry over the row
+        raise ValueError(f"the right-hand side returned {len(k)} entries for a state of {len(row)}")
+    row[:] = k
 
 
 def step_count(t_end: float, h: float) -> int:
@@ -317,6 +358,10 @@ def integrate(
         raise ValueError(f"scalars must be None, complex or float, not {scalars!r}")
 
     y = np.ascontiguousarray(np.asarray(y0, dtype=np.float64).ravel())
+    if not y.shape[0]:
+        raise ValueError("y0 is empty")
+    if scalars is not None and y.shape[0] > MAX_SCALAR_STATE:
+        raise ValueError(f"a scalar-form state holds at most {MAX_SCALAR_STATE} floats, not {y.shape[0]}")
     h_eff = t_end / n_steps
 
     _check_state(y, 0.0, max_abs)
@@ -331,8 +376,8 @@ def integrate(
         if scalars is None:
             (step, check), out = _rk4_arrays(y.shape[0]), states
         else:
-            step, check = _rk4_scalars, _check_scalars
             out = states.view(np.complex128) if scalars is complex else states
+            step, check = _rk4_unrolled(out.shape[1]), _check_scalars
             y = out[0].tolist()
         for k in range(1, n_steps + 1):
             t_prev = (k - 1) * h_eff
@@ -350,7 +395,7 @@ def integrate(
         read = None if scalars is None else y5.view(dtype).tolist
         y, ks, h_coef = block[0], block[1:], coef[:, 1:]
         y[:] = y5[:] = states[0]
-        rows[0][:] = f(0.0, y5 if read is None else read())
+        _store(rows[0], f(0.0, y5 if read is None else read()))
         h_try = h_eff
         # a non-finite stage ends in BlowupError below; numpy need not warn about it first
         with np.errstate(invalid="ignore", over="ignore"):

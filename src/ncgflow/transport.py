@@ -20,11 +20,12 @@ element-level entry points.  ``zn_coupled_rhs`` restates
 
 ``flow.integrate`` steps these systems in one of its two state forms.
 M2 always runs on Python complex scalars (``scalars=complex``).  Z_n runs
-site by site on scalars (``connection._zn_sites``) below
-``ZN_SCALAR_CROSSOVER`` sites and on sample arrays (``zn_coupled_rhs``)
-from there on: the cost of the scalar form grows with n while that of the
-array form is nearly flat at small n, and the constant is where a whole
-rk4 step costs the same in both.  Either way the state handed to
+on scalars below ``ZN_SCALAR_CROSSOVER`` sites, through the straight-line
+kernel that ``connection._zn_site_rates`` compiles once per n, and on
+sample arrays (``zn_coupled_rhs``) from there on: the cost of the scalar
+form grows with n while that of the array form is nearly flat at small n,
+and the constant is where a whole rk4 step costs the same in both.  A Z_n
+run needs at least one site.  Either way the state handed to
 ``integrate`` is the packed float64 vector of ``pack_zn_state`` /
 ``pack_m2_state``, so a wrapper of ``integrate`` reads the same ``y0``
 (the benchmark's tracer names a Z_n right-hand side by ``len(y0) // 6``).
@@ -45,7 +46,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, I2, Mat2Element, _shift_indices, inner_product
 from .calculus import OneForm, VectorField, apply_vf, left_multiply_form
-from .connection import _m2_system, _zn_sites
+from .connection import _m2_system, _zn_site_rates
 # The residual functions stay in this namespace: perfbench/spans.py wraps them here.
 from .connection import braiding_residual, reality_residual  # noqa: F401
 from .flow import Trajectory, array_rhs, integrate, pack_complex
@@ -67,8 +68,10 @@ __all__ = [
 ]
 
 # Z_n systems with fewer sites than this step on Python scalars (see the module
-# docstring): a whole rk4 step costs the same in both forms at about 10 sites.
-ZN_SCALAR_CROSSOVER = 10
+# docstring).  Timed in one process, interleaved, a whole rk4 run on scalars
+# costs 0.95-0.98 of one on arrays at 17 sites and 1.01-1.02 at 18; rk45 breaks
+# even near 22.  At most 43, so that a scalar Z_n state fits flow.MAX_SCALAR_STATE.
+ZN_SCALAR_CROSSOVER = 18
 
 
 def state_eval(m: AlgebraElement, a: AlgebraElement) -> complex:
@@ -171,15 +174,6 @@ def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
         np.multiply(beta, m, out=work)
         np.subtract(dm, work, out=dm)
         return out.view(np.float64)
-
-    return rhs
-
-
-def _zn_site_rates(n: int):
-    """The coupled Z_n right-hand side on the 3n Python complex entries of (K_+, K_-, m)."""
-
-    def rhs(t: float, y: list) -> list:
-        return _zn_sites(y[:n], y[n : 2 * n], y[2 * n :])
 
     return rhs
 
@@ -297,6 +291,8 @@ def run_zn(
     n = kp0.shape[0]
     if km0.shape[0] != n or m0.shape[0] != n:
         raise ValueError("k_plus, k_minus and m must have the same length")
+    if not n:
+        raise ValueError("a Z_n run needs at least one site")
     y0 = pack_zn_state(kp0, km0, m0)
     if n < ZN_SCALAR_CROSSOVER:
         traj = integrate(_zn_site_rates(n), y0, t_end, h=h, stride=stride, method=method, scalars=complex)

@@ -9,7 +9,10 @@ transport-on-a-line oracle inverts the characteristic map by Newton
 iteration.  ``line_chart_oracle`` is the per-point SVG writer that
 ``svgplot.line_chart`` replaced, kept verbatim as its byte reference.
 ``dopri_attempt_oracle`` is one Dormand-Prince attempt written from the
-published tableau in exact fractions, stage by stage.
+published tableau in exact fractions, stage by stage.  ``zn_sites_oracle``
+is the site-by-site Z_n form that ``connection._zn_site_rates`` compiled
+away, kept verbatim (it calls the package's four site equations once per
+site) as the byte reference of the compiled kernel.
 """
 
 import math
@@ -19,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
+from ncgflow.connection import _zn_beta, _zn_dkm, _zn_dkp, _zn_dm
 from ncgflow.svgplot import _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE, _expand, _fmt
 
 
@@ -52,6 +56,19 @@ def zn_transport_oracle(kp, km, m):
     kp, km, m = (np.asarray(a, dtype=complex) for a in (kp, km, m))
     b = (np.roll(kp, -1) - kp + np.roll(km, 1) - km) / 2
     return -m * b - kp * (m - np.roll(m, 1)) - km * (m - np.roll(m, -1))
+
+
+def zn_sites_oracle(kp: list, km: list, m: list) -> list:
+    """``_zn_system`` site by site on lists of Python complex scalars.
+
+    Returns the rates of K_+, K_- and m as one flat list, in that order.
+    """
+    beta = list(map(_zn_beta, kp, kp[1:] + kp[:1], km, km[-1:] + km[:-1]))
+    return [
+        *map(_zn_dkp, kp, beta, beta[-1:] + beta[:-1]),
+        *map(_zn_dkm, km, beta, beta[1:] + beta[:1]),
+        *map(_zn_dm, kp, km, m, beta, m[1:] + m[:1], m[-1:] + m[:-1]),
+    ]
 
 
 def m2_flow_oracle(K1, K2):

@@ -410,6 +410,20 @@ def test_sample_memory_is_capped(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_flat_geodesic_dimension_is_capped(tmp_path, capsys):
+    dim = flow.MAX_SCALAR_STATE // 2
+    flat = {"scenario": "classical-geodesic", "manifold": "flat", "t_end": 0.01, "step": 0.01}
+    assert len(build_config({**flat, "x": [0.0] * dim, "v": [1.0] * dim})["x"]) == dim
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({**flat, "x": [0.0] * (dim + 1), "v": [1.0] * (dim + 1)}))
+    for argv in (["run", "--config", str(path), "--out", str(tmp_path / "o")],
+                 ["validate", "--config", str(path)],
+                 ["sweep", "--configs", str(path), "--out", str(tmp_path / "s")]):
+        assert main(argv) == 2
+        assert f"at most {dim} components" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_row_norm_below_the_square_root_of_the_smallest_float(tmp_path, capsys):
     # |lam|^2 + |mu|^2 underflows to 0 here; the state coordinates must not turn NaN
     path = tmp_path / "tiny.json"

@@ -215,7 +215,7 @@ def _zn_state(n, seed=5):
     return transport.pack_zn_state(k_plus, -np.conj(np.roll(k_plus, -1)), m / np.linalg.norm(m))
 
 
-@pytest.mark.parametrize("n", [3, transport.ZN_SCALAR_CROSSOVER - 1, transport.ZN_SCALAR_CROSSOVER])
+@pytest.mark.parametrize("n", sorted({3, 9, 10, transport.ZN_SCALAR_CROSSOVER - 1, transport.ZN_SCALAR_CROSSOVER}))
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
 def test_zn_scalar_and_array_forms_agree(n, method):
     y0 = _zn_state(n)
@@ -260,6 +260,10 @@ def test_integrate_rejects_bad_arguments():
         integrate(f, np.array([1.0]), 1.0, method="euler")
     with pytest.raises(ValueError):
         integrate(f, np.array([1.0]), 1.0, scalars=int)
+    for method in ("rk4", "rk45"):
+        for scalars in (None, complex, float):
+            with pytest.raises(ValueError, match="y0 is empty"):
+                integrate(f, np.array([]), 1.0, method=method, scalars=scalars)
     for t_end, h in ((math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan), (1.0, 1e-300), (1e300, 1e-300),
                      (flow.MAX_STEPS * 1e-3 + 1e-3, 1e-3)):
         with pytest.raises(ValueError):
@@ -340,6 +344,55 @@ def test_rk4_step_backwards_consistent():
     there = rk4_step(f, 0.5, y, 1e-3)
     back = rk4_step(f, 0.5 + 1e-3, there, -1e-3)
     np.testing.assert_allclose(back, y, atol=1e-15)
+
+
+_LIST_RHSS = {
+    "identity": lambda t, y: y,  # returns its input
+    "tuple": lambda t, y: tuple(v * v - t for v in y),
+    "coupled": lambda t, y: [0.5 * y[i - 1] - v * t for i, v in enumerate(y)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LIST_RHSS))
+@pytest.mark.parametrize("scalars", [complex, float])
+@pytest.mark.parametrize("size", [1, 2, 4, 12, 27])
+def test_unrolled_rk4_equals_rk4_step_bit_for_bit(name, scalars, size):
+    f = _LIST_RHSS[name]
+    step = flow._rk4_unrolled(size)
+    rng = np.random.default_rng(size)
+    y = rng.normal(size=size) + (1j * rng.normal(size=size) if scalars is complex else 0.0)
+    y = y.tolist()
+
+    def on_objects(t, values):  # rk4_step on object arrays: Python scalar arithmetic, entry by entry
+        return np.array(f(t, list(values)), dtype=object)
+
+    for h in (1e-3, 0.1, -0.05):
+        want = np.array(rk4_step(on_objects, 0.25, np.array(y, dtype=object), h).tolist(), dtype=scalars)
+        got = step(f, 0.25, y, h)
+        assert type(got) is list and all(type(v) is scalars for v in got)
+        assert np.array(got, dtype=scalars).tobytes() == want.tobytes()
+        y = got
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("scalars", [complex, float])
+def test_scalar_rhs_of_the_wrong_length_raises(method, scalars):
+    y0 = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    for returned in (1, 2, 4):  # one entry would broadcast over the stage's row in rk45
+        with pytest.raises(ValueError):
+            integrate(lambda t, y: [-y[0]] * returned, y0, 0.1, h=0.01, method=method, scalars=scalars)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_scalar_form_state_size_is_capped(method):
+    cap = flow.MAX_SCALAR_STATE
+    decay = lambda t, y: [-v for v in y]
+    traj = integrate(decay, np.ones(cap), 0.01, h=0.01, method=method, scalars=float)
+    assert traj.states.shape == (2, cap)
+    for scalars in (complex, float):
+        with pytest.raises(ValueError, match=f"at most {cap} floats"):
+            integrate(decay, np.ones(cap + 2), 0.01, h=0.01, method=method, scalars=scalars)
+    assert integrate(lambda t, y: -y, np.ones(cap + 2), 0.01, h=0.01, method=method).states.shape == (2, cap + 2)
 
 
 _STEP_RHSS = {

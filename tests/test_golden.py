@@ -6,8 +6,10 @@ header and the rows at t = 0, 1, ..., t_end of ``trajectory.csv``,
 for the adaptive integrator on the zn, m2 and classical-geodesic defaults
 up to t = 2.  ``golden/zn_array.json`` holds the same for rk4 and rk45 on
 ``golden/zn12.json``, admissible Z_12 data up to t = 2 (perfbench's
-``workloads.zn_config`` with ``numpy.random.default_rng(12)``): unlike the
-n = 3 default it runs the array form of the Z_n system.  A refactor that changes the order of floating-point
+``workloads.zn_config`` with ``numpy.random.default_rng(12)``).  Its rows
+were pinned from the array form of the Z_n system; n = 12 now lies below
+``transport.ZN_SCALAR_CROSSOVER`` and runs the compiled scalar kernel, so
+the file holds that kernel to the array form's results.  A refactor that changes the order of floating-point
 operations may move values by round-off only: each value must stay within
 ``1e-12 * max(1, max|column|)`` of the pinned one.  The tolerance is
 absolute per column because invariant columns hold values near 1e-15,

@@ -21,9 +21,9 @@ from ncgflow import (
     zn_transport_rhs,
 )
 from ncgflow import transport
-from ncgflow.connection import _zn_sites, _zn_system
+from ncgflow.connection import _zn_site_rates, _zn_system
 from ncgflow.transport import _real_state_value
-from oracles import m2_transport_oracle, zn3_transport_oracle, zn_transport_oracle
+from oracles import m2_transport_oracle, zn3_transport_oracle, zn_sites_oracle, zn_transport_oracle
 
 
 def _zn_field(data):
@@ -166,6 +166,12 @@ def test_run_zn_rejects_mismatched_lengths():
         run_zn([1, 1, 1], [1, 1], [0, 0, 0], t_end=0.1)
 
 
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_run_zn_rejects_an_empty_ring(method):
+    with pytest.raises(ValueError, match="at least one site"):
+        run_zn([], [], [], t_end=0.1, method=method)
+
+
 # Time-axis series against the per-sample element API ----------------------
 
 def _unit(rng, shape):
@@ -275,6 +281,30 @@ def test_buffered_zn_rhs_is_byte_identical_on_special_values():
                 assert rhs(0.0, y).tobytes() == _zn_reference(y, n).tobytes(), n
 
 
+_SPECIAL_ENTRIES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1e308])
+
+
+@pytest.mark.parametrize("n", range(2, transport.ZN_SCALAR_CROSSOVER + 3))
+def test_compiled_zn_site_kernel_is_byte_identical_to_the_site_form(n):
+    """Admissible, arbitrary and special entries, against the site-by-site form it replaced."""
+    rng = np.random.default_rng(100 + n)
+    rhs = _zn_site_rates(n)
+    states = [_zn_flat(n, rng, admissible) for admissible in (True, False)]
+    for _ in range(10):  # special entries mixed with ordinary ones
+        y = _zn_flat(n, rng, False)
+        spots = rng.random(6 * n) < 0.5
+        y[spots] = rng.choice(_SPECIAL_ENTRIES, size=int(spots.sum()))
+        states.append(y)
+    states.append(rng.choice(_SPECIAL_ENTRIES, size=6 * n))
+    for y in states:
+        z = y.view(np.complex128).tolist()
+        got = np.array(rhs(0.5, z))
+        want = np.array(zn_sites_oracle(z[:n], z[n : 2 * n], z[2 * n :]))
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        rhs(0.0, [0j] * (3 * n + 1))
+
+
 @pytest.mark.parametrize("n", [2, 10, 64, 4096])
 def test_buffered_zn_rhs_keeps_no_stale_scratch(n):
     rng = np.random.default_rng(n)
@@ -310,10 +340,10 @@ def test_zn_system_transport_matches_the_paper_form(n):
         _assert_matches_transport_oracle(_zn_system(kp, km, m)[2], kp, km, m)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, max(13, transport.ZN_SCALAR_CROSSOVER + 3)))
 def test_zn_sites_transport_matches_the_paper_form(n):
-    for kp, km, m, _ in _zn_transport_cases(n):
-        _assert_matches_transport_oracle(_zn_sites(kp.tolist(), km.tolist(), m.tolist())[2 * n :], kp, km, m)
+    for kp, km, m, y in _zn_transport_cases(n):
+        _assert_matches_transport_oracle(_zn_site_rates(n)(0.0, y.view(np.complex128).tolist())[2 * n :], kp, km, m)
 
 
 @pytest.mark.parametrize("n", [10, 64, 4096])
