@@ -340,7 +340,7 @@ def test_zn_system_transport_matches_the_paper_form(n):
         _assert_matches_transport_oracle(_zn_system(kp, km, m)[2], kp, km, m)
 
 
-@pytest.mark.parametrize("n", range(2, max(13, transport.ZN_SCALAR_CROSSOVER + 3)))
+@pytest.mark.parametrize("n", range(2, transport.ZN_SCALAR_CROSSOVER + 3))
 def test_zn_sites_transport_matches_the_paper_form(n):
     for kp, km, m, y in _zn_transport_cases(n):
         _assert_matches_transport_oracle(_zn_site_rates(n)(0.0, y.view(np.complex128).tolist())[2 * n :], kp, km, m)
