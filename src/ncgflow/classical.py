@@ -7,10 +7,14 @@ velocity-field equation on a periodic 1-d grid.
 
 and ``pullback_geodesic_check`` measures, by second-order finite
 differences, how far a sampled curve is from solving it.  A manifold is
-given by ``ChristoffelProvider.symbols``, the list of its nonzero
-``(i, j, k, Gamma^i_jk)`` at a point; both functions and the
-``integrate_geodesic`` right-hand side contract it with v in one scalar
-loop.
+given by a ``ChristoffelProvider``: its nonzero index triples ``(i, j, k)``,
+declared once, and a function giving their ``Gamma^i_jk`` at a point.
+Both functions contract ``ChristoffelProvider.symbols(x)``, the list of
+``(i, j, k, Gamma^i_jk(x))``, with v in one scalar loop, and
+``integrate_geodesic`` steps the same contraction applied once to
+``flow._Expr`` symbols: a straight-line right-hand side compiled once
+per (dim, triples), on first use, that calls the provider's values
+function once per stage.
 
 On the line the velocity-field equation reduces to an inviscid transport
 equation, ``dK/dt = -K K' - Gamma K^2`` on a periodic grid over [0, 2pi);
@@ -20,6 +24,7 @@ the method of characteristics in the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -27,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algebra import _shift_indices
-from .flow import Trajectory, integrate
+from .flow import _compile, _Expr, _text, integrate
 
 __all__ = [
     "ChristoffelProvider",
@@ -56,13 +61,19 @@ Symbols = list[tuple[int, int, int, float]]
 class ChristoffelProvider:
     """Christoffel symbols of a chart, plus its metric for speed checks.
 
-    ``symbols(x)`` returns the nonzero ``(i, j, k, Gamma^i_jk(x))`` in
-    lexicographic order of ``(i, j, k)``; x is a sequence of floats.
+    ``triples`` are the ``(i, j, k)`` of the symbols that may be nonzero,
+    in lexicographic order, and ``values(x)`` returns their
+    ``Gamma^i_jk(x)`` in that order; x is a sequence of floats.
     """
 
     dim: int
-    symbols: Callable[[Sequence[float]], Symbols]
+    triples: tuple[tuple[int, int, int], ...]
+    values: Callable[[Sequence[float]], Sequence[float]]
     metric: Callable[[np.ndarray], np.ndarray]
+
+    def symbols(self, x) -> Symbols:
+        """The ``(i, j, k, Gamma^i_jk(x))`` of the triples."""
+        return [(i, j, k, g) for (i, j, k), g in zip(self.triples, self.values(x))]
 
     def gamma(self, x, i: int, j: int, k: int) -> float:
         """The single symbol Gamma^i_jk(x)."""
@@ -73,21 +84,21 @@ class ChristoffelProvider:
 
 
 def flat_space(dim: int = 2) -> ChristoffelProvider:
-    return ChristoffelProvider(dim, lambda x: [], lambda x: np.eye(dim))
+    return ChristoffelProvider(dim, (), lambda x: (), lambda x: np.eye(dim))
 
 
 def round_sphere() -> ChristoffelProvider:
     """Unit 2-sphere in (theta, phi) coordinates."""
 
-    def symbols(x):
+    def values(x):
         sin, cos = math.sin(x[0]), math.cos(x[0])
         cot = cos / sin
-        return [(0, 1, 1, -sin * cos), (1, 0, 1, cot), (1, 1, 0, cot)]
+        return -sin * cos, cot, cot
 
     def metric(x):
         return np.diag([1.0, math.sin(x[0]) ** 2])
 
-    return ChristoffelProvider(2, symbols, metric)
+    return ChristoffelProvider(2, ((0, 1, 1), (1, 0, 1), (1, 1, 0)), values, metric)
 
 
 def _add_christoffel_term(acc: list, symbols: Symbols, v: Sequence[float]) -> list:
@@ -97,19 +108,40 @@ def _add_christoffel_term(acc: list, symbols: Symbols, v: Sequence[float]) -> li
     return acc
 
 
-def _geodesic_system(y: list, provider: ChristoffelProvider) -> list:
-    """(dx/dt, dv/dt) of the state y = x + v as one list of floats."""
-    dim = provider.dim
+def _geodesic_system(y: list, dim: int, symbols: Symbols) -> list:
+    """(dx/dt, dv/dt) of the state y = x + v as one list, with the symbols at x."""
     v = y[dim:]
-    acc = _add_christoffel_term([0.0] * dim, provider.symbols(y[:dim]), v)
+    acc = _add_christoffel_term([0.0] * dim, symbols, v)
     return v + [-a for a in acc]
+
+
+@functools.lru_cache(maxsize=16)
+def _geodesic_rates(dim: int, triples: tuple):
+    """``make(values)``: the right-hand side ``rhs(t, y)`` of ``_geodesic_system``, straight-line.
+
+    Compiled once per (dim, triples) from ``_geodesic_system`` applied to
+    ``_Expr`` symbols for x, v and the values of the triples.  ``rhs``
+    unpacks y into one local per entry, calls ``values(y[:dim])`` once
+    (ValueError unless it returns one value per triple) and returns the
+    rates; a stage that leaves the chart (a ValueError or
+    ZeroDivisionError in ``values``: sin(inf), or a pole of the sphere)
+    returns nan entries, so the integrator reports a blow-up.
+    """
+    y = [_Expr(f"{name}{i}") for name in ("x", "v") for i in range(dim)]
+    gammas = [_Expr(f"g{n}") for n in range(len(triples))]
+    rates = _geodesic_system(y, dim, [(*ijk, g) for ijk, g in zip(triples, gammas)])
+    lines = ["def make(values):", "    def rhs(t, y):", f"        [{', '.join(map(_text, y))}] = y", "        try:",
+             f"            gammas = values(y[:{dim}])", "        except (ValueError, ZeroDivisionError):",
+             f"            return [nan] * {2 * dim}", f"        [{', '.join(map(_text, gammas))}] = gammas",
+             f"        return [{', '.join(map(_text, rates))}]", "    return rhs", ""]
+    return _compile("\n".join(lines), "make", nan=math.nan)
 
 
 def geodesic_rhs(x: np.ndarray, v: np.ndarray, provider: ChristoffelProvider):
     """(dx/dt, dv/dt) of the geodesic equation at (x, v)."""
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    out = np.array(_geodesic_system(x.tolist() + v.tolist(), provider))
+    out = np.array(_geodesic_system(x.tolist() + v.tolist(), provider.dim, provider.symbols(x.tolist())))
     return out[: provider.dim], out[provider.dim :]
 
 
@@ -145,13 +177,7 @@ def integrate_geodesic(
     dim = provider.dim
     if x0.shape != (dim,) or v0.shape != (dim,):
         raise ValueError(f"x0 and v0 must have shape ({dim},)")
-
-    def rhs(t: float, y: list) -> list:
-        try:
-            return _geodesic_system(y, provider)
-        except (ValueError, ZeroDivisionError):  # a stage left the chart: sin(inf), or a pole of the sphere
-            return [math.nan] * len(y)  # non-finite, so the integrator reports a blow-up
-
+    rhs = _geodesic_rates(dim, provider.triples)(provider.values)
     traj = integrate(rhs, np.concatenate([x0, v0]), t_end, h=h, stride=stride, method=method, scalars=float)
     return GeodesicRun(traj.times, traj.states[:, :dim], traj.states[:, dim:], provider)
 

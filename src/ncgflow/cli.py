@@ -28,12 +28,17 @@ output bytes are deterministic for a fixed config.
 Exit codes: 0 success, 2 config error, 3 numerical blow-up.  In a
 ``sweep``, a config whose run fails in any other way prints
 ``internal error: ...`` and reports exit 1 while the others finish.
+Each config's stdout and stderr are captured where it runs and printed
+in config order, whatever ``--jobs`` is, so a sweep's output is
+deterministic too.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
+import io
 import json
 import math
 import os
@@ -652,20 +657,24 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _run_one_sweep(payload) -> tuple[str, int]:
-    """Run one sweep config; any failure ends in its exit code, so the other configs still finish."""
+def _run_one_sweep(payload) -> tuple[str, int, str, str]:
+    """Run one sweep config; returns its path, its exit code and what it printed to stdout and stderr.
+
+    Any failure ends in the exit code, so the other configs still finish.
+    """
     config_path, out_path = payload
-    try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
-        return config_path, _config_error(exc)
-    try:
-        return config_path, _run_config(cfg, out_path)
-    except Exception as exc:  # a fault of the program, not of the config: name it and where it was raised
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
-        print(f"internal error: {config_path}: {type(exc).__name__}: {exc} "
-              f"(in {frame.name}, {Path(frame.filename).name}:{frame.lineno})", file=sys.stderr)
-        return config_path, EXIT_INTERNAL
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = _run_config(load_config(config_path), out_path)
+        except ConfigError as exc:
+            code = _config_error(exc)
+        except Exception as exc:  # a fault of the program, not of the config: name it and where it was raised
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            print(f"internal error: {config_path}: {type(exc).__name__}: {exc} "
+                  f"(in {frame.name}, {Path(frame.filename).name}:{frame.lineno})", file=sys.stderr)
+            code = EXIT_INTERNAL
+    return config_path, code, stdout.getvalue(), stderr.getvalue()
 
 
 def _usable_cpus() -> int:
@@ -690,9 +699,12 @@ def _cmd_sweep(args) -> int:
             results = list(pool.map(_run_one_sweep, jobs))
     else:
         results = [_run_one_sweep(j) for j in jobs]
-    for config_path, code in results:
+    for _, _, stdout, stderr in results:
+        sys.stdout.write(stdout)
+        sys.stderr.write(stderr)
+    for config_path, code, _, _ in results:
         print(f"{config_path}: exit {code}")
-    return max(code for _, code in results)
+    return max(code for _, code, _, _ in results)
 
 
 def main(argv=None) -> int:

@@ -26,7 +26,7 @@ elementwise functions, ``_zn_beta`` (beta at a site from its four
 neighbours) and the three rates ``_zn_dkp``, ``_zn_dkm`` and ``_zn_dm``,
 used in two forms: ``_zn_system`` calls each once on the gathered sample
 arrays of (K_+, K_-, m), and ``_zn_site_rates(n)`` applies each once per
-site to ``_Expr`` symbols, which write the operations out as code, and
+site to ``flow._Expr`` symbols, which write the operations out as code, and
 compiles the text into one straight-line right-hand side on the 3n
 Python complex entries; below ``transport.ZN_SCALAR_CROSSOVER`` sites
 that is cheaper than the arrays.  The compiled source is made of site
@@ -56,7 +56,7 @@ import numpy as np
 
 from .algebra import I2, AlgebraElement, Mat2Element, ZnElement, _shift_indices, commutator
 from .calculus import VectorField, apply_vf, d
-from .flow import _compile
+from .flow import _compile, _Expr
 
 __all__ = [
     "solve_b",
@@ -113,33 +113,6 @@ def _zn_system(kp: np.ndarray, km: np.ndarray, m: np.ndarray):
     up, down = _shift_indices(n, 1), _shift_indices(n, -1)
     beta = _zn_beta(kp, kp[up], km, km[down])
     return _zn_dkp(kp, beta, beta[down]), _zn_dkm(km, beta, beta[up]), _zn_dm(kp, km, m, beta, m[up], m[down])
-
-
-def _expr_op(op: str, reflected: bool = False):
-    def method(self, other):
-        other = other.text if isinstance(other, _Expr) else repr(other)
-        return _Expr(f"({other} {op} {self.text})" if reflected else f"({self.text} {op} {other})")
-
-    return method
-
-
-class _Expr:
-    """Expression text: the site equations applied to these write themselves out as code.
-
-    Each ``+``, ``-`` and ``*`` (reflected too) returns the fully
-    parenthesised text of the operation, with a float operand written as
-    its ``repr``, so the text evaluates the same operations in the same
-    order and operand order as the equation does on numbers.
-    """
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-    __add__, __radd__ = _expr_op("+"), _expr_op("+", True)
-    __sub__, __rsub__ = _expr_op("-"), _expr_op("-", True)
-    __mul__, __rmul__ = _expr_op("*"), _expr_op("*", True)
 
 
 @functools.lru_cache(maxsize=32)

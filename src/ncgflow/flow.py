@@ -16,16 +16,22 @@ Complex states are packed as interleaved real/imaginary parts (``pack_complex`` 
   as complex128) or of Python floats to a list (or tuple) of the same
   length.  For the small systems (M2, the m2row module, Z_n below
   ``transport.ZN_SCALAR_CROSSOVER`` sites, the geodesic) numpy's per-call
-  overhead costs more than the arithmetic, so rk4 then steps the list
-  itself, with ``rk4_step``'s association, and checks each real and
-  imaginary part by ``_check_state``'s rule.  That step is straight-line
-  code, ``rk4_step`` unrolled entry by entry, compiled on first use for
-  each state length (``_rk4_unrolled``, through ``_compile``); its source
-  is made of entry indices and fixed names only, never of a value.
-  Compiling costs time and memory per entry, so a scalar-form state may
-  hold at most ``MAX_SCALAR_STATE`` floats.
+  overhead costs more than the arithmetic, so rk4 then runs on the
+  entries themselves, with ``rk4_step``'s association.  The whole run is
+  one compiled loop for each state length (``_rk4_unrolled``, through
+  ``_compile``, on first use): ``rk4_step`` unrolled entry by entry, with
+  each entry kept in a local from step to step and each sampled state
+  written into its row.  The state check is inline: a state whose every
+  entry has ``abs(entry) <= min(max_abs, float max)`` passes at once,
+  and any other gets ``_check_state``'s rule on each real and imaginary
+  part, so the error and its last good time are the array form's.  The
+  source is made of entry indices, fixed names and the ``repr`` of the
+  step's constants, never of a value.  Compiling costs time and memory
+  per entry, so a scalar-form state may hold at most
+  ``MAX_SCALAR_STATE`` floats.
 
-In both forms ``y0`` is the packed float64 vector and the samples land in
+In both forms f must return one entry per entry of the state (ValueError
+otherwise), ``y0`` is the packed float64 vector and the samples land in
 the same float64 ``Trajectory.states`` block, preallocated from the step
 count and the stride; callers (and wrappers of ``integrate`` that read
 ``len(y0)``, as the benchmark's tracer does to name the Z_n right-hand
@@ -51,9 +57,9 @@ may take at most ``MAX_STEPS`` steps.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,8 +90,9 @@ RTOL = ATOL = 1e-9  # rk45 error tolerances, relative and absolute
 # block, 1 GiB of float64.  It admits a MAX_GRID burgers run at the default stride.
 MAX_SAMPLE_VALUES = 2**27
 # Floats in a scalar-form state.  It bounds the compile time and memory of the
-# unrolled rk4 step: at 256 float entries, about 20 ms and a 3.5 MB peak.  Z_n
-# on scalars, below transport.ZN_SCALAR_CROSSOVER sites of 6 floats, fits.
+# compiled rk4 run: at 256 float entries, 16-24 ms untraced on a 2-vCPU Xeon
+# whose speed varies, and a 4.4 MB peak under tracemalloc.  Z_n on scalars,
+# below transport.ZN_SCALAR_CROSSOVER sites of 6 floats, fits.
 MAX_SCALAR_STATE = 256
 
 
@@ -139,6 +146,9 @@ def rk4_step(f: Rhs, t: float, y, h: float):
 def _rk4_arrays(size: int):
     """``rk4_step`` and ``_check_state`` on float64 vectors of ``size``, with reused buffers.
 
+    Each stage f returns must hold ``size`` entries (ValueError otherwise;
+    TypeError for a 0-d result).
+
     The stage inputs alternate between two buffers made once, and the
     weighted stage sum ``k1 + 2 k2 + 2 k3 + k4`` is accumulated in a third
     as each stage arrives, so a step allocates only its fresh result
@@ -153,21 +163,25 @@ def _rk4_arrays(size: int):
     def step(f: Rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
         half = 0.5 * h
         k = f(t, y)  # k1
+        _check_length(len(k), size)  # a stage of another shape fails the out= operations below
         np.multiply(half, k, out=y_a)
         np.add(y, y_a, out=y_a)
         k2 = f(t + half, y_a)
+        _check_length(len(k2), size)
         np.multiply(half, k2, out=y_b)
         np.add(y, y_b, out=y_b)
         np.multiply(2.0, k2, out=acc)
         np.add(k, acc, out=acc)
         del k2
         k = f(t + half, y_b)  # k3
+        _check_length(len(k), size)
         np.multiply(h, k, out=y_a)
         np.add(y, y_a, out=y_a)
         np.multiply(2.0, k, out=y_b)
         np.add(acc, y_b, out=acc)
         del k
         k = f(t + h, y_a)  # k4
+        _check_length(len(k), size)
         np.add(acc, k, out=acc)
         np.multiply(h / 6.0, acc, out=acc)
         return y + acc
@@ -178,37 +192,92 @@ def _rk4_arrays(size: int):
     return step, check
 
 
-def _compile(source: str, name: str):
-    """The function ``name`` defined by the generated Python ``source``."""
-    namespace = {}
-    exec(compile(source, f"<ncgflow {name}>", "exec"), namespace)
-    return namespace[name]
+def _compile(source: str, name: str, **names):
+    """The function ``name`` defined by the generated Python ``source``, with ``names`` as its globals."""
+    exec(compile(source, f"<ncgflow {name}>", "exec"), names)
+    return names[name]
+
+
+def _text(value) -> str:
+    """The source text of an ``_Expr`` or of a Python number (its ``repr``)."""
+    return value.text if isinstance(value, _Expr) else repr(value)
+
+
+def _expr_op(op: str, reflected: bool = False):
+    def method(self, other):
+        other = _text(other)
+        return _Expr(f"({other} {op} {self.text})" if reflected else f"({self.text} {op} {other})")
+
+    return method
+
+
+class _Expr:
+    """Expression text: an equation applied to these writes itself out as code.
+
+    Each ``+``, ``-`` and ``*`` (reflected too) and the unary ``-`` return
+    the fully parenthesised text of the operation, with a number operand
+    written as its ``repr``, so the text evaluates the same operations in
+    the same order and operand order as the equation does on numbers.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    __add__, __radd__ = _expr_op("+"), _expr_op("+", True)
+    __sub__, __rsub__ = _expr_op("-"), _expr_op("-", True)
+    __mul__, __rmul__ = _expr_op("*"), _expr_op("*", True)
+
+    def __neg__(self):
+        return _Expr(f"(-{self.text})")
 
 
 @functools.lru_cache(maxsize=16)
 def _rk4_unrolled(size: int):
-    """``rk4_step`` on a list of ``size`` Python scalars, unrolled entry by entry.
+    """A whole rk4 run on ``size`` Python scalars: ``run(f, y, h, n_steps, stride, out, max_abs)``.
 
-    The step unpacks y and each stage into one local per entry, so it
-    checks that f returns ``size`` entries (ValueError otherwise), and
-    forms every entry in ``rk4_step``'s association; the result is bit for
-    bit that of ``rk4_step`` on the entries.
+    ``rk4_step`` unrolled entry by entry, in its association, inside one
+    loop over the steps; each entry stays in a local from step to step,
+    and every stage is unpacked into one local per entry, so f must return
+    ``size`` entries (ValueError otherwise).  Each new state passes at
+    once when every entry has ``abs(entry) <= min(max_abs, float max)``
+    (|z| bounds both parts of z); otherwise, or when |z| of a complex entry
+    overflows, ``_check_scalars`` applies the exact rule, which raises
+    ``BlowupError`` with the start of the step as the last good time.
+    The state after step k goes into row ``k // stride`` of ``out`` when
+    ``stride`` divides k, and the last state into its last row, so ``out``
+    has ``sample_count(n_steps, stride)`` rows.  The states are bit for bit
+    those of a loop of ``rk4_step`` on the entries.
     """
 
-    def entries(template: str) -> str:
-        return ", ".join(template.format(i=i) for i in range(size))
+    def entries(template: str, sep: str = ", ") -> str:
+        return sep.join(template.format(i=i) for i in range(size))
 
     return _compile(
-        f"def step(f, t, y, h):\n"
+        f"def run(f, y, h, n_steps, stride, out, max_abs):\n"
         f"    half = 0.5 * h\n"
-        f"    {entries('y{i}')}, = y\n"
-        f"    {entries('a{i}')}, = f(t, y)\n"
-        f"    {entries('b{i}')}, = f(t + half, [{entries('y{i} + half * a{i}')}])\n"
-        f"    {entries('c{i}')}, = f(t + half, [{entries('y{i} + half * b{i}')}])\n"
-        f"    {entries('d{i}')}, = f(t + h, [{entries('y{i} + h * c{i}')}])\n"
         f"    sixth = h / 6.0\n"
-        f"    return [{entries('y{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')}]\n",
-        "step",
+        f"    bound = min(max_abs, {sys.float_info.max!r})\n"
+        f"    {entries('y{i}')}, = y\n"
+        f"    for k in range(1, n_steps + 1):\n"
+        f"        t = (k - 1) * h\n"
+        f"        {entries('a{i}')}, = f(t, y)\n"
+        f"        {entries('b{i}')}, = f(t + half, [{entries('y{i} + half * a{i}')}])\n"
+        f"        {entries('c{i}')}, = f(t + half, [{entries('y{i} + half * b{i}')}])\n"
+        f"        {entries('d{i}')}, = f(t + h, [{entries('y{i} + h * c{i}')}])\n"
+        f"        y = [{entries('y{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')}]\n"
+        f"        {entries('y{i}')}, = y\n"
+        f"        try:\n"
+        f"            if not ({entries('abs(y{i}) <= bound', ' and ')}):\n"
+        f"                check(y, t, max_abs)\n"
+        f"        except OverflowError:\n"
+        f"            check(y, t, max_abs)\n"
+        f"        if k % stride == 0:\n"
+        f"            out[k // stride] = y\n"
+        f"    out[-1] = y\n",
+        "run",
+        check=_check_scalars,
     )
 
 
@@ -275,9 +344,14 @@ def _dopri_step(f, t: float, h: float, h_coef, stages, y, ks, y5, read, err, sca
 
 def _store(row: np.ndarray, k) -> None:
     """Write the stage k that f returned into its block row; ValueError unless their lengths agree."""
-    if len(k) != len(row):  # numpy would broadcast a single entry over the row
-        raise ValueError(f"the right-hand side returned {len(k)} entries for a state of {len(row)}")
+    _check_length(len(k), len(row))
     row[:] = k
+
+
+def _check_length(entries: int, size: int) -> None:
+    """ValueError unless a stage has as many entries as the state: numpy would broadcast a single entry."""
+    if entries != size:
+        raise ValueError(f"the right-hand side returned {entries} entries for a state of {size}")
 
 
 def step_count(t_end: float, h: float) -> int:
@@ -314,16 +388,7 @@ def _check_peak(peak: float, t_good: float, max_abs: float) -> None:
 
 
 def _check_scalars(y: list, t_good: float, max_abs: float) -> None:
-    """``_check_state`` on a list of Python floats or complex numbers, part by part.
-
-    A finite sum and ``|entry| <= max_abs`` for every entry pass at once
-    (|z| bounds both parts of z); anything else gets the exact rule.
-    """
-    try:
-        if cmath.isfinite(sum(y)) and max(map(abs, y)) <= max_abs:
-            return
-    except OverflowError:  # |z| of a complex entry beyond the float range
-        pass
+    """``_check_state`` on a list of Python floats or complex numbers, part by part."""
     _check_state(np.array([(z.real, z.imag) for z in y]), t_good, max_abs)
 
 
@@ -372,20 +437,18 @@ def integrate(
     states[0] = y
     row = 0
 
-    if method == "rk4":
-        if scalars is None:
-            (step, check), out = _rk4_arrays(y.shape[0]), states
-        else:
-            out = states.view(np.complex128) if scalars is complex else states
-            step, check = _rk4_unrolled(out.shape[1]), _check_scalars
-            y = out[0].tolist()
+    if method == "rk4" and scalars is not None:
+        out = states.view(np.complex128) if scalars is complex else states
+        _rk4_unrolled(out.shape[1])(f, out[0].tolist(), h_eff, n_steps, stride, out, max_abs)
+    elif method == "rk4":
+        step, check = _rk4_arrays(y.shape[0])
         for k in range(1, n_steps + 1):
             t_prev = (k - 1) * h_eff
             y = step(f, t_prev, y, h_eff)
             check(y, t_prev, max_abs)
             if k % stride == 0 or k == n_steps:
                 row += 1
-                out[row] = y
+                states[row] = y
     else:
         block, coef = np.empty((8, y.shape[0])), np.ones((7, 8))  # coefficient rows: see _dopri_step
         y5, err, scale = np.empty((3, y.shape[0]))

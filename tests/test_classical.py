@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from ncgflow import classical
 from ncgflow import (
     GridField,
     burgers_rhs,
@@ -65,6 +66,9 @@ def test_geodesic_rhs_equals_generic_contraction(provider):
         v = rng.normal(size=provider.dim)
         dx, dv = geodesic_rhs(x, v, provider)
         assert np.array_equal(dx, v)
+        symbols = {(i, j, k): g for i, j, k, g in provider.symbols(x)}
+        assert [provider.gamma(x, *ijk) for ijk in ((0, 1, 1), (1, 1, 0), (0, 0, 0))] == [
+            symbols.get(ijk, 0.0) for ijk in ((0, 1, 1), (1, 1, 0), (0, 0, 0))]
         assert np.array_equal(dv, -_generic_contraction(provider, x, v, np.zeros(provider.dim)))
 
     times = np.arange(0.0, 1.0, 0.125)
@@ -73,6 +77,31 @@ def test_geodesic_rhs_equals_generic_contraction(provider):
     acc = (samples[2:] - 2.0 * samples[1:-1] + samples[:-2]) / 0.125**2
     worst = max(np.abs(_generic_contraction(provider, x, v, a)).max() for x, v, a in zip(samples[1:-1], vel, acc))
     assert pullback_geodesic_check(times, samples, provider) == worst
+
+
+_SPECIAL = [0.0, -0.0, 1e-300, -1e300, 5e-324, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("provider", [round_sphere(), flat_space(1), flat_space(3), flat_space(8)],
+                         ids=["sphere", "flat1", "flat3", "flat8"])
+def test_compiled_geodesic_rates_equal_the_system(provider):
+    dim = provider.dim
+    rhs = classical._geodesic_rates(dim, provider.triples)(provider.values)
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        y = rng.uniform(0.05, math.pi - 0.05, 2 * dim).tolist()
+        if trial >= 20:  # velocities with signed zeros, extremes and non-finite entries
+            y[dim:] = rng.choice(_SPECIAL + [1.5, -0.25], dim).tolist()
+        got = rhs(0.0, y)
+        want = classical._geodesic_system(y, dim, provider.symbols(y[:dim]))
+        assert type(got) is list and np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.0, math.inf, -math.inf])  # the pole (cot = 1/0), and sin(inf)
+def test_a_stage_that_leaves_the_sphere_chart_has_nan_rates(theta):
+    sphere = round_sphere()
+    rates = classical._geodesic_rates(2, sphere.triples)(sphere.values)(0.0, [theta, 0.0, 1.0, 1.0])
+    assert len(rates) == 4 and all(math.isnan(r) for r in rates)
 
 
 def test_equatorial_great_circle_stays_on_equator():

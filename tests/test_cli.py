@@ -275,6 +275,19 @@ def test_sweep_parallel_and_error_propagation(tmp_path):
     assert (tmp_path / "s" / "good" / "trajectory.csv").exists()
 
 
+def test_sweep_prints_the_same_output_for_any_jobs(tmp_path, capsys):
+    paths = _sweep_configs(tmp_path, 3)
+    paths[1].write_text("{broken")
+    printed = []
+    for jobs in ("2", "1"):
+        assert main(["sweep", "--configs", *map(str, paths), "--out", str(tmp_path / "s"), "--jobs", jobs]) == 2
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    out = printed[0].out
+    assert out.count("scenario") == 2 and out.index(str(tmp_path / "s" / "a")) < out.index(str(tmp_path / "s" / "c"))
+    assert printed[0].err.startswith("config error:")
+
+
 def test_build_config_complex_parsing():
     cfg = build_config({"scenario": "m2row", "lam": 1.5, "mu": [0, 1]})
     assert cfg["lam"] == 1.5 + 0j
@@ -361,7 +374,10 @@ def test_non_finite_values_and_the_pole_exit_2(text, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# An rk4 stage lands on the pole: x0 + (h / 2) v0 = 0, where cot divides by zero.
+_AT_THE_POLE = '{"scenario": "classical-geodesic", "x": [0.0005, 0.0], "v": [-1.0, 0.0]}'
 _LEAVE_THE_CHART = [(text, method) for method in ("rk4", "rk45") for text in (_NEAR_POLE, _ROW_UNDERFLOW)]
+_LEAVE_THE_CHART.append((_AT_THE_POLE, "rk4"))
 
 
 @pytest.mark.parametrize("text, method", _LEAVE_THE_CHART,

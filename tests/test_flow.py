@@ -1,5 +1,8 @@
 import cmath
+import io
 import math
+import sys
+import tokenize
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from ncgflow import (
     split_complex,
     zn_rhs,
 )
-from ncgflow import flow, transport
+from ncgflow import classical, connection, flow, transport
 from oracles import dopri_attempt_oracle, m2_flow_oracle, zn3_flow_oracle
 
 
@@ -176,16 +179,26 @@ def test_blowup_message_and_last_good_time_on_scalars(method, f, y0, t_end, h, m
     (complex(math.nan, math.inf), math.inf),
 ])
 def test_scalar_check_applies_the_rule_to_each_part(z, max_abs):
-    y = [0.5 + 0.5j, z]
-    packed = np.array(y).view(np.float64)
+    # h = 6, so the rk4 weight h / 6 is 1 and the last stage of step 3 puts z into the state
+    f = lambda t, y: [0j, z if t == 18.0 else 0j]
+    y0 = np.array([0.5 + 0.5j, 0j]).view(np.float64)
+    y = np.array([0.5 + 0.5j, 0j], dtype=object)
+    with np.errstate(invalid="ignore"):  # 1.0 * complex(0, inf) takes 0 * inf, as the run does
+        for k in range(3):  # the reference: Python scalar arithmetic
+            y = rk4_step(lambda t, v: np.array(f(t, list(v)), dtype=object), 6.0 * k, y, 6.0)
+    state = np.array(y.tolist()).view(np.float64)
+    assert state[2:].tolist() == [z.real, z.imag] or not cmath.isfinite(z)
     outcomes = []
-    for check, state in ((flow._check_state, packed), (flow._check_scalars, y)):
+    for run in (lambda: flow._check_state(state, 12.0, max_abs),
+                lambda: integrate(f, y0, 18.0, h=6.0, max_abs=max_abs, scalars=complex).states[-1]):
         try:
-            check(state, 0.5, max_abs)
-            outcomes.append(None)
+            outcomes.append(run())
         except BlowupError as exc:
             outcomes.append((str(exc), exc.last_good_time))
-    assert outcomes[0] == outcomes[1]
+    if outcomes[0] is None:  # the state passes: the run ends on it
+        assert outcomes[1].tobytes() == state.tobytes()
+    else:
+        assert outcomes[0] == outcomes[1]
 
 
 def _fig2_state(fig2_data):
@@ -358,29 +371,62 @@ _LIST_RHSS = {
 @pytest.mark.parametrize("size", [1, 2, 4, 12, 27])
 def test_unrolled_rk4_equals_rk4_step_bit_for_bit(name, scalars, size):
     f = _LIST_RHSS[name]
-    step = flow._rk4_unrolled(size)
+    run = flow._rk4_unrolled(size)
     rng = np.random.default_rng(size)
-    y = rng.normal(size=size) + (1j * rng.normal(size=size) if scalars is complex else 0.0)
-    y = y.tolist()
+    y0 = 0.25 * (rng.normal(size=size) + (1j * rng.normal(size=size) if scalars is complex else 0.0))
+    n_steps = 8  # not a multiple of the strides 3 and 7
 
     def on_objects(t, values):  # rk4_step on object arrays: Python scalar arithmetic, entry by entry
         return np.array(f(t, list(values)), dtype=object)
 
     for h in (1e-3, 0.1, -0.05):
-        want = np.array(rk4_step(on_objects, 0.25, np.array(y, dtype=object), h).tolist(), dtype=scalars)
-        got = step(f, 0.25, y, h)
-        assert type(got) is list and all(type(v) is scalars for v in got)
-        assert np.array(got, dtype=scalars).tobytes() == want.tobytes()
-        y = got
+        for stride in (1, 3, 7):
+            y, want = np.array(y0.tolist(), dtype=object), [y0.tolist()]
+            for k in range(1, n_steps + 1):
+                y = rk4_step(on_objects, (k - 1) * h, y, h)
+                if k % stride == 0 or k == n_steps:
+                    want.append(y.tolist())
+            assert all(type(v) is scalars for v in want[-1])
+            out = np.zeros((flow.sample_count(n_steps, stride), size), dtype=scalars)
+            out[0] = y0
+            run(f, y0.tolist(), h, n_steps, stride, out, math.inf)
+            assert out.tobytes() == np.array(want, dtype=scalars).tobytes()
+
+
+def test_compiled_sources_hold_only_indices_and_fixed_constants(monkeypatch):
+    sources = []
+
+    def recording(source, name, **names):
+        sources.append(source)
+        return compile_source(source, name, **names)
+
+    compile_source = flow._compile
+    for module in (flow, connection, classical):
+        monkeypatch.setattr(module, "_compile", recording)
+    for size in [*range(1, 33), 256]:
+        flow._rk4_unrolled.__wrapped__(size)
+    for n in range(1, transport.ZN_SCALAR_CROSSOVER):
+        connection._zn_site_rates.__wrapped__(n)
+    for provider in (classical.round_sphere(), classical.flat_space(3)):
+        classical._geodesic_rates.__wrapped__(provider.dim, provider.triples)
+    # the rk4 weights and the float bound of the state check, beta's 1/2, and the geodesic's 0.0 start
+    constants = {repr(c) for c in (0.5, 2.0, 6.0, sys.float_info.max, 0.0)}
+    assert len(sources) == 33 + transport.ZN_SCALAR_CROSSOVER - 1 + 2
+    for source in sources:
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            assert token.type != tokenize.STRING, token
+            if token.type == tokenize.NUMBER:
+                assert token.string.isdigit() or token.string in constants, token
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
-@pytest.mark.parametrize("scalars", [complex, float])
+@pytest.mark.parametrize("scalars", [complex, float, None])
 def test_scalar_rhs_of_the_wrong_length_raises(method, scalars):
     y0 = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    for returned in (1, 2, 4):  # one entry would broadcast over the stage's row in rk45
-        with pytest.raises(ValueError):
-            integrate(lambda t, y: [-y[0]] * returned, y0, 0.1, h=0.01, method=method, scalars=scalars)
+    form = list if scalars else np.array  # the array form returns a float64 vector
+    for returned in (1, 2, 4):  # numpy would broadcast one entry over a stage's row or buffer
+        with pytest.raises(ValueError, match=None if scalars else f"{returned} entries for a state of 6"):
+            integrate(lambda t, y: form([-y[0]] * returned), y0, 0.1, h=0.01, method=method, scalars=scalars)
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
