@@ -75,13 +75,6 @@ class ChristoffelProvider:
         """The ``(i, j, k, Gamma^i_jk(x))`` of the triples."""
         return [(i, j, k, g) for (i, j, k), g in zip(self.triples, self.values(x))]
 
-    def gamma(self, x, i: int, j: int, k: int) -> float:
-        """The single symbol Gamma^i_jk(x)."""
-        for a, b, c, g in self.symbols(x):
-            if (a, b, c) == (i, j, k):
-                return g
-        return 0.0
-
 
 def flat_space(dim: int = 2) -> ChristoffelProvider:
     return ChristoffelProvider(dim, (), lambda x: (), lambda x: np.eye(dim))

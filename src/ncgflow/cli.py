@@ -16,6 +16,14 @@ sweep entry, plus the ``run`` flags) becomes one raw dict that
 the same rules; ``run`` prints the warnings of the checks that
 ``validate`` reports.
 
+Each scenario also has one monitor list of ``(column, series, summary
+key, check name)`` tuples.  ``_monitor`` writes ``invariants.csv`` from them and
+derives every ``max_*`` summary line as ``max |series|``.  The zn and m2
+checks are the monitors with a check name, applied to a one-sample run of
+the initial data, so each check prints the maximum of its columns in the
+first row of ``invariants.csv``.  Initial data whose checks overflow is a
+config error.
+
 Config values that are complex numbers are written as ``[re, im]`` pairs
 (plain numbers are accepted as reals); every number must be finite.  A
 run may take at most ``flow.MAX_STEPS`` steps, and its samples times the
@@ -46,13 +54,12 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .algebra import I2, AlgebraError, Mat2Element, ZnElement
-from .calculus import VectorField
 from .classical import (
     GridField,
     flat_space,
@@ -61,11 +68,10 @@ from .classical import (
     round_sphere,
     sine_field,
 )
-from .connection import braiding_residual, reality_residual
-from .flow import MAX_SAMPLE_VALUES, MAX_SCALAR_STATE, BlowupError, sample_count, step_count
+from .flow import MAX_SAMPLE_VALUES, MAX_SCALAR_STATE, BlowupError, Trajectory, sample_count, step_count
 from .mobius import metric_preservation_check, run_row
 from .svgplot import line_chart
-from .transport import run_m2, run_zn, state_eval
+from .transport import M2Run, ZnRun, pack_m2_state, pack_zn_state, run_m2, run_zn
 
 __all__ = ["main", "ConfigError", "PRESETS", "build_config", "load_config"]
 
@@ -185,8 +191,8 @@ def _write_table(outdir: Path, name: str, t: np.ndarray, header: list[str], colu
     write_csv(outdir / name, ["t"] + header, np.column_stack([t, *columns]))
 
 
-def _complex_columns(name: str, labels) -> list[str]:
-    return [f"{name}_{label}_{part}" for label in labels for part in ("re", "im")]
+def _complex_columns(labels, *names: str) -> list[str]:
+    return [f"{name}_{label}_{part}" for name in names for label in labels for part in ("re", "im")]
 
 
 def _interleave(block: np.ndarray) -> np.ndarray:
@@ -237,6 +243,15 @@ class _Scenario:
     returns ``(name, value, tol)`` triples on the initial data; a bool
     value is a yes/no fact whose third field is the warning for "no".
 
+    Each runner passes its scenario's monitors, ``(column, series, summary
+    key or None, check name or None)`` tuples, to ``_monitor``, which
+    writes ``invariants.csv`` and gives every ``max_*`` item of
+    ``summary``.  The zn and m2 ``checks`` are ``_monitor_checks`` of the
+    same monitors, evaluated on ``ZnRun.of`` / ``M2Run.of`` of the packed
+    initial state at t = 0.  m2row checks its own two facts, because its
+    ``norm_dev`` column is the drift from the first sample, not the
+    distance from 1; the classical scenarios have no checks.
+
     Runners call ``run_zn``, ``write_csv``, ``line_chart`` and the rest
     through this module's globals, so a wrapper installed on the module
     sees every call.
@@ -249,12 +264,77 @@ class _Scenario:
     checks: Callable[[dict], list]
 
 
-def _algebra_checks(field: VectorField, m, unit, size) -> list:
-    return [
-        ("reality residual", size(reality_residual(field)), _TOL),
-        ("braiding residual", size(braiding_residual(field)), _TOL),
-        ("normalisation |phi(1)-1|", abs(state_eval(m, unit).real - 1.0), _TOL),
-    ]
+class _Series(dict):
+    """A run's series by name, each computed once: a missing name calls the run's method of that name."""
+
+    def __init__(self, run, **known):
+        super().__init__(known)
+        self.run = run
+
+    def __missing__(self, name: str) -> np.ndarray:
+        value = self[name] = getattr(self.run, name)()
+        return value
+
+
+def _drift(name: str) -> Callable[[_Series], np.ndarray]:
+    """The series ``name`` minus its value at the first sample."""
+    return lambda s: s[name] - s[name][0]
+
+
+def _phi_dev(s: _Series) -> np.ndarray:
+    return s["phi_one"] - 1.0
+
+
+def _monitor(outdir: Path, run, monitors, **known) -> tuple[_Series, dict]:
+    """Write ``invariants.csv`` from ``monitors``; return the run's ``_Series`` and the summary.
+
+    The ``_Series`` holds each monitor's series under its name, for the
+    plots; the summary is ``max |series|`` per key.
+    """
+    s, header, summary = _Series(run, **known), [], {}
+    for name, series, key, _ in monitors:
+        values = s[name] = series(s)
+        header += [name] if values.ndim == 1 else [f"{name}_{i}" for i in range(values.shape[1])]
+        if key:
+            summary[key] = float(np.abs(values).max())
+    _write_table(outdir, "invariants.csv", run.times, header, [s[name] for name, *_ in monitors])
+    return s, summary
+
+
+def _monitor_checks(monitors, run_class, pack, fields) -> Callable[[dict], list]:
+    """The ``checks`` of the monitors that name one: ``max |series|`` at t = 0.
+
+    ``run_class.of`` decodes a one-sample trajectory of the initial data,
+    the config's ``fields`` packed by ``pack``; only the checked series are
+    computed.
+    """
+    def checks(cfg: dict) -> list:
+        y0 = pack(*(cfg[field] for field in fields))
+        s = _Series(run_class.of(Trajectory(np.zeros(1), y0[None])))
+        return [(check, float(np.abs(series(s)).max()), _TOL) for _, series, _, check in monitors if check]
+
+    return checks
+
+
+# Monitors: (invariants.csv column, series, summary key or None, check name or None).
+_REALITY, _BRAIDING, _PHI = "reality residual", "braiding residual", "normalisation |phi(1)-1|"
+_ZN_MONITORS = (
+    ("reality", itemgetter("reality_abs"), "max_reality", _REALITY),
+    ("braiding", itemgetter("braiding_abs"), "max_braiding", _BRAIDING),
+    ("k_plus_mod", itemgetter("k_plus_moduli"), None, None),
+    ("k_minus_mod", itemgetter("k_minus_moduli"), None, None),
+    ("phi_one_dev", _phi_dev, "max_phi_dev", _PHI),
+)
+_M2_MONITORS = (
+    ("reality_fro", itemgetter("reality_fro"), "max_reality", _REALITY),
+    ("braiding_fro", itemgetter("braiding_fro"), "max_braiding", _BRAIDING),
+    ("phi_one_dev", _phi_dev, "max_phi_dev", _PHI),
+    ("bloch_r2", lambda s: (s["bloch_series"] ** 2).sum(axis=1), None, None),
+)
+_ROW_MONITORS = (("norm_dev", _drift("norms"), "max_norm_dev", None),)
+_GEODESIC_MONITORS = (("speed_sq_dev", _drift("speeds_squared"), "max_speed_dev", None),)
+_BURGERS_MONITORS = (("mean_dev", _drift("means"), "max_mean_dev", None),
+                     ("max_abs", lambda s: np.abs(s.run.values).max(axis=1), None, None))
 
 
 def _zn_default() -> dict:
@@ -276,38 +356,16 @@ def _zn_parse(raw: dict) -> dict:
 def _zn_run(cfg: dict, outdir: Path) -> tuple:
     run = run_zn(cfg["k_plus"], cfg["k_minus"], cfg["m"], **_stepping(cfg))
     t, sites = run.times, range(run.n)
-    header = _complex_columns("k_plus", sites) + _complex_columns("k_minus", sites) + _complex_columns("m", sites)
-    _write_table(outdir, "trajectory.csv", t, header,
-                 [_interleave(run.k_plus), _interleave(run.k_minus), _interleave(run.m)])
-
-    reality = run.reality_abs()
-    braiding = run.braiding_abs()
-    phi_one = run.phi_one()
-    phi_dev = phi_one - 1.0
-    header = [f"{name}_{i}" for name in ("reality", "braiding", "k_plus_mod", "k_minus_mod") for i in sites]
-    _write_table(outdir, "invariants.csv", t, header + ["phi_one_dev"],
-                 [reality, braiding, run.k_plus_moduli(), run.k_minus_moduli(), phi_dev])
-
-    cums = run.phi_cumulative()
+    header = _complex_columns(sites, "k_plus", "k_minus", "m")  # the packed state's order
+    _write_table(outdir, "trajectory.csv", t, header, [run.trajectory.states])
+    s, summary = _monitor(outdir, run, _ZN_MONITORS)
     header = [f"phi_{i}" for i in sites] + [f"phi_cum_{i}" for i in sites] + ["phi_one"]
-    _write_table(outdir, "state.csv", t, header, [run.phi_sites(), cums, phi_one])
-
-    plots = [
-        ("fig1a.svg", _lines("cumulative state values", t, [f"phi_cum_{i}" for i in sites], cums)),
-        ("fig1b.svg", _lines("reality residuals", t, [f"reality_{i}" for i in sites], reality)),
-        ("fig1c.svg", _lines("normalisation deviation", t, ["phi_one_dev"], phi_dev)),
-    ]
-    return t, plots, {
-        "max_reality": float(reality.max()),
-        "max_braiding": float(braiding.max()),
-        "max_phi_dev": float(np.abs(phi_dev).max()),
-    }
-
-
-def _zn_checks(cfg: dict) -> list:
-    m = ZnElement(cfg["m"])
-    field = VectorField(ZnElement(cfg["k_plus"]), ZnElement(cfg["k_minus"]))
-    return _algebra_checks(field, m, ZnElement.ones(m.n), lambda e: float(np.abs(e.samples).max()))
+    _write_table(outdir, "state.csv", t, header, [s["phi_sites"], s["phi_cumulative"], s["phi_one"]])
+    return t, [
+        ("fig1a.svg", _lines("cumulative state values", t, [f"phi_cum_{i}" for i in sites], s["phi_cumulative"])),
+        ("fig1b.svg", _lines("reality residuals", t, [f"reality_{i}" for i in sites], s["reality"])),
+        ("fig1c.svg", _lines("normalisation deviation", t, ["phi_one_dev"], s["phi_one_dev"])),
+    ], summary
 
 
 def _m2_default() -> dict:
@@ -328,38 +386,20 @@ def _m2_parse(raw: dict) -> dict:
 def _m2_run(cfg: dict, outdir: Path) -> tuple:
     run = run_m2(cfg["k1"], cfg["k2"], cfg["m"], **_stepping(cfg))
     t = run.times
-    k1, k2 = _interleave(run.k1), _interleave(run.k2)
-    header = [col for name in ("k1", "k2", "m") for col in _complex_columns(name, _M2_LABELS)]
-    _write_table(outdir, "trajectory.csv", t, header, [k1, k2, _interleave(run.m)])
-
-    reality = run.reality_fro()
-    braiding = run.braiding_fro()
-    phi_one = run.phi_one()
-    phi_dev = phi_one - 1.0
-    bloch_pts = run.bloch_series()
-    _write_table(outdir, "invariants.csv", t, ["reality_fro", "braiding_fro", "phi_one_dev", "bloch_r2"],
-                 [reality, braiding, phi_dev, (bloch_pts ** 2).sum(axis=1)])
-    _write_table(outdir, "state.csv", t, ["s", "x", "y", "phi_one"], [bloch_pts, phi_one])
-
-    plots = [
-        ("fig2a.svg", _lines("k1 entries", t, _complex_columns("k1", _M2_LABELS), k1)),
-        ("fig2b.svg", _lines("k2 entries", t, _complex_columns("k2", _M2_LABELS), k2)),
-        ("fig2c.svg", _lines("[k1, k2] entries", t, _complex_columns("comm", _M2_LABELS),
+    header = _complex_columns(_M2_LABELS, "k1", "k2", "m")  # the packed state's order
+    _write_table(outdir, "trajectory.csv", t, header, [run.trajectory.states])
+    s, summary = _monitor(outdir, run, _M2_MONITORS)
+    bloch_pts = s["bloch_series"]
+    _write_table(outdir, "state.csv", t, ["s", "x", "y", "phi_one"], [bloch_pts, s["phi_one"]])
+    return t, [
+        ("fig2a.svg", _lines("k1 entries", t, _complex_columns(_M2_LABELS, "k1"), _interleave(run.k1))),
+        ("fig2b.svg", _lines("k2 entries", t, _complex_columns(_M2_LABELS, "k2"), _interleave(run.k2))),
+        ("fig2c.svg", _lines("[k1, k2] entries", t, _complex_columns(_M2_LABELS, "comm"),
                              _interleave(run.commutator))),
         ("fig3a.svg", _lines("state coordinates", t, ["s", "x", "y"], bloch_pts)),
         ("fig3b.svg", _state_path(bloch_pts, "path in state space")),
-        ("fig3c.svg", _lines("normalisation deviation", t, ["phi_one_dev"], phi_dev)),
-    ]
-    return t, plots, {
-        "max_reality": float(reality.max()),
-        "max_braiding": float(braiding.max()),
-        "max_phi_dev": float(np.abs(phi_dev).max()),
-    }
-
-
-def _m2_checks(cfg: dict) -> list:
-    field = VectorField(Mat2Element(cfg["k1"]), Mat2Element(cfg["k2"]))
-    return _algebra_checks(field, Mat2Element(cfg["m"]), I2, lambda e: float(np.linalg.norm(e.entries)))
+        ("fig3c.svg", _lines("normalisation deviation", t, ["phi_one_dev"], s["phi_one_dev"])),
+    ], summary
 
 
 def _row_default() -> dict:
@@ -383,20 +423,13 @@ def _row_run(cfg: dict, outdir: Path) -> tuple:
     _write_table(outdir, "trajectory.csv", t, ["lam_re", "lam_im", "mu_re", "mu_im", "z_re", "z_im"],
                  [run.lam.real, run.lam.imag, run.mu.real, run.mu.imag, z.real, z.imag])
 
-    norms = run.norms()
-    norm_dev = norms - norms[0]
-    _write_table(outdir, "invariants.csv", t, ["norm_dev"], [norm_dev])
+    s, summary = _monitor(outdir, run, _ROW_MONITORS)
     pts = run.bloch_series()
     _write_table(outdir, "state.csv", t, ["s", "x", "y"], [pts])
-
-    plots = [
+    return t, [
         ("rowflow_state.svg", _state_path(pts, "pure-state path")),
-        ("rowflow_norm.svg", _lines("norm deviation", t, ["norm_dev"], norm_dev)),
-    ]
-    return t, plots, {
-        "metric_preserving": metric_preservation_check(cfg["q0"], cfg["q1"], cfg["q2"]),
-        "max_norm_dev": float(np.abs(norm_dev).max()),
-    }
+        ("rowflow_norm.svg", _lines("norm deviation", t, ["norm_dev"], s["norm_dev"])),
+    ], {"metric_preserving": metric_preservation_check(cfg["q0"], cfg["q1"], cfg["q2"]), **summary}
 
 
 def _row_checks(cfg: dict) -> list:
@@ -435,16 +468,12 @@ def _geodesic_run(cfg: dict, outdir: Path) -> tuple:
     coords = [f"x_{i}" for i in range(provider.dim)]
     _write_table(outdir, "trajectory.csv", t, coords + [f"v_{i}" for i in range(provider.dim)], [run.xs, run.vs])
 
-    speeds = run.speeds_squared()
-    dev = speeds - speeds[0]
-    _write_table(outdir, "invariants.csv", t, ["speed_sq_dev"], [dev])
-    _write_table(outdir, "state.csv", t, coords + ["speed_sq"], [run.xs, speeds])
-
-    plots = [
+    s, summary = _monitor(outdir, run, _GEODESIC_MONITORS)
+    _write_table(outdir, "state.csv", t, coords + ["speed_sq"], [run.xs, s["speeds_squared"]])
+    return t, [
         ("geodesic_coords.svg", _lines("coordinates", t, coords, run.xs)),
-        ("geodesic_speed.svg", _lines("speed conservation", t, ["speed_sq_dev"], dev)),
-    ]
-    return t, plots, {"max_speed_dev": float(np.abs(dev).max())}
+        ("geodesic_speed.svg", _lines("speed conservation", t, ["speed_sq_dev"], s["speed_sq_dev"])),
+    ], summary
 
 
 def _burgers_default() -> dict:
@@ -476,23 +505,15 @@ def _burgers_run(cfg: dict, outdir: Path) -> tuple:
     t, values = run.times, run.values
     _write_table(outdir, "trajectory.csv", t, [f"k_{j}" for j in range(values.shape[1])], [values])
 
-    means = values.mean(axis=1)
-    mean_dev = means - means[0]
-    _write_table(outdir, "invariants.csv", t, ["mean_dev", "max_abs"], [mean_dev, np.abs(values).max(axis=1)])
+    s, summary = _monitor(outdir, run, _BURGERS_MONITORS, means=values.mean(axis=1))
     _write_table(outdir, "state.csv", t, ["k_min", "k_max", "k_mean"],
-                 [values.min(axis=1), values.max(axis=1), means])
-
+                 [values.min(axis=1), values.max(axis=1), s["means"]])
     picks = sorted({0, len(t) // 4, len(t) // 2, (3 * len(t)) // 4, len(t) - 1})
-    plots = [
+    return t, [
         ("burgers_profiles.svg", dict(series=[(f"t={t[p]:.3g}", run.x, values[p]) for p in picks],
                                       title="velocity profiles", xlabel="x")),
-        ("burgers_mean.svg", _lines("mean conservation", t, ["mean_dev"], mean_dev)),
-    ]
-    return t, plots, {"max_mean_dev": float(np.abs(mean_dev).max())}
-
-
-def _no_checks(cfg: dict) -> list:
-    return []
+        ("burgers_mean.svg", _lines("mean conservation", t, ["mean_dev"], s["mean_dev"])),
+    ], summary
 
 
 def _burgers_columns(cfg: dict) -> int:
@@ -500,12 +521,15 @@ def _burgers_columns(cfg: dict) -> int:
 
 
 _SCENARIOS = {
-    "zn": _Scenario(_zn_default, _zn_parse, lambda cfg: 6 * cfg["n"], _zn_run, _zn_checks),
-    "m2": _Scenario(_m2_default, _m2_parse, lambda cfg: 24, _m2_run, _m2_checks),
+    "zn": _Scenario(_zn_default, _zn_parse, lambda cfg: 6 * cfg["n"], _zn_run,
+                    _monitor_checks(_ZN_MONITORS, ZnRun, pack_zn_state, ("k_plus", "k_minus", "m"))),
+    "m2": _Scenario(_m2_default, _m2_parse, lambda cfg: 24, _m2_run,
+                    _monitor_checks(_M2_MONITORS, M2Run, pack_m2_state, ("k1", "k2", "m"))),
     "m2row": _Scenario(_row_default, _row_parse, lambda cfg: 4, _row_run, _row_checks),
     "classical-geodesic": _Scenario(_geodesic_default, _geodesic_parse, lambda cfg: 2 * len(cfg["x"]),
-                                    _geodesic_run, _no_checks),
-    "classical-burgers": _Scenario(_burgers_default, _burgers_parse, _burgers_columns, _burgers_run, _no_checks),
+                                    _geodesic_run, lambda cfg: []),
+    "classical-burgers": _Scenario(_burgers_default, _burgers_parse, _burgers_columns, _burgers_run,
+                                   lambda cfg: []),
 }
 SCENARIOS = tuple(_SCENARIOS)
 
@@ -553,8 +577,9 @@ def load_config(path: str | Path) -> dict:
 def _report(cfg: dict) -> tuple[list[str], list[str]]:
     """The check lines that ``validate`` prints and the warnings that ``validate`` and ``run`` print."""
     try:
-        checks = _SCENARIOS[cfg["scenario"]].checks(cfg)
-    except (ArithmeticError, AlgebraError) as exc:  # entries near the float limit overflow the checks
+        with np.errstate(all="ignore"):  # entries near the float limit overflow the checks
+            checks = _SCENARIOS[cfg["scenario"]].checks(cfg)
+    except ArithmeticError as exc:  # the Python float arithmetic of m2row's check
         raise ConfigError(f"initial data too large to check: {exc}") from exc
     lines = [] if checks else ["no algebraic invariants for this scenario; config is well-formed"]
     warn = []
@@ -564,6 +589,8 @@ def _report(cfg: dict) -> tuple[list[str], list[str]]:
             if not value:
                 warn.append(tol)
             continue
+        if not math.isfinite(value):
+            raise ConfigError(f"initial data too large to check: {name} overflows")
         ok = value <= tol
         lines.append(f"{name}: {value:.3e} [{'ok' if ok else 'WARNING'}]")
         if not ok:

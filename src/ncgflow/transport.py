@@ -30,10 +30,13 @@ run needs at least one site.  Either way the state handed to
 ``pack_m2_state``, so a wrapper of ``integrate`` reads the same ``y0``
 (the benchmark's tracer names a Z_n right-hand side by ``len(y0) // 6``).
 
-``ZnRun`` and ``M2Run`` compute their residual and state series as array
-expressions over the leading time axis; the element functions
-(``reality_residual``, ``braiding_residual``, ``state_eval``, ``bloch``)
-are the per-sample reference they are tested against.
+``ZnRun`` and ``M2Run`` are built from a ``Trajectory`` of packed states
+(``ZnRun.of``, ``M2Run.of``) and compute their residual and state series
+as array expressions over the leading time axis; ``cli`` applies the same
+series to a one-sample trajectory of the initial data for its checks.  The
+element functions (``reality_residual``, ``braiding_residual``,
+``state_eval``, ``bloch``) are the per-sample reference they are tested
+against.
 """
 
 from __future__ import annotations
@@ -213,6 +216,12 @@ class ZnRun:
     m: np.ndarray        # (T, n) complex
     trajectory: Trajectory
 
+    @classmethod
+    def of(cls, traj: Trajectory) -> ZnRun:
+        """Decode a trajectory of packed ``(K_+, K_-, m)`` states."""
+        k_plus, k_minus, m = np.split(traj.states.view(np.complex128), 3, axis=1)
+        return cls(traj.times, k_plus, k_minus, m, traj)
+
     @property
     def n(self) -> int:
         return self.k_plus.shape[1]
@@ -250,6 +259,12 @@ class M2Run:
     k2: np.ndarray
     m: np.ndarray
     trajectory: Trajectory
+
+    @classmethod
+    def of(cls, traj: Trajectory) -> M2Run:
+        """Decode a trajectory of packed ``(K1, K2, m)`` states."""
+        blocks = traj.states.view(np.complex128).reshape(-1, 3, 2, 2)
+        return cls(traj.times, blocks[:, 0], blocks[:, 1], blocks[:, 2], traj)
 
     @cached_property
     def commutator(self) -> np.ndarray:
@@ -298,8 +313,7 @@ def run_zn(
         traj = integrate(_zn_site_rates(n), y0, t_end, h=h, stride=stride, method=method, scalars=complex)
     else:
         traj = integrate(zn_coupled_rhs(n), y0, t_end, h=h, stride=stride, method=method)
-    blocks = traj.states.view(np.complex128)
-    return ZnRun(traj.times, blocks[:, :n], blocks[:, n : 2 * n], blocks[:, 2 * n :], traj)
+    return ZnRun.of(traj)
 
 
 def run_m2(
@@ -318,12 +332,4 @@ def run_m2(
     m0 = _as_complex(m, (2, 2))
     y0 = pack_m2_state(k10, k20, m0)
     traj = integrate(_m2_rates, y0, t_end, h=h, stride=stride, method=method, scalars=complex)
-    blocks = traj.states.view(np.complex128)
-    T = blocks.shape[0]
-    return M2Run(
-        traj.times,
-        blocks[:, 0:4].reshape(T, 2, 2),
-        blocks[:, 4:8].reshape(T, 2, 2),
-        blocks[:, 8:12].reshape(T, 2, 2),
-        traj,
-    )
+    return M2Run.of(traj)

@@ -32,10 +32,11 @@ def test_sphere_christoffels():
     sphere = round_sphere()
     theta = 0.7
     x = np.array([theta, 0.3])
-    assert sphere.gamma(x, 0, 1, 1) == pytest.approx(-math.sin(theta) * math.cos(theta))
-    assert sphere.gamma(x, 1, 0, 1) == pytest.approx(math.cos(theta) / math.sin(theta))
-    assert sphere.gamma(x, 1, 1, 0) == pytest.approx(math.cos(theta) / math.sin(theta))
-    assert sphere.gamma(x, 0, 0, 0) == 0.0
+    symbols = {(i, j, k): g for i, j, k, g in sphere.symbols(x)}
+    assert symbols[0, 1, 1] == pytest.approx(-math.sin(theta) * math.cos(theta))
+    assert symbols[1, 0, 1] == pytest.approx(math.cos(theta) / math.sin(theta))
+    assert symbols[1, 1, 0] == pytest.approx(math.cos(theta) / math.sin(theta))
+    assert set(symbols) == {(0, 1, 1), (1, 0, 1), (1, 1, 0)}  # every other symbol is 0
 
 
 def test_geodesic_rhs_shape():
@@ -45,13 +46,14 @@ def test_geodesic_rhs_shape():
 
 
 def _generic_contraction(provider, x, v, acc):
-    """acc^i + Gamma^i_jk(x) v^j v^k, one gamma(x, i, j, k) lookup per index triple."""
+    """acc^i + Gamma^i_jk(x) v^j v^k, one lookup of each index triple in the provider's symbols."""
+    symbols = {(i, j, k): g for i, j, k, g in provider.symbols(x)}
     out = []
     for i in range(provider.dim):
         r = acc[i]
         for j in range(provider.dim):
             for k in range(provider.dim):
-                g = provider.gamma(x, i, j, k)
+                g = symbols.get((i, j, k), 0.0)
                 if g != 0.0:
                     r += g * v[j] * v[k]
         out.append(r)
@@ -66,9 +68,6 @@ def test_geodesic_rhs_equals_generic_contraction(provider):
         v = rng.normal(size=provider.dim)
         dx, dv = geodesic_rhs(x, v, provider)
         assert np.array_equal(dx, v)
-        symbols = {(i, j, k): g for i, j, k, g in provider.symbols(x)}
-        assert [provider.gamma(x, *ijk) for ijk in ((0, 1, 1), (1, 1, 0), (0, 0, 0))] == [
-            symbols.get(ijk, 0.0) for ijk in ((0, 1, 1), (1, 1, 0), (0, 0, 0))]
         assert np.array_equal(dv, -_generic_contraction(provider, x, v, np.zeros(provider.dim)))
 
     times = np.arange(0.0, 1.0, 0.125)

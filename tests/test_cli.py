@@ -1,6 +1,9 @@
 import json
 import contextlib
+import functools
+import importlib.util
 import math
+import re
 import sys
 import tempfile
 import types
@@ -177,6 +180,50 @@ def test_validate_warns_on_bad_data(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == 0
     text = capsys.readouterr().out
     assert "warning" in text.lower()
+
+
+def _perfbench_workloads():
+    """perfbench's seeded input generator, loaded from its file (it is only read, never changed)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def _seeded_configs() -> list:
+    bench, rng = _perfbench_workloads(), np.random.default_rng(101)
+    configs = [bench.zn_config(rng, 3, t_end=1.0, stride=1, method="rk4") for _ in range(8)]
+    configs += [bench.zn_config(rng, 64, t_end=1.0, stride=1, method="rk4") for _ in range(2)]
+    return configs + [bench.m2_config(rng, t_end=1.0, stride=1, method="rk4") for _ in range(8)]
+
+
+# Each check of validate and the invariants.csv columns that it is the t = 0 maximum of.
+_CHECKED_COLUMNS = {
+    "zn": {"reality residual": r"reality_\d+", "braiding residual": r"braiding_\d+",
+           "normalisation |phi(1)-1|": "phi_one_dev"},
+    "m2": {"reality residual": "reality_fro", "braiding residual": "braiding_fro",
+           "normalisation |phi(1)-1|": "phi_one_dev"},
+}
+
+
+@pytest.mark.parametrize("source", ["paper-fig1", "paper-fig2"] + [f"seeded-{i}" for i in range(18)])
+def test_validate_prints_the_first_row_of_invariants_csv(source, tmp_path, capsys):
+    if source in PRESETS:
+        args, scenario = ["--preset", source], PRESETS[source]()["scenario"]
+    else:
+        raw = _seeded_configs()[int(source.split("-")[1])]
+        args, scenario = ["--config", str(tmp_path / "cfg.json")], raw["scenario"]
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    assert main(["validate", *args]) == 0
+    printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines()[1:])
+    assert main(["run", *args, "--t-end", "0.001", "--out", str(tmp_path / "o")]) == 0
+    header, data = _read_csv(tmp_path / "o" / "invariants.csv")
+    assert len(printed) == 3
+    for check, pattern in _CHECKED_COLUMNS[scenario].items():
+        cols = [c for c, name in enumerate(header) if re.fullmatch(pattern, name)]
+        assert printed[check].split()[0] == f"{np.abs(data[0, cols]).max():.3e}", check
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -372,6 +419,36 @@ def test_non_finite_values_and_the_pole_exit_2(text, tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "o").exists()
+
+
+# The checks of these overflow: |m|^2 = 1e320, and |k1^* + k2|^2 = 1e400 in the Frobenius norm.
+_ZN_HUGE_M = '{"scenario": "zn", "m": [1e160, 0, 0]}'
+_M2_HUGE_K1 = '{"scenario": "m2", "k1": [[1e200, 0], [0, 2]]}'
+
+
+@pytest.mark.parametrize("text", [_ZN_HUGE_M, _M2_HUGE_K1], ids=["zn", "m2"])
+def test_initial_data_too_large_to_check_exit_2(text, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    for argv in (["validate", "--config", str(path)], ["run", "--config", str(path), "--out", str(tmp_path / "o")]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # as a plain run prints them
+            assert main(argv) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err.startswith("config error: initial data too large to check: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_large_data_whose_checks_stay_finite_still_validates(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"scenario": "zn", "k_plus": [1e200, 1e200, 1e200]}')
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", "--config", str(path)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    out = capsys.readouterr().out
+    assert "warning: reality residual = 1.000e+200 exceeds 1e-09" in out
+    assert "warning: braiding residual = 1.995e+200 exceeds 1e-09" in out
 
 
 # An rk4 stage lands on the pole: x0 + (h / 2) v0 = 0, where cot divides by zero.

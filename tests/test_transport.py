@@ -351,3 +351,29 @@ def test_buffered_zn_transport_matches_the_paper_form(n):
     rhs = transport.zn_coupled_rhs(n)
     for kp, km, m, y in _zn_transport_cases(n):
         _assert_matches_transport_oracle(rhs(0.0, y).view(np.complex128)[2 * n :], kp, km, m)
+
+
+# Exact invariants of the Z_n K-flow ------------------------------------------
+
+def _drift(series):
+    """max over t of |x(t) - x(0)|, relative to max(1, |x(0)|), for each entry of a (T, ...) series."""
+    return float((np.abs(series - series[0]) / np.maximum(1.0, np.abs(series[0]))).max())
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("admissible", [True, False], ids=["admissible", "arbitrary"])
+@pytest.mark.parametrize("n", [3, 12, 64])
+def test_zn_flow_keeps_its_exact_invariants(n, admissible, method):
+    """For any data the flow conserves c_i = K_+(i) K_-(i-1), prod K_+ and H = sum (K_+ - K_-).
+
+    Sum K_+ is no invariant, and must move: the negative control.
+    """
+    rng = np.random.default_rng(n)
+    y = _zn_flat(n, rng, True) if admissible else rng.normal(size=6 * n)
+    z = y.view(np.complex128)
+    run = transport.run_zn(z[:n], z[n : 2 * n], z[2 * n :], t_end=1.0, h=1e-3, stride=100, method=method)
+    kp, km = run.k_plus, run.k_minus
+    assert _drift(kp * np.roll(km, 1, axis=1)) <= 1e-8
+    assert _drift(kp.prod(axis=1)) <= 1e-8
+    assert _drift((kp - km).sum(axis=1)) <= 1e-13
+    assert _drift(kp.sum(axis=1)) > 1e-3
