@@ -33,7 +33,7 @@ from .connection import (
     zn_rhs,
     zn_transport_rhs,
 )
-from .flow import BlowupError, Trajectory, integrate, pack_complex, rk4_step, split_complex
+from .flow import BlowupError, Trajectory, integrate, pack_complex, rk4_step
 from .mobius import (
     RowRun,
     SpherePoint,

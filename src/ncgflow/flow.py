@@ -1,58 +1,43 @@
 """ODE integrators on flat float64 state vectors.
 
-Complex states are packed as interleaved real/imaginary parts (``pack_complex`` / ``split_complex``).
+Complex states are packed as interleaved real/imaginary parts (``pack_complex``).
 ``integrate`` steps a state in one of two forms:
 
 * the array form (``scalars=None``, the default): f maps the float64
   vector to a float64 vector, and the complex structure is reassembled
-  inside f.  rk4 then steps through ``_rk4_arrays``, which keeps its
-  stage inputs in buffers made once per run; f may return its input or
-  a fresh array, but not a buffer it overwrites on its next call, since
-  a stage is still read after the next stage is computed.  rk45 passes
-  f a buffer that the next stage overwrites, so f must not keep a
-  reference to its input past the call;
+  inside f;
 * the scalar form (``scalars=complex`` or ``scalars=float``): f maps a
   list of Python complex numbers (the entries of the packed vector read
   as complex128) or of Python floats to a list (or tuple) of the same
   length.  For the small systems (M2, the m2row module, Z_n below
   ``transport.ZN_SCALAR_CROSSOVER`` sites, the geodesic) numpy's per-call
-  overhead costs more than the arithmetic, so rk4 then runs on the
-  entries themselves, with ``rk4_step``'s association.  The whole run is
-  one compiled loop for each state length (``_rk4_unrolled``, through
-  ``_compile``, on first use): ``rk4_step`` unrolled entry by entry, with
-  each entry kept in a local from step to step and each sampled state
-  written into its row.  The state check is inline: a state whose every
-  entry has ``abs(entry) <= min(max_abs, float max)`` passes at once,
-  and any other gets ``_check_state``'s rule on each real and imaginary
-  part, so the error and its last good time are the array form's.  The
-  source is made of entry indices, fixed names and the ``repr`` of the
-  step's constants, never of a value.  Compiling costs time and memory
-  per entry, so a scalar-form state may hold at most
-  ``MAX_SCALAR_STATE`` floats.
+  overhead costs more than the arithmetic, so steps run on the entries
+  themselves.  rk4 on scalars is compiled per state length, from source
+  made of entry indices, fixed names and the ``repr`` of the step's
+  constants, never of a value; compiling costs time and memory per
+  entry, so a scalar-form state holds at most ``MAX_SCALAR_STATE`` floats.
 
 In both forms f must return one entry per entry of the state (ValueError
 otherwise), ``y0`` is the packed float64 vector and the samples land in
-the same float64 ``Trajectory.states`` block, preallocated from the step
-count and the stride; callers (and wrappers of ``integrate`` that read
-``len(y0)``, as the benchmark's tracer does to name the Z_n right-hand
-sides) see one interface.  ``array_rhs`` turns a scalar right-hand side
-into an array one.
+the same float64 ``Trajectory.states`` block; callers (and wrappers of
+``integrate`` that read ``len(y0)``, as the benchmark's tracer does to
+name the Z_n right-hand sides) see one interface.
 
-The default integrator is fixed-step classical RK4; an adaptive
-Dormand-Prince 4(5) pair is available as ``method="rk45"`` and lands on
-the same output grid.  It steps one ``(8, N)`` float64 block
-``[y, k1, ..., k7]``, made once per run: each stage input is one
-``np.dot`` of a coefficient row ``[1, h a_s1, ..., h a_s,s-1]`` (scaled
-by each attempt's h) with the rows before it, and f's result goes
-straight into the stage's own row; a scalar f reads the
-stage input as a list and its list is written into the row's complex
-(or float) view.  The pair is FSAL (first same as last): the last stage
-of an accepted step is the first stage of the next, a row copy, so an
-attempt costs six right-hand-side calls, and an attempt is accepted when
-the RMS of its error estimate over ``ATOL + RTOL * max(|y|, |y5|)`` is
-at most 1.  Both methods abort with :class:`BlowupError` when an
-accepted state leaves the finite ball ``|entry| <= max_abs``.  A run
-may take at most ``MAX_STEPS`` steps.
+``integrate`` checks its arguments and the initial state, builds the
+time grid and the sample block, preallocated from the step count and the
+stride, and hands the whole run to one stepper: ``_rk4_arrays`` (rk4 on
+arrays), the run that ``_rk4_unrolled`` compiles per state length (rk4 on
+scalars) or ``_dopri`` (rk45, either form).  Each stepper takes
+``(f, y, h, n_steps, stride, out, max_abs)``, ``_dopri`` the state form
+too, and owns its loop: from t = 0 it takes ``n_steps`` steps of h (rk45
+lands on the same grid with adaptive substeps), checks every accepted
+state, writes the state after step k into row ``k // stride`` of ``out``
+when ``stride`` divides k and the final state into the last row; row 0
+holds the initial state already.  The default method is fixed-step
+classical RK4; ``method="rk45"`` is an adaptive Dormand-Prince 4(5) pair.
+Every stepper aborts with :class:`BlowupError` when an accepted state
+leaves the finite ball ``|entry| <= max_abs``, naming the start of the
+step as the last good time.  A run may take at most ``MAX_STEPS`` steps.
 """
 
 from __future__ import annotations
@@ -74,11 +59,9 @@ __all__ = [
     "BlowupError",
     "Trajectory",
     "pack_complex",
-    "split_complex",
     "rk4_step",
     "step_count",
     "sample_count",
-    "array_rhs",
     "integrate",
 ]
 
@@ -124,16 +107,6 @@ def pack_complex(*arrays) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def split_complex(y: np.ndarray, counts) -> list[np.ndarray]:
-    """Inverse of ``pack_complex``: views of y as complex arrays of the given lengths."""
-    out = []
-    offset = 0
-    for count in counts:
-        out.append(y[offset : offset + 2 * count].view(np.complex128))
-        offset += 2 * count
-    return out
-
-
 def rk4_step(f: Rhs, t: float, y, h: float):
     """One classical Runge-Kutta step; works for arrays and complex scalars."""
     k1 = f(t, y)
@@ -143,25 +116,28 @@ def rk4_step(f: Rhs, t: float, y, h: float):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_arrays(size: int):
-    """``rk4_step`` and ``_check_state`` on float64 vectors of ``size``, with reused buffers.
+def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, max_abs: float) -> None:
+    """A whole rk4 run on a float64 vector ``y``, with reused buffers; see the module docstring.
 
-    Each stage f returns must hold ``size`` entries (ValueError otherwise;
-    TypeError for a 0-d result).
-
-    The stage inputs alternate between two buffers made once, and the
-    weighted stage sum ``k1 + 2 k2 + 2 k3 + k4`` is accumulated in a third
-    as each stage arrives, so a step allocates only its fresh result
-    (callers keep the states it returns) and holds at most two stages at
-    a time.  The association is ``rk4_step``'s, so the result is bit for
-    bit the same.  f may return its input, so a stage input buffer is
-    written only once its stage has been used: 2 k3 goes into k3's own
-    input buffer, after y4 = y + h k3 has been formed.
+    Each stage f returns must hold as many entries as ``y`` (ValueError
+    otherwise; TypeError for a 0-d result).  The stage inputs alternate
+    between two buffers made once per run, and the weighted stage sum
+    ``k1 + 2 k2 + 2 k3 + k4`` is accumulated in a third as each stage
+    arrives, so a step allocates only its new state and holds at most two
+    stages at a time.  The association is ``rk4_step``'s, so the states
+    are bit for bit those of a loop of ``rk4_step``.  f may return its
+    input or a fresh array, but not a buffer it overwrites on its next
+    call, since a stage is still read after the next stage is computed.
+    A stage input buffer is written only once its stage has been used:
+    2 k3 goes into k3's own input buffer, after y4 = y + h k3 has been
+    formed.  ``acc`` is free between steps, so the state check takes its
+    ``abs`` there.
     """
+    size = y.shape[0]
     y_a, y_b, acc = np.empty((3, size))
-
-    def step(f: Rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
-        half = 0.5 * h
+    half = 0.5 * h
+    for step in range(1, n_steps + 1):
+        t = (step - 1) * h
         k = f(t, y)  # k1
         _check_length(len(k), size)  # a stage of another shape fails the out= operations below
         np.multiply(half, k, out=y_a)
@@ -184,12 +160,11 @@ def _rk4_arrays(size: int):
         _check_length(len(k), size)
         np.add(acc, k, out=acc)
         np.multiply(h / 6.0, acc, out=acc)
-        return y + acc
-
-    def check(y: np.ndarray, t_good: float, max_abs: float) -> None:
-        _check_state(y, t_good, max_abs, scratch=acc)  # acc is free between steps
-
-    return step, check
+        y = y + acc
+        _check_state(y, t, max_abs, scratch=acc)
+        if step % stride == 0:
+            out[step // stride] = y
+    out[-1] = y
 
 
 def _compile(source: str, name: str, **names):
@@ -245,10 +220,9 @@ def _rk4_unrolled(size: int):
     (|z| bounds both parts of z); otherwise, or when |z| of a complex entry
     overflows, ``_check_scalars`` applies the exact rule, which raises
     ``BlowupError`` with the start of the step as the last good time.
-    The state after step k goes into row ``k // stride`` of ``out`` when
-    ``stride`` divides k, and the last state into its last row, so ``out``
-    has ``sample_count(n_steps, stride)`` rows.  The states are bit for bit
-    those of a loop of ``rk4_step`` on the entries.
+    ``out`` (``sample_count(n_steps, stride)`` rows) is written by the
+    stepper rule of the module docstring.  The states are bit for bit those
+    of a loop of ``rk4_step`` on the entries.
     """
 
     def entries(template: str, sep: str = ", ") -> str:
@@ -279,20 +253,6 @@ def _rk4_unrolled(size: int):
         "run",
         check=_check_scalars,
     )
-
-
-def array_rhs(f, scalars=complex) -> Rhs:
-    """The float64-vector form of ``f(t, values)``, a right-hand side on a list of Python scalars.
-
-    With ``scalars=complex`` the values are the entries of the vector read
-    as complex128, otherwise its floats.
-    """
-    dtype = np.complex128 if scalars is complex else np.float64
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(f(t, y.view(dtype).tolist()), dtype=dtype).view(np.float64)
-
-    return rhs
 
 
 # Dormand-Prince 4(5) tableau: the nodes of stages 2-7, and one row per stage
@@ -340,6 +300,61 @@ def _dopri_step(f, t: float, h: float, h_coef, stages, y, ks, y5, read, err, sca
     np.dot(h_coef[6], ks, out=err)
     np.divide(err, scale, out=scale)
     return math.sqrt(np.dot(scale, scale) / y5.shape[0]), peak
+
+
+def _dopri(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, max_abs: float, scalars) -> None:
+    """A whole Dormand-Prince 4(5) run on the output grid of step h; see the module docstring.
+
+    It steps one ``(8, N)`` float64 block ``[y, k1, ..., k7]``, made once
+    per run, through ``_dopri_step``: each stage input is one ``np.dot`` of
+    a coefficient row with the rows before it, and f's result goes straight
+    into the stage's own row, so f must not keep a reference to its input
+    past the call.  With ``scalars`` (``complex`` or ``float``) f reads the
+    stage input as a list and its list is written into the row's complex
+    (or float) view.  The pair is FSAL (first same as last): the last stage
+    of an accepted attempt is the first stage of the next, a row copy, so f
+    is called once at t = 0 and then six times per attempt.  Within each
+    output step the attempts run until the step's end is reached; an
+    attempt is accepted when the RMS of its error estimate over
+    ``ATOL + RTOL * max(|y|, |y5|)`` is at most 1, or when its size is at
+    most the floor ``1e-13 * max(1, t_target)`` (t_target is the end of the
+    output step), and the next size is the usual safety-factor rule within
+    0.2x-5x.  A size that falls below the floor raises
+    ``BlowupError`` ("non-finite state encountered" when the error estimate
+    is not finite).
+    """
+    block, coef = np.empty((8, y.shape[0])), np.ones((7, 8))  # coefficient rows: see _dopri_step
+    y5, err, scale = np.empty((3, y.shape[0]))
+    dtype = np.complex128 if scalars is complex else np.float64
+    rows = [k if scalars is None else k.view(dtype) for k in block[1:]]
+    stages = tuple((c, coef[i, : i + 2], block[: i + 2], rows[i + 1]) for i, c in enumerate(_DP_C))
+    read = None if scalars is None else y5.view(dtype).tolist
+    block[0] = y5[:] = y
+    y, ks, h_coef = block[0], block[1:], coef[:, 1:]
+    _store(rows[0], f(0.0, y5 if read is None else read()))
+    h_try = h
+    # a non-finite stage ends in BlowupError below; numpy need not warn about it first
+    with np.errstate(invalid="ignore", over="ignore"):
+        for step in range(1, n_steps + 1):
+            t = (step - 1) * h
+            t_target = step * h
+            while t < t_target - 1e-14 * max(1.0, t_target):
+                hs = min(h_try, t_target - t)
+                err_norm, peak = _dopri_step(f, t, hs, h_coef, stages, y, ks, y5, read, err, scale)
+                if err_norm <= 1.0 or hs <= 1e-13 * max(1.0, t_target):
+                    _check_peak(peak, t, max_abs)
+                    t += hs
+                    y[:] = y5
+                    ks[0] = ks[6]
+                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+                h_try = hs * factor
+                if h_try < 1e-13 * max(1.0, t_target):
+                    if not math.isfinite(err_norm):  # fails error control at every step size
+                        raise BlowupError("non-finite state encountered", t)
+                    raise BlowupError("adaptive step size underflow", t)
+            if step % stride == 0:
+                out[step // stride] = y
+    out[-1] = y
 
 
 def _store(row: np.ndarray, k) -> None:
@@ -410,6 +425,7 @@ def integrate(
     multiples of ``stride * h`` (plus the endpoint).  ``y0`` is a float64
     vector in either state form; ``scalars`` (None, ``complex`` or
     ``float``) selects the form of f, as the module docstring describes.
+    The run itself is one call of the stepper of ``method`` and the form.
     ``rk45`` calls f once at t=0 and then six times per attempted step.
     Deterministic for fixed inputs.
     """
@@ -435,52 +451,11 @@ def integrate(
     sampled[-1] = n_steps
     states = np.empty((rows, y.shape[0]))
     states[0] = y
-    row = 0
-
-    if method == "rk4" and scalars is not None:
+    if method == "rk45":
+        _dopri(f, y, h_eff, n_steps, stride, states, max_abs, scalars)
+    elif scalars is None:
+        _rk4_arrays(f, y, h_eff, n_steps, stride, states, max_abs)
+    else:
         out = states.view(np.complex128) if scalars is complex else states
         _rk4_unrolled(out.shape[1])(f, out[0].tolist(), h_eff, n_steps, stride, out, max_abs)
-    elif method == "rk4":
-        step, check = _rk4_arrays(y.shape[0])
-        for k in range(1, n_steps + 1):
-            t_prev = (k - 1) * h_eff
-            y = step(f, t_prev, y, h_eff)
-            check(y, t_prev, max_abs)
-            if k % stride == 0 or k == n_steps:
-                row += 1
-                states[row] = y
-    else:
-        block, coef = np.empty((8, y.shape[0])), np.ones((7, 8))  # coefficient rows: see _dopri_step
-        y5, err, scale = np.empty((3, y.shape[0]))
-        dtype = np.complex128 if scalars is complex else np.float64
-        rows = [k if scalars is None else k.view(dtype) for k in block[1:]]
-        stages = tuple((c, coef[i, : i + 2], block[: i + 2], rows[i + 1]) for i, c in enumerate(_DP_C))
-        read = None if scalars is None else y5.view(dtype).tolist
-        y, ks, h_coef = block[0], block[1:], coef[:, 1:]
-        y[:] = y5[:] = states[0]
-        _store(rows[0], f(0.0, y5 if read is None else read()))
-        h_try = h_eff
-        # a non-finite stage ends in BlowupError below; numpy need not warn about it first
-        with np.errstate(invalid="ignore", over="ignore"):
-            for k in range(1, n_steps + 1):
-                t = (k - 1) * h_eff
-                t_target = k * h_eff
-                while t < t_target - 1e-14 * max(1.0, t_target):
-                    hs = min(h_try, t_target - t)
-                    err_norm, peak = _dopri_step(f, t, hs, h_coef, stages, y, ks, y5, read, err, scale)
-                    if err_norm <= 1.0 or hs <= 1e-13 * max(1.0, t_target):
-                        _check_peak(peak, t, max_abs)
-                        t += hs
-                        y[:] = y5
-                        ks[0] = ks[6]
-                    factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-                    h_try = hs * factor
-                    if h_try < 1e-13 * max(1.0, t_target):
-                        if not math.isfinite(err_norm):  # fails error control at every step size
-                            raise BlowupError("non-finite state encountered", t)
-                        raise BlowupError("adaptive step size underflow", t)
-                if k % stride == 0 or k == n_steps:
-                    row += 1
-                    states[row] = y
-
     return Trajectory(sampled * h_eff, states)

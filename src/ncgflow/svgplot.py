@@ -27,6 +27,7 @@ _PALETTE = (
     "#e377c2",
 )
 
+_WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 14, 30, 44
 
 
@@ -56,8 +57,6 @@ def line_chart(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 640,
-    height: int = 420,
     equal_aspect: bool = False,
 ) -> None:
     """Write a line chart; ``series`` is a list of (label, xs, ys).
@@ -88,8 +87,8 @@ def line_chart(
     xmin, xmax = _expand(float(x.min()), float(x.max()))
     ymin, ymax = _expand(float(y.min()), float(y.max()))
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
     if equal_aspect:
         x_scale = (xmax - xmin) / plot_w
         y_scale = (ymax - ymin) / plot_h
@@ -102,10 +101,10 @@ def line_chart(
         raise ZeroDivisionError("float division by zero")
 
     # sx(v) = _MARGIN_L + (v - xmin) / (xmax - xmin) * plot_w
-    # sy(v) = height - _MARGIN_B - (v - ymin) / (ymax - ymin) * plot_h
+    # sy(v) = _HEIGHT - _MARGIN_B - (v - ymin) / (ymax - ymin) * plot_h
     pixels = np.empty((x.size, 2))
     pixels[:, 0] = _MARGIN_L + (x - xmin) / (xmax - xmin) * plot_w
-    pixels[:, 1] = height - _MARGIN_B - (y - ymin) / (ymax - ymin) * plot_h
+    pixels[:, 1] = _HEIGHT - _MARGIN_B - (y - ymin) / (ymax - ymin) * plot_h
     coords = pixels.ravel().tolist()
 
     with open(path, "w", encoding="utf-8") as f:
@@ -114,10 +113,10 @@ def line_chart(
             f.write(element + "\n")
 
         emit(
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+            f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
         )
-        emit(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
+        emit(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
         emit(
             f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
             'fill="none" stroke="#444444" stroke-width="1"/>'
@@ -128,17 +127,17 @@ def line_chart(
             xv = xmin + frac * (xmax - xmin)
             yv = ymin + frac * (ymax - ymin)
             px = _MARGIN_L + frac * plot_w
-            py = height - _MARGIN_B - frac * plot_h
+            py = _HEIGHT - _MARGIN_B - frac * plot_h
             emit(
-                f'<line x1="{px:.2f}" y1="{_MARGIN_T}" x2="{px:.2f}" y2="{height - _MARGIN_B}" '
+                f'<line x1="{px:.2f}" y1="{_MARGIN_T}" x2="{px:.2f}" y2="{_HEIGHT - _MARGIN_B}" '
                 'stroke="#dddddd" stroke-width="1"/>'
             )
             emit(
-                f'<line x1="{_MARGIN_L}" y1="{py:.2f}" x2="{width - _MARGIN_R}" y2="{py:.2f}" '
+                f'<line x1="{_MARGIN_L}" y1="{py:.2f}" x2="{_WIDTH - _MARGIN_R}" y2="{py:.2f}" '
                 'stroke="#dddddd" stroke-width="1"/>'
             )
             emit(
-                f'<text x="{px:.2f}" y="{height - _MARGIN_B + 16}" font-size="11" '
+                f'<text x="{px:.2f}" y="{_HEIGHT - _MARGIN_B + 16}" font-size="11" '
                 f'text-anchor="middle" fill="#222222">{_fmt(xv)}</text>'
             )
             emit(
@@ -148,18 +147,18 @@ def line_chart(
 
         if title:
             emit(
-                f'<text x="{width / 2:.0f}" y="18" font-size="13" text-anchor="middle" '
+                f'<text x="{_WIDTH / 2:.0f}" y="18" font-size="13" text-anchor="middle" '
                 f'fill="#000000">{title}</text>'
             )
         if xlabel:
             emit(
-                f'<text x="{width / 2:.0f}" y="{height - 8}" font-size="12" '
+                f'<text x="{_WIDTH / 2:.0f}" y="{_HEIGHT - 8}" font-size="12" '
                 f'text-anchor="middle" fill="#000000">{xlabel}</text>'
             )
         if ylabel:
             emit(
-                f'<text x="14" y="{height / 2:.0f}" font-size="12" text-anchor="middle" '
-                f'transform="rotate(-90 14 {height / 2:.0f})" fill="#000000">{ylabel}</text>'
+                f'<text x="14" y="{_HEIGHT / 2:.0f}" font-size="12" text-anchor="middle" '
+                f'transform="rotate(-90 14 {_HEIGHT / 2:.0f})" fill="#000000">{ylabel}</text>'
             )
 
         for idx, label in enumerate(labels):
@@ -169,7 +168,7 @@ def line_chart(
                 points = _polyline_template(stop - start) % tuple(coords[2 * start : 2 * stop])
                 emit(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.4"/>')
             ly = _MARGIN_T + 14 + 14 * idx
-            lx = width - _MARGIN_R - 150
+            lx = _WIDTH - _MARGIN_R - 150
             emit(
                 f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
                 f'stroke="{color}" stroke-width="2"/>'

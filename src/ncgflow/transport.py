@@ -52,7 +52,7 @@ from .calculus import OneForm, VectorField, apply_vf, left_multiply_form
 from .connection import _m2_system, _zn_site_rates
 # The residual functions stay in this namespace: perfbench/spans.py wraps them here.
 from .connection import braiding_residual, reality_residual  # noqa: F401
-from .flow import Trajectory, array_rhs, integrate, pack_complex
+from .flow import Trajectory, integrate, pack_complex
 
 __all__ = [
     "state_eval",
@@ -187,8 +187,8 @@ def _m2_rates(t: float, y: list) -> list:
 
 
 def m2_coupled_rhs() -> Callable[[float, np.ndarray], np.ndarray]:
-    """Flat RHS for the coupled (K1, K2, m) M2 system."""
-    return array_rhs(_m2_rates)
+    """Flat RHS for the coupled (K1, K2, m) M2 system: ``_m2_rates`` on the packed float64 vector."""
+    return lambda t, y: np.array(_m2_rates(t, y.view(np.complex128).tolist()), dtype=np.complex128).view(np.float64)
 
 
 def _as_complex(value, shape) -> np.ndarray:
@@ -239,15 +239,20 @@ class ZnRun:
     def k_minus_moduli(self) -> np.ndarray:
         return np.abs(self.k_minus)
 
-    def phi_sites(self) -> np.ndarray:
-        """phi(delta_i) = |m(i)|^2 per site."""
+    @cached_property
+    def _phi(self) -> np.ndarray:
+        """|m(i)|^2 per sample and site, evaluated once per run."""
         return np.abs(self.m) ** 2
 
+    def phi_sites(self) -> np.ndarray:
+        """phi(delta_i) = |m(i)|^2 per site: the run's one array, which callers must not write into."""
+        return self._phi
+
     def phi_cumulative(self) -> np.ndarray:
-        return np.cumsum(self.phi_sites(), axis=1)
+        return np.cumsum(self._phi, axis=1)
 
     def phi_one(self) -> np.ndarray:
-        return self.phi_sites().sum(axis=1)
+        return self._phi.sum(axis=1)
 
 
 @dataclass(frozen=True)

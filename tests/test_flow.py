@@ -16,21 +16,18 @@ from ncgflow import (
     m2_rhs,
     pack_complex,
     rk4_step,
-    split_complex,
     zn_rhs,
 )
 from ncgflow import classical, connection, flow, transport
 from oracles import dopri_attempt_oracle, m2_flow_oracle, zn3_flow_oracle
 
 
-def test_pack_split_roundtrip():
+def test_pack_complex_interleaves_the_inputs_in_order():
     a = np.array([1 + 2j, 3 - 4j])
     b = np.array([5j])
     y = pack_complex(a, b)
     assert y.dtype == np.float64 and y.shape == (6,)
-    ra, rb = split_complex(y, (2, 1))
-    np.testing.assert_allclose(ra, a)
-    np.testing.assert_allclose(rb, b)
+    assert y.view(np.complex128).tolist() == [1 + 2j, 3 - 4j, 5j]
 
 
 def test_zn_rhs_constant_field_stationary():
@@ -452,14 +449,18 @@ _STEP_RHSS = {
 @pytest.mark.parametrize("name", sorted(_STEP_RHSS))
 def test_buffered_rk4_equals_rk4_step_bit_for_bit(name):
     f = _STEP_RHSS[name]
-    y = _zn_state(12, seed=9)
-    step, _ = flow._rk4_arrays(y.shape[0])
-    for h in (1e-3, 0.1, -0.05, 1e-3):  # repeated steps reuse the buffers
-        want = rk4_step(f, 0.25, y, h)
-        got = step(f, 0.25, y, h)
-        assert got.tobytes() == want.tobytes()
-        assert got is not y
-        y = got
+    y0 = _zn_state(12, seed=9)
+    n_steps = 4  # repeated steps reuse the buffers
+    for h in (1e-3, 0.1, -0.05):
+        y, want = y0, [y0]
+        for k in range(1, n_steps + 1):
+            y = rk4_step(f, (k - 1) * h, y, h)
+            want.append(y)
+        out = np.zeros((n_steps + 1, y0.shape[0]))
+        out[0] = y0
+        flow._rk4_arrays(f, y0, h, n_steps, 1, out, math.inf)
+        assert out.tobytes() == np.array(want).tobytes()
+        assert y0.tobytes() == _zn_state(12, seed=9).tobytes()  # the run does not write into its input
 
 
 @pytest.mark.parametrize("name", sorted(_STEP_RHSS))
@@ -471,3 +472,22 @@ def test_array_rk4_run_equals_a_loop_of_rk4_step(name):
         y = rk4_step(f, (k - 1) * 1e-3, y, 1e-3)
         if k % 10 == 0:
             assert traj.states[k // 10].tobytes() == y.tobytes(), k
+
+
+_FORMS = {  # a right-hand side and its initial state in each form
+    None: (transport.m2_coupled_rhs(), None),
+    complex: (transport._m2_rates, None),
+    float: (lambda t, y: [0.5 * y[i - 1] - v * t for i, v in enumerate(y)], np.array([1.0, -0.5, 0.25])),
+}
+
+
+@pytest.mark.parametrize("scalars", [None, complex, float], ids=["arrays", "complex", "float"])
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_every_stepper_samples_every_stride_th_state_and_the_last(method, scalars, fig2_data):
+    f, y0 = _FORMS[scalars]
+    y0 = _fig2_state(fig2_data) if y0 is None else y0
+    every = integrate(f, y0, 0.5, h=0.01, stride=1, method=method, scalars=scalars)
+    sampled = integrate(f, y0, 0.5, h=0.01, stride=7, method=method, scalars=scalars)
+    steps = [*range(0, 50, 7), 50]  # 50 steps: the last is not a multiple of 7
+    assert sampled.states.tobytes() == every.states[steps].tobytes()
+    assert sampled.times.tobytes() == every.times[steps].tobytes()

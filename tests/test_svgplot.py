@@ -62,7 +62,7 @@ def test_line_chart_matches_reference_with_equal_aspect(tmp_path):
     circle = np.linspace(0.0, 2.0 * np.pi, 257)
     path = np.column_stack([0.3 * np.cos(3 * circle[:40]), 0.1 * np.sin(circle[:40])])
     series = [("path", path[:, 0], path[:, 1]), ("circle", 0.5 * np.cos(circle), 0.5 * np.sin(circle))]
-    _same_bytes(tmp_path, series, equal_aspect=True, width=500, height=300)
+    _same_bytes(tmp_path, series, equal_aspect=True)
 
 
 def test_line_chart_raises_before_writing(tmp_path):

@@ -21,6 +21,7 @@ from ncgflow import (
     zn_transport_rhs,
 )
 from ncgflow import transport
+from ncgflow.cli import main
 from ncgflow.connection import _zn_site_rates, _zn_system
 from ncgflow.transport import _real_state_value
 from oracles import m2_transport_oracle, zn3_transport_oracle, zn_sites_oracle, zn_transport_oracle
@@ -212,6 +213,31 @@ def test_zn_run_series_match_element_api(admissible):
                                rtol=0, atol=1e-14)
     sites = [[state_eval(m, ZnElement.delta(run.n, i)).real for i in range(run.n)] for m in ms]
     np.testing.assert_allclose(run.phi_sites(), sites, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(run.phi_cumulative(), np.cumsum(sites, axis=1), rtol=0, atol=1e-14)
+
+
+def test_a_zn_run_evaluates_m_squared_once(tmp_path, monkeypatch):
+    """paper-fig1 takes |m| once on its initial-data check and once on its run, not once per state series."""
+    blocks, calls = [], []
+    decode = transport.ZnRun.of.__func__
+
+    def recording(cls, traj):
+        run = decode(cls, traj)
+        blocks.append(run.m)
+        return run
+
+    class CountingNumpy:  # numpy as transport sees it, counting np.abs on the m block of a decoded run
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def abs(self, x, *args, **kwargs):
+            calls.extend(m.shape for m in blocks if x is m)
+            return np.abs(x, *args, **kwargs)
+
+    monkeypatch.setattr(transport.ZnRun, "of", classmethod(recording))
+    monkeypatch.setattr(transport, "np", CountingNumpy())
+    assert main(["run", "--preset", "paper-fig1", "--out", str(tmp_path)]) == 0
+    assert calls == [(1, 3), (1001, 3)]
 
 
 @pytest.mark.parametrize("admissible", [True, False])

@@ -1,0 +1,102 @@
+"""Run a fixed list of ``ncgflow`` invocations in this checkout and in another one, and compare their outputs.
+
+Every output file, the stdout and the stderr (with the run's output
+directory written as ``OUT``) and the exit status must match byte for
+byte.  Run from anywhere::
+
+    python tools/same_outputs.py OTHER_CHECKOUT
+
+Each invocation runs in its own ``python -m ncgflow`` process with that
+checkout's ``src`` on ``PYTHONPATH``.  The list is:
+
+* the runs pinned by ``tests/test_golden.py`` (its ``GOLDENS`` table);
+* the zn4096 and zn64 configs of the benchmark's ``zn-large`` workload;
+* the twelve configs of its ``sweep-ensemble`` workload, each run on its
+  own, and all of them as one ``sweep --jobs 2``.
+
+The benchmark configs are generated once, at a fixed seed, by
+``perfbench/workloads.py`` (imported, never written), so both checkouts read
+the same JSON files.  Each difference is printed; the exit status is 1 if
+there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEED = 101
+
+
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
+    """``(name, argv without --out)`` of every run to compare; benchmark configs are written under ``workdir``."""
+    sys.dont_write_bytecode = True  # leave no cache files in the checkout
+    workloads = _load(ROOT / "perfbench" / "workloads.py", "_workloads")
+    cli = workloads.import_ncgflow(ROOT)  # before the golden table, which imports ncgflow too
+    golden = _load(ROOT / "tests" / "test_golden.py", "_golden")
+    runs = [(f"golden-{data.split('.')[0]}-{name}", ["run", *args])  # as test_golden runs them
+            for data, table in golden.GOLDENS.items() for name, args in table.items()]
+    for workload in ("zn-large", "sweep-ensemble"):
+        built = workloads.build(cli, workload, SEED, workdir / workload)
+        runs += [(f"{workload}-{case.name}", list(case.argv)) for case in built.cases + built.singles]
+    return runs
+
+
+def run_all(checkout: Path, runs: list, dest: Path) -> None:
+    """Run every invocation on ``checkout``'s sources; ``dest/<name>`` gets ``out/``, the two streams and ``exit``."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    for name, argv in runs:
+        out = dest / name / "out"
+        out.parent.mkdir(parents=True)
+        done = subprocess.run([sys.executable, "-m", "ncgflow", *argv, "--out", str(out)],
+                              cwd=dest, env=env, capture_output=True, text=True)
+        for stream in ("stdout", "stderr"):
+            (dest / name / stream).write_text(getattr(done, stream).replace(str(out), "OUT"), encoding="utf-8")
+        (dest / name / "exit").write_text(f"{done.returncode}\n", encoding="utf-8")
+
+
+def compare_trees(a: Path, b: Path) -> list[str]:
+    """The differences between the file trees under ``a`` and ``b``: files in one only, files whose bytes differ."""
+    files = {side: {p.relative_to(side) for p in side.rglob("*") if p.is_file()} for side in (a, b)}
+    problems = [f"only in {side.name}: {rel}" for side, other in ((a, b), (b, a))
+                for rel in sorted(files[side] - files[other])]
+    for rel in sorted(files[a] & files[b]):
+        if (a / rel).read_bytes() != (b / rel).read_bytes():
+            problems.append(f"differs: {rel}")
+    return problems
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not (Path(argv[1]) / "src" / "ncgflow").is_dir():
+        print(f"usage: {Path(argv[0]).name} OTHER_CHECKOUT (a directory holding src/ncgflow)", file=sys.stderr)
+        return 2
+    other = Path(argv[1]).resolve()
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        tmp = Path(tmp)
+        runs = invocations(tmp / "configs")
+        sides = {"this": ROOT, "other": other}
+        for side, checkout in sides.items():
+            (tmp / side).mkdir()
+            run_all(checkout, runs, tmp / side)
+        problems = compare_trees(tmp / "this", tmp / "other")
+        failed = sum((tmp / "this" / name / "exit").read_text() != "0\n" for name, _ in runs)
+    for problem in problems:
+        print(problem)
+    print(f"{len(runs)} runs of {ROOT} and {other} ({failed} exited non-zero here): {len(problems)} differences")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
