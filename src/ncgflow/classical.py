@@ -242,7 +242,6 @@ def burgers_rhs(field: GridField, gamma: Optional[Callable[[np.ndarray], np.ndar
 class BurgersRun:
     times: np.ndarray
     values: np.ndarray  # (T, n)
-    stencil: int
 
     @property
     def x(self) -> np.ndarray:
@@ -262,7 +261,7 @@ def integrate_burgers(
     stencil, dx, gamma_values = field.stencil, field.dx, _gamma_values(gamma, field)
     traj = integrate(lambda t, y: _burgers_rate(y, dx, stencil, gamma_values), field.values, t_end,
                      h=h, stride=stride, method=method)
-    return BurgersRun(traj.times, traj.states, stencil)
+    return BurgersRun(traj.times, traj.states)
 
 
 def pullback_geodesic_check(times, samples, provider: ChristoffelProvider) -> float:

@@ -28,15 +28,18 @@ time grid and the sample block, preallocated from the step count and the
 stride, and hands the whole run to one stepper: ``_rk4_arrays`` (rk4 on
 arrays), the run that ``_rk4_unrolled`` compiles per state length (rk4 on
 scalars) or ``_dopri`` (rk45, either form).  Each stepper takes
-``(f, y, h, n_steps, stride, out, max_abs)``, ``_dopri`` the state form
-too, and owns its loop: from t = 0 it takes ``n_steps`` steps of h (rk45
+``(f, y, h, n_steps, stride, out)``, ``_dopri`` the state form too,
+and owns its loop: from t = 0 it takes ``n_steps`` steps of h (rk45
 lands on the same grid with adaptive substeps), checks every accepted
 state, writes the state after step k into row ``k // stride`` of ``out``
 when ``stride`` divides k and the final state into the last row; row 0
 holds the initial state already.  The default method is fixed-step
 classical RK4; ``method="rk45"`` is an adaptive Dormand-Prince 4(5) pair.
+rk45 lands on every grid step, sampled or not, so no attempt is longer
+than h; on the scenario defaults at h = 1e-3 every attempt is one whole
+grid step and is accepted, so there the step controller never acts.
 Every stepper aborts with :class:`BlowupError` when an accepted state
-leaves the finite ball ``|entry| <= max_abs``, naming the start of the
+leaves the finite ball ``|entry| <= MAX_ABS``, naming the start of the
 step as the last good time.  A run may take at most ``MAX_STEPS`` steps.
 """
 
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,6 +54,7 @@ import numpy as np
 
 __all__ = [
     "MAX_STEPS",
+    "MAX_ABS",
     "RTOL",
     "ATOL",
     "MAX_SAMPLE_VALUES",
@@ -68,6 +71,7 @@ __all__ = [
 Rhs = Callable[[float, np.ndarray], np.ndarray]
 
 MAX_STEPS = 10**8  # bounds the time of any accepted run
+MAX_ABS = 1e9  # an accepted state has every float entry within [-MAX_ABS, MAX_ABS]
 RTOL = ATOL = 1e-9  # rk45 error tolerances, relative and absolute
 # Bounds the memory of an accepted config: floats in its (samples, state columns)
 # block, 1 GiB of float64.  It admits a MAX_GRID burgers run at the default stride.
@@ -116,7 +120,7 @@ def rk4_step(f: Rhs, t: float, y, h: float):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, max_abs: float) -> None:
+def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray) -> None:
     """A whole rk4 run on a float64 vector ``y``, with reused buffers; see the module docstring.
 
     Each stage f returns must hold as many entries as ``y`` (ValueError
@@ -161,7 +165,7 @@ def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.n
         np.add(acc, k, out=acc)
         np.multiply(h / 6.0, acc, out=acc)
         y = y + acc
-        _check_state(y, t, max_abs, scratch=acc)
+        _check_state(y, t, scratch=acc)
         if step % stride == 0:
             out[step // stride] = y
     out[-1] = y
@@ -210,14 +214,14 @@ class _Expr:
 
 @functools.lru_cache(maxsize=16)
 def _rk4_unrolled(size: int):
-    """A whole rk4 run on ``size`` Python scalars: ``run(f, y, h, n_steps, stride, out, max_abs)``.
+    """A whole rk4 run on ``size`` Python scalars: ``run(f, y, h, n_steps, stride, out)``.
 
     ``rk4_step`` unrolled entry by entry, in its association, inside one
     loop over the steps; each entry stays in a local from step to step,
     and every stage is unpacked into one local per entry, so f must return
     ``size`` entries (ValueError otherwise).  Each new state passes at
-    once when every entry has ``abs(entry) <= min(max_abs, float max)``
-    (|z| bounds both parts of z); otherwise, or when |z| of a complex entry
+    once when every entry has ``abs(entry) <= MAX_ABS`` (|z| bounds both
+    parts of z); otherwise, or when |z| of a complex entry
     overflows, ``_check_scalars`` applies the exact rule, which raises
     ``BlowupError`` with the start of the step as the last good time.
     ``out`` (``sample_count(n_steps, stride)`` rows) is written by the
@@ -229,10 +233,9 @@ def _rk4_unrolled(size: int):
         return sep.join(template.format(i=i) for i in range(size))
 
     return _compile(
-        f"def run(f, y, h, n_steps, stride, out, max_abs):\n"
+        f"def run(f, y, h, n_steps, stride, out):\n"
         f"    half = 0.5 * h\n"
         f"    sixth = h / 6.0\n"
-        f"    bound = min(max_abs, {sys.float_info.max!r})\n"
         f"    {entries('y{i}')}, = y\n"
         f"    for k in range(1, n_steps + 1):\n"
         f"        t = (k - 1) * h\n"
@@ -243,10 +246,10 @@ def _rk4_unrolled(size: int):
         f"        y = [{entries('y{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')}]\n"
         f"        {entries('y{i}')}, = y\n"
         f"        try:\n"
-        f"            if not ({entries('abs(y{i}) <= bound', ' and ')}):\n"
-        f"                check(y, t, max_abs)\n"
+        f"            if not ({entries(f'abs(y{{i}}) <= {MAX_ABS!r}', ' and ')}):\n"
+        f"                check(y, t)\n"
         f"        except OverflowError:\n"
-        f"            check(y, t, max_abs)\n"
+        f"            check(y, t)\n"
         f"        if k % stride == 0:\n"
         f"            out[k // stride] = y\n"
         f"    out[-1] = y\n",
@@ -302,7 +305,7 @@ def _dopri_step(f, t: float, h: float, h_coef, stages, y, ks, y5, read, err, sca
     return math.sqrt(np.dot(scale, scale) / y5.shape[0]), peak
 
 
-def _dopri(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, max_abs: float, scalars) -> None:
+def _dopri(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, scalars) -> None:
     """A whole Dormand-Prince 4(5) run on the output grid of step h; see the module docstring.
 
     It steps one ``(8, N)`` float64 block ``[y, k1, ..., k7]``, made once
@@ -319,7 +322,8 @@ def _dopri(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarra
     ``ATOL + RTOL * max(|y|, |y5|)`` is at most 1, or when its size is at
     most the floor ``1e-13 * max(1, t_target)`` (t_target is the end of the
     output step), and the next size is the usual safety-factor rule within
-    0.2x-5x.  A size that falls below the floor raises
+    0.2x-5x, cut to the rest of the output step, so no attempt is longer
+    than h.  A size that falls below the floor raises
     ``BlowupError`` ("non-finite state encountered" when the error estimate
     is not finite).
     """
@@ -342,7 +346,7 @@ def _dopri(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarra
                 hs = min(h_try, t_target - t)
                 err_norm, peak = _dopri_step(f, t, hs, h_coef, stages, y, ks, y5, read, err, scale)
                 if err_norm <= 1.0 or hs <= 1e-13 * max(1.0, t_target):
-                    _check_peak(peak, t, max_abs)
+                    _check_peak(peak, t)
                     t += hs
                     y[:] = y5
                     ks[0] = ks[6]
@@ -390,21 +394,21 @@ def sample_count(n_steps: int, stride: int) -> int:
     return n_steps // stride + 1 + (1 if n_steps % stride else 0)
 
 
-def _check_state(y: np.ndarray, t_good: float, max_abs: float, scratch=None) -> None:
-    _check_peak(np.abs(y, out=scratch).max(), t_good, max_abs)
+def _check_state(y: np.ndarray, t_good: float, scratch=None) -> None:
+    _check_peak(np.abs(y, out=scratch).max(), t_good)
 
 
-def _check_peak(peak: float, t_good: float, max_abs: float) -> None:
+def _check_peak(peak: float, t_good: float) -> None:
     """The state rule on the peak ``max |entry|`` of a state, nan or inf if any entry is."""
     if not math.isfinite(peak):
         raise BlowupError("non-finite state encountered", t_good)
-    if peak > max_abs:
-        raise BlowupError(f"state magnitude exceeded {max_abs:g}", t_good)
+    if peak > MAX_ABS:
+        raise BlowupError(f"state magnitude exceeded {MAX_ABS:g}", t_good)
 
 
-def _check_scalars(y: list, t_good: float, max_abs: float) -> None:
+def _check_scalars(y: list, t_good: float) -> None:
     """``_check_state`` on a list of Python floats or complex numbers, part by part."""
-    _check_state(np.array([(z.real, z.imag) for z in y]), t_good, max_abs)
+    _check_state(np.array([(z.real, z.imag) for z in y]), t_good)
 
 
 def integrate(
@@ -415,7 +419,6 @@ def integrate(
     h: float = 1e-3,
     stride: int = 1,
     method: str = "rk4",
-    max_abs: float = 1e9,
     scalars=None,
 ) -> Trajectory:
     """Integrate ``dy/dt = f(t, y)`` from t=0, sampling every ``stride`` steps.
@@ -445,17 +448,17 @@ def integrate(
         raise ValueError(f"a scalar-form state holds at most {MAX_SCALAR_STATE} floats, not {y.shape[0]}")
     h_eff = t_end / n_steps
 
-    _check_state(y, 0.0, max_abs)
+    _check_state(y, 0.0)
     rows = sample_count(n_steps, stride)
     sampled = np.arange(rows, dtype=np.int64) * min(stride, n_steps)
     sampled[-1] = n_steps
     states = np.empty((rows, y.shape[0]))
     states[0] = y
     if method == "rk45":
-        _dopri(f, y, h_eff, n_steps, stride, states, max_abs, scalars)
+        _dopri(f, y, h_eff, n_steps, stride, states, scalars)
     elif scalars is None:
-        _rk4_arrays(f, y, h_eff, n_steps, stride, states, max_abs)
+        _rk4_arrays(f, y, h_eff, n_steps, stride, states)
     else:
         out = states.view(np.complex128) if scalars is complex else states
-        _rk4_unrolled(out.shape[1])(f, out[0].tolist(), h_eff, n_steps, stride, out, max_abs)
+        _rk4_unrolled(out.shape[1])(f, out[0].tolist(), h_eff, n_steps, stride, out)
     return Trajectory(sampled * h_eff, states)

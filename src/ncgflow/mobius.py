@@ -35,7 +35,10 @@ __all__ = [
     "integrate_riccati",
     "RowRun",
     "run_row",
+    "METRIC_TOL",
 ]
+
+METRIC_TOL = 1e-12  # how far Q0 + conj(Q0) and Q2 + conj(Q1) may be from 0 in a metric-preserving row
 
 
 @dataclass(frozen=True)
@@ -114,10 +117,10 @@ def mobius_exact(z0, q1: complex, q2: complex, t: float) -> SpherePoint:
     return mobius_apply(flow_matrix(q1, q2, t), z0)
 
 
-def metric_preservation_check(q0: complex, q1: complex, q2: complex, tol: float = 1e-12) -> bool:
-    """True iff Q0 is anti-Hermitian and Q2 = -conj(Q1), so |lam|^2+|mu|^2 is conserved."""
+def metric_preservation_check(q0: complex, q1: complex, q2: complex) -> bool:
+    """True iff Q0 is anti-Hermitian and Q2 = -conj(Q1) to ``METRIC_TOL``, so |lam|^2+|mu|^2 is conserved."""
     q0, q1, q2 = complex(q0), complex(q1), complex(q2)
-    return abs(q0.conjugate() + q0) <= tol and abs(q2 + q1.conjugate()) <= tol
+    return abs(q0.conjugate() + q0) <= METRIC_TOL and abs(q2 + q1.conjugate()) <= METRIC_TOL
 
 
 def integrate_riccati(

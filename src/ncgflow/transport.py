@@ -192,8 +192,7 @@ def m2_coupled_rhs() -> Callable[[float, np.ndarray], np.ndarray]:
 
 
 def _as_complex(value, shape) -> np.ndarray:
-    arr = np.asarray(getattr(value, "samples", getattr(value, "entries", value)), dtype=np.complex128)
-    return arr.reshape(shape)
+    return np.asarray(value, dtype=np.complex128).reshape(shape)
 
 
 def pack_zn_state(k_plus, k_minus, m) -> np.ndarray:

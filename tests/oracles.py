@@ -12,7 +12,9 @@ iteration.  ``line_chart_oracle`` is the per-point SVG writer that
 published tableau in exact fractions, stage by stage.  ``zn_sites_oracle``
 is the site-by-site Z_n form that ``connection._zn_site_rates`` compiled
 away, kept verbatim (it calls the package's four site equations once per
-site) as the byte reference of the compiled kernel.
+site) as the byte reference of the compiled kernel.  ``m2_kflow_oracle``
+and ``zn2_transport_oracle`` are closed forms, through scipy's ``expm``, of
+the M2 K-flow and of the Z_2 transport, for any initial data.
 """
 
 import math
@@ -87,6 +89,31 @@ def m2_flow_oracle(K1, K2):
         ]
     )
     return dK1, dK2
+
+
+def m2_kflow_oracle(K1, K2, t):
+    """``K_i(t) = U^-1 K_i(0) U`` with ``U = expm(tG)`` and ``G = [[0, tr K1], [tr K2, 0]] / 2``, for any data.
+
+    The scalar diagonal of B drops out of ``[K_i, B]``, and its off-diagonal
+    entries tr K1 / 2 and tr K2 / 2 are conserved, so each K_i is conjugated
+    by the flow of the constant matrix G.
+    """
+    K1, K2 = np.asarray(K1, dtype=complex), np.asarray(K2, dtype=complex)
+    U = scipy.linalg.expm(t * 0.5 * np.array([[0, np.trace(K1)], [np.trace(K2), 0]]))
+    return np.linalg.solve(U, K1 @ U), np.linalg.solve(U, K2 @ U)
+
+
+def zn2_transport_oracle(kp, km, m, t):
+    """``m(t) = expm(tC) m(0)`` on Z_2, with ``C = [[-beta, K_+(0) + K_-(0)], [K_+(1) + K_-(1), -beta]]``.
+
+    At n = 2 both neighbours of a site are the other site, so both sites have
+    ``beta = (K_+(0) + K_+(1) + K_-(0) + K_-(1)) / 2``, the K-flow
+    ``dK_+(i) = K_+(i) (beta(i - 1) - beta(i))`` is static and the transport
+    ``dm(i) = K_+(i) m(i - 1) + K_-(i) m(i + 1) - beta m(i)`` has constant coefficients.
+    """
+    kp, km, m = (np.asarray(a, dtype=complex) for a in (kp, km, m))
+    beta = (kp[0] + kp[1] + km[0] + km[1]) / 2
+    return scipy.linalg.expm(t * np.array([[-beta, kp[0] + km[0]], [kp[1] + km[1], -beta]])) @ m
 
 
 def m2_transport_oracle(K1, K2, M):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from ncgflow import classical
+from ncgflow import algebra, classical
 from ncgflow import (
     GridField,
     burgers_rhs,
@@ -160,6 +160,17 @@ def test_integrate_burgers_steps_burgers_rhs():
     run = integrate_burgers(field, gamma, t_end=0.05, h=1e-3, stride=10)
     ref = integrate(lambda t, y: burgers_rhs(GridField(y, field.stencil), gamma), field.values, 0.05, h=1e-3, stride=10)
     assert run.values.tobytes() == ref.states.tobytes()
+
+
+def test_the_shift_index_cache_stays_at_its_bound():
+    cache = algebra._shift_indices
+    for n in (16, 32, 48, 64, 80):  # 4 keys a run: (n, +-1) and (n, +-2)
+        integrate_burgers(sine_field(n), t_end=0.01, h=1e-3)
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize == 4
+    assert info.currsize == info.maxsize
+    integrate_burgers(sine_field(80), t_end=0.01, h=1e-3)
+    assert cache.cache_info().misses == info.misses  # the last run's gathers are the cached ones
 
 
 def test_burgers_rhs_constant_field():

@@ -1,7 +1,6 @@
 import cmath
 import io
 import math
-import sys
 import tokenize
 
 import numpy as np
@@ -121,61 +120,57 @@ def _nan_from(t0, value):
     return lambda t, y: np.full_like(y, value) if t >= t0 else -y
 
 
-# (method, rhs, y0, t_end, h, max_abs, message, last_good_time); the last
-# good time is the start of the step that failed.
-_BLOWUPS = [
-    ("rk4", _nan_from(0.25, np.nan), [1.0, 2.0], 1.0, 1e-3, 1e9, "non-finite state", 0.249),
-    ("rk4", _nan_from(0.25, np.inf), [1.0, 2.0], 1.0, 1e-3, 1e9, "non-finite state", 0.249),
-    ("rk4", _nan_from(0.25, np.inf), [1.0, 2.0], 1.0, 1e-3, math.inf, "non-finite state", 0.249),
-    ("rk4", lambda t, y: -y, [1.0, np.nan], 1.0, 1e-3, 1e9, "non-finite state", 0.0),
-    ("rk4", lambda t, y: -y, [np.inf, 1.0], 1.0, 1e-3, 1e9, "non-finite state", 0.0),
-    ("rk4", lambda t, y: y, [1.0, -0.5], 5.0, 1e-3, 10.0, "state magnitude exceeded 10", 2.302),
-    ("rk4", lambda t, y: -y, [1.0, 20.0], 1.0, 1e-3, 10.0, "state magnitude exceeded 10", 0.0),
-    ("rk45", lambda t, y: -y, [1.0, np.nan], 1.0, 1e-3, 1e9, "non-finite state", 0.0),
-    ("rk45", lambda t, y: -y, [np.inf, 1.0], 1.0, 1e-3, 1e9, "non-finite state", 0.0),
+# id: (method, rhs, y0, t_end, h, message, last_good_time); the last good
+# time is the start of the step that failed, and the bound is flow.MAX_ABS = 1e9.
+_BLOWUPS = {
+    "rk4-0": ("rk4", _nan_from(0.25, np.nan), [1.0, 2.0], 1.0, 1e-3, "non-finite state", 0.249),
+    "rk4-1": ("rk4", _nan_from(0.25, np.inf), [1.0, 2.0], 1.0, 1e-3, "non-finite state", 0.249),
+    "rk4-3": ("rk4", lambda t, y: -y, [1.0, np.nan], 1.0, 1e-3, "non-finite state", 0.0),
+    "rk4-4": ("rk4", lambda t, y: -y, [np.inf, 1.0], 1.0, 1e-3, "non-finite state", 0.0),
+    "rk4-5": ("rk4", lambda t, y: y, [1e8, -0.5e8], 5.0, 1e-3, "state magnitude exceeded 1e+09", 2.302),
+    "rk4-6": ("rk4", lambda t, y: -y, [1.0, 2e9], 1.0, 1e-3, "state magnitude exceeded 1e+09", 0.0),
+    "rk45-7": ("rk45", lambda t, y: -y, [1.0, np.nan], 1.0, 1e-3, "non-finite state", 0.0),
+    "rk45-8": ("rk45", lambda t, y: -y, [np.inf, 1.0], 1.0, 1e-3, "non-finite state", 0.0),
     # a step at the 1e-13 floor is accepted whatever its error estimate
-    ("rk45", _nan_from(0.0, np.nan), [1.0], 5e-14, 5e-14, 1e9, "non-finite state", 0.0),
-    ("rk45", _nan_from(0.0, np.inf), [1.0], 5e-14, 5e-14, 1e9, "non-finite state", 0.0),
-    ("rk45", lambda t, y: y, [1.0, -0.5], 5.0, 1e-3, 10.0, "state magnitude exceeded 10", 2.302),
-    ("rk45", lambda t, y: -y, [1.0, 20.0], 1.0, 1e-3, 10.0, "state magnitude exceeded 10", 0.0),
-    ("rk45", lambda t, y: y * y, [2.0], 1.0, 1e-3, 1e9, "state magnitude exceeded 1e+09", 0.49999999896698627),
+    "rk45-9": ("rk45", _nan_from(0.0, np.nan), [1.0], 5e-14, 5e-14, "non-finite state", 0.0),
+    "rk45-10": ("rk45", _nan_from(0.0, np.inf), [1.0], 5e-14, 5e-14, "non-finite state", 0.0),
+    "rk45-11": ("rk45", lambda t, y: y, [1e8, -0.5e8], 5.0, 1e-3, "state magnitude exceeded 1e+09", 2.302),
+    "rk45-12": ("rk45", lambda t, y: -y, [1.0, 2e9], 1.0, 1e-3, "state magnitude exceeded 1e+09", 0.0),
+    "rk45-13": ("rk45", lambda t, y: y * y, [2.0], 1.0, 1e-3, "state magnitude exceeded 1e+09", 0.49999999896698627),
     # a non-finite trial step fails error control until the step underflows; the cause is named
-    ("rk45", _nan_from(0.25, np.nan), [1.0, 2.0], 1.0, 1e-3, 1e9, "non-finite state",
-     0.24999999999950268),
-]
+    "rk45-14": ("rk45", _nan_from(0.25, np.nan), [1.0, 2.0], 1.0, 1e-3, "non-finite state", 0.24999999999950268),
+}
 
 
-@pytest.mark.parametrize("method, f, y0, t_end, h, max_abs, message, last_good", _BLOWUPS,
-                         ids=[f"{case[0]}-{i}" for i, case in enumerate(_BLOWUPS)])
-def test_blowup_message_and_last_good_time(method, f, y0, t_end, h, max_abs, message, last_good):
+@pytest.mark.parametrize("method, f, y0, t_end, h, message, last_good", _BLOWUPS.values(), ids=_BLOWUPS.keys())
+def test_blowup_message_and_last_good_time(method, f, y0, t_end, h, message, last_good):
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(BlowupError) as excinfo:
-        integrate(f, np.array(y0), t_end, h=h, method=method, max_abs=max_abs)
+        integrate(f, np.array(y0), t_end, h=h, method=method)
     assert str(excinfo.value).startswith(message)
     assert excinfo.value.last_good_time == pytest.approx(last_good, rel=0, abs=1e-15)
 
 
-@pytest.mark.parametrize("method, f, y0, t_end, h, max_abs, message, last_good", _BLOWUPS,
-                         ids=[f"{case[0]}-{i}" for i, case in enumerate(_BLOWUPS)])
-def test_blowup_message_and_last_good_time_on_scalars(method, f, y0, t_end, h, max_abs, message, last_good):
+@pytest.mark.parametrize("method, f, y0, t_end, h, message, last_good", _BLOWUPS.values(), ids=_BLOWUPS.keys())
+def test_blowup_message_and_last_good_time_on_scalars(method, f, y0, t_end, h, message, last_good):
     def on_floats(t, y):  # the same right-hand side on a list of Python floats
         return f(t, np.array(y)).tolist()
 
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(BlowupError) as excinfo:
-        integrate(on_floats, np.array(y0), t_end, h=h, method=method, max_abs=max_abs, scalars=float)
+        integrate(on_floats, np.array(y0), t_end, h=h, method=method, scalars=float)
     assert str(excinfo.value).startswith(message)
     assert excinfo.value.last_good_time == pytest.approx(last_good, rel=0, abs=1e-15)
 
 
-@pytest.mark.parametrize("z, max_abs", [
-    (1e308 + 1e308j, math.inf),  # |z| overflows, the parts do not
-    (8.0 + 8.0j, 10.0),  # |z| > 10 >= each part
-    (11.0 + 0.0j, 10.0),
-    (complex(0.0, math.inf), math.inf),
-    (complex(-math.inf, 1.0), 1e9),
-    (complex(1.0, math.nan), 1e9),
-    (complex(math.nan, math.inf), math.inf),
-])
-def test_scalar_check_applies_the_rule_to_each_part(z, max_abs):
+@pytest.mark.parametrize("z", [
+    1e308 + 1e308j,  # |z| overflows, the parts do not
+    8e8 + 8e8j,  # |z| > 1e9 >= each part
+    1.1e9 + 0j,
+    complex(0.0, math.inf),
+    complex(-math.inf, 1.0),
+    complex(1.0, math.nan),
+    complex(math.nan, math.inf),
+], ids=lambda z: f"{z}-{flow.MAX_ABS}")  # the entry and the bound
+def test_scalar_check_applies_the_rule_to_each_part(z):
     # h = 6, so the rk4 weight h / 6 is 1 and the last stage of step 3 puts z into the state
     f = lambda t, y: [0j, z if t == 18.0 else 0j]
     y0 = np.array([0.5 + 0.5j, 0j]).view(np.float64)
@@ -186,8 +181,8 @@ def test_scalar_check_applies_the_rule_to_each_part(z, max_abs):
     state = np.array(y.tolist()).view(np.float64)
     assert state[2:].tolist() == [z.real, z.imag] or not cmath.isfinite(z)
     outcomes = []
-    for run in (lambda: flow._check_state(state, 12.0, max_abs),
-                lambda: integrate(f, y0, 18.0, h=6.0, max_abs=max_abs, scalars=complex).states[-1]):
+    for run in (lambda: flow._check_state(state, 12.0),
+                lambda: integrate(f, y0, 18.0, h=6.0, scalars=complex).states[-1]):
         try:
             outcomes.append(run())
         except BlowupError as exc:
@@ -386,7 +381,7 @@ def test_unrolled_rk4_equals_rk4_step_bit_for_bit(name, scalars, size):
             assert all(type(v) is scalars for v in want[-1])
             out = np.zeros((flow.sample_count(n_steps, stride), size), dtype=scalars)
             out[0] = y0
-            run(f, y0.tolist(), h, n_steps, stride, out, math.inf)
+            run(f, y0.tolist(), h, n_steps, stride, out)
             assert out.tobytes() == np.array(want, dtype=scalars).tobytes()
 
 
@@ -406,8 +401,8 @@ def test_compiled_sources_hold_only_indices_and_fixed_constants(monkeypatch):
         connection._zn_site_rates.__wrapped__(n)
     for provider in (classical.round_sphere(), classical.flat_space(3)):
         classical._geodesic_rates.__wrapped__(provider.dim, provider.triples)
-    # the rk4 weights and the float bound of the state check, beta's 1/2, and the geodesic's 0.0 start
-    constants = {repr(c) for c in (0.5, 2.0, 6.0, sys.float_info.max, 0.0)}
+    # the rk4 weights and the bound of the state check, beta's 1/2, and the geodesic's 0.0 start
+    constants = {repr(c) for c in (0.5, 2.0, 6.0, flow.MAX_ABS, 0.0)}
     assert len(sources) == 33 + transport.ZN_SCALAR_CROSSOVER - 1 + 2
     for source in sources:
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
@@ -458,7 +453,7 @@ def test_buffered_rk4_equals_rk4_step_bit_for_bit(name):
             want.append(y)
         out = np.zeros((n_steps + 1, y0.shape[0]))
         out[0] = y0
-        flow._rk4_arrays(f, y0, h, n_steps, 1, out, math.inf)
+        flow._rk4_arrays(f, y0, h, n_steps, 1, out)
         assert out.tobytes() == np.array(want).tobytes()
         assert y0.tobytes() == _zn_state(12, seed=9).tobytes()  # the run does not write into its input
 

@@ -1,6 +1,7 @@
 """The tree comparator of ``tools/same_outputs.py``, which tells whether two checkouts write the same outputs."""
 
 import importlib.util
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -40,3 +41,20 @@ def test_a_changed_byte_and_a_missing_file_are_both_reported(tool, tmp_path):
         "only in other: run/extra",
         "differs: run/out/trajectory.csv",
     ]
+
+
+def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs(tool, tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts this checkout's src first
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    runs = tool.invocations(tmp_path)
+    assert len({name for name, _ in runs}) == len(runs)
+    checks = [argv[1:] for _, argv in runs if argv[0] == "validate"]
+    assert sorted(name for flag, name in checks if flag == "--preset") == ["paper-fig1", "paper-fig2"]
+    configs = {Path(path): json.loads(Path(path).read_text()) for flag, path in checks if flag == "--config"}
+    defaults = sorted(raw["scenario"] for raw in configs.values() if len(raw) == 1)
+    assert defaults == sorted(["zn", "m2", "m2row", "classical-geodesic", "classical-burgers"])
+    benchmark = {Path(argv[2]) for _, argv in runs
+                 if argv[:2] == ["run", "--config"] and tmp_path in Path(argv[2]).parents}
+    assert len(benchmark) == 14 and benchmark <= set(configs)  # zn4096, zn64 and the 12 sweep configs
+    assert len(checks) == 2 + 5 + 14
+    assert {argv[0] for _, argv in runs} == {"run", "sweep", "validate"}

@@ -24,7 +24,14 @@ from ncgflow import transport
 from ncgflow.cli import main
 from ncgflow.connection import _zn_site_rates, _zn_system
 from ncgflow.transport import _real_state_value
-from oracles import m2_transport_oracle, zn3_transport_oracle, zn_sites_oracle, zn_transport_oracle
+from oracles import (
+    m2_kflow_oracle,
+    m2_transport_oracle,
+    zn2_transport_oracle,
+    zn3_transport_oracle,
+    zn_sites_oracle,
+    zn_transport_oracle,
+)
 
 
 def _zn_field(data):
@@ -175,8 +182,12 @@ def test_run_zn_rejects_an_empty_ring(method):
 
 # Time-axis series against the per-sample element API ----------------------
 
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def _unit(rng, shape):
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    z = _complex_normal(rng, shape)
     return z / np.sqrt((np.abs(z) ** 2).sum())
 
 
@@ -403,3 +414,41 @@ def test_zn_flow_keeps_its_exact_invariants(n, admissible, method):
     assert _drift(kp.prod(axis=1)) <= 1e-8
     assert _drift((kp - km).sum(axis=1)) <= 1e-13
     assert _drift(kp.sum(axis=1)) > 1e-3
+
+
+# Closed forms for any data: the M2 K-flow and the Z_2 transport ---------------
+
+@pytest.mark.parametrize("method, bound", [("rk4", 2e-12), ("rk45", 1e-13)])
+def test_m2_kflow_matches_its_closed_form(method, bound):
+    """K_i(t) against ``m2_kflow_oracle`` over t = 2 at h = 1e-3, on seeded complex data that is not admissible.
+
+    Errors are relative to max(1, max |K|) over the run; the largest over
+    these seeds measured 4.9e-13 (rk4) and 2.1e-14 (rk45).
+    """
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        k1, k2, m = (_complex_normal(rng, (2, 2)) for _ in range(3))
+        run = run_m2(k1, k2, m, t_end=2.0, h=1e-3, stride=100, method=method)
+        exact = np.array([m2_kflow_oracle(k1, k2, t) for t in run.times])
+        error = np.abs(np.stack([run.k1, run.k2], axis=1) - exact).max()
+        assert error <= bound * max(1.0, np.abs(exact).max()), seed
+
+
+@pytest.mark.parametrize("method, bound", [("rk4", 3e-11), ("rk45", 2e-14)])
+def test_zn2_transport_matches_its_closed_form(method, bound):
+    """m(t) against ``zn2_transport_oracle`` over t = 1 at h = 1e-3, on seeded complex data that is not admissible.
+
+    Errors are relative to max(1, max |m|) over the run; the largest over
+    these seeds measured 7.5e-12 (rk4) and 3.8e-15 (rk45).  The K-flow is
+    static: the two sites' beta sum the same four terms in other orders, so
+    K may move by a few ulps of |K| |beta| per unit time.
+    """
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        kp, km, m = (_complex_normal(rng, 2) for _ in range(3))
+        run = run_zn(kp, km, m, t_end=1.0, h=1e-3, stride=100, method=method)
+        exact = np.array([zn2_transport_oracle(kp, km, m, t) for t in run.times])
+        assert np.abs(run.m - exact).max() <= bound * max(1.0, np.abs(exact).max()), seed
+        k_scale = max(1.0, np.abs(kp).max(), np.abs(km).max())
+        k_moved = max(np.abs(run.k_plus - kp).max(), np.abs(run.k_minus - km).max())
+        assert k_moved <= 16 * np.finfo(float).eps * k_scale ** 2, seed

@@ -12,17 +12,21 @@ checkout's ``src`` on ``PYTHONPATH``.  The list is:
 * the runs pinned by ``tests/test_golden.py`` (its ``GOLDENS`` table);
 * the zn4096 and zn64 configs of the benchmark's ``zn-large`` workload;
 * the twelve configs of its ``sweep-ensemble`` workload, each run on its
-  own, and all of them as one ``sweep --jobs 2``.
+  own, and all of them as one ``sweep --jobs 2``;
+* ``validate`` on both presets, on the five scenario defaults and on every
+  benchmark config above.
 
-The benchmark configs are generated once, at a fixed seed, by
-``perfbench/workloads.py`` (imported, never written), so both checkouts read
-the same JSON files.  Each difference is printed; the exit status is 1 if
-there is any, else 0.
+Only ``run`` and ``sweep`` get ``--out``.  The benchmark configs are
+generated once, at a fixed seed, by ``perfbench/workloads.py`` (imported,
+never written), and the scenario defaults are written next to them as
+``{"scenario": NAME}``, so both checkouts read the same JSON files.  Each
+difference is printed; the exit status is 1 if there is any, else 0.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -48,10 +52,19 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
     golden = _load(ROOT / "tests" / "test_golden.py", "_golden")
     runs = [(f"golden-{data.split('.')[0]}-{name}", ["run", *args])  # as test_golden runs them
             for data, table in golden.GOLDENS.items() for name, args in table.items()]
+    checks = [(f"validate-{preset}", ["validate", "--preset", preset]) for preset in cli.PRESETS]
+    (workdir / "scenarios").mkdir(parents=True)
+    for scenario in cli.SCENARIOS:
+        path = workdir / "scenarios" / f"{scenario}.json"
+        path.write_text(json.dumps({"scenario": scenario}), encoding="utf-8")
+        checks.append((f"validate-{scenario}", ["validate", "--config", str(path)]))
     for workload in ("zn-large", "sweep-ensemble"):
         built = workloads.build(cli, workload, SEED, workdir / workload)
-        runs += [(f"{workload}-{case.name}", list(case.argv)) for case in built.cases + built.singles]
-    return runs
+        cases = built.cases + built.singles
+        runs += [(f"{workload}-{case.name}", list(case.argv)) for case in cases]
+        checks += [(f"validate-{workload}-{case.name}", ["validate", *case.argv[1:]])
+                   for case in cases if case.argv[:2] == ("run", "--config")]
+    return runs + checks
 
 
 def run_all(checkout: Path, runs: list, dest: Path) -> None:
@@ -60,7 +73,8 @@ def run_all(checkout: Path, runs: list, dest: Path) -> None:
     for name, argv in runs:
         out = dest / name / "out"
         out.parent.mkdir(parents=True)
-        done = subprocess.run([sys.executable, "-m", "ncgflow", *argv, "--out", str(out)],
+        outdir = [] if argv[0] == "validate" else ["--out", str(out)]
+        done = subprocess.run([sys.executable, "-m", "ncgflow", *argv, *outdir],
                               cwd=dest, env=env, capture_output=True, text=True)
         for stream in ("stdout", "stderr"):
             (dest / name / stream).write_text(getattr(done, stream).replace(str(out), "OUT"), encoding="utf-8")
