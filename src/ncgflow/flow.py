@@ -30,17 +30,21 @@ arrays), the run that ``_rk4_unrolled`` compiles per state length (rk4 on
 scalars) or ``_dopri`` (rk45, either form).  Each stepper takes
 ``(f, y, h, n_steps, stride, out)``, ``_dopri`` the state form too,
 and owns its loop: from t = 0 it takes ``n_steps`` steps of h (rk45
-lands on the same grid with adaptive substeps), checks every accepted
-state, writes the state after step k into row ``k // stride`` of ``out``
-when ``stride`` divides k and the final state into the last row; row 0
-holds the initial state already.  The default method is fixed-step
-classical RK4; ``method="rk45"`` is an adaptive Dormand-Prince 4(5) pair.
-rk45 lands on every grid step, sampled or not, so no attempt is longer
-than h; on the scenario defaults at h = 1e-3 every attempt is one whole
-grid step and is accepted, so there the step controller never acts.
-Every stepper aborts with :class:`BlowupError` when an accepted state
-leaves the finite ball ``|entry| <= MAX_ABS``, naming the start of the
-step as the last good time.  A run may take at most ``MAX_STEPS`` steps.
+lands on the sampled steps of the same grid with adaptive substeps),
+checks every accepted state, writes the state after step k into row
+``k // stride`` of ``out`` when ``stride`` divides k and the final state
+into the last row; row 0 holds the initial state already.  The default
+method is fixed-step classical RK4; ``method="rk45"`` is an adaptive
+Dormand-Prince 4(5) pair.  rk45 lands only on the sampled steps (every
+``stride``-th and the last), so an attempt can grow to ``stride * h``
+and its states depend on the stride.  On the scenario defaults with
+``t_end`` 2 (h = 1e-3, stride 10) a run makes at most 202 attempts for
+its 200 sample intervals; at stride 1 every attempt is one whole grid
+step and is accepted.  Every stepper aborts with :class:`BlowupError`
+when an accepted state leaves the finite ball ``|entry| <= MAX_ABS``,
+naming the start of the step as the last good time.  A run may take at
+most ``MAX_STEPS`` steps, and rk45 at most ``MAX_ATTEMPTS_PER_STEP``
+attempts per grid step.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ import numpy as np
 
 __all__ = [
     "MAX_STEPS",
+    "MAX_ATTEMPTS_PER_STEP",
     "MAX_ABS",
     "RTOL",
     "ATOL",
@@ -71,6 +76,10 @@ __all__ = [
 Rhs = Callable[[float, np.ndarray], np.ndarray]
 
 MAX_STEPS = 10**8  # bounds the time of any accepted run
+# rk45 attempts a run may make, per grid step.  The largest measured need is
+# 11.2 (y' = -50 y at h = 0.1, where trial steps fail error control); the
+# scenario defaults need 0.1 at the default stride and 1 at stride 1.
+MAX_ATTEMPTS_PER_STEP = 100
 MAX_ABS = 1e9  # an accepted state has every float entry within [-MAX_ABS, MAX_ABS]
 RTOL = ATOL = 1e-9  # rk45 error tolerances, relative and absolute
 # Bounds the memory of an accepted config: floats in its (samples, state columns)
@@ -316,16 +325,18 @@ def _dopri(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarra
     stage input as a list and its list is written into the row's complex
     (or float) view.  The pair is FSAL (first same as last): the last stage
     of an accepted attempt is the first stage of the next, a row copy, so f
-    is called once at t = 0 and then six times per attempt.  Within each
-    output step the attempts run until the step's end is reached; an
-    attempt is accepted when the RMS of its error estimate over
-    ``ATOL + RTOL * max(|y|, |y5|)`` is at most 1, or when its size is at
-    most the floor ``1e-13 * max(1, t_target)`` (t_target is the end of the
-    output step), and the next size is the usual safety-factor rule within
-    0.2x-5x, cut to the rest of the output step, so no attempt is longer
-    than h.  A size that falls below the floor raises
-    ``BlowupError`` ("non-finite state encountered" when the error estimate
-    is not finite).
+    is called once at t = 0 and then six times per attempt.  The targets
+    are the sampled steps, every ``stride``-th and ``n_steps``; towards
+    each the attempts run until it is reached, and t is then reset to the
+    exact ``step * h``.  An attempt is accepted when the RMS of its error
+    estimate over ``ATOL + RTOL * max(|y|, |y5|)`` is at most 1, or when
+    its size is at most the floor ``1e-13 * max(1, t_target)`` (t_target is
+    the target's time), and the next size is the usual safety-factor rule
+    within 0.2x-5x, cut to the rest of the way to the target, so no attempt
+    is longer than ``stride * h``.  A size that falls below the floor
+    raises ``BlowupError`` ("non-finite state encountered" when the error
+    estimate is not finite), and so does a run that would make more than
+    ``MAX_ATTEMPTS_PER_STEP * n_steps`` attempts.
     """
     block, coef = np.empty((8, y.shape[0])), np.ones((7, 8))  # coefficient rows: see _dopri_step
     y5, err, scale = np.empty((3, y.shape[0]))
@@ -336,13 +347,17 @@ def _dopri(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarra
     block[0] = y5[:] = y
     y, ks, h_coef = block[0], block[1:], coef[:, 1:]
     _store(rows[0], f(0.0, y5 if read is None else read()))
-    h_try = h
+    h_try, attempts_left = h, MAX_ATTEMPTS_PER_STEP * n_steps
     # a non-finite stage ends in BlowupError below; numpy need not warn about it first
     with np.errstate(invalid="ignore", over="ignore"):
-        for step in range(1, n_steps + 1):
-            t = (step - 1) * h
+        for step in range(stride, n_steps + stride, stride):  # the sampled steps: past n_steps, land on it
+            t = (step - stride) * h
+            step = min(step, n_steps)
             t_target = step * h
             while t < t_target - 1e-14 * max(1.0, t_target):
+                if not attempts_left:
+                    raise BlowupError(f"adaptive step attempts exceeded {MAX_ATTEMPTS_PER_STEP} per grid step", t)
+                attempts_left -= 1
                 hs = min(h_try, t_target - t)
                 err_norm, peak = _dopri_step(f, t, hs, h_coef, stages, y, ks, y5, read, err, scale)
                 if err_norm <= 1.0 or hs <= 1e-13 * max(1.0, t_target):

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import tempfile
+import time
 import types
 import warnings
 from pathlib import Path
@@ -285,6 +286,20 @@ def test_blowup_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "b")]) == 3
     assert "blowup" in capsys.readouterr().err.lower()
+
+
+def test_rk45_attempt_budget_ends_a_run_whose_steps_shrink_to_the_floor(tmp_path, capsys):
+    # q1 = 2^63 drives |m| up so fast that the step controller shrinks toward the 1e-13 floor;
+    # without the budget the run would make about t_end / 1e-13 attempts
+    cfg = {"scenario": "m2row", "q1": 2**63, "q2": -1, "method": "rk45", "t_end": 0.02, "stride": 1}
+    path = tmp_path / "crawl.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 0
+    start = time.perf_counter()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"adaptive step attempts exceeded {flow.MAX_ATTEMPTS_PER_STEP} per grid step" in err
 
 
 def test_run_m2_with_large_m_entries(tmp_path):

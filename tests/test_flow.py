@@ -18,6 +18,7 @@ from ncgflow import (
     zn_rhs,
 )
 from ncgflow import classical, connection, flow, transport
+from ncgflow.cli import main
 from oracles import dopri_attempt_oracle, m2_flow_oracle, zn3_flow_oracle
 
 
@@ -478,11 +479,33 @@ _FORMS = {  # a right-hand side and its initial state in each form
 
 @pytest.mark.parametrize("scalars", [None, complex, float], ids=["arrays", "complex", "float"])
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
-def test_every_stepper_samples_every_stride_th_state_and_the_last(method, scalars, fig2_data):
+def test_every_stepper_samples_every_stride_th_state_and_the_last(method, scalars, fig2_data, monkeypatch):
     f, y0 = _FORMS[scalars]
     y0 = _fig2_state(fig2_data) if y0 is None else y0
+    _, counts = _counting_rk45(monkeypatch, f)
     every = integrate(f, y0, 0.5, h=0.01, stride=1, method=method, scalars=scalars)
+    every_attempts = counts["attempts"]
     sampled = integrate(f, y0, 0.5, h=0.01, stride=7, method=method, scalars=scalars)
     steps = [*range(0, 50, 7), 50]  # 50 steps: the last is not a multiple of 7
-    assert sampled.states.tobytes() == every.states[steps].tobytes()
     assert sampled.times.tobytes() == every.times[steps].tobytes()
+    if method == "rk4":
+        assert sampled.states.tobytes() == every.states[steps].tobytes()
+    else:  # rk45 steps up to the next sampled step: fewer, longer attempts, states within its tolerance
+        assert 0 < counts["attempts"] - every_attempts < every_attempts
+        scale = np.maximum(1.0, np.abs(every.states[steps]))
+        assert np.all(np.abs(sampled.states - every.states[steps]) <= 10 * flow.RTOL * scale)
+
+
+@pytest.mark.parametrize("scenario", ["zn", "m2", "m2row", "classical-geodesic", "classical-burgers"])
+def test_rk45_attempts_per_run_at_the_scenario_defaults(scenario, monkeypatch, tmp_path):
+    """rk45 lands only on the sampled steps: 200 sample intervals of the default stride 10 at t_end = 2.
+
+    At stride 1 every attempt is one whole grid step and is accepted.
+    """
+    _, counts = _counting_rk45(monkeypatch, None)
+    run = ["run", "--scenario", scenario, "--method", "rk45", "--t-end", "2", "--out", str(tmp_path)]
+    assert main(run) == 0
+    assert counts["attempts"] <= 202
+    counts["attempts"] = 0
+    assert main([*run, "--stride", "1"]) == 0
+    assert counts["attempts"] == 2000
