@@ -43,8 +43,8 @@ its 200 sample intervals; at stride 1 every attempt is one whole grid
 step and is accepted.  Every stepper aborts with :class:`BlowupError`
 when an accepted state leaves the finite ball ``|entry| <= MAX_ABS``,
 naming the start of the step as the last good time.  A run may take at
-most ``MAX_STEPS`` steps, and rk45 at most ``MAX_ATTEMPTS_PER_STEP``
-attempts per grid step.
+most ``MAX_STEPS`` steps, and an rk45 run of n steps at most
+``MAX_ATTEMPTS_PER_STEP * n`` attempts.
 """
 
 from __future__ import annotations
