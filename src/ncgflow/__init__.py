@@ -22,10 +22,9 @@ from .algebra import (
     commutator,
     inner_product,
 )
-from .calculus import OneForm, VectorField, apply_vf, d, left_multiply_form, right_multiply_form
+from .calculus import OneForm, VectorField, apply_vf, d, left_multiply_form
 from .connection import (
     braiding_residual,
-    divergence_pairing,
     m2_rhs,
     m2_transport_rhs,
     reality_residual,
@@ -51,9 +50,7 @@ from .classical import (
     ChristoffelProvider,
     GeodesicRun,
     GridField,
-    burgers_rhs,
     flat_space,
-    geodesic_rhs,
     integrate_burgers,
     integrate_geodesic,
     pullback_geodesic_check,
@@ -63,10 +60,8 @@ from .classical import (
     speed_squared,
 )
 from .transport import (
-    BlochPoint,
     M2Run,
     ZnRun,
-    bloch,
     m2_coupled_rhs,
     pack_m2_state,
     pack_zn_state,

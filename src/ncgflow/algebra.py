@@ -60,9 +60,8 @@ def _locked(arr: np.ndarray) -> np.ndarray:
 def _shift_indices(n: int, steps: int) -> np.ndarray:
     """Index array realising R_a: ``f[_shift_indices(n, a)][i] == f[(i + a) % n]``.
 
-    Much cheaper than np.roll on small arrays.  Besides ``ZnElement.shift`` and
-    the reference ``connection._zn_system``, the burgers stencil and the run
-    series gather through it.  A burgers run gathers through 4 keys (n, +-1
+    Much cheaper than np.roll on small arrays.  Besides ``ZnElement.shift``,
+    the burgers stencil and the run series gather through it.  A burgers run gathers through 4 keys (n, +-1
     and +-2) and a Z_n run through 2, so 4 cached arrays hold the working set
     of any run, and a process keeps at most 4 n-entry int64 arrays alive
     (32 MiB at ``cli.MAX_GRID``) however many grid sizes it runs.

@@ -34,7 +34,6 @@ __all__ = [
     "VectorField",
     "d",
     "left_multiply_form",
-    "right_multiply_form",
     "apply_vf",
 ]
 
@@ -92,11 +91,6 @@ def left_multiply_form(f: AlgebraElement, xi: OneForm) -> OneForm:
         # s1, s2 are central
         return OneForm(f * xi.c1, f * xi.c2)
     raise TypeError(f"not an algebra element: {type(f).__name__}")
-
-
-def right_multiply_form(xi: OneForm, a: AlgebraElement) -> OneForm:
-    """``xi . a``; coefficients sit on the right so this is plain multiplication."""
-    return OneForm(xi.c1 * a, xi.c2 * a)
 
 
 def apply_vf(field: VectorField, xi: OneForm) -> AlgebraElement:

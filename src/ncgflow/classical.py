@@ -1,7 +1,7 @@
 """Classical cross-checks: geodesics with Christoffel symbols and the
 velocity-field equation on a periodic 1-d grid.
 
-``geodesic_rhs`` is the standard second-order system
+A geodesic solves the standard second-order system
 
     ``dx/dt = v,   dv^i/dt = -Gamma^i_jk(x) v^j v^k``
 
@@ -9,17 +9,18 @@ and ``pullback_geodesic_check`` measures, by second-order finite
 differences, how far a sampled curve is from solving it.  A manifold is
 given by a ``ChristoffelProvider``: its nonzero index triples ``(i, j, k)``,
 declared once, and a function giving their ``Gamma^i_jk`` at a point.
-Both functions contract ``ChristoffelProvider.symbols(x)``, the list of
-``(i, j, k, Gamma^i_jk(x))``, with v in one scalar loop, and
-``integrate_geodesic`` steps the same contraction applied once to
+``_geodesic_system`` contracts ``ChristoffelProvider.symbols(x)``, the
+list of ``(i, j, k, Gamma^i_jk(x))``, with v in one scalar loop, and so
+does the check; ``integrate_geodesic`` steps that system applied once to
 ``flow._Expr`` symbols: a straight-line right-hand side compiled once
 per (dim, triples), on first use, that calls the provider's values
 function once per stage.
 
 On the line the velocity-field equation reduces to an inviscid transport
-equation, ``dK/dt = -K K' - Gamma K^2`` on a periodic grid over [0, 2pi);
-it is integrated only in the smooth pre-shock regime and checked against
-the method of characteristics in the tests.
+equation, ``dK/dt = -K K' - Gamma K^2``.  The line here is flat, Gamma = 0,
+so ``integrate_burgers`` steps ``dK/dt = -K K'`` on a periodic grid over
+[0, 2pi); it is integrated only in the smooth pre-shock regime and checked
+against the method of characteristics in the tests.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,14 +39,12 @@ __all__ = [
     "ChristoffelProvider",
     "flat_space",
     "round_sphere",
-    "geodesic_rhs",
     "speed_squared",
     "GeodesicRun",
     "integrate_geodesic",
     "GridField",
     "sine_field",
     "spatial_derivative",
-    "burgers_rhs",
     "BurgersRun",
     "integrate_burgers",
     "pullback_geodesic_check",
@@ -128,14 +127,6 @@ def _geodesic_rates(dim: int, triples: tuple):
              f"            return [nan] * {2 * dim}", f"        [{', '.join(map(_text, gammas))}] = gammas",
              f"        return [{', '.join(map(_text, rates))}]", "    return rhs", ""]
     return _compile("\n".join(lines), "make", nan=math.nan)
-
-
-def geodesic_rhs(x: np.ndarray, v: np.ndarray, provider: ChristoffelProvider):
-    """(dx/dt, dv/dt) of the geodesic equation at (x, v)."""
-    x = np.asarray(x, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    out = np.array(_geodesic_system(x.tolist() + v.tolist(), provider.dim, provider.symbols(x.tolist())))
-    return out[: provider.dim], out[provider.dim :]
 
 
 def speed_squared(x, v, provider: ChristoffelProvider) -> float:
@@ -221,21 +212,9 @@ def spatial_derivative(values: np.ndarray, dx: float, stencil: int = 4) -> np.nd
     return (-shifted(2) + 8.0 * shifted(1) - 8.0 * shifted(-1) + shifted(-2)) / (12.0 * dx)
 
 
-def _burgers_rate(v: np.ndarray, dx: float, stencil: int, gamma_values: Optional[np.ndarray]) -> np.ndarray:
-    """``-K K' - Gamma K^2`` on grid samples, with Gamma sampled on the grid (or None)."""
-    out = -v * spatial_derivative(v, dx, stencil)
-    if gamma_values is not None:
-        out = out - gamma_values * v * v
-    return out
-
-
-def _gamma_values(gamma, field: GridField) -> Optional[np.ndarray]:
-    return None if gamma is None else np.asarray(gamma(field.x), dtype=np.float64)
-
-
-def burgers_rhs(field: GridField, gamma: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
-    """dK/dt = -K K' - Gamma(x) K^2 on the grid (pre-shock regime assumed)."""
-    return _burgers_rate(field.values, field.dx, field.stencil, _gamma_values(gamma, field))
+def _burgers_rate(v: np.ndarray, dx: float, stencil: int) -> np.ndarray:
+    """``dK/dt = -K K'`` on grid samples."""
+    return -v * spatial_derivative(v, dx, stencil)
 
 
 @dataclass(frozen=True)
@@ -251,16 +230,15 @@ class BurgersRun:
 
 def integrate_burgers(
     field: GridField,
-    gamma: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     *,
     t_end: float = 1.0,
     h: float = 1e-3,
     stride: int = 10,
     method: str = "rk4",
 ) -> BurgersRun:
-    stencil, dx, gamma_values = field.stencil, field.dx, _gamma_values(gamma, field)
-    traj = integrate(lambda t, y: _burgers_rate(y, dx, stencil, gamma_values), field.values, t_end,
-                     h=h, stride=stride, method=method)
+    stencil, dx = field.stencil, field.dx
+    traj = integrate(lambda t, y: _burgers_rate(y, dx, stencil), field.values, t_end, h=h, stride=stride,
+                     method=method)
     return BurgersRun(traj.times, traj.states)
 
 

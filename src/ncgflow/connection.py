@@ -23,24 +23,26 @@ transport cancel against those of ``-m b`` and every Z_n kernel evaluates
 
 Each algebra's equations are written once.  On Z_n they are four
 elementwise functions, ``_zn_beta`` (beta at a site from its four
-neighbours) and the three rates ``_zn_dkp``, ``_zn_dkm`` and ``_zn_dm``,
-used in two forms: ``_zn_system`` calls each once on the gathered sample
-arrays of (K_+, K_-, m), and ``_zn_site_rates(n)`` applies each once per
-site to ``flow._Expr`` symbols, which write the operations out as code, and
-compiles the text into one straight-line right-hand side on the 3n
-Python complex entries; below ``transport.ZN_SCALAR_CROSSOVER`` sites
-that is cheaper than the arrays.  The compiled source is made of site
-indices, fixed names and the ``repr`` of the equations' float constants,
-so it performs the equations' operations in their order, and is compiled
-once per n, on first use.  ``_m2_system`` works on the twelve Python
-complex entries of (K1, K2, m).  ``transport.zn_coupled_rhs`` restates
-``_zn_system`` on reused buffers and is tested byte for byte against it.
+neighbours) and the three rates ``_zn_dkp``, ``_zn_dkm`` and ``_zn_dm``.
+``_zn_site_rates(n)`` applies each once per site to ``flow._Expr``
+symbols, which write the operations out as code, and compiles the text
+into one straight-line right-hand side on the 3n Python complex entries;
+below ``transport.ZN_SCALAR_CROSSOVER`` sites that is cheaper than arrays.
+The compiled source is made of site indices, fixed names and the ``repr``
+of the equations' float constants, so it performs the equations'
+operations in their order, and is compiled once per n, on first use.
+``zn_coupled_rhs(n)`` is the one array form: the same operations, in the
+same association and operand order, as ufunc calls on reused buffers of
+the packed state.  The tests hold it byte for byte to the four functions
+called once each on gathered sample arrays.  ``_m2_system`` works on the
+twelve Python complex entries of (K1, K2, m).
 
 The element entry points are ``solve_b`` (b = -dm/dt at m = 1),
 ``zn_rhs`` / ``m2_rhs`` (dK/dt as a vector field) and
 ``zn_transport_rhs`` / ``m2_transport_rhs`` (dm/dt).  Each checks its
 algebra and calls ``_coupled_rates``, the one place where elements are
-unpacked into the kernels.
+unpacked into the kernels; it raises ``AlgebraMismatchError`` unless K
+and m are of one algebra and group order.
 
 ``reality_residual`` and ``braiding_residual`` quantify how far K is from
 satisfying the reality condition and from the braided compatibility
@@ -54,9 +56,11 @@ import functools
 
 import numpy as np
 
-from .algebra import I2, AlgebraElement, Mat2Element, ZnElement, _shift_indices, commutator
-from .calculus import VectorField, apply_vf, d
-from .flow import _compile, _Expr
+from typing import Callable
+
+from .algebra import I2, AlgebraElement, Mat2Element, ZnElement, commutator
+from .calculus import VectorField
+from .flow import _compile, _Expr, pack_complex
 
 __all__ = [
     "solve_b",
@@ -66,7 +70,7 @@ __all__ = [
     "m2_transport_rhs",
     "reality_residual",
     "braiding_residual",
-    "divergence_pairing",
+    "zn_coupled_rhs",
 ]
 
 
@@ -101,23 +105,59 @@ def _zn_dm(kp, km, m, beta, m_up, m_down):
     return kp * m_down + km * m_up - beta * m
 
 
-def _zn_system(kp: np.ndarray, km: np.ndarray, m: np.ndarray):
-    """Coupled Z_n right-hand side on the sample arrays of K_+, K_- and m.
+def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
+    """Flat RHS for the coupled (K_+, K_-, m) Z_n system; b is computed once per call.
 
-    The array reference: the element entry points call it, and
-    ``transport.zn_coupled_rhs``, which steps every run of
-    ``transport.ZN_SCALAR_CROSSOVER`` sites or more, is tested byte for
-    byte against it.
+    The four site equations written with ufunc ``out=`` calls on the sample
+    arrays, so a call allocates nothing but its result, which stays fresh because rk4 still reads a
+    stage after computing the next.  K_+, K_-, m and beta are copied into ghost-padded
+    scratch of length n + 2 (entry 0 holds site n - 1, entry n + 1 site 0),
+    so every neighbour R_{+-1} is a slice view, not a gather.  Each
+    operation keeps the equations' association and operand order: numpy's
+    complex multiply uses FMA, so ``a * b`` and ``b * a`` can differ in the
+    last bit, and the result is byte-identical to the four functions
+    called on gathered sample arrays.  The scratch is shared by every call, so one closure serves one integration
+    at a time.
     """
-    n = kp.shape[0]
-    up, down = _shift_indices(n, 1), _shift_indices(n, -1)
-    beta = _zn_beta(kp, kp[up], km, km[down])
-    return _zn_dkp(kp, beta, beta[down]), _zn_dkm(km, beta, beta[up]), _zn_dm(kp, km, m, beta, m[up], m[down])
+    ghost = np.empty((3, n + 2), dtype=np.complex128)  # rows K_+, K_-, m
+    beta_g = np.empty(n + 2, dtype=np.complex128)
+    work = np.empty(n, dtype=np.complex128)
+    (kp, km, m), beta = ghost[:, 1:-1], beta_g[1:-1]
+    kp_up, km_down, m_up, m_down = ghost[0, 2:], ghost[1, :-2], ghost[2, 2:], ghost[2, :-2]
+    beta_up, beta_down = beta_g[2:], beta_g[:-2]
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        ghost[:, 1:-1] = y.view(np.complex128).reshape(3, n)
+        ghost[:, 0] = ghost[:, n]
+        ghost[:, -1] = ghost[:, 1]
+        out = np.empty(3 * n, dtype=np.complex128)
+        dkp, dkm, dm = out[:n], out[n : 2 * n], out[2 * n :]
+        # beta = 0.5 * (kp + kp_up + km + km_down)
+        np.add(kp, kp_up, out=beta)
+        np.add(beta, km, out=beta)
+        np.add(beta, km_down, out=beta)
+        np.multiply(0.5, beta, out=beta)
+        beta_g[0] = beta[-1]
+        beta_g[-1] = beta[0]
+        # dK_+ = kp * (beta_down - beta), dK_- = km * (beta_up - beta)
+        np.subtract(beta_down, beta, out=dkp)
+        np.multiply(kp, dkp, out=dkp)
+        np.subtract(beta_up, beta, out=dkm)
+        np.multiply(km, dkm, out=dkm)
+        # dm = kp * m_down + km * m_up - beta * m
+        np.multiply(kp, m_down, out=dm)
+        np.multiply(km, m_up, out=work)
+        np.add(dm, work, out=dm)
+        np.multiply(beta, m, out=work)
+        np.subtract(dm, work, out=dm)
+        return out.view(np.float64)
+
+    return rhs
 
 
 @functools.lru_cache(maxsize=32)
 def _zn_site_rates(n: int):
-    """``_zn_system`` as one straight-line ``rhs(t, y)`` on the 3n Python complex entries of (K_+, K_-, m).
+    """The Z_n system as one straight-line ``rhs(t, y)`` on the 3n Python complex entries of (K_+, K_-, m).
 
     Compiled once per n from the four site equations applied to
     ``_Expr`` symbols: it unpacks y into one local per entry (ValueError
@@ -170,11 +210,11 @@ def _m2_system(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md):
 
 
 def _coupled_rates(field: VectorField, m: AlgebraElement):
-    """The data arrays of ``(dK1, dK2, dm)`` at (K, m); K and m must be of one algebra."""
+    """The data arrays of ``(dK1, dK2, dm)`` at (K, m); K and m must be of one algebra and group order."""
+    y = pack_complex(field.k1._data, field.k2._data, m._data)
     if isinstance(m, ZnElement):
-        return _zn_system(field.k1.samples, field.k2.samples, m.samples)
-    entries = np.concatenate((field.k1.entries, field.k2.entries, m.entries)).ravel().tolist()
-    return np.array(_m2_system(*entries)).reshape(3, 2, 2)
+        return zn_coupled_rhs(m.n)(0.0, y).view(np.complex128).reshape(3, -1)
+    return np.array(_m2_system(*y.view(np.complex128).tolist())).reshape(3, 2, 2)
 
 
 def solve_b(field: VectorField) -> AlgebraElement:
@@ -232,9 +272,4 @@ def braiding_residual(field: VectorField) -> AlgebraElement:
     if isinstance(field.k1, ZnElement):
         return field.k2 * field.k1.shift(+1) - field.k2.shift(-1) * field.k1
     return commutator(field.k1, field.k2)
-
-
-def divergence_pairing(field: VectorField, b: AlgebraElement, a: AlgebraElement) -> complex:
-    """integral(b*a + K(da) + a*b^*); zero for every a iff (b, K) satisfies the divergence condition."""
-    return (b * a + apply_vf(field, d(a)) + a * b.star()).integral()
 

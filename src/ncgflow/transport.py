@@ -15,8 +15,8 @@ M2, its Bloch coordinates are
 K and m are integrated as one coupled system (``run_zn`` / ``run_m2``)
 rather than sequentially, so no interpolation error enters through K(t).
 The systems are written once, in ``connection``, together with their
-element-level entry points.  ``zn_coupled_rhs`` restates
-``connection._zn_system`` on reused buffers, byte for byte.
+element-level entry points and ``zn_coupled_rhs``, the Z_n array form,
+which this module re-exports.
 
 ``flow.integrate`` steps these systems in one of its two state forms.
 M2 always runs on Python complex scalars (``scalars=complex``).  Z_n runs
@@ -34,9 +34,9 @@ run needs at least one site.  Either way the state handed to
 (``ZnRun.of``, ``M2Run.of``) and compute their residual and state series
 as array expressions over the leading time axis; ``cli`` applies the same
 series to a one-sample trajectory of the initial data for its checks.  The
-element functions (``reality_residual``, ``braiding_residual``,
-``state_eval``, ``bloch``) are the per-sample reference they are tested
-against.
+element functions (``reality_residual``, ``braiding_residual`` and
+``state_eval``, which gives the Bloch coordinates above) are the
+per-sample reference they are tested against.
 """
 
 from __future__ import annotations
@@ -47,17 +47,15 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import AlgebraElement, I2, Mat2Element, _shift_indices, inner_product
+from .algebra import AlgebraElement, _shift_indices, inner_product
 from .calculus import OneForm, VectorField, apply_vf, left_multiply_form
-from .connection import _m2_system, _zn_site_rates
+from .connection import _m2_system, _zn_site_rates, zn_coupled_rhs
 # The residual functions stay in this namespace: perfbench/spans.py wraps them here.
 from .connection import braiding_residual, reality_residual  # noqa: F401
 from .flow import Trajectory, integrate, pack_complex
 
 __all__ = [
     "state_eval",
-    "BlochPoint",
-    "bloch",
     "velocity_functional",
     "zn_coupled_rhs",
     "m2_coupled_rhs",
@@ -82,44 +80,6 @@ def state_eval(m: AlgebraElement, a: AlgebraElement) -> complex:
     return (m * a * m.star()).integral()
 
 
-@dataclass(frozen=True)
-class BlochPoint:
-    """State coordinates on M2; states fill the closed ball of radius 1/2."""
-
-    s: float
-    x: float
-    y: float
-
-    @property
-    def radius_sq(self) -> float:
-        return self.s * self.s + self.x * self.x + self.y * self.y
-
-
-_OBS_S = Mat2Element([[-1.0, 0.0], [0.0, 1.0]])
-_OBS_X = Mat2Element([[0.0, 1.0], [1.0, 0.0]])
-_OBS_Y = Mat2Element([[0.0, -1.0j], [1.0j, 0.0]])
-
-# Round-off in Im phi(a) scales with phi(1) = tr(m m^*), so the bound is relative to it.
-_HERMITIAN_IMAG_TOL = 1e-10
-
-
-def _real_state_value(m: Mat2Element, obs: Mat2Element, phi_one: float) -> float:
-    value = state_eval(m, obs)
-    if abs(value.imag) > _HERMITIAN_IMAG_TOL * phi_one:
-        raise ValueError(f"state value of Hermitian observable has imaginary part {value.imag:g}")
-    return value.real
-
-
-def bloch(m: Mat2Element) -> BlochPoint:
-    """Bloch coordinates of the state induced by m (m is assumed normalised)."""
-    phi_one = state_eval(m, I2).real
-    return BlochPoint(
-        0.5 * _real_state_value(m, _OBS_S, phi_one),
-        0.5 * _real_state_value(m, _OBS_X, phi_one),
-        0.5 * _real_state_value(m, _OBS_Y, phi_one),
-    )
-
-
 def velocity_functional(m: AlgebraElement, field: VectorField, xi: OneForm) -> complex:
     """V(xi) = <K(m . xi), conj m>, the velocity of the state path.
 
@@ -130,56 +90,6 @@ def velocity_functional(m: AlgebraElement, field: VectorField, xi: OneForm) -> c
 
 
 # Coupled flat systems -----------------------------------------------------
-
-def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Flat RHS for the coupled (K_+, K_-, m) Z_n system; b is computed once per call.
-
-    ``_zn_system`` written with ufunc ``out=`` calls, so a call allocates
-    nothing but its result, which stays fresh because rk4 still reads a
-    stage after computing the next.  K_+, K_-, m and beta are copied into ghost-padded
-    scratch of length n + 2 (entry 0 holds site n - 1, entry n + 1 site 0),
-    so every neighbour R_{+-1} is a slice view, not a gather.  Each
-    operation keeps ``_zn_system``'s association and operand order: numpy's
-    complex multiply uses FMA, so ``a * b`` and ``b * a`` can differ in the
-    last bit, and the result is byte-identical to ``_zn_system``'s.  The
-    scratch is shared by every call, so one closure serves one integration
-    at a time.
-    """
-    ghost = np.empty((3, n + 2), dtype=np.complex128)  # rows K_+, K_-, m
-    beta_g = np.empty(n + 2, dtype=np.complex128)
-    work = np.empty(n, dtype=np.complex128)
-    (kp, km, m), beta = ghost[:, 1:-1], beta_g[1:-1]
-    kp_up, km_down, m_up, m_down = ghost[0, 2:], ghost[1, :-2], ghost[2, 2:], ghost[2, :-2]
-    beta_up, beta_down = beta_g[2:], beta_g[:-2]
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        ghost[:, 1:-1] = y.view(np.complex128).reshape(3, n)
-        ghost[:, 0] = ghost[:, n]
-        ghost[:, -1] = ghost[:, 1]
-        out = np.empty(3 * n, dtype=np.complex128)
-        dkp, dkm, dm = out[:n], out[n : 2 * n], out[2 * n :]
-        # beta = 0.5 * (kp + kp_up + km + km_down)
-        np.add(kp, kp_up, out=beta)
-        np.add(beta, km, out=beta)
-        np.add(beta, km_down, out=beta)
-        np.multiply(0.5, beta, out=beta)
-        beta_g[0] = beta[-1]
-        beta_g[-1] = beta[0]
-        # dK_+ = kp * (beta_down - beta), dK_- = km * (beta_up - beta)
-        np.subtract(beta_down, beta, out=dkp)
-        np.multiply(kp, dkp, out=dkp)
-        np.subtract(beta_up, beta, out=dkm)
-        np.multiply(km, dkm, out=dkm)
-        # dm = kp * m_down + km * m_up - beta * m
-        np.multiply(kp, m_down, out=dm)
-        np.multiply(km, m_up, out=work)
-        np.add(dm, work, out=dm)
-        np.multiply(beta, m, out=work)
-        np.subtract(dm, work, out=dm)
-        return out.view(np.float64)
-
-    return rhs
-
 
 def _m2_rates(t: float, y: list) -> list:
     """The coupled M2 right-hand side on the twelve Python complex entries of (K1, K2, m)."""

@@ -12,7 +12,12 @@ iteration.  ``line_chart_oracle`` is the per-point SVG writer that
 published tableau in exact fractions, stage by stage.  ``zn_sites_oracle``
 is the site-by-site Z_n form that ``connection._zn_site_rates`` compiled
 away, kept verbatim (it calls the package's four site equations once per
-site) as the byte reference of the compiled kernel.  ``m2_kflow_oracle``
+site) as the byte reference of the compiled kernel; ``zn_system`` calls
+them once each on gathered sample arrays and is the byte reference of
+``connection.zn_coupled_rhs``, the array kernel.  ``right_multiply_form``,
+``divergence_pairing`` and ``bloch_point`` are element-level forms of the
+calculus, the divergence condition and the M2 Bloch coordinates that only
+the tests use.  ``m2_kflow_oracle``
 and ``zn2_transport_oracle`` are closed forms, through scipy's ``expm``, of
 the M2 K-flow and of the Z_2 transport, for any initial data.
 """
@@ -24,6 +29,8 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
+from ncgflow import Mat2Element, OneForm, apply_vf, d, state_eval
+from ncgflow.algebra import _shift_indices
 from ncgflow.connection import _zn_beta, _zn_dkm, _zn_dkp, _zn_dm
 from ncgflow.svgplot import _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE, _expand, _fmt
 
@@ -71,6 +78,33 @@ def zn_sites_oracle(kp: list, km: list, m: list) -> list:
         *map(_zn_dkm, km, beta, beta[1:] + beta[:1]),
         *map(_zn_dm, kp, km, m, beta, m[1:] + m[:1], m[-1:] + m[:-1]),
     ]
+
+
+def zn_system(kp, km, m):
+    """Coupled Z_n right-hand side on the sample arrays of K_+, K_- and m, as three arrays."""
+    n = kp.shape[0]
+    up, down = _shift_indices(n, 1), _shift_indices(n, -1)
+    beta = _zn_beta(kp, kp[up], km, km[down])
+    return _zn_dkp(kp, beta, beta[down]), _zn_dkm(km, beta, beta[up]), _zn_dm(kp, km, m, beta, m[up], m[down])
+
+
+def right_multiply_form(xi, a):
+    """``xi . a``; coefficients sit on the right of the generators, so this is plain multiplication."""
+    return OneForm(xi.c1 * a, xi.c2 * a)
+
+
+def divergence_pairing(field, b, a):
+    """integral(b*a + K(da) + a*b^*); zero for every a iff (b, K) satisfies the divergence condition."""
+    return (b * a + apply_vf(field, d(a)) + a * b.star()).integral()
+
+
+_PAULI = (Mat2Element([[-1.0, 0.0], [0.0, 1.0]]), Mat2Element([[0.0, 1.0], [1.0, 0.0]]),
+          Mat2Element([[0.0, -1.0j], [1.0j, 0.0]]))
+
+
+def bloch_point(m):
+    """Bloch coordinates ``(s, x, y) = (phi(diag(-1, 1)), phi(X), phi(Y)) / 2`` of the state of m, complex."""
+    return np.array([0.5 * state_eval(m, obs) for obs in _PAULI])
 
 
 def m2_flow_oracle(K1, K2):

@@ -16,8 +16,8 @@ from ncgflow import (
     apply_vf,
     d,
     left_multiply_form,
-    right_multiply_form,
 )
+from oracles import right_multiply_form
 
 TOL = 1e-12
 

@@ -7,9 +7,7 @@ from scipy.interpolate import CubicSpline
 from ncgflow import algebra, classical
 from ncgflow import (
     GridField,
-    burgers_rhs,
     flat_space,
-    geodesic_rhs,
     integrate,
     integrate_burgers,
     integrate_geodesic,
@@ -39,8 +37,15 @@ def test_sphere_christoffels():
     assert set(symbols) == {(0, 1, 1), (1, 0, 1), (1, 1, 0)}  # every other symbol is 0
 
 
+def _geodesic_rates(x, v, provider):
+    """(dx/dt, dv/dt) of ``classical._geodesic_system`` at (x, v), the system that integrate_geodesic compiles."""
+    x, v = np.asarray(x, dtype=np.float64).tolist(), np.asarray(v, dtype=np.float64).tolist()
+    out = np.array(classical._geodesic_system(x + v, provider.dim, provider.symbols(x)))
+    return out[: provider.dim], out[provider.dim :]
+
+
 def test_geodesic_rhs_shape():
-    dx, dv = geodesic_rhs([1.0, 0.0], [0.2, 0.4], round_sphere())
+    dx, dv = _geodesic_rates([1.0, 0.0], [0.2, 0.4], round_sphere())
     np.testing.assert_allclose(dx, [0.2, 0.4])
     assert dv.shape == (2,)
 
@@ -66,7 +71,7 @@ def test_geodesic_rhs_equals_generic_contraction(provider):
     for _ in range(50):
         x = rng.uniform(0.05, math.pi - 0.05, provider.dim)
         v = rng.normal(size=provider.dim)
-        dx, dv = geodesic_rhs(x, v, provider)
+        dx, dv = _geodesic_rates(x, v, provider)
         assert np.array_equal(dx, v)
         assert np.array_equal(dv, -_generic_contraction(provider, x, v, np.zeros(provider.dim)))
 
@@ -156,9 +161,8 @@ def test_spatial_derivative_equals_the_rolled_stencil(stencil):
 
 def test_integrate_burgers_steps_burgers_rhs():
     field = sine_field(32, 0.1, 2)
-    gamma = lambda x: 0.1 * np.cos(x)
-    run = integrate_burgers(field, gamma, t_end=0.05, h=1e-3, stride=10)
-    ref = integrate(lambda t, y: burgers_rhs(GridField(y, field.stencil), gamma), field.values, 0.05, h=1e-3, stride=10)
+    run = integrate_burgers(field, t_end=0.05, h=1e-3, stride=10)
+    ref = integrate(lambda t, y: -y * spatial_derivative(y, field.dx, 2), field.values, 0.05, h=1e-3, stride=10)
     assert run.values.tobytes() == ref.states.tobytes()
 
 
@@ -175,13 +179,7 @@ def test_the_shift_index_cache_stays_at_its_bound():
 
 def test_burgers_rhs_constant_field():
     field = GridField(np.full(32, 0.7))
-    np.testing.assert_allclose(burgers_rhs(field), 0, atol=1e-14)
-
-
-def test_burgers_rhs_gamma_term():
-    field = GridField(np.full(32, 2.0))
-    out = burgers_rhs(field, gamma=lambda x: np.ones_like(x))
-    np.testing.assert_allclose(out, -4.0, atol=1e-12)
+    np.testing.assert_allclose(classical._burgers_rate(field.values, field.dx, field.stencil), 0, atol=1e-14)
 
 
 def test_burgers_matches_characteristics():

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 
 from conftest import m2_real_vector_fields, zn_real_vector_fields
@@ -13,10 +14,12 @@ from ncgflow import (
     VectorField,
     ZnElement,
     braiding_residual,
-    divergence_pairing,
     reality_residual,
     solve_b,
+    zn_rhs,
+    zn_transport_rhs,
 )
+from oracles import divergence_pairing, zn_system
 
 TOL = 1e-12
 
@@ -101,3 +104,17 @@ def test_m2_b_hermitian(K):
     b = solve_b(K)
     np.testing.assert_allclose(b.entries, b.star().entries, atol=TOL)
 
+
+
+@pytest.mark.parametrize("n", [2, 3, 64])
+def test_zn_entry_points_are_byte_identical_to_the_reference_system(n):
+    """zn_rhs, zn_transport_rhs and solve_b go through the array kernel; their bytes are the reference's."""
+    rng = np.random.default_rng(20 + n)
+    for _ in range(5):
+        kp, km, m = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3))
+        field = VectorField(ZnElement(kp), ZnElement(km))
+        dkp, dkm, dm = zn_system(kp, km, m)
+        flow = zn_rhs(field)
+        assert flow.k1.samples.tobytes() == dkp.tobytes() and flow.k2.samples.tobytes() == dkm.tobytes()
+        assert zn_transport_rhs(ZnElement(m), field).samples.tobytes() == dm.tobytes()
+        assert solve_b(field).samples.tobytes() == (-zn_system(kp, km, np.ones(n, dtype=complex))[2]).tobytes()

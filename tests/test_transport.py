@@ -9,7 +9,6 @@ from ncgflow import (
     OneForm,
     VectorField,
     ZnElement,
-    bloch,
     braiding_residual,
     d,
     m2_transport_rhs,
@@ -22,14 +21,16 @@ from ncgflow import (
 )
 from ncgflow import transport
 from ncgflow.cli import main
-from ncgflow.connection import _zn_site_rates, _zn_system
-from ncgflow.transport import _real_state_value
+from ncgflow.connection import _zn_site_rates
+from ncgflow.flow import Trajectory
 from oracles import (
+    bloch_point,
     m2_kflow_oracle,
     m2_transport_oracle,
     zn2_transport_oracle,
     zn3_transport_oracle,
     zn_sites_oracle,
+    zn_system,
     zn_transport_oracle,
 )
 
@@ -84,18 +85,17 @@ def test_state_eval_site_values(fig1_data):
         assert state_eval(m, ZnElement.delta(3, i)) == pytest.approx(want)
 
 
+def _bloch(m):
+    """``M2Run.bloch_series`` of a one-sample run at m."""
+    y0 = transport.pack_m2_state(np.eye(2), np.eye(2), np.asarray(m, dtype=complex))
+    return transport.M2Run.of(Trajectory(np.zeros(1), y0[None])).bloch_series()[0]
+
+
 def test_bloch_examples(fig2_data):
-    p = bloch(Mat2Element(fig2_data["m"]))
-    assert p.s == pytest.approx(-1 / 3, abs=1e-12)
-    assert p.x == pytest.approx(1 / 6, abs=1e-12)
-    assert p.y == pytest.approx(0.0, abs=1e-12)
-
-    pure = bloch(Mat2Element([[1, 0], [0, 0]]))
-    assert (pure.s, pure.x, pure.y) == pytest.approx((-0.5, 0.0, 0.0))
-
-    mixed = bloch(Mat2Element(np.eye(2) / np.sqrt(2)))
-    assert (mixed.s, mixed.x, mixed.y) == pytest.approx((0.0, 0.0, 0.0))
-    assert mixed.radius_sq == pytest.approx(0.0)
+    assert _bloch(fig2_data["m"]) == pytest.approx((-1 / 3, 1 / 6, 0.0), abs=1e-12)
+    assert _bloch([[1, 0], [0, 0]]) == pytest.approx((-0.5, 0.0, 0.0))
+    assert _bloch(np.eye(2) / np.sqrt(2)) == pytest.approx((0.0, 0.0, 0.0))
+    np.testing.assert_allclose(_bloch(fig2_data["m"]), bloch_point(Mat2Element(fig2_data["m"])), rtol=0, atol=1e-15)
 
 
 def test_velocity_functional_trivial():
@@ -263,24 +263,16 @@ def test_m2_run_series_match_element_api(admissible):
     np.testing.assert_allclose(run.braiding_fro(), [np.linalg.norm(braiding_residual(f).entries) for f in fields],
                                rtol=0, atol=1e-14)
     np.testing.assert_allclose(run.phi_one(), [state_eval(m, I2).real for m in ms], rtol=0, atol=1e-14)
-    pts = [bloch(m) for m in ms]
-    np.testing.assert_allclose(run.bloch_series(), [[p.s, p.x, p.y] for p in pts], rtol=0, atol=1e-14)
+    # bloch_point is complex: its imaginary parts must vanish too
+    np.testing.assert_allclose(run.bloch_series(), [bloch_point(m) for m in ms], rtol=0, atol=1e-14)
 
 
-def test_bloch_tolerance_is_relative_to_phi_one():
-    # entries near 6e5: Im phi(a) picks up round-off near 5e-6, far below 1e-10 * phi(1)
-    m = Mat2Element([[680726.914 + 240617.034j, -540640.166 + 480304.273j],
-                     [-510885.819 + 326174.077j, 493539.900 + 144720.410j]])
-    scale = state_eval(m, I2).real
-    p = bloch(m)
-    q = bloch(m / np.sqrt(scale))
-    assert (p.s / scale, p.x / scale, p.y / scale) == pytest.approx((q.s, q.x, q.y), abs=1e-12)
-
-
-def test_bloch_check_still_rejects_complex_values():
-    m = Mat2Element([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="imaginary part"):
-        _real_state_value(m, Mat2Element([[1j, 0.0], [0.0, 0.0]]), 1.0)
+def test_bloch_series_scales_with_phi_one():
+    # entries near 6e5: the series is quadratic in m, so it scales by phi(1) = tr(m m^*)
+    m = np.array([[680726.914 + 240617.034j, -540640.166 + 480304.273j],
+                  [-510885.819 + 326174.077j, 493539.900 + 144720.410j]])
+    scale = state_eval(Mat2Element(m), I2).real
+    np.testing.assert_allclose(_bloch(m) / scale, _bloch(m / np.sqrt(scale)), rtol=0, atol=1e-12)
 
 
 def _zn_flat(n, rng, admissible):
@@ -294,7 +286,7 @@ def _zn_flat(n, rng, admissible):
 
 def _zn_reference(y, n):
     z = y.view(np.complex128)
-    return np.concatenate(_zn_system(z[:n], z[n : 2 * n], z[2 * n :])).view(np.float64)
+    return np.concatenate(zn_system(z[:n], z[n : 2 * n], z[2 * n :])).view(np.float64)
 
 
 def test_buffered_zn_rhs_is_byte_identical_to_the_reference_system():
@@ -373,8 +365,9 @@ def _assert_matches_transport_oracle(dm, kp, km, m):
 
 @pytest.mark.parametrize("n", [2, 3, 9, 10, 64, 4096])
 def test_zn_system_transport_matches_the_paper_form(n):
+    """The reference system that the array kernel is held to byte for byte (see above)."""
     for kp, km, m, _ in _zn_transport_cases(n):
-        _assert_matches_transport_oracle(_zn_system(kp, km, m)[2], kp, km, m)
+        _assert_matches_transport_oracle(zn_system(kp, km, m)[2], kp, km, m)
 
 
 @pytest.mark.parametrize("n", range(2, transport.ZN_SCALAR_CROSSOVER + 3))
