@@ -211,6 +211,7 @@ def _m2_system(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md):
 
 def _coupled_rates(field: VectorField, m: AlgebraElement):
     """The data arrays of ``(dK1, dK2, dm)`` at (K, m); K and m must be of one algebra and group order."""
+    field.k1._coerce(m)
     y = pack_complex(field.k1._data, field.k2._data, m._data)
     if isinstance(m, ZnElement):
         return zn_coupled_rhs(m.n)(0.0, y).view(np.complex128).reshape(3, -1)

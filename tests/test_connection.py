@@ -6,6 +6,8 @@ from hypothesis import given
 
 from conftest import m2_real_vector_fields, zn_real_vector_fields
 from ncgflow import (
+    I2,
+    AlgebraMismatchError,
     E12,
     E21,
     E11,
@@ -14,6 +16,7 @@ from ncgflow import (
     VectorField,
     ZnElement,
     braiding_residual,
+    m2_transport_rhs,
     reality_residual,
     solve_b,
     zn_rhs,
@@ -118,3 +121,14 @@ def test_zn_entry_points_are_byte_identical_to_the_reference_system(n):
         assert flow.k1.samples.tobytes() == dkp.tobytes() and flow.k2.samples.tobytes() == dkm.tobytes()
         assert zn_transport_rhs(ZnElement(m), field).samples.tobytes() == dm.tobytes()
         assert solve_b(field).samples.tobytes() == (-zn_system(kp, km, np.ones(n, dtype=complex))[2]).tobytes()
+
+
+def test_entry_points_reject_mismatched_operands():
+    """K and m of two algebras, or of two group orders, raise AlgebraMismatchError."""
+    z3 = VectorField(ZnElement([1, 2, 3]), ZnElement([1, 1, 1]))
+    with pytest.raises(AlgebraMismatchError):
+        zn_transport_rhs(ZnElement([1, 2, 3]), VectorField(I2, I2))
+    with pytest.raises(AlgebraMismatchError):
+        m2_transport_rhs(I2, z3)
+    with pytest.raises(AlgebraMismatchError, match="group orders"):
+        zn_transport_rhs(ZnElement([1, 2]), z3)
