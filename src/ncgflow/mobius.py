@@ -12,7 +12,9 @@ Riccati blow-ups are coordinate artifacts of a smooth projective flow, so
 ``integrate_riccati`` steps in whichever affine chart (z, or w = 1/z) has
 modulus at most 1, switching charts whenever the coordinate crosses the
 unit circle.  ``sphere_distance`` is the bounded chordal metric used to
-compare points near the pole.
+compare points near the pole.  Where a function takes a point, a plain
+number with an infinite part (``inf``, as ``trajectory.csv`` writes the
+pole) is the point at infinity, and nan is refused.
 """
 
 from __future__ import annotations
@@ -72,7 +74,13 @@ class SpherePoint:
 
 
 def _as_point(p) -> SpherePoint:
-    return p if isinstance(p, SpherePoint) else SpherePoint(complex(p))
+    """p as a sphere point: a number with an infinite part is the point at infinity, and nan a ValueError."""
+    if isinstance(p, SpherePoint):
+        return p
+    z = complex(p)
+    if cmath.isnan(z) and not cmath.isinf(z):
+        raise ValueError(f"{p!r} is not a point of the sphere")
+    return SpherePoint(None if cmath.isinf(z) else z)
 
 
 def sphere_distance(p, q) -> float:

@@ -92,6 +92,28 @@ def test_sphere_distance_properties():
     assert sphere_distance(1e300, inf) <= 1e-250
 
 
+@pytest.mark.parametrize("pole", [math.inf, -math.inf, complex("inf"), complex(1.0, -math.inf),
+                                  complex(math.inf, math.nan)])
+def test_infinite_numbers_are_the_point_at_infinity(pole, recwarn):
+    inf = SpherePoint.infinity()
+    assert sphere_distance(pole, inf) == 0.0
+    assert sphere_distance(pole, 0) == 1.0
+    assert mobius_exact(pole, 1, -1, 0.5) == mobius_exact(inf, 1, -1, 0.5)
+    assert mobius_exact(inf, 1, -1, 0.5).z == pytest.approx(1.8305, abs=1e-4)
+    times, points = integrate_riccati(pole, 1, -1, 0.01)
+    assert points[0].is_infinity
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("nan", [math.nan, complex(math.nan, 0.0), complex(0.0, math.nan)])
+def test_nan_is_not_a_point(nan, recwarn):
+    with pytest.raises(ValueError, match="not a point of the sphere"):
+        sphere_distance(nan, SpherePoint.infinity())
+    with pytest.raises(ValueError, match="not a point of the sphere"):
+        mobius_exact(nan, 1, -1, 0.5)
+    assert not recwarn.list
+
+
 def test_sphere_point_from_ratio():
     assert SpherePoint.from_ratio(2.0, 1.0).z == 2.0
     assert SpherePoint.from_ratio(1.0, 0.0).is_infinity
