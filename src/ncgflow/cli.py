@@ -26,11 +26,13 @@ config error.
 
 Config values that are complex numbers are written as ``[re, im]`` pairs
 (plain numbers are accepted as reals); every number must be finite.  A
-run may take at most ``flow.MAX_STEPS`` steps, and its samples times the
+run may take at most ``flow.MAX_STEPS`` steps; its samples times the
 length of its state vector may be at most ``flow.MAX_SAMPLE_VALUES``
-(1 GiB of float64), and a flat geodesic may have at most
-``flow.MAX_SCALAR_STATE / 2`` components, so an accepted config has
-bounded time and memory.  CSV floats carry 17 significant digits and
+(1 GiB of float64), checked first; its steps times that length, its
+work, may be at most ``MAX_STEPS * MAX_SCALAR_STATE`` (2.56e10
+float-steps, the work of the longest run on the largest scalar-form
+state); and a flat geodesic may have at most ``flow.MAX_SCALAR_STATE / 2``
+components.  So an accepted config has bounded time and memory.  CSV floats carry 17 significant digits and
 output bytes are deterministic for a fixed config.
 
 Exit codes: 0 success, 2 config error, 3 numerical blow-up.  In a
@@ -68,7 +70,7 @@ from .classical import (
     round_sphere,
     sine_field,
 )
-from .flow import MAX_SAMPLE_VALUES, MAX_SCALAR_STATE, BlowupError, Trajectory, sample_count, step_count
+from .flow import MAX_SAMPLE_VALUES, MAX_SCALAR_STATE, MAX_STEPS, BlowupError, Trajectory, sample_count, step_count
 from .mobius import metric_preservation_check, run_row
 from .svgplot import line_chart
 from .transport import M2Run, ZnRun, pack_m2_state, pack_zn_state, run_m2, run_zn
@@ -567,6 +569,9 @@ def build_config(raw: dict) -> dict:
     if samples * columns > MAX_SAMPLE_VALUES:
         raise ConfigError(f"fields 't_end'/'step'/'stride': {samples} samples of {columns} state values exceed "
                           f"the limit of {MAX_SAMPLE_VALUES} values; raise 'stride'")
+    if n_steps * columns > MAX_STEPS * MAX_SCALAR_STATE:
+        raise ConfigError(f"fields 't_end'/'step': {n_steps} steps of {columns} state values exceed the work limit "
+                          f"of {MAX_STEPS * MAX_SCALAR_STATE} float-steps; raise 'step' or lower 't_end'")
     return cfg
 
 

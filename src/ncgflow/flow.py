@@ -75,7 +75,7 @@ __all__ = [
 
 Rhs = Callable[[float, np.ndarray], np.ndarray]
 
-MAX_STEPS = 10**8  # bounds the time of any accepted run
+MAX_STEPS = 10**8  # grid steps of a run; cli also bounds steps x state floats by MAX_STEPS * MAX_SCALAR_STATE
 # rk45 attempts a run may make, per grid step.  The largest measured need is
 # 11.2 (y' = -50 y at h = 0.1, where trial steps fail error control); the
 # scenario defaults need 0.1 at the default stride and 1 at stride 1.

@@ -518,6 +518,30 @@ def test_sample_memory_is_capped(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_work_is_capped(tmp_path, capsys):
+    # steps x state floats may be at most flow.MAX_STEPS * flow.MAX_SCALAR_STATE; only build_config,
+    # validate and run's config stage see these configs
+    work = flow.MAX_STEPS * flow.MAX_SCALAR_STATE
+    dim = flow.MAX_SCALAR_STATE // 2  # the largest scalar-form state, at MAX_STEPS: exactly the bound
+    assert build_config({"scenario": "classical-geodesic", "manifold": "flat", "x": [0.0] * dim, "v": [1.0] * dim,
+                         "t_end": 1e8, "step": 1.0, "stride": 10**8})["t_end"] == 1e8
+    grid = {"scenario": "classical-burgers", "n_grid": 2**16, "step": 0.5, "stride": 10**8}
+    assert build_config({**grid, "t_end": 0.5 * (work // 2**16)})["n_grid"] == 2**16  # exactly the bound
+    with pytest.raises(ConfigError, match="exceed the work limit"):
+        build_config({**grid, "t_end": 0.5 * (work // 2**16 + 1)})
+    # 10^8 steps of 2^20 floats, about 10^14 float-steps: admitted before the bound, some months of running
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"scenario": "classical-burgers", "n_grid": cli.MAX_GRID, "t_end": 1e5,
+                                "step": 1e-3, "stride": 10**8}))
+    for argv in (["validate", "--config", str(path)], ["run", "--config", str(path), "--out", str(tmp_path / "o")]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "exceed the work limit" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_flat_geodesic_dimension_is_capped(tmp_path, capsys):
     dim = flow.MAX_SCALAR_STATE // 2
     flat = {"scenario": "classical-geodesic", "manifold": "flat", "t_end": 0.01, "step": 0.01}
