@@ -32,8 +32,9 @@ length of its state vector may be at most ``flow.MAX_SAMPLE_VALUES``
 work, may be at most ``MAX_STEPS * MAX_SCALAR_STATE`` (2.56e10
 float-steps, the work of the longest run on the largest scalar-form
 state); and a flat geodesic may have at most ``flow.MAX_SCALAR_STATE / 2``
-components.  So an accepted config has bounded time and memory.  CSV floats carry 17 significant digits and
-output bytes are deterministic for a fixed config.
+components.  So an accepted config has bounded time and memory.  CSV
+floats carry 17 significant digits and output bytes are deterministic for
+a fixed config.
 
 Exit codes: 0 success, 2 config error, 3 numerical blow-up.  In a
 ``sweep``, a config whose run fails in any other way prints

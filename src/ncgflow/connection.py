@@ -108,16 +108,17 @@ def _zn_dm(kp, km, m, beta, m_up, m_down):
 def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
     """Flat RHS for the coupled (K_+, K_-, m) Z_n system; b is computed once per call.
 
-    The four site equations written with ufunc ``out=`` calls on the sample
-    arrays, so a call allocates nothing but its result, which stays fresh because rk4 still reads a
-    stage after computing the next.  K_+, K_-, m and beta are copied into ghost-padded
-    scratch of length n + 2 (entry 0 holds site n - 1, entry n + 1 site 0),
-    so every neighbour R_{+-1} is a slice view, not a gather.  Each
-    operation keeps the equations' association and operand order: numpy's
-    complex multiply uses FMA, so ``a * b`` and ``b * a`` can differ in the
-    last bit, and the result is byte-identical to the four functions
-    called on gathered sample arrays.  The scratch is shared by every call, so one closure serves one integration
-    at a time.
+    The four site equations written with ufunc ``out=`` calls on the
+    sample arrays, so a call allocates nothing but its result, which stays
+    fresh because rk4 still reads a stage after computing the next.  K_+,
+    K_-, m and beta are copied into ghost-padded scratch of length n + 2
+    (entry 0 holds site n - 1, entry n + 1 site 0), so every neighbour
+    R_{+-1} is a slice view, not a gather.  Each operation keeps the
+    equations' association and operand order: numpy's complex multiply
+    uses FMA, so ``a * b`` and ``b * a`` can differ in the last bit, and
+    the result is byte-identical to the four functions called once each on
+    gathered sample arrays.  The scratch is shared by every call, so one
+    closure serves one integration at a time.
     """
     ghost = np.empty((3, n + 2), dtype=np.complex128)  # rows K_+, K_-, m
     beta_g = np.empty(n + 2, dtype=np.complex128)
