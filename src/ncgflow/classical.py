@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import _shift_indices
-from .flow import _compile, _Expr, _text, integrate
+from .flow import _assign, _compile_rk4, _Expr, _stage_rhs, _text, integrate
 
 __all__ = [
     "ChristoffelProvider",
@@ -107,26 +107,35 @@ def _geodesic_system(y: list, dim: int, symbols: Symbols) -> list:
     return v + [-a for a in acc]
 
 
+def _geodesic_stage(dim: int, triples: tuple):
+    """The stage of ``_geodesic_system``: one ``values`` call on the stage's x, then the rates.
+
+    A stage that leaves the chart (a ValueError or ZeroDivisionError in
+    ``values``: sin(inf), or a pole of the sphere) sets every rate to nan,
+    so the integrator reports a blow-up; a ``values`` result with other
+    than one value per triple is a ValueError.
+    """
+    gammas = [_Expr(f"g{n}") for n in range(len(triples))]
+
+    def stage(t: str, inputs: list, rates: list) -> list:
+        exprs = _geodesic_system([_Expr(name) for name in inputs], dim, [(*ijk, g) for ijk, g in zip(triples, gammas)])
+        return ["try:", f"    gammas = values([{', '.join(inputs[:dim])}])", "except (ValueError, ZeroDivisionError):",
+                f"    {' = '.join(rates)} = nan", "else:", f"    [{', '.join(map(_text, gammas))}] = gammas",
+                *("    " + line for line in _assign(rates, exprs))]
+
+    return stage
+
+
 @functools.lru_cache(maxsize=16)
 def _geodesic_rates(dim: int, triples: tuple):
-    """``make(values)``: the right-hand side ``rhs(t, y)`` of ``_geodesic_system``, straight-line.
+    """``(make, run)`` of ``_geodesic_system``, compiled once per (dim, triples) from ``_geodesic_stage``.
 
-    Compiled once per (dim, triples) from ``_geodesic_system`` applied to
-    ``_Expr`` symbols for x, v and the values of the triples.  ``rhs``
-    unpacks y into one local per entry, calls ``values(y[:dim])`` once
-    (ValueError unless it returns one value per triple) and returns the
-    rates; a stage that leaves the chart (a ValueError or
-    ZeroDivisionError in ``values``: sin(inf), or a pole of the sphere)
-    returns nan entries, so the integrator reports a blow-up.
+    ``make(values)`` is the per-call right-hand side ``rhs(t, y)`` and
+    ``run(values, y, h, n_steps, stride, out)`` the fused rk4 run, with
+    the chart's ``values`` as a run argument.
     """
-    y = [_Expr(f"{name}{i}") for name in ("x", "v") for i in range(dim)]
-    gammas = [_Expr(f"g{n}") for n in range(len(triples))]
-    rates = _geodesic_system(y, dim, [(*ijk, g) for ijk, g in zip(triples, gammas)])
-    lines = ["def make(values):", "    def rhs(t, y):", f"        [{', '.join(map(_text, y))}] = y", "        try:",
-             f"            gammas = values(y[:{dim}])", "        except (ValueError, ZeroDivisionError):",
-             f"            return [nan] * {2 * dim}", f"        [{', '.join(map(_text, gammas))}] = gammas",
-             f"        return [{', '.join(map(_text, rates))}]", "    return rhs", ""]
-    return _compile("\n".join(lines), "make", nan=math.nan)
+    stage = _geodesic_stage(dim, triples)
+    return _stage_rhs(2 * dim, stage, ("values",)), _compile_rk4(2 * dim, stage, ("values",))
 
 
 def speed_squared(x, v, provider: ChristoffelProvider) -> float:
@@ -161,8 +170,9 @@ def integrate_geodesic(
     dim = provider.dim
     if x0.shape != (dim,) or v0.shape != (dim,):
         raise ValueError(f"x0 and v0 must have shape ({dim},)")
-    rhs = _geodesic_rates(dim, provider.triples)(provider.values)
-    traj = integrate(rhs, np.concatenate([x0, v0]), t_end, h=h, stride=stride, method=method, scalars=float)
+    make, run = _geodesic_rates(dim, provider.triples)
+    traj = integrate(make(provider.values), np.concatenate([x0, v0]), t_end, h=h, stride=stride, method=method,
+                     scalars=float, rk4_run=functools.partial(run, provider.values))
     return GeodesicRun(traj.times, traj.states[:, :dim], traj.states[:, dim:], provider)
 
 
@@ -212,9 +222,40 @@ def spatial_derivative(values: np.ndarray, dx: float, stencil: int = 4) -> np.nd
     return (-shifted(2) + 8.0 * shifted(1) - 8.0 * shifted(-1) + shifted(-2)) / (12.0 * dx)
 
 
-def _burgers_rate(v: np.ndarray, dx: float, stencil: int) -> np.ndarray:
-    """``dK/dt = -K K'`` on grid samples."""
-    return -v * spatial_derivative(v, dx, stencil)
+def _burgers_rhs(n: int, dx: float, stencil: int) -> Callable[[float, np.ndarray], np.ndarray]:
+    """``dK/dt = -K K'`` on n grid samples: ``-v * spatial_derivative(v, dx, stencil)`` on reused buffers.
+
+    Each call copies the state into ghost-padded scratch of length n + stencil
+    (``stencil // 2`` entries of the other end on each side), so every shift
+    of ``spatial_derivative`` is a slice view, not a gather, and evaluates
+    it with ufunc ``out=`` calls in its association and operand order, so
+    the rate is byte-identical.  Only the result is fresh, because rk4 still
+    reads a stage after computing the next; the scratch is shared by every
+    call, so one closure serves one integration at a time.
+    """
+    pad = stencil // 2
+    ghost, (work, term) = np.empty(n + 2 * pad), np.empty((2, n))
+    up1, down1, up2, down2 = (ghost[pad + s : pad + s + n] for s in (1, -1, 2, -2))  # shifted(s); +-2 at stencil 4
+    scale = (2.0 if stencil == 2 else 12.0) * dx
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        ghost[pad : pad + n] = y
+        ghost[:pad] = y[n - pad :]
+        ghost[pad + n :] = y[:pad]
+        if stencil == 2:  # (shifted(1) - shifted(-1)) / (2 dx)
+            np.subtract(up1, down1, out=work)
+        else:  # (-shifted(2) + 8 shifted(1) - 8 shifted(-1) + shifted(-2)) / (12 dx)
+            np.negative(up2, out=work)
+            np.multiply(8.0, up1, out=term)
+            np.add(work, term, out=work)
+            np.multiply(8.0, down1, out=term)
+            np.subtract(work, term, out=work)
+            np.add(work, down2, out=work)
+        np.divide(work, scale, out=work)
+        out = np.negative(y)
+        return np.multiply(out, work, out=out)
+
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -236,8 +277,7 @@ def integrate_burgers(
     stride: int = 10,
     method: str = "rk4",
 ) -> BurgersRun:
-    stencil, dx = field.stencil, field.dx
-    traj = integrate(lambda t, y: _burgers_rate(y, dx, stencil), field.values, t_end, h=h, stride=stride,
+    traj = integrate(_burgers_rhs(field.n, field.dx, field.stencil), field.values, t_end, h=h, stride=stride,
                      method=method)
     return BurgersRun(traj.times, traj.states)
 

@@ -24,7 +24,7 @@ transport cancel against those of ``-m b`` and every Z_n kernel evaluates
 Each algebra's equations are written once.  On Z_n they are four
 elementwise functions, ``_zn_beta`` (beta at a site from its four
 neighbours) and the three rates ``_zn_dkp``, ``_zn_dkm`` and ``_zn_dm``.
-``_zn_site_rates(n)`` applies each once per site to ``flow._Expr``
+``_zn_kernels(n)`` applies each once per site to ``flow._Expr``
 symbols, which write the operations out as code, and compiles the text
 into one straight-line right-hand side on the 3n Python complex entries;
 below ``transport.ZN_SCALAR_CROSSOVER`` sites that is cheaper than arrays.
@@ -60,7 +60,7 @@ from typing import Callable
 
 from .algebra import I2, AlgebraElement, Mat2Element, ZnElement, commutator
 from .calculus import VectorField
-from .flow import _compile, _Expr, pack_complex
+from .flow import _assign, _compile_rk4, _Expr, _names, _stage_rhs, pack_complex
 
 __all__ = [
     "solve_b",
@@ -156,44 +156,49 @@ def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
     return rhs
 
 
+def _zn_stage(n: int):
+    """The stage of the Z_n system: beta once per site, then the rates of K_+, K_- and m, in that order."""
+
+    def stage(t: str, inputs: list, rates: list) -> list:
+        kp, km, m = ([_Expr(name) for name in inputs[j * n : (j + 1) * n]] for j in range(3))
+        beta = [_Expr(f"beta{i}") for i in range(n)]
+        up = [(i + 1) % n for i in range(n)]  # R_{+1}; index i - 1 is R_{-1}
+        return [*_assign(_names("beta", n), (_zn_beta(kp[i], kp[up[i]], km[i], km[i - 1]) for i in range(n))),
+                *_assign(rates, [*(_zn_dkp(kp[i], beta[i], beta[i - 1]) for i in range(n)),
+                                 *(_zn_dkm(km[i], beta[i], beta[up[i]]) for i in range(n)),
+                                 *(_zn_dm(kp[i], km[i], m[i], beta[i], m[up[i]], m[i - 1]) for i in range(n))])]
+
+    return stage
+
+
 @functools.lru_cache(maxsize=32)
-def _zn_site_rates(n: int):
-    """The Z_n system as one straight-line ``rhs(t, y)`` on the 3n Python complex entries of (K_+, K_-, m).
+def _zn_kernels(n: int):
+    """``(rhs, run)`` of the Z_n system on the 3n Python complex entries of (K_+, K_-, m).
 
-    Compiled once per n from the four site equations applied to
-    ``_Expr`` symbols: it unpacks y into one local per entry (ValueError
-    unless y has 3n entries), assigns beta once per site and returns the
-    rates of K_+, K_- and m as one list, in that order.
+    Both are compiled once per n from ``_zn_stage(n)``, the four site
+    equations applied to ``_Expr`` symbols: ``rhs(t, y)`` is the per-call
+    right-hand side (``flow._stage_rhs``) and ``run`` the fused rk4 run
+    (``flow._compile_rk4``).
     """
-    kp, km, m, beta = ([_Expr(f"{name}{i}") for i in range(n)] for name in ("kp", "km", "m", "b"))
-    up = [(i + 1) % n for i in range(n)]  # R_{+1}; index i - 1 is R_{-1}
-    rates = [
-        *(_zn_dkp(kp[i], beta[i], beta[i - 1]) for i in range(n)),
-        *(_zn_dkm(km[i], beta[i], beta[up[i]]) for i in range(n)),
-        *(_zn_dm(kp[i], km[i], m[i], beta[i], m[up[i]], m[i - 1]) for i in range(n)),
-    ]
-    lines = [f"    {', '.join(e.text for e in kp + km + m)}, = y"]
-    lines += [f"    b{i} = {_zn_beta(kp[i], kp[up[i]], km[i], km[i - 1]).text}" for i in range(n)]
-    lines.append(f"    return [{', '.join(e.text for e in rates)}]")
-    return _compile("\n".join(["def rhs(t, y):", *lines, ""]), "rhs")
+    stage = _zn_stage(n)
+    return _stage_rhs(3 * n, stage)(), _compile_rk4(3 * n, stage, ())
 
 
-def _m2_system(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md):
-    """Coupled M2 right-hand side on the row-major entries of K1, K2 and m.
+def _m2_temporaries(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md) -> dict:
+    """The shared temporaries of ``_m2_system``: ``t_i = tr K_i``, b's p, q, r and ``u = m_00 - m_11``."""
+    return {"t1": a1 + d1, "t2": a2 + d2, "p": 0.5 * (c1 - b2), "q": 0.5 * (d1 - a1), "r": 0.5 * (a2 - d2),
+            "u": ma - md}
+
+
+def _m2_system(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md, t1, t2, p, q, r, u):
+    """Coupled M2 right-hand side on the row-major entries of K1, K2 and m and ``_m2_temporaries``.
 
     ``B = E12 K1 + E21 K2 + K1 E12 + K2 E21 = [[s, t1], [t2, s]]`` with
     ``t_i = tr K_i``; its scalar diagonal s drops out of ``[K_i, B]``.
     ``b = ([E12, K1] + [E21, K2]) / 2 = [[p, q], [r, -p]]``.  Returns the
     twelve entries of ``dK1 = [K1, B]/2``, ``dK2 = [K2, B]/2`` and
-    ``dm = -b m - K1 [E12, m] - K2 [E21, m]`` as a list.  Works on Python
-    complex scalars, where it is far cheaper than 2x2 numpy products.
+    ``dm = -b m - K1 [E12, m] - K2 [E21, m]`` as a list.
     """
-    t1 = a1 + d1
-    t2 = a2 + d2
-    p = 0.5 * (c1 - b2)
-    q = 0.5 * (d1 - a1)
-    r = 0.5 * (a2 - d2)
-    u = ma - md
     return [
         0.5 * (b1 * t2 - c1 * t1),
         0.5 * (t1 * (a1 - d1)),
@@ -210,13 +215,29 @@ def _m2_system(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md):
     ]
 
 
+def _m2_stage(t: str, inputs: list, rates: list) -> list:
+    """The stage of the M2 system: the six temporaries, then the twelve rates, each written once."""
+    y = [_Expr(name) for name in inputs]
+    temporaries = _m2_temporaries(*y)
+    return [*_assign(temporaries, temporaries.values()), *_assign(rates, _m2_system(*y, *map(_Expr, temporaries)))]
+
+
+@functools.lru_cache(maxsize=1)
+def _m2_kernels():
+    """``(rhs, run)`` of the M2 system on the twelve Python complex entries of (K1, K2, m), from ``_m2_stage``.
+
+    On Python complex scalars they are far cheaper than 2x2 numpy products.
+    """
+    return _stage_rhs(12, _m2_stage)(), _compile_rk4(12, _m2_stage, ())
+
+
 def _coupled_rates(field: VectorField, m: AlgebraElement):
     """The data arrays of ``(dK1, dK2, dm)`` at (K, m); K and m must be of one algebra and group order."""
     field.k1._coerce(m)
     y = pack_complex(field.k1._data, field.k2._data, m._data)
     if isinstance(m, ZnElement):
         return zn_coupled_rhs(m.n)(0.0, y).view(np.complex128).reshape(3, -1)
-    return np.array(_m2_system(*y.view(np.complex128).tolist())).reshape(3, 2, 2)
+    return np.array(_m2_kernels()[0](0.0, y.view(np.complex128).tolist())).reshape(3, 2, 2)
 
 
 def solve_b(field: VectorField) -> AlgebraElement:

@@ -221,50 +221,81 @@ class _Expr:
         return _Expr(f"(-{self.text})")
 
 
-@functools.lru_cache(maxsize=16)
-def _rk4_unrolled(size: int):
-    """A whole rk4 run on ``size`` Python scalars: ``run(f, y, h, n_steps, stride, out)``.
+def _names(prefix: str, size: int) -> list:
+    return [f"{prefix}{i}" for i in range(size)]
 
-    ``rk4_step`` unrolled entry by entry, in its association, inside one
-    loop over the steps; each entry stays in a local from step to step,
-    and every stage is unpacked into one local per entry, so f must return
-    ``size`` entries (ValueError otherwise).  Each new state passes at
-    once when every entry has ``abs(entry) <= MAX_ABS`` (|z| bounds both
-    parts of z); otherwise, or when |z| of a complex entry
-    overflows, ``_check_scalars`` applies the exact rule, which raises
+
+def _assign(names, values) -> list:
+    """The source lines ``name = value`` of ``_Expr`` or number values."""
+    return [f"{name} = {_text(value)}" for name, value in zip(names, values)]
+
+
+def _call_stage(t: str, inputs: list, rates: list) -> list:
+    """The stage of a callable ``f``: one call, unpacked into the rates (ValueError unless it returns as many)."""
+    return [f"{', '.join(rates)}, = f({t}, [{', '.join(inputs)}])"]
+
+
+def _stage_rhs(size: int, stage, params=()):
+    """``make(*params)``: the per-call ``rhs(t, y)`` of ``stage`` on ``size`` Python scalars.
+
+    ``rhs`` unpacks y into one local per entry (ValueError unless y has
+    ``size`` entries), runs the stage's lines and returns its rates as one
+    list, so it evaluates the same text as the stages of ``_compile_rk4``.
+    """
+    inputs, rates = _names("s", size), _names("ka", size)
+    lines = [f"def make({', '.join(params)}):", "    def rhs(t, y):", f"        {', '.join(inputs)}, = y",
+             *("        " + line for line in stage("t", inputs, rates)), f"        return [{', '.join(rates)}]",
+             "    return rhs", ""]
+    return _compile("\n".join(lines), "make", nan=math.nan)
+
+
+def _compile_rk4(size: int, stage, params=("f",)):
+    """A whole rk4 run on ``size`` Python scalars: ``run(*params, y, h, n_steps, stride, out)``.
+
+    ``stage(t, inputs, rates)`` gives the source lines of one stage: they
+    set the locals named ``rates`` to the system's rates at the locals
+    named ``inputs`` and the time ``t`` (a source expression), and may use
+    the run arguments ``params`` and their own temporaries (any name but
+    the run's ``y*``, ``s*``, ``ka*``-``kd*``, ``h``, ``half``, ``sixth``,
+    ``t``, ``step``, ``n_steps``, ``stride``, ``out`` and ``check``).
+    ``_call_stage`` calls ``f``; a system's own stage writes its equations
+    out, so no call, list or unpack happens per stage.  ``rk4_step`` is
+    unrolled entry by entry, in its association, inside one loop over the
+    steps; each entry stays in a local from step to step and each stage
+    input is assigned once.  Each new state passes at once when every
+    entry has ``abs(entry) <= MAX_ABS`` (|z| bounds both parts of z);
+    otherwise, or when |z| of a complex entry overflows,
+    ``_check_scalars`` applies the exact rule, which raises
     ``BlowupError`` with the start of the step as the last good time.
     ``out`` (``sample_count(n_steps, stride)`` rows) is written by the
     stepper rule of the module docstring.  The states are bit for bit those
     of a loop of ``rk4_step`` on the entries.
     """
+    y, s = _names("y", size), _names("s", size)
+    ys = ", ".join(y)
 
-    def entries(template: str, sep: str = ", ") -> str:
-        return sep.join(template.format(i=i) for i in range(size))
+    def inputs(coef: str, k: str) -> list:
+        return [f"s{i} = y{i} + {coef} * {k}{i}" for i in range(size)]
 
-    return _compile(
-        f"def run(f, y, h, n_steps, stride, out):\n"
-        f"    half = 0.5 * h\n"
-        f"    sixth = h / 6.0\n"
-        f"    {entries('y{i}')}, = y\n"
-        f"    for k in range(1, n_steps + 1):\n"
-        f"        t = (k - 1) * h\n"
-        f"        {entries('a{i}')}, = f(t, y)\n"
-        f"        {entries('b{i}')}, = f(t + half, [{entries('y{i} + half * a{i}')}])\n"
-        f"        {entries('c{i}')}, = f(t + half, [{entries('y{i} + half * b{i}')}])\n"
-        f"        {entries('d{i}')}, = f(t + h, [{entries('y{i} + h * c{i}')}])\n"
-        f"        y = [{entries('y{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')}]\n"
-        f"        {entries('y{i}')}, = y\n"
-        f"        try:\n"
-        f"            if not ({entries(f'abs(y{{i}}) <= {MAX_ABS!r}', ' and ')}):\n"
-        f"                check(y, t)\n"
-        f"        except OverflowError:\n"
-        f"            check(y, t)\n"
-        f"        if k % stride == 0:\n"
-        f"            out[k // stride] = y\n"
-        f"    out[-1] = y\n",
-        "run",
-        check=_check_scalars,
-    )
+    body = [*stage("t", y, _names("ka", size)), *inputs("half", "ka"),
+            *stage("t + half", s, _names("kb", size)), *inputs("half", "kb"),
+            *stage("t + half", s, _names("kc", size)), *inputs("h", "kc"),
+            *stage("t + h", s, _names("kd", size)),
+            *(f"y{i} = y{i} + sixth * (ka{i} + 2.0 * kb{i} + 2.0 * kc{i} + kd{i})" for i in range(size)),
+            "try:", f"    if not ({' and '.join(f'abs({v}) <= {MAX_ABS!r}' for v in y)}):", f"        check([{ys}], t)",
+            "except OverflowError:", f"    check([{ys}], t)",
+            "if step % stride == 0:", f"    out[step // stride] = [{ys}]"]
+    lines = [f"def run({', '.join([*params, 'y', 'h', 'n_steps', 'stride', 'out'])}):",
+             "    half = 0.5 * h", "    sixth = h / 6.0", f"    {ys}, = y",
+             "    for step in range(1, n_steps + 1):", "        t = (step - 1) * h",
+             *("        " + line for line in body), f"    out[-1] = [{ys}]", ""]
+    return _compile("\n".join(lines), "run", check=_check_scalars, nan=math.nan)
+
+
+@functools.lru_cache(maxsize=16)
+def _rk4_unrolled(size: int):
+    """``run(f, y, h, n_steps, stride, out)``: ``_compile_rk4`` of ``_call_stage``, rk4 on any callable f."""
+    return _compile_rk4(size, _call_stage)
 
 
 # Dormand-Prince 4(5) tableau: the nodes of stages 2-7, and one row per stage
@@ -435,6 +466,7 @@ def integrate(
     stride: int = 1,
     method: str = "rk4",
     scalars=None,
+    rk4_run=None,
 ) -> Trajectory:
     """Integrate ``dy/dt = f(t, y)`` from t=0, sampling every ``stride`` steps.
 
@@ -475,5 +507,6 @@ def integrate(
         _rk4_arrays(f, y, h_eff, n_steps, stride, states)
     else:
         out = states.view(np.complex128) if scalars is complex else states
-        _rk4_unrolled(out.shape[1])(f, out[0].tolist(), h_eff, n_steps, stride, out)
+        run = rk4_run or functools.partial(_rk4_unrolled(out.shape[1]), f)
+        run(out[0].tolist(), h_eff, n_steps, stride, out)
     return Trajectory(sampled * h_eff, states)

@@ -20,11 +20,12 @@ pole) is the point at infinity, and nan is refused.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import integrate, pack_complex, rk4_step, step_count
+from .flow import _assign, _compile_rk4, _Expr, _stage_rhs, integrate, pack_complex, rk4_step, step_count
 
 __all__ = [
     "SpherePoint",
@@ -93,6 +94,19 @@ def sphere_distance(p, q) -> float:
 def row_rhs(lam: complex, mu: complex, q0: complex, q1: complex, q2: complex):
     """Transport equation for the row (lam, mu)."""
     return q0 * lam + q2 * mu, q0 * mu + q1 * lam
+
+
+def _row_stage(t: str, inputs: list, rates: list) -> list:
+    """The stage of the row transport: ``row_rhs`` on the stage inputs, with the run arguments q0, q1, q2."""
+    return _assign(rates, row_rhs(*map(_Expr, inputs), *map(_Expr, ("q0", "q1", "q2"))))
+
+
+@functools.lru_cache(maxsize=1)
+def _row_kernels():
+    """``(make, run)`` of the row transport, from ``_row_stage``: ``make(q0, q1, q2)`` is its rhs, and
+    ``run(q0, q1, q2, y, h, n_steps, stride, out)`` its fused rk4 run."""
+    params = ("q0", "q1", "q2")
+    return _stage_rhs(2, _row_stage, params), _compile_rk4(2, _row_stage, params)
 
 
 def flow_matrix(q1: complex, q2: complex, t: float) -> np.ndarray:
@@ -231,12 +245,10 @@ def run_row(
     method: str = "rk4",
 ) -> RowRun:
     """Integrate the (lam, mu) transport on Python complex scalars."""
-    q0, q1, q2 = complex(q0), complex(q1), complex(q2)
-
-    def rhs(t: float, y: list) -> tuple:
-        return row_rhs(*y, q0, q1, q2)
-
+    q = complex(q0), complex(q1), complex(q2)
+    make, run = _row_kernels()
     y0 = pack_complex(np.array([complex(lam0), complex(mu0)]))
-    traj = integrate(rhs, y0, t_end, h=h, stride=stride, method=method, scalars=complex)
+    traj = integrate(make(*q), y0, t_end, h=h, stride=stride, method=method, scalars=complex,
+                     rk4_run=functools.partial(run, *q))
     blocks = traj.states.view(np.complex128)
     return RowRun(traj.times, blocks[:, 0].copy(), blocks[:, 1].copy())

@@ -49,7 +49,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, _shift_indices, inner_product
 from .calculus import OneForm, VectorField, apply_vf, left_multiply_form
-from .connection import _m2_system, _zn_site_rates, zn_coupled_rhs
+from .connection import _m2_kernels, _zn_kernels, zn_coupled_rhs
 # The residual functions stay in this namespace: perfbench/spans.py wraps them here.
 from .connection import braiding_residual, reality_residual  # noqa: F401
 from .flow import Trajectory, integrate, pack_complex
@@ -91,14 +91,10 @@ def velocity_functional(m: AlgebraElement, field: VectorField, xi: OneForm) -> c
 
 # Coupled flat systems -----------------------------------------------------
 
-def _m2_rates(t: float, y: list) -> list:
-    """The coupled M2 right-hand side on the twelve Python complex entries of (K1, K2, m)."""
-    return _m2_system(*y)
-
-
 def m2_coupled_rhs() -> Callable[[float, np.ndarray], np.ndarray]:
-    """Flat RHS for the coupled (K1, K2, m) M2 system: ``_m2_rates`` on the packed float64 vector."""
-    return lambda t, y: np.array(_m2_rates(t, y.view(np.complex128).tolist()), dtype=np.complex128).view(np.float64)
+    """Flat RHS for the coupled (K1, K2, m) M2 system: the compiled scalar rhs on the packed float64 vector."""
+    rhs = _m2_kernels()[0]
+    return lambda t, y: np.array(rhs(t, y.view(np.complex128).tolist()), dtype=np.complex128).view(np.float64)
 
 
 def _as_complex(value, shape) -> np.ndarray:
@@ -224,7 +220,8 @@ def run_zn(
         raise ValueError("a Z_n run needs at least one site")
     y0 = pack_zn_state(kp0, km0, m0)
     if n < ZN_SCALAR_CROSSOVER:
-        traj = integrate(_zn_site_rates(n), y0, t_end, h=h, stride=stride, method=method, scalars=complex)
+        rhs, run = _zn_kernels(n)
+        traj = integrate(rhs, y0, t_end, h=h, stride=stride, method=method, scalars=complex, rk4_run=run)
     else:
         traj = integrate(zn_coupled_rhs(n), y0, t_end, h=h, stride=stride, method=method)
     return ZnRun.of(traj)
@@ -245,5 +242,6 @@ def run_m2(
     k20 = _as_complex(k2, (2, 2))
     m0 = _as_complex(m, (2, 2))
     y0 = pack_m2_state(k10, k20, m0)
-    traj = integrate(_m2_rates, y0, t_end, h=h, stride=stride, method=method, scalars=complex)
+    rhs, run = _m2_kernels()
+    traj = integrate(rhs, y0, t_end, h=h, stride=stride, method=method, scalars=complex, rk4_run=run)
     return M2Run.of(traj)

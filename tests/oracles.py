@@ -10,7 +10,7 @@ iteration.  ``line_chart_oracle`` is the per-point SVG writer that
 ``svgplot.line_chart`` replaced, kept verbatim as its byte reference.
 ``dopri_attempt_oracle`` is one Dormand-Prince attempt written from the
 published tableau in exact fractions, stage by stage.  ``zn_sites_oracle``
-is the site-by-site Z_n form that ``connection._zn_site_rates`` compiled
+is the site-by-site Z_n form that ``connection._zn_kernels`` compiled
 away, kept verbatim (it calls the package's four site equations once per
 site) as the byte reference of the compiled kernel; ``zn_system`` calls
 them once each on gathered sample arrays and is the byte reference of
@@ -20,6 +20,8 @@ calculus, the divergence condition and the M2 Bloch coordinates that only
 the tests use.  ``m2_kflow_oracle``
 and ``zn2_transport_oracle`` are closed forms, through scipy's ``expm``, of
 the M2 K-flow and of the Z_2 transport, for any initial data.
+``burgers_rate`` is the burgers right-hand side through the gathers of
+``spatial_derivative``, the byte reference of the buffered kernel.
 """
 
 import math
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from ncgflow import Mat2Element, OneForm, apply_vf, d, state_eval
+from ncgflow import Mat2Element, OneForm, apply_vf, d, spatial_derivative, state_eval
 from ncgflow.algebra import _shift_indices
 from ncgflow.connection import _zn_beta, _zn_dkm, _zn_dkp, _zn_dm
 from ncgflow.svgplot import _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE, _expand, _fmt
@@ -344,3 +346,8 @@ def line_chart_oracle(
 
     out.append("</svg>")
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+
+
+def burgers_rate(v, dx, stencil):
+    """``dK/dt = -K K'`` on grid samples, through the gathers of ``spatial_derivative``: the burgers reference."""
+    return -v * spatial_derivative(v, dx, stencil)

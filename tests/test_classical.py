@@ -17,7 +17,7 @@ from ncgflow import (
     spatial_derivative,
     speed_squared,
 )
-from oracles import great_circle, great_circle_initial_velocity, transport_characteristics_sine
+from oracles import burgers_rate, great_circle, great_circle_initial_velocity, transport_characteristics_sine
 
 
 def test_flat_space_straight_line():
@@ -90,7 +90,7 @@ _SPECIAL = [0.0, -0.0, 1e-300, -1e300, 5e-324, math.inf, -math.inf, math.nan]
                          ids=["sphere", "flat1", "flat3", "flat8"])
 def test_compiled_geodesic_rates_equal_the_system(provider):
     dim = provider.dim
-    rhs = classical._geodesic_rates(dim, provider.triples)(provider.values)
+    rhs = classical._geodesic_rates(dim, provider.triples)[0](provider.values)
     rng = np.random.default_rng(8)
     for trial in range(60):
         y = rng.uniform(0.05, math.pi - 0.05, 2 * dim).tolist()
@@ -104,7 +104,7 @@ def test_compiled_geodesic_rates_equal_the_system(provider):
 @pytest.mark.parametrize("theta", [0.0, math.inf, -math.inf])  # the pole (cot = 1/0), and sin(inf)
 def test_a_stage_that_leaves_the_sphere_chart_has_nan_rates(theta):
     sphere = round_sphere()
-    rates = classical._geodesic_rates(2, sphere.triples)(sphere.values)(0.0, [theta, 0.0, 1.0, 1.0])
+    rates = classical._geodesic_rates(2, sphere.triples)[0](sphere.values)(0.0, [theta, 0.0, 1.0, 1.0])
     assert len(rates) == 4 and all(math.isnan(r) for r in rates)
 
 
@@ -166,20 +166,39 @@ def test_integrate_burgers_steps_burgers_rhs():
     assert run.values.tobytes() == ref.states.tobytes()
 
 
+@pytest.mark.parametrize("stencil", [2, 4])
+@pytest.mark.parametrize("n", [16, 17, 256, 4096])
+def test_buffered_burgers_rhs_is_byte_identical_to_the_gather_form(n, stencil):
+    rng = np.random.default_rng(n + stencil)
+    dx = 2 * math.pi / n
+    rhs = classical._burgers_rhs(n, dx, stencil)
+    states = [rng.normal(size=n), 1e150 * rng.normal(size=n), rng.choice([0.0, -0.0, 5e-324, 1e308, -1.0], n)]
+    results = []
+    for y in states:
+        with np.errstate(all="ignore"):
+            results.append(rhs(0.0, y))
+            assert results[-1].tobytes() == burgers_rate(y, dx, stencil).tobytes()
+    assert results[0].tobytes() == burgers_rate(states[0], dx, stencil).tobytes()  # each result is fresh
+    field = GridField(sine_field(n).values + 0.01 * states[0], stencil)  # within the rk4 stability limit
+    run = integrate_burgers(field, t_end=0.02, h=1e-3, stride=3)
+    ref = integrate(lambda t, y: burgers_rate(y, dx, stencil), field.values, 0.02, h=1e-3, stride=3)
+    assert run.values.tobytes() == ref.states.tobytes()
+
+
 def test_the_shift_index_cache_stays_at_its_bound():
     cache = algebra._shift_indices
-    for n in (16, 32, 48, 64, 80):  # 4 keys a run: (n, +-1) and (n, +-2)
-        integrate_burgers(sine_field(n), t_end=0.01, h=1e-3)
+    for n in (16, 32, 48, 64, 80):  # 4 keys a derivative: (n, +-1) and (n, +-2)
+        spatial_derivative(sine_field(n).values, 2 * math.pi / n)
         info = cache.cache_info()
         assert info.currsize <= info.maxsize == 4
     assert info.currsize == info.maxsize
-    integrate_burgers(sine_field(80), t_end=0.01, h=1e-3)
-    assert cache.cache_info().misses == info.misses  # the last run's gathers are the cached ones
+    spatial_derivative(sine_field(80).values, 2 * math.pi / 80)
+    assert cache.cache_info().misses == info.misses  # the last derivative's gathers are the cached ones
 
 
 def test_burgers_rhs_constant_field():
     field = GridField(np.full(32, 0.7))
-    np.testing.assert_allclose(classical._burgers_rate(field.values, field.dx, field.stencil), 0, atol=1e-14)
+    np.testing.assert_allclose(burgers_rate(field.values, field.dx, field.stencil), 0, atol=1e-14)
 
 
 def test_burgers_matches_characteristics():

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import io
 import math
 import tokenize
@@ -17,9 +18,11 @@ from ncgflow import (
     rk4_step,
     zn_rhs,
 )
-from ncgflow import classical, connection, flow, transport
+from ncgflow import classical, connection, flow, mobius, transport
 from ncgflow.cli import main
 from oracles import dopri_attempt_oracle, m2_flow_oracle, zn3_flow_oracle
+
+_m2_rhs = connection._m2_kernels()[0]  # the per-call M2 right-hand side on twelve complex scalars
 
 
 def test_pack_complex_interleaves_the_inputs_in_order():
@@ -200,7 +203,7 @@ def _fig2_state(fig2_data):
 
 def test_scalar_rk4_equals_array_rk4_on_m2(fig2_data):
     y0 = _fig2_state(fig2_data)
-    on_scalars = integrate(transport._m2_rates, y0, 2.0, h=1e-3, stride=10, scalars=complex)
+    on_scalars = integrate(_m2_rhs, y0, 2.0, h=1e-3, stride=10, scalars=complex)
     on_arrays = integrate(transport.m2_coupled_rhs(), y0, 2.0, h=1e-3, stride=10)
     assert np.array_equal(on_scalars.times, on_arrays.times)
     assert np.array_equal(on_scalars.states, on_arrays.states)
@@ -208,7 +211,7 @@ def test_scalar_rk4_equals_array_rk4_on_m2(fig2_data):
 
 def test_scalar_rk45_is_byte_identical_to_the_array_rhs(fig2_data):
     y0 = _fig2_state(fig2_data)
-    on_scalars = integrate(transport._m2_rates, y0, 2.0, h=1e-3, stride=10, method="rk45", scalars=complex)
+    on_scalars = integrate(_m2_rhs, y0, 2.0, h=1e-3, stride=10, method="rk45", scalars=complex)
     on_arrays = integrate(transport.m2_coupled_rhs(), y0, 2.0, h=1e-3, stride=10, method="rk45")
     assert on_scalars.states.tobytes() == on_arrays.states.tobytes()
     assert on_scalars.times.tobytes() == on_arrays.times.tobytes()
@@ -225,7 +228,7 @@ def _zn_state(n, seed=5):
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
 def test_zn_scalar_and_array_forms_agree(n, method):
     y0 = _zn_state(n)
-    on_scalars = integrate(transport._zn_site_rates(n), y0, 1.0, h=1e-3, stride=50, method=method, scalars=complex)
+    on_scalars = integrate(connection._zn_kernels(n)[0], y0, 1.0, h=1e-3, stride=50, method=method, scalars=complex)
     on_arrays = integrate(transport.zn_coupled_rhs(n), y0, 1.0, h=1e-3, stride=50, method=method)
     assert np.array_equal(on_scalars.times, on_arrays.times)
     assert np.abs(on_scalars.states - on_arrays.states).max() <= 1e-13 * np.abs(on_arrays.states).max()
@@ -315,7 +318,7 @@ def test_one_accepted_rk45_step_matches_the_oracle(system, fig2_data):
     if system == "zn12-arrays":
         y0, f, scalars, f_oracle = _zn_state(12), transport.zn_coupled_rhs(12), None, transport.zn_coupled_rhs(12)
     else:
-        y0, f, scalars, f_oracle = _fig2_state(fig2_data), transport._m2_rates, complex, _on_packed(transport._m2_rates)
+        y0, f, scalars, f_oracle = _fig2_state(fig2_data), _m2_rhs, complex, _on_packed(_m2_rhs)
     times = []
 
     def counted(t, y):
@@ -386,6 +389,63 @@ def test_unrolled_rk4_equals_rk4_step_bit_for_bit(name, scalars, size):
             assert out.tobytes() == np.array(want, dtype=scalars).tobytes()
 
 
+def _fused_systems():
+    """(name, per-call rhs, fused run with its arguments bound, initial entries) of each package system."""
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 3, 10, 17):
+        rhs, run = connection._zn_kernels(n)
+        yield f"zn{n}", rhs, run, (0.3 * (rng.normal(size=3 * n) + 1j * rng.normal(size=3 * n))).tolist()
+    rhs, run = connection._m2_kernels()
+    yield "m2", rhs, run, (0.3 * (rng.normal(size=12) + 1j * rng.normal(size=12))).tolist()
+    make, run = mobius._row_kernels()
+    q = (0.2 + 0.7j, -1.1 + 0.4j, 0.9 - 0.3j)
+    yield "m2row", make(*q), functools.partial(run, *q), [0.6 - 0.2j, -0.3 + 0.8j]
+    for provider, x in ((classical.round_sphere(), [1.1, 0.4]), *((classical.flat_space(d), rng.normal(size=d).tolist())
+                                                                  for d in (1, 3, 8))):
+        make, run = classical._geodesic_rates(provider.dim, provider.triples)
+        v = rng.normal(size=provider.dim).tolist()
+        yield f"geodesic{provider.dim}", make(provider.values), functools.partial(run, provider.values), x + v
+
+
+@pytest.mark.parametrize("system", list(_fused_systems()), ids=lambda system: system[0])
+def test_fused_rk4_run_equals_the_per_call_run_of_its_rhs(system):
+    _, rhs, run, y0 = system
+    n_steps = 8  # not a multiple of the strides 3 and 7
+    for h in (1e-3, 0.05, -0.05):
+        for stride in (1, 3, 7):
+            fused, per_call = (np.zeros((flow.sample_count(n_steps, stride), len(y0)), dtype=type(y0[0]))
+                               for _ in range(2))
+            fused[0] = per_call[0] = y0
+            run(list(y0), h, n_steps, stride, fused)
+            flow._rk4_unrolled(len(y0))(rhs, list(y0), h, n_steps, stride, per_call)
+            assert fused.tobytes() == per_call.tobytes()
+
+
+def _blowup(run, *args):
+    with pytest.raises(BlowupError) as caught:
+        run(*args)
+    return str(caught.value), caught.value.last_good_time
+
+
+@pytest.mark.parametrize("case", ["past-max-abs", "non-finite-start", "pole-stage"])
+def test_fused_rk4_run_blows_up_like_the_per_call_run(case):
+    if case == "pole-stage":  # theta = 0.02 - t: stage 2 of the first step lands on the pole, theta = 0
+        sphere = classical.round_sphere()
+        make, run = classical._geodesic_rates(2, sphere.triples)
+        rhs, fused, y0, h = make(sphere.values), functools.partial(run, sphere.values), [0.02, 0.0, -1.0, 0.0], 0.04
+        assert all(math.isnan(r) for r in rhs(0.0, [0.0, 0.0, -1.0, 0.0]))
+    else:  # lam' = 40 lam passes MAX_ABS near t = 0.52; a nan entry fails the first check
+        make, run = mobius._row_kernels()
+        q = (40.0 + 0j, 0j, 0j)
+        rhs, fused, h = make(*q), functools.partial(run, *q), 0.01
+        y0 = [1.0 + 0j, 0.5j] if case == "past-max-abs" else [complex(math.nan, 0.0), 1.0 + 0j]
+    out = np.zeros((2, len(y0)), dtype=type(y0[0]))
+    got = _blowup(fused, list(y0), h, 100, 100, out.copy())
+    assert got == _blowup(flow._rk4_unrolled(len(y0)), rhs, list(y0), h, 100, 100, out.copy())
+    assert got[1] == {"past-max-abs": 0.51, "non-finite-start": 0.0, "pole-stage": 0.0}[case]
+    assert ("exceeded" if case == "past-max-abs" else "non-finite") in got[0]
+
+
 def test_compiled_sources_hold_only_indices_and_fixed_constants(monkeypatch):
     sources = []
 
@@ -394,17 +454,19 @@ def test_compiled_sources_hold_only_indices_and_fixed_constants(monkeypatch):
         return compile_source(source, name, **names)
 
     compile_source = flow._compile
-    for module in (flow, connection, classical):
-        monkeypatch.setattr(module, "_compile", recording)
+    monkeypatch.setattr(flow, "_compile", recording)  # every kernel is compiled through flow
     for size in [*range(1, 33), 256]:
         flow._rk4_unrolled.__wrapped__(size)
+    # each system compiles its per-call rhs and its fused rk4 run
     for n in range(1, transport.ZN_SCALAR_CROSSOVER):
-        connection._zn_site_rates.__wrapped__(n)
-    for provider in (classical.round_sphere(), classical.flat_space(3)):
+        connection._zn_kernels.__wrapped__(n)
+    connection._m2_kernels.__wrapped__()
+    mobius._row_kernels.__wrapped__()
+    for provider in (classical.round_sphere(), classical.flat_space(3), classical.flat_space(128)):
         classical._geodesic_rates.__wrapped__(provider.dim, provider.triples)
-    # the rk4 weights and the bound of the state check, beta's 1/2, and the geodesic's 0.0 start
+    # the rk4 weights and the bound of the state check, beta's and M2's 1/2, and the geodesic's 0.0 start
     constants = {repr(c) for c in (0.5, 2.0, 6.0, flow.MAX_ABS, 0.0)}
-    assert len(sources) == 33 + transport.ZN_SCALAR_CROSSOVER - 1 + 2
+    assert len(sources) == 33 + 2 * (transport.ZN_SCALAR_CROSSOVER - 1) + 2 + 2 + 2 * 3
     for source in sources:
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             assert token.type != tokenize.STRING, token
@@ -472,7 +534,7 @@ def test_array_rk4_run_equals_a_loop_of_rk4_step(name):
 
 _FORMS = {  # a right-hand side and its initial state in each form
     None: (transport.m2_coupled_rhs(), None),
-    complex: (transport._m2_rates, None),
+    complex: (_m2_rhs, None),
     float: (lambda t, y: [0.5 * y[i - 1] - v * t for i, v in enumerate(y)], np.array([1.0, -0.5, 0.25])),
 }
 
