@@ -53,8 +53,11 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     configs = {Path(path): json.loads(Path(path).read_text()) for flag, path in checks if flag == "--config"}
     defaults = sorted(raw["scenario"] for raw in configs.values() if len(raw) == 1)
     assert defaults == sorted(["zn", "m2", "m2row", "classical-geodesic", "classical-burgers"])
-    benchmark = {Path(argv[2]) for _, argv in runs
-                 if argv[:2] == ["run", "--config"] and tmp_path in Path(argv[2]).parents}
+    configured = {Path(argv[2]) for _, argv in runs if argv[:2] == ["run", "--config"]}
+    benchmark = {path for path in configured if tmp_path in path.parents and path.parent.name != "edges"}
     assert len(benchmark) == 14 and benchmark <= set(configs)  # zn4096, zn64 and the 12 sweep configs
+    edges = {path.stem: json.loads(path.read_text()) for path in configured if path.parent == tmp_path / "edges"}
+    assert len(edges) == 7  # the scalar-form and stencil edges
+    assert sorted(raw.get("n") for raw in edges.values() if raw["scenario"] == "zn") == [2, 17]
     assert len(checks) == 2 + 5 + 14
     assert {argv[0] for _, argv in runs} == {"run", "sweep", "validate"}

@@ -13,13 +13,18 @@ checkout's ``src`` on ``PYTHONPATH``.  The list is:
 * the zn4096 and zn64 configs of the benchmark's ``zn-large`` workload;
 * the twelve configs of its ``sweep-ensemble`` workload, each run on its
   own, and all of them as one ``sweep --jobs 2``;
+* the scalar-form and stencil edges that the golden table lacks, each
+  from its own config: Z_2 and Z_17 rk4, m2row rk45 with complex Q, a
+  flat 3-component geodesic, burgers at stencil 2 and from a ``values``
+  profile, and an m2row run that blows up (exit 3);
 * ``validate`` on both presets, on the five scenario defaults and on every
   benchmark config above.
 
 Only ``run`` and ``sweep`` get ``--out``.  The benchmark configs are
 generated once, at a fixed seed, by ``perfbench/workloads.py`` (imported,
 never written), and the scenario defaults are written next to them as
-``{"scenario": NAME}``, so both checkouts read the same JSON files.  Each
+``{"scenario": NAME}`` and the edge configs under ``edges/``, so both
+checkouts read the same JSON files.  Each
 difference is printed; the exit status is 1 if there is any, else 0.
 """
 
@@ -27,11 +32,14 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 101
@@ -58,6 +66,23 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
         path = workdir / "scenarios" / f"{scenario}.json"
         path.write_text(json.dumps({"scenario": scenario}), encoding="utf-8")
         checks.append((f"validate-{scenario}", ["validate", "--config", str(path)]))
+    edges = {
+        "zn2-rk4": workloads.zn_config(np.random.default_rng(SEED), 2, t_end=2.0, stride=7, method="rk4"),
+        "zn17-rk4": workloads.zn_config(np.random.default_rng(SEED), 17, t_end=1.0, stride=7, method="rk4"),
+        "m2row-rk45": {"scenario": "m2row", "lam": [0.6, -0.2], "mu": [-0.3, 0.8], "q0": [0.0, 0.7],
+                       "q1": [1.1, 0.4], "q2": [-1.1, 0.4], "t_end": 2.0, "method": "rk45"},
+        "flat3-geodesic": {"scenario": "classical-geodesic", "manifold": "flat", "x": [0.1, -0.2, 0.3],
+                           "v": [1.0, 0.5, -0.25], "t_end": 2.0},
+        "burgers-stencil2": {"scenario": "classical-burgers", "stencil": 2, "t_end": 0.5},
+        "burgers-values": {"scenario": "classical-burgers", "t_end": 0.5,
+                           "values": [0.1 * math.sin(0.3 * i) + 0.02 * math.cos(1.1 * i) for i in range(40)]},
+        "m2row-exit3": {"scenario": "m2row", "q0": [40.0, 0.0], "t_end": 1.0},
+    }
+    (workdir / "edges").mkdir()
+    for name, raw in edges.items():
+        path = workdir / "edges" / f"{name}.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        runs.append((f"edge-{name}", ["run", "--config", str(path)]))
     for workload in ("zn-large", "sweep-ensemble"):
         built = workloads.build(cli, workload, SEED, workdir / workload)
         cases = built.cases + built.singles
