@@ -46,9 +46,19 @@ METRIC_TOL = 1e-12  # how far Q0 + conj(Q0) and Q2 + conj(Q1) may be from 0 in a
 
 @dataclass(frozen=True)
 class SpherePoint:
-    """A point of the Riemann sphere: a finite z, or the point at infinity."""
+    """A point of the Riemann sphere: a finite z, or the point at infinity.
+
+    A z with an infinite part is the point at infinity (z becomes None),
+    and a nan z is refused with ValueError.
+    """
 
     z: complex | None = None
+
+    def __post_init__(self):
+        if self.z is not None and cmath.isinf(self.z):
+            object.__setattr__(self, "z", None)
+        elif self.z is not None and cmath.isnan(self.z):
+            raise ValueError(f"{self.z!r} is not a point of the sphere")
 
     @classmethod
     def infinity(cls) -> "SpherePoint":
@@ -76,12 +86,7 @@ class SpherePoint:
 
 def _as_point(p) -> SpherePoint:
     """p as a sphere point: a number with an infinite part is the point at infinity, and nan a ValueError."""
-    if isinstance(p, SpherePoint):
-        return p
-    z = complex(p)
-    if cmath.isnan(z) and not cmath.isinf(z):
-        raise ValueError(f"{p!r} is not a point of the sphere")
-    return SpherePoint(None if cmath.isinf(z) else z)
+    return p if isinstance(p, SpherePoint) else SpherePoint(complex(p))
 
 
 def sphere_distance(p, q) -> float:

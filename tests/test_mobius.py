@@ -114,6 +114,23 @@ def test_nan_is_not_a_point(nan, recwarn):
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("pole", [math.inf, complex("inf"), complex(1.0, -math.inf), complex(math.inf, math.nan)])
+def test_a_sphere_point_with_an_infinite_z_is_the_point_at_infinity(pole, recwarn):
+    inf, point = SpherePoint.infinity(), SpherePoint(pole)
+    assert point == inf and point.is_infinity
+    assert sphere_distance(point, inf) == 0.0 and sphere_distance(point, 0) == 1.0
+    assert mobius_exact(point, 1, -1, 0.5) == mobius_exact(inf, 1, -1, 0.5)
+    mat = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert mobius_apply(mat, point) == mobius_apply(mat, inf) == SpherePoint(1 / 3)
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("nan", [math.nan, complex(math.nan, 0.0), complex(0.0, math.nan)])
+def test_a_sphere_point_with_a_nan_z_is_refused(nan):
+    with pytest.raises(ValueError, match="not a point of the sphere"):
+        SpherePoint(nan)
+
+
 def test_sphere_point_from_ratio():
     assert SpherePoint.from_ratio(2.0, 1.0).z == 2.0
     assert SpherePoint.from_ratio(1.0, 0.0).is_infinity
