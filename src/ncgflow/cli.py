@@ -5,7 +5,8 @@ classical-geodesic, classical-burgers) from a JSON config, a built-in
 preset, or the scenario default, and writes ``trajectory.csv``,
 ``invariants.csv``, ``state.csv`` plus SVG panels to the output
 directory.  ``validate`` checks the algebraic invariants of the initial
-data without integrating; ``sweep`` runs several configs into sibling
+data (and, for a burgers rk4 run, the step against the stencil's stability
+limit) without integrating; ``sweep`` runs several configs into sibling
 output directories.
 
 Each scenario is one ``_Scenario`` record in ``_SCENARIOS``: its default
@@ -64,6 +65,7 @@ from typing import Callable
 import numpy as np
 
 from .classical import (
+    GRID_SPAN,
     GridField,
     flat_space,
     integrate_burgers,
@@ -253,7 +255,8 @@ class _Scenario:
     same monitors, evaluated on ``ZnRun.of`` / ``M2Run.of`` of the packed
     initial state at t = 0.  m2row checks its own two facts, because its
     ``norm_dev`` column is the drift from the first sample, not the
-    distance from 1; the classical scenarios have no checks.
+    distance from 1; burgers checks, for rk4, that the step is within the
+    stencil's stability limit, and the geodesic has no checks.
 
     Runners call ``run_zn``, ``write_csv``, ``line_chart`` and the rest
     through this module's globals, so a wrapper installed on the module
@@ -523,6 +526,23 @@ def _burgers_columns(cfg: dict) -> int:
     return len(cfg["values"]) if "values" in cfg else cfg["n_grid"]
 
 
+# rk4 is stable on the imaginary axis up to |h lambda| = 2 sqrt(2) ~ 2.83, and the largest |lambda| of
+# -K d/dx on the grid is c max|K| / dx, with c the peak of the stencil's symbol: 1 at order 2, 1.372 at order 4.
+_STENCIL_PEAK = {2: 1.0, 4: 1.372}
+
+
+def _burgers_checks(cfg: dict) -> list:
+    """For rk4, whether the step is within the stencil's stability limit ``2.83 dx / (c max|K|)``."""
+    if cfg["method"] != "rk4":
+        return []
+    rate = _STENCIL_PEAK[cfg["stencil"]] * (max(map(abs, cfg["values"])) if "values" in cfg else abs(cfg["amplitude"]))
+    scaled_dx = 2.83 * GRID_SPAN / _burgers_columns(cfg)
+    ok = cfg["step"] * rate <= scaled_dx  # no division: max|K| may be 0 or near the float limit
+    warning = "" if ok else (f"step {cfg['step']:g} exceeds the rk4 stability limit {scaled_dx / rate:.3g} of this "
+                             f"grid, stencil and max|K|; the run is likely to blow up")
+    return [("rk4 step within the stability limit", ok, warning)]
+
+
 _SCENARIOS = {
     "zn": _Scenario(_zn_default, _zn_parse, lambda cfg: 6 * cfg["n"], _zn_run,
                     _monitor_checks(_ZN_MONITORS, ZnRun, pack_zn_state, ("k_plus", "k_minus", "m"))),
@@ -532,7 +552,7 @@ _SCENARIOS = {
     "classical-geodesic": _Scenario(_geodesic_default, _geodesic_parse, lambda cfg: 2 * len(cfg["x"]),
                                     _geodesic_run, lambda cfg: []),
     "classical-burgers": _Scenario(_burgers_default, _burgers_parse, _burgers_columns, _burgers_run,
-                                   lambda cfg: []),
+                                   _burgers_checks),
 }
 SCENARIOS = tuple(_SCENARIOS)
 

@@ -414,6 +414,27 @@ def test_run_prints_validate_warnings(tmp_path, capsys):
     assert "warning" not in capsys.readouterr().err
 
 
+def test_burgers_rk4_step_past_the_stability_limit_warns(tmp_path, capsys):
+    """The limit 2.83 dx / (c max|K|) at n = 4096, stencil 4, amplitude 0.1 is 0.0316: runs at 0.9x and 1.1x."""
+    row = "rk4 step within the stability limit"
+    for factor, code in ((0.9, 0), (1.1, 3)):
+        step = factor * 2.83 * (2 * math.pi / 4096) / (1.372 * 0.1)
+        path = tmp_path / f"burgers{factor}.json"
+        path.write_text(json.dumps({"scenario": "classical-burgers", "n_grid": 4096, "step": step, "t_end": 5.0}))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert f"{row}: {'yes' if code == 0 else 'no'}" in capsys.readouterr().out.splitlines()
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / f"b{factor}")]) == code
+        err = capsys.readouterr().err
+        assert ("warning: step 0.0348053 exceeds the rk4 stability limit 0.0316 " in err) == (code == 3)
+    values = {"scenario": "classical-burgers", "values": [0.5] + [0.0] * 15, "step": 2.0}  # limit 1.62
+    for method, line in (("rk4", f"{row}: no"), ("rk45", "no algebraic invariants for this scenario; config is "
+                                                        "well-formed")):
+        path = tmp_path / f"values-{method}.json"
+        path.write_text(json.dumps({**values, "method": method}))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+
+
 # Each of these once ended in a traceback (AlgebraError or ZeroDivisionError).
 _ZN_1E309 = '{"scenario": "zn", "k_plus": [[1e309, 0], [1, 0], [1, 0]]}'
 _ZN_NAN = '{"scenario": "zn", "k_plus": [[NaN, 0], [1, 0], [1, 0]]}'
