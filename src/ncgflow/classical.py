@@ -12,15 +12,19 @@ declared once, and a function giving their ``Gamma^i_jk`` at a point.
 ``_geodesic_system`` contracts ``ChristoffelProvider.symbols(x)``, the
 list of ``(i, j, k, Gamma^i_jk(x))``, with v in one scalar loop, and so
 does the check; ``integrate_geodesic`` steps that system applied once to
-``flow._Expr`` symbols: a straight-line right-hand side compiled once
-per (dim, triples), on first use, that calls the provider's values
-function once per stage.
+``flow._Expr`` symbols (``_geodesic_stage``), compiled once per (dim,
+triples), on first use, into a straight-line right-hand side and into a
+fused rk4 run, both calling the provider's values function, a run
+argument, once per stage.
 
 On the line the velocity-field equation reduces to an inviscid transport
 equation, ``dK/dt = -K K' - Gamma K^2``.  The line here is flat, Gamma = 0,
 so ``integrate_burgers`` steps ``dK/dt = -K K'`` on a periodic grid over
 [0, 2pi); it is integrated only in the smooth pre-shock regime and checked
-against the method of characteristics in the tests.
+against the method of characteristics in the tests.  Its right-hand side
+(``_burgers_rhs``) evaluates ``-K spatial_derivative(K)`` on a
+ghost-padded copy of the state with reused buffers, byte for byte;
+``spatial_derivative`` stays the public reference.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import _shift_indices
-from .flow import _assign, _compile_rk4, _Expr, _stage_rhs, _text, integrate
+from .flow import _assign, _Expr, _stage_kernels, _text, integrate
 
 __all__ = [
     "ChristoffelProvider",
@@ -107,7 +111,7 @@ def _geodesic_system(y: list, dim: int, symbols: Symbols) -> list:
     return v + [-a for a in acc]
 
 
-def _geodesic_stage(dim: int, triples: tuple):
+def _geodesic_stage(dim: int, triples: tuple, t: str, inputs: list, rates: list) -> list:
     """The stage of ``_geodesic_system``: one ``values`` call on the stage's x, then the rates.
 
     A stage that leaves the chart (a ValueError or ZeroDivisionError in
@@ -116,26 +120,21 @@ def _geodesic_stage(dim: int, triples: tuple):
     than one value per triple is a ValueError.
     """
     gammas = [_Expr(f"g{n}") for n in range(len(triples))]
-
-    def stage(t: str, inputs: list, rates: list) -> list:
-        exprs = _geodesic_system([_Expr(name) for name in inputs], dim, [(*ijk, g) for ijk, g in zip(triples, gammas)])
-        return ["try:", f"    gammas = values([{', '.join(inputs[:dim])}])", "except (ValueError, ZeroDivisionError):",
-                f"    {' = '.join(rates)} = nan", "else:", f"    [{', '.join(map(_text, gammas))}] = gammas",
-                *("    " + line for line in _assign(rates, exprs))]
-
-    return stage
+    exprs = _geodesic_system([_Expr(name) for name in inputs], dim, [(*ijk, g) for ijk, g in zip(triples, gammas)])
+    return ["try:", f"    gammas = values([{', '.join(inputs[:dim])}])", "except (ValueError, ZeroDivisionError):",
+            f"    {' = '.join(rates)} = nan", "else:", f"    [{', '.join(map(_text, gammas))}] = gammas",
+            *("    " + line for line in _assign(rates, exprs))]
 
 
 @functools.lru_cache(maxsize=16)
 def _geodesic_rates(dim: int, triples: tuple):
-    """``(make, run)`` of ``_geodesic_system``, compiled once per (dim, triples) from ``_geodesic_stage``.
+    """``(rhs, run)`` of ``_geodesic_system``, compiled once per (dim, triples) from ``_geodesic_stage``.
 
-    ``make(values)`` is the per-call right-hand side ``rhs(t, y)`` and
+    ``rhs(values, t, y)`` is the per-call right-hand side and
     ``run(values, y, h, n_steps, stride, out)`` the fused rk4 run, with
     the chart's ``values`` as a run argument.
     """
-    stage = _geodesic_stage(dim, triples)
-    return _stage_rhs(2 * dim, stage, ("values",)), _compile_rk4(2 * dim, stage, ("values",))
+    return _stage_kernels(2 * dim, functools.partial(_geodesic_stage, dim, triples), ("values",))
 
 
 def speed_squared(x, v, provider: ChristoffelProvider) -> float:
@@ -170,9 +169,9 @@ def integrate_geodesic(
     dim = provider.dim
     if x0.shape != (dim,) or v0.shape != (dim,):
         raise ValueError(f"x0 and v0 must have shape ({dim},)")
-    make, run = _geodesic_rates(dim, provider.triples)
-    traj = integrate(make(provider.values), np.concatenate([x0, v0]), t_end, h=h, stride=stride, method=method,
-                     scalars=float, rk4_run=functools.partial(run, provider.values))
+    rhs, run = (functools.partial(kernel, provider.values) for kernel in _geodesic_rates(dim, provider.triples))
+    traj = integrate(rhs, np.concatenate([x0, v0]), t_end, h=h, stride=stride, method=method, scalars=float,
+                     rk4_run=run)
     return GeodesicRun(traj.times, traj.states[:, :dim], traj.states[:, dim:], provider)
 
 
@@ -235,13 +234,12 @@ def _burgers_rhs(n: int, dx: float, stencil: int) -> Callable[[float, np.ndarray
     """
     pad = stencil // 2
     ghost, (work, term) = np.empty(n + 2 * pad), np.empty((2, n))
+    wrap = np.arange(-pad, n + pad)  # ghost[j] = y[(j - pad) % n]
     up1, down1, up2, down2 = (ghost[pad + s : pad + s + n] for s in (1, -1, 2, -2))  # shifted(s); +-2 at stencil 4
     scale = (2.0 if stencil == 2 else 12.0) * dx
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        ghost[pad : pad + n] = y
-        ghost[:pad] = y[n - pad :]
-        ghost[pad + n :] = y[:pad]
+        np.take(y, wrap, out=ghost, mode="wrap")
         if stencil == 2:  # (shifted(1) - shifted(-1)) / (2 dx)
             np.subtract(up1, down1, out=work)
         else:  # (-shifted(2) + 8 shifted(1) - 8 shifted(-1) + shifted(-2)) / (12 dx)

@@ -526,16 +526,17 @@ def _burgers_columns(cfg: dict) -> int:
     return len(cfg["values"]) if "values" in cfg else cfg["n_grid"]
 
 
-# rk4 is stable on the imaginary axis up to |h lambda| = 2 sqrt(2) ~ 2.83, and the largest |lambda| of
-# -K d/dx on the grid is c max|K| / dx, with c the peak of the stencil's symbol: 1 at order 2, 1.372 at order 4.
-_STENCIL_PEAK = {2: 1.0, 4: 1.372}
-
-
 def _burgers_checks(cfg: dict) -> list:
-    """For rk4, whether the step is within the stencil's stability limit ``2.83 dx / (c max|K|)``."""
+    """For rk4, whether the step is within the stencil's stability limit ``2.83 dx / (c max|K|)``.
+
+    rk4 is stable on the imaginary axis up to |h lambda| = 2 sqrt(2) ~ 2.83,
+    and the largest |lambda| of -K d/dx on the grid is c max|K| / dx, with
+    c the peak of the stencil's symbol: 1 at order 2, 1.372 at order 4.
+    """
     if cfg["method"] != "rk4":
         return []
-    rate = _STENCIL_PEAK[cfg["stencil"]] * (max(map(abs, cfg["values"])) if "values" in cfg else abs(cfg["amplitude"]))
+    rate = {2: 1.0, 4: 1.372}[cfg["stencil"]] * (max(map(abs, cfg["values"])) if "values" in cfg
+                                                  else abs(cfg["amplitude"]))
     scaled_dx = 2.83 * GRID_SPAN / _burgers_columns(cfg)
     ok = cfg["step"] * rate <= scaled_dx  # no division: max|K| may be 0 or near the float limit
     warning = "" if ok else (f"step {cfg['step']:g} exceeds the rk4 stability limit {scaled_dx / rate:.3g} of this "

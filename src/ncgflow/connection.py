@@ -24,18 +24,22 @@ transport cancel against those of ``-m b`` and every Z_n kernel evaluates
 Each algebra's equations are written once.  On Z_n they are four
 elementwise functions, ``_zn_beta`` (beta at a site from its four
 neighbours) and the three rates ``_zn_dkp``, ``_zn_dkm`` and ``_zn_dm``.
-``_zn_kernels(n)`` applies each once per site to ``flow._Expr``
-symbols, which write the operations out as code, and compiles the text
-into one straight-line right-hand side on the 3n Python complex entries;
-below ``transport.ZN_SCALAR_CROSSOVER`` sites that is cheaper than arrays.
-The compiled source is made of site indices, fixed names and the ``repr``
-of the equations' float constants, so it performs the equations'
-operations in their order, and is compiled once per n, on first use.
-``zn_coupled_rhs(n)`` is the one array form: the same operations, in the
-same association and operand order, as ufunc calls on reused buffers of
-the packed state.  The tests hold it byte for byte to the four functions
-called once each on gathered sample arrays.  ``_m2_system`` works on the
-twelve Python complex entries of (K1, K2, m).
+``_zn_stage(n)`` applies each once per site to ``flow._Expr`` symbols,
+which write the operations out as code: beta once per site, then the 3n
+rates.  ``_zn_kernels(n)`` compiles that stage text twice, on first use:
+into a straight-line right-hand side on the 3n Python complex entries
+and into a whole rk4 run with the stage written out four times per step
+(``flow._stage_kernels``); below
+``transport.ZN_SCALAR_CROSSOVER`` sites that is cheaper than arrays.  The
+compiled source is made of site indices, fixed names and the ``repr`` of
+the equations' float constants, so it performs the equations' operations
+in their order.  ``zn_coupled_rhs(n)`` is the one array form: the same
+operations, in the same association and operand order, as ufunc calls on
+reused buffers of the packed state.  The tests hold it byte for byte to
+the four functions called once each on gathered sample arrays.  On M2,
+``_m2_temporaries`` (t1, t2, p, q, r, u) and ``_m2_system`` (the twelve
+rates of (K1, K2, m)) make ``_m2_stage``, which ``_m2_kernels`` compiles
+the same way.
 
 The element entry points are ``solve_b`` (b = -dm/dt at m = 1),
 ``zn_rhs`` / ``m2_rhs`` (dK/dt as a vector field) and
@@ -60,7 +64,7 @@ from typing import Callable
 
 from .algebra import I2, AlgebraElement, Mat2Element, ZnElement, commutator
 from .calculus import VectorField
-from .flow import _assign, _compile_rk4, _Expr, _names, _stage_rhs, pack_complex
+from .flow import _assign, _Expr, _names, _stage_kernels, pack_complex
 
 __all__ = [
     "solve_b",
@@ -156,32 +160,27 @@ def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
     return rhs
 
 
-def _zn_stage(n: int):
+def _zn_stage(n: int, t: str, inputs: list, rates: list) -> list:
     """The stage of the Z_n system: beta once per site, then the rates of K_+, K_- and m, in that order."""
-
-    def stage(t: str, inputs: list, rates: list) -> list:
-        kp, km, m = ([_Expr(name) for name in inputs[j * n : (j + 1) * n]] for j in range(3))
-        beta = [_Expr(f"beta{i}") for i in range(n)]
-        up = [(i + 1) % n for i in range(n)]  # R_{+1}; index i - 1 is R_{-1}
-        return [*_assign(_names("beta", n), (_zn_beta(kp[i], kp[up[i]], km[i], km[i - 1]) for i in range(n))),
-                *_assign(rates, [*(_zn_dkp(kp[i], beta[i], beta[i - 1]) for i in range(n)),
-                                 *(_zn_dkm(km[i], beta[i], beta[up[i]]) for i in range(n)),
-                                 *(_zn_dm(kp[i], km[i], m[i], beta[i], m[up[i]], m[i - 1]) for i in range(n))])]
-
-    return stage
+    kp, km, m = ([_Expr(name) for name in inputs[j * n : (j + 1) * n]] for j in range(3))
+    beta = [_Expr(f"beta{i}") for i in range(n)]
+    up = [(i + 1) % n for i in range(n)]  # R_{+1}; index i - 1 is R_{-1}
+    return [*_assign(_names("beta", n), (_zn_beta(kp[i], kp[up[i]], km[i], km[i - 1]) for i in range(n))),
+            *_assign(rates, [*(_zn_dkp(kp[i], beta[i], beta[i - 1]) for i in range(n)),
+                             *(_zn_dkm(km[i], beta[i], beta[up[i]]) for i in range(n)),
+                             *(_zn_dm(kp[i], km[i], m[i], beta[i], m[up[i]], m[i - 1]) for i in range(n))])]
 
 
 @functools.lru_cache(maxsize=32)
 def _zn_kernels(n: int):
     """``(rhs, run)`` of the Z_n system on the 3n Python complex entries of (K_+, K_-, m).
 
-    Both are compiled once per n from ``_zn_stage(n)``, the four site
-    equations applied to ``_Expr`` symbols: ``rhs(t, y)`` is the per-call
-    right-hand side (``flow._stage_rhs``) and ``run`` the fused rk4 run
-    (``flow._compile_rk4``).
+    Both are compiled once per n (``flow._stage_kernels``) from
+    ``_zn_stage``, the four site equations applied to ``_Expr`` symbols:
+    ``rhs(t, y)`` is the per-call right-hand side and ``run`` the fused rk4
+    run.
     """
-    stage = _zn_stage(n)
-    return _stage_rhs(3 * n, stage)(), _compile_rk4(3 * n, stage, ())
+    return _stage_kernels(3 * n, functools.partial(_zn_stage, n))
 
 
 def _m2_temporaries(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md) -> dict:
@@ -228,7 +227,7 @@ def _m2_kernels():
 
     On Python complex scalars they are far cheaper than 2x2 numpy products.
     """
-    return _stage_rhs(12, _m2_stage)(), _compile_rk4(12, _m2_stage, ())
+    return _stage_kernels(12, _m2_stage)
 
 
 def _coupled_rates(field: VectorField, m: AlgebraElement):

@@ -12,10 +12,18 @@ Complex states are packed as interleaved real/imaginary parts (``pack_complex``)
   length.  For the small systems (M2, the m2row module, Z_n below
   ``transport.ZN_SCALAR_CROSSOVER`` sites, the geodesic) numpy's per-call
   overhead costs more than the arithmetic, so steps run on the entries
-  themselves.  rk4 on scalars is compiled per state length, from source
-  made of entry indices, fixed names and the ``repr`` of the step's
-  constants, never of a value; compiling costs time and memory per
-  entry, so a scalar-form state holds at most ``MAX_SCALAR_STATE`` floats.
+  themselves.  rk4 on scalars is one compiled run (``_compile_rk4``)
+  built from a *stage*, the source lines that evaluate the rates at named
+  stage inputs: for any f, the stage calls f (``_rk4_unrolled``, one run
+  per state length); the package's own systems write their equations
+  out as their stage, and pass that fused run as ``rk4_run``, so no call
+  happens per stage; their per-call f (for rk45) is compiled from the
+  same stage text (``_stage_kernels``).  The source is made of entry
+  indices, fixed names and the ``repr`` of the equations' and the step's
+  constants, never of a value (a system's config values, such as the
+  chart's ``values``, are run arguments); compiling costs time and memory
+  per entry, so a scalar-form state holds at most ``MAX_SCALAR_STATE``
+  floats.
 
 In both forms f must return one entry per entry of the state (ValueError
 otherwise), ``y0`` is the packed float64 vector and the samples land in
@@ -26,10 +34,10 @@ name the Z_n right-hand sides) see one interface.
 ``integrate`` checks its arguments and the initial state, builds the
 time grid and the sample block, preallocated from the step count and the
 stride, and hands the whole run to one stepper: ``_rk4_arrays`` (rk4 on
-arrays), the run that ``_rk4_unrolled`` compiles per state length (rk4 on
-scalars) or ``_dopri`` (rk45, either form).  Each stepper takes
-``(f, y, h, n_steps, stride, out)``, ``_dopri`` the state form too,
-and owns its loop: from t = 0 it takes ``n_steps`` steps of h (rk45
+arrays), a compiled run (rk4 on scalars: ``rk4_run`` or the per-call run
+of f) or ``_dopri`` (rk45, either form).  Each stepper takes
+``(f, y, h, n_steps, stride, out)`` (a fused run has its system in place
+of f), ``_dopri`` the state form too, and owns its loop: from t = 0 it takes ``n_steps`` steps of h (rk45
 lands on the sampled steps of the same grid with adaptive substeps),
 checks every accepted state, writes the state after step k into row
 ``k // stride`` of ``out`` when ``stride`` divides k and the final state
@@ -86,9 +94,12 @@ RTOL = ATOL = 1e-9  # rk45 error tolerances, relative and absolute
 # block, 1 GiB of float64.  It admits a MAX_GRID burgers run at the default stride.
 MAX_SAMPLE_VALUES = 2**27
 # Floats in a scalar-form state.  It bounds the compile time and memory of the
-# compiled rk4 run: at 256 float entries, 16-24 ms untraced on a 2-vCPU Xeon
-# whose speed varies, and a 4.4 MB peak under tracemalloc.  Z_n on scalars,
-# below transport.ZN_SCALAR_CROSSOVER sites of 6 floats, fits.
+# compiled rk4 run, once per process and state size.  On a 2-vCPU Xeon whose
+# speed varies, untraced, with the tracemalloc peak: the largest fused run, a
+# flat 128-component geodesic with its rhs, 31-61 ms and 9.0 MB; the per-call
+# run at 256 floats 22-27 ms and 7.7 MB; Z_17 (51 complex entries) 10-17 ms
+# and 2.8 MB.  Z_n on scalars, below transport.ZN_SCALAR_CROSSOVER sites of 6
+# floats, fits.
 MAX_SCALAR_STATE = 256
 
 
@@ -235,18 +246,20 @@ def _call_stage(t: str, inputs: list, rates: list) -> list:
     return [f"{', '.join(rates)}, = f({t}, [{', '.join(inputs)}])"]
 
 
-def _stage_rhs(size: int, stage, params=()):
-    """``make(*params)``: the per-call ``rhs(t, y)`` of ``stage`` on ``size`` Python scalars.
+def _stage_kernels(size: int, stage, params=()):
+    """``(rhs, run)`` of a system on ``size`` Python scalars, both compiled from its ``stage``.
 
-    ``rhs`` unpacks y into one local per entry (ValueError unless y has
-    ``size`` entries), runs the stage's lines and returns its rates as one
-    list, so it evaluates the same text as the stages of ``_compile_rk4``.
+    ``rhs(*params, t, y)`` is the per-call right-hand side: it unpacks y
+    into one local per entry (ValueError unless y has ``size`` entries),
+    runs the stage's lines and returns its rates as one list, so it
+    evaluates the same text as the stages of ``run``, the fused rk4 run
+    that ``_compile_rk4`` makes of the stage.  A caller binds the run
+    arguments ``params`` to both, as ``functools.partial`` does.
     """
     inputs, rates = _names("s", size), _names("ka", size)
-    lines = [f"def make({', '.join(params)}):", "    def rhs(t, y):", f"        {', '.join(inputs)}, = y",
-             *("        " + line for line in stage("t", inputs, rates)), f"        return [{', '.join(rates)}]",
-             "    return rhs", ""]
-    return _compile("\n".join(lines), "make", nan=math.nan)
+    lines = [f"def rhs({', '.join([*params, 't', 'y'])}):", f"    {', '.join(inputs)}, = y",
+             *("    " + line for line in stage("t", inputs, rates)), f"    return [{', '.join(rates)}]", ""]
+    return _compile("\n".join(lines), "rhs", nan=math.nan), _compile_rk4(size, stage, params)
 
 
 def _compile_rk4(size: int, stage, params=("f",)):
@@ -476,7 +489,11 @@ def integrate(
     vector in either state form; ``scalars`` (None, ``complex`` or
     ``float``) selects the form of f, as the module docstring describes.
     The run itself is one call of the stepper of ``method`` and the form.
-    ``rk45`` calls f once at t=0 and then six times per attempted step.
+    ``rk4_run``, a compiled scalar-form run ``run(y, h, n_steps, stride,
+    out)`` of f's own system (``_compile_rk4`` of its stage), replaces the
+    per-call run for rk4 on scalars, which then never calls f; it is
+    ignored otherwise.  ``rk45`` calls f once at t=0 and then six times per
+    attempted step.
     Deterministic for fixed inputs.
     """
     n_steps = step_count(t_end, h)

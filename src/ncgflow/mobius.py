@@ -12,9 +12,15 @@ Riccati blow-ups are coordinate artifacts of a smooth projective flow, so
 ``integrate_riccati`` steps in whichever affine chart (z, or w = 1/z) has
 modulus at most 1, switching charts whenever the coordinate crosses the
 unit circle.  ``sphere_distance`` is the bounded chordal metric used to
-compare points near the pole.  Where a function takes a point, a plain
-number with an infinite part (``inf``, as ``trajectory.csv`` writes the
-pole) is the point at infinity, and nan is refused.
+compare points near the pole.  A ``SpherePoint`` whose z has an infinite
+part, like a plain number with one where a function takes a point
+(``inf``, as ``trajectory.csv`` writes the pole), is the point at
+infinity, and nan is refused.
+
+``run_row`` steps the row on Python complex scalars: ``row_rhs`` applied
+to ``flow._Expr`` symbols is its stage, compiled on first use into a
+per-call right-hand side and a fused rk4 run, with Q0, Q1, Q2 as run
+arguments.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import _assign, _compile_rk4, _Expr, _stage_rhs, integrate, pack_complex, rk4_step, step_count
+from .flow import _assign, _Expr, _stage_kernels, integrate, pack_complex, rk4_step, step_count
 
 __all__ = [
     "SpherePoint",
@@ -108,10 +114,9 @@ def _row_stage(t: str, inputs: list, rates: list) -> list:
 
 @functools.lru_cache(maxsize=1)
 def _row_kernels():
-    """``(make, run)`` of the row transport, from ``_row_stage``: ``make(q0, q1, q2)`` is its rhs, and
-    ``run(q0, q1, q2, y, h, n_steps, stride, out)`` its fused rk4 run."""
-    params = ("q0", "q1", "q2")
-    return _stage_rhs(2, _row_stage, params), _compile_rk4(2, _row_stage, params)
+    """``(rhs, run)`` of the row transport, from ``_row_stage``: ``rhs(q0, q1, q2, t, y)`` and
+    ``run(q0, q1, q2, y, h, n_steps, stride, out)``, its fused rk4 run."""
+    return _stage_kernels(2, _row_stage, ("q0", "q1", "q2"))
 
 
 def flow_matrix(q1: complex, q2: complex, t: float) -> np.ndarray:
@@ -250,10 +255,8 @@ def run_row(
     method: str = "rk4",
 ) -> RowRun:
     """Integrate the (lam, mu) transport on Python complex scalars."""
-    q = complex(q0), complex(q1), complex(q2)
-    make, run = _row_kernels()
+    rhs, run = (functools.partial(kernel, complex(q0), complex(q1), complex(q2)) for kernel in _row_kernels())
     y0 = pack_complex(np.array([complex(lam0), complex(mu0)]))
-    traj = integrate(make(*q), y0, t_end, h=h, stride=stride, method=method, scalars=complex,
-                     rk4_run=functools.partial(run, *q))
+    traj = integrate(rhs, y0, t_end, h=h, stride=stride, method=method, scalars=complex, rk4_run=run)
     blocks = traj.states.view(np.complex128)
     return RowRun(traj.times, blocks[:, 0].copy(), blocks[:, 1].copy())

@@ -20,9 +20,12 @@ which this module re-exports.
 
 ``flow.integrate`` steps these systems in one of its two state forms.
 M2 always runs on Python complex scalars (``scalars=complex``).  Z_n runs
-on scalars below ``ZN_SCALAR_CROSSOVER`` sites, through the straight-line
-kernel that ``connection._zn_site_rates`` compiles once per n, and on
-sample arrays (``zn_coupled_rhs``) from there on: the cost of the scalar
+on scalars below ``ZN_SCALAR_CROSSOVER`` sites and on sample arrays
+(``zn_coupled_rhs``) from there on.  On scalars each system passes the
+pair that ``connection`` compiles from its stage, once per n for Z_n
+(``_zn_kernels``, ``_m2_kernels``): the per-call right-hand side as f
+(for rk45) and the fused rk4 run, with the equations written out in the
+loop, as ``rk4_run``.  Between the two Z_n forms, the cost of the scalar
 form grows with n while that of the array form is nearly flat at small n,
 and the constant is where a whole rk4 step costs the same in both.  A Z_n
 run needs at least one site.  Either way the state handed to
@@ -219,11 +222,9 @@ def run_zn(
     if not n:
         raise ValueError("a Z_n run needs at least one site")
     y0 = pack_zn_state(kp0, km0, m0)
-    if n < ZN_SCALAR_CROSSOVER:
-        rhs, run = _zn_kernels(n)
-        traj = integrate(rhs, y0, t_end, h=h, stride=stride, method=method, scalars=complex, rk4_run=run)
-    else:
-        traj = integrate(zn_coupled_rhs(n), y0, t_end, h=h, stride=stride, method=method)
+    rhs, run = _zn_kernels(n) if n < ZN_SCALAR_CROSSOVER else (zn_coupled_rhs(n), None)
+    traj = integrate(rhs, y0, t_end, h=h, stride=stride, method=method, scalars=complex if run else None,
+                     rk4_run=run)
     return ZnRun.of(traj)
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -90,7 +91,7 @@ _SPECIAL = [0.0, -0.0, 1e-300, -1e300, 5e-324, math.inf, -math.inf, math.nan]
                          ids=["sphere", "flat1", "flat3", "flat8"])
 def test_compiled_geodesic_rates_equal_the_system(provider):
     dim = provider.dim
-    rhs = classical._geodesic_rates(dim, provider.triples)[0](provider.values)
+    rhs = functools.partial(classical._geodesic_rates(dim, provider.triples)[0], provider.values)
     rng = np.random.default_rng(8)
     for trial in range(60):
         y = rng.uniform(0.05, math.pi - 0.05, 2 * dim).tolist()
@@ -104,7 +105,7 @@ def test_compiled_geodesic_rates_equal_the_system(provider):
 @pytest.mark.parametrize("theta", [0.0, math.inf, -math.inf])  # the pole (cot = 1/0), and sin(inf)
 def test_a_stage_that_leaves_the_sphere_chart_has_nan_rates(theta):
     sphere = round_sphere()
-    rates = classical._geodesic_rates(2, sphere.triples)[0](sphere.values)(0.0, [theta, 0.0, 1.0, 1.0])
+    rates = classical._geodesic_rates(2, sphere.triples)[0](sphere.values, 0.0, [theta, 0.0, 1.0, 1.0])
     assert len(rates) == 4 and all(math.isnan(r) for r in rates)
 
 

@@ -397,14 +397,13 @@ def _fused_systems():
         yield f"zn{n}", rhs, run, (0.3 * (rng.normal(size=3 * n) + 1j * rng.normal(size=3 * n))).tolist()
     rhs, run = connection._m2_kernels()
     yield "m2", rhs, run, (0.3 * (rng.normal(size=12) + 1j * rng.normal(size=12))).tolist()
-    make, run = mobius._row_kernels()
-    q = (0.2 + 0.7j, -1.1 + 0.4j, 0.9 - 0.3j)
-    yield "m2row", make(*q), functools.partial(run, *q), [0.6 - 0.2j, -0.3 + 0.8j]
+    rhs, run = (functools.partial(kernel, 0.2 + 0.7j, -1.1 + 0.4j, 0.9 - 0.3j) for kernel in mobius._row_kernels())
+    yield "m2row", rhs, run, [0.6 - 0.2j, -0.3 + 0.8j]
     for provider, x in ((classical.round_sphere(), [1.1, 0.4]), *((classical.flat_space(d), rng.normal(size=d).tolist())
                                                                   for d in (1, 3, 8))):
-        make, run = classical._geodesic_rates(provider.dim, provider.triples)
-        v = rng.normal(size=provider.dim).tolist()
-        yield f"geodesic{provider.dim}", make(provider.values), functools.partial(run, provider.values), x + v
+        rhs, run = (functools.partial(kernel, provider.values)
+                    for kernel in classical._geodesic_rates(provider.dim, provider.triples))
+        yield f"geodesic{provider.dim}", rhs, run, x + rng.normal(size=provider.dim).tolist()
 
 
 @pytest.mark.parametrize("system", list(_fused_systems()), ids=lambda system: system[0])
@@ -431,13 +430,12 @@ def _blowup(run, *args):
 def test_fused_rk4_run_blows_up_like_the_per_call_run(case):
     if case == "pole-stage":  # theta = 0.02 - t: stage 2 of the first step lands on the pole, theta = 0
         sphere = classical.round_sphere()
-        make, run = classical._geodesic_rates(2, sphere.triples)
-        rhs, fused, y0, h = make(sphere.values), functools.partial(run, sphere.values), [0.02, 0.0, -1.0, 0.0], 0.04
+        rhs, fused = (functools.partial(kernel, sphere.values) for kernel in classical._geodesic_rates(2, sphere.triples))
+        y0, h = [0.02, 0.0, -1.0, 0.0], 0.04
         assert all(math.isnan(r) for r in rhs(0.0, [0.0, 0.0, -1.0, 0.0]))
     else:  # lam' = 40 lam passes MAX_ABS near t = 0.52; a nan entry fails the first check
-        make, run = mobius._row_kernels()
-        q = (40.0 + 0j, 0j, 0j)
-        rhs, fused, h = make(*q), functools.partial(run, *q), 0.01
+        rhs, fused = (functools.partial(kernel, 40.0 + 0j, 0j, 0j) for kernel in mobius._row_kernels())
+        h = 0.01
         y0 = [1.0 + 0j, 0.5j] if case == "past-max-abs" else [complex(math.nan, 0.0), 1.0 + 0j]
     out = np.zeros((2, len(y0)), dtype=type(y0[0]))
     got = _blowup(fused, list(y0), h, 100, 100, out.copy())
