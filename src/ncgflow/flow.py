@@ -37,7 +37,8 @@ stride, and hands the whole run to one stepper: ``_rk4_arrays`` (rk4 on
 arrays), a compiled run (rk4 on scalars: ``rk4_run`` or the per-call run
 of f) or ``_dopri`` (rk45, either form).  Each stepper takes
 ``(f, y, h, n_steps, stride, out)`` (a fused run has its system in place
-of f), ``_dopri`` the state form too, and owns its loop: from t = 0 it takes ``n_steps`` steps of h (rk45
+of f), ``_dopri`` the state form too, and owns its loop: from t = 0 it
+takes ``n_steps`` steps of h (rk45
 lands on the sampled steps of the same grid with adaptive substeps),
 checks every accepted state, writes the state after step k into row
 ``k // stride`` of ``out`` when ``stride`` divides k and the final state
