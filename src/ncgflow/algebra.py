@@ -61,11 +61,13 @@ def _shift_indices(n: int, steps: int) -> np.ndarray:
     """Index array realising R_a: ``f[_shift_indices(n, a)][i] == f[(i + a) % n]``.
 
     Much cheaper than np.roll on small arrays.  Besides ``ZnElement.shift``,
-    the burgers stencil and the run series gather through it.  A burgers
-    run gathers through 4 keys (n, +-1 and +-2) and a Z_n run through 2, so
-    4 cached arrays hold the working set of any run, and a process keeps at
-    most 4 n-entry int64 arrays alive (32 MiB at ``cli.MAX_GRID``) however
-    many grid sizes it runs.
+    the Z_n run series and ``classical.spatial_derivative``, the public
+    reference of the burgers stencil, gather through it; the burgers run
+    itself pads its state with ``np.take`` and never gathers.
+    ``spatial_derivative`` gathers through 4 keys (n, +-1 and +-2) and a
+    Z_n run's series through 2, so 4 cached arrays hold the working set of
+    either, and a process keeps at most 4 n-entry int64 arrays alive
+    (32 MiB at ``cli.MAX_GRID``) however many sizes it gathers at.
     """
     return _locked((np.arange(n) + steps) % n)
 

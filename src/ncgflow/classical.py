@@ -13,9 +13,9 @@ declared once, and a function giving their ``Gamma^i_jk`` at a point.
 list of ``(i, j, k, Gamma^i_jk(x))``, with v in one scalar loop, and so
 does the check; ``integrate_geodesic`` steps that system applied once to
 ``flow._Expr`` symbols (``_geodesic_stage``), compiled once per (dim,
-triples), on first use, into a straight-line right-hand side and into a
-fused rk4 run, both calling the provider's values function, a run
-argument, once per stage.
+triples), on first use, into a compiled system (``flow._stage_kernels``):
+a straight-line right-hand side and a fused rk4 run, both calling the
+provider's values function, a run argument bound per run, once per stage.
 
 On the line the velocity-field equation reduces to an inviscid transport
 equation, ``dK/dt = -K K' - Gamma K^2``.  The line here is flat, Gamma = 0,
@@ -128,13 +128,15 @@ def _geodesic_stage(dim: int, triples: tuple, t: str, inputs: list, rates: list)
 
 @functools.lru_cache(maxsize=16)
 def _geodesic_rates(dim: int, triples: tuple):
-    """``(rhs, run)`` of ``_geodesic_system``, compiled once per (dim, triples) from ``_geodesic_stage``.
+    """The compiled system of ``_geodesic_system``, once per (dim, triples), from ``_geodesic_stage``.
 
     ``rhs(values, t, y)`` is the per-call right-hand side and
     ``run(values, y, h, n_steps, stride, out)`` the fused rk4 run, with
-    the chart's ``values`` as a run argument.
+    the chart's ``values`` as a run argument.  More than
+    ``flow.MAX_SCALAR_STATE / 2`` components are refused before anything
+    is compiled or cached.
     """
-    return _stage_kernels(2 * dim, functools.partial(_geodesic_stage, dim, triples), ("values",))
+    return _stage_kernels(2 * dim, functools.partial(_geodesic_stage, dim, triples), ("values",), float)
 
 
 def speed_squared(x, v, provider: ChristoffelProvider) -> float:
@@ -169,9 +171,8 @@ def integrate_geodesic(
     dim = provider.dim
     if x0.shape != (dim,) or v0.shape != (dim,):
         raise ValueError(f"x0 and v0 must have shape ({dim},)")
-    rhs, run = (functools.partial(kernel, provider.values) for kernel in _geodesic_rates(dim, provider.triples))
-    traj = integrate(rhs, np.concatenate([x0, v0]), t_end, h=h, stride=stride, method=method, scalars=float,
-                     rk4_run=run)
+    system = _geodesic_rates(dim, provider.triples).bind(provider.values)
+    traj = integrate(system.rhs, np.concatenate([x0, v0]), t_end, h=h, stride=stride, method=method, system=system)
     return GeodesicRun(traj.times, traj.states[:, :dim], traj.states[:, dim:], provider)
 
 

@@ -26,10 +26,10 @@ elementwise functions, ``_zn_beta`` (beta at a site from its four
 neighbours) and the three rates ``_zn_dkp``, ``_zn_dkm`` and ``_zn_dm``.
 ``_zn_stage(n)`` applies each once per site to ``flow._Expr`` symbols,
 which write the operations out as code: beta once per site, then the 3n
-rates.  ``_zn_kernels(n)`` compiles that stage text twice, on first use:
-into a straight-line right-hand side on the 3n Python complex entries
-and into a whole rk4 run with the stage written out four times per step
-(``flow._stage_kernels``); below
+rates.  ``_zn_kernels(n)`` compiles that stage text, on first use, into
+one compiled system (``flow._stage_kernels``): a straight-line
+right-hand side on the 3n Python complex entries and a whole rk4 run
+with the stage written out four times per step; below
 ``transport.ZN_SCALAR_CROSSOVER`` sites that is cheaper than arrays.  The
 compiled source is made of site indices, fixed names and the ``repr`` of
 the equations' float constants, so it performs the equations' operations
@@ -173,14 +173,14 @@ def _zn_stage(n: int, t: str, inputs: list, rates: list) -> list:
 
 @functools.lru_cache(maxsize=32)
 def _zn_kernels(n: int):
-    """``(rhs, run)`` of the Z_n system on the 3n Python complex entries of (K_+, K_-, m).
+    """The compiled system of Z_n on the 3n Python complex entries of (K_+, K_-, m).
 
-    Both are compiled once per n (``flow._stage_kernels``) from
+    It is compiled once per n (``flow._stage_kernels``) from
     ``_zn_stage``, the four site equations applied to ``_Expr`` symbols:
     ``rhs(t, y)`` is the per-call right-hand side and ``run`` the fused rk4
     run.
     """
-    return _stage_kernels(3 * n, functools.partial(_zn_stage, n))
+    return _stage_kernels(3 * n, functools.partial(_zn_stage, n), (), complex)
 
 
 def _m2_temporaries(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md) -> dict:
@@ -223,11 +223,11 @@ def _m2_stage(t: str, inputs: list, rates: list) -> list:
 
 @functools.lru_cache(maxsize=1)
 def _m2_kernels():
-    """``(rhs, run)`` of the M2 system on the twelve Python complex entries of (K1, K2, m), from ``_m2_stage``.
+    """The compiled system of M2 on the twelve Python complex entries of (K1, K2, m), from ``_m2_stage``.
 
     On Python complex scalars they are far cheaper than 2x2 numpy products.
     """
-    return _stage_kernels(12, _m2_stage)
+    return _stage_kernels(12, _m2_stage, (), complex)
 
 
 def _coupled_rates(field: VectorField, m: AlgebraElement):
@@ -236,7 +236,7 @@ def _coupled_rates(field: VectorField, m: AlgebraElement):
     y = pack_complex(field.k1._data, field.k2._data, m._data)
     if isinstance(m, ZnElement):
         return zn_coupled_rhs(m.n)(0.0, y).view(np.complex128).reshape(3, -1)
-    return np.array(_m2_kernels()[0](0.0, y.view(np.complex128).tolist())).reshape(3, 2, 2)
+    return np.array(_m2_kernels().rhs(0.0, y.view(np.complex128).tolist())).reshape(3, 2, 2)
 
 
 def solve_b(field: VectorField) -> AlgebraElement:

@@ -3,41 +3,41 @@
 Complex states are packed as interleaved real/imaginary parts (``pack_complex``).
 ``integrate`` steps a state in one of two forms:
 
-* the array form (``scalars=None``, the default): f maps the float64
-  vector to a float64 vector, and the complex structure is reassembled
-  inside f;
-* the scalar form (``scalars=complex`` or ``scalars=float``): f maps a
-  list of Python complex numbers (the entries of the packed vector read
-  as complex128) or of Python floats to a list (or tuple) of the same
-  length.  For the small systems (M2, the m2row module, Z_n below
-  ``transport.ZN_SCALAR_CROSSOVER`` sites, the geodesic) numpy's per-call
-  overhead costs more than the arithmetic, so steps run on the entries
-  themselves.  rk4 on scalars is one compiled run (``_compile_rk4``)
-  built from a *stage*, the source lines that evaluate the rates at named
-  stage inputs: for any f, the stage calls f (``_rk4_unrolled``, one run
-  per state length); the package's own systems write their equations
-  out as their stage, and pass that fused run as ``rk4_run``, so no call
-  happens per stage; their per-call f (for rk45) is compiled from the
-  same stage text (``_stage_kernels``).  The source is made of entry
-  indices, fixed names and the ``repr`` of the equations' and the step's
+* the array form (``system=None``, the default, and every caller's own
+  right-hand side): f maps the float64 vector to a float64 vector, and
+  the complex structure is reassembled inside f;
+* a compiled system (``system=``, a record that ``_stage_kernels``
+  makes): f maps a list of the system's entries, Python complex numbers
+  (the packed vector read as complex128) or Python floats, to a list of
+  the same length.  For the small systems (M2, the m2row module, Z_n
+  below ``transport.ZN_SCALAR_CROSSOVER`` sites, the geodesic) numpy's
+  per-call overhead costs more than the arithmetic, so steps run on the
+  entries themselves.  A system is compiled from its *stage*, the source
+  lines that evaluate its rates at named stage inputs, with its equations
+  written out: into ``rhs``, the per-call right-hand side a caller passes
+  as f (rk45 calls it), and into ``run``, the fused rk4 run
+  (``_compile_rk4``) with the stage written out four times per step, so
+  rk4 makes no call per stage.  The source is made of entry indices,
+  fixed names and the ``repr`` of the equations' and the step's
   constants, never of a value (a system's config values, such as the
-  chart's ``values``, are run arguments); compiling costs time and memory
-  per entry, so a scalar-form state holds at most ``MAX_SCALAR_STATE``
-  floats.
+  chart's ``values``, are run arguments, bound with ``bind``); compiling
+  costs time and memory per entry, so ``_stage_kernels`` refuses a state
+  of more than ``MAX_SCALAR_STATE`` floats before it compiles.
 
 In both forms f must return one entry per entry of the state (ValueError
 otherwise), ``y0`` is the packed float64 vector and the samples land in
-the same float64 ``Trajectory.states`` block; callers (and wrappers of
-``integrate`` that read ``len(y0)``, as the benchmark's tracer does to
-name the Z_n right-hand sides) see one interface.
+the same float64 ``Trajectory.states`` block; f stays the positional
+argument in both, so a wrapper of ``integrate`` that wraps f (as the
+benchmark's tracer does, naming the Z_n right-hand sides by ``len(y0)``)
+sees every call that rk45 or the array rk4 makes.
 
 ``integrate`` checks its arguments and the initial state, builds the
 time grid and the sample block, preallocated from the step count and the
 stride, and hands the whole run to one stepper: ``_rk4_arrays`` (rk4 on
-arrays), a compiled run (rk4 on scalars: ``rk4_run`` or the per-call run
-of f) or ``_dopri`` (rk45, either form).  Each stepper takes
-``(f, y, h, n_steps, stride, out)`` (a fused run has its system in place
-of f), ``_dopri`` the state form too, and owns its loop: from t = 0 it
+arrays), the system's fused run (rk4 on a system) or ``_dopri`` (rk45,
+either form).  Each stepper takes ``(f, y, h, n_steps, stride, out)`` (a
+fused run has its system in place of f), ``_dopri`` the system's entry
+type too, and owns its loop: from t = 0 it
 takes ``n_steps`` steps of h (rk45
 lands on the sampled steps of the same grid with adaptive substeps),
 checks every accepted state, writes the state after step k into row
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -94,13 +95,12 @@ RTOL = ATOL = 1e-9  # rk45 error tolerances, relative and absolute
 # Bounds the memory of an accepted config: floats in its (samples, state columns)
 # block, 1 GiB of float64.  It admits a MAX_GRID burgers run at the default stride.
 MAX_SAMPLE_VALUES = 2**27
-# Floats in a scalar-form state.  It bounds the compile time and memory of the
-# compiled rk4 run, once per process and state size.  On a 2-vCPU Xeon whose
-# speed varies, untraced, with the tracemalloc peak: the largest fused run, a
-# flat 128-component geodesic with its rhs, 31-61 ms and 9.0 MB; the per-call
-# run at 256 floats 22-27 ms and 7.7 MB; Z_17 (51 complex entries) 10-17 ms
-# and 2.8 MB.  Z_n on scalars, below transport.ZN_SCALAR_CROSSOVER sites of 6
-# floats, fits.
+# Floats in the state of a compiled system.  It bounds the compile time and
+# memory of its rhs and fused rk4 run, once per process and system.  On a
+# 2-vCPU Xeon whose speed varies, untraced, with the tracemalloc peak: the
+# largest, a flat 128-component geodesic, 31-61 ms and 9.0 MB; Z_17 (51
+# complex entries) 10-17 ms and 2.8 MB.  Z_n on scalars, below
+# transport.ZN_SCALAR_CROSSOVER sites of 6 floats, fits.
 MAX_SCALAR_STATE = 256
 
 
@@ -242,28 +242,43 @@ def _assign(names, values) -> list:
     return [f"{name} = {_text(value)}" for name, value in zip(names, values)]
 
 
-def _call_stage(t: str, inputs: list, rates: list) -> list:
-    """The stage of a callable ``f``: one call, unpacked into the rates (ValueError unless it returns as many)."""
-    return [f"{', '.join(rates)}, = f({t}, [{', '.join(inputs)}])"]
+@dataclass(frozen=True)
+class _System:
+    """A compiled system on Python scalars of type ``entry`` (``complex`` or ``float``).
 
-
-def _stage_kernels(size: int, stage, params=()):
-    """``(rhs, run)`` of a system on ``size`` Python scalars, both compiled from its ``stage``.
-
-    ``rhs(*params, t, y)`` is the per-call right-hand side: it unpacks y
-    into one local per entry (ValueError unless y has ``size`` entries),
-    runs the stage's lines and returns its rates as one list, so it
-    evaluates the same text as the stages of ``run``, the fused rk4 run
-    that ``_compile_rk4`` makes of the stage.  A caller binds the run
-    arguments ``params`` to both, as ``functools.partial`` does.
+    ``rhs(*params, t, y)`` is its per-call right-hand side and
+    ``run(*params, y, h, n_steps, stride, out)`` its fused rk4 run;
+    ``bind(*params)`` gives the system with its run arguments bound to both.
     """
+
+    rhs: Callable
+    run: Callable
+    entry: type
+
+    def bind(self, *params) -> _System:
+        return _System(functools.partial(self.rhs, *params), functools.partial(self.run, *params), self.entry)
+
+
+def _stage_kernels(size: int, stage, params: tuple, scalars: type) -> _System:
+    """The ``_System`` of ``size`` Python scalars of type ``scalars``, its rhs and run compiled from ``stage``.
+
+    ``rhs`` unpacks y into one local per entry (ValueError unless y has
+    ``size`` entries), runs the stage's lines and returns its rates as one
+    list, so it evaluates the same text as the stages of ``run``, the fused
+    rk4 run that ``_compile_rk4`` makes of the stage.  ``params`` name the
+    run arguments of both.  A state of more than ``MAX_SCALAR_STATE``
+    floats is a ValueError, raised before anything is compiled.
+    """
+    floats = 2 * size if scalars is complex else size
+    if floats > MAX_SCALAR_STATE:
+        raise ValueError(f"a scalar-form state holds at most {MAX_SCALAR_STATE} floats, not {floats}")
     inputs, rates = _names("s", size), _names("ka", size)
     lines = [f"def rhs({', '.join([*params, 't', 'y'])}):", f"    {', '.join(inputs)}, = y",
              *("    " + line for line in stage("t", inputs, rates)), f"    return [{', '.join(rates)}]", ""]
-    return _compile("\n".join(lines), "rhs", nan=math.nan), _compile_rk4(size, stage, params)
+    return _System(_compile("\n".join(lines), "rhs", nan=math.nan), _compile_rk4(size, stage, params), scalars)
 
 
-def _compile_rk4(size: int, stage, params=("f",)):
+def _compile_rk4(size: int, stage, params: tuple):
     """A whole rk4 run on ``size`` Python scalars: ``run(*params, y, h, n_steps, stride, out)``.
 
     ``stage(t, inputs, rates)`` gives the source lines of one stage: they
@@ -272,8 +287,8 @@ def _compile_rk4(size: int, stage, params=("f",)):
     the run arguments ``params`` and their own temporaries (any name but
     the run's ``y*``, ``s*``, ``ka*``-``kd*``, ``h``, ``half``, ``sixth``,
     ``t``, ``step``, ``n_steps``, ``stride``, ``out`` and ``check``).
-    ``_call_stage`` calls ``f``; a system's own stage writes its equations
-    out, so no call, list or unpack happens per stage.  ``rk4_step`` is
+    A system's stage writes its equations out, so no call, list or unpack
+    happens per stage.  ``rk4_step`` is
     unrolled entry by entry, in its association, inside one loop over the
     steps; each entry stays in a local from step to step and each stage
     input is assigned once.  Each new state passes at once when every
@@ -304,12 +319,6 @@ def _compile_rk4(size: int, stage, params=("f",)):
              "    for step in range(1, n_steps + 1):", "        t = (step - 1) * h",
              *("        " + line for line in body), f"    out[-1] = [{ys}]", ""]
     return _compile("\n".join(lines), "run", check=_check_scalars, nan=math.nan)
-
-
-@functools.lru_cache(maxsize=16)
-def _rk4_unrolled(size: int):
-    """``run(f, y, h, n_steps, stride, out)``: ``_compile_rk4`` of ``_call_stage``, rk4 on any callable f."""
-    return _compile_rk4(size, _call_stage)
 
 
 # Dormand-Prince 4(5) tableau: the nodes of stages 2-7, and one row per stage
@@ -366,9 +375,9 @@ def _dopri(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarra
     per run, through ``_dopri_step``: each stage input is one ``np.dot`` of
     a coefficient row with the rows before it, and f's result goes straight
     into the stage's own row, so f must not keep a reference to its input
-    past the call.  With ``scalars`` (``complex`` or ``float``) f reads the
-    stage input as a list and its list is written into the row's complex
-    (or float) view.  The pair is FSAL (first same as last): the last stage
+    past the call.  With ``scalars``, a system's entry type (``complex`` or
+    ``float``), f reads the stage input as a list and its list is written
+    into the row's complex (or float) view.  The pair is FSAL (first same as last): the last stage
     of an accepted attempt is the first stage of the next, a row copy, so f
     is called once at t = 0 and then six times per attempt.  The targets
     are the sampled steps, every ``stride``-th and ``n_steps``; towards
@@ -427,6 +436,13 @@ def _store(row: np.ndarray, k) -> None:
     row[:] = k
 
 
+def _check_stride(stride) -> int:
+    """``stride`` as an int; ValueError unless it is an integer (Python or numpy) of at least 1."""
+    if not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ValueError(f"stride must be an integer of at least 1, not {stride!r}")
+    return int(stride)
+
+
 def _check_length(entries: int, size: int) -> None:
     """ValueError unless a stage has as many entries as the state: numpy would broadcast a single entry."""
     if entries != size:
@@ -479,38 +495,31 @@ def integrate(
     h: float = 1e-3,
     stride: int = 1,
     method: str = "rk4",
-    scalars=None,
-    rk4_run=None,
+    system: _System | None = None,
 ) -> Trajectory:
     """Integrate ``dy/dt = f(t, y)`` from t=0, sampling every ``stride`` steps.
 
     The step count is ``step_count(t_end, h)`` and the actual step is
     adjusted so the grid ends exactly at ``t_end``; output times are
-    multiples of ``stride * h`` (plus the endpoint).  ``y0`` is a float64
-    vector in either state form; ``scalars`` (None, ``complex`` or
-    ``float``) selects the form of f, as the module docstring describes.
-    The run itself is one call of the stepper of ``method`` and the form.
-    ``rk4_run``, a compiled scalar-form run ``run(y, h, n_steps, stride,
-    out)`` of f's own system (``_compile_rk4`` of its stage), replaces the
-    per-call run for rk4 on scalars, which then never calls f; it is
-    ignored otherwise.  ``rk45`` calls f once at t=0 and then six times per
-    attempted step.
+    multiples of ``stride * h`` (plus the endpoint); ``stride`` is an
+    integer of at least 1.  ``y0`` is the packed float64 vector.  Without
+    ``system`` f is an array-form right-hand side; with one, a compiled
+    system with its run arguments bound (``_System.bind``), f is its
+    ``rhs`` (or a wrapper of it) and reads lists of the system's entry
+    type, as the module docstring describes.  The run itself is one call
+    of the stepper of ``method`` and the form: rk4 on a system is its
+    fused ``run``, which never calls f; ``rk45`` calls f once at t=0 and
+    then six times per attempted step.
     Deterministic for fixed inputs.
     """
     n_steps = step_count(t_end, h)
-    stride = int(stride)
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
+    stride = _check_stride(stride)
     if method not in ("rk4", "rk45"):
         raise ValueError(f"unknown method {method!r}")
-    if scalars not in (None, complex, float):
-        raise ValueError(f"scalars must be None, complex or float, not {scalars!r}")
 
     y = np.ascontiguousarray(np.asarray(y0, dtype=np.float64).ravel())
     if not y.shape[0]:
         raise ValueError("y0 is empty")
-    if scalars is not None and y.shape[0] > MAX_SCALAR_STATE:
-        raise ValueError(f"a scalar-form state holds at most {MAX_SCALAR_STATE} floats, not {y.shape[0]}")
     h_eff = t_end / n_steps
 
     _check_state(y, 0.0)
@@ -520,11 +529,10 @@ def integrate(
     states = np.empty((rows, y.shape[0]))
     states[0] = y
     if method == "rk45":
-        _dopri(f, y, h_eff, n_steps, stride, states, scalars)
-    elif scalars is None:
+        _dopri(f, y, h_eff, n_steps, stride, states, None if system is None else system.entry)
+    elif system is None:
         _rk4_arrays(f, y, h_eff, n_steps, stride, states)
     else:
-        out = states.view(np.complex128) if scalars is complex else states
-        run = rk4_run or functools.partial(_rk4_unrolled(out.shape[1]), f)
-        run(out[0].tolist(), h_eff, n_steps, stride, out)
+        out = states.view(np.complex128) if system.entry is complex else states
+        system.run(out[0].tolist(), h_eff, n_steps, stride, out)
     return Trajectory(sampled * h_eff, states)

@@ -19,8 +19,9 @@ infinity, and nan is refused.
 
 ``run_row`` steps the row on Python complex scalars: ``row_rhs`` applied
 to ``flow._Expr`` symbols is its stage, compiled on first use into a
-per-call right-hand side and a fused rk4 run, with Q0, Q1, Q2 as run
-arguments.
+system (``flow._stage_kernels``), a per-call right-hand side and a fused
+rk4 run with Q0, Q1, Q2 as run arguments, which ``run_row`` binds and
+passes to ``integrate``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import _assign, _Expr, _stage_kernels, integrate, pack_complex, rk4_step, step_count
+from .flow import _assign, _check_stride, _Expr, _stage_kernels, integrate, pack_complex, rk4_step, step_count
 
 __all__ = [
     "SpherePoint",
@@ -114,9 +115,9 @@ def _row_stage(t: str, inputs: list, rates: list) -> list:
 
 @functools.lru_cache(maxsize=1)
 def _row_kernels():
-    """``(rhs, run)`` of the row transport, from ``_row_stage``: ``rhs(q0, q1, q2, t, y)`` and
+    """The compiled system of the row transport, from ``_row_stage``: ``rhs(q0, q1, q2, t, y)`` and
     ``run(q0, q1, q2, y, h, n_steps, stride, out)``, its fused rk4 run."""
-    return _stage_kernels(2, _row_stage, ("q0", "q1", "q2"))
+    return _stage_kernels(2, _row_stage, ("q0", "q1", "q2"), complex)
 
 
 def flow_matrix(q1: complex, q2: complex, t: float) -> np.ndarray:
@@ -170,8 +171,7 @@ def integrate_riccati(
     pole passages are represented faithfully instead of overflowing.
     """
     n_steps = step_count(t_end, h)
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
+    stride = _check_stride(stride)
     q1 = complex(q1)
     q2 = complex(q2)
     start = _as_point(z0)
@@ -255,8 +255,8 @@ def run_row(
     method: str = "rk4",
 ) -> RowRun:
     """Integrate the (lam, mu) transport on Python complex scalars."""
-    rhs, run = (functools.partial(kernel, complex(q0), complex(q1), complex(q2)) for kernel in _row_kernels())
+    system = _row_kernels().bind(complex(q0), complex(q1), complex(q2))
     y0 = pack_complex(np.array([complex(lam0), complex(mu0)]))
-    traj = integrate(rhs, y0, t_end, h=h, stride=stride, method=method, scalars=complex, rk4_run=run)
+    traj = integrate(system.rhs, y0, t_end, h=h, stride=stride, method=method, system=system)
     blocks = traj.states.view(np.complex128)
     return RowRun(traj.times, blocks[:, 0].copy(), blocks[:, 1].copy())

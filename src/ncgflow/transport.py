@@ -19,13 +19,13 @@ element-level entry points and ``zn_coupled_rhs``, the Z_n array form,
 which this module re-exports.
 
 ``flow.integrate`` steps these systems in one of its two state forms.
-M2 always runs on Python complex scalars (``scalars=complex``).  Z_n runs
-on scalars below ``ZN_SCALAR_CROSSOVER`` sites and on sample arrays
-(``zn_coupled_rhs``) from there on.  On scalars each system passes the
-pair that ``connection`` compiles from its stage, once per n for Z_n
-(``_zn_kernels``, ``_m2_kernels``): the per-call right-hand side as f
-(for rk45) and the fused rk4 run, with the equations written out in the
-loop, as ``rk4_run``.  Between the two Z_n forms, the cost of the scalar
+M2 always runs on Python complex scalars, as the compiled system
+``connection._m2_kernels()``.  Z_n runs on scalars below
+``ZN_SCALAR_CROSSOVER`` sites, as ``connection._zn_kernels(n)``, and on
+sample arrays (``zn_coupled_rhs``) from there on.  A compiled system
+goes to ``integrate`` as ``system=``, with its per-call right-hand side
+as f (rk45 calls it) and its fused rk4 run, with the equations written
+out in the loop, as its rk4.  Between the two Z_n forms, the cost of the scalar
 form grows with n while that of the array form is nearly flat at small n,
 and the constant is where a whole rk4 step costs the same in both.  A Z_n
 run needs at least one site.  Either way the state handed to
@@ -96,7 +96,7 @@ def velocity_functional(m: AlgebraElement, field: VectorField, xi: OneForm) -> c
 
 def m2_coupled_rhs() -> Callable[[float, np.ndarray], np.ndarray]:
     """Flat RHS for the coupled (K1, K2, m) M2 system: the compiled scalar rhs on the packed float64 vector."""
-    rhs = _m2_kernels()[0]
+    rhs = _m2_kernels().rhs
     return lambda t, y: np.array(rhs(t, y.view(np.complex128).tolist()), dtype=np.complex128).view(np.float64)
 
 
@@ -222,10 +222,9 @@ def run_zn(
     if not n:
         raise ValueError("a Z_n run needs at least one site")
     y0 = pack_zn_state(kp0, km0, m0)
-    rhs, run = _zn_kernels(n) if n < ZN_SCALAR_CROSSOVER else (zn_coupled_rhs(n), None)
-    traj = integrate(rhs, y0, t_end, h=h, stride=stride, method=method, scalars=complex if run else None,
-                     rk4_run=run)
-    return ZnRun.of(traj)
+    system = _zn_kernels(n) if n < ZN_SCALAR_CROSSOVER else None
+    rhs = zn_coupled_rhs(n) if system is None else system.rhs
+    return ZnRun.of(integrate(rhs, y0, t_end, h=h, stride=stride, method=method, system=system))
 
 
 def run_m2(
@@ -243,6 +242,5 @@ def run_m2(
     k20 = _as_complex(k2, (2, 2))
     m0 = _as_complex(m, (2, 2))
     y0 = pack_m2_state(k10, k20, m0)
-    rhs, run = _m2_kernels()
-    traj = integrate(rhs, y0, t_end, h=h, stride=stride, method=method, scalars=complex, rk4_run=run)
-    return M2Run.of(traj)
+    system = _m2_kernels()
+    return M2Run.of(integrate(system.rhs, y0, t_end, h=h, stride=stride, method=method, system=system))

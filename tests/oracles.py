@@ -22,8 +22,13 @@ and ``zn2_transport_oracle`` are closed forms, through scipy's ``expm``, of
 the M2 K-flow and of the Z_2 transport, for any initial data.
 ``burgers_rate`` is the burgers right-hand side through the gathers of
 ``spatial_derivative``, the byte reference of the buffered kernel.
+``call_stage`` is the stage of any callable ``f`` on lists, one call per
+stage; ``per_call_rk4`` (``flow._compile_rk4`` of it) is the byte
+reference of the package's fused rk4 runs, and ``call_system`` makes a
+compiled system of any such f, to step it through ``integrate``.
 """
 
+import functools
 import math
 from fractions import Fraction as F
 from pathlib import Path
@@ -31,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from ncgflow import Mat2Element, OneForm, apply_vf, d, spatial_derivative, state_eval
+from ncgflow import Mat2Element, OneForm, apply_vf, d, flow, spatial_derivative, state_eval
 from ncgflow.algebra import _shift_indices
 from ncgflow.connection import _zn_beta, _zn_dkm, _zn_dkp, _zn_dm
 from ncgflow.svgplot import _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE, _expand, _fmt
@@ -351,3 +356,19 @@ def line_chart_oracle(
 def burgers_rate(v, dx, stencil):
     """``dK/dt = -K K'`` on grid samples, through the gathers of ``spatial_derivative``: the burgers reference."""
     return -v * spatial_derivative(v, dx, stencil)
+
+
+def call_stage(t: str, inputs: list, rates: list) -> list:
+    """The stage of a callable ``f``: one call, unpacked into the rates (ValueError unless it returns as many)."""
+    return [f"{', '.join(rates)}, = f({t}, [{', '.join(inputs)}])"]
+
+
+@functools.lru_cache(maxsize=16)
+def per_call_rk4(size: int):
+    """``run(f, y, h, n_steps, stride, out)``: rk4 on any callable f on lists of ``size`` entries, one call per stage."""
+    return flow._compile_rk4(size, call_stage, ("f",))
+
+
+def call_system(f, size: int, entry: type):
+    """f on lists of ``size`` entries of type ``entry`` as a compiled system with f bound; its rk4 is the per-call run."""
+    return flow._stage_kernels(size, call_stage, ("f",), entry).bind(f)

@@ -1,11 +1,10 @@
-import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from ncgflow import algebra, classical
+from ncgflow import algebra, classical, flow
 from ncgflow import (
     GridField,
     flat_space,
@@ -91,7 +90,7 @@ _SPECIAL = [0.0, -0.0, 1e-300, -1e300, 5e-324, math.inf, -math.inf, math.nan]
                          ids=["sphere", "flat1", "flat3", "flat8"])
 def test_compiled_geodesic_rates_equal_the_system(provider):
     dim = provider.dim
-    rhs = functools.partial(classical._geodesic_rates(dim, provider.triples)[0], provider.values)
+    rhs = classical._geodesic_rates(dim, provider.triples).bind(provider.values).rhs
     rng = np.random.default_rng(8)
     for trial in range(60):
         y = rng.uniform(0.05, math.pi - 0.05, 2 * dim).tolist()
@@ -105,8 +104,26 @@ def test_compiled_geodesic_rates_equal_the_system(provider):
 @pytest.mark.parametrize("theta", [0.0, math.inf, -math.inf])  # the pole (cot = 1/0), and sin(inf)
 def test_a_stage_that_leaves_the_sphere_chart_has_nan_rates(theta):
     sphere = round_sphere()
-    rates = classical._geodesic_rates(2, sphere.triples)[0](sphere.values, 0.0, [theta, 0.0, 1.0, 1.0])
+    rates = classical._geodesic_rates(2, sphere.triples).rhs(sphere.values, 0.0, [theta, 0.0, 1.0, 1.0])
     assert len(rates) == 4 and all(math.isnan(r) for r in rates)
+
+
+def test_a_geodesic_past_the_scalar_cap_is_refused_before_compiling(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(flow, "_compile", lambda source, name, **names: compiled.append(name))
+    cached = classical._geodesic_rates.cache_info().currsize
+    cap = flow.MAX_SCALAR_STATE
+    for dim in (cap // 2 + 1, 200):
+        with pytest.raises(ValueError, match=f"a scalar-form state holds at most {cap} floats, not {2 * dim}"):
+            integrate_geodesic(np.zeros(dim), np.ones(dim), flat_space(dim))
+    assert compiled == [] and classical._geodesic_rates.cache_info().currsize == cached
+
+
+def test_a_geodesic_at_the_scalar_cap_runs():
+    dim = flow.MAX_SCALAR_STATE // 2
+    run = integrate_geodesic(np.zeros(dim), np.ones(dim), flat_space(dim), t_end=0.01, h=1e-3, stride=5)
+    assert run.xs.shape == (3, dim)
+    np.testing.assert_allclose(run.xs[-1], 0.01, rtol=1e-12)
 
 
 def test_equatorial_great_circle_stays_on_equator():

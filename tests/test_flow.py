@@ -1,5 +1,4 @@
 import cmath
-import functools
 import io
 import math
 import tokenize
@@ -20,9 +19,10 @@ from ncgflow import (
 )
 from ncgflow import classical, connection, flow, mobius, transport
 from ncgflow.cli import main
-from oracles import dopri_attempt_oracle, m2_flow_oracle, zn3_flow_oracle
+from oracles import call_stage, call_system, dopri_attempt_oracle, m2_flow_oracle, per_call_rk4, zn3_flow_oracle
 
-_m2_rhs = connection._m2_kernels()[0]  # the per-call M2 right-hand side on twelve complex scalars
+_M2 = connection._m2_kernels()  # the compiled M2 system on twelve complex scalars
+_m2_rhs = _M2.rhs  # its per-call right-hand side
 
 
 def test_pack_complex_interleaves_the_inputs_in_order():
@@ -159,8 +159,9 @@ def test_blowup_message_and_last_good_time_on_scalars(method, f, y0, t_end, h, m
     def on_floats(t, y):  # the same right-hand side on a list of Python floats
         return f(t, np.array(y)).tolist()
 
+    system = call_system(on_floats, len(y0), float)
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(BlowupError) as excinfo:
-        integrate(on_floats, np.array(y0), t_end, h=h, method=method, scalars=float)
+        integrate(system.rhs, np.array(y0), t_end, h=h, method=method, system=system)
     assert str(excinfo.value).startswith(message)
     assert excinfo.value.last_good_time == pytest.approx(last_good, rel=0, abs=1e-15)
 
@@ -184,9 +185,9 @@ def test_scalar_check_applies_the_rule_to_each_part(z):
             y = rk4_step(lambda t, v: np.array(f(t, list(v)), dtype=object), 6.0 * k, y, 6.0)
     state = np.array(y.tolist()).view(np.float64)
     assert state[2:].tolist() == [z.real, z.imag] or not cmath.isfinite(z)
-    outcomes = []
+    outcomes, system = [], call_system(f, 2, complex)
     for run in (lambda: flow._check_state(state, 12.0),
-                lambda: integrate(f, y0, 18.0, h=6.0, scalars=complex).states[-1]):
+                lambda: integrate(system.rhs, y0, 18.0, h=6.0, system=system).states[-1]):
         try:
             outcomes.append(run())
         except BlowupError as exc:
@@ -203,7 +204,7 @@ def _fig2_state(fig2_data):
 
 def test_scalar_rk4_equals_array_rk4_on_m2(fig2_data):
     y0 = _fig2_state(fig2_data)
-    on_scalars = integrate(_m2_rhs, y0, 2.0, h=1e-3, stride=10, scalars=complex)
+    on_scalars = integrate(_m2_rhs, y0, 2.0, h=1e-3, stride=10, system=_M2)
     on_arrays = integrate(transport.m2_coupled_rhs(), y0, 2.0, h=1e-3, stride=10)
     assert np.array_equal(on_scalars.times, on_arrays.times)
     assert np.array_equal(on_scalars.states, on_arrays.states)
@@ -211,7 +212,7 @@ def test_scalar_rk4_equals_array_rk4_on_m2(fig2_data):
 
 def test_scalar_rk45_is_byte_identical_to_the_array_rhs(fig2_data):
     y0 = _fig2_state(fig2_data)
-    on_scalars = integrate(_m2_rhs, y0, 2.0, h=1e-3, stride=10, method="rk45", scalars=complex)
+    on_scalars = integrate(_m2_rhs, y0, 2.0, h=1e-3, stride=10, method="rk45", system=_M2)
     on_arrays = integrate(transport.m2_coupled_rhs(), y0, 2.0, h=1e-3, stride=10, method="rk45")
     assert on_scalars.states.tobytes() == on_arrays.states.tobytes()
     assert on_scalars.times.tobytes() == on_arrays.times.tobytes()
@@ -228,7 +229,8 @@ def _zn_state(n, seed=5):
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
 def test_zn_scalar_and_array_forms_agree(n, method):
     y0 = _zn_state(n)
-    on_scalars = integrate(connection._zn_kernels(n)[0], y0, 1.0, h=1e-3, stride=50, method=method, scalars=complex)
+    system = connection._zn_kernels(n)
+    on_scalars = integrate(system.rhs, y0, 1.0, h=1e-3, stride=50, method=method, system=system)
     on_arrays = integrate(transport.zn_coupled_rhs(n), y0, 1.0, h=1e-3, stride=50, method=method)
     assert np.array_equal(on_scalars.times, on_arrays.times)
     assert np.abs(on_scalars.states - on_arrays.states).max() <= 1e-13 * np.abs(on_arrays.states).max()
@@ -238,7 +240,8 @@ def test_run_zn_picks_the_form_by_crossover(monkeypatch):
     forms = []
 
     def recording(f, y0, t_end, **kwargs):
-        forms.append((len(y0) // 6, kwargs.get("scalars")))
+        system = kwargs.get("system")
+        forms.append((len(y0) // 6, None if system is None else system.entry))
         return integrate(f, y0, t_end, **kwargs)
 
     monkeypatch.setattr(transport, "integrate", recording)
@@ -249,8 +252,50 @@ def test_run_zn_picks_the_form_by_crossover(monkeypatch):
     assert forms == [(3, complex), (c - 1, complex), (c, None), (64, None)]
 
 
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_a_wrapper_of_integrate_sees_every_rhs_call(method, fig2_data, monkeypatch):
+    """The contract of a tracer that wraps the positional f of each module's integrate, keywords passed through."""
+    z = _zn_state(3).view(np.complex128)
+    stepping = dict(t_end=0.3, h=1e-3, stride=10, method=method)
+    runs = {  # each compiled system, through the integrate of its module
+        "zn3": lambda: transport.run_zn(z[:3], z[3:6], z[6:], **stepping),
+        "m2": lambda: transport.run_m2(fig2_data["k1"], fig2_data["k2"], fig2_data["m"], **stepping),
+        "m2row": lambda: mobius.run_row(0.6 - 0.2j, -0.3 + 0.8j, 0.3j, -1.1 + 0.4j, 1.1 + 0.4j, **stepping),
+        "geodesic": lambda: classical.integrate_geodesic([1.1, 0.4], [0.3, -0.5], classical.round_sphere(), **stepping),
+    }
+    calls, states = {"rhs": 0}, []
+
+    def wrapping(wrap_f):
+        def wrapper(f, y0, t_end, **kwargs):
+            def counted(t, y):
+                calls["rhs"] += 1
+                return f(t, y)
+
+            traj = integrate(counted if wrap_f else f, y0, t_end, **kwargs)
+            states.append(traj.states)
+            return traj
+
+        return wrapper
+
+    def traced(name, wrap_f):
+        for module in (transport, mobius, classical):
+            monkeypatch.setattr(module, "integrate", wrapping(wrap_f))
+        runs[name]()
+        return states.pop()
+
+    _, counts = _counting_rk45(monkeypatch, None)
+    for name in runs:
+        plain = traced(name, False)
+        calls["rhs"] = counts["attempts"] = 0
+        assert traced(name, True).tobytes() == plain.tobytes(), name
+        if method == "rk4":  # the fused run makes no call of f
+            assert calls["rhs"] == counts["attempts"] == 0, name
+        else:
+            assert counts["attempts"] >= 30 and calls["rhs"] == 1 + 6 * counts["attempts"], name
+
+
 def test_integrate_preallocates_the_sampled_rows():
-    traj = integrate(lambda t, y: [-v for v in y], np.array([1.0, 2.0]), 1.0, h=0.1, stride=3, scalars=float)
+    traj = integrate(lambda t, y: -y, np.array([1.0, 2.0]), 1.0, h=0.1, stride=3)
     assert flow.sample_count(10, 3) == len(traj) == 5
     np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0])
     assert flow.sample_count(10, 5) == 3 and flow.sample_count(10, 10**9) == 2 and flow.sample_count(1, 1) == 2
@@ -267,16 +312,30 @@ def test_integrate_rejects_bad_arguments():
         integrate(f, np.array([1.0]), 1.0, stride=0)
     with pytest.raises(ValueError):
         integrate(f, np.array([1.0]), 1.0, method="euler")
-    with pytest.raises(ValueError):
-        integrate(f, np.array([1.0]), 1.0, scalars=int)
     for method in ("rk4", "rk45"):
-        for scalars in (None, complex, float):
+        for system in (None, _M2):
             with pytest.raises(ValueError, match="y0 is empty"):
-                integrate(f, np.array([]), 1.0, method=method, scalars=scalars)
+                integrate(f, np.array([]), 1.0, method=method, system=system)
+    for removed in ("scalars", "rk4_run"):  # a compiled system is the one way to step scalars
+        with pytest.raises(TypeError):
+            integrate(f, np.array([1.0]), 1.0, **{removed: None})
     for t_end, h in ((math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan), (1.0, 1e-300), (1e300, 1e-300),
                      (flow.MAX_STEPS * 1e-3 + 1e-3, 1e-3)):
         with pytest.raises(ValueError):
             integrate(f, np.array([1.0]), t_end, h=h)
+
+
+def test_a_stride_that_is_not_an_integer_is_refused():
+    f, y0 = (lambda t, y: -y), np.array([1.0])
+    for stride in (2.5, 2.0, "2"):  # integrate read 2.5 as 2, integrate_riccati sampled where k % 2.5 == 0
+        with pytest.raises(ValueError, match="stride must be an integer"):
+            integrate(f, y0, 1.0, h=0.1, stride=stride)
+        with pytest.raises(ValueError, match="stride must be an integer"):
+            mobius.integrate_riccati(0.5, 1j, 1j, 1.0, h=0.1, stride=stride)
+    for stride in (2, np.int64(2), np.int32(2)):
+        assert integrate(f, y0, 1.0, h=0.1, stride=stride).times.tolist() == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+        times, _ = mobius.integrate_riccati(0.5, 1j, 1j, 1.0, h=0.1, stride=stride)
+        assert times.tolist() == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
 
 
 def _counting_rk45(monkeypatch, f):
@@ -316,9 +375,9 @@ def _on_packed(f):
 @pytest.mark.parametrize("system", ["zn12-arrays", "m2-scalars"])
 def test_one_accepted_rk45_step_matches_the_oracle(system, fig2_data):
     if system == "zn12-arrays":
-        y0, f, scalars, f_oracle = _zn_state(12), transport.zn_coupled_rhs(12), None, transport.zn_coupled_rhs(12)
+        y0, f, system, f_oracle = _zn_state(12), transport.zn_coupled_rhs(12), None, transport.zn_coupled_rhs(12)
     else:
-        y0, f, scalars, f_oracle = _fig2_state(fig2_data), _m2_rhs, complex, _on_packed(_m2_rhs)
+        y0, f, system, f_oracle = _fig2_state(fig2_data), _m2_rhs, _M2, _on_packed(_m2_rhs)
     times = []
 
     def counted(t, y):
@@ -326,7 +385,7 @@ def test_one_accepted_rk45_step_matches_the_oracle(system, fig2_data):
         return f(t, y)
 
     h = 0.01
-    traj = integrate(counted, y0, h, h=h, method="rk45", scalars=scalars)
+    traj = integrate(counted, y0, h, h=h, method="rk45", system=system)
     y5, err = dopri_attempt_oracle(f_oracle, 0.0, y0, h)
     assert len(times) == 7  # k1, then one attempt, accepted
     r = err / (flow.ATOL + flow.RTOL * np.maximum(np.abs(y0), np.abs(y5)))
@@ -367,7 +426,7 @@ _LIST_RHSS = {
 @pytest.mark.parametrize("size", [1, 2, 4, 12, 27])
 def test_unrolled_rk4_equals_rk4_step_bit_for_bit(name, scalars, size):
     f = _LIST_RHSS[name]
-    run = flow._rk4_unrolled(size)
+    run = per_call_rk4(size)
     rng = np.random.default_rng(size)
     y0 = 0.25 * (rng.normal(size=size) + (1j * rng.normal(size=size) if scalars is complex else 0.0))
     n_steps = 8  # not a multiple of the strides 3 and 7
@@ -390,33 +449,30 @@ def test_unrolled_rk4_equals_rk4_step_bit_for_bit(name, scalars, size):
 
 
 def _fused_systems():
-    """(name, per-call rhs, fused run with its arguments bound, initial entries) of each package system."""
+    """(name, compiled system with its run arguments bound, initial entries) of each package system."""
     rng = np.random.default_rng(18)
     for n in (1, 2, 3, 10, 17):
-        rhs, run = connection._zn_kernels(n)
-        yield f"zn{n}", rhs, run, (0.3 * (rng.normal(size=3 * n) + 1j * rng.normal(size=3 * n))).tolist()
-    rhs, run = connection._m2_kernels()
-    yield "m2", rhs, run, (0.3 * (rng.normal(size=12) + 1j * rng.normal(size=12))).tolist()
-    rhs, run = (functools.partial(kernel, 0.2 + 0.7j, -1.1 + 0.4j, 0.9 - 0.3j) for kernel in mobius._row_kernels())
-    yield "m2row", rhs, run, [0.6 - 0.2j, -0.3 + 0.8j]
+        yield f"zn{n}", connection._zn_kernels(n), (0.3 * (rng.normal(size=3 * n) + 1j * rng.normal(size=3 * n))).tolist()
+    yield "m2", _M2, (0.3 * (rng.normal(size=12) + 1j * rng.normal(size=12))).tolist()
+    yield "m2row", mobius._row_kernels().bind(0.2 + 0.7j, -1.1 + 0.4j, 0.9 - 0.3j), [0.6 - 0.2j, -0.3 + 0.8j]
     for provider, x in ((classical.round_sphere(), [1.1, 0.4]), *((classical.flat_space(d), rng.normal(size=d).tolist())
                                                                   for d in (1, 3, 8))):
-        rhs, run = (functools.partial(kernel, provider.values)
-                    for kernel in classical._geodesic_rates(provider.dim, provider.triples))
-        yield f"geodesic{provider.dim}", rhs, run, x + rng.normal(size=provider.dim).tolist()
+        system = classical._geodesic_rates(provider.dim, provider.triples).bind(provider.values)
+        yield f"geodesic{provider.dim}", system, x + rng.normal(size=provider.dim).tolist()
 
 
-@pytest.mark.parametrize("system", list(_fused_systems()), ids=lambda system: system[0])
-def test_fused_rk4_run_equals_the_per_call_run_of_its_rhs(system):
-    _, rhs, run, y0 = system
+@pytest.mark.parametrize("case", list(_fused_systems()), ids=lambda case: case[0])
+def test_fused_rk4_run_equals_the_per_call_run_of_its_rhs(case):
+    _, system, y0 = case
+    assert all(type(v) is system.entry for v in y0)
     n_steps = 8  # not a multiple of the strides 3 and 7
     for h in (1e-3, 0.05, -0.05):
         for stride in (1, 3, 7):
-            fused, per_call = (np.zeros((flow.sample_count(n_steps, stride), len(y0)), dtype=type(y0[0]))
+            fused, per_call = (np.zeros((flow.sample_count(n_steps, stride), len(y0)), dtype=system.entry)
                                for _ in range(2))
             fused[0] = per_call[0] = y0
-            run(list(y0), h, n_steps, stride, fused)
-            flow._rk4_unrolled(len(y0))(rhs, list(y0), h, n_steps, stride, per_call)
+            system.run(list(y0), h, n_steps, stride, fused)
+            per_call_rk4(len(y0))(system.rhs, list(y0), h, n_steps, stride, per_call)
             assert fused.tobytes() == per_call.tobytes()
 
 
@@ -430,16 +486,16 @@ def _blowup(run, *args):
 def test_fused_rk4_run_blows_up_like_the_per_call_run(case):
     if case == "pole-stage":  # theta = 0.02 - t: stage 2 of the first step lands on the pole, theta = 0
         sphere = classical.round_sphere()
-        rhs, fused = (functools.partial(kernel, sphere.values) for kernel in classical._geodesic_rates(2, sphere.triples))
+        system = classical._geodesic_rates(2, sphere.triples).bind(sphere.values)
         y0, h = [0.02, 0.0, -1.0, 0.0], 0.04
-        assert all(math.isnan(r) for r in rhs(0.0, [0.0, 0.0, -1.0, 0.0]))
+        assert all(math.isnan(r) for r in system.rhs(0.0, [0.0, 0.0, -1.0, 0.0]))
     else:  # lam' = 40 lam passes MAX_ABS near t = 0.52; a nan entry fails the first check
-        rhs, fused = (functools.partial(kernel, 40.0 + 0j, 0j, 0j) for kernel in mobius._row_kernels())
+        system = mobius._row_kernels().bind(40.0 + 0j, 0j, 0j)
         h = 0.01
         y0 = [1.0 + 0j, 0.5j] if case == "past-max-abs" else [complex(math.nan, 0.0), 1.0 + 0j]
-    out = np.zeros((2, len(y0)), dtype=type(y0[0]))
-    got = _blowup(fused, list(y0), h, 100, 100, out.copy())
-    assert got == _blowup(flow._rk4_unrolled(len(y0)), rhs, list(y0), h, 100, 100, out.copy())
+    out = np.zeros((2, len(y0)), dtype=system.entry)
+    got = _blowup(system.run, list(y0), h, 100, 100, out.copy())
+    assert got == _blowup(per_call_rk4(len(y0)), system.rhs, list(y0), h, 100, 100, out.copy())
     assert got[1] == {"past-max-abs": 0.51, "non-finite-start": 0.0, "pole-stage": 0.0}[case]
     assert ("exceeded" if case == "past-max-abs" else "non-finite") in got[0]
 
@@ -453,8 +509,8 @@ def test_compiled_sources_hold_only_indices_and_fixed_constants(monkeypatch):
 
     compile_source = flow._compile
     monkeypatch.setattr(flow, "_compile", recording)  # every kernel is compiled through flow
-    for size in [*range(1, 33), 256]:
-        flow._rk4_unrolled.__wrapped__(size)
+    for size in [*range(1, 33), 256]:  # the per-call reference run
+        flow._compile_rk4(size, call_stage, ("f",))
     # each system compiles its per-call rhs and its fused rk4 run
     for n in range(1, transport.ZN_SCALAR_CROSSOVER):
         connection._zn_kernels.__wrapped__(n)
@@ -478,19 +534,22 @@ def test_scalar_rhs_of_the_wrong_length_raises(method, scalars):
     y0 = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     form = list if scalars else np.array  # the array form returns a float64 vector
     for returned in (1, 2, 4):  # numpy would broadcast one entry over a stage's row or buffer
+        f = lambda t, y: form([-y[0]] * returned)
+        system = call_system(f, 3 if scalars is complex else 6, scalars) if scalars else None
         with pytest.raises(ValueError, match=None if scalars else f"{returned} entries for a state of 6"):
-            integrate(lambda t, y: form([-y[0]] * returned), y0, 0.1, h=0.01, method=method, scalars=scalars)
+            integrate(system.rhs if scalars else f, y0, 0.1, h=0.01, method=method, system=system)
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
 def test_scalar_form_state_size_is_capped(method):
     cap = flow.MAX_SCALAR_STATE
     decay = lambda t, y: [-v for v in y]
-    traj = integrate(decay, np.ones(cap), 0.01, h=0.01, method=method, scalars=float)
+    system = call_system(decay, cap, float)
+    traj = integrate(system.rhs, np.ones(cap), 0.01, h=0.01, method=method, system=system)
     assert traj.states.shape == (2, cap)
-    for scalars in (complex, float):
-        with pytest.raises(ValueError, match=f"at most {cap} floats"):
-            integrate(decay, np.ones(cap + 2), 0.01, h=0.01, method=method, scalars=scalars)
+    for entries, scalars in (((cap + 2) // 2, complex), (cap + 2, float)):  # refused before anything compiles
+        with pytest.raises(ValueError, match=f"at most {cap} floats, not {cap + 2}"):
+            call_system(decay, entries, scalars)
     assert integrate(lambda t, y: -y, np.ones(cap + 2), 0.01, h=0.01, method=method).states.shape == (2, cap + 2)
 
 
@@ -530,22 +589,23 @@ def test_array_rk4_run_equals_a_loop_of_rk4_step(name):
             assert traj.states[k // 10].tobytes() == y.tobytes(), k
 
 
-_FORMS = {  # a right-hand side and its initial state in each form
-    None: (transport.m2_coupled_rhs(), None),
-    complex: (_m2_rhs, None),
-    float: (lambda t, y: [0.5 * y[i - 1] - v * t for i, v in enumerate(y)], np.array([1.0, -0.5, 0.25])),
+_FLOATS = call_system(lambda t, y: [0.5 * y[i - 1] - v * t for i, v in enumerate(y)], 3, float)
+_FORMS = {  # a right-hand side, its compiled system and its initial state in each form
+    None: (transport.m2_coupled_rhs(), None, None),
+    complex: (_m2_rhs, _M2, None),
+    float: (_FLOATS.rhs, _FLOATS, np.array([1.0, -0.5, 0.25])),
 }
 
 
 @pytest.mark.parametrize("scalars", [None, complex, float], ids=["arrays", "complex", "float"])
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
 def test_every_stepper_samples_every_stride_th_state_and_the_last(method, scalars, fig2_data, monkeypatch):
-    f, y0 = _FORMS[scalars]
+    f, system, y0 = _FORMS[scalars]
     y0 = _fig2_state(fig2_data) if y0 is None else y0
     _, counts = _counting_rk45(monkeypatch, f)
-    every = integrate(f, y0, 0.5, h=0.01, stride=1, method=method, scalars=scalars)
+    every = integrate(f, y0, 0.5, h=0.01, stride=1, method=method, system=system)
     every_attempts = counts["attempts"]
-    sampled = integrate(f, y0, 0.5, h=0.01, stride=7, method=method, scalars=scalars)
+    sampled = integrate(f, y0, 0.5, h=0.01, stride=7, method=method, system=system)
     steps = [*range(0, 50, 7), 50]  # 50 steps: the last is not a multiple of 7
     assert sampled.times.tobytes() == every.times[steps].tobytes()
     if method == "rk4":

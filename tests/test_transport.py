@@ -317,7 +317,7 @@ _SPECIAL_ENTRIES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, 
 def test_compiled_zn_site_kernel_is_byte_identical_to_the_site_form(n):
     """Admissible, arbitrary and special entries, against the site-by-site form it replaced."""
     rng = np.random.default_rng(100 + n)
-    rhs = _zn_kernels(n)[0]
+    rhs = _zn_kernels(n).rhs
     states = [_zn_flat(n, rng, admissible) for admissible in (True, False)]
     for _ in range(10):  # special entries mixed with ordinary ones
         y = _zn_flat(n, rng, False)
@@ -373,7 +373,7 @@ def test_zn_system_transport_matches_the_paper_form(n):
 @pytest.mark.parametrize("n", range(2, transport.ZN_SCALAR_CROSSOVER + 3))
 def test_zn_sites_transport_matches_the_paper_form(n):
     for kp, km, m, y in _zn_transport_cases(n):
-        _assert_matches_transport_oracle(_zn_kernels(n)[0](0.0, y.view(np.complex128).tolist())[2 * n :], kp, km, m)
+        _assert_matches_transport_oracle(_zn_kernels(n).rhs(0.0, y.view(np.complex128).tolist())[2 * n :], kp, km, m)
 
 
 @pytest.mark.parametrize("n", [10, 64, 4096])
