@@ -117,45 +117,57 @@ def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
     fresh because rk4 still reads a stage after computing the next.  K_+,
     K_-, m and beta are copied into ghost-padded scratch of length n + 2
     (entry 0 holds site n - 1, entry n + 1 site 0), so every neighbour
-    R_{+-1} is a slice view, not a gather.  Each operation keeps the
-    equations' association and operand order: numpy's complex multiply
-    uses FMA, so ``a * b`` and ``b * a`` can differ in the last bit, and
-    the result is byte-identical to the four functions called once each on
-    gathered sample arrays.  The scratch is shared by every call, so one
-    closure serves one integration at a time.
+    R_{+-1} is a slice view, not a gather; each pad pair is filled by one
+    assignment between views made once (at n = 1 both pads hold site 0).
+    Each operation keeps the equations' association and operand order:
+    numpy's complex multiply uses FMA, so ``a * b`` and ``b * a`` can
+    differ in the last bit, and the result is byte-identical to the four
+    functions called once each on gathered sample arrays.  Per call the
+    cost is numpy's call overhead more than arithmetic, so the ufuncs are
+    locals, ``out`` is positional and 0.5 is a 0-d complex128 array made
+    once: on the complex128 scratch it selects the same loop and value as
+    the Python float would, without the conversion per call.  The scratch
+    is shared by every call, so one closure serves one integration at a
+    time.
     """
     ghost = np.empty((3, n + 2), dtype=np.complex128)  # rows K_+, K_-, m
     beta_g = np.empty(n + 2, dtype=np.complex128)
     work = np.empty(n, dtype=np.complex128)
     (kp, km, m), beta = ghost[:, 1:-1], beta_g[1:-1]
+    sites, rows = ghost.view(np.float64)[:, 2:-2], (3, 2 * n)  # the sites' floats; y as three rows of them
     kp_up, km_down, m_up, m_down = ghost[0, 2:], ghost[1, :-2], ghost[2, 2:], ghost[2, :-2]
     beta_up, beta_down = beta_g[2:], beta_g[:-2]
+    # the pads, entries 0 and n + 1, and their sources, sites n - 1 and 0 (entries n and 1)
+    pads, sources = slice(None, None, n + 1), slice(n, 0, 1 - n) if n > 1 else slice(1, 2)
+    ghost_pads, ghost_sources = ghost[:, pads], ghost[:, sources]
+    beta_pads, beta_sources = beta_g[pads], beta_g[sources]
+    half = np.array(0.5, dtype=np.complex128)
+    add, subtract, multiply, empty = np.add, np.subtract, np.multiply, np.empty
+    complex128, float64 = np.complex128, np.float64
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        ghost[:, 1:-1] = y.view(np.complex128).reshape(3, n)
-        ghost[:, 0] = ghost[:, n]
-        ghost[:, -1] = ghost[:, 1]
-        out = np.empty(3 * n, dtype=np.complex128)
+        sites[...] = y.reshape(rows)
+        ghost_pads[...] = ghost_sources
+        out = empty(3 * n, complex128)
         dkp, dkm, dm = out[:n], out[n : 2 * n], out[2 * n :]
         # beta = 0.5 * (kp + kp_up + km + km_down)
-        np.add(kp, kp_up, out=beta)
-        np.add(beta, km, out=beta)
-        np.add(beta, km_down, out=beta)
-        np.multiply(0.5, beta, out=beta)
-        beta_g[0] = beta[-1]
-        beta_g[-1] = beta[0]
+        add(kp, kp_up, beta)
+        add(beta, km, beta)
+        add(beta, km_down, beta)
+        multiply(half, beta, beta)
+        beta_pads[...] = beta_sources
         # dK_+ = kp * (beta_down - beta), dK_- = km * (beta_up - beta)
-        np.subtract(beta_down, beta, out=dkp)
-        np.multiply(kp, dkp, out=dkp)
-        np.subtract(beta_up, beta, out=dkm)
-        np.multiply(km, dkm, out=dkm)
+        subtract(beta_down, beta, dkp)
+        multiply(kp, dkp, dkp)
+        subtract(beta_up, beta, dkm)
+        multiply(km, dkm, dkm)
         # dm = kp * m_down + km * m_up - beta * m
-        np.multiply(kp, m_down, out=dm)
-        np.multiply(km, m_up, out=work)
-        np.add(dm, work, out=dm)
-        np.multiply(beta, m, out=work)
-        np.subtract(dm, work, out=dm)
-        return out.view(np.float64)
+        multiply(kp, m_down, dm)
+        multiply(km, m_up, work)
+        add(dm, work, dm)
+        multiply(beta, m, work)
+        subtract(dm, work, dm)
+        return out.view(float64)
 
     return rhs
 

@@ -156,37 +156,44 @@ def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.n
     A stage input buffer is written only once its stage has been used:
     2 k3 goes into k3's own input buffer, after y4 = y + h k3 has been
     formed.  ``acc`` is free between steps, so the state check takes its
-    ``abs`` there.
+    ``abs`` there.  A stage costs numpy's call overhead more than its
+    arithmetic, so the ufuncs get ``out`` positionally and the step's
+    constants (h / 2, h, 2 and h / 6) as 0-d float64 arrays made once per
+    run: with float64 stages they select the same loop and values as the
+    Python floats would, without a conversion per call; t stays a Python
+    float.
     """
     size = y.shape[0]
     y_a, y_b, acc = np.empty((3, size))
     half = 0.5 * h
+    c_half, c_h, c_two, c_sixth = (np.array(c) for c in (half, h, 2.0, h / 6.0))
+    add, multiply = np.add, np.multiply
     for step in range(1, n_steps + 1):
         t = (step - 1) * h
         k = f(t, y)  # k1
         _check_length(len(k), size)  # a stage of another shape fails the out= operations below
-        np.multiply(half, k, out=y_a)
-        np.add(y, y_a, out=y_a)
+        multiply(c_half, k, y_a)
+        add(y, y_a, y_a)
         k2 = f(t + half, y_a)
         _check_length(len(k2), size)
-        np.multiply(half, k2, out=y_b)
-        np.add(y, y_b, out=y_b)
-        np.multiply(2.0, k2, out=acc)
-        np.add(k, acc, out=acc)
+        multiply(c_half, k2, y_b)
+        add(y, y_b, y_b)
+        multiply(c_two, k2, acc)
+        add(k, acc, acc)
         del k2
         k = f(t + half, y_b)  # k3
         _check_length(len(k), size)
-        np.multiply(h, k, out=y_a)
-        np.add(y, y_a, out=y_a)
-        np.multiply(2.0, k, out=y_b)
-        np.add(acc, y_b, out=acc)
+        multiply(c_h, k, y_a)
+        add(y, y_a, y_a)
+        multiply(c_two, k, y_b)
+        add(acc, y_b, acc)
         del k
         k = f(t + h, y_a)  # k4
         _check_length(len(k), size)
-        np.add(acc, k, out=acc)
-        np.multiply(h / 6.0, acc, out=acc)
+        add(acc, k, acc)
+        multiply(c_sixth, acc, acc)
         y = y + acc
-        _check_state(y, t, scratch=acc)
+        _check_state(y, t, acc)
         if step % stride == 0:
             out[step // stride] = y
     out[-1] = y
@@ -248,15 +255,18 @@ class _System:
 
     ``rhs(*params, t, y)`` is its per-call right-hand side and
     ``run(*params, y, h, n_steps, stride, out)`` its fused rk4 run;
+    ``floats`` is the length of its packed float64 state;
     ``bind(*params)`` gives the system with its run arguments bound to both.
     """
 
     rhs: Callable
     run: Callable
     entry: type
+    floats: int
 
     def bind(self, *params) -> _System:
-        return _System(functools.partial(self.rhs, *params), functools.partial(self.run, *params), self.entry)
+        return _System(functools.partial(self.rhs, *params), functools.partial(self.run, *params), self.entry,
+                       self.floats)
 
 
 def _stage_kernels(size: int, stage, params: tuple, scalars: type) -> _System:
@@ -275,7 +285,8 @@ def _stage_kernels(size: int, stage, params: tuple, scalars: type) -> _System:
     inputs, rates = _names("s", size), _names("ka", size)
     lines = [f"def rhs({', '.join([*params, 't', 'y'])}):", f"    {', '.join(inputs)}, = y",
              *("    " + line for line in stage("t", inputs, rates)), f"    return [{', '.join(rates)}]", ""]
-    return _System(_compile("\n".join(lines), "rhs", nan=math.nan), _compile_rk4(size, stage, params), scalars)
+    return _System(_compile("\n".join(lines), "rhs", nan=math.nan), _compile_rk4(size, stage, params), scalars,
+                   floats)
 
 
 def _compile_rk4(size: int, stage, params: tuple):
@@ -471,7 +482,8 @@ def sample_count(n_steps: int, stride: int) -> int:
 
 
 def _check_state(y: np.ndarray, t_good: float, scratch=None) -> None:
-    _check_peak(np.abs(y, out=scratch).max(), t_good)
+    """The state rule on a 1-d float64 vector; ``np.maximum.reduce`` skips the Python wrapper of ``.max()``."""
+    _check_peak(np.maximum.reduce(np.abs(y, scratch)), t_good)
 
 
 def _check_peak(peak: float, t_good: float) -> None:
@@ -484,7 +496,7 @@ def _check_peak(peak: float, t_good: float) -> None:
 
 def _check_scalars(y: list, t_good: float) -> None:
     """``_check_state`` on a list of Python floats or complex numbers, part by part."""
-    _check_state(np.array([(z.real, z.imag) for z in y]), t_good)
+    _check_state(np.array([(z.real, z.imag) for z in y]).ravel(), t_good)
 
 
 def integrate(
@@ -506,7 +518,8 @@ def integrate(
     ``system`` f is an array-form right-hand side; with one, a compiled
     system with its run arguments bound (``_System.bind``), f is its
     ``rhs`` (or a wrapper of it) and reads lists of the system's entry
-    type, as the module docstring describes.  The run itself is one call
+    type, as the module docstring describes, and ``y0`` must hold the
+    system's ``floats`` (ValueError, naming both lengths, before any step).  The run itself is one call
     of the stepper of ``method`` and the form: rk4 on a system is its
     fused ``run``, which never calls f; ``rk45`` calls f once at t=0 and
     then six times per attempted step.
@@ -520,6 +533,8 @@ def integrate(
     y = np.ascontiguousarray(np.asarray(y0, dtype=np.float64).ravel())
     if not y.shape[0]:
         raise ValueError("y0 is empty")
+    if system is not None and y.shape[0] != system.floats:
+        raise ValueError(f"y0 holds {y.shape[0]} floats for a system of {system.floats}")
     h_eff = t_end / n_steps
 
     _check_state(y, 0.0)

@@ -26,8 +26,9 @@ sample arrays (``zn_coupled_rhs``) from there on.  A compiled system
 goes to ``integrate`` as ``system=``, with its per-call right-hand side
 as f (rk45 calls it) and its fused rk4 run, with the equations written
 out in the loop, as its rk4.  Between the two Z_n forms, the cost of the scalar
-form grows with n while that of the array form is nearly flat at small n,
-and the constant is where a whole rk4 step costs the same in both.  A Z_n
+form grows with n while that of the array form is nearly flat at small n;
+the constant was set where a whole rk4 run cost the same in both, and the
+array form now breaks even a few sites lower (see the constant).  A Z_n
 run needs at least one site.  Either way the state handed to
 ``integrate`` is the packed float64 vector of ``pack_zn_state`` /
 ``pack_m2_state``, so a wrapper of ``integrate`` reads the same ``y0``
@@ -72,9 +73,13 @@ __all__ = [
 ]
 
 # Z_n systems with fewer sites than this step on Python scalars (see the module
-# docstring).  Timed in one process, interleaved, a whole rk4 run on scalars
-# costs 0.95-0.98 of one on arrays at 17 sites and 1.01-1.02 at 18; rk45 breaks
-# even near 22.  At most 43, so that a scalar Z_n state fits flow.MAX_SCALAR_STATE.
+# docstring).  A whole rk4 run (t_end 0.3, h 1e-3, stride 10) of the fused
+# scalar system costs, against one of the array form, 1.27x at 16 sites, 1.38x
+# at 17, 1.47x at 18, 1.63x at 20 and 1.90x at 24 (medians of 21 interleaved
+# pairs in one process, 2-vCPU Xeon); they break even near 13 sites, and rk45
+# runs (t_end 3) near 12.  Lowering the constant moves the outputs of the sizes
+# in between by round-off.  At most 43, so that a scalar Z_n state fits
+# flow.MAX_SCALAR_STATE.
 ZN_SCALAR_CROSSOVER = 18
 
 

@@ -225,6 +225,10 @@ def _zn_state(n, seed=5):
     return transport.pack_zn_state(k_plus, -np.conj(np.roll(k_plus, -1)), m / np.linalg.norm(m))
 
 
+def _zn_state12(seed):
+    return _zn_state(12, seed)
+
+
 @pytest.mark.parametrize("n", sorted({3, 9, 10, transport.ZN_SCALAR_CROSSOVER - 1, transport.ZN_SCALAR_CROSSOVER}))
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
 def test_zn_scalar_and_array_forms_agree(n, method):
@@ -323,6 +327,18 @@ def test_integrate_rejects_bad_arguments():
                      (flow.MAX_STEPS * 1e-3 + 1e-3, 1e-3)):
         with pytest.raises(ValueError):
             integrate(f, np.array([1.0]), t_end, h=h)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_a_y0_of_another_length_than_the_system_is_refused(method):
+    system = connection._zn_kernels(2)  # 6 complex entries: 12 floats
+    for y0 in (np.zeros(8), np.zeros(14)):
+        with pytest.raises(ValueError, match=f"y0 holds {y0.shape[0]} floats for a system of 12"):
+            integrate(system.rhs, y0, 1.0, method=method, system=system)
+    bound = call_system(lambda t, y: y, 3, float)
+    assert bound.floats == 3
+    with pytest.raises(ValueError, match="y0 holds 6 floats for a system of 3"):
+        integrate(bound.rhs, np.zeros(6), 1.0, method=method, system=bound)
 
 
 def test_a_stride_that_is_not_an_integer_is_refused():
@@ -553,18 +569,21 @@ def test_scalar_form_state_size_is_capped(method):
     assert integrate(lambda t, y: -y, np.ones(cap + 2), 0.01, h=0.01, method=method).states.shape == (2, cap + 2)
 
 
-_STEP_RHSS = {
-    "identity": lambda t, y: y,  # returns its input: the buffers must not alias a live stage
-    "decay": lambda t, y: -y,
-    "quadratic": lambda t, y: y * y - t,
-    "zn12": transport.zn_coupled_rhs(12),
+_STEP_RHSS = {  # a right-hand side and its test state at a seed
+    "identity": (lambda t, y: y, _zn_state12),  # returns its input: the buffers must not alias a live stage
+    "decay": (lambda t, y: -y, _zn_state12),
+    "quadratic": (lambda t, y: y * y - t, _zn_state12),
+    "zn12": (transport.zn_coupled_rhs(12), _zn_state12),
+    "zn64": (transport.zn_coupled_rhs(64), lambda seed: _zn_state(64, seed)),  # as Z_n runs from ZN_SCALAR_CROSSOVER sites
+    # the 72 floats of a Z_12 state as grid samples, scaled so that h = 0.1 stays well before the shock
+    "burgers4": (classical._burgers_rhs(72, classical.GRID_SPAN / 72, 4), lambda seed: 0.05 * _zn_state12(seed)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_STEP_RHSS))
 def test_buffered_rk4_equals_rk4_step_bit_for_bit(name):
-    f = _STEP_RHSS[name]
-    y0 = _zn_state(12, seed=9)
+    f, state = _STEP_RHSS[name]
+    y0 = state(9)
     n_steps = 4  # repeated steps reuse the buffers
     for h in (1e-3, 0.1, -0.05):
         y, want = y0, [y0]
@@ -575,13 +594,13 @@ def test_buffered_rk4_equals_rk4_step_bit_for_bit(name):
         out[0] = y0
         flow._rk4_arrays(f, y0, h, n_steps, 1, out)
         assert out.tobytes() == np.array(want).tobytes()
-        assert y0.tobytes() == _zn_state(12, seed=9).tobytes()  # the run does not write into its input
+        assert y0.tobytes() == state(9).tobytes()  # the run does not write into its input
 
 
 @pytest.mark.parametrize("name", sorted(_STEP_RHSS))
 def test_array_rk4_run_equals_a_loop_of_rk4_step(name):
-    f = _STEP_RHSS[name]
-    y = 0.1 * _zn_state(12, seed=10)
+    f, state = _STEP_RHSS[name]
+    y = 0.1 * state(10)
     traj = integrate(f, y, 0.05, h=1e-3, stride=10)
     for k in range(1, 51):
         y = rk4_step(f, (k - 1) * 1e-3, y, 1e-3)

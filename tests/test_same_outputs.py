@@ -57,7 +57,8 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     benchmark = {path for path in configured if tmp_path in path.parents and path.parent.name != "edges"}
     assert len(benchmark) == 14 and benchmark <= set(configs)  # zn4096, zn64 and the 12 sweep configs
     edges = {path.stem: json.loads(path.read_text()) for path in configured if path.parent == tmp_path / "edges"}
-    assert len(edges) == 7  # the scalar-form and stencil edges
-    assert sorted(raw.get("n") for raw in edges.values() if raw["scenario"] == "zn") == [2, 17]
+    assert len(edges) == 9  # the scalar-form, array-form and stencil edges
+    assert sorted(raw.get("n") for raw in edges.values() if raw["scenario"] == "zn") == [2, 17, 18, 18]
+    assert {edges["zn18-rk4"]["method"], edges["zn18-rk45"]["method"]} == {"rk4", "rk45"}
     assert len(checks) == 2 + 5 + 14
     assert {argv[0] for _, argv in runs} == {"run", "sweep", "validate"}

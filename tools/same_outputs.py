@@ -13,8 +13,9 @@ checkout's ``src`` on ``PYTHONPATH``.  The list is:
 * the zn4096 and zn64 configs of the benchmark's ``zn-large`` workload;
 * the twelve configs of its ``sweep-ensemble`` workload, each run on its
   own, and all of them as one ``sweep --jobs 2``;
-* the scalar-form and stencil edges that the golden table lacks, each
-  from its own config: Z_2 and Z_17 rk4, m2row rk45 with complex Q, a
+* the scalar-form, array-form and stencil edges that the golden table
+  lacks, each from its own config: Z_2 and Z_17 rk4 (the scalar form),
+  Z_18 rk4 and rk45 (the smallest array form), m2row rk45 with complex Q, a
   flat 3-component geodesic, burgers at stencil 2 and from a ``values``
   profile, and an m2row run that blows up (exit 3);
 * ``validate`` on both presets, on the five scenario defaults and on every
@@ -69,6 +70,8 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
     edges = {
         "zn2-rk4": workloads.zn_config(np.random.default_rng(SEED), 2, t_end=2.0, stride=7, method="rk4"),
         "zn17-rk4": workloads.zn_config(np.random.default_rng(SEED), 17, t_end=1.0, stride=7, method="rk4"),
+        "zn18-rk4": workloads.zn_config(np.random.default_rng(SEED), 18, t_end=1.0, stride=7, method="rk4"),
+        "zn18-rk45": workloads.zn_config(np.random.default_rng(SEED), 18, t_end=1.0, stride=7, method="rk45"),
         "m2row-rk45": {"scenario": "m2row", "lam": [0.6, -0.2], "mu": [-0.3, 0.8], "q0": [0.0, 0.7],
                        "q1": [1.1, 0.4], "q2": [-1.1, 0.4], "t_end": 2.0, "method": "rk45"},
         "flat3-geodesic": {"scenario": "classical-geodesic", "manifold": "flat", "x": [0.1, -0.2, 0.3],
