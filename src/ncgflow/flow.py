@@ -519,10 +519,10 @@ def integrate(
     system with its run arguments bound (``_System.bind``), f is its
     ``rhs`` (or a wrapper of it) and reads lists of the system's entry
     type, as the module docstring describes, and ``y0`` must hold the
-    system's ``floats`` (ValueError, naming both lengths, before any step).  The run itself is one call
-    of the stepper of ``method`` and the form: rk4 on a system is its
-    fused ``run``, which never calls f; ``rk45`` calls f once at t=0 and
-    then six times per attempted step.
+    system's ``floats`` (ValueError, naming both lengths, before any
+    step).  The run itself is one call of the stepper of ``method`` and
+    the form: rk4 on a system is its fused ``run``, which never calls f;
+    ``rk45`` calls f once at t=0 and then six times per attempted step.
     Deterministic for fixed inputs.
     """
     n_steps = step_count(t_end, h)
