@@ -574,7 +574,7 @@ _STEP_RHSS = {  # a right-hand side and its test state at a seed
     "decay": (lambda t, y: -y, _zn_state12),
     "quadratic": (lambda t, y: y * y - t, _zn_state12),
     "zn12": (transport.zn_coupled_rhs(12), _zn_state12),
-    "zn64": (transport.zn_coupled_rhs(64), lambda seed: _zn_state(64, seed)),  # as Z_n runs from ZN_SCALAR_CROSSOVER sites
+    "zn64": (transport.zn_coupled_rhs(64), lambda seed: _zn_state(64, seed)),  # past the scalar crossover
     # the 72 floats of a Z_12 state as grid samples, scaled so that h = 0.1 stays well before the shock
     "burgers4": (classical._burgers_rhs(72, classical.GRID_SPAN / 72, 4), lambda seed: 0.05 * _zn_state12(seed)),
 }
