@@ -33,10 +33,17 @@ with the stage written out four times per step; below
 ``transport.ZN_SCALAR_CROSSOVER`` sites that is cheaper than arrays.  The
 compiled source is made of site indices, fixed names and the ``repr`` of
 the equations' float constants, so it performs the equations' operations
-in their order.  ``zn_coupled_rhs(n)`` is the one array form: the same
+in their order.  ``_zn_array_stage(n)`` is the one array form: the same
 operations, in the same association and operand order, as ufunc calls on
-reused buffers of the packed state.  The tests hold it byte for byte to
-the four functions called once each on gathered sample arrays.  On M2,
+a ghost-padded layout of the packed state, three rows of n + 2 complex
+entries whose pads hold the neighbouring sites.  ``zn_coupled_rhs(n)`` is
+its per-call wrapper (rk45 and the element entry points below call it),
+and ``_zn_arrays(n)`` the array system of Z_n from
+``transport.ZN_SCALAR_CROSSOVER`` sites on, whose rk4 run
+(``flow._rk4_arrays``) keeps its state and stage inputs in that layout
+and calls the stage with no copy.  The tests hold the array form byte
+for byte to the four functions called once each on gathered sample
+arrays.  On M2,
 ``_m2_temporaries`` (t1, t2, p, q, r, u) and ``_m2_system`` (the twelve
 rates of (K1, K2, m)) make ``_m2_stage``, which ``_m2_kernels`` compiles
 the same way.
@@ -64,7 +71,7 @@ from typing import Callable
 
 from .algebra import I2, AlgebraElement, Mat2Element, ZnElement, commutator
 from .calculus import VectorField
-from .flow import _assign, _Expr, _names, _stage_kernels, pack_complex
+from .flow import _assign, _Expr, _names, _rk4_arrays, _stage_kernels, _System, pack_complex
 
 __all__ = [
     "solve_b",
@@ -109,67 +116,101 @@ def _zn_dm(kp, km, m, beta, m_up, m_down):
     return kp * m_down + km * m_up - beta * m
 
 
-def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Flat RHS for the coupled (K_+, K_-, m) Z_n system; b is computed once per call.
+def _zn_array_stage(n: int):
+    """The Z_n stage on arrays, written once: ``bind(y, k)`` gives ``rates(t)``, the rates at y written into k.
 
-    The four site equations written with ufunc ``out=`` calls on the
-    sample arrays, so a call allocates nothing but its result, which stays
-    fresh because rk4 still reads a stage after computing the next.  K_+,
-    K_-, m and beta are copied into ghost-padded scratch of length n + 2
-    (entry 0 holds site n - 1, entry n + 1 site 0), so every neighbour
-    R_{+-1} is a slice view, not a gather; each pad pair is filled by one
-    assignment between views made once (at n = 1 both pads hold site 0).
-    Each operation keeps the equations' association and operand order:
+    y and k are float64 buffers of 6 (n + 2) floats, the ghost-padded
+    layout of the packed state: three rows (K_+, K_-, m) of n + 2 complex
+    entries, with the sites at entries 1..n, entry 0 holding site n - 1
+    and entry n + 1 site 0 (at n = 1 both hold site 0), so every neighbour
+    R_{+-1} is a slice view, not a gather.  ``rates`` fills y's pads, each
+    pad pair by one assignment between views made once by ``bind``,
+    writes beta into padded scratch of its own and its pads the same way,
+    and then writes dK_+, dK_- and dm into the sites of k, leaving k's pads
+    as they are, and returns k.  Each operation is a ufunc call with
+    ``out`` that keeps the equations' association and operand order:
     numpy's complex multiply uses FMA, so ``a * b`` and ``b * a`` can
-    differ in the last bit, and the result is byte-identical to the four
+    differ in the last bit, and the rates are byte-identical to the four
     functions called once each on gathered sample arrays.  Per call the
     cost is numpy's call overhead more than arithmetic, so the ufuncs are
     locals, ``out`` is positional and 0.5 is a 0-d complex128 array made
-    once: on the complex128 scratch it selects the same loop and value as
-    the Python float would, without the conversion per call.  The scratch
-    is shared by every call, so one closure serves one integration at a
-    time.
+    once: on complex128 operands it selects the same loop and value as the
+    Python float would, without the conversion per call.  The beta
+    scratch is shared by every bound stage, so one ``_zn_array_stage``
+    serves one integration at a time.
     """
-    ghost = np.empty((3, n + 2), dtype=np.complex128)  # rows K_+, K_-, m
     beta_g = np.empty(n + 2, dtype=np.complex128)
     work = np.empty(n, dtype=np.complex128)
-    (kp, km, m), beta = ghost[:, 1:-1], beta_g[1:-1]
-    sites, rows = ghost.view(np.float64)[:, 2:-2], (3, 2 * n)  # the sites' floats; y as three rows of them
-    kp_up, km_down, m_up, m_down = ghost[0, 2:], ghost[1, :-2], ghost[2, 2:], ghost[2, :-2]
-    beta_up, beta_down = beta_g[2:], beta_g[:-2]
+    beta, beta_up, beta_down = beta_g[1:-1], beta_g[2:], beta_g[:-2]
     # the pads, entries 0 and n + 1, and their sources, sites n - 1 and 0 (entries n and 1)
     pads, sources = slice(None, None, n + 1), slice(n, 0, 1 - n) if n > 1 else slice(1, 2)
-    ghost_pads, ghost_sources = ghost[:, pads], ghost[:, sources]
     beta_pads, beta_sources = beta_g[pads], beta_g[sources]
     half = np.array(0.5, dtype=np.complex128)
-    add, subtract, multiply, empty = np.add, np.subtract, np.multiply, np.empty
-    complex128, float64 = np.complex128, np.float64
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+
+    def bind(y: np.ndarray, k: np.ndarray):
+        ghost = y.view(np.complex128).reshape(3, n + 2)
+        (kp, km, m), (dkp, dkm, dm) = ghost[:, 1:-1], k.view(np.complex128).reshape(3, n + 2)[:, 1:-1]
+        kp_up, km_down, m_up, m_down = ghost[0, 2:], ghost[1, :-2], ghost[2, 2:], ghost[2, :-2]
+        ghost_pads, ghost_sources = ghost[:, pads], ghost[:, sources]
+
+        def rates(t: float) -> np.ndarray:
+            ghost_pads[...] = ghost_sources
+            # beta = 0.5 * (kp + kp_up + km + km_down)
+            add(kp, kp_up, beta)
+            add(beta, km, beta)
+            add(beta, km_down, beta)
+            multiply(half, beta, beta)
+            beta_pads[...] = beta_sources
+            # dK_+ = kp * (beta_down - beta), dK_- = km * (beta_up - beta)
+            subtract(beta_down, beta, dkp)
+            multiply(kp, dkp, dkp)
+            subtract(beta_up, beta, dkm)
+            multiply(km, dkm, dkm)
+            # dm = kp * m_down + km * m_up - beta * m
+            multiply(kp, m_down, dm)
+            multiply(km, m_up, work)
+            add(dm, work, dm)
+            multiply(beta, m, work)
+            subtract(dm, work, dm)
+            return k
+
+        return rates
+
+    return bind
+
+
+def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
+    """Flat RHS for the coupled (K_+, K_-, m) Z_n system; b is computed once per call.
+
+    A per-call wrapper of ``_zn_array_stage``: each call copies y into the
+    sites of a ghost-padded buffer, evaluates the stage there and returns
+    a fresh copy of the rates' sites, which stays fresh because rk4 still
+    reads a stage after computing the next.  The buffers are shared by
+    every call, so one closure serves one integration at a time.
+    """
+    y_pad, k_pad = np.zeros((2, 6 * (n + 2)))
+    sites, rate_sites = (b.reshape(3, 2 * n + 4)[:, 2:-2] for b in (y_pad, k_pad))
+    rates, rows = _zn_array_stage(n)(y_pad, k_pad), (3, 2 * n)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         sites[...] = y.reshape(rows)
-        ghost_pads[...] = ghost_sources
-        out = empty(3 * n, complex128)
-        dkp, dkm, dm = out[:n], out[n : 2 * n], out[2 * n :]
-        # beta = 0.5 * (kp + kp_up + km + km_down)
-        add(kp, kp_up, beta)
-        add(beta, km, beta)
-        add(beta, km_down, beta)
-        multiply(half, beta, beta)
-        beta_pads[...] = beta_sources
-        # dK_+ = kp * (beta_down - beta), dK_- = km * (beta_up - beta)
-        subtract(beta_down, beta, dkp)
-        multiply(kp, dkp, dkp)
-        subtract(beta_up, beta, dkm)
-        multiply(km, dkm, dkm)
-        # dm = kp * m_down + km * m_up - beta * m
-        multiply(kp, m_down, dm)
-        multiply(km, m_up, work)
-        add(dm, work, dm)
-        multiply(beta, m, work)
-        subtract(dm, work, dm)
-        return out.view(float64)
+        rates(t)
+        return rate_sites.flatten()
 
     return rhs
+
+
+def _zn_arrays(n: int) -> _System:
+    """The array system of Z_n: ``zn_coupled_rhs(n)`` per call and an rk4 run of ``_zn_array_stage(n)``.
+
+    Its run (``flow._rk4_arrays``) keeps the state, the stage inputs and
+    the rates in the stage's ghost-padded layout, three rows with one
+    complex entry (two floats) of pad at each end, so a stage is one call
+    and the rk4 combination copies nothing.
+    """
+    run = functools.partial(_rk4_arrays, stage=_zn_array_stage(n), layout=(3, 2))
+    return _System(zn_coupled_rhs(n), run, None, 6 * n)
 
 
 def _zn_stage(n: int, t: str, inputs: list, rates: list) -> list:

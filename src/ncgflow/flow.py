@@ -3,9 +3,17 @@
 Complex states are packed as interleaved real/imaginary parts (``pack_complex``).
 ``integrate`` steps a state in one of two forms:
 
-* the array form (``system=None``, the default, and every caller's own
-  right-hand side): f maps the float64 vector to a float64 vector, and
-  the complex structure is reassembled inside f;
+* the array form: f maps the float64 vector to a float64 vector, and the
+  complex structure is reassembled inside f.  It is every caller's own
+  right-hand side (``system=None``, the default), and it is the form of
+  an array system (``system=``, a ``_System`` with ``entry=None``):
+  Z_n from ``transport.ZN_SCALAR_CROSSOVER`` sites on
+  (``connection._zn_arrays``).  An array system pairs its per-call
+  right-hand side ``rhs`` (rk45 calls it) with a *stage* that rk4 calls
+  in place of f: it evaluates the rates in the system's ghost-padded
+  layout, from a buffer of stage inputs into a rate buffer it is handed,
+  so the rk4 run (``_rk4_arrays``) keeps the state and the stage inputs
+  in that layout and copies, allocates and checks nothing per stage;
 * a compiled system (``system=``, a record that ``_stage_kernels``
   makes): f maps a list of the system's entries, Python complex numbers
   (the packed vector read as complex128) or Python floats, to a list of
@@ -29,16 +37,20 @@ otherwise), ``y0`` is the packed float64 vector and the samples land in
 the same float64 ``Trajectory.states`` block; f stays the positional
 argument in both, so a wrapper of ``integrate`` that wraps f (as the
 benchmark's tracer does, naming the Z_n right-hand sides by ``len(y0)``)
-sees every call that rk45 or the array rk4 makes.
+sees every call that rk45 makes, every stage of an array rk4 run
+without a system and the first stage of an array system's rk4 run,
+which ``_rk4_arrays`` takes from f; a compiled system's rk4 run never
+calls f.
 
 ``integrate`` checks its arguments and the initial state, builds the
 time grid and the sample block, preallocated from the step count and the
 stride, and hands the whole run to one stepper: ``_rk4_arrays`` (rk4 on
-arrays), the system's fused run (rk4 on a system) or ``_dopri`` (rk45,
-either form).  Each stepper takes ``(f, y, h, n_steps, stride, out)`` (a
-fused run has its system in place of f), ``_dopri`` the system's entry
-type too, and owns its loop: from t = 0 it
-takes ``n_steps`` steps of h (rk45
+arrays, with the stage of a plain f or an array system's ``run``, which
+is ``_rk4_arrays`` with the system's stage and layout bound), a compiled
+system's fused run or ``_dopri`` (rk45, either form).  Each stepper
+takes ``(f, y, h, n_steps, stride, out)`` (a compiled run has its
+entries in place of f and y), ``_dopri`` the system's entry type too,
+and owns its loop: from t = 0 it takes ``n_steps`` steps of h (rk45
 lands on the sampled steps of the same grid with adaptive substeps),
 checks every accepted state, writes the state after step k into row
 ``k // stride`` of ``out`` when ``stride`` divides k and the final state
@@ -141,62 +153,98 @@ def rk4_step(f: Rhs, t: float, y, h: float):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray) -> None:
-    """A whole rk4 run on a float64 vector ``y``, with reused buffers; see the module docstring.
+def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, stage, layout) -> None:
+    """A whole rk4 run on arrays, stepped in place in a ghost-padded layout; see the module docstring.
 
-    Each stage f returns must hold as many entries as ``y`` (ValueError
-    otherwise; TypeError for a 0-d result).  The stage inputs alternate
-    between two buffers made once per run, and the weighted stage sum
-    ``k1 + 2 k2 + 2 k3 + k4`` is accumulated in a third as each stage
-    arrives, so a step allocates only its new state and holds at most two
-    stages at a time.  The association is ``rk4_step``'s, so the states
-    are bit for bit those of a loop of ``rk4_step``.  f may return its
-    input or a fresh array, but not a buffer it overwrites on its next
-    call, since a stage is still read after the next stage is computed.
-    A stage input buffer is written only once its stage has been used:
-    2 k3 goes into k3's own input buffer, after y4 = y + h k3 has been
-    formed.  ``acc`` is free between steps, so the state check takes its
-    ``abs`` there.  A stage costs numpy's call overhead more than its
-    arithmetic, so the ufuncs get ``out`` positionally and the step's
-    constants (h / 2, h, 2 and h / 6) as 0-d float64 arrays made once per
-    run: with float64 stages they select the same loop and values as the
-    Python floats would, without a conversion per call; t stays a Python
-    float.
+    ``layout = (rows, pad)``: a buffer of the run holds the packed state
+    split into ``rows`` equal rows, each with ``pad`` floats of ghost
+    cells before and after its sites (``(1, 0)`` is the packed vector
+    itself).  The state, the two stage inputs, the two rate buffers and
+    the weighted stage sum ``k1 + 2 k2 + 2 k3 + k4`` are six such
+    buffers, zero at first and made once per run; ``y``, the packed
+    initial state, is only read, and the rows of ``out`` are written from
+    the state's sites.  ``stage(x, k)`` binds a stage to the input buffer
+    x and the rate buffer k and returns ``rates(t)``, the rates at x and
+    time t: k with its sites written, or an array of its own of x's size.
+    ``rates`` fills the pads of x that it reads and never writes the pads
+    of k, so a rate's pads stay 0, every pad of the state and the stage
+    inputs is a copy of a site of an accepted state or 0, and the state
+    check on the whole state buffer is the check on its sites.  The first
+    stage at t = 0 is ``f(0.0, y)`` (ValueError unless it has as many
+    entries as ``y``), written into a rate buffer's sites, so a wrapper
+    of f sees every array run; the other stages come from ``stage``.
+    ``_plain_stage`` makes the stage of a plain f with layout ``(1, 0)``.
+
+    The stage sum is accumulated as each stage arrives, so the run holds
+    at most two stages at a time, and its association is ``rk4_step``'s,
+    so the states are bit for bit those of a loop of ``rk4_step``.  Every
+    operation is a contiguous 1-d ufunc over whole buffers, with ``out``
+    positional and the step's constants (h / 2, h, 2 and h / 6) as 0-d
+    float64 arrays made once per run: a stage costs numpy's call overhead
+    more than its arithmetic, and with float64 buffers they select the
+    same loop and values as the Python floats would, without a
+    conversion per call; t stays a Python float.  A stage input buffer
+    is written only once its stage has been used: 2 k3 goes into k3's
+    own input buffer, after y4 = y + h k3 has been formed.  ``acc`` is
+    free between steps, so the state check takes its ``abs`` there.
     """
-    size = y.shape[0]
-    y_a, y_b, acc = np.empty((3, size))
+    rows, pad = layout
+    width = y.shape[0] // rows + 2 * pad
+    state, y_a, y_b, acc, ka, kb = np.zeros((6, rows * width))
+    sites, k1_sites = (b.reshape(rows, width)[:, pad : width - pad] for b in (state, ka))
+    sites[...] = y.reshape(rows, -1)
+    k = f(0.0, y)
+    _check_length(len(k), y.shape[0])
+    np.copyto(k1_sites, np.reshape(k, k1_sites.shape))
+    out = out.reshape(out.shape[0], rows, -1)
+    first, second, third = stage(state, ka), stage(y_a, kb), stage(y_b, ka)
     half = 0.5 * h
     c_half, c_h, c_two, c_sixth = (np.array(c) for c in (half, h, 2.0, h / 6.0))
     add, multiply = np.add, np.multiply
+    k = ka
     for step in range(1, n_steps + 1):
         t = (step - 1) * h
-        k = f(t, y)  # k1
-        _check_length(len(k), size)  # a stage of another shape fails the out= operations below
+        if step > 1:
+            k = first(t)  # k1
         multiply(c_half, k, y_a)
-        add(y, y_a, y_a)
-        k2 = f(t + half, y_a)
-        _check_length(len(k2), size)
+        add(state, y_a, y_a)
+        k2 = second(t + half)
         multiply(c_half, k2, y_b)
-        add(y, y_b, y_b)
+        add(state, y_b, y_b)
         multiply(c_two, k2, acc)
         add(k, acc, acc)
         del k2
-        k = f(t + half, y_b)  # k3
-        _check_length(len(k), size)
+        k = third(t + half)  # k3
         multiply(c_h, k, y_a)
-        add(y, y_a, y_a)
+        add(state, y_a, y_a)
         multiply(c_two, k, y_b)
         add(acc, y_b, acc)
-        del k
-        k = f(t + h, y_a)  # k4
-        _check_length(len(k), size)
+        k = second(t + h)  # k4
         add(acc, k, acc)
         multiply(c_sixth, acc, acc)
-        y = y + acc
-        _check_state(y, t, acc)
+        add(state, acc, state)
+        _check_state(state, t, acc)
         if step % stride == 0:
-            out[step // stride] = y
-    out[-1] = y
+            out[step // stride] = sites
+    out[-1] = sites
+
+
+def _plain_stage(f, size: int):
+    """The ``_rk4_arrays`` stage of a plain array f on ``size`` floats: f's own result, its length checked.
+
+    f may return its input or a fresh array, but not a buffer it
+    overwrites on its next call, since a stage is still read after the
+    next stage is computed.  A 0-d result is a TypeError.
+    """
+    def bind(x, k):
+        def rates(t):
+            r = f(t, x)
+            _check_length(len(r), size)  # a stage of another shape fails the out= operations
+            return r
+
+        return rates
+
+    return bind
 
 
 def _compile(source: str, name: str, **names):
@@ -251,12 +299,16 @@ def _assign(names, values) -> list:
 
 @dataclass(frozen=True)
 class _System:
-    """A compiled system on Python scalars of type ``entry`` (``complex`` or ``float``).
+    """A system that ``integrate`` steps: compiled on Python scalars of type ``entry``, or on arrays.
 
-    ``rhs(*params, t, y)`` is its per-call right-hand side and
-    ``run(*params, y, h, n_steps, stride, out)`` its fused rk4 run;
-    ``floats`` is the length of its packed float64 state;
-    ``bind(*params)`` gives the system with its run arguments bound to both.
+    A compiled system (``entry`` ``complex`` or ``float``) has its
+    per-call right-hand side ``rhs(*params, t, y)`` and its fused rk4 run
+    ``run(*params, y, h, n_steps, stride, out)`` on lists of entries.  An
+    array system (``entry`` None) has the array-form ``rhs(t, y)`` and
+    ``run(f, y, h, n_steps, stride, out)``, ``_rk4_arrays`` with its stage
+    and layout bound.  ``floats`` is the length of the packed float64
+    state; ``bind(*params)`` gives the system with its run arguments
+    bound to both.
     """
 
     rhs: Callable
@@ -515,14 +567,15 @@ def integrate(
     adjusted so the grid ends exactly at ``t_end``; output times are
     multiples of ``stride * h`` (plus the endpoint); ``stride`` is an
     integer of at least 1.  ``y0`` is the packed float64 vector.  Without
-    ``system`` f is an array-form right-hand side; with one, a compiled
-    system with its run arguments bound (``_System.bind``), f is its
-    ``rhs`` (or a wrapper of it) and reads lists of the system's entry
-    type, as the module docstring describes, and ``y0`` must hold the
-    system's ``floats`` (ValueError, naming both lengths, before any
-    step).  The run itself is one call of the stepper of ``method`` and
-    the form: rk4 on a system is its fused ``run``, which never calls f;
-    ``rk45`` calls f once at t=0 and then six times per attempted step.
+    ``system`` f is an array-form right-hand side; with one, a system with
+    its run arguments bound (``_System.bind``), f is its ``rhs`` (or a
+    wrapper of it), in the system's form as the module docstring
+    describes, and ``y0`` must hold the system's ``floats`` (ValueError,
+    naming both lengths, before any step).  The run itself is one call of
+    the stepper of ``method`` and the form: rk4 on a compiled system is
+    its fused ``run``, which never calls f; rk4 on an array system calls
+    f once, for the first stage, and then the system's stage; ``rk45``
+    calls f once at t=0 and then six times per attempted step.
     Deterministic for fixed inputs.
     """
     n_steps = step_count(t_end, h)
@@ -546,7 +599,9 @@ def integrate(
     if method == "rk45":
         _dopri(f, y, h_eff, n_steps, stride, states, None if system is None else system.entry)
     elif system is None:
-        _rk4_arrays(f, y, h_eff, n_steps, stride, states)
+        _rk4_arrays(f, y, h_eff, n_steps, stride, states, _plain_stage(f, y.shape[0]), (1, 0))
+    elif system.entry is None:
+        system.run(f, y, h_eff, n_steps, stride, states)
     else:
         out = states.view(np.complex128) if system.entry is complex else states
         system.run(out[0].tolist(), h_eff, n_steps, stride, out)

@@ -22,10 +22,13 @@ which this module re-exports.
 M2 always runs on Python complex scalars, as the compiled system
 ``connection._m2_kernels()``.  Z_n runs on scalars below
 ``ZN_SCALAR_CROSSOVER`` sites, as ``connection._zn_kernels(n)``, and on
-sample arrays (``zn_coupled_rhs``) from there on.  A compiled system
-goes to ``integrate`` as ``system=``, with its per-call right-hand side
-as f (rk45 calls it) and its fused rk4 run, with the equations written
-out in the loop, as its rk4.  Between the two Z_n forms, the cost of the scalar
+sample arrays from there on, as the array system
+``connection._zn_arrays(n)``.  Either system goes to ``integrate`` as
+``system=``, with its per-call right-hand side as f (rk45 calls it); its
+rk4 is the compiled system's fused run, with the equations written out
+in the loop, or the array system's run, which steps the state in the
+array stage's ghost-padded layout and calls f only for the first stage.
+Between the two Z_n forms, the cost of the scalar
 form grows with n while that of the array form is nearly flat at small n;
 the constant was set where a whole rk4 run cost the same in both, and the
 array form now breaks even a few sites lower (see the constant).  A Z_n
@@ -53,7 +56,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, _shift_indices, inner_product
 from .calculus import OneForm, VectorField, apply_vf, left_multiply_form
-from .connection import _m2_kernels, _zn_kernels, zn_coupled_rhs
+from .connection import _m2_kernels, _zn_arrays, _zn_kernels, zn_coupled_rhs
 # The residual functions stay in this namespace: perfbench/spans.py wraps them here.
 from .connection import braiding_residual, reality_residual  # noqa: F401
 from .flow import Trajectory, integrate, pack_complex
@@ -74,12 +77,14 @@ __all__ = [
 
 # Z_n systems with fewer sites than this step on Python scalars (see the module
 # docstring).  A whole rk4 run (t_end 0.3, h 1e-3, stride 10) of the fused
-# scalar system costs, against one of the array form, 1.27x at 16 sites, 1.38x
-# at 17, 1.47x at 18, 1.63x at 20 and 1.90x at 24 (medians of 21 interleaved
-# pairs in one process, 2-vCPU Xeon); they break even near 13 sites, and rk45
-# runs (t_end 3) near 12.  Lowering the constant moves the outputs of the sizes
-# in between by round-off.  At most 43, so that a scalar Z_n state fits
-# flow.MAX_SCALAR_STATE.
+# scalar system costs, against one of the array system stepped in its padded
+# layout, 0.98-1.15x at 12 sites, 1.05-1.22x at 13, 1.09-1.25x at 14,
+# 1.33-1.55x at 16, 1.37-1.42x at 18, 1.88-1.95x at 20 and 2.19-2.45x at 24
+# (medians of 21 interleaved pairs in one process, two passes, 2-vCPU Xeon
+# whose speed varies); they break even near 12 sites, and rk45 runs (t_end 3,
+# 11 pairs: 0.88x at 10, 1.04x at 12, 1.15x at 18) near 11.  Lowering the
+# constant moves the outputs of the sizes in between by round-off.  At most
+# 43, so that a scalar Z_n state fits flow.MAX_SCALAR_STATE.
 ZN_SCALAR_CROSSOVER = 18
 
 
@@ -227,9 +232,8 @@ def run_zn(
     if not n:
         raise ValueError("a Z_n run needs at least one site")
     y0 = pack_zn_state(kp0, km0, m0)
-    system = _zn_kernels(n) if n < ZN_SCALAR_CROSSOVER else None
-    rhs = zn_coupled_rhs(n) if system is None else system.rhs
-    return ZnRun.of(integrate(rhs, y0, t_end, h=h, stride=stride, method=method, system=system))
+    system = _zn_kernels(n) if n < ZN_SCALAR_CROSSOVER else _zn_arrays(n)
+    return ZnRun.of(integrate(system.rhs, y0, t_end, h=h, stride=stride, method=method, system=system))
 
 
 def run_m2(

@@ -2,9 +2,11 @@ import cmath
 import io
 import math
 import tokenize
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncgflow import (
     BlowupError,
@@ -592,7 +594,7 @@ def test_buffered_rk4_equals_rk4_step_bit_for_bit(name):
             want.append(y)
         out = np.zeros((n_steps + 1, y0.shape[0]))
         out[0] = y0
-        flow._rk4_arrays(f, y0, h, n_steps, 1, out)
+        flow._rk4_arrays(f, y0, h, n_steps, 1, out, flow._plain_stage(f, y0.shape[0]), (1, 0))
         assert out.tobytes() == np.array(want).tobytes()
         assert y0.tobytes() == state(9).tobytes()  # the run does not write into its input
 
@@ -606,6 +608,70 @@ def test_array_rk4_run_equals_a_loop_of_rk4_step(name):
         y = rk4_step(f, (k - 1) * 1e-3, y, 1e-3)
         if k % 10 == 0:
             assert traj.states[k // 10].tobytes() == y.tobytes(), k
+
+
+def _rk4_step_states(f, y0, h, n_steps):
+    """The state after each of ``n_steps`` steps of ``rk4_step`` from y0, y0 first."""
+    states = [y0]
+    for k in range(1, n_steps + 1):
+        states.append(rk4_step(f, (k - 1) * h, states[-1], h))
+    return np.array(states)
+
+
+def _sampled_steps(n_steps, stride):
+    """The steps that ``integrate`` samples: every stride-th from 0, plus the last."""
+    return sorted({*range(0, n_steps + 1, stride), n_steps})
+
+
+@pytest.mark.parametrize("n", [1, 2, 18, 64])
+def test_fused_zn_array_run_equals_a_loop_of_rk4_step_bit_for_bit(n):
+    """The array system's run, stepped in its ghost-padded layout, against rk4_step on the per-call rhs."""
+    f, y0, system = transport.zn_coupled_rhs(n), _zn_state(n, 9), connection._zn_arrays(n)
+    n_steps = 6
+    for h in (1e-3, 0.1, -0.05):
+        want = _rk4_step_states(f, y0, h, n_steps)
+        for stride in (1, 3, 4):  # 1 and 3 divide n_steps, 4 does not
+            out = np.zeros((flow.sample_count(n_steps, stride), 6 * n))
+            out[0] = y0
+            system.run(system.rhs, y0, h, n_steps, stride, out)
+            assert out.tobytes() == want[_sampled_steps(n_steps, stride)].tobytes(), (h, stride)
+        assert y0.tobytes() == _zn_state(n, 9).tobytes()  # the run does not write into its input
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), n_steps=st.integers(1, 25), stride=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_fused_zn_array_run_equals_the_per_call_run(n, n_steps, stride, seed):
+    y0, h = _zn_state(n, seed), 0.01
+    system = connection._zn_arrays(n)
+    fused = integrate(system.rhs, y0, n_steps * h, h=h, stride=stride, system=system)
+    per_call = integrate(transport.zn_coupled_rhs(n), y0, n_steps * h, h=h, stride=stride)
+    assert fused.states.tobytes() == per_call.states.tobytes()
+    assert fused.times.tobytes() == per_call.times.tobytes()
+    # integrate's docstring: every stride-th step from 0 and the last, at multiples of the actual step
+    steps, h_eff = _sampled_steps(n_steps, stride), n_steps * h / n_steps
+    assert len(fused) == flow.sample_count(n_steps, stride) == len(steps)
+    assert fused.times.tolist() == [k * h_eff for k in steps]
+    want = _rk4_step_states(transport.zn_coupled_rhs(n), y0, h_eff, n_steps)
+    assert fused.states.tobytes() == want[steps].tobytes()  # the last row is the state after n_steps
+
+
+@pytest.mark.parametrize("scale, h, message, last_good", [
+    (0.44, 1.0, "state magnitude exceeded 1e+09", 4.0),
+    (4.4e-21, 1e20, "non-finite state encountered", 5e20),  # tiny data, huge steps: one step overflows
+])
+def test_fused_zn_array_run_blows_up_as_the_per_call_run(scale, h, message, last_good):
+    n = 18
+    z = scale * np.exp(1j * np.random.default_rng(3).uniform(0.0, 6.3, 3 * n))
+    y0, system = transport.pack_zn_state(*z.reshape(3, n)), connection._zn_arrays(n)
+    seen = []
+    for f, kwargs in ((transport.zn_coupled_rhs(n), {}), (system.rhs, {"system": system})):
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(BlowupError) as info:
+            warnings.simplefilter("always")
+            integrate(f, y0, 30 * h, h=h, **kwargs)
+        assert str(info.value) == f"{message} (last good time t={last_good:.6g})"
+        assert info.value.last_good_time == last_good
+        seen.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
+    assert seen[1] == seen[0]  # the fused run warns exactly where the per-call run does
 
 
 _FLOATS = call_system(lambda t, y: [0.5 * y[i - 1] - v * t for i, v in enumerate(y)], 3, float)

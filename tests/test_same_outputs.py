@@ -57,8 +57,11 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     benchmark = {path for path in configured if tmp_path in path.parents and path.parent.name != "edges"}
     assert len(benchmark) == 14 and benchmark <= set(configs)  # zn4096, zn64 and the 12 sweep configs
     edges = {path.stem: json.loads(path.read_text()) for path in configured if path.parent == tmp_path / "edges"}
-    assert len(edges) == 9  # the scalar-form, array-form and stencil edges
-    assert sorted(raw.get("n") for raw in edges.values() if raw["scenario"] == "zn") == [2, 17, 18, 18]
+    assert len(edges) == 11  # the scalar-form, array-form and stencil edges
+    assert sorted(raw.get("n") for raw in edges.values() if raw["scenario"] == "zn") == [2, 17, 18, 18, 18, 19]
     assert {edges["zn18-rk4"]["method"], edges["zn18-rk45"]["method"]} == {"rk4", "rk45"}
+    assert (edges["zn19-rk4-stride1"]["method"], edges["zn19-rk4-stride1"]["stride"]) == ("rk4", 1)
+    exit3 = edges["zn18-exit3"]  # not admissible: it blows up before t_end
+    assert exit3["k_minus"] == exit3["k_plus"] and exit3["t_end"] == 10.0 and exit3["method"] == "rk4"
     assert len(checks) == 2 + 5 + 14
     assert {argv[0] for _, argv in runs} == {"run", "sweep", "validate"}

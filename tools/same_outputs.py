@@ -15,9 +15,12 @@ checkout's ``src`` on ``PYTHONPATH``.  The list is:
   own, and all of them as one ``sweep --jobs 2``;
 * the scalar-form, array-form and stencil edges that the golden table
   lacks, each from its own config: Z_2 and Z_17 rk4 (the scalar form),
-  Z_18 rk4 and rk45 (the smallest array form), m2row rk45 with complex Q, a
-  flat 3-component geodesic, burgers at stencil 2 and from a ``values``
-  profile, and an m2row run that blows up (exit 3);
+  Z_18 rk4 and rk45 (the smallest array form), Z_19 rk4 at stride 1 (every
+  step of the array run sampled), a Z_18 rk4 run from data that is not
+  admissible (k_minus = k_plus), which blows up (exit 3) before its
+  ``t_end`` of 10, m2row rk45 with complex Q, a flat 3-component geodesic,
+  burgers at stencil 2 and from a ``values`` profile, and an m2row run that
+  blows up (exit 3);
 * ``validate`` on both presets, on the five scenario defaults and on every
   benchmark config above.
 
@@ -67,11 +70,14 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
         path = workdir / "scenarios" / f"{scenario}.json"
         path.write_text(json.dumps({"scenario": scenario}), encoding="utf-8")
         checks.append((f"validate-{scenario}", ["validate", "--config", str(path)]))
+    zn18 = workloads.zn_config(np.random.default_rng(SEED), 18, t_end=10.0, stride=7, method="rk4")
     edges = {
         "zn2-rk4": workloads.zn_config(np.random.default_rng(SEED), 2, t_end=2.0, stride=7, method="rk4"),
         "zn17-rk4": workloads.zn_config(np.random.default_rng(SEED), 17, t_end=1.0, stride=7, method="rk4"),
         "zn18-rk4": workloads.zn_config(np.random.default_rng(SEED), 18, t_end=1.0, stride=7, method="rk4"),
         "zn18-rk45": workloads.zn_config(np.random.default_rng(SEED), 18, t_end=1.0, stride=7, method="rk45"),
+        "zn19-rk4-stride1": workloads.zn_config(np.random.default_rng(SEED), 19, t_end=1.0, stride=1, method="rk4"),
+        "zn18-exit3": {**zn18, "k_minus": zn18["k_plus"]},
         "m2row-rk45": {"scenario": "m2row", "lam": [0.6, -0.2], "mu": [-0.3, 0.8], "q0": [0.0, 0.7],
                        "q1": [1.1, 0.4], "q2": [-1.1, 0.4], "t_end": 2.0, "method": "rk45"},
         "flat3-geodesic": {"scenario": "classical-geodesic", "manifold": "flat", "x": [0.1, -0.2, 0.3],
