@@ -135,9 +135,9 @@ def _zn_array_stage(n: int):
     cost is numpy's call overhead more than arithmetic, so the ufuncs are
     locals, ``out`` is positional and 0.5 is a 0-d complex128 array made
     once: on complex128 operands it selects the same loop and value as the
-    Python float would, without the conversion per call.  The beta
-    scratch is shared by every bound stage, so one ``_zn_array_stage``
-    serves one integration at a time.
+    Python float would, without the conversion per call.  The beta and
+    work scratch is shared by every bound stage, so one
+    ``_zn_array_stage`` serves one integration at a time.
     """
     beta_g = np.empty(n + 2, dtype=np.complex128)
     work = np.empty(n, dtype=np.complex128)
