@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -131,7 +132,7 @@ def _geodesic_rates(dim: int, triples: tuple):
     """The compiled system of ``_geodesic_system``, once per (dim, triples), from ``_geodesic_stage``.
 
     ``rhs(values, t, y)`` is the per-call right-hand side and
-    ``run(values, y, h, n_steps, stride, out)`` the fused rk4 run, with
+    ``rk4(values, f, y, h, n_steps, stride, out)`` the fused rk4 run, with
     the chart's ``values`` as a run argument.  More than
     ``flow.MAX_SCALAR_STATE / 2`` components are refused before anything
     is compiled or cached.
@@ -187,7 +188,7 @@ class GridField:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 1 or arr.shape[0] < 16:
             raise ValueError("GridField needs at least 16 samples")
-        if self.stencil not in (2, 4):
+        if not isinstance(self.stencil, numbers.Integral) or self.stencil not in (2, 4):
             raise ValueError("stencil order must be 2 or 4")
         object.__setattr__(self, "values", arr)
 

@@ -487,7 +487,7 @@ def _burgers_default() -> dict:
 
 
 def _burgers_parse(raw: dict) -> dict:
-    if raw["stencil"] not in (2, 4):
+    if type(raw["stencil"]) is not int or raw["stencil"] not in (2, 4):  # JSON's 4.0 and true are refused
         raise ConfigError("field 'stencil': expected 2 or 4")
     cfg = {"stencil": raw["stencil"]}
     if "values" in raw:

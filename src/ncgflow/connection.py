@@ -39,9 +39,11 @@ a ghost-padded layout of the packed state, three rows of n + 2 complex
 entries whose pads hold the neighbouring sites.  ``zn_coupled_rhs(n)`` is
 its per-call wrapper (rk45 and the element entry points below call it),
 and ``_zn_arrays(n)`` the array system of Z_n from
-``transport.ZN_SCALAR_CROSSOVER`` sites on, whose rk4 run
-(``flow._rk4_arrays``) keeps its state and stage inputs in that layout
-and calls the stage with no copy.  The tests hold the array form byte
+``transport.ZN_SCALAR_CROSSOVER`` sites on: ``zn_coupled_rhs(n)`` as its
+``rhs``, ``flow._rk4_arrays`` with the stage and the layout bound as its
+``rk4``, which keeps its state and stage inputs in that layout and calls
+the stage with no copy, and ``flow._dopri`` as its ``rk45``, the same
+steppers that a plain array f gets.  The tests hold the array form byte
 for byte to the four functions called once each on gathered sample
 arrays.  On M2,
 ``_m2_temporaries`` (t1, t2, p, q, r, u) and ``_m2_system`` (the twelve
@@ -71,7 +73,7 @@ from typing import Callable
 
 from .algebra import I2, AlgebraElement, Mat2Element, ZnElement, commutator
 from .calculus import VectorField
-from .flow import _assign, _Expr, _names, _rk4_arrays, _stage_kernels, _System, pack_complex
+from .flow import _assign, _dopri, _Expr, _names, _rk4_arrays, _stage_kernels, _System, pack_complex
 
 __all__ = [
     "solve_b",
@@ -202,15 +204,15 @@ def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
 
 
 def _zn_arrays(n: int) -> _System:
-    """The array system of Z_n: ``zn_coupled_rhs(n)`` per call and an rk4 run of ``_zn_array_stage(n)``.
+    """The array system of Z_n: ``zn_coupled_rhs(n)`` per call, an rk4 run of ``_zn_array_stage(n)`` and ``_dopri``.
 
-    Its run (``flow._rk4_arrays``) keeps the state, the stage inputs and
-    the rates in the stage's ghost-padded layout, three rows with one
+    Its rk4 run (``flow._rk4_arrays``) keeps the state, the stage inputs
+    and the rates in the stage's ghost-padded layout, three rows with one
     complex entry (two floats) of pad at each end, so a stage is one call
     and the rk4 combination copies nothing.
     """
-    run = functools.partial(_rk4_arrays, stage=_zn_array_stage(n), layout=(3, 2))
-    return _System(zn_coupled_rhs(n), run, None, 6 * n)
+    rk4 = functools.partial(_rk4_arrays, stage=_zn_array_stage(n), layout=(3, 2))
+    return _System(zn_coupled_rhs(n), rk4, _dopri, 6 * n)
 
 
 def _zn_stage(n: int, t: str, inputs: list, rates: list) -> list:
@@ -230,7 +232,7 @@ def _zn_kernels(n: int):
 
     It is compiled once per n (``flow._stage_kernels``) from
     ``_zn_stage``, the four site equations applied to ``_Expr`` symbols:
-    ``rhs(t, y)`` is the per-call right-hand side and ``run`` the fused rk4
+    ``rhs(t, y)`` is the per-call right-hand side and ``rk4`` the fused rk4
     run.
     """
     return _stage_kernels(3 * n, functools.partial(_zn_stage, n), (), complex)

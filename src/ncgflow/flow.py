@@ -1,61 +1,60 @@
 """ODE integrators on flat float64 state vectors.
 
 Complex states are packed as interleaved real/imaginary parts (``pack_complex``).
-``integrate`` steps a state in one of two forms:
+``integrate`` steps a *system* (a ``_System``): a per-call right-hand side
+``rhs`` and two steppers, ``rk4`` and ``rk45``.  A system is of one of
+two forms:
 
-* the array form: f maps the float64 vector to a float64 vector, and the
-  complex structure is reassembled inside f.  It is every caller's own
-  right-hand side (``system=None``, the default), and it is the form of
-  an array system (``system=``, a ``_System`` with ``entry=None``):
-  Z_n from ``transport.ZN_SCALAR_CROSSOVER`` sites on
-  (``connection._zn_arrays``).  An array system pairs its per-call
-  right-hand side ``rhs`` (rk45 calls it) with a *stage* that rk4 calls
-  in place of f: it evaluates the rates in the system's ghost-padded
-  layout, from a buffer of stage inputs into a rate buffer it is handed,
-  so the rk4 run (``_rk4_arrays``) keeps the state and the stage inputs
-  in that layout and copies, allocates and checks nothing per stage;
-* a compiled system (``system=``, a record that ``_stage_kernels``
-  makes): f maps a list of the system's entries, Python complex numbers
-  (the packed vector read as complex128) or Python floats, to a list of
-  the same length.  For the small systems (M2, the m2row module, Z_n
-  below ``transport.ZN_SCALAR_CROSSOVER`` sites, the geodesic) numpy's
+* an array system: ``rhs`` maps the float64 vector to a float64 vector,
+  and the complex structure is reassembled inside it.  Its rk4 run is
+  ``_rk4_arrays`` with the system's *stage* and layout bound: the stage
+  evaluates the rates in the system's ghost-padded layout, from a buffer
+  of stage inputs into a rate buffer it is handed, so the run keeps the
+  state and the stage inputs in that layout and copies, allocates and
+  checks nothing per stage.  Its rk45 run is ``_dopri``.  Every caller's
+  own right-hand side f (``system=None``, the default) is stepped as the
+  array system of ``_plain_stage``, whose stage is a call of f, in the
+  layout of the packed vector itself; Z_n from
+  ``transport.ZN_SCALAR_CROSSOVER`` sites on is ``connection._zn_arrays``;
+* a compiled system (``_stage_kernels``): ``rhs`` maps a list of the
+  system's entries, Python complex numbers (the packed vector read as
+  complex128) or Python floats, to a list of the same length.  For the
+  small systems (M2, the m2row module, Z_n below
+  ``transport.ZN_SCALAR_CROSSOVER`` sites, the geodesic) numpy's
   per-call overhead costs more than the arithmetic, so steps run on the
-  entries themselves.  A system is compiled from its *stage*, the source
+  entries themselves.  A system is compiled from its stage, the source
   lines that evaluate its rates at named stage inputs, with its equations
-  written out: into ``rhs``, the per-call right-hand side a caller passes
-  as f (rk45 calls it), and into ``run``, the fused rk4 run
+  written out: into ``rhs`` and into ``rk4``, the fused rk4 run
   (``_compile_rk4``) with the stage written out four times per step, so
-  rk4 makes no call per stage.  The source is made of entry indices,
-  fixed names and the ``repr`` of the equations' and the step's
+  rk4 makes no call per stage.  Its rk45 run is ``_dopri`` reading each
+  stage input as a list of entries.  The source is made of entry
+  indices, fixed names and the ``repr`` of the equations' and the step's
   constants, never of a value (a system's config values, such as the
   chart's ``values``, are run arguments, bound with ``bind``); compiling
   costs time and memory per entry, so ``_stage_kernels`` refuses a state
   of more than ``MAX_SCALAR_STATE`` floats before it compiles.
 
-In both forms f must return one entry per entry of the state (ValueError
-otherwise), ``y0`` is the packed float64 vector and the samples land in
-the same float64 ``Trajectory.states`` block; f stays the positional
-argument in both, so a wrapper of ``integrate`` that wraps f (as the
-benchmark's tracer does, naming the Z_n right-hand sides by ``len(y0)``)
-sees every call that rk45 makes, every stage of an array rk4 run
-without a system and the first stage of an array system's rk4 run,
-which ``_rk4_arrays`` takes from f; a compiled system's rk4 run never
-calls f.
+In both forms the right-hand side must return one entry per entry of the
+state (ValueError otherwise), ``y0`` is the packed float64 vector and the
+samples land in the same float64 ``Trajectory.states`` block.  The caller
+passes the system's ``rhs`` (or a wrapper of it) as f, the positional
+argument, so a wrapper of ``integrate`` that wraps f (as the benchmark's
+tracer does, naming the Z_n right-hand sides by ``len(y0)``) sees every
+call that rk45 makes, every stage of a plain f's rk4 run and the first
+stage of an array system's rk4 run, which ``_rk4_arrays`` takes from f; a
+compiled system's rk4 run never calls f.
 
 ``integrate`` checks its arguments and the initial state, builds the
 time grid and the sample block, preallocated from the step count and the
-stride, and hands the whole run to one stepper: ``_rk4_arrays`` (rk4 on
-arrays, with the stage of a plain f or an array system's ``run``, which
-is ``_rk4_arrays`` with the system's stage and layout bound), a compiled
-system's fused run or ``_dopri`` (rk45, either form).  Each stepper
-takes ``(f, y, h, n_steps, stride, out)`` (a compiled run has its
-entries in place of f and y), ``_dopri`` the system's entry type too,
-and owns its loop: from t = 0 it takes ``n_steps`` steps of h (rk45
-lands on the sampled steps of the same grid with adaptive substeps),
-checks every accepted state, writes the state after step k into row
-``k // stride`` of ``out`` when ``stride`` divides k and the final state
-into the last row; row 0 holds the initial state already.  The default
-method is fixed-step classical RK4; ``method="rk45"`` is an adaptive
+stride, and hands the whole run to one call of the system's stepper of
+``method``.  Each stepper takes ``(f, y, h, n_steps, stride, out)``, the
+packed float64 state and sample block, and owns its loop: from t = 0 it
+takes ``n_steps`` steps of h (rk45 lands on the sampled steps of the
+same grid with adaptive substeps), checks every accepted state, writes
+the state after step k into row ``k // stride`` of ``out`` when
+``stride`` divides k and the final state into the last row; row 0 holds
+the initial state already.  The default method is fixed-step classical
+RK4; ``method="rk45"`` is an adaptive
 Dormand-Prince 4(5) pair.  rk45 lands only on the sampled steps (every
 ``stride``-th and the last), so an attempt can grow to ``stride * h``
 and its states depend on the stride.  On the scenario defaults with
@@ -299,37 +298,41 @@ def _assign(names, values) -> list:
 
 @dataclass(frozen=True)
 class _System:
-    """A system that ``integrate`` steps: compiled on Python scalars of type ``entry``, or on arrays.
+    """A system that ``integrate`` steps: its per-call right-hand side and its rk4 and rk45 runs.
 
-    A compiled system (``entry`` ``complex`` or ``float``) has its
-    per-call right-hand side ``rhs(*params, t, y)`` and its fused rk4 run
-    ``run(*params, y, h, n_steps, stride, out)`` on lists of entries.  An
-    array system (``entry`` None) has the array-form ``rhs(t, y)`` and
-    ``run(f, y, h, n_steps, stride, out)``, ``_rk4_arrays`` with its stage
-    and layout bound.  ``floats`` is the length of the packed float64
-    state; ``bind(*params)`` gives the system with its run arguments
-    bound to both.
+    ``rk4`` and ``rk45`` are steppers ``(f, y, h, n_steps, stride, out)``
+    on the packed float64 state and sample block, as the module docstring
+    describes.  A compiled system (``_stage_kernels``) has its
+    ``rhs(*params, t, y)`` on a list of entries, its fused rk4 run
+    ``rk4(*params, f, y, h, n_steps, stride, out)``, which never calls f,
+    and ``_dopri`` with its entry type bound.  An array system has the
+    array-form ``rhs(t, y)``, ``_rk4_arrays`` with its stage and layout
+    bound and plain ``_dopri``.  ``floats`` is the length of the packed
+    float64 state; ``bind(*params)`` gives the system with its run
+    arguments bound to ``rhs`` and ``rk4``.
     """
 
     rhs: Callable
-    run: Callable
-    entry: type
+    rk4: Callable
+    rk45: Callable
     floats: int
 
     def bind(self, *params) -> _System:
-        return _System(functools.partial(self.rhs, *params), functools.partial(self.run, *params), self.entry,
+        return _System(functools.partial(self.rhs, *params), functools.partial(self.rk4, *params), self.rk45,
                        self.floats)
 
 
 def _stage_kernels(size: int, stage, params: tuple, scalars: type) -> _System:
-    """The ``_System`` of ``size`` Python scalars of type ``scalars``, its rhs and run compiled from ``stage``.
+    """The ``_System`` of ``size`` Python scalars of type ``scalars``, its rhs and rk4 run compiled from ``stage``.
 
     ``rhs`` unpacks y into one local per entry (ValueError unless y has
     ``size`` entries), runs the stage's lines and returns its rates as one
-    list, so it evaluates the same text as the stages of ``run``, the fused
-    rk4 run that ``_compile_rk4`` makes of the stage.  ``params`` name the
-    run arguments of both.  A state of more than ``MAX_SCALAR_STATE``
-    floats is a ValueError, raised before anything is compiled.
+    list, so it evaluates the same text as the stages of ``rk4``, the fused
+    rk4 run that ``_compile_rk4`` makes of the stage; ``rk45`` is
+    ``_dopri`` reading the stage inputs as lists of ``scalars``.
+    ``params`` name the run arguments of ``rhs`` and ``rk4``.  A state of
+    more than ``MAX_SCALAR_STATE`` floats is a ValueError, raised before
+    anything is compiled.
     """
     floats = 2 * size if scalars is complex else size
     if floats > MAX_SCALAR_STATE:
@@ -337,19 +340,23 @@ def _stage_kernels(size: int, stage, params: tuple, scalars: type) -> _System:
     inputs, rates = _names("s", size), _names("ka", size)
     lines = [f"def rhs({', '.join([*params, 't', 'y'])}):", f"    {', '.join(inputs)}, = y",
              *("    " + line for line in stage("t", inputs, rates)), f"    return [{', '.join(rates)}]", ""]
-    return _System(_compile("\n".join(lines), "rhs", nan=math.nan), _compile_rk4(size, stage, params), scalars,
-                   floats)
+    return _System(_compile("\n".join(lines), "rhs", nan=math.nan), _compile_rk4(size, stage, params, scalars),
+                   functools.partial(_dopri, scalars=scalars), floats)
 
 
-def _compile_rk4(size: int, stage, params: tuple):
-    """A whole rk4 run on ``size`` Python scalars: ``run(*params, y, h, n_steps, stride, out)``.
+def _compile_rk4(size: int, stage, params: tuple, scalars: type):
+    """A whole rk4 run on ``size`` Python scalars of type ``scalars``: ``run(*params, f, y, h, n_steps, stride, out)``.
 
+    The run is a stepper of the module docstring that never calls f and
+    never reads y: its prologue views ``out`` as complex128 (for
+    ``complex``) or float64 and reads the initial entries from row 0.
     ``stage(t, inputs, rates)`` gives the source lines of one stage: they
     set the locals named ``rates`` to the system's rates at the locals
     named ``inputs`` and the time ``t`` (a source expression), and may use
     the run arguments ``params`` and their own temporaries (any name but
-    the run's ``y*``, ``s*``, ``ka*``-``kd*``, ``h``, ``half``, ``sixth``,
-    ``t``, ``step``, ``n_steps``, ``stride``, ``out`` and ``check``).
+    the run's ``y*``, ``s*``, ``ka*``-``kd*``, ``f``, ``h``, ``half``,
+    ``sixth``, ``t``, ``step``, ``n_steps``, ``stride``, ``out``,
+    ``entry`` and ``check``).
     A system's stage writes its equations out, so no call, list or unpack
     happens per stage.  ``rk4_step`` is
     unrolled entry by entry, in its association, inside one loop over the
@@ -377,11 +384,12 @@ def _compile_rk4(size: int, stage, params: tuple):
             "try:", f"    if not ({' and '.join(f'abs({v}) <= {MAX_ABS!r}' for v in y)}):", f"        check([{ys}], t)",
             "except OverflowError:", f"    check([{ys}], t)",
             "if step % stride == 0:", f"    out[step // stride] = [{ys}]"]
-    lines = [f"def run({', '.join([*params, 'y', 'h', 'n_steps', 'stride', 'out'])}):",
-             "    half = 0.5 * h", "    sixth = h / 6.0", f"    {ys}, = y",
+    lines = [f"def run({', '.join([*params, 'f', 'y', 'h', 'n_steps', 'stride', 'out'])}):",
+             "    out = out.view(entry)", "    half = 0.5 * h", "    sixth = h / 6.0", f"    {ys}, = out[0].tolist()",
              "    for step in range(1, n_steps + 1):", "        t = (step - 1) * h",
              *("        " + line for line in body), f"    out[-1] = [{ys}]", ""]
-    return _compile("\n".join(lines), "run", check=_check_scalars, nan=math.nan)
+    return _compile("\n".join(lines), "run", check=_check_scalars, nan=math.nan,
+                    entry=np.complex128 if scalars is complex else np.float64)
 
 
 # Dormand-Prince 4(5) tableau: the nodes of stages 2-7, and one row per stage
@@ -431,18 +439,19 @@ def _dopri_step(f, t: float, h: float, h_coef, stages, y, ks, y5, read, err, sca
     return math.sqrt(np.dot(scale, scale) / y5.shape[0]), peak
 
 
-def _dopri(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, scalars) -> None:
+def _dopri(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, scalars=None) -> None:
     """A whole Dormand-Prince 4(5) run on the output grid of step h; see the module docstring.
 
     It steps one ``(8, N)`` float64 block ``[y, k1, ..., k7]``, made once
     per run, through ``_dopri_step``: each stage input is one ``np.dot`` of
     a coefficient row with the rows before it, and f's result goes straight
     into the stage's own row, so f must not keep a reference to its input
-    past the call.  With ``scalars``, a system's entry type (``complex`` or
-    ``float``), f reads the stage input as a list and its list is written
-    into the row's complex (or float) view.  The pair is FSAL (first same as last): the last stage
-    of an accepted attempt is the first stage of the next, a row copy, so f
-    is called once at t = 0 and then six times per attempt.  The targets
+    past the call.  With ``scalars``, the entry type (``complex`` or
+    ``float``) that a compiled system binds, f reads the stage input as a
+    list and its list is written into the row's complex (or float) view.
+    The pair is FSAL (first same as last): the last stage of an accepted
+    attempt is the first stage of the next, a row copy, so f is called
+    once at t = 0 and then six times per attempt.  The targets
     are the sampled steps, every ``stride``-th and ``n_steps``; towards
     each the attempts run until it is reached, and t is then reset to the
     exact ``step * h``.  An attempt is accepted when the RMS of its error
@@ -567,16 +576,16 @@ def integrate(
     adjusted so the grid ends exactly at ``t_end``; output times are
     multiples of ``stride * h`` (plus the endpoint); ``stride`` is an
     integer of at least 1.  ``y0`` is the packed float64 vector.  Without
-    ``system`` f is an array-form right-hand side; with one, a system with
-    its run arguments bound (``_System.bind``), f is its ``rhs`` (or a
-    wrapper of it), in the system's form as the module docstring
-    describes, and ``y0`` must hold the system's ``floats`` (ValueError,
-    naming both lengths, before any step).  The run itself is one call of
-    the stepper of ``method`` and the form: rk4 on a compiled system is
-    its fused ``run``, which never calls f; rk4 on an array system calls
-    f once, for the first stage, and then the system's stage; ``rk45``
-    calls f once at t=0 and then six times per attempted step.
-    Deterministic for fixed inputs.
+    ``system`` f is an array-form right-hand side, stepped as a plain
+    array system; with one, a system with its run arguments bound
+    (``_System.bind``), f is its ``rhs`` (or a wrapper of it), in the
+    system's form as the module docstring describes, and ``y0`` must hold
+    the system's ``floats`` (ValueError, naming both lengths, before any
+    step).  The run itself is one call of the system's ``rk4`` or
+    ``rk45``: rk4 on a compiled system never calls f; rk4 on an array
+    system calls f once, for the first stage, and then the system's
+    stage (a plain f's stage is f); ``rk45`` calls f once at t=0 and then
+    six times per attempted step.  Deterministic for fixed inputs.
     """
     n_steps = step_count(t_end, h)
     stride = _check_stride(stride)
@@ -586,7 +595,9 @@ def integrate(
     y = np.ascontiguousarray(np.asarray(y0, dtype=np.float64).ravel())
     if not y.shape[0]:
         raise ValueError("y0 is empty")
-    if system is not None and y.shape[0] != system.floats:
+    system = system or _System(f, functools.partial(_rk4_arrays, stage=_plain_stage(f, y.shape[0]), layout=(1, 0)),
+                               _dopri, y.shape[0])
+    if y.shape[0] != system.floats:
         raise ValueError(f"y0 holds {y.shape[0]} floats for a system of {system.floats}")
     h_eff = t_end / n_steps
 
@@ -596,13 +607,5 @@ def integrate(
     sampled[-1] = n_steps
     states = np.empty((rows, y.shape[0]))
     states[0] = y
-    if method == "rk45":
-        _dopri(f, y, h_eff, n_steps, stride, states, None if system is None else system.entry)
-    elif system is None:
-        _rk4_arrays(f, y, h_eff, n_steps, stride, states, _plain_stage(f, y.shape[0]), (1, 0))
-    elif system.entry is None:
-        system.run(f, y, h_eff, n_steps, stride, states)
-    else:
-        out = states.view(np.complex128) if system.entry is complex else states
-        system.run(out[0].tolist(), h_eff, n_steps, stride, out)
+    (system.rk45 if method == "rk45" else system.rk4)(f, y, h_eff, n_steps, stride, states)
     return Trajectory(sampled * h_eff, states)

@@ -116,7 +116,7 @@ def _row_stage(t: str, inputs: list, rates: list) -> list:
 @functools.lru_cache(maxsize=1)
 def _row_kernels():
     """The compiled system of the row transport, from ``_row_stage``: ``rhs(q0, q1, q2, t, y)`` and
-    ``run(q0, q1, q2, y, h, n_steps, stride, out)``, its fused rk4 run."""
+    ``rk4(q0, q1, q2, f, y, h, n_steps, stride, out)``, its fused rk4 run."""
     return _stage_kernels(2, _row_stage, ("q0", "q1", "q2"), complex)
 
 

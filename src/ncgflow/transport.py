@@ -18,16 +18,17 @@ The systems are written once, in ``connection``, together with their
 element-level entry points and ``zn_coupled_rhs``, the Z_n array form,
 which this module re-exports.
 
-``flow.integrate`` steps these systems in one of its two state forms.
+``flow.integrate`` steps these systems, each in its own form.
 M2 always runs on Python complex scalars, as the compiled system
 ``connection._m2_kernels()``.  Z_n runs on scalars below
 ``ZN_SCALAR_CROSSOVER`` sites, as ``connection._zn_kernels(n)``, and on
 sample arrays from there on, as the array system
 ``connection._zn_arrays(n)``.  Either system goes to ``integrate`` as
-``system=``, with its per-call right-hand side as f (rk45 calls it); its
-rk4 is the compiled system's fused run, with the equations written out
-in the loop, or the array system's run, which steps the state in the
-array stage's ghost-padded layout and calls f only for the first stage.
+``system=``, with its per-call right-hand side as f (rk45 calls it), and
+``integrate`` calls the system's own rk4 or rk45 run: the compiled
+system's rk4 is its fused run, with the equations written out in the
+loop, and the array system's steps the state in the array stage's
+ghost-padded layout and calls f only for the first stage.
 Between the two Z_n forms, the cost of the scalar
 form grows with n while that of the array form is nearly flat at small n;
 the constant was set where a whole rk4 run cost the same in both, and the

@@ -22,7 +22,7 @@ and ``zn2_transport_oracle`` are closed forms, through scipy's ``expm``, of
 the M2 K-flow and of the Z_2 transport, for any initial data.
 ``burgers_rate`` is the burgers right-hand side through the gathers of
 ``spatial_derivative``, the byte reference of the buffered kernel.
-``call_stage`` is the stage of any callable ``f`` on lists, one call per
+``call_stage`` is the stage of any callable ``g`` on lists, one call per
 stage; ``per_call_rk4`` (``flow._compile_rk4`` of it) is the byte
 reference of the package's fused rk4 runs, and ``call_system`` makes a
 compiled system of any such f, to step it through ``integrate``.
@@ -359,16 +359,20 @@ def burgers_rate(v, dx, stencil):
 
 
 def call_stage(t: str, inputs: list, rates: list) -> list:
-    """The stage of a callable ``f``: one call, unpacked into the rates (ValueError unless it returns as many)."""
-    return [f"{', '.join(rates)}, = f({t}, [{', '.join(inputs)}])"]
+    """The stage of a callable ``g``: one call, unpacked into the rates (ValueError unless it returns as many)."""
+    return [f"{', '.join(rates)}, = g({t}, [{', '.join(inputs)}])"]
 
 
-@functools.lru_cache(maxsize=16)
-def per_call_rk4(size: int):
-    """``run(f, y, h, n_steps, stride, out)``: rk4 on any callable f on lists of ``size`` entries, one call per stage."""
-    return flow._compile_rk4(size, call_stage, ("f",))
+@functools.lru_cache(maxsize=32)
+def per_call_rk4(size: int, entry: type):
+    """``run(g, f, y, h, n_steps, stride, out)``: rk4 on any callable g on lists of ``size`` entries, one call per stage.
+
+    It is a compiled run on entries of type ``entry``, so f goes unused and
+    the initial entries are read from row 0 of the float64 block ``out``.
+    """
+    return flow._compile_rk4(size, call_stage, ("g",), entry)
 
 
 def call_system(f, size: int, entry: type):
     """f on lists of ``size`` entries of type ``entry`` as a compiled system with f bound; its rk4 is the per-call run."""
-    return flow._stage_kernels(size, call_stage, ("f",), entry).bind(f)
+    return flow._stage_kernels(size, call_stage, ("g",), entry).bind(f)

@@ -252,6 +252,10 @@ def test_grid_field_validation():
         GridField(np.zeros(8))
     with pytest.raises(ValueError):
         GridField(np.zeros(32), stencil=3)
+    for stencil in (4.0, 2.0, np.float64(4.0)):  # a float stencil reached the kernel, whose np.empty refused it
+        with pytest.raises(ValueError, match="stencil order must be 2 or 4"):
+            GridField(np.zeros(32), stencil)
+    assert GridField(np.zeros(32), np.int64(2)).stencil == 2  # an integer of numpy's is one
 
 
 # Sampled-curve geodesic residual -------------------------------------------

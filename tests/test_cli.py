@@ -457,6 +457,17 @@ def test_non_finite_values_and_the_pole_exit_2(text, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("stencil", [4.0, 2.0, True])
+def test_a_stencil_that_is_not_a_json_integer_exits_2(stencil, tmp_path, capsys):
+    """A float stencil passed the parse and raised TypeError in the burgers kernel: a traceback and exit 1."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "classical-burgers", "stencil": stencil}))
+    for argv in (["validate", "--config", str(path)], ["run", "--config", str(path), "--out", str(tmp_path / "o")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: field 'stencil': expected 2 or 4\n"
+    assert not (tmp_path / "o").exists()
+
+
 # The checks of these overflow: |m|^2 = 1e320, and |k1^* + k2|^2 = 1e400 in the Frobenius norm.
 _ZN_HUGE_M = '{"scenario": "zn", "m": [1e160, 0, 0]}'
 _M2_HUGE_K1 = '{"scenario": "m2", "k1": [[1e200, 0], [0, 2]]}'

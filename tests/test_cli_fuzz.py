@@ -3,13 +3,15 @@
 Each case starts from a scenario default at ``t_end`` 0.02 and changes one
 to three of its fields: a field is replaced by one of ``_VALUES`` or
 deleted, or one entry of a list field (at any depth) is replaced.  The
-values are wrong types, 0, -1, 1e308, 5e-324, 2^63, empty and nested
-lists and None.  ``t_end`` is never deleted, since its scenario default would make
-an accepted run long; every other mutation leaves an accepted run at most
-a few dozen steps.  Two fixed cases were found by an earlier, larger run of
+values are wrong types, 0, -1, an integer written as a float (4.0),
+1e308, 5e-324, 2^63, empty and nested lists and None.  ``t_end`` is
+never deleted, since its scenario default would make an accepted run
+long; every other mutation leaves an accepted run at most a few dozen
+steps.  Two fixed cases were found by an earlier, larger run of
 this fuzz: a burgers config of about 10^14 float-steps and an m2row rk45
-config whose trial steps fail error control for ever.  Both must end
-within a second.
+config whose trial steps fail error control for ever.  A third, a burgers
+stencil of 4.0, passed the config checks and raised TypeError in the
+kernel.  Each must end within a second.
 
 Every case must exit 0, 2 or 3, print nothing on stderr but the
 documented ``config error:``, ``warning:`` and ``numerical blowup:``
@@ -29,13 +31,14 @@ SEED = 1811
 CASES = 200
 T_END = 0.02
 _MISSING = object()
-_VALUES = ("text", True, {"re": 1.0}, 0, -1.0, 1e308, -1e308, 5e-324, 2**63, -(2**63), [], [[]], [[1.0, [2.0]]],
+_VALUES = ("text", True, {"re": 1.0}, 0, -1.0, 4.0, 1e308, -1e308, 5e-324, 2**63, -(2**63), [], [[]], [[1.0, [2.0]]],
            None, _MISSING)
 _COMMON = {"scenario", "t_end", "step", "stride", "method"}
 _STDERR_PREFIXES = ("config error:", "warning:", "numerical blowup:")
 _FIXED = (
     {"scenario": "classical-burgers", "n_grid": cli.MAX_GRID, "t_end": 1e5, "step": 1e-3, "stride": 10**8},
     {"scenario": "m2row", "q1": 2**63, "q2": -1.0, "method": "rk45", "t_end": 0.02, "stride": 1},
+    {"scenario": "classical-burgers", "stencil": 4.0, "t_end": 0.02},
 )
 
 
@@ -112,5 +115,5 @@ def test_mutated_scenario_defaults_end_in_a_documented_exit(tmp_path, capsys):
             failures.append((raw, faults))
         codes.append(ran)
     assert not failures, failures[:5]
-    assert codes[: len(_FIXED)] == [2, 3]  # the work bound and the rk45 attempt budget
+    assert codes[: len(_FIXED)] == [2, 3, 2]  # the work bound, the rk45 attempt budget and the float stencil
     assert {0, 2, 3} <= set(codes)  # the mutations reach every documented exit

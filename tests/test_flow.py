@@ -1,6 +1,8 @@
 import cmath
+import functools
 import io
 import math
+import operator
 import tokenize
 import warnings
 
@@ -246,8 +248,8 @@ def test_run_zn_picks_the_form_by_crossover(monkeypatch):
     forms = []
 
     def recording(f, y0, t_end, **kwargs):
-        system = kwargs.get("system")
-        forms.append((len(y0) // 6, None if system is None else system.entry))
+        rk45 = kwargs["system"].rk45  # a compiled system's rk45 reads lists of its entry type
+        forms.append((len(y0) // 6, None if rk45 is flow._dopri else rk45.keywords["scalars"]))
         return integrate(f, y0, t_end, **kwargs)
 
     monkeypatch.setattr(transport, "integrate", recording)
@@ -444,7 +446,7 @@ _LIST_RHSS = {
 @pytest.mark.parametrize("size", [1, 2, 4, 12, 27])
 def test_unrolled_rk4_equals_rk4_step_bit_for_bit(name, scalars, size):
     f = _LIST_RHSS[name]
-    run = per_call_rk4(size)
+    run = per_call_rk4(size, scalars)
     rng = np.random.default_rng(size)
     y0 = 0.25 * (rng.normal(size=size) + (1j * rng.normal(size=size) if scalars is complex else 0.0))
     n_steps = 8  # not a multiple of the strides 3 and 7
@@ -462,7 +464,7 @@ def test_unrolled_rk4_equals_rk4_step_bit_for_bit(name, scalars, size):
             assert all(type(v) is scalars for v in want[-1])
             out = np.zeros((flow.sample_count(n_steps, stride), size), dtype=scalars)
             out[0] = y0
-            run(f, y0.tolist(), h, n_steps, stride, out)
+            run(f, None, y0.view(np.float64), h, n_steps, stride, out.view(np.float64))
             assert out.tobytes() == np.array(want, dtype=scalars).tobytes()
 
 
@@ -479,18 +481,23 @@ def _fused_systems():
         yield f"geodesic{provider.dim}", system, x + rng.normal(size=provider.dim).tolist()
 
 
+def _packed(entries: list) -> np.ndarray:
+    """Python complex numbers or floats as the packed float64 state."""
+    return np.array(entries).view(np.float64)
+
+
 @pytest.mark.parametrize("case", list(_fused_systems()), ids=lambda case: case[0])
 def test_fused_rk4_run_equals_the_per_call_run_of_its_rhs(case):
     _, system, y0 = case
-    assert all(type(v) is system.entry for v in y0)
+    entry, y = type(y0[0]), _packed(y0)
+    assert all(type(v) is entry for v in y0) and system.rk45.keywords == {"scalars": entry}
     n_steps = 8  # not a multiple of the strides 3 and 7
     for h in (1e-3, 0.05, -0.05):
         for stride in (1, 3, 7):
-            fused, per_call = (np.zeros((flow.sample_count(n_steps, stride), len(y0)), dtype=system.entry)
-                               for _ in range(2))
-            fused[0] = per_call[0] = y0
-            system.run(list(y0), h, n_steps, stride, fused)
-            per_call_rk4(len(y0))(system.rhs, list(y0), h, n_steps, stride, per_call)
+            fused, per_call = np.zeros((2, flow.sample_count(n_steps, stride), y.shape[0]))
+            fused[0] = per_call[0] = y
+            system.rk4(system.rhs, y, h, n_steps, stride, fused)
+            per_call_rk4(len(y0), entry)(system.rhs, None, y, h, n_steps, stride, per_call)
             assert fused.tobytes() == per_call.tobytes()
 
 
@@ -511,11 +518,56 @@ def test_fused_rk4_run_blows_up_like_the_per_call_run(case):
         system = mobius._row_kernels().bind(40.0 + 0j, 0j, 0j)
         h = 0.01
         y0 = [1.0 + 0j, 0.5j] if case == "past-max-abs" else [complex(math.nan, 0.0), 1.0 + 0j]
-    out = np.zeros((2, len(y0)), dtype=system.entry)
-    got = _blowup(system.run, list(y0), h, 100, 100, out.copy())
-    assert got == _blowup(per_call_rk4(len(y0)), system.rhs, list(y0), h, 100, 100, out.copy())
+    y = _packed(y0)
+    out = np.zeros((2, y.shape[0]))
+    out[0] = y
+    got = _blowup(system.rk4, system.rhs, y, h, 100, 100, out.copy())
+    assert got == _blowup(per_call_rk4(len(y0), type(y0[0])), system.rhs, None, y, h, 100, 100, out.copy())
     assert got[1] == {"past-max-abs": 0.51, "non-finite-start": 0.0, "pole-stage": 0.0}[case]
     assert ("exceeded" if case == "past-max-abs" else "non-finite") in got[0]
+
+
+def _linear(a: list, y: list) -> list:
+    """``A y``, each row summed from the left: on numbers, or on ``flow._Expr`` symbols as source text."""
+    return [functools.reduce(operator.add, (c * v for c, v in zip(row, y))) for row in a]
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 24), entry=st.sampled_from([complex, float]), n_steps=st.integers(1, 25),
+       stride=st.integers(1, 30), h=st.floats(1e-3, 0.2), backwards=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_compiled_linear_run_equals_a_loop_of_rk4_step(size, entry, n_steps, stride, h, backwards, seed):
+    """y' = A y with random constants written into the stage: every sampled row of the run is rk4_step's.
+
+    Forwards the run goes through ``integrate``; backwards (h < 0, which
+    ``integrate`` refuses) it is the system's rk4 stepper called as
+    ``integrate`` calls it, with the initial state in row 0 of the block.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):  # entries in the unit box; A is scaled so that no run nears MAX_ABS
+        x = rng.uniform(-1.0, 1.0, shape)
+        return x + 1j * rng.uniform(-1.0, 1.0, shape) if entry is complex else x
+
+    a, y0 = (draw(size, size) / size).tolist(), draw(size).tolist()
+    constants = [[flow._Expr(f"complex({c.real!r}, {c.imag!r})" if entry is complex else repr(c)) for c in row]
+                 for row in a]
+    system = flow._stage_kernels(
+        size, lambda t, inputs, rates: flow._assign(rates, _linear(constants, list(map(flow._Expr, inputs)))), (), entry)
+    y = _packed(y0)
+    if backwards:
+        h = -h
+        states = np.zeros((flow.sample_count(n_steps, stride), y.shape[0]))
+        states[0] = y
+        system.rk4(system.rhs, y, h, n_steps, stride, states)
+    else:
+        states = integrate(system.rhs, y, n_steps * h, h=h, stride=stride, system=system).states
+        h = n_steps * h / n_steps  # integrate's actual step
+    rates = lambda t, v: np.array(_linear(a, list(v)), dtype=object)  # Python scalar arithmetic, entry by entry
+    want = [np.array(y0, dtype=object)]
+    for k in range(1, n_steps + 1):
+        want.append(rk4_step(rates, (k - 1) * h, want[-1], h))
+    rows = np.array([want[k].tolist() for k in _sampled_steps(n_steps, stride)], dtype=entry)
+    assert states.tobytes() == rows.tobytes()
 
 
 def test_compiled_sources_hold_only_indices_and_fixed_constants(monkeypatch):
@@ -528,7 +580,7 @@ def test_compiled_sources_hold_only_indices_and_fixed_constants(monkeypatch):
     compile_source = flow._compile
     monkeypatch.setattr(flow, "_compile", recording)  # every kernel is compiled through flow
     for size in [*range(1, 33), 256]:  # the per-call reference run
-        flow._compile_rk4(size, call_stage, ("f",))
+        flow._compile_rk4(size, call_stage, ("g",), complex if size % 2 else float)
     # each system compiles its per-call rhs and its fused rk4 run
     for n in range(1, transport.ZN_SCALAR_CROSSOVER):
         connection._zn_kernels.__wrapped__(n)
@@ -633,7 +685,7 @@ def test_fused_zn_array_run_equals_a_loop_of_rk4_step_bit_for_bit(n):
         for stride in (1, 3, 4):  # 1 and 3 divide n_steps, 4 does not
             out = np.zeros((flow.sample_count(n_steps, stride), 6 * n))
             out[0] = y0
-            system.run(system.rhs, y0, h, n_steps, stride, out)
+            system.rk4(system.rhs, y0, h, n_steps, stride, out)
             assert out.tobytes() == want[_sampled_steps(n_steps, stride)].tobytes(), (h, stride)
         assert y0.tobytes() == _zn_state(n, 9).tobytes()  # the run does not write into its input
 

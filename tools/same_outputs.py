@@ -19,8 +19,10 @@ checkout's ``src`` on ``PYTHONPATH``.  The list is:
   step of the array run sampled), a Z_18 rk4 run from data that is not
   admissible (k_minus = k_plus), which blows up (exit 3) before its
   ``t_end`` of 10, m2row rk45 with complex Q, a flat 3-component geodesic,
-  burgers at stencil 2 and from a ``values`` profile, and an m2row run that
-  blows up (exit 3);
+  burgers at stencil 2 and from a ``values`` profile, burgers rk45 at
+  stencils 4 and 2 (a plain right-hand side under rk45), burgers rk4 past
+  the stencil's stability limit, which warns and blows up (exit 3), and an
+  m2row run that blows up (exit 3);
 * ``validate`` on both presets, on the five scenario defaults and on every
   benchmark config above.
 
@@ -85,6 +87,9 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
         "burgers-stencil2": {"scenario": "classical-burgers", "stencil": 2, "t_end": 0.5},
         "burgers-values": {"scenario": "classical-burgers", "t_end": 0.5,
                            "values": [0.1 * math.sin(0.3 * i) + 0.02 * math.cos(1.1 * i) for i in range(40)]},
+        "burgers-rk45": {"scenario": "classical-burgers", "method": "rk45", "t_end": 0.5},
+        "burgers-stencil2-rk45": {"scenario": "classical-burgers", "stencil": 2, "method": "rk45", "t_end": 0.5},
+        "burgers-exit3": {"scenario": "classical-burgers", "amplitude": 1.0, "step": 0.1, "t_end": 3.0},
         "m2row-exit3": {"scenario": "m2row", "q0": [40.0, 0.0], "t_end": 1.0},
     }
     (workdir / "edges").mkdir()
