@@ -63,7 +63,8 @@ def _shift_indices(n: int, steps: int) -> np.ndarray:
     Much cheaper than np.roll on small arrays.  Besides ``ZnElement.shift``,
     the Z_n run series and ``classical.spatial_derivative``, the public
     reference of the burgers stencil, gather through it; the burgers run
-    itself pads its state with ``np.take`` and never gathers.
+    itself steps in a ghost-padded layout, filled by slice copies, and
+    never gathers.
     ``spatial_derivative`` gathers through 4 keys (n, +-1 and +-2) and a
     Z_n run's series through 2, so 4 cached arrays hold the working set of
     either, and a process keeps at most 4 n-entry int64 arrays alive

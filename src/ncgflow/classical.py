@@ -21,10 +21,14 @@ On the line the velocity-field equation reduces to an inviscid transport
 equation, ``dK/dt = -K K' - Gamma K^2``.  The line here is flat, Gamma = 0,
 so ``integrate_burgers`` steps ``dK/dt = -K K'`` on a periodic grid over
 [0, 2pi); it is integrated only in the smooth pre-shock regime and checked
-against the method of characteristics in the tests.  Its right-hand side
-(``_burgers_rhs``) evaluates ``-K spatial_derivative(K)`` on a
-ghost-padded copy of the state with reused buffers, byte for byte;
-``spatial_derivative`` stays the public reference.
+against the method of characteristics in the tests.  Its stage
+(``_burgers_stage``) evaluates ``-K spatial_derivative(K)``, byte for
+byte, in a ghost-padded layout whose pads hold the other end of the
+grid, so every shift is a slice view; ``integrate_burgers`` steps the
+array system of that stage (``flow._array_system``), as ``transport``
+steps Z_n, so an rk4 run steps the state in place in that layout, with
+no gather and no allocation per stage.  ``spatial_derivative`` stays the
+public reference.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import _shift_indices
-from .flow import _assign, _Expr, _stage_kernels, _text, integrate
+from .flow import _array_system, _assign, _Expr, _stage_kernels, _text, integrate
 
 __all__ = [
     "ChristoffelProvider",
@@ -200,10 +204,6 @@ class GridField:
     def dx(self) -> float:
         return GRID_SPAN / self.n
 
-    @property
-    def x(self) -> np.ndarray:
-        return np.arange(self.n) * self.dx
-
 
 def sine_field(n: int = 256, amplitude: float = 0.1, stencil: int = 4) -> GridField:
     x = np.arange(n) * (GRID_SPAN / n)
@@ -223,42 +223,51 @@ def spatial_derivative(values: np.ndarray, dx: float, stencil: int = 4) -> np.nd
     return (-shifted(2) + 8.0 * shifted(1) - 8.0 * shifted(-1) + shifted(-2)) / (12.0 * dx)
 
 
-def _burgers_rhs(n: int, dx: float, stencil: int) -> Callable[[float, np.ndarray], np.ndarray]:
-    """``dK/dt = -K K'`` on n grid samples: ``-v * spatial_derivative(v, dx, stencil)`` on reused buffers.
+def _burgers_stage(n: int, dx: float, stencil: int):
+    """The stage of ``dK/dt = -K K'`` on n samples, layout ``(1, stencil // 2)``: ``bind(x, k)`` gives ``rates(t)``.
 
-    Each call copies the state into ghost-padded scratch of length n + stencil
-    (``stencil // 2`` entries of the other end on each side), so every shift
-    of ``spatial_derivative`` is a slice view, not a gather, and evaluates
-    it with ufunc ``out=`` calls in its association and operand order, so
-    the rate is byte-identical.  Only the result is fresh, because rk4 still
-    reads a stage after computing the next; the scratch is shared by every
-    call, so one closure serves one integration at a time.  8 and the
-    divisor ``scale`` are 0-d float64 arrays made once, and ``out`` is
-    positional, which trims numpy's per-call overhead: on the float64
-    state they select the same loop and values as Python floats would.
+    x and k are ghost-padded buffers of n + stencil floats, the samples
+    at entries ``pad .. pad + n - 1`` (``pad = stencil // 2``).  ``bind``
+    makes the shifted views of ``spatial_derivative``, the pads and their
+    sources once, as slices of x, so no shift is a gather.  ``rates``
+    fills x's pads, each side by one slice copy of the other end's
+    samples, and writes ``-K * spatial_derivative(K, dx, stencil)`` into
+    k's sites with ufunc ``out=`` calls in that function's association
+    and operand order, so the rate is byte-identical; k's pads stay as
+    they are.  8 and the divisor ``scale`` are 0-d float64 arrays made
+    once, and ``out`` is positional, which trims numpy's per-call
+    overhead: on the float64 state they select the same loop and values
+    as Python floats would.  The scratch is shared by every bound stage,
+    so one stage serves one integration at a time.
     """
     pad = stencil // 2
-    ghost, (work, term) = np.empty(n + 2 * pad), np.empty((2, n))
-    wrap = np.arange(-pad, n + pad)  # ghost[j] = y[(j - pad) % n]
-    up1, down1, up2, down2 = (ghost[pad + s : pad + s + n] for s in (1, -1, 2, -2))  # shifted(s); +-2 at stencil 4
+    work, term = np.empty((2, n))
     eight, scale = np.array(8.0), np.array((2.0 if stencil == 2 else 12.0) * dx)
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        np.take(y, wrap, out=ghost, mode="wrap")
-        if stencil == 2:  # (shifted(1) - shifted(-1)) / (2 dx)
-            np.subtract(up1, down1, work)
-        else:  # (-shifted(2) + 8 shifted(1) - 8 shifted(-1) + shifted(-2)) / (12 dx)
-            np.negative(up2, work)
-            np.multiply(eight, up1, term)
-            np.add(work, term, work)
-            np.multiply(eight, down1, term)
-            np.subtract(work, term, work)
-            np.add(work, down2, work)
-        np.divide(work, scale, work)
-        out = np.negative(y)
-        return np.multiply(out, work, out)
+    def bind(x: np.ndarray, k: np.ndarray):
+        v, rate = x[pad : pad + n], k[pad : pad + n]
+        left, left_src, right, right_src = x[:pad], x[n : n + pad], x[n + pad :], x[pad : 2 * pad]
+        up1, down1, up2, down2 = (x[pad + s : pad + s + n] for s in (1, -1, 2, -2))  # shifted(s); +-2 at stencil 4
 
-    return rhs
+        def rates(t: float) -> None:
+            left[...] = left_src
+            right[...] = right_src
+            if stencil == 2:  # (shifted(1) - shifted(-1)) / (2 dx)
+                np.subtract(up1, down1, work)
+            else:  # (-shifted(2) + 8 shifted(1) - 8 shifted(-1) + shifted(-2)) / (12 dx)
+                np.negative(up2, work)
+                np.multiply(eight, up1, term)
+                np.add(work, term, work)
+                np.multiply(eight, down1, term)
+                np.subtract(work, term, work)
+                np.add(work, down2, work)
+            np.divide(work, scale, work)
+            np.negative(v, rate)
+            np.multiply(rate, work, rate)
+
+        return rates
+
+    return bind
 
 
 @dataclass(frozen=True)
@@ -280,8 +289,8 @@ def integrate_burgers(
     stride: int = 10,
     method: str = "rk4",
 ) -> BurgersRun:
-    traj = integrate(_burgers_rhs(field.n, field.dx, field.stencil), field.values, t_end, h=h, stride=stride,
-                     method=method)
+    system = _array_system(_burgers_stage(field.n, field.dx, field.stencil), (1, field.stencil // 2), field.n)
+    traj = integrate(system.rhs, field.values, t_end, h=h, stride=stride, method=method, system=system)
     return BurgersRun(traj.times, traj.states)
 
 

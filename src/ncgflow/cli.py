@@ -439,7 +439,7 @@ def _row_run(cfg: dict, outdir: Path) -> tuple:
 
 
 def _row_checks(cfg: dict) -> list:
-    norm = abs(cfg["lam"]) ** 2 + abs(cfg["mu"]) ** 2
+    norm = abs(cfg["lam"]) * abs(cfg["lam"]) + abs(cfg["mu"]) * abs(cfg["mu"])
     preserved = metric_preservation_check(cfg["q0"], cfg["q1"], cfg["q2"])
     return [
         ("metric preserving", preserved, "Q constants do not preserve the inner product; norm will drift"),
@@ -606,7 +606,7 @@ def _report(cfg: dict) -> tuple[list[str], list[str]]:
     try:
         with np.errstate(all="ignore"):  # entries near the float limit overflow the checks
             checks = _SCENARIOS[cfg["scenario"]].checks(cfg)
-    except ArithmeticError as exc:  # the Python float arithmetic of m2row's check
+    except ArithmeticError as exc:  # abs of a complex near the float limit, in m2row's check
         raise ConfigError(f"initial data too large to check: {exc}") from exc
     lines = [] if checks else ["no algebraic invariants for this scenario; config is well-formed"]
     warn = []

@@ -36,16 +36,14 @@ the equations' float constants, so it performs the equations' operations
 in their order.  ``_zn_array_stage(n)`` is the one array form: the same
 operations, in the same association and operand order, as ufunc calls on
 a ghost-padded layout of the packed state, three rows of n + 2 complex
-entries whose pads hold the neighbouring sites.  ``zn_coupled_rhs(n)`` is
-its per-call wrapper (rk45 and the element entry points below call it),
-and ``_zn_arrays(n)`` the array system of Z_n from
-``transport.ZN_SCALAR_CROSSOVER`` sites on: ``zn_coupled_rhs(n)`` as its
-``rhs``, ``flow._rk4_arrays`` with the stage and the layout bound as its
-``rk4``, which keeps its state and stage inputs in that layout and calls
-the stage with no copy, and ``flow._dopri`` as its ``rk45``, the same
-steppers that a plain array f gets.  The tests hold the array form byte
-for byte to the four functions called once each on gathered sample
-arrays.  On M2,
+entries whose pads hold the neighbouring sites.  ``_zn_arrays(n)`` is the
+array system of Z_n from ``transport.ZN_SCALAR_CROSSOVER`` sites on, made
+of that stage and layout by ``flow._array_system``, as burgers is: its
+``rk4`` keeps its state and stage inputs in that layout and calls the
+stage with no copy, its ``rk45`` is ``flow._dopri``, and its per-call
+``rhs`` is ``zn_coupled_rhs(n)``, which rk45 and the element entry points
+below call.  The tests hold the array form byte for byte to the four
+functions called once each on gathered sample arrays.  On M2,
 ``_m2_temporaries`` (t1, t2, p, q, r, u) and ``_m2_system`` (the twelve
 rates of (K1, K2, m)) make ``_m2_stage``, which ``_m2_kernels`` compiles
 the same way.
@@ -73,7 +71,7 @@ from typing import Callable
 
 from .algebra import I2, AlgebraElement, Mat2Element, ZnElement, commutator
 from .calculus import VectorField
-from .flow import _assign, _dopri, _Expr, _names, _rk4_arrays, _stage_kernels, _System, pack_complex
+from .flow import _array_system, _assign, _Expr, _names, _stage_kernels, _System, pack_complex
 
 __all__ = [
     "solve_b",
@@ -129,7 +127,7 @@ def _zn_array_stage(n: int):
     pad pair by one assignment between views made once by ``bind``,
     writes beta into padded scratch of its own and its pads the same way,
     and then writes dK_+, dK_- and dm into the sites of k, leaving k's pads
-    as they are, and returns k.  Each operation is a ufunc call with
+    as they are; it returns nothing.  Each operation is a ufunc call with
     ``out`` that keeps the equations' association and operand order:
     numpy's complex multiply uses FMA, so ``a * b`` and ``b * a`` can
     differ in the last bit, and the rates are byte-identical to the four
@@ -175,7 +173,6 @@ def _zn_array_stage(n: int):
             add(dm, work, dm)
             multiply(beta, m, work)
             subtract(dm, work, dm)
-            return k
 
         return rates
 
@@ -185,34 +182,23 @@ def _zn_array_stage(n: int):
 def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
     """Flat RHS for the coupled (K_+, K_-, m) Z_n system; b is computed once per call.
 
-    A per-call wrapper of ``_zn_array_stage``: each call copies y into the
-    sites of a ghost-padded buffer, evaluates the stage there and returns
-    a fresh copy of the rates' sites, which stays fresh because rk4 still
-    reads a stage after computing the next.  The buffers are shared by
-    every call, so one closure serves one integration at a time.
+    The per-call ``rhs`` of ``_zn_arrays(n)``: each call copies y into a
+    ghost-padded buffer, runs ``_zn_array_stage`` there and returns a
+    fresh copy of the rates' sites.  One closure serves one integration
+    at a time.
     """
-    y_pad, k_pad = np.zeros((2, 6 * (n + 2)))
-    sites, rate_sites = (b.reshape(3, 2 * n + 4)[:, 2:-2] for b in (y_pad, k_pad))
-    rates, rows = _zn_array_stage(n)(y_pad, k_pad), (3, 2 * n)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        sites[...] = y.reshape(rows)
-        rates(t)
-        return rate_sites.flatten()
-
-    return rhs
+    return _zn_arrays(n).rhs
 
 
 def _zn_arrays(n: int) -> _System:
-    """The array system of Z_n: ``zn_coupled_rhs(n)`` per call, an rk4 run of ``_zn_array_stage(n)`` and ``_dopri``.
+    """The array system of Z_n (``flow._array_system``): ``_zn_array_stage(n)`` in three rows with one complex pad.
 
     Its rk4 run (``flow._rk4_arrays``) keeps the state, the stage inputs
     and the rates in the stage's ghost-padded layout, three rows with one
     complex entry (two floats) of pad at each end, so a stage is one call
     and the rk4 combination copies nothing.
     """
-    rk4 = functools.partial(_rk4_arrays, stage=_zn_array_stage(n), layout=(3, 2))
-    return _System(zn_coupled_rhs(n), rk4, _dopri, 6 * n)
+    return _array_system(_zn_array_stage(n), (3, 2), 6 * n)
 
 
 def _zn_stage(n: int, t: str, inputs: list, rates: list) -> list:

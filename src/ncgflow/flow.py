@@ -5,17 +5,22 @@ Complex states are packed as interleaved real/imaginary parts (``pack_complex``)
 ``rhs`` and two steppers, ``rk4`` and ``rk45``.  A system is of one of
 two forms:
 
-* an array system: ``rhs`` maps the float64 vector to a float64 vector,
-  and the complex structure is reassembled inside it.  Its rk4 run is
-  ``_rk4_arrays`` with the system's *stage* and layout bound: the stage
-  evaluates the rates in the system's ghost-padded layout, from a buffer
-  of stage inputs into a rate buffer it is handed, so the run keeps the
-  state and the stage inputs in that layout and copies, allocates and
-  checks nothing per stage.  Its rk45 run is ``_dopri``.  Every caller's
-  own right-hand side f (``system=None``, the default) is stepped as the
-  array system of ``_plain_stage``, whose stage is a call of f, in the
-  layout of the packed vector itself; Z_n from
-  ``transport.ZN_SCALAR_CROSSOVER`` sites on is ``connection._zn_arrays``;
+* an array system (``_array_system``), made of a *stage* and a
+  ghost-padded layout.  A stage ``bind(x, k)`` gives ``rates(t)``, which
+  fills the pads of x that it reads, writes the rates at x and time t
+  into the sites of k and returns nothing: that one contract holds for
+  every array stage.  ``rhs`` maps the float64 vector to a fresh float64
+  vector through a padded buffer of its own, and the complex structure
+  is reassembled inside the stage.  Its rk4 run is ``_rk4_arrays`` with
+  the stage and layout bound, which keeps the state and the stage
+  inputs in that layout and copies, allocates and checks nothing per
+  stage.  Its rk45 run is ``_dopri``.  Every caller's own right-hand side
+  f (``system=None``, the default) is stepped as the array system of
+  ``_plain_stage``, whose stage stores f's result into k, in the layout
+  of the packed vector itself; so f may return a buffer that it reuses,
+  because rk4 copies each stage at once and rk45 always did.  Z_n from
+  ``transport.ZN_SCALAR_CROSSOVER`` sites on is ``connection._zn_arrays``
+  and burgers the system of ``classical._burgers_stage``;
 * a compiled system (``_stage_kernels``): ``rhs`` maps a list of the
   system's entries, Python complex numbers (the packed vector read as
   complex128) or Python floats, to a list of the same length.  For the
@@ -163,16 +168,17 @@ def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.n
     buffers, zero at first and made once per run; ``y``, the packed
     initial state, is only read, and the rows of ``out`` are written from
     the state's sites.  ``stage(x, k)`` binds a stage to the input buffer
-    x and the rate buffer k and returns ``rates(t)``, the rates at x and
-    time t: k with its sites written, or an array of its own of x's size.
-    ``rates`` fills the pads of x that it reads and never writes the pads
-    of k, so a rate's pads stay 0, every pad of the state and the stage
+    x and the rate buffer k and returns ``rates(t)``, which writes the
+    rates at x and time t into k's sites and returns nothing.  ``rates``
+    fills the pads of x that it reads and never writes the pads of k, so
+    a rate's pads stay 0, every pad of the state and the stage
     inputs is a copy of a site of an accepted state or 0, and the state
     check on the whole state buffer is the check on its sites.  The first
     stage at t = 0 is ``f(0.0, y)`` (ValueError unless it has as many
     entries as ``y``), written into a rate buffer's sites, so a wrapper
-    of f sees every array run; the other stages come from ``stage``.
-    ``_plain_stage`` makes the stage of a plain f with layout ``(1, 0)``.
+    of f sees every array run; the other stages come from ``stage``, and
+    the loop reads them from ``ka`` and ``kb``, the buffers they are bound
+    to.  ``_plain_stage`` makes the stage of a plain f with layout ``(1, 0)``.
 
     The stage sum is accumulated as each stage arrives, so the run holds
     at most two stages at a time, and its association is ``rk4_step``'s,
@@ -200,26 +206,24 @@ def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.n
     half = 0.5 * h
     c_half, c_h, c_two, c_sixth = (np.array(c) for c in (half, h, 2.0, h / 6.0))
     add, multiply = np.add, np.multiply
-    k = ka
     for step in range(1, n_steps + 1):
         t = (step - 1) * h
         if step > 1:
-            k = first(t)  # k1
-        multiply(c_half, k, y_a)
+            first(t)  # k1 into ka
+        multiply(c_half, ka, y_a)
         add(state, y_a, y_a)
-        k2 = second(t + half)
-        multiply(c_half, k2, y_b)
+        second(t + half)  # k2 into kb
+        multiply(c_half, kb, y_b)
         add(state, y_b, y_b)
-        multiply(c_two, k2, acc)
-        add(k, acc, acc)
-        del k2
-        k = third(t + half)  # k3
-        multiply(c_h, k, y_a)
+        multiply(c_two, kb, acc)
+        add(ka, acc, acc)
+        third(t + half)  # k3 into ka
+        multiply(c_h, ka, y_a)
         add(state, y_a, y_a)
-        multiply(c_two, k, y_b)
+        multiply(c_two, ka, y_b)
         add(acc, y_b, acc)
-        k = second(t + h)  # k4
-        add(acc, k, acc)
+        second(t + h)  # k4 into kb
+        add(acc, kb, acc)
         multiply(c_sixth, acc, acc)
         add(state, acc, state)
         _check_state(state, t, acc)
@@ -228,22 +232,14 @@ def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.n
     out[-1] = sites
 
 
-def _plain_stage(f, size: int):
-    """The ``_rk4_arrays`` stage of a plain array f on ``size`` floats: f's own result, its length checked.
+def _plain_stage(f):
+    """The stage of a plain array f in the layout ``(1, 0)``: f's result stored into k (``_store``).
 
-    f may return its input or a fresh array, but not a buffer it
-    overwrites on its next call, since a stage is still read after the
-    next stage is computed.  A 0-d result is a TypeError.
+    ``_store`` checks the length and copies at once, so f may return its
+    input, a fresh array or a buffer it overwrites on its next call.  A
+    0-d result is a TypeError.
     """
-    def bind(x, k):
-        def rates(t):
-            r = f(t, x)
-            _check_length(len(r), size)  # a stage of another shape fails the out= operations
-            return r
-
-        return rates
-
-    return bind
+    return lambda x, k: lambda t: _store(k, f(t, x))  # bind(x, k) gives rates(t)
 
 
 def _compile(source: str, name: str, **names):
@@ -305,11 +301,11 @@ class _System:
     describes.  A compiled system (``_stage_kernels``) has its
     ``rhs(*params, t, y)`` on a list of entries, its fused rk4 run
     ``rk4(*params, f, y, h, n_steps, stride, out)``, which never calls f,
-    and ``_dopri`` with its entry type bound.  An array system has the
-    array-form ``rhs(t, y)``, ``_rk4_arrays`` with its stage and layout
-    bound and plain ``_dopri``.  ``floats`` is the length of the packed
-    float64 state; ``bind(*params)`` gives the system with its run
-    arguments bound to ``rhs`` and ``rk4``.
+    and ``_dopri`` with its entry type bound.  An array system, made by
+    ``_array_system`` alone, has the array-form ``rhs(t, y)``,
+    ``_rk4_arrays`` with its stage and layout bound and plain ``_dopri``.
+    ``floats`` is the length of the packed float64 state; ``bind(*params)``
+    gives the system with its run arguments bound to ``rhs`` and ``rk4``.
     """
 
     rhs: Callable
@@ -320,6 +316,30 @@ class _System:
     def bind(self, *params) -> _System:
         return _System(functools.partial(self.rhs, *params), functools.partial(self.rk4, *params), self.rk45,
                        self.floats)
+
+
+def _array_system(stage, layout, floats: int) -> _System:
+    """The array system of ``stage`` in ``layout`` on a packed state of ``floats`` floats.
+
+    ``rhs(t, y)`` copies y into the sites of its own padded buffer (zero
+    at first), runs the stage there and returns a fresh copy of the
+    rates' sites; ``rk4`` is ``_rk4_arrays`` with the stage and layout
+    bound, ``rk45`` is ``_dopri``.  The stage's scratch and the rhs
+    buffers are shared by every call, so one system serves one
+    integration at a time.
+    """
+    rows, pad = layout
+    width = floats // rows + 2 * pad
+    x, k = np.zeros((2, rows * width))
+    sites, rate_sites = (b.reshape(rows, width)[:, pad : width - pad] for b in (x, k))
+    rates = stage(x, k)
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        sites[...] = y.reshape(sites.shape)
+        rates(t)
+        return rate_sites.flatten()
+
+    return _System(rhs, functools.partial(_rk4_arrays, stage=stage, layout=layout), _dopri, floats)
 
 
 def _stage_kernels(size: int, stage, params: tuple, scalars: type) -> _System:
@@ -584,7 +604,7 @@ def integrate(
     step).  The run itself is one call of the system's ``rk4`` or
     ``rk45``: rk4 on a compiled system never calls f; rk4 on an array
     system calls f once, for the first stage, and then the system's
-    stage (a plain f's stage is f); ``rk45`` calls f once at t=0 and then
+    stage (a plain f's stage calls f); ``rk45`` calls f once at t=0 and then
     six times per attempted step.  Deterministic for fixed inputs.
     """
     n_steps = step_count(t_end, h)
@@ -595,8 +615,7 @@ def integrate(
     y = np.ascontiguousarray(np.asarray(y0, dtype=np.float64).ravel())
     if not y.shape[0]:
         raise ValueError("y0 is empty")
-    system = system or _System(f, functools.partial(_rk4_arrays, stage=_plain_stage(f, y.shape[0]), layout=(1, 0)),
-                               _dopri, y.shape[0])
+    system = system or _array_system(_plain_stage(f), (1, 0), y.shape[0])
     if y.shape[0] != system.floats:
         raise ValueError(f"y0 holds {y.shape[0]} floats for a system of {system.floats}")
     h_eff = t_end / n_steps

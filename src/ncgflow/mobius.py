@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 METRIC_TOL = 1e-12  # how far Q0 + conj(Q0) and Q2 + conj(Q1) may be from 0 in a metric-preserving row
+_SUBNORMAL_LIFT = 2.0**64  # brings every subnormal into the normal range, exactly
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,17 @@ class SpherePoint:
 
     @classmethod
     def from_ratio(cls, num: complex, den: complex) -> "SpherePoint":
+        """The point ``num : den``, both first divided by ``max(|num|, |den|)``.
+
+        numpy divides a complex128 by a real through its reciprocal, which
+        overflows for a subnormal scale, so such a ratio is first scaled by
+        the exact power of two ``_SUBNORMAL_LIFT``.
+        """
         scale = max(abs(num), abs(den))
         if scale == 0.0:
             raise ValueError("0:0 is not a projective point")
+        if scale < sys.float_info.min:
+            num, den, scale = num * _SUBNORMAL_LIFT, den * _SUBNORMAL_LIFT, scale * _SUBNORMAL_LIFT
         num, den = num / scale, den / scale
         if den == 0.0:
             return cls.infinity()

@@ -15,15 +15,16 @@ M2, its Bloch coordinates are
 K and m are integrated as one coupled system (``run_zn`` / ``run_m2``)
 rather than sequentially, so no interpolation error enters through K(t).
 The systems are written once, in ``connection``, together with their
-element-level entry points and ``zn_coupled_rhs``, the Z_n array form,
-which this module re-exports.
+element-level entry points and ``zn_coupled_rhs``, the per-call
+right-hand side of the Z_n array system, which this module re-exports.
 
 ``flow.integrate`` steps these systems, each in its own form.
 M2 always runs on Python complex scalars, as the compiled system
 ``connection._m2_kernels()``.  Z_n runs on scalars below
 ``ZN_SCALAR_CROSSOVER`` sites, as ``connection._zn_kernels(n)``, and on
 sample arrays from there on, as the array system
-``connection._zn_arrays(n)``.  Either system goes to ``integrate`` as
+``connection._zn_arrays(n)`` (``flow._array_system``, which makes the
+burgers system too).  Either system goes to ``integrate`` as
 ``system=``, with its per-call right-hand side as f (rk45 calls it), and
 ``integrate`` calls the system's own rk4 or rk45 run: the compiled
 system's rk4 is its fused run, with the equations written out in the

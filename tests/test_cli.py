@@ -602,6 +602,40 @@ def test_row_norm_below_the_square_root_of_the_smallest_float(tmp_path, capsys):
     np.testing.assert_array_equal(data[0, 1:], [-0.5, 0.0, 0.0])  # lam : mu = 1 : 0, the point at infinity
 
 
+# These ended in a traceback: numpy divides lam and mu by a subnormal scale through its reciprocal, which is inf.
+_ROW_SUBNORMAL = [  # a config and its first z = lam / mu
+    ('{"scenario": "m2row", "lam": 1e-320, "mu": 0}', (math.inf, 0.0)),
+    ('{"scenario": "m2row", "lam": 0, "mu": 1e-320}', (0.0, 0.0)),
+    ('{"scenario": "m2row", "lam": [1e-310, 1e-310], "mu": [0, 1e-315], "t_end": 0.5}', (1e5, -1e5)),
+]
+
+
+@pytest.mark.parametrize("text, z0", _ROW_SUBNORMAL)
+def test_a_subnormal_row_start_runs(text, z0, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    header, data = _read_csv(tmp_path / "o" / "trajectory.csv")
+    z = data[:, [header.index("z_re"), header.index("z_im")]]
+    assert not np.isnan(z).any()  # finite, or inf at the pole
+    np.testing.assert_allclose(z[0], z0, rtol=1e-8)
+
+
+def test_a_row_norm_that_overflows_names_its_check(tmp_path, capsys):
+    """Squaring |lam| = 1e300 with ** raised OverflowError, whose message named no check."""
+    path = tmp_path / "cfg.json"
+    path.write_text('{"scenario": "m2row", "lam": 1e300, "mu": 1e300}')
+    for argv in (["validate", "--config", str(path)], ["run", "--config", str(path), "--out", str(tmp_path / "o")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: initial data too large to check: normalisation ||m|^2-1| overflows\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_refuses_configs_that_share_a_stem(tmp_path, capsys):
     paths = []
     for parent in ("d1", "d2"):

@@ -630,7 +630,8 @@ _STEP_RHSS = {  # a right-hand side and its test state at a seed
     "zn12": (transport.zn_coupled_rhs(12), _zn_state12),
     "zn64": (transport.zn_coupled_rhs(64), lambda seed: _zn_state(64, seed)),  # past the scalar crossover
     # the 72 floats of a Z_12 state as grid samples, scaled so that h = 0.1 stays well before the shock
-    "burgers4": (classical._burgers_rhs(72, classical.GRID_SPAN / 72, 4), lambda seed: 0.05 * _zn_state12(seed)),
+    "burgers4": (flow._array_system(classical._burgers_stage(72, classical.GRID_SPAN / 72, 4), (1, 2), 72).rhs,
+                 lambda seed: 0.05 * _zn_state12(seed)),
 }
 
 
@@ -646,7 +647,7 @@ def test_buffered_rk4_equals_rk4_step_bit_for_bit(name):
             want.append(y)
         out = np.zeros((n_steps + 1, y0.shape[0]))
         out[0] = y0
-        flow._rk4_arrays(f, y0, h, n_steps, 1, out, flow._plain_stage(f, y0.shape[0]), (1, 0))
+        flow._rk4_arrays(f, y0, h, n_steps, 1, out, flow._plain_stage(f), (1, 0))
         assert out.tobytes() == np.array(want).tobytes()
         assert y0.tobytes() == state(9).tobytes()  # the run does not write into its input
 
@@ -660,6 +661,16 @@ def test_array_rk4_run_equals_a_loop_of_rk4_step(name):
         y = rk4_step(f, (k - 1) * 1e-3, y, 1e-3)
         if k % 10 == 0:
             assert traj.states[k // 10].tobytes() == y.tobytes(), k
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_a_plain_f_may_return_a_buffer_that_it_reuses(method):
+    """Each stage of a plain f is copied at once, so a stage that f overwrites on its next call is not read."""
+    y0, reused = _zn_state12(4), np.empty(72)
+    fresh = integrate(lambda t, y: y * (-1.0 - t), y0, 0.05, h=1e-3, stride=10, method=method)
+    into_one_buffer = integrate(lambda t, y: np.multiply(y, -1.0 - t, reused), y0, 0.05, h=1e-3, stride=10,
+                                method=method)
+    assert into_one_buffer.states.tobytes() == fresh.states.tobytes()
 
 
 def _rk4_step_states(f, y0, h, n_steps):

@@ -138,6 +138,17 @@ def test_sphere_point_from_ratio():
         SpherePoint.from_ratio(0.0, 0.0)
 
 
+@pytest.mark.parametrize("num, den", [
+    (1e-320, 0.0), (0.0, 1e-320), (1e-320, 1e-320), (complex(1e-310, 1e-310), complex(0.0, 1e-315)),
+    (complex(5e-324, -0.0), complex(3e-323, -5e-324)), (complex(2e-308, -1e-309), complex(0.0, 2e-310)),
+])
+def test_from_ratio_of_subnormal_numpy_complexes_is_the_point_of_python_complexes(num, den):
+    """numpy divides a complex128 by a real through the reciprocal, which overflows for a subnormal scale."""
+    want = SpherePoint.from_ratio(complex(num), complex(den))
+    got = SpherePoint.from_ratio(np.complex128(num), np.complex128(den))
+    assert sphere_distance(got, want) <= 1e-15
+
+
 def test_riccati_linear_drift():
     times, points = integrate_riccati(0.2, 0.0, 0.5, 1.0, h=1e-3, stride=100)
     for t, p in zip(times, points):

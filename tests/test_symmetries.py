@@ -1,0 +1,134 @@
+"""The time-rescaling symmetry of every flow: K scaled by LAM runs LAM times as fast.
+
+The rates of K (Q on the row, v on the geodesic, u on burgers) are
+quadratic in K and the rates of the other parts are linear in it.  So
+with K scaled by LAM and ``t_end`` and h divided by LAM, a run gives LAM
+times K and the same other parts, at the times divided by LAM.  LAM = 4
+is a power of two: while no value leaves the normal range, every
+product, sum and step combination scales exactly, so rk4 holds bit for
+bit.  rk45's error control adds ATOL, which does not scale, so its
+attempts may differ: a run holds bit for bit when they do not (the times
+of its right-hand side calls are the base run's divided by LAM) and to
+the tolerance otherwise.  The data keep every part at least 0.05 or 0
+and the runs short, so nothing underflows or blows up.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ncgflow import classical, mobius, transport
+from ncgflow.classical import GridField, integrate_burgers, integrate_geodesic, round_sphere
+from ncgflow.mobius import run_row
+from ncgflow.transport import ZN_SCALAR_CROSSOVER, run_m2, run_zn
+
+LAM = 4.0
+RK45_TOL = 1e-7  # two runs whose attempts differ, each within RTOL = ATOL = 1e-9 per step
+
+_part = st.one_of(st.floats(0.05, 0.5), st.floats(-0.5, -0.05), st.just(0.0))
+_complex = st.builds(complex, _part, _part)
+# (n_steps, h, stride, method): t_end = n_steps * h is at most 0.2
+_stepping = st.tuples(st.integers(1, 10), st.sampled_from([1e-3, 0.005, 0.02]), st.integers(1, 4),
+                      st.sampled_from(["rk4", "rk45"]))
+
+
+def _parts(seed, size):
+    """``size`` random parts at least 0.05 and at most 0.5 in magnitude, about a tenth of them 0 or -0."""
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], size) * rng.uniform(0.05, 0.5, size) * (rng.random(size) > 0.1)
+
+
+def _complexes(seed, shape):
+    return _parts(seed, 2 * int(np.prod(shape))).view(np.complex128).reshape(shape)
+
+
+def _lam_times(z):
+    """LAM z, part by part: a complex product with LAM is one with LAM + 0j, which can flip the sign of a zero part."""
+    if isinstance(z, complex):
+        return complex(LAM * z.real, LAM * z.imag)
+    return (LAM * z.view(np.float64)).view(z.dtype)
+
+
+def _traced(module, run, args, t_end, h, stride, method):
+    """``run(*args, ...)`` and the times at which its integration called its right-hand side f."""
+    calls, integrate = [], module.integrate
+
+    def traced(f, y0, t_end, **options):
+        def g(t, y):
+            calls.append(t)
+            return f(t, y)
+
+        return integrate(g, y0, t_end, **options)
+
+    with mock.patch.object(module, "integrate", traced):
+        return run(*args, t_end=t_end, h=h, stride=stride, method=method), calls
+
+
+def _assert_rescaled(module, run, parts, args, scaled_args, stepping):
+    """The run of ``scaled_args`` at ``t_end / LAM`` and ``h / LAM`` against the run of ``args``.
+
+    ``parts(result)`` gives the sample times, the part that scales by LAM
+    and the part that stays.
+    """
+    n_steps, h, stride, method = stepping
+    base, calls = _traced(module, run, args, n_steps * h, h, stride, method)
+    scaled, scaled_calls = _traced(module, run, scaled_args, n_steps * h / LAM, h / LAM, stride, method)
+    (times, k, other), (scaled_times, scaled_k, scaled_other) = parts(base), parts(scaled)
+    assert scaled_times.tobytes() == (times / LAM).tobytes()
+    if scaled_calls == [t / LAM for t in calls]:
+        assert scaled_k.tobytes() == _lam_times(k).tobytes()
+        assert scaled_other.tobytes() == other.tobytes()
+    else:
+        assert method == "rk45"
+        np.testing.assert_allclose(scaled_k, _lam_times(k), rtol=RK45_TOL, atol=RK45_TOL)
+        np.testing.assert_allclose(scaled_other, other, rtol=RK45_TOL, atol=RK45_TOL)
+
+
+@pytest.mark.parametrize("n", [1, 3, ZN_SCALAR_CROSSOVER - 1, ZN_SCALAR_CROSSOVER, 64])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stepping=_stepping)
+def test_zn(n, seed, stepping):
+    kp, km, m = _complexes(seed, (3, n))
+    _assert_rescaled(transport, run_zn, lambda r: (r.times, np.stack([r.k_plus, r.k_minus]), r.m),
+                     (kp, km, m), (_lam_times(kp), _lam_times(km), m), stepping)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stepping=_stepping)
+def test_m2(seed, stepping):
+    k1, k2, m = _complexes(seed, (3, 2, 2))
+    _assert_rescaled(transport, run_m2, lambda r: (r.times, np.stack([r.k1, r.k2]), r.m),
+                     (k1, k2, m), (_lam_times(k1), _lam_times(k2), m), stepping)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lam=_complex, mu=_complex, q=st.tuples(_complex, _complex, _complex), stepping=_stepping)
+def test_m2row(lam, mu, q, stepping):
+    _assert_rescaled(mobius, run_row, lambda r: (r.times, np.empty(0), np.stack([r.lam, r.mu])),
+                     (lam, mu, *q), (lam, mu, *map(_lam_times, q)), stepping)
+
+
+@settings(max_examples=20, deadline=None)
+@given(theta=st.floats(0.5, 2.6), phi=st.floats(-3.0, 3.0), v=st.tuples(_part, _part), stepping=_stepping)
+def test_sphere_geodesic(theta, phi, v, stepping):
+    x0, v0 = np.array([theta, phi]), np.array(v)
+
+    def run(x0, v0, **stepping):
+        return integrate_geodesic(x0, v0, round_sphere(), **stepping)
+
+    _assert_rescaled(classical, run, lambda r: (r.times, r.vs, r.xs), (x0, v0), (x0, _lam_times(v0)), stepping)
+
+
+@pytest.mark.parametrize("stencil", [2, 4])
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(16, 64), seed=st.integers(0, 2**32 - 1), stepping=_stepping)
+def test_burgers(stencil, n, seed, stepping):
+    values = _parts(seed, n)
+
+    def run(values, **stepping):
+        return integrate_burgers(GridField(values, stencil), **stepping)
+
+    _assert_rescaled(classical, run, lambda r: (r.times, r.values, np.empty(0)), (values,), (_lam_times(values),),
+                     stepping)

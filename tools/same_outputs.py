@@ -20,9 +20,11 @@ checkout's ``src`` on ``PYTHONPATH``.  The list is:
   admissible (k_minus = k_plus), which blows up (exit 3) before its
   ``t_end`` of 10, m2row rk45 with complex Q, a flat 3-component geodesic,
   burgers at stencil 2 and from a ``values`` profile, burgers rk45 at
-  stencils 4 and 2 (a plain right-hand side under rk45), burgers rk4 past
-  the stencil's stability limit, which warns and blows up (exit 3), and an
-  m2row run that blows up (exit 3);
+  stencils 4 and 2, burgers rk4 past the stencil's stability limit, which
+  warns and blows up (exit 3), burgers rk4 on the smallest grid (16
+  ``values`` samples at stencil 4 and stride 1, so both pad pairs read
+  the grid ends and every step is sampled), and an m2row run that blows
+  up (exit 3);
 * ``validate`` on both presets, on the five scenario defaults and on every
   benchmark config above.
 
@@ -90,6 +92,9 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
         "burgers-rk45": {"scenario": "classical-burgers", "method": "rk45", "t_end": 0.5},
         "burgers-stencil2-rk45": {"scenario": "classical-burgers", "stencil": 2, "method": "rk45", "t_end": 0.5},
         "burgers-exit3": {"scenario": "classical-burgers", "amplitude": 1.0, "step": 0.1, "t_end": 3.0},
+        "burgers-grid16-stride1": {"scenario": "classical-burgers", "stencil": 4, "method": "rk4", "stride": 1,
+                                   "t_end": 0.5,
+                                   "values": [0.1 * math.sin(0.4 * i) + 0.03 * math.cos(0.9 * i) for i in range(16)]},
         "m2row-exit3": {"scenario": "m2row", "q0": [40.0, 0.0], "t_end": 1.0},
     }
     (workdir / "edges").mkdir()
