@@ -65,7 +65,8 @@ def _shift_indices(n: int, steps: int) -> np.ndarray:
     reference of the burgers stencil, gather through it; the burgers run
     itself steps in a ghost-padded layout, filled by slice copies, and
     never gathers.
-    ``spatial_derivative`` gathers through 4 keys (n, +-1 and +-2) and a
+    ``spatial_derivative`` gathers through 4 keys (n, +-1 and +-2, at
+    either stencil, the 2nd-order one reading only +-1) and a
     Z_n run's series through 2, so 4 cached arrays hold the working set of
     either, and a process keeps at most 4 n-entry int64 arrays alive
     (32 MiB at ``cli.MAX_GRID``) however many sizes it gathers at.

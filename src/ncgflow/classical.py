@@ -21,14 +21,18 @@ On the line the velocity-field equation reduces to an inviscid transport
 equation, ``dK/dt = -K K' - Gamma K^2``.  The line here is flat, Gamma = 0,
 so ``integrate_burgers`` steps ``dK/dt = -K K'`` on a periodic grid over
 [0, 2pi); it is integrated only in the smooth pre-shock regime and checked
-against the method of characteristics in the tests.  Its stage
-(``_burgers_stage``) evaluates ``-K spatial_derivative(K)``, byte for
-byte, in a ghost-padded layout whose pads hold the other end of the
-grid, so every shift is a slice view; ``integrate_burgers`` steps the
-array system of that stage (``flow._array_system``), as ``transport``
-steps Z_n, so an rk4 run steps the state in place in that layout, with
-no gather and no allocation per stage.  ``spatial_derivative`` stays the
-public reference.
+against the method of characteristics in the tests.  The stencil is
+written once, as the elementwise ``_derivative`` of a sample's
+neighbours.  ``spatial_derivative``, the public reference, applies it to
+gathered arrays.  The stage (``_burgers_stage``) applies
+``-K _derivative(...)`` to ``flow._Expr`` names of views of a
+ghost-padded layout whose pads hold the other end of the grid, so every
+shift is a slice view, and emits it as ufunc calls
+(``flow._array_rates``), byte for byte the reference.
+``integrate_burgers`` steps the array system of that stage
+(``flow._array_system``), as ``transport`` steps Z_n, so an rk4 run steps
+the state in place in that layout, with no gather and no allocation per
+stage.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import _shift_indices
-from .flow import _array_system, _assign, _Expr, _stage_kernels, _text, integrate
+from .flow import _array_rates, _array_system, _assign, _Expr, _stage_kernels, _text, integrate
 
 __all__ = [
     "ChristoffelProvider",
@@ -210,17 +214,23 @@ def sine_field(n: int = 256, amplitude: float = 0.1, stencil: int = 4) -> GridFi
     return GridField(amplitude * np.sin(x), stencil)
 
 
-def spatial_derivative(values: np.ndarray, dx: float, stencil: int = 4) -> np.ndarray:
-    """Centred periodic derivative, 2nd or 4th order."""
-    values = np.asarray(values)
-    n = values.shape[0]
+def _derivative(up2, up1, down1, down2, dx: float, stencil: int):
+    """The centred derivative at a sample from its neighbours, 2nd or 4th order.
 
-    def shifted(steps: int) -> np.ndarray:  # values[(i + steps) % n]
-        return values[_shift_indices(n, steps)]
-
+    ``up_s`` and ``down_s`` are the samples s steps up and down the grid;
+    the 2nd-order stencil reads only the nearest ones.  Like the Z_n site
+    functions it is elementwise: on gathered arrays it is
+    ``spatial_derivative``, on ``flow._Expr`` names the burgers stage.
+    """
     if stencil == 2:
-        return (shifted(1) - shifted(-1)) / (2.0 * dx)
-    return (-shifted(2) + 8.0 * shifted(1) - 8.0 * shifted(-1) + shifted(-2)) / (12.0 * dx)
+        return (up1 - down1) / (2.0 * dx)
+    return (-up2 + 8.0 * up1 - 8.0 * down1 + down2) / (12.0 * dx)
+
+
+def spatial_derivative(values: np.ndarray, dx: float, stencil: int = 4) -> np.ndarray:
+    """Centred periodic derivative, 2nd or 4th order: ``_derivative`` on the samples gathered at each shift."""
+    values = np.asarray(values)
+    return _derivative(*(values[_shift_indices(len(values), s)] for s in (2, 1, -1, -2)), dx, stencil)
 
 
 def _burgers_stage(n: int, dx: float, stencil: int):
@@ -228,44 +238,26 @@ def _burgers_stage(n: int, dx: float, stencil: int):
 
     x and k are ghost-padded buffers of n + stencil floats, the samples
     at entries ``pad .. pad + n - 1`` (``pad = stencil // 2``).  ``bind``
-    makes the shifted views of ``spatial_derivative``, the pads and their
-    sources once, as slices of x, so no shift is a gather.  ``rates``
-    fills x's pads, each side by one slice copy of the other end's
-    samples, and writes ``-K * spatial_derivative(K, dx, stencil)`` into
-    k's sites with ufunc ``out=`` calls in that function's association
-    and operand order, so the rate is byte-identical; k's pads stay as
-    they are.  8 and the divisor ``scale`` are 0-d float64 arrays made
-    once, and ``out`` is positional, which trims numpy's per-call
-    overhead: on the float64 state they select the same loop and values
-    as Python floats would.  The scratch is shared by every bound stage,
-    so one stage serves one integration at a time.
+    makes the shifted views of ``_derivative``, the pads and their sources
+    as slices of x, so no shift is a gather.  ``rates`` fills x's pads,
+    each side by one slice copy of the other end's samples, and writes
+    ``-K * _derivative(...)`` into k's sites; k's pads stay as they are.
+    Its ufunc calls are emitted once per stage (``flow._array_rates``) from
+    that expression on ``_Expr`` names of the views, in its association
+    and operand order, so the rate is byte-identical to
+    ``-K * spatial_derivative(K, dx, stencil)``.  Each bound stage has
+    scratch of its own.
     """
     pad = stencil // 2
-    work, term = np.empty((2, n))
-    eight, scale = np.array(8.0), np.array((2.0 if stencil == 2 else 12.0) * dx)
+    shifts = {"v": 0, "up2": 2, "up1": 1, "down1": -1, "down2": -2}  # +-2 are read at stencil 4 only
+    v, up2, up1, down1, down2 = map(_Expr, shifts)
+    rate = -v * _derivative(up2, up1, down1, down2, dx, stencil)
+    rates_of = _array_rates(["left[...] = left_src", "right[...] = right_src", ("rate", rate)], ("work", "term"), float)
 
     def bind(x: np.ndarray, k: np.ndarray):
-        v, rate = x[pad : pad + n], k[pad : pad + n]
-        left, left_src, right, right_src = x[:pad], x[n : n + pad], x[n + pad :], x[pad : 2 * pad]
-        up1, down1, up2, down2 = (x[pad + s : pad + s + n] for s in (1, -1, 2, -2))  # shifted(s); +-2 at stencil 4
-
-        def rates(t: float) -> None:
-            left[...] = left_src
-            right[...] = right_src
-            if stencil == 2:  # (shifted(1) - shifted(-1)) / (2 dx)
-                np.subtract(up1, down1, work)
-            else:  # (-shifted(2) + 8 shifted(1) - 8 shifted(-1) + shifted(-2)) / (12 dx)
-                np.negative(up2, work)
-                np.multiply(eight, up1, term)
-                np.add(work, term, work)
-                np.multiply(eight, down1, term)
-                np.subtract(work, term, work)
-                np.add(work, down2, work)
-            np.divide(work, scale, work)
-            np.negative(v, rate)
-            np.multiply(rate, work, rate)
-
-        return rates
+        return rates_of(rate=k[pad : pad + n], left=x[:pad], left_src=x[n : n + pad], right=x[n + pad :],
+                        right_src=x[pad : 2 * pad], work=np.empty(n), term=np.empty(n),
+                        **{name: x[pad + s : pad + s + n] for name, s in shifts.items()})
 
     return bind
 

@@ -34,9 +34,11 @@ with the stage written out four times per step; below
 compiled source is made of site indices, fixed names and the ``repr`` of
 the equations' float constants, so it performs the equations' operations
 in their order.  ``_zn_array_stage(n)`` is the one array form: the same
-operations, in the same association and operand order, as ufunc calls on
-a ghost-padded layout of the packed state, three rows of n + 2 complex
-entries whose pads hold the neighbouring sites.  ``_zn_arrays(n)`` is the
+four functions applied to ``_Expr`` names of views of a ghost-padded
+layout of the packed state, three rows of n + 2 complex entries whose
+pads hold the neighbouring sites, emitted (``flow._array_rates``) as one
+ufunc call per operation, in the same association and operand order.  So
+the equations are written once, with two backends.  ``_zn_arrays(n)`` is the
 array system of Z_n from ``transport.ZN_SCALAR_CROSSOVER`` sites on, made
 of that stage and layout by ``flow._array_system``, as burgers is: its
 ``rk4`` keeps its state and stage inputs in that layout and calls the
@@ -71,7 +73,7 @@ from typing import Callable
 
 from .algebra import I2, AlgebraElement, Mat2Element, ZnElement, commutator
 from .calculus import VectorField
-from .flow import _array_system, _assign, _Expr, _names, _stage_kernels, _System, pack_complex
+from .flow import _array_rates, _array_system, _assign, _Expr, _names, _stage_kernels, _System, pack_complex
 
 __all__ = [
     "solve_b",
@@ -117,64 +119,40 @@ def _zn_dm(kp, km, m, beta, m_up, m_down):
 
 
 def _zn_array_stage(n: int):
-    """The Z_n stage on arrays, written once: ``bind(y, k)`` gives ``rates(t)``, the rates at y written into k.
+    """The Z_n stage on arrays: ``bind(y, k)`` gives ``rates(t)``, the rates at y written into k.
 
     y and k are float64 buffers of 6 (n + 2) floats, the ghost-padded
     layout of the packed state: three rows (K_+, K_-, m) of n + 2 complex
     entries, with the sites at entries 1..n, entry 0 holding site n - 1
     and entry n + 1 site 0 (at n = 1 both hold site 0), so every neighbour
     R_{+-1} is a slice view, not a gather.  ``rates`` fills y's pads, each
-    pad pair by one assignment between views made once by ``bind``,
-    writes beta into padded scratch of its own and its pads the same way,
-    and then writes dK_+, dK_- and dm into the sites of k, leaving k's pads
-    as they are; it returns nothing.  Each operation is a ufunc call with
-    ``out`` that keeps the equations' association and operand order:
-    numpy's complex multiply uses FMA, so ``a * b`` and ``b * a`` can
-    differ in the last bit, and the rates are byte-identical to the four
-    functions called once each on gathered sample arrays.  Per call the
-    cost is numpy's call overhead more than arithmetic, so the ufuncs are
-    locals, ``out`` is positional and 0.5 is a 0-d complex128 array made
-    once: on complex128 operands it selects the same loop and value as the
-    Python float would, without the conversion per call.  The beta and
-    work scratch is shared by every bound stage, so one
-    ``_zn_array_stage`` serves one integration at a time.
+    pad pair by one assignment between views, writes beta into padded
+    scratch of its own and its pads the same way, and then writes dK_+,
+    dK_- and dm into the sites of k, leaving k's pads as they are; it
+    returns nothing.  Its ufunc calls are emitted once per stage
+    (``flow._array_rates``) from the four site functions applied to
+    ``_Expr`` names of the views, so they keep the equations' association
+    and operand order: numpy's complex multiply uses FMA, so ``a * b`` and
+    ``b * a`` can differ in the last bit, and the rates are byte-identical
+    to the four functions called once each on gathered sample arrays.
+    ``bind`` only makes the views, with beta and work scratch of its own.
     """
-    beta_g = np.empty(n + 2, dtype=np.complex128)
-    work = np.empty(n, dtype=np.complex128)
-    beta, beta_up, beta_down = beta_g[1:-1], beta_g[2:], beta_g[:-2]
     # the pads, entries 0 and n + 1, and their sources, sites n - 1 and 0 (entries n and 1)
     pads, sources = slice(None, None, n + 1), slice(n, 0, 1 - n) if n > 1 else slice(1, 2)
-    beta_pads, beta_sources = beta_g[pads], beta_g[sources]
-    half = np.array(0.5, dtype=np.complex128)
-    add, subtract, multiply = np.add, np.subtract, np.multiply
+    kp, km, m, kp_up, km_down, m_up, m_down, beta, beta_up, beta_down = map(
+        _Expr, ("kp", "km", "m", "kp_up", "km_down", "m_up", "m_down", "beta", "beta_up", "beta_down"))
+    rates_of = _array_rates(["ghost_pads[...] = ghost_sources", ("beta", _zn_beta(kp, kp_up, km, km_down)),
+                             "beta_pads[...] = beta_sources", ("dkp", _zn_dkp(kp, beta, beta_down)),
+                             ("dkm", _zn_dkm(km, beta, beta_up)), ("dm", _zn_dm(kp, km, m, beta, m_up, m_down))],
+                            ("work",), complex)
 
     def bind(y: np.ndarray, k: np.ndarray):
-        ghost = y.view(np.complex128).reshape(3, n + 2)
+        ghost, beta = y.view(np.complex128).reshape(3, n + 2), np.empty(n + 2, dtype=np.complex128)
         (kp, km, m), (dkp, dkm, dm) = ghost[:, 1:-1], k.view(np.complex128).reshape(3, n + 2)[:, 1:-1]
-        kp_up, km_down, m_up, m_down = ghost[0, 2:], ghost[1, :-2], ghost[2, 2:], ghost[2, :-2]
-        ghost_pads, ghost_sources = ghost[:, pads], ghost[:, sources]
-
-        def rates(t: float) -> np.ndarray:
-            ghost_pads[...] = ghost_sources
-            # beta = 0.5 * (kp + kp_up + km + km_down)
-            add(kp, kp_up, beta)
-            add(beta, km, beta)
-            add(beta, km_down, beta)
-            multiply(half, beta, beta)
-            beta_pads[...] = beta_sources
-            # dK_+ = kp * (beta_down - beta), dK_- = km * (beta_up - beta)
-            subtract(beta_down, beta, dkp)
-            multiply(kp, dkp, dkp)
-            subtract(beta_up, beta, dkm)
-            multiply(km, dkm, dkm)
-            # dm = kp * m_down + km * m_up - beta * m
-            multiply(kp, m_down, dm)
-            multiply(km, m_up, work)
-            add(dm, work, dm)
-            multiply(beta, m, work)
-            subtract(dm, work, dm)
-
-        return rates
+        return rates_of(kp=kp, km=km, m=m, kp_up=ghost[0, 2:], km_down=ghost[1, :-2], m_up=ghost[2, 2:],
+                        m_down=ghost[2, :-2], dkp=dkp, dkm=dkm, dm=dm, ghost_pads=ghost[:, pads],
+                        ghost_sources=ghost[:, sources], beta=beta[1:-1], beta_up=beta[2:], beta_down=beta[:-2],
+                        beta_pads=beta[pads], beta_sources=beta[sources], work=np.empty(n, dtype=np.complex128))
 
     return bind
 

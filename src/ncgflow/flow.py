@@ -20,7 +20,11 @@ two forms:
   of the packed vector itself; so f may return a buffer that it reuses,
   because rk4 copies each stage at once and rk45 always did.  Z_n from
   ``transport.ZN_SCALAR_CROSSOVER`` sites on is ``connection._zn_arrays``
-  and burgers the system of ``classical._burgers_stage``;
+  and burgers the system of ``classical._burgers_stage``.  Both stages
+  are emitted (``_array_rates``): their equations, applied once to
+  ``_Expr`` names of the stage's views, become one ufunc call with
+  ``out`` per operation, compiled once per stage into a factory of
+  ``rates``, so ``bind`` only makes views;
 * a compiled system (``_stage_kernels``): ``rhs`` maps a list of the
   system's entries, Python complex numbers (the packed vector read as
   complex128) or Python floats, to a list of the same length.  For the
@@ -38,6 +42,11 @@ two forms:
   chart's ``values``, are run arguments, bound with ``bind``); compiling
   costs time and memory per entry, so ``_stage_kernels`` refuses a state
   of more than ``MAX_SCALAR_STATE`` floats before it compiles.
+
+So each equation is written once, as an elementwise function, with two
+backends: applied to ``_Expr`` symbols its text is compiled on scalars
+(``_stage_kernels``) or emitted as ufunc calls on arrays
+(``_array_rates``), and applied to arrays or numbers it is the reference.
 
 In both forms the right-hand side must return one entry per entry of the
 state (ValueError otherwise), ``y0`` is the packed float64 vector and the
@@ -74,6 +83,8 @@ most ``MAX_STEPS`` steps, and an rk45 run of n steps at most
 
 from __future__ import annotations
 
+import ast
+import contextlib
 import functools
 import math
 import numbers
@@ -264,10 +275,12 @@ def _expr_op(op: str, reflected: bool = False):
 class _Expr:
     """Expression text: an equation applied to these writes itself out as code.
 
-    Each ``+``, ``-`` and ``*`` (reflected too) and the unary ``-`` return
-    the fully parenthesised text of the operation, with a number operand
-    written as its ``repr``, so the text evaluates the same operations in
-    the same order and operand order as the equation does on numbers.
+    Each ``+``, ``-``, ``*`` and ``/`` (reflected too) and the unary ``-``
+    return the fully parenthesised text of the operation, with a number
+    operand written as its ``repr``, so the text evaluates the same
+    operations in the same order and operand order as the equation does on
+    numbers.  ``_stage_kernels`` compiles the text on scalars as it is, and
+    ``_array_rates`` emits it as ufunc calls on arrays.
     """
 
     __slots__ = ("text",)
@@ -278,6 +291,7 @@ class _Expr:
     __add__, __radd__ = _expr_op("+"), _expr_op("+", True)
     __sub__, __rsub__ = _expr_op("-"), _expr_op("-", True)
     __mul__, __rmul__ = _expr_op("*"), _expr_op("*", True)
+    __truediv__, __rtruediv__ = _expr_op("/"), _expr_op("/", True)
 
     def __neg__(self):
         return _Expr(f"(-{self.text})")
@@ -290,6 +304,62 @@ def _names(prefix: str, size: int) -> list:
 def _assign(names, values) -> list:
     """The source lines ``name = value`` of ``_Expr`` or number values."""
     return [f"{name} = {_text(value)}" for name, value in zip(names, values)]
+
+
+_UFUNCS = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply", ast.Div: "divide", ast.USub: "negative"}
+
+
+def _array_rates(steps, scratch: tuple, scalars: type):
+    """The factory ``rates_of(**views)`` of an array stage's ``rates(t)``, compiled once from the stage's steps.
+
+    A step is a source line, run as it is (such as a pad fill), or a pair
+    ``(target, expr)``: the name of a view and an ``_Expr`` with at least
+    one operation, over view names and numbers.  A pair becomes one ufunc
+    call with ``out`` per operation, in the text's association and operand
+    order.  A leaf operand is passed as it is: a view by its name, a number
+    as a 0-d constant made here (float64 for ``float`` ``scalars``,
+    complex128 for ``complex``), which selects the loop and value that
+    numpy's operators would give the number.  The first operand that is an
+    operation is evaluated into the target; a right one after it goes into
+    the next free view named in ``scratch``, the views after that one being
+    free for its own operations.  So the target gets the bytes that numpy's
+    operators give on the same text.  A target or scratch name that is a
+    leaf of its own expression is a ValueError, since it would be
+    overwritten before it is read, and an expression that needs more
+    scratch views than ``scratch`` names is an IndexError.  ``rates_of``
+    takes every view that the steps name as a keyword (more are ignored)
+    and returns ``rates(t)``, which runs the steps and returns nothing.
+    """
+    constants, lines = {}, []
+
+    def leaf(node) -> str | None:
+        """The name of a view, or of the constant of a number; None for an operation."""
+        with contextlib.suppress(ValueError):  # a name or an operation is no literal
+            value = ast.literal_eval(node)
+            return constants.setdefault(repr(value), (f"_c{len(constants)}", np.array(value, scalars)))[0]
+        return node.id if isinstance(node, ast.Name) else None
+
+    def emit(node, target: str, free: tuple) -> None:
+        args = []
+        for operand in [node.operand] if isinstance(node, ast.UnaryOp) else [node.left, node.right]:
+            if (name := leaf(operand)) is None:  # the first operation goes into the target, a second into scratch
+                name, free = (target, free) if target not in args else (free[0], free[1:])
+                emit(operand, name, free)
+            args.append(name)
+        lines.append(f"{_UFUNCS[type(node.op)]}({', '.join(args)}, {target})")
+
+    for step in steps:
+        if isinstance(step, str):
+            lines.append(step)
+            continue
+        node = ast.parse(step[1].text, mode="eval").body
+        if {step[0], *scratch} & {part.id for part in ast.walk(node) if isinstance(part, ast.Name)}:
+            raise ValueError(f"{step[0]}: a target or scratch view is a leaf of its own expression")
+        emit(node, step[0], tuple(scratch))
+    globals_ = {**{name: getattr(np, name) for name in _UFUNCS.values()}, **dict(constants.values())}
+    views = {node.id for node in ast.walk(ast.parse("\n".join(lines))) if isinstance(node, ast.Name)} - {"t", *globals_}
+    return _compile("\n".join([f"def rates_of({', '.join(sorted(views))}, **unused):", "    def rates(t):",
+                               *("        " + line for line in lines), "    return rates", ""]), "rates_of", **globals_)
 
 
 @dataclass(frozen=True)

@@ -162,8 +162,16 @@ def mobius_exact(z0, q1: complex, q2: complex, t: float) -> SpherePoint:
 
 def metric_preservation_check(q0: complex, q1: complex, q2: complex) -> bool:
     """True iff Q0 is anti-Hermitian and Q2 = -conj(Q1) to ``METRIC_TOL``, so |lam|^2+|mu|^2 is conserved."""
-    q0, q1, q2 = complex(q0), complex(q1), complex(q2)
-    return abs(q0.conjugate() + q0) <= METRIC_TOL and abs(q2 + q1.conjugate()) <= METRIC_TOL
+    return _metric_residual(q0, q1, q2) <= METRIC_TOL
+
+
+def _metric_residual(q0: complex, q1: complex, q2: complex) -> float:
+    """``max(|Q0 + conj(Q0)|, |Q2 + conj(Q1)|)`` in numpy: inf, with numpy's overflow warning, where it overflows.
+
+    Python's complex ``abs`` raises OverflowError there instead; below the
+    float limit both give the same value.
+    """
+    return float(max(abs(np.conj(q0) + q0), abs(q2 + np.conj(q1))))
 
 
 def integrate_riccati(

@@ -17,6 +17,8 @@ rather than sequentially, so no interpolation error enters through K(t).
 The systems are written once, in ``connection``, together with their
 element-level entry points and ``zn_coupled_rhs``, the per-call
 right-hand side of the Z_n array system, which this module re-exports.
+Both Z_n forms come from the same four site equations: compiled on
+scalars, or emitted as ufunc calls on arrays (``flow._array_rates``).
 
 ``flow.integrate`` steps these systems, each in its own form.
 M2 always runs on Python complex scalars, as the compiled system

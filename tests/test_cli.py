@@ -636,6 +636,23 @@ def test_a_row_norm_that_overflows_names_its_check(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text, check", [
+    ('{"scenario": "m2row", "lam": [1.7e308, 1.7e308], "mu": 0}', "normalisation ||m|^2-1|"),
+    ('{"scenario": "m2row", "lam": 0, "mu": 1, "q1": [1.7e308, 1.7e308]}', "metric preserving"),
+], ids=["lam", "q1"])
+def test_a_row_check_whose_complex_abs_overflows_names_its_check(text, check, tmp_path, capsys):
+    """Python's complex abs raised OverflowError here, whose message named no check."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    for argv in (["validate", "--config", str(path)], ["run", "--config", str(path), "--out", str(tmp_path / "o")]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # as a plain run prints them
+            assert main(argv) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == f"config error: initial data too large to check: {check} overflows\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_refuses_configs_that_share_a_stem(tmp_path, capsys):
     paths = []
     for parent in ("d1", "d2"):

@@ -777,3 +777,70 @@ def test_rk45_attempts_per_run_at_the_scenario_defaults(scenario, monkeypatch, t
     counts["attempts"] = 0
     assert main([*run, "--stride", "1"]) == 0
     assert counts["attempts"] == 2000
+
+
+# The array-stage emitter, flow._array_rates: random expressions against numpy's operators on their text.
+_VIEWS = ("a", "b", "c")
+_SCRATCH = tuple(f"s{i}" for i in range(8))  # more than an expression of 8 leaves can need
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320]),
+                     st.integers(-4, 4))
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -2.2e-310, 1.0, -3.5, 1e308, -1e308, math.inf, -math.inf, math.nan])
+_OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+def _operations(children):
+    """One operation on expressions: a binary operator with an expression or a number on either side, or -."""
+    binary = st.builds(lambda op, expr, other, swap: op(other, expr) if swap else op(expr, other),
+                       st.sampled_from(_OPERATORS), children, st.one_of(children, _NUMBERS), st.booleans())
+    return st.one_of(binary, children.map(operator.neg))
+
+
+_EXPRS = _operations(st.recursive(st.sampled_from(_VIEWS).map(flow._Expr), _operations, max_leaves=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(expr=_EXPRS, scalars=st.sampled_from([float, complex]), data=st.data())
+def test_emitted_rates_write_the_bytes_of_numpys_operators(expr, scalars, data):
+    """The emitted ufunc calls give, in the target, the bytes that numpy's operators give on the expression text."""
+    size = 6 * (2 if scalars is complex else 1)  # floats per view: 6 entries
+    parts = st.lists(st.one_of(st.floats(), _SPECIAL), min_size=size, max_size=size)
+    views = {name: np.array(data.draw(parts)).view(np.complex128 if scalars is complex else np.float64)
+             for name in _VIEWS}
+    target = np.full(6, np.nan, dtype=views["a"].dtype)
+    rates = flow._array_rates([("out", expr)], _SCRATCH, scalars)(
+        out=target, **views, **{name: np.empty_like(target) for name in _SCRATCH})
+    with np.errstate(all="ignore"):
+        want = eval(expr.text, {}, dict(views))
+        assert rates(0.0) is None
+    assert target.dtype == want.dtype and target.tobytes() == want.tobytes(), expr.text
+
+
+def test_the_emitter_refuses_a_target_or_scratch_view_that_is_a_leaf_of_its_expression():
+    """Either would be overwritten before it is read: (a * b) goes into out, (c * out) into s."""
+    a, b, c, out, s = map(flow._Expr, ("a", "b", "c", "out", "s"))
+    with pytest.raises(ValueError, match="^out: a target or scratch view is a leaf of its own expression$"):
+        flow._array_rates([("out", a * b + c * out)], ("s",), float)
+    with pytest.raises(ValueError, match="^out: a target or scratch view is a leaf of its own expression$"):
+        flow._array_rates([("out", a * b + c * s)], ("s",), float)
+    flow._array_rates([("out", a * b + c * b)], ("s",), float)  # the same shape over other leaves is emitted
+
+
+def test_array_stages_are_emitted_once_per_stage_not_per_bind(monkeypatch):
+    """Each stage compiles its rates once when it is made; binding it and running rk4 compile nothing."""
+    sources = []
+
+    def recording(source, name, **names):
+        sources.append(source)
+        return compile_source(source, name, **names)
+
+    compile_source = flow._compile
+    monkeypatch.setattr(flow, "_compile", recording)
+    for make, y0 in ((lambda: connection._zn_arrays(18), _zn_state(18, 4)),
+                     (lambda: flow._array_system(classical._burgers_stage(16, 0.4, 2), (1, 1), 16),
+                      np.linspace(-0.1, 0.1, 16))):
+        sources.clear()
+        system = make()
+        assert len(sources) == 1
+        for method in ("rk4", "rk45"):
+            integrate(system.rhs, y0, 0.01, h=1e-3, method=method, system=system)
+        assert len(sources) == 1

@@ -57,13 +57,15 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     benchmark = {path for path in configured if tmp_path in path.parents and path.parent.name != "edges"}
     assert len(benchmark) == 14 and benchmark <= set(configs)  # zn4096, zn64 and the 12 sweep configs
     edges = {path.stem: json.loads(path.read_text()) for path in configured if path.parent == tmp_path / "edges"}
-    assert len(edges) == 15  # the scalar-form, array-form and stencil edges
+    assert len(edges) == 16  # the scalar-form, array-form and stencil edges
     burgers = {name: raw for name, raw in edges.items() if raw["scenario"] == "classical-burgers"}
     assert sorted((raw.get("stencil", 4), raw.get("method", "rk4")) for raw in burgers.values()) == [
-        (2, "rk4"), (2, "rk45"), (4, "rk4"), (4, "rk4"), (4, "rk4"), (4, "rk45")]  # both stencils under both methods
+        (2, "rk4"), (2, "rk4"), (2, "rk45"), (4, "rk4"), (4, "rk4"), (4, "rk4"), (4, "rk45")]  # both stencils, methods
     assert (burgers["burgers-exit3"]["amplitude"], burgers["burgers-exit3"]["step"]) == (1.0, 0.1)  # past the limit
     grid16 = burgers["burgers-grid16-stride1"]  # the smallest grid: both pad pairs read the grid ends
     assert (len(grid16["values"]), grid16["stencil"], grid16["method"], grid16["stride"]) == (16, 4, "rk4", 1)
+    grid16 = burgers["burgers-grid16-stencil2-stride1"]  # the one pad on each side reads the grid ends
+    assert (len(grid16["values"]), grid16["stencil"], grid16["method"], grid16["stride"]) == (16, 2, "rk4", 1)
     assert sorted(raw.get("n") for raw in edges.values() if raw["scenario"] == "zn") == [2, 17, 18, 18, 18, 19]
     assert {edges["zn18-rk4"]["method"], edges["zn18-rk45"]["method"]} == {"rk4", "rk45"}
     assert (edges["zn19-rk4-stride1"]["method"], edges["zn19-rk4-stride1"]["stride"]) == ("rk4", 1)

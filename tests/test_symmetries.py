@@ -1,4 +1,6 @@
-"""The time-rescaling symmetry of every flow: K scaled by LAM runs LAM times as fast.
+"""Exact symmetries of the flows: each maps a run to another run, so it is a reference at any size and data.
+
+Time rescaling, on every flow: K scaled by LAM runs LAM times as fast.
 
 The rates of K (Q on the row, v on the geodesic, u on burgers) are
 quadratic in K and the rates of the other parts are linear in it.  So
@@ -11,6 +13,16 @@ attempts may differ: a run holds bit for bit when they do not (the times
 of its right-hand side calls are the base run's divided by LAM) and to
 the tolerance otherwise.  The data keep every part at least 0.05 or 0
 and the runs short, so nothing underflows or blows up.
+
+Cyclic shift, on Z_n: rolling every site of (K_+, K_-, m) by one rolls
+the trajectory, since every site obeys the same equations of its own
+and its neighbours' values.  Linearity in m, on Z_n and M2: K's flow
+does not read m and m's rate is linear in m, so m -> 2m gives 2 m(t) and
+the same K(t); on the row, (lam, mu) -> 2 (lam, mu) gives 2 (lam, mu)(t).
+Both hold bit for bit under rk4, in both Z_n forms.  Under rk45 the
+scaled m changes the error norm, as ATOL does not scale, and the rolled
+state the rounding of its stage sums, so rk45 holds as the rescaling
+does, the rolled runs to round-off when their attempts match.
 """
 
 from unittest import mock
@@ -132,3 +144,84 @@ def test_burgers(stencil, n, seed, stepping):
 
     _assert_rescaled(classical, run, lambda r: (r.times, r.values, np.empty(0)), (values,), (_lam_times(values),),
                      stepping)
+
+
+# Each n in its own form, and in the other where that form exists: the array form is forced at every n by a
+# crossover of 1, and the compiled form holds at most flow.MAX_SCALAR_STATE floats, so n = 64 has no compiled form.
+_ZN_FORMS = [(n, None) for n in (3, 5, ZN_SCALAR_CROSSOVER - 1, ZN_SCALAR_CROSSOVER, 64)] + [
+    (3, 1), (5, 1), (ZN_SCALAR_CROSSOVER - 1, 1), (ZN_SCALAR_CROSSOVER, ZN_SCALAR_CROSSOVER + 1)]
+
+
+def _twice(z):
+    """2 z, part by part, as ``_lam_times`` scales by LAM."""
+    if isinstance(z, complex):
+        return complex(2.0 * z.real, 2.0 * z.imag)
+    return (2.0 * z.view(np.float64)).view(z.dtype)
+
+
+def _assert_maps(module, run, parts, args, image_args, images, stepping, crossover=None, same_calls_tol=0.0):
+    """The run of ``image_args`` against the run of ``args`` with each of its ``parts`` mapped by ``images``.
+
+    Both runs take the same time grid.  They hold bit for bit under rk4.
+    Under rk45 they hold to ``same_calls_tol`` (0: bit for bit) when they
+    call their right-hand side at the same times, and to RK45_TOL
+    otherwise.  ``crossover`` forces the Z_n form.
+    """
+    n_steps, h, stride, method = stepping
+    with mock.patch.object(transport, "ZN_SCALAR_CROSSOVER", crossover or ZN_SCALAR_CROSSOVER):
+        base, calls = _traced(module, run, args, n_steps * h, h, stride, method)
+        image, image_calls = _traced(module, run, image_args, n_steps * h, h, stride, method)
+    assert image.times.tobytes() == base.times.tobytes()
+    for got, part, image_of in zip(parts(image), parts(base), images):
+        if method == "rk4" or (image_calls == calls and not same_calls_tol):
+            assert got.tobytes() == image_of(part).tobytes()
+        elif image_calls == calls:
+            np.testing.assert_allclose(got, image_of(part), rtol=0.0, atol=same_calls_tol)
+        else:
+            assert method == "rk45"
+            np.testing.assert_allclose(got, image_of(part), rtol=RK45_TOL, atol=RK45_TOL)
+
+
+def _roll(z):
+    return np.roll(z, 1, axis=-1)
+
+
+# rk45 forms each stage input with np.dot over the whole state, whose rounding can depend on an entry's position:
+# rolled rk45 runs with the same call times were measured apart by at most 2.4e-16 over 360 draws of these cases.
+ROLL_RK45_TOL = 1e-14
+
+
+@pytest.mark.parametrize("n, crossover", _ZN_FORMS)
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stepping=_stepping)
+def test_zn_cyclic_shift(n, crossover, seed, stepping):
+    """Rolling every site of (K_+, K_-, m) by one rolls the trajectory: each site's equations see the same values."""
+    kp, km, m = _complexes(seed, (3, n))
+    _assert_maps(transport, run_zn, lambda r: (r.k_plus, r.k_minus, r.m), (kp, km, m), tuple(map(_roll, (kp, km, m))),
+                 (_roll,) * 3, stepping, crossover, ROLL_RK45_TOL)
+
+
+@pytest.mark.parametrize("n, crossover", _ZN_FORMS)
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stepping=_stepping)
+def test_zn_linearity_in_m(n, crossover, seed, stepping):
+    """m -> 2m gives 2 m(t) and the same K(t): K's flow does not read m, and m's rate is linear in it."""
+    kp, km, m = _complexes(seed, (3, n))
+    _assert_maps(transport, run_zn, lambda r: (np.stack([r.k_plus, r.k_minus]), r.m), (kp, km, m),
+                 (kp, km, _twice(m)), (lambda k: k, _twice), stepping, crossover)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stepping=_stepping)
+def test_m2_linearity_in_m(seed, stepping):
+    k1, k2, m = _complexes(seed, (3, 2, 2))
+    _assert_maps(transport, run_m2, lambda r: (np.stack([r.k1, r.k2]), r.m), (k1, k2, m), (k1, k2, _twice(m)),
+                 (lambda k: k, _twice), stepping)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lam=_complex, mu=_complex, q=st.tuples(_complex, _complex, _complex), stepping=_stepping)
+def test_m2row_linearity(lam, mu, q, stepping):
+    """(lam, mu) -> 2 (lam, mu) gives 2 (lam, mu)(t): the row's rates are linear in it."""
+    _assert_maps(mobius, run_row, lambda r: (np.stack([r.lam, r.mu]),), (lam, mu, *q), (_twice(lam), _twice(mu), *q),
+                 (_twice,), stepping)

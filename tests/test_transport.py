@@ -7,6 +7,7 @@ from ncgflow import (
     I2,
     Mat2Element,
     OneForm,
+    BlowupError,
     VectorField,
     ZnElement,
     braiding_residual,
@@ -454,3 +455,23 @@ def test_zn2_transport_matches_its_closed_form(method, stride, bound):
         k_scale = max(1.0, np.abs(kp).max(), np.abs(km).max())
         k_moved = max(np.abs(run.k_plus - kp).max(), np.abs(run.k_minus - km).max())
         assert k_moved <= 16 * np.finfo(float).eps * k_scale ** 2, seed
+
+
+@pytest.mark.parametrize("n", [transport.ZN_SCALAR_CROSSOVER - 1, transport.ZN_SCALAR_CROSSOVER])
+def test_both_zn_forms_blow_up_alike(n, monkeypatch):
+    """The compiled and the array form, forced by the crossover, end one blowing-up rk4 run with the same error.
+
+    K_- = K_+ is not admissible and grows past flow.MAX_ABS before t_end;
+    the compiled run checks its complex entries and the array run its
+    floats, and both name the start of the same step.
+    """
+    rng = np.random.default_rng(7)
+    kp, m = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    seen = []
+    for crossover in (n + 1, n):  # the compiled form, then the array form
+        monkeypatch.setattr(transport, "ZN_SCALAR_CROSSOVER", crossover)
+        with pytest.raises(BlowupError) as info:
+            run_zn(kp, kp, m, t_end=10.0, h=0.01, stride=5)
+        seen.append((str(info.value), info.value.last_good_time))
+    assert seen[0] == seen[1]
+    assert seen[0][0].startswith("state magnitude exceeded 1e+09 (last good time t=")

@@ -22,9 +22,9 @@ checkout's ``src`` on ``PYTHONPATH``.  The list is:
   burgers at stencil 2 and from a ``values`` profile, burgers rk45 at
   stencils 4 and 2, burgers rk4 past the stencil's stability limit, which
   warns and blows up (exit 3), burgers rk4 on the smallest grid (16
-  ``values`` samples at stencil 4 and stride 1, so both pad pairs read
-  the grid ends and every step is sampled), and an m2row run that blows
-  up (exit 3);
+  ``values`` samples at stride 1, so every step is sampled) at stencil 4,
+  where both pad pairs read the grid ends, and at stencil 2, where the one
+  pad on each side does, and an m2row run that blows up (exit 3);
 * ``validate`` on both presets, on the five scenario defaults and on every
   benchmark config above.
 
@@ -75,6 +75,7 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
         path.write_text(json.dumps({"scenario": scenario}), encoding="utf-8")
         checks.append((f"validate-{scenario}", ["validate", "--config", str(path)]))
     zn18 = workloads.zn_config(np.random.default_rng(SEED), 18, t_end=10.0, stride=7, method="rk4")
+    grid16 = [0.1 * math.sin(0.4 * i) + 0.03 * math.cos(0.9 * i) for i in range(16)]  # the smallest burgers grid
     edges = {
         "zn2-rk4": workloads.zn_config(np.random.default_rng(SEED), 2, t_end=2.0, stride=7, method="rk4"),
         "zn17-rk4": workloads.zn_config(np.random.default_rng(SEED), 17, t_end=1.0, stride=7, method="rk4"),
@@ -93,8 +94,9 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
         "burgers-stencil2-rk45": {"scenario": "classical-burgers", "stencil": 2, "method": "rk45", "t_end": 0.5},
         "burgers-exit3": {"scenario": "classical-burgers", "amplitude": 1.0, "step": 0.1, "t_end": 3.0},
         "burgers-grid16-stride1": {"scenario": "classical-burgers", "stencil": 4, "method": "rk4", "stride": 1,
-                                   "t_end": 0.5,
-                                   "values": [0.1 * math.sin(0.4 * i) + 0.03 * math.cos(0.9 * i) for i in range(16)]},
+                                   "t_end": 0.5, "values": grid16},
+        "burgers-grid16-stencil2-stride1": {"scenario": "classical-burgers", "stencil": 2, "method": "rk4",
+                                            "stride": 1, "t_end": 0.5, "values": grid16},
         "m2row-exit3": {"scenario": "m2row", "q0": [40.0, 0.0], "t_end": 1.0},
     }
     (workdir / "edges").mkdir()
