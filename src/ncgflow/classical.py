@@ -27,8 +27,9 @@ neighbours.  ``spatial_derivative``, the public reference, applies it to
 gathered arrays.  The stage (``_burgers_stage``) applies
 ``-K _derivative(...)`` to ``flow._Expr`` names of views of a
 ghost-padded layout whose pads hold the other end of the grid, so every
-shift is a slice view, and emits it as ufunc calls
-(``flow._array_rates``), byte for byte the reference.
+shift is a slice view, and emits its expression tree, after the two pad
+copies, as ufunc calls (``flow._array_rates``), byte for byte the
+reference.
 ``integrate_burgers`` steps the array system of that stage
 (``flow._array_system``), as ``transport`` steps Z_n, so an rk4 run steps
 the state in place in that layout, with no gather and no allocation per
@@ -240,19 +241,20 @@ def _burgers_stage(n: int, dx: float, stencil: int):
     at entries ``pad .. pad + n - 1`` (``pad = stencil // 2``).  ``bind``
     makes the shifted views of ``_derivative``, the pads and their sources
     as slices of x, so no shift is a gather.  ``rates`` fills x's pads,
-    each side by one slice copy of the other end's samples, and writes
-    ``-K * _derivative(...)`` into k's sites; k's pads stay as they are.
-    Its ufunc calls are emitted once per stage (``flow._array_rates``) from
-    that expression on ``_Expr`` names of the views, in its association
-    and operand order, so the rate is byte-identical to
-    ``-K * spatial_derivative(K, dx, stencil)``.  Each bound stage has
-    scratch of its own.
+    each side by one slice copy of the other end's samples (a copy step),
+    and writes ``-K * _derivative(...)`` into k's sites; k's pads stay as
+    they are.  Its ufunc calls are emitted once per stage
+    (``flow._array_rates``) from the tree of that expression on ``_Expr``
+    names of the views, in its association and operand order, so the rate
+    is byte-identical to ``-K * spatial_derivative(K, dx, stencil)``.  The
+    expression holds ``dx`` as a constant, so each stage is emitted anew.
+    Each bound stage has scratch of its own.
     """
     pad = stencil // 2
     shifts = {"v": 0, "up2": 2, "up1": 1, "down1": -1, "down2": -2}  # +-2 are read at stencil 4 only
-    v, up2, up1, down1, down2 = map(_Expr, shifts)
+    v, up2, up1, down1, down2, left_src, right_src = map(_Expr, [*shifts, "left_src", "right_src"])
     rate = -v * _derivative(up2, up1, down1, down2, dx, stencil)
-    rates_of = _array_rates(["left[...] = left_src", "right[...] = right_src", ("rate", rate)], ("work", "term"), float)
+    rates_of = _array_rates([("left", left_src), ("right", right_src), ("rate", rate)], ("work", "term"), float)
 
     def bind(x: np.ndarray, k: np.ndarray):
         return rates_of(rate=k[pad : pad + n], left=x[:pad], left_src=x[n : n + pad], right=x[n + pad :],

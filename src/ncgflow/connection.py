@@ -33,12 +33,15 @@ with the stage written out four times per step; below
 ``transport.ZN_SCALAR_CROSSOVER`` sites that is cheaper than arrays.  The
 compiled source is made of site indices, fixed names and the ``repr`` of
 the equations' float constants, so it performs the equations' operations
-in their order.  ``_zn_array_stage(n)`` is the one array form: the same
-four functions applied to ``_Expr`` names of views of a ghost-padded
-layout of the packed state, three rows of n + 2 complex entries whose
-pads hold the neighbouring sites, emitted (``flow._array_rates``) as one
-ufunc call per operation, in the same association and operand order.  So
-the equations are written once, with two backends.  ``_zn_arrays(n)`` is the
+in their order.  ``_zn_array_stage(n)`` is the one array form: it makes
+the views of a ghost-padded layout of the packed state, three rows of
+n + 2 complex entries whose pads hold the neighbouring sites, and binds
+them to ``_zn_rates_of()``, the same four functions applied to ``_Expr``
+names of those views, whose expression trees are emitted
+(``flow._array_rates``) as one ufunc call per operation, in the same
+association and operand order, once per process: the emitted text names
+only views, so it is the same at every n.  So the equations are written
+once, with two backends.  ``_zn_arrays(n)`` is the
 array system of Z_n from ``transport.ZN_SCALAR_CROSSOVER`` sites on, made
 of that stage and layout by ``flow._array_system``, as burgers is: its
 ``rk4`` keeps its state and stage inputs in that layout and calls the
@@ -118,6 +121,22 @@ def _zn_dm(kp, km, m, beta, m_up, m_down):
     return kp * m_down + km * m_up - beta * m
 
 
+@functools.cache
+def _zn_rates_of():
+    """The factory of the Z_n stage's ``rates(t)`` (``flow._array_rates``), emitted once per process.
+
+    Its steps name only views, so the emitted text is the same at every n:
+    the pad fill of (K_+, K_-, m), the four site functions applied to
+    ``_Expr`` names of the views and the pad fill of beta between them.
+    """
+    kp, km, m, kp_up, km_down, m_up, m_down, beta, beta_up, beta_down = map(
+        _Expr, ("kp", "km", "m", "kp_up", "km_down", "m_up", "m_down", "beta", "beta_up", "beta_down"))
+    return _array_rates([("ghost_pads", _Expr("ghost_sources")), ("beta", _zn_beta(kp, kp_up, km, km_down)),
+                         ("beta_pads", _Expr("beta_sources")), ("dkp", _zn_dkp(kp, beta, beta_down)),
+                         ("dkm", _zn_dkm(km, beta, beta_up)), ("dm", _zn_dm(kp, km, m, beta, m_up, m_down))],
+                        ("work",), complex)
+
+
 def _zn_array_stage(n: int):
     """The Z_n stage on arrays: ``bind(y, k)`` gives ``rates(t)``, the rates at y written into k.
 
@@ -126,25 +145,21 @@ def _zn_array_stage(n: int):
     entries, with the sites at entries 1..n, entry 0 holding site n - 1
     and entry n + 1 site 0 (at n = 1 both hold site 0), so every neighbour
     R_{+-1} is a slice view, not a gather.  ``rates`` fills y's pads, each
-    pad pair by one assignment between views, writes beta into padded
-    scratch of its own and its pads the same way, and then writes dK_+,
-    dK_- and dm into the sites of k, leaving k's pads as they are; it
-    returns nothing.  Its ufunc calls are emitted once per stage
-    (``flow._array_rates``) from the four site functions applied to
-    ``_Expr`` names of the views, so they keep the equations' association
-    and operand order: numpy's complex multiply uses FMA, so ``a * b`` and
-    ``b * a`` can differ in the last bit, and the rates are byte-identical
-    to the four functions called once each on gathered sample arrays.
-    ``bind`` only makes the views, with beta and work scratch of its own.
+    pad pair by one copy between views, writes beta into padded scratch
+    of its own and its pads the same way, and then writes dK_+, dK_- and
+    dm into the sites of k, leaving k's pads as they are; it returns
+    nothing.  Its ufunc calls are those of ``_zn_rates_of()``, emitted
+    once per process from the four site functions, so they keep the
+    equations' association and operand order: numpy's complex multiply
+    uses FMA, so ``a * b`` and ``b * a`` can differ in the last bit, and
+    the rates are byte-identical to the four functions called once each
+    on gathered sample arrays.  Only the first stage of the process
+    compiles; ``bind`` only makes views, with beta and work scratch of its
+    own.
     """
     # the pads, entries 0 and n + 1, and their sources, sites n - 1 and 0 (entries n and 1)
     pads, sources = slice(None, None, n + 1), slice(n, 0, 1 - n) if n > 1 else slice(1, 2)
-    kp, km, m, kp_up, km_down, m_up, m_down, beta, beta_up, beta_down = map(
-        _Expr, ("kp", "km", "m", "kp_up", "km_down", "m_up", "m_down", "beta", "beta_up", "beta_down"))
-    rates_of = _array_rates(["ghost_pads[...] = ghost_sources", ("beta", _zn_beta(kp, kp_up, km, km_down)),
-                             "beta_pads[...] = beta_sources", ("dkp", _zn_dkp(kp, beta, beta_down)),
-                             ("dkm", _zn_dkm(km, beta, beta_up)), ("dm", _zn_dm(kp, km, m, beta, m_up, m_down))],
-                            ("work",), complex)
+    rates_of = _zn_rates_of()
 
     def bind(y: np.ndarray, k: np.ndarray):
         ghost, beta = y.view(np.complex128).reshape(3, n + 2), np.empty(n + 2, dtype=np.complex128)

@@ -21,10 +21,12 @@ two forms:
   because rk4 copies each stage at once and rk45 always did.  Z_n from
   ``transport.ZN_SCALAR_CROSSOVER`` sites on is ``connection._zn_arrays``
   and burgers the system of ``classical._burgers_stage``.  Both stages
-  are emitted (``_array_rates``): their equations, applied once to
-  ``_Expr`` names of the stage's views, become one ufunc call with
-  ``out`` per operation, compiled once per stage into a factory of
-  ``rates``, so ``bind`` only makes views;
+  are emitted (``_array_rates``): their equations, applied to ``_Expr``
+  names of the stage's views, build expression trees, and the walk of
+  each tree gives one ufunc call with ``out`` per operation, compiled
+  into a factory of ``rates`` once per process for Z_n, whose steps name
+  only views, and once per stage for burgers, so ``bind`` only makes
+  views;
 * a compiled system (``_stage_kernels``): ``rhs`` maps a list of the
   system's entries, Python complex numbers (the packed vector read as
   complex128) or Python floats, to a list of the same length.  For the
@@ -44,9 +46,10 @@ two forms:
   of more than ``MAX_SCALAR_STATE`` floats before it compiles.
 
 So each equation is written once, as an elementwise function, with two
-backends: applied to ``_Expr`` symbols its text is compiled on scalars
-(``_stage_kernels``) or emitted as ufunc calls on arrays
-(``_array_rates``), and applied to arrays or numbers it is the reference.
+backends: applied to ``_Expr`` symbols it gives an expression whose text
+is compiled on scalars (``_stage_kernels``) and whose tree is emitted as
+ufunc calls on arrays (``_array_rates``), and applied to arrays or
+numbers it is the reference.
 
 In both forms the right-hand side must return one entry per entry of the
 state (ValueError otherwise), ``y0`` is the packed float64 vector and the
@@ -83,8 +86,6 @@ most ``MAX_STEPS`` steps, and an rk45 run of n steps at most
 
 from __future__ import annotations
 
-import ast
-import contextlib
 import functools
 import math
 import numbers
@@ -264,37 +265,40 @@ def _text(value) -> str:
     return value.text if isinstance(value, _Expr) else repr(value)
 
 
-def _expr_op(op: str, reflected: bool = False):
+def _expr_op(op: str, ufunc: str, reflected: bool = False):
     def method(self, other):
-        other = _text(other)
-        return _Expr(f"({other} {op} {self.text})" if reflected else f"({self.text} {op} {other})")
+        left, right = (other, self) if reflected else (self, other)
+        return _Expr(f"({_text(left)} {op} {_text(right)})", ufunc, (left, right))
 
     return method
 
 
 class _Expr:
-    """Expression text: an equation applied to these writes itself out as code.
+    """An expression, as text and as a tree: an equation applied to these writes itself out as code.
 
-    Each ``+``, ``-``, ``*`` and ``/`` (reflected too) and the unary ``-``
-    return the fully parenthesised text of the operation, with a number
-    operand written as its ``repr``, so the text evaluates the same
-    operations in the same order and operand order as the equation does on
-    numbers.  ``_stage_kernels`` compiles the text on scalars as it is, and
-    ``_array_rates`` emits it as ufunc calls on arrays.
+    A leaf is a name (``_Expr(name)``, with no ``ufunc`` and no
+    ``operands``).  Each ``+``, ``-``, ``*`` and ``/`` (reflected too) and
+    the unary ``-`` return the operation: its fully parenthesised text,
+    with a number operand written as its ``repr``, the name of its numpy
+    ufunc and its operands, ``_Expr`` or Python numbers, in the
+    equation's operand order.  So the text and the tree evaluate the same
+    operations in the same order and operand order as the equation does
+    on numbers.  ``_stage_kernels`` compiles the text on scalars as it
+    is, and ``_array_rates`` walks the tree into ufunc calls on arrays.
     """
 
-    __slots__ = ("text",)
+    __slots__ = ("text", "ufunc", "operands")
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, text: str, ufunc: str = "", operands: tuple = ()):
+        self.text, self.ufunc, self.operands = text, ufunc, operands
 
-    __add__, __radd__ = _expr_op("+"), _expr_op("+", True)
-    __sub__, __rsub__ = _expr_op("-"), _expr_op("-", True)
-    __mul__, __rmul__ = _expr_op("*"), _expr_op("*", True)
-    __truediv__, __rtruediv__ = _expr_op("/"), _expr_op("/", True)
+    __add__, __radd__ = _expr_op("+", "add"), _expr_op("+", "add", True)
+    __sub__, __rsub__ = _expr_op("-", "subtract"), _expr_op("-", "subtract", True)
+    __mul__, __rmul__ = _expr_op("*", "multiply"), _expr_op("*", "multiply", True)
+    __truediv__, __rtruediv__ = _expr_op("/", "divide"), _expr_op("/", "divide", True)
 
     def __neg__(self):
-        return _Expr(f"(-{self.text})")
+        return _Expr(f"(-{self.text})", "negative", (self,))
 
 
 def _names(prefix: str, size: int) -> list:
@@ -306,58 +310,55 @@ def _assign(names, values) -> list:
     return [f"{name} = {_text(value)}" for name, value in zip(names, values)]
 
 
-_UFUNCS = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply", ast.Div: "divide", ast.USub: "negative"}
-
-
 def _array_rates(steps, scratch: tuple, scalars: type):
     """The factory ``rates_of(**views)`` of an array stage's ``rates(t)``, compiled once from the stage's steps.
 
-    A step is a source line, run as it is (such as a pad fill), or a pair
-    ``(target, expr)``: the name of a view and an ``_Expr`` with at least
-    one operation, over view names and numbers.  A pair becomes one ufunc
-    call with ``out`` per operation, in the text's association and operand
-    order.  A leaf operand is passed as it is: a view by its name, a number
-    as a 0-d constant made here (float64 for ``float`` ``scalars``,
-    complex128 for ``complex``), which selects the loop and value that
-    numpy's operators would give the number.  The first operand that is an
-    operation is evaluated into the target; a right one after it goes into
-    the next free view named in ``scratch``, the views after that one being
-    free for its own operations.  So the target gets the bytes that numpy's
-    operators give on the same text.  A target or scratch name that is a
-    leaf of its own expression is a ValueError, since it would be
+    A step is a pair ``(target, expr)``: the name of a view and an
+    ``_Expr`` over view names and numbers.  A leaf ``expr`` (a view name)
+    is a copy, ``target[...] = expr``, such as a pad fill.  Otherwise the
+    walk of ``expr``'s tree gives one ufunc call with ``out`` per
+    operation, in its association and operand order.  A leaf operand is
+    passed as it is: a view by its name, a number as a 0-d constant made
+    here from its value (float64 for ``float`` ``scalars``, complex128 for
+    ``complex``), which selects the loop and value that numpy's operators
+    would give the number.  The first operand that is an operation is
+    evaluated into the target; a right one after it goes into the next
+    free view named in ``scratch``, the views after that one being free
+    for its own operations.  So the target gets the bytes that numpy's
+    operators give on the same expression.  A target or scratch name that
+    is a leaf of its own expression is a ValueError, since it would be
     overwritten before it is read, and an expression that needs more
     scratch views than ``scratch`` names is an IndexError.  ``rates_of``
-    takes every view that the steps name as a keyword (more are ignored)
-    and returns ``rates(t)``, which runs the steps and returns nothing.
+    takes the steps' targets and leaves and the scratch names as keywords
+    (more are ignored) and returns ``rates(t)``, which runs the steps and
+    returns nothing.
     """
-    constants, lines = {}, []
+    constants, lines, views = {}, [], set(scratch)
 
-    def leaf(node) -> str | None:
-        """The name of a view, or of the constant of a number; None for an operation."""
-        with contextlib.suppress(ValueError):  # a name or an operation is no literal
-            value = ast.literal_eval(node)
-            return constants.setdefault(repr(value), (f"_c{len(constants)}", np.array(value, scalars)))[0]
-        return node.id if isinstance(node, ast.Name) else None
-
-    def emit(node, target: str, free: tuple) -> None:
+    def emit(expr: _Expr, target: str, free: tuple, leaves: set) -> None:
         args = []
-        for operand in [node.operand] if isinstance(node, ast.UnaryOp) else [node.left, node.right]:
-            if (name := leaf(operand)) is None:  # the first operation goes into the target, a second into scratch
+        for operand in expr.operands:
+            if not isinstance(operand, _Expr):  # a number: one constant per value, bytes and all
+                name = constants.setdefault((c := np.array(operand, scalars)).tobytes(), (f"_c{len(constants)}", c))[0]
+            elif not operand.operands:  # a view
+                leaves.add(name := operand.text)
+            else:  # the first operation goes into the target, a second into scratch
                 name, free = (target, free) if target not in args else (free[0], free[1:])
-                emit(operand, name, free)
+                emit(operand, name, free, leaves)
             args.append(name)
-        lines.append(f"{_UFUNCS[type(node.op)]}({', '.join(args)}, {target})")
+        lines.append(f"{expr.ufunc}({', '.join(args)}, {target})")
 
-    for step in steps:
-        if isinstance(step, str):
-            lines.append(step)
-            continue
-        node = ast.parse(step[1].text, mode="eval").body
-        if {step[0], *scratch} & {part.id for part in ast.walk(node) if isinstance(part, ast.Name)}:
-            raise ValueError(f"{step[0]}: a target or scratch view is a leaf of its own expression")
-        emit(node, step[0], tuple(scratch))
-    globals_ = {**{name: getattr(np, name) for name in _UFUNCS.values()}, **dict(constants.values())}
-    views = {node.id for node in ast.walk(ast.parse("\n".join(lines))) if isinstance(node, ast.Name)} - {"t", *globals_}
+    for target, expr in steps:
+        leaves = set() if expr.operands else {expr.text}
+        if expr.operands:
+            emit(expr, target, tuple(scratch), leaves)
+        else:  # a copy
+            lines.append(f"{target}[...] = {expr.text}")
+        if {target, *scratch} & leaves:
+            raise ValueError(f"{target}: a target or scratch view is a leaf of its own expression")
+        views |= {target, *leaves}
+    globals_ = {name: getattr(np, name) for name in ("add", "subtract", "multiply", "divide", "negative")}
+    globals_.update(constants.values())
     return _compile("\n".join([f"def rates_of({', '.join(sorted(views))}, **unused):", "    def rates(t):",
                                *("        " + line for line in lines), "    return rates", ""]), "rates_of", **globals_)
 

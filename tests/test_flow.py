@@ -779,40 +779,63 @@ def test_rk45_attempts_per_run_at_the_scenario_defaults(scenario, monkeypatch, t
     assert counts["attempts"] == 2000
 
 
-# The array-stage emitter, flow._array_rates: random expressions against numpy's operators on their text.
+# The array-stage emitter, flow._array_rates: random expressions against numpy's operators on the same expression.
 _VIEWS = ("a", "b", "c")
 _SCRATCH = tuple(f"s{i}" for i in range(8))  # more than an expression of 8 leaves can need
-_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320]),
-                     st.integers(-4, 4))
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-4, 4),
+                     st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, math.inf, -math.inf, math.nan, -math.nan]))
+_PARTS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+# a complex repr such as infj or (nan+infj) does not read back as a number, so the tree, not the text, is emitted
+_COMPLEX_NUMBERS = st.one_of(_NUMBERS, st.builds(complex, _PARTS, _PARTS), st.sampled_from(
+    [complex(0.0, math.inf), complex(-math.inf, -0.0), complex(1.5, -math.inf)]))
 _SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -2.2e-310, 1.0, -3.5, 1e308, -1e308, math.inf, -math.inf, math.nan])
 _OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv]
 
 
-def _operations(children):
-    """One operation on expressions: a binary operator with an expression or a number on either side, or -."""
-    binary = st.builds(lambda op, expr, other, swap: op(other, expr) if swap else op(expr, other),
-                       st.sampled_from(_OPERATORS), children, st.one_of(children, _NUMBERS), st.booleans())
-    return st.one_of(binary, children.map(operator.neg))
+def _apply(node, leaf):
+    """A tree's value: ``leaf(name)`` for a view name, ``op(*operands)`` for ``(op, *operands)``, a number itself."""
+    if isinstance(node, str):
+        return leaf(node)
+    if isinstance(node, tuple):
+        return node[0](*(_apply(operand, leaf) for operand in node[1:]))
+    return node
 
 
-_EXPRS = _operations(st.recursive(st.sampled_from(_VIEWS).map(flow._Expr), _operations, max_leaves=8))
+def _operations(children, numbers):
+    """One operation on trees: a binary operator with a tree or a number on either side, or -."""
+    binary = st.builds(lambda op, node, other, swap: (op, other, node) if swap else (op, node, other),
+                       st.sampled_from(_OPERATORS), children, st.one_of(children, numbers), st.booleans())
+    return st.one_of(binary, children.map(lambda node: (operator.neg, node)))
+
+
+def _trees(numbers):
+    """Expression trees over the views: a view alone (a copy step) or an operation of up to 8 leaves."""
+    views = st.sampled_from(_VIEWS)
+    return st.one_of(views, _operations(st.recursive(views, lambda c: _operations(c, numbers), max_leaves=8), numbers))
 
 
 @settings(max_examples=200, deadline=None)
-@given(expr=_EXPRS, scalars=st.sampled_from([float, complex]), data=st.data())
-def test_emitted_rates_write_the_bytes_of_numpys_operators(expr, scalars, data):
-    """The emitted ufunc calls give, in the target, the bytes that numpy's operators give on the expression text."""
+@given(scalars=st.sampled_from([float, complex]), data=st.data())
+def test_emitted_rates_write_the_bytes_of_numpys_operators(scalars, data):
+    """The emitted steps give, in each target, the bytes that numpy's operators give on the same expression.
+
+    A step whose expression is a view is a copy.  The constants include +-0, subnormals, +-inf and nan, and
+    complex ones with an infinite part.
+    """
+    trees = data.draw(st.lists(_trees(_COMPLEX_NUMBERS if scalars is complex else _NUMBERS), min_size=1, max_size=3))
     size = 6 * (2 if scalars is complex else 1)  # floats per view: 6 entries
     parts = st.lists(st.one_of(st.floats(), _SPECIAL), min_size=size, max_size=size)
     views = {name: np.array(data.draw(parts)).view(np.complex128 if scalars is complex else np.float64)
              for name in _VIEWS}
-    target = np.full(6, np.nan, dtype=views["a"].dtype)
-    rates = flow._array_rates([("out", expr)], _SCRATCH, scalars)(
-        out=target, **views, **{name: np.empty_like(target) for name in _SCRATCH})
+    targets = {f"out{i}": np.full(6, np.nan, dtype=views["a"].dtype) for i in range(len(trees))}
+    steps = [(name, _apply(tree, flow._Expr)) for name, tree in zip(targets, trees)]
+    rates = flow._array_rates(steps, _SCRATCH, scalars)(
+        **targets, **views, **{name: np.empty_like(views["a"]) for name in _SCRATCH})
     with np.errstate(all="ignore"):
-        want = eval(expr.text, {}, dict(views))
+        wants = [_apply(tree, views.__getitem__) for tree in trees]
         assert rates(0.0) is None
-    assert target.dtype == want.dtype and target.tobytes() == want.tobytes(), expr.text
+    for (name, expr), want in zip(steps, wants):
+        assert targets[name].dtype == want.dtype and targets[name].tobytes() == want.tobytes(), expr.text
 
 
 def test_the_emitter_refuses_a_target_or_scratch_view_that_is_a_leaf_of_its_expression():
@@ -825,8 +848,22 @@ def test_the_emitter_refuses_a_target_or_scratch_view_that_is_a_leaf_of_its_expr
     flow._array_rates([("out", a * b + c * b)], ("s",), float)  # the same shape over other leaves is emitted
 
 
+def test_the_emitter_keeps_the_bytes_of_each_constant():
+    """A constant is shared only by numbers of the same bytes: nan and -nan print alike but keep their signs."""
+    a, views = flow._Expr("a"), np.zeros((3, 1))
+    steps = [("nan", a * math.nan), ("neg_nan", a * -math.nan), ("neg_zero", a * -0.0)]
+    flow._array_rates(steps, (), float)(nan=views[0], neg_nan=views[1], neg_zero=views[2], a=np.ones(1))(0.0)
+    want = [np.ones(1) * math.nan, np.ones(1) * -math.nan, np.ones(1) * -0.0]
+    assert views.tobytes() == np.concatenate(want).tobytes()
+
+
 def test_array_stages_are_emitted_once_per_stage_not_per_bind(monkeypatch):
-    """Each stage compiles its rates once when it is made; binding it and running rk4 compile nothing."""
+    """The Z_n rates compile once per process and each burgers stage once when it is made.
+
+    The Z_n steps name only views, so the first Z_n build compiles its
+    rates and a build at another n compiles nothing; binding a stage and
+    running rk4 and rk45 compile nothing either.
+    """
     sources = []
 
     def recording(source, name, **names):
@@ -835,12 +872,17 @@ def test_array_stages_are_emitted_once_per_stage_not_per_bind(monkeypatch):
 
     compile_source = flow._compile
     monkeypatch.setattr(flow, "_compile", recording)
-    for make, y0 in ((lambda: connection._zn_arrays(18), _zn_state(18, 4)),
-                     (lambda: flow._array_system(classical._burgers_stage(16, 0.4, 2), (1, 1), 16),
-                      np.linspace(-0.1, 0.1, 16))):
+    connection._zn_rates_of.cache_clear()
+
+    def zn(n):
+        return lambda: connection._zn_arrays(n), _zn_state(n, 4)
+
+    burgers = (lambda: flow._array_system(classical._burgers_stage(16, 0.4, 2), (1, 1), 16),
+               np.linspace(-0.1, 0.1, 16))
+    for (make, y0), compiles in ((zn(18), 1), (zn(64), 0), (zn(18), 0), (burgers, 1), (burgers, 1)):
         sources.clear()
         system = make()
-        assert len(sources) == 1
+        assert len(sources) == compiles
         for method in ("rk4", "rk45"):
             integrate(system.rhs, y0, 0.01, h=1e-3, method=method, system=system)
-        assert len(sources) == 1
+        assert len(sources) == compiles
