@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import functools
 import io
 import json
 import math
@@ -170,25 +171,180 @@ def _read_json(path) -> dict:
 
 # Output helpers ------------------------------------------------------------
 
-_CSV_BLOCK = 1024  # values formatted per write; bounds the temporaries of a wide row
+_CSV_BLOCK = 2048  # values formatted per pass of the kernel; bounds its temporaries to about 0.5 MB
+# A value's text is laid out in a row of _CSV_ROW bytes: 0-7 hold the prefix, right-aligned (sign, "0." and
+# zeros, first digit, and the point of the exponential form); 8-23 digits 1-16; 24-27 the exponent "e+XX";
+# 32-47 digits 1-16 again, for a fraction, whose point is written at 31 + X.  The separator is written after
+# the text, and a mask picks the text's bytes.
+_CSV_ROW, _CSV_A, _CSV_EXP, _CSV_B = 56, 8, 24, 32
+_CSV_FORMS = 22  # fixed point for X = -4..16, then the exponential form
+_CSV_K0 = 90  # the row of 10^0 in the table of powers 10^-90..10^120
+
+
+@functools.cache
+def _csv_tables() -> tuple:
+    """The constant tables of ``_csv_text``, built on first use.
+
+    Powers: per k, 10^k = hi + lo to about 2^-106 (hi correctly rounded
+    and lo the rounded rest, both from Python ints), hi split in 26-bit
+    halves hh + hl for Dekker's product, and the margin of the rounding
+    test, 0 where 10^k is a float (lo = 0, so the scaled value is exact).
+    Then, per 4-digit group, its
+    four characters as one uint32; per group i of D's digits 1-16 (row i
+    of a flat table, at its offset) and its value, the count of D's digits
+    up to the group's last nonzero one, 1 for 0000; per X + 99, the
+    exponent "e+XX", the class base and the prefix base; the prefixes; and
+    per class (form, digit count nd, sign) the byte mask of the row and
+    the bytes of the point and of the separator.
+    """
+    powers = []
+    for k in range(-_CSV_K0, 121):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den  # int division rounds correctly
+        a, b = hi.as_integer_ratio()
+        lo = (num * b - a * den) / (den * b)
+        hh = hi * 134217729.0 - (hi * 134217729.0 - hi)
+        powers.append((hi, hh, hi - hh, lo, 2.0**-30 if lo else 0.0))
+    group = np.arange(10000, dtype=np.int16)
+    quads = (group[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + ord("0")).astype(np.uint8)
+    last = np.full(10000, 4, np.int16)  # the place of a group's last nonzero digit, for group > 0
+    for place in (10, 100, 1000):
+        last -= group % place == 0
+    lasts = np.where(group > 0, last + np.array([[1], [5], [9], [13]], np.int16), 1).ravel()
+    offsets = np.arange(0, lasts.shape[0], 10000)[:, None]
+    form_of = [x + 4 if -4 <= x < 17 else _CSV_FORMS - 1 for x in range(-99, 100)]
+    exps = np.frombuffer("".join(f"e{x:+03d}" for x in range(-99, 100)).encode(), np.uint32)
+    classes = np.array([34 * form - 2 for form in form_of], np.int16)  # + 2 nd + sign
+    bases = np.array([20 * min(form, 4 + (form == _CSV_FORMS - 1)) for form in form_of], np.int16)  # + 10 sign + d
+    prefixes, masks = [], np.zeros((_CSV_FORMS, 17, 2, _CSV_ROW), bool)
+    points, ends = np.full((2, _CSV_FORMS, 17, 2), _CSV_B - 1, np.int16)
+    for form in range(_CSV_FORMS):
+        x, exponential = form - 4, form == _CSV_FORMS - 1
+        for sign in (0, 1):
+            lead = "-" * sign + ("0." + "0" * (-x - 1) if x < 0 else "")
+            if form <= 4 or exponential:
+                prefixes += [f"{lead}{d}{'.' * exponential}".rjust(8, "\0") for d in range(10)]
+            for nd in range(1, 18):
+                m = masks[form, nd - 1, sign]
+                m[_CSV_A - len(lead) - 1 - exponential:_CSV_A - (exponential and nd == 1)] = True
+                if exponential:
+                    m[_CSV_A:_CSV_A + nd - 1] = m[_CSV_EXP:_CSV_EXP + 4] = True
+                    end = _CSV_EXP + 4
+                elif nd <= x + 1 or x < 0:  # no fraction, or all digits after "0.00"
+                    end = _CSV_A + max(nd, x + 1) - 1
+                    m[_CSV_A:end] = True
+                else:
+                    points[form, nd - 1, sign] = _CSV_B + x - 1
+                    end = _CSV_B + nd - 1
+                    m[_CSV_A:_CSV_A + x] = m[_CSV_B + x - 1:end] = True
+                m[end] = True
+                ends[form, nd - 1, sign] = end
+    prefixes = np.frombuffer("".join(prefixes).encode(), np.uint64)
+    return (np.array(powers).T.copy(), quads.view(np.uint32).ravel(), lasts, offsets, exps, classes, bases, prefixes,
+            masks.reshape(-1, _CSV_ROW), points.ravel(), ends.ravel())
+
+
+def _scaled(a: np.ndarray, X: np.ndarray, powers: np.ndarray) -> tuple:
+    """``(D, f, margin)``: a 10^(16 - X) = D + f to about 5e-15, D an integer, |f| <= 1/2.
+
+    a hi = p + e exactly (Dekker's two-product; Numer. Math. 18, 1971), p
+    an even integer once a 10^(16 - X) >= 2^53, so D = p + rint(q) with
+    q = e + a lo is rounded half to even, exactly where lo = 0.
+    """
+    hi, hh, hl, lo, margin = powers.take(_CSV_K0 + 16 - X, axis=1)
+    c = a * 134217729.0
+    ah = c - (c - a)
+    al = a - ah
+    p = a * hi
+    q = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
+    r = np.rint(q)
+    return p.astype(np.int64) + r.astype(np.int64), q - r, margin
+
+
+def _csv_text(x: np.ndarray, first: int, cols: int, buf: np.ndarray, mask: np.ndarray) -> bytes:
+    """The CSV text of the values ``x``, which follow ``first`` values of a table of ``cols`` columns.
+
+    Each value is scaled to 17 digits D, 10^16 <= D < 10^17, at the
+    exponent X = floor(log10 |x|), corrected where log10 is one off;
+    ``buf`` and ``mask`` are rows of ``_CSV_ROW`` bytes, ``len(x)`` at
+    least.  A value outside 1e-99 <= |x| <= 9e98, a non-finite one, and
+    one whose scaled fraction lies within the margin of 1/2, where the
+    double-double cannot settle the rounding, is written by
+    ``format(v, ".17g")`` itself; 0 and -0 as D = 0.
+    """
+    powers, quads, lasts, offsets, exps, classes, bases, prefixes, masks, points, ends = _csv_tables()
+    n = x.shape[0]
+    a = np.abs(x)
+    # 0, nan, inf and values outside the range become finite; the float 1e-99 is above 10^-99, so -99 <= X <= 99
+    safe = np.fmin(np.fmax(a, 1e-99), 9e98)
+    X = np.floor(np.log10(safe)).astype(np.int64)
+    D, f, margin = _scaled(safe, X, powers)
+    fix = ((D - 10**16 + f < 0) | (D > 10**17)).nonzero()[0]
+    while fix.size:
+        X[fix] += np.where(D[fix] > 10**17, 1, -1)
+        D[fix], f[fix], margin[fix] = _scaled(safe[fix], X[fix], powers)
+        fix = fix[(D[fix] - 10**16 + f[fix] < 0) | (D[fix] > 10**17)]
+    top = D == 10**17  # rounded up to the next power of ten
+    D -= top * (9 * 10**16)
+    X += top
+    nonzero = x != 0
+    D *= nonzero
+    X *= nonzero
+    slow = (a != safe) & nonzero | (np.abs(np.abs(f) - 0.5) < margin)
+    groups = np.empty((2, 2, n), np.int64)  # digits 1-4, 5-8, 9-12 and 13-16 of D, as 4-digit numbers
+    halves = groups[:, 1]  # first D's digits 0-8 and 9-16
+    np.floor_divide(D, 10**8, out=halves[0])
+    np.subtract(D, halves[0] * 10**8, out=halves[1])
+    d = halves[0] // 10**8
+    halves[0] -= d * 10**8
+    np.floor_divide(halves, 10**4, out=groups[:, 0])
+    halves -= groups[:, 0] * 10**4
+    groups = groups.reshape(4, n)
+    words = buf[:n].view(np.uint32)
+    for i, chars in enumerate(quads.take(groups)):
+        words[:, _CSV_A // 4 + i] = words[:, _CSV_B // 4 + i] = chars
+    nd = np.maximum.reduce(lasts.take(groups + offsets))
+    X += 99
+    sign = np.signbit(x)
+    buf[:n].view(np.uint64)[:, 0] = prefixes.take(bases.take(X) + 10 * sign + d)
+    words[:, _CSV_EXP // 4] = exps.take(X)
+    cls = classes.take(X) + 2 * nd + sign
+    masks.take(cls, axis=0, out=mask[:n], mode="clip")
+    seps = np.full(n, ord(","), np.uint8)
+    seps[cols - 1 - first % cols::cols] = ord("\n")
+    flat = buf[:n].reshape(-1)
+    starts = np.arange(0, n * _CSV_ROW, _CSV_ROW)
+    flat[starts + points.take(cls)] = ord(".")
+    flat[starts + ends.take(cls)] = seps
+    for i in slow.nonzero()[0].tolist():
+        text = format(float(x[i]), ".17g").encode() + bytes([seps[i]])
+        buf[i, : len(text)] = np.frombuffer(text, np.uint8)
+        mask[i] = np.arange(_CSV_ROW) < len(text)
+    return buf[:n][mask[:n]].tobytes()
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Write the 2-d float ``rows`` under ``header``, each value as ``format(v, ".17g")`` gives it.
 
-    Each row is written in blocks of at most ``_CSV_BLOCK`` values, each
-    formatted by one ``%``-template, so neither a whole-file string nor the
-    Python floats of a whole wide row (24,577 columns at n = 4096) are held.
+    The values are formatted by ``_csv_text``, an exact vectorised kernel,
+    in blocks of at most ``_CSV_BLOCK`` of the flattened table, so neither
+    a whole-file text nor the Python floats of a wide row (24,577 columns
+    at n = 4096) are held.  It scales each value to its 17 digits as a
+    double-double and lays their text out through lookup tables; a value
+    outside 1e-99 <= |x| <= 9e98, a non-finite one and one within the
+    rounding margin of a tie go to ``format`` itself.  On a presets
+    round's tables it takes about 200 ns a value, a third of the time of
+    the ``"%.17g"`` templates it replaced (README, "Performance").
     """
     rows = np.asarray(rows, dtype=np.float64)
     cols = rows.shape[1]
-    blocks = [(a, min(a + _CSV_BLOCK, cols)) for a in range(0, cols, _CSV_BLOCK)]
-    templates = [",".join(["%.17g"] * (b - a)) + ("\n" if b == cols else ",") for a, b in blocks]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            for (a, b), template in zip(blocks, templates):
-                fh.write(template % tuple(row[a:b].tolist()))
+    flat = rows.ravel()
+    buf = np.zeros((min(_CSV_BLOCK, flat.shape[0]), _CSV_ROW), np.uint8)
+    mask = np.empty(buf.shape, bool)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for first in range(0, flat.shape[0], _CSV_BLOCK):
+            fh.write(_csv_text(flat[first : first + _CSV_BLOCK], first, cols, buf, mask))
 
 
 def _write_table(outdir: Path, name: str, t: np.ndarray, header: list[str], columns: list) -> None:

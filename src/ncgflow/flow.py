@@ -40,8 +40,10 @@ two forms:
   rk4 makes no call per stage.  Its rk45 run is ``_dopri`` reading each
   stage input as a list of entries.  The source is made of entry
   indices, fixed names and the ``repr`` of the equations' and the step's
-  constants, never of a value (a system's config values, such as the
-  chart's ``values``, are run arguments, bound with ``bind``); compiling
+  constants (a constant whose ``repr`` does not read back, such as inf or
+  ``complex(-0.0, 1.0)``, is a name bound to it), never of a value (a
+  system's config values, such as the chart's ``values``, are run
+  arguments, bound with ``bind``); compiling
   costs time and memory per entry, so ``_stage_kernels`` refuses a state
   of more than ``MAX_SCALAR_STATE`` floats before it compiles.
 
@@ -89,6 +91,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -202,8 +205,12 @@ def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.n
     same loop and values as the Python floats would, without a
     conversion per call; t stays a Python float.  A stage input buffer
     is written only once its stage has been used: 2 k3 goes into k3's
-    own input buffer, after y4 = y + h k3 has been formed.  ``acc`` is
-    free between steps, so the state check takes its ``abs`` there.
+    own input buffer, after y4 = y + h k3 has been formed.  A new state
+    passes the state check at once when ``np.dot(state, state) <=
+    MAX_ABS**2``, one read pass: a rounded sum of squares is at least each
+    rounded square, and an inf or nan fails it.  Otherwise
+    ``_check_state`` applies the exact rule, taking its ``abs`` in
+    ``acc``, which is free between steps.
     """
     rows, pad = layout
     width = y.shape[0] // rows + 2 * pad
@@ -217,7 +224,7 @@ def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.n
     first, second, third = stage(state, ka), stage(y_a, kb), stage(y_b, ka)
     half = 0.5 * h
     c_half, c_h, c_two, c_sixth = (np.array(c) for c in (half, h, 2.0, h / 6.0))
-    add, multiply = np.add, np.multiply
+    add, multiply, bound = np.add, np.multiply, MAX_ABS * MAX_ABS
     for step in range(1, n_steps + 1):
         t = (step - 1) * h
         if step > 1:
@@ -238,7 +245,8 @@ def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.n
         add(acc, kb, acc)
         multiply(c_sixth, acc, acc)
         add(state, acc, state)
-        _check_state(state, t, acc)
+        if not np.dot(state, state) <= bound:
+            _check_state(state, t, acc)
         if step % stride == 0:
             out[step // stride] = sites
     out[-1] = sites
@@ -255,14 +263,37 @@ def _plain_stage(f):
 
 
 def _compile(source: str, name: str, **names):
-    """The function ``name`` defined by the generated Python ``source``, with ``names`` as its globals."""
+    """The function ``name`` defined by the generated Python ``source``, with ``names`` as its globals.
+
+    A name ``_k`` + the hex of 8 or 16 bytes, which ``_text`` writes for a
+    number, is bound to the float or complex of those bytes.
+    """
+    for digits in re.findall(r"\b_k((?:[0-9a-f]{16}){1,2})\b", source):
+        dtype = np.complex128 if len(digits) > 16 else np.float64
+        names["_k" + digits] = np.frombuffer(bytes.fromhex(digits), dtype)[0].item()
     exec(compile(source, f"<ncgflow {name}>", "exec"), names)
     return names[name]
 
 
 def _text(value) -> str:
-    """The source text of an ``_Expr`` or of a Python number (its ``repr``)."""
-    return value.text if isinstance(value, _Expr) else repr(value)
+    """The source text of an ``_Expr`` or of a Python number.
+
+    A number is written as its ``repr`` where that reads back as the same
+    number, bytes and type; any other (inf, nan, a complex with a -0.0 or
+    infinite part) as the name ``_k`` + the hex of its float64 or
+    complex128 bytes, which ``_compile`` binds to the number.
+    """
+    if isinstance(value, _Expr):
+        return value.text
+    text = repr(value)
+    if isinstance(value, (float, complex)):
+        try:
+            back = eval(text, {"__builtins__": {}})  # a float's repr is digits, signs, points, e, j and parentheses
+        except NameError:  # inf, nan
+            back = None
+        if type(back) is not type(value) or np.array(back).tobytes() != np.array(value).tobytes():
+            return "_k" + np.array(value).tobytes().hex()
+    return text
 
 
 def _expr_op(op: str, ufunc: str, reflected: bool = False):
@@ -279,7 +310,7 @@ class _Expr:
     A leaf is a name (``_Expr(name)``, with no ``ufunc`` and no
     ``operands``).  Each ``+``, ``-``, ``*`` and ``/`` (reflected too) and
     the unary ``-`` return the operation: its fully parenthesised text,
-    with a number operand written as its ``repr``, the name of its numpy
+    with a number operand written by ``_text``, the name of its numpy
     ufunc and its operands, ``_Expr`` or Python numbers, in the
     equation's operand order.  So the text and the tree evaluate the same
     operations in the same order and operand order as the equation does

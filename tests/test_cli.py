@@ -1,3 +1,4 @@
+import builtins
 import json
 import contextlib
 import functools
@@ -149,16 +150,64 @@ def test_csv_floats_roundtrip(tmp_path):
     assert _col(header, data, "m_0_re")[0] == 2.0 ** -0.5  # 17 significant digits survive parsing
 
 
+def _assert_csv_formats_like_format_17g(path, values, cols):
+    """``write_csv`` of ``values`` in rows of ``cols`` (a short last row dropped) writes ``format(v, ".17g")``."""
+    rows = np.array(values[: len(values) // cols * cols], dtype=np.float64).reshape(-1, cols)
+    header = [f"c{i}" for i in range(cols)]
+    cli.write_csv(path, header, rows)
+    lines = [header] + [[format(v, ".17g") for v in row] for row in rows.tolist()]
+    assert path.read_bytes() == "".join(",".join(line) + "\n" for line in lines).encode("utf-8"), cols
+
+
+def _hard_floats() -> list:
+    """The values where a 17-digit writer goes wrong, each signed both ways.
+
+    Each float 10^k (k = -323..308) and its neighbours, where floor(log10)
+    may be one off and rounding may carry into the next power of ten;
+    17-digit ties, m/4 for odd m near 4e15 (one decimal at 1e15 and up,
+    so .25 and .75 round half to even); the powers of two, among them the
+    tie 2^-25 = 2.98023223876953125e-8, where 10^24 is not a float; zeros,
+    subnormals, the smallest normal float and the largest float; inf and
+    nan.
+    """
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    values = [v for p in powers for v in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))]
+    values += [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+    values += [m / 4 for m in range(4 * 10**15 - 2001, 4 * 10**15 + 2001, 2)]
+    values += [0.0, 5e-324, 1e-310, sys.float_info.min, sys.float_info.max, math.inf, math.nan]
+    return values + [-v for v in values]
+
+
 def test_write_csv_formats_like_format_17g(tmp_path):
-    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, sys.float_info.max,
-              -sys.float_info.max, 1e16, 1 / 3, -2.0 ** -0.5, 123456789.0, 1e-300]
-    for cols in (1, 3, 2 * cli._CSV_BLOCK + 5):  # a wide row is written in blocks
-        rows = np.resize(np.array([values, values[::-1], values[3:] + values[:3]]), (3, cols))
-        header = [f"c{i}" for i in range(cols)]
-        cli.write_csv(tmp_path / "t.csv", header, rows)
-        lines = [header] + [[format(v, ".17g") for v in row] for row in rows.tolist()]
-        want = "".join(",".join(line) + "\n" for line in lines)
-        assert (tmp_path / "t.csv").read_bytes() == want.encode("utf-8"), cols
+    values = _hard_floats()  # 12,004 values: rows of 3 and 7 cross the blocks, and a wide row spans three
+    for cols in (1, 3, 7, 2 * cli._CSV_BLOCK + 5):
+        _assert_csv_formats_like_format_17g(tmp_path / "t.csv", values, cols)
+
+
+def test_write_csv_leaves_to_format_only_the_ties_it_cannot_settle(tmp_path, monkeypatch):
+    """A 17-digit tie is rounded in the kernel where 10^k is a float, and goes to ``format`` where it is not.
+
+    1000000000000000.25 is scaled by 10, exactly, and rounded half to
+    even; 2^-25 = 2.98023223876953125e-8 needs 10^24, which is not a
+    float, so its scaled fraction lies within the margin of 1/2.
+    """
+    sent = []
+    monkeypatch.setattr(cli, "format", lambda v, spec: sent.append(v) or builtins.format(v, spec), raising=False)
+    cli.write_csv(tmp_path / "t.csv", ["a", "b", "c"], [[1000000000000000.25, 2.0**-25, math.inf]])
+    assert sent == [2.0**-25, math.inf]
+    assert (tmp_path / "t.csv").read_text() == "a,b,c\n1000000000000000.2,2.9802322387695312e-08,inf\n"
+
+
+_FLOAT64 = st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(_FLOAT64, min_size=1, max_size=64), length=st.integers(1, 3 * cli._CSV_BLOCK),
+       cols=st.integers(1, 2 * cli._CSV_BLOCK + 1))
+def test_write_csv_formats_any_float64_like_format_17g(tmp_path_factory, values, length, cols):
+    """Any bit pattern, in tables of any width: the drawn values repeat up to ``length``, so rows cross blocks."""
+    _assert_csv_formats_like_format_17g(tmp_path_factory.mktemp("csv") / "t.csv", np.resize(values, length).tolist(),
+                                        min(cols, length))
 
 
 def test_validate_preset(capsys):

@@ -158,6 +158,22 @@ def test_blowup_message_and_last_good_time(method, f, y0, t_end, h, message, las
     assert excinfo.value.last_good_time == pytest.approx(last_good, rel=0, abs=1e-15)
 
 
+def test_the_array_rk4_state_check_bounds_each_entry_not_the_sum_of_squares():
+    """Entries of at most MAX_ABS pass whatever their sum of squares; one ulp above it does not.
+
+    The run's fast test is ``state . state <= MAX_ABS**2``, which such a
+    state fails, so the exact rule must decide.
+    """
+    y0 = np.array([1e9, -1e9, 9e8, 9e8])  # sum of squares 3.6e18
+    traj = integrate(lambda t, y: 0.0 * y, y0, 1.0, h=0.25)
+    assert traj.states.tobytes() == np.tile(y0, (5, 1)).tobytes()
+    ulp = lambda t, y: np.array([2.0**-23, 0.0])  # one rk4 step of size 1 takes 1e9 one ulp up
+    assert rk4_step(ulp, 0.0, np.array([1e9, 0.0]), 1.0)[0] == np.nextafter(1e9, np.inf)
+    with pytest.raises(BlowupError, match="^state magnitude exceeded 1e\\+09") as excinfo:
+        integrate(ulp, np.array([1e9, 0.0]), 2.0, h=1.0)
+    assert excinfo.value.last_good_time == 0.0
+
+
 @pytest.mark.parametrize("method, f, y0, t_end, h, message, last_good", _BLOWUPS.values(), ids=_BLOWUPS.keys())
 def test_blowup_message_and_last_good_time_on_scalars(method, f, y0, t_end, h, message, last_good):
     def on_floats(t, y):  # the same right-hand side on a list of Python floats
@@ -596,6 +612,34 @@ def test_compiled_sources_hold_only_indices_and_fixed_constants(monkeypatch):
             assert token.type != tokenize.STRING, token
             if token.type == tokenize.NUMBER:
                 assert token.string.isdigit() or token.string in constants, token
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan, -math.nan, complex(-0.0, 1.0), complex(math.inf, 0.0)],
+                         ids=["inf", "-inf", "nan", "-nan", "complex(-0.0, 1.0)", "complex(inf, 0)"])
+def test_a_compiled_constant_keeps_its_bytes_where_its_repr_does_not_read_back(c):
+    """rhs and the fused rk4 run of a stage with the constant c compute what Python's operators give on c.
+
+    inf and nan are not literals, -nan prints as nan, and ``(-0+1j)``
+    reads back with a +0.0 real part.  One rk4 step of size 1/4 is
+    compared bit for bit, or, where Python's step is not finite, the run
+    must blow up at its start.
+    """
+    entry = complex if isinstance(c, complex) else float
+    system = flow._stage_kernels(
+        2, lambda t, inputs, rates: flow._assign(rates, [flow._Expr(inputs[0]) * c, c - flow._Expr(inputs[1])]),
+        (), entry)
+    y0 = [entry(0.5), entry(-0.25)]
+    rates = lambda t, y: np.array([y[0] * c, c - y[1]], dtype=object)  # Python's operators on the entries
+    assert np.array(system.rhs(0.0, y0)).tobytes() == np.array(rates(0.0, y0).tolist()).tobytes()
+    with np.errstate(invalid="ignore", over="ignore"):  # numpy reports the flags that Python's float operations set
+        want = rk4_step(rates, 0.0, np.array(y0, dtype=object), 0.25).tolist()
+    if all(map(cmath.isfinite, want)):
+        states = integrate(system.rhs, _packed(y0), 0.25, h=0.25, system=system).states
+        assert states[-1].tobytes() == _packed(want).tobytes()
+    else:
+        with pytest.raises(BlowupError, match="^non-finite state") as excinfo:
+            integrate(system.rhs, _packed(y0), 0.25, h=0.25, system=system)
+        assert excinfo.value.last_good_time == 0.0
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import shutil
 import sys
 from pathlib import Path
@@ -57,7 +58,7 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     benchmark = {path for path in configured if tmp_path in path.parents and path.parent.name != "edges"}
     assert len(benchmark) == 14 and benchmark <= set(configs)  # zn4096, zn64 and the 12 sweep configs
     edges = {path.stem: json.loads(path.read_text()) for path in configured if path.parent == tmp_path / "edges"}
-    assert len(edges) == 16  # the scalar-form, array-form and stencil edges
+    assert len(edges) == 17  # the scalar-form, array-form, stencil and CSV-text edges
     burgers = {name: raw for name, raw in edges.items() if raw["scenario"] == "classical-burgers"}
     assert sorted((raw.get("stencil", 4), raw.get("method", "rk4")) for raw in burgers.values()) == [
         (2, "rk4"), (2, "rk4"), (2, "rk45"), (4, "rk4"), (4, "rk4"), (4, "rk4"), (4, "rk45")]  # both stencils, methods
@@ -66,7 +67,10 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     assert (len(grid16["values"]), grid16["stencil"], grid16["method"], grid16["stride"]) == (16, 4, "rk4", 1)
     grid16 = burgers["burgers-grid16-stencil2-stride1"]  # the one pad on each side reads the grid ends
     assert (len(grid16["values"]), grid16["stencil"], grid16["method"], grid16["stride"]) == (16, 2, "rk4", 1)
-    assert sorted(raw.get("n") for raw in edges.values() if raw["scenario"] == "zn") == [2, 17, 18, 18, 18, 19]
+    assert sorted(raw.get("n") for raw in edges.values() if raw["scenario"] == "zn") == [2, 3, 17, 18, 18, 18, 19]
+    tiny = edges["zn3-signed-zeros-subnormal-phi"]  # -0, exact zeros, 3-digit exponents and a subnormal phi
+    assert tiny["k_plus"][1] == [0.0, 0.0] and math.copysign(1.0, tiny["k_plus"][1][0]) == -1.0
+    assert max(abs(part) for entry in tiny["m"] for part in entry) < 1e-159
     assert {edges["zn18-rk4"]["method"], edges["zn18-rk45"]["method"]} == {"rk4", "rk45"}
     assert (edges["zn19-rk4-stride1"]["method"], edges["zn19-rk4-stride1"]["stride"]) == ("rk4", 1)
     exit3 = edges["zn18-exit3"]  # not admissible: it blows up before t_end

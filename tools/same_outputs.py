@@ -24,7 +24,9 @@ checkout's ``src`` on ``PYTHONPATH``.  The list is:
   warns and blows up (exit 3), burgers rk4 on the smallest grid (16
   ``values`` samples at stride 1, so every step is sampled) at stencil 4,
   where both pad pairs read the grid ends, and at stencil 2, where the one
-  pad on each side does, and an m2row run that blows up (exit 3);
+  pad on each side does, an m2row run that blows up (exit 3), and a Z_3
+  run whose CSVs hold -0, exact zeros and 3-digit exponents (signed zero
+  K and m entries, m entries near 1e-160, so phi is subnormal);
 * ``validate`` on both presets, on the five scenario defaults and on every
   benchmark config above.
 
@@ -98,6 +100,10 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
         "burgers-grid16-stencil2-stride1": {"scenario": "classical-burgers", "stencil": 2, "method": "rk4",
                                             "stride": 1, "t_end": 0.5, "values": grid16},
         "m2row-exit3": {"scenario": "m2row", "q0": [40.0, 0.0], "t_end": 1.0},
+        "zn3-signed-zeros-subnormal-phi": {"scenario": "zn", "n": 3, "t_end": 0.5, "stride": 50,
+                                           "k_plus": [[0.6, 0.0], [-0.0, -0.0], [-0.5, 0.25]],
+                                           "k_minus": [[0.0, -0.0], [0.5, 0.25], [-0.6, 0.0]],
+                                           "m": [[1e-160, 0.0], [-0.0, -3e-160], [-2e-160, 1e-160]]},
     }
     (workdir / "edges").mkdir()
     for name, raw in edges.items():
