@@ -172,30 +172,30 @@ def _read_json(path) -> dict:
 # Output helpers ------------------------------------------------------------
 
 _CSV_BLOCK = 2048  # values formatted per pass of the kernel; bounds its temporaries to about 0.5 MB
-# A value's text is laid out in a row of _CSV_ROW bytes: 0-7 hold the prefix, right-aligned (sign, "0." and
-# zeros, first digit, and the point of the exponential form); 8-23 digits 1-16; 24-27 the exponent "e+XX";
-# 32-47 digits 1-16 again, for a fraction, whose point is written at 31 + X.  The separator is written after
-# the text, and a mask picks the text's bytes.
-_CSV_ROW, _CSV_A, _CSV_EXP, _CSV_B = 56, 8, 24, 32
-_CSV_FORMS = 22  # fixed point for X = -4..16, then the exponential form
+# A value's text sits in fixed fields of a row of 14 uint32 words, zero outside the text, and is the row's nonzero
+# bytes: 0-7 the prefix, right-aligned (sign, the "0.000" of X = -4..-1, first digit); 8-23 digits 1-16 before
+# a fixed point; 31 the point; 32-47 digits 1-16 after it; 48-51 the exponent "e+XX"; 52 the separator.
+_CSV_ROW = 14
 _CSV_K0 = 90  # the row of 10^0 in the table of powers 10^-90..10^120
 
 
 @functools.cache
 def _csv_tables() -> tuple:
-    """The constant tables of ``_csv_text``, built on first use.
+    """The constant tables of ``_csv_text``, built on first use (99 KB, in 1-3 ms).
 
     Powers: per k, 10^k = hi + lo to about 2^-106 (hi correctly rounded
     and lo the rounded rest, both from Python ints), hi split in 26-bit
     halves hh + hl for Dekker's product, and the margin of the rounding
     test, 0 where 10^k is a float (lo = 0, so the scaled value is exact).
-    Then, per 4-digit group, its
-    four characters as one uint32; per group i of D's digits 1-16 (row i
-    of a flat table, at its offset) and its value, the count of D's digits
-    up to the group's last nonzero one, 1 for 0000; per X + 99, the
-    exponent "e+XX", the class base and the prefix base; the prefixes; and
-    per class (form, digit count nd, sign) the byte mask of the row and
-    the bytes of the point and of the separator.
+    Then, per 4-digit group, its four characters as one uint32; per group
+    i of D's digits 1-16 (row i) and its value, the count of D's digits
+    1-16 up to the group's last nonzero one, 0 for 0000; per window [a, b)
+    of digits 1-16 (column 17 a + b), its byte mask as two uint64 (row 0
+    for digits 1-8, row 1 for 9-16); per X + 99, the prefix base (80 where
+    no "0.000" is written, so a point may follow the digits), the count k
+    of digits 1-16 before a fixed point (0 where all follow the prefix or
+    the point), the point word of bytes 24-31 and the exponent word; and
+    per prefix base + 10 sign + first digit, the prefix.
     """
     powers = []
     for k in range(-_CSV_K0, 121):
@@ -207,41 +207,19 @@ def _csv_tables() -> tuple:
         powers.append((hi, hh, hi - hh, lo, 2.0**-30 if lo else 0.0))
     group = np.arange(10000, dtype=np.int16)
     quads = (group[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + ord("0")).astype(np.uint8)
-    last = np.full(10000, 4, np.int16)  # the place of a group's last nonzero digit, for group > 0
-    for place in (10, 100, 1000):
-        last -= group % place == 0
-    lasts = np.where(group > 0, last + np.array([[1], [5], [9], [13]], np.int16), 1).ravel()
-    offsets = np.arange(0, lasts.shape[0], 10000)[:, None]
-    form_of = [x + 4 if -4 <= x < 17 else _CSV_FORMS - 1 for x in range(-99, 100)]
-    exps = np.frombuffer("".join(f"e{x:+03d}" for x in range(-99, 100)).encode(), np.uint32)
-    classes = np.array([34 * form - 2 for form in form_of], np.int16)  # + 2 nd + sign
-    bases = np.array([20 * min(form, 4 + (form == _CSV_FORMS - 1)) for form in form_of], np.int16)  # + 10 sign + d
-    prefixes, masks = [], np.zeros((_CSV_FORMS, 17, 2, _CSV_ROW), bool)
-    points, ends = np.full((2, _CSV_FORMS, 17, 2), _CSV_B - 1, np.int16)
-    for form in range(_CSV_FORMS):
-        x, exponential = form - 4, form == _CSV_FORMS - 1
-        for sign in (0, 1):
-            lead = "-" * sign + ("0." + "0" * (-x - 1) if x < 0 else "")
-            if form <= 4 or exponential:
-                prefixes += [f"{lead}{d}{'.' * exponential}".rjust(8, "\0") for d in range(10)]
-            for nd in range(1, 18):
-                m = masks[form, nd - 1, sign]
-                m[_CSV_A - len(lead) - 1 - exponential:_CSV_A - (exponential and nd == 1)] = True
-                if exponential:
-                    m[_CSV_A:_CSV_A + nd - 1] = m[_CSV_EXP:_CSV_EXP + 4] = True
-                    end = _CSV_EXP + 4
-                elif nd <= x + 1 or x < 0:  # no fraction, or all digits after "0.00"
-                    end = _CSV_A + max(nd, x + 1) - 1
-                    m[_CSV_A:end] = True
-                else:
-                    points[form, nd - 1, sign] = _CSV_B + x - 1
-                    end = _CSV_B + nd - 1
-                    m[_CSV_A:_CSV_A + x] = m[_CSV_B + x - 1:end] = True
-                m[end] = True
-                ends[form, nd - 1, sign] = end
-    prefixes = np.frombuffer("".join(prefixes).encode(), np.uint64)
-    return (np.array(powers).T.copy(), quads.view(np.uint32).ravel(), lasts, offsets, exps, classes, bases, prefixes,
-            masks.reshape(-1, _CSV_ROW), points.ravel(), ends.ravel())
+    last = 4 - np.argmax(quads[:, ::-1] > ord("0"), axis=1)  # the place of the last nonzero digit, for group > 0
+    lasts = ((last + np.arange(0, 16, 4)[:, None]) * (group > 0)).astype(np.int8)
+    place, ends = np.arange(16).reshape(2, 1, 1, 8), np.arange(17)
+    windows = ((ends[:, None, None] <= place) & (place < ends[:, None])).astype(np.uint8) * np.uint8(255)
+    xs = np.arange(-99, 100)
+    bases = np.where((xs >= -4) & (xs < 0), 20 * (xs + 4), 80)  # 80: no "0.000" prefix, so a point may follow
+    ks = np.where((xs > 0) & (xs <= 16), xs, 0)
+    points = (bases == 80) * np.uint64(ord(".") << 56)
+    exps = "".join(f"e{x:+03d}" if x < -4 or x > 16 else "\0" * 4 for x in range(-99, 100))
+    prefixes = "".join(f"{'-' * sign}{lead}{d}".rjust(8, "\0")
+                       for lead in ("0.000", "0.00", "0.0", "0.", "") for sign in (0, 1) for d in range(10))
+    return (np.array(powers).T.copy(), quads.view(np.uint32).ravel(), lasts, windows.view(np.uint64).reshape(2, 289),
+            bases, ks, points, np.frombuffer(exps.encode(), np.uint32), np.frombuffer(prefixes.encode(), np.uint64))
 
 
 def _scaled(a: np.ndarray, X: np.ndarray, powers: np.ndarray) -> tuple:
@@ -261,18 +239,22 @@ def _scaled(a: np.ndarray, X: np.ndarray, powers: np.ndarray) -> tuple:
     return p.astype(np.int64) + r.astype(np.int64), q - r, margin
 
 
-def _csv_text(x: np.ndarray, first: int, cols: int, buf: np.ndarray, mask: np.ndarray) -> bytes:
+def _csv_text(x: np.ndarray, first: int, cols: int, buf: np.ndarray) -> bytes:
     """The CSV text of the values ``x``, which follow ``first`` values of a table of ``cols`` columns.
 
     Each value is scaled to 17 digits D, 10^16 <= D < 10^17, at the
-    exponent X = floor(log10 |x|), corrected where log10 is one off;
-    ``buf`` and ``mask`` are rows of ``_CSV_ROW`` bytes, ``len(x)`` at
-    least.  A value outside 1e-99 <= |x| <= 9e98, a non-finite one, and
-    one whose scaled fraction lies within the margin of 1/2, where the
-    double-double cannot settle the rounding, is written by
-    ``format(v, ".17g")`` itself; 0 and -0 as D = 0.
+    exponent X = floor(log10 |x|), corrected where log10 is one off, and
+    its text is written in the fixed fields of a row of ``buf``, an array
+    of ``_CSV_ROW`` uint32 words and ``len(x)`` rows at least: D's digits
+    1-16 ANDed with the window [0, k) before the point and with [k, last)
+    after it, ``last`` the count of digits up to the last nonzero one.
+    Every byte of a row outside its text is written 0, so the text is the
+    nonzero bytes of the rows.  A value outside 1e-99 <= |x| <= 9e98, a
+    non-finite one, and one whose scaled fraction lies within the margin
+    of 1/2, where the double-double cannot settle the rounding, is written
+    by ``format(v, ".17g")`` itself; 0 and -0 as D = 0.
     """
-    powers, quads, lasts, offsets, exps, classes, bases, prefixes, masks, points, ends = _csv_tables()
+    powers, quads, lasts, windows, bases, ks, points, exps, prefixes = _csv_tables()
     n = x.shape[0]
     a = np.abs(x)
     # 0, nan, inf and values outside the range become finite; the float 1e-99 is above 10^-99, so -99 <= X <= 99
@@ -300,27 +282,26 @@ def _csv_text(x: np.ndarray, first: int, cols: int, buf: np.ndarray, mask: np.nd
     np.floor_divide(halves, 10**4, out=groups[:, 0])
     halves -= groups[:, 0] * 10**4
     groups = groups.reshape(4, n)
-    words = buf[:n].view(np.uint32)
+    words = buf[:n]
     for i, chars in enumerate(quads.take(groups)):
-        words[:, _CSV_A // 4 + i] = words[:, _CSV_B // 4 + i] = chars
-    nd = np.maximum.reduce(lasts.take(groups + offsets))
+        words[:, 2 + i] = words[:, 8 + i] = chars
+    last = np.maximum.reduce([row.take(group) for row, group in zip(lasts, groups)])  # digits up to the last nonzero
     X += 99
-    sign = np.signbit(x)
-    buf[:n].view(np.uint64)[:, 0] = prefixes.take(bases.take(X) + 10 * sign + d)
-    words[:, _CSV_EXP // 4] = exps.take(X)
-    cls = classes.take(X) + 2 * nd + sign
-    masks.take(cls, axis=0, out=mask[:n], mode="clip")
-    seps = np.full(n, ord(","), np.uint8)
-    seps[cols - 1 - first % cols::cols] = ord("\n")
-    flat = buf[:n].reshape(-1)
-    starts = np.arange(0, n * _CSV_ROW, _CSV_ROW)
-    flat[starts + points.take(cls)] = ord(".")
-    flat[starts + ends.take(cls)] = seps
+    k = ks.take(X)
+    fields = words.view(np.uint64)
+    fields[:, 0] = prefixes.take(bases.take(X) + 10 * np.signbit(x) + d)
+    for j in (0, 1):
+        fields[:, 1 + j] &= windows[j].take(k)
+        fields[:, 4 + j] &= windows[j].take(17 * k + last)
+    fields[:, 3] = points.take(X) * (last > k)
+    words[:, 12] = exps.take(X)
+    words[:, 13] = ord(",")
+    words[cols - 1 - first % cols::cols, 13] = ord("\n")
     for i in slow.nonzero()[0].tolist():
-        text = format(float(x[i]), ".17g").encode() + bytes([seps[i]])
-        buf[i, : len(text)] = np.frombuffer(text, np.uint8)
-        mask[i] = np.arange(_CSV_ROW) < len(text)
-    return buf[:n][mask[:n]].tobytes()
+        text = format(float(x[i]), ".17g").encode() + bytes([words[i, 13]])
+        words[i] = np.frombuffer(text.ljust(4 * _CSV_ROW, b"\0"), np.uint32)
+    text = words.view(np.uint8)
+    return text[text != 0].tobytes()
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -330,21 +311,21 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     in blocks of at most ``_CSV_BLOCK`` of the flattened table, so neither
     a whole-file text nor the Python floats of a wide row (24,577 columns
     at n = 4096) are held.  It scales each value to its 17 digits as a
-    double-double and lays their text out through lookup tables; a value
+    double-double and writes their text in fixed fields of a row of
+    14 uint32 words per value, whose nonzero bytes are the text; a value
     outside 1e-99 <= |x| <= 9e98, a non-finite one and one within the
     rounding margin of a tie go to ``format`` itself.  On a presets
-    round's tables it takes about 200 ns a value, a third of the time of
+    round's tables it takes about 220 ns a value, a third of the time of
     the ``"%.17g"`` templates it replaced (README, "Performance").
     """
     rows = np.asarray(rows, dtype=np.float64)
     cols = rows.shape[1]
     flat = rows.ravel()
-    buf = np.zeros((min(_CSV_BLOCK, flat.shape[0]), _CSV_ROW), np.uint8)
-    mask = np.empty(buf.shape, bool)
+    buf = np.zeros((min(_CSV_BLOCK, flat.shape[0]), _CSV_ROW), np.uint32)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for first in range(0, flat.shape[0], _CSV_BLOCK):
-            fh.write(_csv_text(flat[first : first + _CSV_BLOCK], first, cols, buf, mask))
+            fh.write(_csv_text(flat[first : first + _CSV_BLOCK], first, cols, buf))
 
 
 def _write_table(outdir: Path, name: str, t: np.ndarray, header: list[str], columns: list) -> None:
@@ -801,7 +782,7 @@ def _resolve_config(args) -> dict:
     else:
         sources = "--preset, --config or --scenario" if hasattr(args, "scenario") else "--preset or --config"
         raise ConfigError(f"one of {sources} is required")
-    flags = {key: getattr(args, key) for key in _STEPPING if getattr(args, key, None) is not None}
+    flags = {key: getattr(args, key) for key in (*_STEPPING, "out") if getattr(args, key, None) is not None}
     cfg = build_config({**raw, **flags})
     if scenario and scenario != cfg["scenario"]:
         raise ConfigError(f"--scenario {scenario} contradicts config scenario {cfg['scenario']!r}")
@@ -850,7 +831,7 @@ def _cmd_run(args) -> int:
         cfg = _resolve_config(args)
     except ConfigError as exc:
         return _config_error(exc)
-    return _run_config(cfg, args.out if args.out is not None else cfg.get("out", "out"))
+    return _run_config(cfg, cfg.get("out", "out"))
 
 
 def _cmd_validate(args) -> int:

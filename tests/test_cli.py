@@ -4,6 +4,7 @@ import contextlib
 import functools
 import importlib.util
 import math
+import operator
 import re
 import sys
 import tempfile
@@ -198,7 +199,21 @@ def test_write_csv_leaves_to_format_only_the_ties_it_cannot_settle(tmp_path, mon
     assert (tmp_path / "t.csv").read_text() == "a,b,c\n1000000000000000.2,2.9802322387695312e-08,inf\n"
 
 
-_FLOAT64 = st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))))
+def _short_decimals(digits: int):
+    """An integer m of ``digits`` digits times 2^j, or times 10^e below 10^15, of either sign.
+
+    They print few digits, in fixed point at X = -4..16 and with the "0.000"
+    prefixes, which bit patterns (X outside -4..16 in about 97 % of draws)
+    seldom reach.
+    """
+    m = st.integers(10 ** (digits - 1), 10**digits - 1)
+    decimals = st.builds(lambda m, e: float(m * 10**e) if e >= 0 else m / 10**-e, m, st.integers(-25, 15 - digits))
+    values = st.one_of(st.builds(math.ldexp, m, st.integers(-60, 60)), decimals)
+    return st.one_of(values, values.map(operator.neg))
+
+
+_FLOAT64 = st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+                     st.integers(1, 17).flatmap(_short_decimals))
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,7 +310,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--preset", "unknown", "--out", str(tmp_path / "v")]) == 2
 
 
-def test_unbounded_runs_and_bad_out_exit_2(tmp_path, capsys):
+def test_unbounded_runs_and_bad_out_exit_2(tmp_path, capsys, monkeypatch):
     # each of these once ended in a traceback (OverflowError or FileExistsError)
     for flags in (["--t-end", "inf"], ["--step", "1e-300"], ["--step", "nan"], ["--t-end", "1e9"]):
         assert main(["run", "--preset", "paper-fig1", *flags, "--out", str(tmp_path / "a")]) == 2, flags
@@ -311,6 +326,14 @@ def test_unbounded_runs_and_bad_out_exit_2(tmp_path, capsys):
     taken.write_text("")
     assert main(["run", "--scenario", "m2row", "--t-end", "0.01", "--out", str(taken)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+    # an empty --out once wrote the outputs into the working directory, where {"out": ""} in a config exits 2
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["run", "--scenario", "m2row", "--t-end", "0.01", "--out", ""]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not any(cwd.iterdir())
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
