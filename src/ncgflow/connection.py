@@ -196,8 +196,8 @@ def _zn_arrays(n: int) -> _System:
 
 def _zn_stage(n: int, t: str, inputs: list, rates: list) -> list:
     """The stage of the Z_n system: beta once per site, then the rates of K_+, K_- and m, in that order."""
-    kp, km, m = ([_Expr(name) for name in inputs[j * n : (j + 1) * n]] for j in range(3))
-    beta = [_Expr(f"beta{i}") for i in range(n)]
+    kp, km, m = ([_Expr(name, scalars=complex) for name in inputs[j * n : (j + 1) * n]] for j in range(3))
+    beta = [_Expr(f"beta{i}", scalars=complex) for i in range(n)]
     up = [(i + 1) % n for i in range(n)]  # R_{+1}; index i - 1 is R_{-1}
     return [*_assign(_names("beta", n), (_zn_beta(kp[i], kp[up[i]], km[i], km[i - 1]) for i in range(n))),
             *_assign(rates, [*(_zn_dkp(kp[i], beta[i], beta[i - 1]) for i in range(n)),
@@ -250,9 +250,10 @@ def _m2_system(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md, t1, t2, p, q, r, 
 
 def _m2_stage(t: str, inputs: list, rates: list) -> list:
     """The stage of the M2 system: the six temporaries, then the twelve rates, each written once."""
-    y = [_Expr(name) for name in inputs]
+    y = [_Expr(name, scalars=complex) for name in inputs]
     temporaries = _m2_temporaries(*y)
-    return [*_assign(temporaries, temporaries.values()), *_assign(rates, _m2_system(*y, *map(_Expr, temporaries)))]
+    named = [_Expr(name, scalars=complex) for name in temporaries]
+    return [*_assign(temporaries, temporaries.values()), *_assign(rates, _m2_system(*y, *named))]
 
 
 @functools.lru_cache(maxsize=1)

@@ -120,7 +120,7 @@ def row_rhs(lam: complex, mu: complex, q0: complex, q1: complex, q2: complex):
 
 def _row_stage(t: str, inputs: list, rates: list) -> list:
     """The stage of the row transport: ``row_rhs`` on the stage inputs, with the run arguments q0, q1, q2."""
-    return _assign(rates, row_rhs(*map(_Expr, inputs), *map(_Expr, ("q0", "q1", "q2"))))
+    return _assign(rates, row_rhs(*(_Expr(name, scalars=complex) for name in (*inputs, "q0", "q1", "q2"))))
 
 
 @functools.lru_cache(maxsize=1)

@@ -93,6 +93,15 @@ def test_run_scenario_defaults(tmp_path):
     assert (tmp_path / "bur" / "burgers_profiles.svg").exists()
 
 
+@pytest.mark.parametrize("scenario, column", [("m2row", "norm_dev"), ("classical-geodesic", "speed_sq_dev"),
+                                              ("classical-burgers", "mean_dev")])
+def test_a_drift_column_is_measured_from_the_first_sample(scenario, column, tmp_path):
+    """A drift column is its invariant minus the invariant at t = 0, so its first row is written as exactly 0."""
+    assert main(["run", "--scenario", scenario, "--t-end", "0.5", "--out", str(tmp_path / "o")]) == 0
+    header, first = (tmp_path / "o" / "invariants.csv").read_text().splitlines()[:2]
+    assert first.split(",")[header.split(",").index(column)] == "0"
+
+
 def test_run_config_file(tmp_path):
     cfg = {
         "scenario": "zn",

@@ -1,8 +1,10 @@
+import ast
 import cmath
 import functools
 import io
 import math
 import operator
+import re
 import tokenize
 import warnings
 
@@ -586,32 +588,82 @@ def test_compiled_linear_run_equals_a_loop_of_rk4_step(size, entry, n_steps, str
     assert states.tobytes() == rows.tobytes()
 
 
-def test_compiled_sources_hold_only_indices_and_fixed_constants(monkeypatch):
-    sources = []
+def _recorded_sources(monkeypatch) -> list:
+    """The list that every source compiled from now on is appended to, in order."""
+    sources, compile_source = [], flow._compile
 
     def recording(source, name, **names):
         sources.append(source)
         return compile_source(source, name, **names)
 
-    compile_source = flow._compile
     monkeypatch.setattr(flow, "_compile", recording)  # every kernel is compiled through flow
-    for size in [*range(1, 33), 256]:  # the per-call reference run
-        flow._compile_rk4(size, call_stage, ("g",), complex if size % 2 else float)
-    # each system compiles its per-call rhs and its fused rk4 run
+    return sources
+
+
+def _compile_complex_systems() -> int:
+    """Compile Z_1 to Z_17, M2 and m2row afresh; returns the number of sources, an rhs and a fused run each."""
     for n in range(1, transport.ZN_SCALAR_CROSSOVER):
         connection._zn_kernels.__wrapped__(n)
     connection._m2_kernels.__wrapped__()
     mobius._row_kernels.__wrapped__()
+    return 2 * (transport.ZN_SCALAR_CROSSOVER - 1) + 2 + 2
+
+
+def test_compiled_sources_hold_only_indices_and_fixed_constants(monkeypatch):
+    sources = _recorded_sources(monkeypatch)
+    for size in [*range(1, 33), 256]:  # the per-call reference run
+        flow._compile_rk4(size, call_stage, ("g",), complex if size % 2 else float)
+    complex_sources = _compile_complex_systems()  # each system compiles its per-call rhs and its fused rk4 run
     for provider in (classical.round_sphere(), classical.flat_space(3), classical.flat_space(128)):
         classical._geodesic_rates.__wrapped__(provider.dim, provider.triples)
-    # the rk4 weights and the bound of the state check, beta's and M2's 1/2, and the geodesic's 0.0 start
+    # the rk4 weights and the bound of the state check, beta's and M2's 1/2, and the geodesic's 0.0 start;
+    # a complex system writes the weights and the 1/2 as complex constants, such as (0.5+0j)
     constants = {repr(c) for c in (0.5, 2.0, 6.0, flow.MAX_ABS, 0.0)}
-    assert len(sources) == 33 + 2 * (transport.ZN_SCALAR_CROSSOVER - 1) + 2 + 2 + 2 * 3
+    complex_constants = {repr(complex(c)) for c in (0.5, 2.0, 6.0)}
+    assert len(sources) == 33 + complex_sources + 2 * 3
     for source in sources:
-        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        assert set(re.findall(_COMPLEX_LITERAL, source)) <= complex_constants
+        for token in tokenize.generate_tokens(io.StringIO(re.sub(_COMPLEX_LITERAL, "c", source)).readline):
             assert token.type != tokenize.STRING, token
             if token.type == tokenize.NUMBER:
                 assert token.string.isdigit() or token.string in constants, token
+
+
+_COMPLEX_LITERAL = r"\([^()\s]*j\)"  # a complex constant as its repr writes it, such as (0.5+0j) or (2+0j)
+_TIME_GRID = {"t", "h", "half", "sixth", "step", "n_steps", "stride"}  # a run's float time grid and step counter
+
+
+def _real_operand(node: ast.expr) -> bool:
+    """Whether an operand is real: a real literal, a ``_k`` name of float64 bytes or a float step coefficient."""
+    if isinstance(node, ast.Name):
+        return node.id in ("h", "half", "sixth") or re.fullmatch("_k[0-9a-f]{16}", node.id) is not None
+    try:
+        return not isinstance(ast.literal_eval(node), complex)
+    except ValueError:  # not a literal
+        return False
+
+
+def test_compiled_complex_systems_multiply_their_entries_by_complex_constants_only(monkeypatch):
+    """No real number is an operand of the arithmetic on a complex system's entries.
+
+    On CPython 3.11 ``x * z`` for a float x converts x to ``complex(x,
+    0.0)`` on every call and computes the complex product, so writing x
+    as that complex constant gives the same bytes with no mixed-type
+    dispatch.  Real literals remain in the arithmetic of the float time
+    grid (t = (step - 1) h, h / 2, h / 6) and as the state check's bound,
+    compared against ``abs(...)``.
+    """
+    sources = _recorded_sources(monkeypatch)
+    count = _compile_complex_systems()
+    assert len(sources) == count
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            on_grid = {name.id for name in ast.walk(node) if isinstance(name, ast.Name)} <= _TIME_GRID
+            if isinstance(node, ast.BinOp) and not on_grid:
+                assert not any(map(_real_operand, (node.left, node.right))), ast.unparse(node)
+            if isinstance(node, ast.Compare) and not on_grid and any(map(_real_operand, node.comparators)):
+                assert isinstance(node.left, ast.Call) and node.left.func.id == "abs", ast.unparse(node)
+                assert [ast.literal_eval(c) for c in node.comparators] == [flow.MAX_ABS], ast.unparse(node)
 
 
 @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan, -math.nan, complex(-0.0, 1.0), complex(math.inf, 0.0)],

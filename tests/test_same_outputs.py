@@ -7,6 +7,7 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
@@ -58,7 +59,7 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     benchmark = {path for path in configured if tmp_path in path.parents and path.parent.name != "edges"}
     assert len(benchmark) == 14 and benchmark <= set(configs)  # zn4096, zn64 and the 12 sweep configs
     edges = {path.stem: json.loads(path.read_text()) for path in configured if path.parent == tmp_path / "edges"}
-    assert len(edges) == 17  # the scalar-form, array-form, stencil and CSV-text edges
+    assert len(edges) == 20  # the scalar-form, array-form, stencil, CSV-text and signed-zero edges
     burgers = {name: raw for name, raw in edges.items() if raw["scenario"] == "classical-burgers"}
     assert sorted((raw.get("stencil", 4), raw.get("method", "rk4")) for raw in burgers.values()) == [
         (2, "rk4"), (2, "rk4"), (2, "rk45"), (4, "rk4"), (4, "rk4"), (4, "rk4"), (4, "rk45")]  # both stencils, methods
@@ -71,6 +72,13 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     tiny = edges["zn3-signed-zeros-subnormal-phi"]  # -0, exact zeros, 3-digit exponents and a subnormal phi
     assert tiny["k_plus"][1] == [0.0, 0.0] and math.copysign(1.0, tiny["k_plus"][1][0]) == -1.0
     assert max(abs(part) for entry in tiny["m"] for part in entry) < 1e-159
+    for name, scenario, method in [("m2-signed-zeros-rk4", "m2", "rk4"), ("m2-signed-zeros-rk45", "m2", "rk45"),
+                                   ("m2row-signed-zeros-rk4", "m2row", "rk4")]:  # real entries with parts -0.0 and 0.0
+        raw = edges[name]
+        parts = [part for key in ("k1", "k2", "m", "lam", "mu", "q0", "q1", "q2") if key in raw
+                 for part in np.ravel(raw[key])]
+        assert (raw["scenario"], raw.get("method", "rk4")) == (scenario, method)
+        assert {math.copysign(1.0, part) for part in parts if part == 0.0} == {1.0, -1.0}
     assert {edges["zn18-rk4"]["method"], edges["zn18-rk45"]["method"]} == {"rk4", "rk45"}
     assert (edges["zn19-rk4-stride1"]["method"], edges["zn19-rk4-stride1"]["stride"]) == ("rk4", 1)
     exit3 = edges["zn18-exit3"]  # not admissible: it blows up before t_end

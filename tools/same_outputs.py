@@ -24,9 +24,14 @@ checkout's ``src`` on ``PYTHONPATH``.  The list is:
   warns and blows up (exit 3), burgers rk4 on the smallest grid (16
   ``values`` samples at stride 1, so every step is sampled) at stencil 4,
   where both pad pairs read the grid ends, and at stencil 2, where the one
-  pad on each side does, an m2row run that blows up (exit 3), and a Z_3
+  pad on each side does, an m2row run that blows up (exit 3), a Z_3
   run whose CSVs hold -0, exact zeros and 3-digit exponents (signed zero
-  K and m entries, m entries near 1e-160, so phi is subnormal);
+  K and m entries, m entries near 1e-160, so phi is subnormal), and an M2
+  config (rk4 and rk45) and an m2row config (rk4) of real entries whose
+  imaginary parts are -0.0 and 0.0.  In both rk4 runs a complex constant
+  or step coefficient with a -0.0 imaginary part changes signed-zero
+  bytes; the rk45 run cannot show one, because its ``np.dot`` stage sums
+  write 0.0 for a sum of zeros;
 * ``validate`` on both presets, on the five scenario defaults and on every
   benchmark config above.
 
@@ -77,6 +82,10 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
         path.write_text(json.dumps({"scenario": scenario}), encoding="utf-8")
         checks.append((f"validate-{scenario}", ["validate", "--config", str(path)]))
     zn18 = workloads.zn_config(np.random.default_rng(SEED), 18, t_end=10.0, stride=7, method="rk4")
+    m2_zeros = {"scenario": "m2", "t_end": 0.5, "stride": 50,  # real entries whose imaginary parts are +-0
+                "k1": [[[1.0, -0.0], [0.5, 0.0]], [[-0.0, 0.0], [-1.0, -0.0]]],
+                "k2": [[[-1.0, 0.0], [-0.0, -0.0]], [[0.5, -0.0], [1.0, 0.0]]],
+                "m": [[[0.6, -0.0], [0.0, 0.0]], [[-0.0, -0.0], [0.8, 0.0]]]}
     grid16 = [0.1 * math.sin(0.4 * i) + 0.03 * math.cos(0.9 * i) for i in range(16)]  # the smallest burgers grid
     edges = {
         "zn2-rk4": workloads.zn_config(np.random.default_rng(SEED), 2, t_end=2.0, stride=7, method="rk4"),
@@ -104,6 +113,9 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
                                            "k_plus": [[0.6, 0.0], [-0.0, -0.0], [-0.5, 0.25]],
                                            "k_minus": [[0.0, -0.0], [0.5, 0.25], [-0.6, 0.0]],
                                            "m": [[1e-160, 0.0], [-0.0, -3e-160], [-2e-160, 1e-160]]},
+        **{f"m2-signed-zeros-{method}": {**m2_zeros, "method": method} for method in ("rk4", "rk45")},
+        "m2row-signed-zeros-rk4": {"scenario": "m2row", "lam": [-0.5, 0.0], "mu": [0.0, -0.0], "q0": [0.8, -0.0],
+                                   "q1": [-1.0, 0.0], "q2": [0.8, 0.0], "t_end": 0.5, "stride": 50},
     }
     (workdir / "edges").mkdir()
     for name, raw in edges.items():
