@@ -8,14 +8,18 @@ A geodesic solves the standard second-order system
 and ``pullback_geodesic_check`` measures, by second-order finite
 differences, how far a sampled curve is from solving it.  A manifold is
 given by a ``ChristoffelProvider``: its nonzero index triples ``(i, j, k)``,
-declared once, and a function giving their ``Gamma^i_jk`` at a point.
-``_geodesic_system`` contracts ``ChristoffelProvider.symbols(x)``, the
-list of ``(i, j, k, Gamma^i_jk(x))``, with v in one scalar loop, and so
-does the check; ``integrate_geodesic`` steps that system applied once to
-``flow._Expr`` symbols (``_geodesic_stage``), compiled once per (dim,
-triples), on first use, into a compiled system (``flow._stage_kernels``):
-a straight-line right-hand side and a fused rk4 run, both calling the
-provider's values function, a run argument bound per run, once per stage.
+their ``Gamma^i_jk`` and its metric, each written once as an elementwise
+function of x.  ``_geodesic_system`` contracts
+``ChristoffelProvider.symbols(x)``, the list of ``(i, j, k,
+Gamma^i_jk(x))``, with v in one scalar loop, and so does the check on the
+sampled points; ``integrate_geodesic`` steps that system applied once to
+``flow._Expr`` symbols (``_geodesic_stage``), so the symbols are written
+into the stage, compiled once per provider, on first use, into a compiled
+system (``flow._stage_kernels``): a straight-line right-hand side and a
+fused rk4 run that compute the sin and cos of the stage's x once and call
+nothing else.  ``GeodesicRun.speeds_squared`` applies the metric to the
+sampled coordinate columns at once; ``speed_squared`` is its per-point
+reference.
 
 On the line the velocity-field equation reduces to an inviscid transport
 equation, ``dK/dt = -K K' - Gamma K^2``.  The line here is flat, Gamma = 0,
@@ -47,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import _shift_indices
-from .flow import _array_rates, _array_system, _assign, _Expr, _stage_kernels, _text, integrate
+from .flow import _array_rates, _array_system, _assign, _Expr, _stage_kernels, cos, integrate, sin
 
 __all__ = [
     "ChristoffelProvider",
@@ -72,39 +76,54 @@ Symbols = list[tuple[int, int, int, float]]
 
 @dataclass(frozen=True)
 class ChristoffelProvider:
-    """Christoffel symbols of a chart, plus its metric for speed checks.
+    """Christoffel symbols of a chart, plus its metric for speed checks, as elementwise functions of x.
 
     ``triples`` are the ``(i, j, k)`` of the symbols that may be nonzero,
-    in lexicographic order, and ``values(x)`` returns their
-    ``Gamma^i_jk(x)`` in that order; x is a sequence of floats.
+    in lexicographic order, and ``gammas(x)`` returns their
+    ``Gamma^i_jk(x)`` in that order; ``metric(x)`` returns the rows of
+    g(x).  Both are written once, with ``flow.sin`` and ``flow.cos``, so
+    they apply to a point (a sequence of floats), to a sequence of
+    coordinate arrays (one value per sample) and to ``flow._Expr`` names
+    (the compiled stage).  Providers holding the same functions are equal
+    and share one compiled system (``_geodesic_rates``).
     """
 
     dim: int
     triples: tuple[tuple[int, int, int], ...]
-    values: Callable[[Sequence[float]], Sequence[float]]
-    metric: Callable[[np.ndarray], np.ndarray]
+    gammas: Callable[[Sequence], Sequence]
+    metric: Callable[[Sequence], Sequence[Sequence]]
 
     def symbols(self, x) -> Symbols:
         """The ``(i, j, k, Gamma^i_jk(x))`` of the triples."""
-        return [(i, j, k, g) for (i, j, k), g in zip(self.triples, self.values(x))]
+        return [(i, j, k, g) for (i, j, k), g in zip(self.triples, self.gammas(x))]
+
+
+def _no_symbols(x) -> tuple:
+    return ()
+
+
+def _flat_metric(x) -> list:
+    return [[1.0 if i == j else 0.0 for j in range(len(x))] for i in range(len(x))]
 
 
 def flat_space(dim: int = 2) -> ChristoffelProvider:
-    return ChristoffelProvider(dim, (), lambda x: (), lambda x: np.eye(dim))
+    return ChristoffelProvider(dim, (), _no_symbols, _flat_metric)
+
+
+def _sphere_gammas(x) -> tuple:
+    """Gamma^0_11 = -sin cos and Gamma^1_01 = Gamma^1_10 = cot of the unit sphere at x = (theta, phi)."""
+    s, c = sin(x[0]), cos(x[0])
+    return -s * c, c / s, c / s
+
+
+def _sphere_metric(x) -> tuple:
+    s = sin(x[0])
+    return (1.0, 0.0), (0.0, s * s)
 
 
 def round_sphere() -> ChristoffelProvider:
     """Unit 2-sphere in (theta, phi) coordinates."""
-
-    def values(x):
-        sin, cos = math.sin(x[0]), math.cos(x[0])
-        cot = cos / sin
-        return -sin * cos, cot, cot
-
-    def metric(x):
-        return np.diag([1.0, math.sin(x[0]) ** 2])
-
-    return ChristoffelProvider(2, ((0, 1, 1), (1, 0, 1), (1, 1, 0)), values, metric)
+    return ChristoffelProvider(2, ((0, 1, 1), (1, 0, 1), (1, 1, 0)), _sphere_gammas, _sphere_metric)
 
 
 def _add_christoffel_term(acc: list, symbols: Symbols, v: Sequence[float]) -> list:
@@ -121,37 +140,37 @@ def _geodesic_system(y: list, dim: int, symbols: Symbols) -> list:
     return v + [-a for a in acc]
 
 
-def _geodesic_stage(dim: int, triples: tuple, t: str, inputs: list, rates: list) -> list:
-    """The stage of ``_geodesic_system``: one ``values`` call on the stage's x, then the rates.
+def _geodesic_stage(provider: ChristoffelProvider, t: str, inputs: list, rates: list) -> list:
+    """The stage of ``_geodesic_system``, with the provider's symbols written out on the stage's x.
 
-    A stage that leaves the chart (a ValueError or ZeroDivisionError in
-    ``values``: sin(inf), or a pole of the sphere) sets every rate to nan,
-    so the integrator reports a blow-up; a ``values`` result with other
-    than one value per triple is a ValueError.
+    The sin and cos of each coordinate that the symbols read are computed
+    once per stage (``flow._assign``).  A stage that leaves the chart (a
+    ValueError or ZeroDivisionError: sin(inf), or a pole of the sphere)
+    sets every rate to nan, so the integrator reports a blow-up.
     """
-    gammas = [_Expr(f"g{n}") for n in range(len(triples))]
-    exprs = _geodesic_system([_Expr(name) for name in inputs], dim, [(*ijk, g) for ijk, g in zip(triples, gammas)])
-    return ["try:", f"    gammas = values([{', '.join(inputs[:dim])}])", "except (ValueError, ZeroDivisionError):",
-            f"    {' = '.join(rates)} = nan", "else:", f"    [{', '.join(map(_text, gammas))}] = gammas",
-            *("    " + line for line in _assign(rates, exprs))]
+    y = [_Expr(name) for name in inputs]
+    lines = _assign(rates, _geodesic_system(y, provider.dim, provider.symbols(y[: provider.dim])))
+    return ["try:", *("    " + line for line in lines), "except (ValueError, ZeroDivisionError):",
+            f"    {' = '.join(rates)} = nan"]
 
 
 @functools.lru_cache(maxsize=16)
-def _geodesic_rates(dim: int, triples: tuple):
-    """The compiled system of ``_geodesic_system``, once per (dim, triples), from ``_geodesic_stage``.
+def _geodesic_rates(provider: ChristoffelProvider):
+    """The compiled system of ``_geodesic_system``, once per provider, from ``_geodesic_stage``.
 
-    ``rhs(values, t, y)`` is the per-call right-hand side and
-    ``rk4(values, f, y, h, n_steps, stride, out)`` the fused rk4 run, with
-    the chart's ``values`` as a run argument.  More than
-    ``flow.MAX_SCALAR_STATE / 2`` components are refused before anything
-    is compiled or cached.
+    ``rhs(t, y)`` is the per-call right-hand side and
+    ``rk4(f, y, h, n_steps, stride, out)`` the fused rk4 run; every
+    ``round_sphere()`` (and every ``flat_space`` of one dimension) is one
+    provider.  More than ``flow.MAX_SCALAR_STATE / 2`` components are
+    refused before anything is compiled or cached.
     """
-    return _stage_kernels(2 * dim, functools.partial(_geodesic_stage, dim, triples), ("values",), float)
+    return _stage_kernels(2 * provider.dim, functools.partial(_geodesic_stage, provider), (), float)
 
 
 def speed_squared(x, v, provider: ChristoffelProvider) -> float:
+    """``v . g(x) v`` at one point: the per-point reference of ``GeodesicRun.speeds_squared``."""
     v = np.asarray(v, dtype=np.float64)
-    g = provider.metric(np.asarray(x, dtype=np.float64))
+    g = np.array(provider.metric(np.asarray(x, dtype=np.float64)), dtype=np.float64)
     return float(v @ g @ v)
 
 
@@ -163,7 +182,14 @@ class GeodesicRun:
     provider: ChristoffelProvider
 
     def speeds_squared(self) -> np.ndarray:
-        return np.array([speed_squared(x, v, self.provider) for x, v in zip(self.xs, self.vs)])
+        """``speed_squared`` at every sample, as the sum of ``(g_ij v^i) v^j`` over the metric's nonzero entries.
+
+        The metric is evaluated once on the coordinate columns.  Its sum
+        is taken in another order than ``v @ g @ v``, so a value may differ
+        from ``speed_squared``'s in its last bits.
+        """
+        g, v = self.provider.metric(self.xs.T), self.vs.T
+        return sum(gij * v[i] * v[j] for i, row in enumerate(g) for j, gij in enumerate(row) if np.any(gij))
 
 
 def integrate_geodesic(
@@ -181,7 +207,7 @@ def integrate_geodesic(
     dim = provider.dim
     if x0.shape != (dim,) or v0.shape != (dim,):
         raise ValueError(f"x0 and v0 must have shape ({dim},)")
-    system = _geodesic_rates(dim, provider.triples).bind(provider.values)
+    system = _geodesic_rates(provider)
     traj = integrate(system.rhs, np.concatenate([x0, v0]), t_end, h=h, stride=stride, method=method, system=system)
     return GeodesicRun(traj.times, traj.states[:, :dim], traj.states[:, dim:], provider)
 

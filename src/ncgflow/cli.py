@@ -37,7 +37,12 @@ components.  So an accepted config has bounded time and memory.  CSV
 floats carry 17 significant digits and output bytes are deterministic for
 a fixed config.
 
-Exit codes: 0 success, 2 config error, 3 numerical blow-up.  In a
+Exit codes: 0 success, 2 config error or output error, 3 numerical
+blow-up.  An output error is a CSV that could not be written (a full
+disk, a file-size limit): the partial file is removed and the message
+names it.  It keeps code 2 because, like a config error, it stops the run
+before any output is complete and is not a fault of the numerics, so a
+script that tells 2 from 3 keeps telling them apart.  In a
 ``sweep``, a config whose run fails in any other way prints
 ``internal error: ...`` and reports exit 1 while the others finish.
 Each config's stdout and stderr are captured where it runs and printed
@@ -76,7 +81,7 @@ from .classical import (
 )
 from .flow import MAX_SAMPLE_VALUES, MAX_SCALAR_STATE, MAX_STEPS, BlowupError, Trajectory, sample_count, step_count
 from .mobius import METRIC_TOL, _metric_residual, metric_preservation_check, run_row
-from .svgplot import line_chart
+from .svgplot import line_chart, output_file
 from .transport import M2Run, ZnRun, pack_m2_state, pack_zn_state, run_m2, run_zn
 
 __all__ = ["main", "ConfigError", "PRESETS", "build_config", "load_config"]
@@ -314,7 +319,8 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     double-double and writes their text in fixed fields of a row of
     14 uint32 words per value, whose nonzero bytes are the text; a value
     outside 1e-99 <= |x| <= 9e98, a non-finite one and one within the
-    rounding margin of a tie go to ``format`` itself.  On a presets
+    rounding margin of a tie go to ``format`` itself.  A failed write
+    removes the partial file (``svgplot.output_file``).  On a presets
     round's tables it takes about 220 ns a value, a third of the time of
     the ``"%.17g"`` templates it replaced (README, "Performance").
     """
@@ -322,7 +328,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     cols = rows.shape[1]
     flat = rows.ravel()
     buf = np.zeros((min(_CSV_BLOCK, flat.shape[0]), _CSV_ROW), np.uint32)
-    with open(path, "wb") as fh:
+    with output_file(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for first in range(0, flat.shape[0], _CSV_BLOCK):
             fh.write(_csv_text(flat[first : first + _CSV_BLOCK], first, cols, buf))
@@ -562,7 +568,7 @@ def _row_run(cfg: dict, outdir: Path) -> tuple:
     gone = np.flatnonzero((run.lam == 0) & (run.mu == 0))
     if gone.size:  # underflow from a subnormal start: 0:0 is no point of the sphere
         raise BlowupError("row state underflowed to (0, 0)", float(t[gone[0] - 1]))
-    z = np.array([p.z if not p.is_infinity else complex("inf") for p in run.z_points()])
+    z = run.zs()
     _write_table(outdir, "trajectory.csv", t, ["lam_re", "lam_im", "mu_re", "mu_im", "z_re", "z_im"],
                  [run.lam.real, run.lam.imag, run.mu.real, run.mu.imag, z.real, z.imag])
 
@@ -807,8 +813,9 @@ def _run_config(cfg: dict, out) -> int:
     except BlowupError as exc:
         print(f"numerical blowup: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    except OSError as exc:  # a CSV could not be written
-        return _config_error(f"cannot write output in {outdir}: {exc}")
+    except OSError as exc:  # a CSV could not be written; output_file removed it
+        print(f"output error: cannot write {exc.filename or outdir}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     written = ["trajectory.csv", "invariants.csv", "state.csv"]
     for name, kwargs in plots:
         try:

@@ -41,9 +41,10 @@ two forms:
   stage input as a list of entries.  The source is made of entry
   indices, fixed names and the ``repr`` of the equations' and the step's
   constants (a constant whose ``repr`` does not read back, such as inf or
-  ``complex(-0.0, 1.0)``, is a name bound to it), never of a value (a
-  system's config values, such as the chart's ``values``, are run
-  arguments, bound with ``bind``); compiling
+  ``complex(-0.0, 1.0)``, is a name bound to it) and the names ``sin``
+  and ``cos``, bound to ``math``'s, never of a value (a system's config
+  values, such as the row's Q constants, are run arguments, bound with
+  ``bind``); compiling
   costs time and memory per entry, so ``_stage_kernels`` refuses a state
   of more than ``MAX_SCALAR_STATE`` floats before it compiles.  In a
   complex system every number that multiplies an entry is complex: the
@@ -59,7 +60,8 @@ So each equation is written once, as an elementwise function, with two
 backends: applied to ``_Expr`` symbols it gives an expression whose text
 is compiled on scalars (``_stage_kernels``) and whose tree is emitted as
 ufunc calls on arrays (``_array_rates``), and applied to arrays or
-numbers it is the reference.
+numbers it is the reference.  An equation that takes a sine or a cosine
+calls this module's ``sin`` and ``cos``, which apply to all three.
 
 In both forms the right-hand side must return one entry per entry of the
 state (ValueError otherwise), ``y0`` is the packed float64 vector and the
@@ -322,10 +324,15 @@ class _Expr:
     the unary ``-`` return the operation: its fully parenthesised text,
     with a number operand written by ``_text``, the name of its numpy
     ufunc and its operands, ``_Expr`` or Python numbers, in the
-    equation's operand order.  So the text and the tree evaluate the same
-    operations in the same order and operand order as the equation does
-    on numbers.  ``_stage_kernels`` compiles the text on scalars as it
-    is, and ``_array_rates`` walks the tree into ufunc calls on arrays.
+    equation's operand order.  ``sin`` and ``cos`` of an ``_Expr`` (the
+    module's ``sin`` and ``cos``) return the call ``sin(...)``; the call
+    on a leaf x is written as the local ``sin_x``, which ``_assign``
+    binds once, before the lines that read it.  So the text and the tree
+    evaluate the same operations in the same order and operand order as
+    the equation does on numbers.  ``_stage_kernels`` compiles the text on
+    scalars as it is, with ``sin`` and ``cos`` bound to ``math``'s (numpy's
+    may differ from them by an ulp), and ``_array_rates`` walks the tree
+    into ufunc calls on arrays.
     ``scalars`` is the entry type of a leaf (None: unknown).  An operation
     takes it from its left operand (the right one when reflected), and
     converts a number operand to it first, so a complex system's 1/2 is
@@ -346,13 +353,38 @@ class _Expr:
         return _Expr(f"(-{self.text})", "negative", (self,), self.scalars)
 
 
+_CALLS = {"sin": math.sin, "cos": math.cos}  # the functions an _Expr may call, as compiled on scalars
+
+
+def _call(ufunc: str):
+    """``ufunc`` of an ``_Expr`` (the call, see there), of a real number (``math``'s) or of an array (numpy's)."""
+
+    def apply(x):
+        if isinstance(x, _Expr):
+            named = not x.operands and x.text.isidentifier()
+            return _Expr(f"{ufunc}_{x.text}" if named else f"{ufunc}({x.text})", ufunc, (x,), x.scalars)
+        return _CALLS[ufunc](x) if isinstance(x, numbers.Real) else getattr(np, ufunc)(x)
+
+    return apply
+
+
+sin, cos = _call("sin"), _call("cos")
+
+
 def _names(prefix: str, size: int) -> list:
     return [f"{prefix}{i}" for i in range(size)]
 
 
 def _assign(names, values) -> list:
-    """The source lines ``name = value`` of ``_Expr`` or number values."""
-    return [f"{name} = {_text(value)}" for name, value in zip(names, values)]
+    """The source lines ``name = value`` of ``_Expr`` or number values.
+
+    They start with one line ``sin_x = sin(x)`` for each call on a name x
+    that the values read (see ``_Expr``), as ``_compile`` binds each
+    ``_k`` name that a source reads.
+    """
+    texts = [_text(value) for value in values]
+    calls = dict.fromkeys(re.findall(r"\b(sin|cos)_(\w+)", " ".join(texts)))
+    return [*(f"{f}_{x} = {f}({x})" for f, x in calls), *(f"{name} = {text}" for name, text in zip(names, texts))]
 
 
 def _array_rates(steps, scratch: tuple, scalars: type):
@@ -402,7 +434,7 @@ def _array_rates(steps, scratch: tuple, scalars: type):
         if {target, *scratch} & leaves:
             raise ValueError(f"{target}: a target or scratch view is a leaf of its own expression")
         views |= {target, *leaves}
-    globals_ = {name: getattr(np, name) for name in ("add", "subtract", "multiply", "divide", "negative")}
+    globals_ = {name: getattr(np, name) for name in ("add", "subtract", "multiply", "divide", "negative", *_CALLS)}
     globals_.update(constants.values())
     return _compile("\n".join([f"def rates_of({', '.join(sorted(views))}, **unused):", "    def rates(t):",
                                *("        " + line for line in lines), "    return rates", ""]), "rates_of", **globals_)
@@ -478,8 +510,8 @@ def _stage_kernels(size: int, stage, params: tuple, scalars: type) -> _System:
     inputs, rates = _names("s", size), _names("ka", size)
     lines = [f"def rhs({', '.join([*params, 't', 'y'])}):", f"    {', '.join(inputs)}, = y",
              *("    " + line for line in stage("t", inputs, rates)), f"    return [{', '.join(rates)}]", ""]
-    return _System(_compile("\n".join(lines), "rhs", nan=math.nan), _compile_rk4(size, stage, params, scalars),
-                   functools.partial(_dopri, scalars=scalars), floats)
+    return _System(_compile("\n".join(lines), "rhs", nan=math.nan, **_CALLS),
+                   _compile_rk4(size, stage, params, scalars), functools.partial(_dopri, scalars=scalars), floats)
 
 
 def _compile_rk4(size: int, stage, params: tuple, scalars: type):
@@ -534,7 +566,7 @@ def _compile_rk4(size: int, stage, params: tuple, scalars: type):
              *(["    c_h, c_half, c_sixth = complex(h), complex(half), complex(sixth)"] if scalars is complex else []),
              "    for step in range(1, n_steps + 1):", "        t = (step - 1) * h",
              *("        " + line for line in body), f"    out[-1] = [{ys}]", ""]
-    return _compile("\n".join(lines), "run", check=_check_scalars, nan=math.nan,
+    return _compile("\n".join(lines), "run", check=_check_scalars, nan=math.nan, **_CALLS,
                     entry=np.complex128 if scalars is complex else np.float64)
 
 

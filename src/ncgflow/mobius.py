@@ -15,7 +15,8 @@ unit circle.  ``sphere_distance`` is the bounded chordal metric used to
 compare points near the pole.  A ``SpherePoint`` whose z has an infinite
 part, like a plain number with one where a function takes a point
 (``inf``, as ``trajectory.csv`` writes the pole), is the point at
-infinity, and nan is refused.
+infinity, and nan is refused.  ``RowRun.zs`` is the z of every sample
+at once, byte for byte ``SpherePoint.from_ratio``'s.
 
 ``run_row`` steps the row on Python complex scalars: ``row_rhs`` applied
 to ``flow._Expr`` symbols is its stage, compiled on first use into a
@@ -242,8 +243,22 @@ class RowRun:
         """|lam|^2 + |mu|^2 per sample."""
         return np.abs(self.lam) ** 2 + np.abs(self.mu) ** 2
 
-    def z_points(self) -> list[SpherePoint]:
-        return [SpherePoint.from_ratio(l, m) for l, m in zip(self.lam, self.mu)]
+    def zs(self) -> np.ndarray:
+        """z = lam / mu of every sample, inf at the point at infinity; lam and mu finite and not both 0.
+
+        It takes ``SpherePoint.from_ratio``'s steps on whole arrays, so its
+        bytes are that reference's: the scale by ``np.hypot`` (numpy's
+        complex ``abs`` of an array may differ from a scalar's by an ulp),
+        the lift of a subnormal scale, and numpy's complex divisions.
+        """
+        scale = np.maximum(np.hypot(self.lam.real, self.lam.imag), np.hypot(self.mu.real, self.mu.imag))
+        tiny = scale < sys.float_info.min
+        with np.errstate(all="ignore"):
+            lam, mu, scale = (np.where(tiny, part * _SUBNORMAL_LIFT, part) for part in (self.lam, self.mu, scale))
+            den = mu / scale
+            z = lam / scale / den
+        z[(den == 0.0) | np.isinf(z)] = complex("inf")
+        return z
 
     def bloch_series(self) -> np.ndarray:
         """Normalised state coordinates (s, x, y) of the induced pure state.

@@ -2,17 +2,21 @@
 
 Output bytes depend only on the data, so re-running a scenario rewrites
 identical files.  Charts are intentionally plain: framed axes, five ticks
-per axis, one polyline per series and a small legend.
+per axis, one polyline per series and a small legend, cut to the rows that
+fit on the canvas.  ``output_file`` opens each output file, of ``cli`` too,
+so a failed write leaves no partial file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["line_chart"]
+__all__ = ["line_chart", "output_file"]
 
 _PALETTE = (
     "#1f77b4",
@@ -29,6 +33,26 @@ _PALETTE = (
 
 _WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 14, 30, 44
+# legend rows whose baseline, at _MARGIN_T + 14 + 14 * row, lies on the canvas: 27
+_LEGEND_ROWS = (_HEIGHT - _MARGIN_T - 14) // 14 + 1
+
+
+@contextlib.contextmanager
+def output_file(path, *args, **kwargs):
+    """``open(path, *args, **kwargs)`` as a context for writing; an OSError while writing removes the file.
+
+    So a failed write (a full disk, a file-size limit) leaves no truncated
+    file, and the error names the file.  A file that cannot be opened is
+    left as it is.
+    """
+    f = open(path, *args, **kwargs)
+    try:
+        with f:
+            yield f
+    except OSError as exc:
+        os.remove(path)
+        exc.filename = exc.filename or str(path)
+        raise
 
 
 def _expand(lo: float, hi: float) -> tuple[float, float]:
@@ -66,7 +90,10 @@ def line_chart(
     handled as one array, and the pixel coordinates are computed
     elementwise in the operation order of the per-point expressions in the
     comments below, so the bytes are those of formatting each point on its
-    own.  The file is written element by element.
+    own.  The legend holds one entry per series while they fit on the
+    canvas (``_LEGEND_ROWS``); with more series, the last row that fits
+    says how many series it leaves out.  The file is written element by
+    element; if writing fails with an OSError, the partial file is removed.
     """
     labels, lengths, xs_all, ys_all = [], [], [], []
     for label, xs, ys in series:
@@ -107,7 +134,7 @@ def line_chart(
     pixels[:, 1] = _HEIGHT - _MARGIN_B - (y - ymin) / (ymax - ymin) * plot_h
     coords = pixels.ravel().tolist()
 
-    with open(path, "w", encoding="utf-8") as f:
+    with output_file(path, "w", encoding="utf-8") as f:
 
         def emit(element: str) -> None:  # f.write is cheaper than print(..., file=f)
             f.write(element + "\n")
@@ -161,18 +188,23 @@ def line_chart(
                 f'transform="rotate(-90 14 {_HEIGHT / 2:.0f})" fill="#000000">{ylabel}</text>'
             )
 
+        lx = _WIDTH - _MARGIN_R - 150
+        entries = len(labels) if len(labels) <= _LEGEND_ROWS else _LEGEND_ROWS - 1
         for idx, label in enumerate(labels):
             color = _PALETTE[idx % len(_PALETTE)]
             start, stop = ends[idx], ends[idx + 1]
             if stop > start:
                 points = _polyline_template(stop - start) % tuple(coords[2 * start : 2 * stop])
                 emit(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.4"/>')
-            ly = _MARGIN_T + 14 + 14 * idx
-            lx = _WIDTH - _MARGIN_R - 150
-            emit(
-                f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
-            emit(f'<text x="{lx + 22}" y="{ly}" font-size="11" fill="#222222">{label}</text>')
+            if idx < entries:
+                ly = _MARGIN_T + 14 + 14 * idx
+                emit(
+                    f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
+                    f'stroke="{color}" stroke-width="2"/>'
+                )
+                emit(f'<text x="{lx + 22}" y="{ly}" font-size="11" fill="#222222">{label}</text>')
+        if entries < len(labels):  # the last row that fits
+            emit(f'<text x="{lx + 22}" y="{_MARGIN_T + 14 + 14 * entries}" font-size="11" fill="#222222">'
+                 f'+ {len(labels) - entries} more series</text>')
 
         emit("</svg>")

@@ -82,11 +82,12 @@ __all__ = [
 # Z_n systems with fewer sites than this step on Python scalars (see the module
 # docstring).  A whole rk4 run (t_end 0.3, h 1e-3, stride 10) of the fused
 # scalar system costs, against one of the array system stepped in its padded
-# layout, 0.98-1.15x at 12 sites, 1.05-1.22x at 13, 1.09-1.25x at 14,
-# 1.33-1.55x at 16, 1.37-1.42x at 18, 1.88-1.95x at 20 and 2.19-2.45x at 24
-# (medians of 21 interleaved pairs in one process, two passes, 2-vCPU Xeon
-# whose speed varies); they break even near 12 sites, and rk45 runs (t_end 3,
-# 11 pairs: 0.88x at 10, 1.04x at 12, 1.15x at 18) near 11.  Lowering the
+# layout, 1.01-1.03x at 10 sites, 1.16-1.25x at 12, 1.42x at 14, 1.61-1.65x
+# at 16, 1.83-1.85x at 18, 1.99-2.10x at 20 and 2.42-2.48x at 24 (fastest
+# runs of 21-31 pairs in one process per checkout, 2-vCPU Xeon in its fast
+# phase; in its slow phase the array run slows more, and the scalar run costs
+# 0.70x at 10 and 0.86x at 12); rk4 breaks even near 10 sites, and rk45 runs
+# (t_end 3: 0.88x at 10, 1.07x at 12, 1.37x at 18) near 11.  Lowering the
 # constant moves the outputs of the sizes in between by round-off.  At most
 # 43, so that a scalar Z_n state fits flow.MAX_SCALAR_STATE.
 ZN_SCALAR_CROSSOVER = 18

@@ -7,7 +7,9 @@ any n in the paper's form, with ``np.roll`` for the shifts.  The Moebius oracle 
 matrix exponential instead of the closed-form branches, and the
 transport-on-a-line oracle inverts the characteristic map by Newton
 iteration.  ``line_chart_oracle`` is the per-point SVG writer that
-``svgplot.line_chart`` replaced, kept verbatim as its byte reference.
+``svgplot.line_chart`` replaced, kept as its byte reference: verbatim but for
+the legend, which lists the series whose rows fit on the canvas and, when
+some do not, counts them in its last row.
 ``dopri_attempt_oracle`` is one Dormand-Prince attempt written from the
 published tableau in exact fractions, stage by stage.  ``zn_sites_oracle``
 is the site-by-site Z_n form that ``connection._zn_kernels`` compiled
@@ -332,6 +334,9 @@ def line_chart_oracle(
             f'transform="rotate(-90 14 {height / 2:.0f})" fill="#000000">{ylabel}</text>'
         )
 
+    lx = width - _MARGIN_R - 150
+    fits = [idx for idx in range(len(cleaned)) if _MARGIN_T + 14 + 14 * idx <= height]  # baselines on the canvas
+    shown = fits if len(fits) == len(cleaned) else fits[:-1]  # else the last row that fits counts the rest
     for idx, (label, pts) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
         if pts:
@@ -339,15 +344,18 @@ def line_chart_oracle(
             out.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.4"/>'
             )
-        ly = _MARGIN_T + 14 + 14 * idx
-        lx = width - _MARGIN_R - 150
-        out.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{lx + 22}" y="{ly}" font-size="11" fill="#222222">{label}</text>'
-        )
+        if idx in shown:
+            ly = _MARGIN_T + 14 + 14 * idx
+            out.append(
+                f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
+                f'stroke="{color}" stroke-width="2"/>'
+            )
+            out.append(
+                f'<text x="{lx + 22}" y="{ly}" font-size="11" fill="#222222">{label}</text>'
+            )
+    if len(shown) < len(cleaned):
+        out.append(f'<text x="{lx + 22}" y="{_MARGIN_T + 14 + 14 * len(shown)}" font-size="11" '
+                   f'fill="#222222">+ {len(cleaned) - len(shown)} more series</text>')
 
     out.append("</svg>")
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")

@@ -90,7 +90,7 @@ _SPECIAL = [0.0, -0.0, 1e-300, -1e300, 5e-324, math.inf, -math.inf, math.nan]
                          ids=["sphere", "flat1", "flat3", "flat8"])
 def test_compiled_geodesic_rates_equal_the_system(provider):
     dim = provider.dim
-    rhs = classical._geodesic_rates(dim, provider.triples).bind(provider.values).rhs
+    rhs = classical._geodesic_rates(provider).rhs
     rng = np.random.default_rng(8)
     for trial in range(60):
         y = rng.uniform(0.05, math.pi - 0.05, 2 * dim).tolist()
@@ -104,7 +104,7 @@ def test_compiled_geodesic_rates_equal_the_system(provider):
 @pytest.mark.parametrize("theta", [0.0, math.inf, -math.inf])  # the pole (cot = 1/0), and sin(inf)
 def test_a_stage_that_leaves_the_sphere_chart_has_nan_rates(theta):
     sphere = round_sphere()
-    rates = classical._geodesic_rates(2, sphere.triples).rhs(sphere.values, 0.0, [theta, 0.0, 1.0, 1.0])
+    rates = classical._geodesic_rates(sphere).rhs(0.0, [theta, 0.0, 1.0, 1.0])
     assert len(rates) == 4 and all(math.isnan(r) for r in rates)
 
 
@@ -151,6 +151,34 @@ def test_speed_squared_uses_metric():
     v = [0.0, 2.0]
     assert speed_squared(x, v, round_sphere()) == pytest.approx(4.0 * math.sin(0.5) ** 2)
     assert speed_squared(x, v, flat_space(2)) == pytest.approx(4.0)
+
+
+def test_speeds_squared_match_the_per_point_speed(monkeypatch):
+    """The array kernel against ``speed_squared`` at every sample, to 4e-16 relative (their sums differ in order)."""
+    rng = np.random.default_rng(35)
+    for provider in (round_sphere(), flat_space(3)):
+        dim, size = provider.dim, 500
+        xs = np.column_stack([rng.uniform(0.01, math.pi - 0.01, size), rng.normal(size=(size, dim - 1))])
+        vs = rng.normal(size=(size, dim)) * np.exp(rng.uniform(-20.0, 20.0, (size, 1)))
+        vs[:50, 0] = 0.0  # speed along phi alone, and signed zeros
+        vs[50:100, dim - 1] = -0.0
+        run = classical.GeodesicRun(np.arange(size) * 1e-3, xs, vs, provider)
+        want = np.array([speed_squared(x, v, provider) for x, v in zip(xs, vs)])
+        np.testing.assert_allclose(run.speeds_squared(), want, rtol=4e-16, atol=0.0)
+    calls = []
+    monkeypatch.setattr(classical, "speed_squared", lambda *args: calls.append(args))
+    assert run.speeds_squared().shape == (size,) and calls == []  # no per-sample call
+
+
+def test_two_sphere_runs_compile_one_system(monkeypatch):
+    """Every ``round_sphere()`` is the same provider, so its rhs and fused rk4 run are compiled once."""
+    sources, compile_source = [], flow._compile
+    monkeypatch.setattr(flow, "_compile", lambda source, name, **names: sources.append(name) or compile_source(
+        source, name, **names))
+    classical._geodesic_rates.cache_clear()
+    runs = [integrate_geodesic([1.0, 0.0], [0.3, 0.7], round_sphere(), t_end=0.1) for _ in range(2)]
+    assert sources == ["rhs", "run"] and runs[0].xs.tobytes() == runs[1].xs.tobytes()
+    assert round_sphere() == round_sphere() and flat_space(3) == flat_space(3) != flat_space(4)
 
 
 # Grid transport -------------------------------------------------------------

@@ -5,7 +5,10 @@ import functools
 import importlib.util
 import math
 import operator
+import os
 import re
+import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -20,6 +23,7 @@ from hypothesis import example, given, settings
 
 from ncgflow import cli, flow
 from ncgflow.cli import ConfigError, PRESETS, build_config, load_config, main
+from ncgflow.svgplot import output_file
 
 
 def _read_csv(path):
@@ -350,14 +354,45 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     (tmp_path / "run" / "trajectory.csv").mkdir(parents=True)
     assert main(["run", "--preset", "paper-fig1", "--t-end", "0.01", "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot write output in {tmp_path / 'run'}: ") and "Traceback" not in err
+    assert err.startswith(f"output error: cannot write {tmp_path / 'run' / 'trajectory.csv'}: ")
+    assert "Traceback" not in err
 
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"scenario": "zn", "t_end": 0.01}))
     assert main(["sweep", "--configs", str(config), "--out", str(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert out.splitlines()[-1] == f"{config}: exit 2"
-    assert err.startswith("config error: cannot write output in ") and "internal error" not in err
+    assert err.startswith("output error: cannot write ") and "internal error" not in err
+
+
+def test_a_csv_cut_by_the_file_size_limit_is_removed_and_named(tmp_path):
+    """``run`` in a child whose RLIMIT_FSIZE is below one CSV's size: exit 2, the file named, no partial file left.
+
+    CPython ignores SIGXFSZ, so the write past the limit fails with EFBIG.
+    """
+    limit = 50 * 1024  # trajectory.csv of paper-fig1 at t_end 2 holds about 160 kB
+    out = tmp_path / "run"
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "ncgflow", "run", "--preset", "paper-fig1", "--t-end", "2",
+                           "--out", str(out)], env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == f"output error: cannot write {out / 'trajectory.csv'}: File too large\n"
+    assert out.is_dir() and not any(out.iterdir())
+
+
+def test_output_file_removes_its_file_when_a_write_fails(tmp_path):
+    path = tmp_path / "a.csv"
+    with pytest.raises(OSError) as caught, output_file(path, "wb") as fh:
+        fh.write(b"t,x\n")
+        raise OSError(28, "No space left on device")
+    assert not path.exists() and caught.value.filename == str(path)
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(IsADirectoryError):  # a file that cannot be opened is left as it is
+        with output_file(tmp_path / "dir", "wb"):
+            pass
+    assert (tmp_path / "dir").is_dir()
 
 
 def test_blowup_exits_3(tmp_path, capsys):

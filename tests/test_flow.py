@@ -495,7 +495,7 @@ def _fused_systems():
     yield "m2row", mobius._row_kernels().bind(0.2 + 0.7j, -1.1 + 0.4j, 0.9 - 0.3j), [0.6 - 0.2j, -0.3 + 0.8j]
     for provider, x in ((classical.round_sphere(), [1.1, 0.4]), *((classical.flat_space(d), rng.normal(size=d).tolist())
                                                                   for d in (1, 3, 8))):
-        system = classical._geodesic_rates(provider.dim, provider.triples).bind(provider.values)
+        system = classical._geodesic_rates(provider)
         yield f"geodesic{provider.dim}", system, x + rng.normal(size=provider.dim).tolist()
 
 
@@ -529,7 +529,7 @@ def _blowup(run, *args):
 def test_fused_rk4_run_blows_up_like_the_per_call_run(case):
     if case == "pole-stage":  # theta = 0.02 - t: stage 2 of the first step lands on the pole, theta = 0
         sphere = classical.round_sphere()
-        system = classical._geodesic_rates(2, sphere.triples).bind(sphere.values)
+        system = classical._geodesic_rates(sphere)
         y0, h = [0.02, 0.0, -1.0, 0.0], 0.04
         assert all(math.isnan(r) for r in system.rhs(0.0, [0.0, 0.0, -1.0, 0.0]))
     else:  # lam' = 40 lam passes MAX_ABS near t = 0.52; a nan entry fails the first check
@@ -615,7 +615,7 @@ def test_compiled_sources_hold_only_indices_and_fixed_constants(monkeypatch):
         flow._compile_rk4(size, call_stage, ("g",), complex if size % 2 else float)
     complex_sources = _compile_complex_systems()  # each system compiles its per-call rhs and its fused rk4 run
     for provider in (classical.round_sphere(), classical.flat_space(3), classical.flat_space(128)):
-        classical._geodesic_rates.__wrapped__(provider.dim, provider.triples)
+        classical._geodesic_rates.__wrapped__(provider)
     # the rk4 weights and the bound of the state check, beta's and M2's 1/2, and the geodesic's 0.0 start;
     # a complex system writes the weights and the 1/2 as complex constants, such as (0.5+0j)
     constants = {repr(c) for c in (0.5, 2.0, 6.0, flow.MAX_ABS, 0.0)}
@@ -898,10 +898,10 @@ def _apply(node, leaf):
 
 
 def _operations(children, numbers):
-    """One operation on trees: a binary operator with a tree or a number on either side, or -."""
+    """One operation on trees: a binary operator with a tree or a number on either side, or -, sin or cos."""
     binary = st.builds(lambda op, node, other, swap: (op, other, node) if swap else (op, node, other),
                        st.sampled_from(_OPERATORS), children, st.one_of(children, numbers), st.booleans())
-    return st.one_of(binary, children.map(lambda node: (operator.neg, node)))
+    return st.one_of(binary, st.tuples(st.sampled_from([operator.neg, flow.sin, flow.cos]), children))
 
 
 def _trees(numbers):
@@ -932,6 +932,35 @@ def test_emitted_rates_write_the_bytes_of_numpys_operators(scalars, data):
         assert rates(0.0) is None
     for (name, expr), want in zip(steps, wants):
         assert targets[name].dtype == want.dtype and targets[name].tobytes() == want.tobytes(), expr.text
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees=st.lists(_trees(_NUMBERS), min_size=3, max_size=3),
+       y=st.lists(st.one_of(st.floats(), _SPECIAL), min_size=3, max_size=3))
+def test_compiled_rates_compute_what_pythons_operators_give(trees, y):
+    """A float stage compiled from random expressions gives the bytes of Python's operators and math's sin and cos.
+
+    The leaves are the stage inputs.  Where Python raises ZeroDivisionError
+    (x / 0) or ValueError (sin or cos of inf), the compiled rates raise one
+    of the two: a call on an input is evaluated before the first rate.
+    """
+    system = flow._stage_kernels(3, lambda t, inputs, rates: flow._assign(
+        rates, [_apply(tree, lambda view: flow._Expr(inputs[_VIEWS.index(view)])) for tree in trees]), (), float)
+    try:
+        want = [_apply(tree, dict(zip(_VIEWS, y)).__getitem__) for tree in trees]
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            system.rhs(0.0, y)
+    else:
+        assert np.array(system.rhs(0.0, y)).tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+def test_a_call_on_a_name_is_bound_once_per_stage():
+    """sin and cos of an input are one line each, however many rates read them; a call on an operation is inline."""
+    x, v = flow._Expr("s0"), flow._Expr("s1")
+    lines = flow._assign(["ka0", "ka1"], [flow.sin(x) * v - flow.cos(x), flow.cos(x) / flow.sin(x) + flow.sin(x * v)])
+    assert lines == ["sin_s0 = sin(s0)", "cos_s0 = cos(s0)", "ka0 = ((sin_s0 * s1) - cos_s0)",
+                     "ka1 = ((cos_s0 / sin_s0) + sin((s0 * s1)))"]
 
 
 def test_the_emitter_refuses_a_target_or_scratch_view_that_is_a_leaf_of_its_expression():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ncgflow import (
+    RowRun,
     SpherePoint,
     flow_matrix,
     integrate_riccati,
@@ -174,8 +175,29 @@ def test_riccati_chart_matches_row_transport():
     q0, q1, q2 = 0.3j, 1.0, -1.0
     run = run_row(0.0, 1.0, q0, q1, q2, t_end=2.0, h=1e-3, stride=20)
     _, points = integrate_riccati(0.0, q1, q2, 2.0, h=1e-3, stride=20)
-    for p_row, p_ric in zip(run.z_points(), points):
-        assert sphere_distance(p_row, p_ric) <= 1e-8
+    for z_row, p_ric in zip(run.zs(), points):  # z_row is inf at the point at infinity
+        assert sphere_distance(z_row, p_ric) <= 1e-8
+
+
+def test_the_z_kernel_writes_the_bytes_of_from_ratio():
+    """``RowRun.zs`` against ``SpherePoint.from_ratio`` per sample, byte for byte (inf at the point at infinity).
+
+    The samples: random ratios over 600 decades, every pair of parts from
+    signed zeros, subnormals, normal and huge values (mu = 0 among them),
+    and a subnormal lam with mu = 0.
+    """
+    rng = np.random.default_rng(35)
+    parts = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-320, 1e-308, 1.0, -1.0, 0.5, -3.7, 1e-300, 1e300]
+    values = [complex(a, b) for a in parts for b in parts]
+    pairs = np.array([(lam, mu) for lam in values for mu in values if lam or mu])
+    scaled = rng.normal(size=(4, 2000)) * np.exp(rng.uniform(-700.0, 700.0, (4, 2000)))
+    lam = np.concatenate([pairs[:, 0], scaled[0] + 1j * scaled[1], [5e-324j]])
+    mu = np.concatenate([pairs[:, 1], scaled[2] + 1j * scaled[3], [0j]])
+    with np.errstate(all="ignore"):
+        points = [SpherePoint.from_ratio(l, m) for l, m in zip(lam, mu)]
+    want = np.array([complex("inf") if p.is_infinity else p.z for p in points])
+    assert any(p.is_infinity for p in points) and np.isinf(want).sum() > len(parts) ** 2
+    assert RowRun(np.zeros(len(lam)), lam, mu).zs().tobytes() == want.tobytes()
 
 
 def test_metric_preservation_examples():

@@ -59,7 +59,7 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     benchmark = {path for path in configured if tmp_path in path.parents and path.parent.name != "edges"}
     assert len(benchmark) == 14 and benchmark <= set(configs)  # zn4096, zn64 and the 12 sweep configs
     edges = {path.stem: json.loads(path.read_text()) for path in configured if path.parent == tmp_path / "edges"}
-    assert len(edges) == 20  # the scalar-form, array-form, stencil, CSV-text and signed-zero edges
+    assert len(edges) == 22  # the scalar-form, array-form, stencil, CSV-text, signed-zero and chart-exit edges
     burgers = {name: raw for name, raw in edges.items() if raw["scenario"] == "classical-burgers"}
     assert sorted((raw.get("stencil", 4), raw.get("method", "rk4")) for raw in burgers.values()) == [
         (2, "rk4"), (2, "rk4"), (2, "rk45"), (4, "rk4"), (4, "rk4"), (4, "rk4"), (4, "rk45")]  # both stencils, methods
@@ -79,6 +79,11 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
                  for part in np.ravel(raw[key])]
         assert (raw["scenario"], raw.get("method", "rk4")) == (scenario, method)
         assert {math.copysign(1.0, part) for part in parts if part == 0.0} == {1.0, -1.0}
+    pole = edges["geodesic-pole-stage-exit3"]  # theta = 0.5 - t at step 1/16: a stage lands on the pole exactly
+    assert (pole["x"], pole["v"], pole["t_end"], pole["step"]) == ([0.5, 0.0], [-1.0, 0.0], 1.0, 0.0625)
+    near = edges["geodesic-near-pole-exit3"]  # the default step; the velocity passes 1e9 near the pole
+    assert (near["x"], near["v"], near["t_end"], "step" in near) == ([0.01, 0.0], [-1.0, 0.5], 1.0, False)
+    assert pole["scenario"] == near["scenario"] == "classical-geodesic" and "manifold" not in pole | near
     assert {edges["zn18-rk4"]["method"], edges["zn18-rk45"]["method"]} == {"rk4", "rk45"}
     assert (edges["zn19-rk4-stride1"]["method"], edges["zn19-rk4-stride1"]["stride"]) == ("rk4", 1)
     exit3 = edges["zn18-exit3"]  # not admissible: it blows up before t_end

@@ -1,4 +1,6 @@
-"""``svgplot.line_chart`` against the per-point writer it replaced, byte for byte."""
+"""``svgplot.line_chart`` against the per-point writer it replaced, byte for byte, and its layout as literal text."""
+
+import re
 
 import numpy as np
 import pytest
@@ -71,3 +73,33 @@ def test_line_chart_raises_before_writing(tmp_path):
     # both ranges subnormal: the equal-aspect scale underflows to 0
     tiny = [("a", [0.0, 5e-324], [0.0, 5e-324])]
     assert _same_bytes(tmp_path, tiny, equal_aspect=True) == "ZeroDivisionError('float division by zero')"
+
+
+def test_the_chart_frame_and_axes_sit_at_literal_coordinates(tmp_path):
+    """The 640 x 420 canvas, its plot frame (margins 64, 14, 30, 44) and the grid lines on the frame, as text.
+
+    ``oracles.line_chart_oracle`` reads the margins from ``svgplot``, so only literals pin them.
+    """
+    line_chart(tmp_path / "a.svg", [("a", [0.0, 1.0], [0.0, 1.0])])
+    lines = (tmp_path / "a.svg").read_text().splitlines()
+    assert lines[:4] == [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="420" viewBox="0 0 640 420">',
+        '<rect x="0" y="0" width="640" height="420" fill="white"/>',
+        '<rect x="64" y="30" width="562" height="346" fill="none" stroke="#444444" stroke-width="1"/>',
+        '<line x1="64.00" y1="30" x2="64.00" y2="376" stroke="#dddddd" stroke-width="1"/>',  # the y axis
+    ]
+    assert '<line x1="64" y1="376.00" x2="626" y2="376.00" stroke="#dddddd" stroke-width="1"/>' in lines  # the x axis
+    assert '<line x1="626.00" y1="30" x2="626.00" y2="376" stroke="#dddddd" stroke-width="1"/>' in lines
+    assert '<line x1="64" y1="30.00" x2="626" y2="30.00" stroke="#dddddd" stroke-width="1"/>' in lines
+
+
+@pytest.mark.parametrize("series, entries, note", [(27, 27, None), (28, 26, "+ 2 more series"),
+                                                   (4096, 26, "+ 4070 more series")])
+def test_the_legend_lists_the_series_that_fit_on_the_canvas_and_counts_the_rest(tmp_path, series, entries, note):
+    t = np.array([0.0, 1.0])
+    line_chart(tmp_path / "a.svg", [(f"site {i}", t, t * i) for i in range(series)])
+    text = (tmp_path / "a.svg").read_text()
+    assert text.count("<polyline ") == series
+    labels = re.findall(r'<text x="498" y="(\d+)" font-size="11" fill="#222222">([^<]*)</text>', text)
+    assert [label for _, label in labels] == [f"site {i}" for i in range(entries)] + ([note] if note else [])
+    assert max(int(y) for y, _ in labels) <= 420 and len(re.findall('stroke-width="2"/>', text)) == entries

@@ -31,7 +31,10 @@ checkout's ``src`` on ``PYTHONPATH``.  The list is:
   imaginary parts are -0.0 and 0.0.  In both rk4 runs a complex constant
   or step coefficient with a -0.0 imaginary part changes signed-zero
   bytes; the rk45 run cannot show one, because its ``np.dot`` stage sums
-  write 0.0 for a sum of zeros;
+  write 0.0 for a sum of zeros; and two sphere geodesics that leave the
+  chart (exit 3): one from theta = 0.5 heading to the pole at step
+  1/16, so a stage lands exactly on theta = 0 (nan rates), and one from
+  theta = 0.01 whose velocity passes 1e9 within its first step;
 * ``validate`` on both presets, on the five scenario defaults and on every
   benchmark config above.
 
@@ -86,6 +89,7 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
                 "k1": [[[1.0, -0.0], [0.5, 0.0]], [[-0.0, 0.0], [-1.0, -0.0]]],
                 "k2": [[[-1.0, 0.0], [-0.0, -0.0]], [[0.5, -0.0], [1.0, 0.0]]],
                 "m": [[[0.6, -0.0], [0.0, 0.0]], [[-0.0, -0.0], [0.8, 0.0]]]}
+    sphere_exit = {"scenario": "classical-geodesic", "x": [0.5, 0.0], "v": [-1.0, 0.0], "t_end": 1.0}
     grid16 = [0.1 * math.sin(0.4 * i) + 0.03 * math.cos(0.9 * i) for i in range(16)]  # the smallest burgers grid
     edges = {
         "zn2-rk4": workloads.zn_config(np.random.default_rng(SEED), 2, t_end=2.0, stride=7, method="rk4"),
@@ -116,6 +120,8 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
         **{f"m2-signed-zeros-{method}": {**m2_zeros, "method": method} for method in ("rk4", "rk45")},
         "m2row-signed-zeros-rk4": {"scenario": "m2row", "lam": [-0.5, 0.0], "mu": [0.0, -0.0], "q0": [0.8, -0.0],
                                    "q1": [-1.0, 0.0], "q2": [0.8, 0.0], "t_end": 0.5, "stride": 50},
+        "geodesic-pole-stage-exit3": {**sphere_exit, "step": 0.0625},
+        "geodesic-near-pole-exit3": {**sphere_exit, "x": [0.01, 0.0], "v": [-1.0, 0.5]},
     }
     (workdir / "edges").mkdir()
     for name, raw in edges.items():
