@@ -16,6 +16,11 @@ the element m are
   and ``dm/dt = -m b - K_+ (m - R_{-1}m) - K_- (m - R_{+1}m)``;
 * M2(C), with ``B = E12 K1 + E21 K2 + K1 E12 + K2 E21``:
   ``dK_i/dt = [K_i, B] / 2`` and ``dm/dt = -b m - K1 [E12, m] - K2 [E21, m]``.
+  Both regroup exactly around ``A = b + K1 E12 + K2 E21 = B / 2 =
+  [[w, h1], [h2, w]]``, with ``h_i = tr K_i / 2`` and ``w = (c1 + b2) / 2``
+  (``c1`` and ``b2`` the off-diagonal entries of K1 and K2): ``dK_i/dt =
+  [K_i, H]`` with ``H = [[0, h1], [h2, 0]]``, and ``dm/dt = -A m + K1 m
+  E12 + K2 m E21``, which is how every M2 kernel evaluates them.
 
 C(Z_n) is commutative, so the ``K_+ m`` and ``K_- m`` terms of the Z_n
 transport cancel against those of ``-m b`` and every Z_n kernel evaluates
@@ -49,9 +54,9 @@ stage with no copy, its ``rk45`` is ``flow._dopri``, and its per-call
 ``rhs`` is ``zn_coupled_rhs(n)``, which rk45 and the element entry points
 below call.  The tests hold the array form byte for byte to the four
 functions called once each on gathered sample arrays.  On M2,
-``_m2_temporaries`` (t1, t2, p, q, r, u) and ``_m2_system`` (the twelve
-rates of (K1, K2, m)) make ``_m2_stage``, which ``_m2_kernels`` compiles
-the same way.
+``_m2_temporaries`` (h1, h2, w, e1, e2, x1, x2) and ``_m2_system`` (the
+twelve rates of (K1, K2, m)) make ``_m2_stage``, 50 operations, which
+``_m2_kernels`` compiles the same way.
 
 The element entry points are ``solve_b`` (b = -dm/dt at m = 1),
 ``zn_rhs`` / ``m2_rhs`` (dK/dt as a vector field) and
@@ -217,41 +222,43 @@ def _zn_kernels(n: int):
     return _stage_kernels(3 * n, functools.partial(_zn_stage, n), (), complex)
 
 
-def _m2_temporaries(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md) -> dict:
-    """The shared temporaries of ``_m2_system``: ``t_i = tr K_i``, b's p, q, r and ``u = m_00 - m_11``."""
-    return {"t1": a1 + d1, "t2": a2 + d2, "p": 0.5 * (c1 - b2), "q": 0.5 * (d1 - a1), "r": 0.5 * (a2 - d2),
-            "u": ma - md}
+def _m2_temporaries(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md, h1, h2) -> dict:
+    """The stage temporaries of ``_m2_system``, in the order they are assigned.
+
+    ``h_i = tr K_i / 2``, ``w = (c1 + b2) / 2``, ``e_i = a_i - d_i`` and
+    ``x_i = b_i h2 - c_i h1``, which reads h1 and h2, the names of the
+    first two (on numbers, their values).
+    """
+    return {"h1": 0.5 * (a1 + d1), "h2": 0.5 * (a2 + d2), "w": 0.5 * (c1 + b2), "e1": a1 - d1, "e2": a2 - d2,
+            "x1": b1 * h2 - c1 * h1, "x2": b2 * h2 - c2 * h1}
 
 
-def _m2_system(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md, t1, t2, p, q, r, u):
+def _m2_system(a1, b1, c1, d1, a2, b2, c2, d2, ma, mb, mc, md, h1, h2, w, e1, e2, x1, x2):
     """Coupled M2 right-hand side on the row-major entries of K1, K2 and m and ``_m2_temporaries``.
 
-    ``B = E12 K1 + E21 K2 + K1 E12 + K2 E21 = [[s, t1], [t2, s]]`` with
-    ``t_i = tr K_i``; its scalar diagonal s drops out of ``[K_i, B]``.
-    ``b = ([E12, K1] + [E21, K2]) / 2 = [[p, q], [r, -p]]``.  Returns the
-    twelve entries of ``dK1 = [K1, B]/2``, ``dK2 = [K2, B]/2`` and
-    ``dm = -b m - K1 [E12, m] - K2 [E21, m]`` as a list.
+    ``B = E12 K1 + E21 K2 + K1 E12 + K2 E21 = 2 [[w, h1], [h2, w]]`` and
+    ``b = ([E12, K1] + [E21, K2]) / 2 = [[w - b2, h1 - a1], [h2 - d2, w - c1]]``.
+    B's scalar diagonal drops out of ``[K_i, B]``, so ``dK_i = [K_i, B] / 2
+    = [K_i, H]`` with ``H = [[0, h1], [h2, 0]]``, that is
+    ``[[x_i, h1 e_i], [-(h2 e_i), -x_i]]``.  In ``dm = -b m - K1 [E12, m] -
+    K2 [E21, m]`` the terms ``-K1 E12 m - K2 E21 m`` join ``-b m``, so
+    ``dm = -A m + K1 m E12 + K2 m E21`` with ``A = b + K1 E12 + K2 E21 =
+    B / 2``.  Returns the twelve entries of dK1, dK2 and dm as a list.
     """
     return [
-        0.5 * (b1 * t2 - c1 * t1),
-        0.5 * (t1 * (a1 - d1)),
-        0.5 * (t2 * (d1 - a1)),
-        0.5 * (c1 * t1 - b1 * t2),
-        0.5 * (b2 * t2 - c2 * t1),
-        0.5 * (t1 * (a2 - d2)),
-        0.5 * (t2 * (d2 - a2)),
-        0.5 * (c2 * t1 - b2 * t2),
-        -(p * ma + q * mc) - a1 * mc + a2 * mb - b2 * u,
-        -(p * mb + q * md) + a1 * u + b1 * mc - b2 * mb,
-        -(r * ma - p * mc) - c1 * mc + c2 * mb - d2 * u,
-        -(r * mb - p * md) + c1 * u + d1 * mc - d2 * mb,
+        x1, h1 * e1, -(h2 * e1), -x1,
+        x2, h1 * e2, -(h2 * e2), -x2,
+        (a2 * mb + b2 * md) - (w * ma + h1 * mc),
+        (a1 * ma + b1 * mc) - (w * mb + h1 * md),
+        (c2 * mb + d2 * md) - (h2 * ma + w * mc),
+        (c1 * ma + d1 * mc) - (h2 * mb + w * md),
     ]
 
 
 def _m2_stage(t: str, inputs: list, rates: list) -> list:
-    """The stage of the M2 system: the six temporaries, then the twelve rates, each written once."""
+    """The stage of the M2 system: the seven temporaries, then the twelve rates, each assigned once."""
     y = [_Expr(name, scalars=complex) for name in inputs]
-    temporaries = _m2_temporaries(*y)
+    temporaries = _m2_temporaries(*y, *(_Expr(name, scalars=complex) for name in ("h1", "h2")))
     named = [_Expr(name, scalars=complex) for name in temporaries]
     return [*_assign(temporaries, temporaries.values()), *_assign(rates, _m2_system(*y, *named))]
 

@@ -1,3 +1,4 @@
+import dis
 import math
 
 import numpy as np
@@ -16,13 +17,16 @@ from ncgflow import (
     VectorField,
     ZnElement,
     braiding_residual,
+    m2_rhs,
     m2_transport_rhs,
     reality_residual,
     solve_b,
     zn_rhs,
     zn_transport_rhs,
 )
-from oracles import divergence_pairing, zn_system
+from ncgflow import connection
+from ncgflow.flow import _names
+from oracles import divergence_pairing, m2_flow_oracle, m2_transport_oracle, zn_system
 
 TOL = 1e-12
 
@@ -132,3 +136,62 @@ def test_entry_points_reject_mismatched_operands():
         m2_transport_rhs(I2, z3)
     with pytest.raises(AlgebraMismatchError, match="group orders"):
         zn_transport_rhs(ZnElement([1, 2]), z3)
+
+
+def _m2_cases():
+    """(K1, K2, m) entry arrays: random, with signed zeros, subnormal, and with entries near 1e154."""
+    rng = np.random.default_rng(36)
+
+    def draw(scale, size=12):
+        return scale * (rng.uniform(-1.0, 1.0, size) + 1j * rng.uniform(-1.0, 1.0, size))
+
+    cases = [draw(1.0) for _ in range(20)]
+    zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0, 1.5)]
+    for _ in range(20):
+        y = draw(1.0)
+        picked = rng.random(12) < 0.5
+        y[picked] = rng.choice(zeros, picked.sum())
+        cases.append(y)
+    cases += [np.concatenate([draw(1.0, 8), draw(5e-310, 4)]) for _ in range(5)]  # subnormal m
+    cases += [np.concatenate([draw(2e-310, 8), draw(1.0, 4)]) for _ in range(5)]  # subnormal K
+    cases += [draw(2.5e153) for _ in range(10)]  # products near 1e307, sums short of overflow
+    return cases
+
+
+@pytest.mark.parametrize("y", _m2_cases())
+def test_the_compiled_m2_rates_agree_with_the_term_by_term_oracles(y):
+    """The A-matrix form of the M2 stage against ``[K_i, B] / 2`` and ``-b m - K1 [E12, m] - K2 [E21, m]``."""
+    k1, k2, m = y[:4].reshape(2, 2), y[4:8].reshape(2, 2), y[8:].reshape(2, 2)
+    got = np.array(connection._m2_kernels().rhs(0.0, y.tolist()))
+    want = np.concatenate([*(d.ravel() for d in m2_flow_oracle(k1, k2)), m2_transport_oracle(k1, k2, m).ravel()])
+    assert np.all(np.isfinite(want)) and np.all(np.isfinite(got))
+    k_abs, m_abs = np.abs(y[:8]).max(), np.abs(y[8:]).max()
+    bound = 1e-14 * k_abs * max(k_abs, m_abs) + 1e-321  # a few ulps of the products, and of the subnormals
+    assert np.abs(got - want).max() <= bound
+    field = VectorField(Mat2Element(k1), Mat2Element(k2))
+    flow = m2_rhs(field)
+    assert np.concatenate([flow.k1.entries.ravel(), flow.k2.entries.ravel()]).tobytes() == got[:8].tobytes()
+    assert m2_transport_rhs(Mat2Element(m), field).entries.ravel().tobytes() == got[8:].tobytes()
+
+
+def _arithmetic(code) -> list:
+    """The binary and unary arithmetic instructions of compiled code."""
+    return [i for i in dis.get_instructions(code) if i.opname == "BINARY_OP" or i.opname.startswith("UNARY_NEG")]
+
+
+def test_the_m2_stage_and_step_stay_in_their_operation_counts():
+    """50 operations a stage in the A-matrix form (77 term by term), 359 a fused rk4 step (467).
+
+    The step counts the operations on the lines after the loop head of the
+    compiled run, but not the row index of a sampled write.
+    """
+    inputs = _names("s", 12)
+    lines = connection._m2_stage("t", inputs, _names("ka", 12))
+    namespace = {}
+    exec(compile("\n".join([f"def stage({', '.join(inputs)}):", *("    " + line for line in lines), ""]),
+                 "<stage>", "exec"), namespace)
+    assert len(_arithmetic(namespace["stage"])) <= 50
+    run = connection._m2_kernels().rk4
+    loop = next(i.positions.lineno for i in dis.get_instructions(run) if i.opname == "FOR_ITER")
+    step = [i for i in _arithmetic(run) if i.positions.lineno > loop and i.argrepr != "//"]
+    assert len(step) <= 360
