@@ -11,8 +11,9 @@ given by a ``ChristoffelProvider``: its nonzero index triples ``(i, j, k)``,
 their ``Gamma^i_jk`` and its metric, each written once as an elementwise
 function of x.  ``_geodesic_system`` contracts
 ``ChristoffelProvider.symbols(x)``, the list of ``(i, j, k,
-Gamma^i_jk(x))``, with v in one scalar loop, and so does the check on the
-sampled points; ``integrate_geodesic`` steps that system applied once to
+Gamma^i_jk(x))``, with v in one scalar loop, and the check applies the
+same contraction to the sampled coordinate columns;
+``integrate_geodesic`` steps that system applied once to
 ``flow._Expr`` symbols (``_geodesic_stage``), so the symbols are written
 into the stage, compiled once per provider, on first use, into a compiled
 system (``flow._stage_kernels``): a straight-line right-hand side and a
@@ -319,7 +320,9 @@ def pullback_geodesic_check(times, samples, provider: ChristoffelProvider) -> fl
 
     Residual at each interior sample is ``max_i |gdd^i + Gamma^i_jk gd^j gd^k|``
     with second-order centred differences; it vanishes (to O(dt^2)) iff
-    the curve is a geodesic.
+    the curve is a geodesic.  The provider's symbols and the contraction
+    apply to whole coordinate columns, and a nan residual anywhere makes
+    the result nan.
     """
     times = np.asarray(times, dtype=np.float64)
     samples = np.asarray(samples, dtype=np.float64)
@@ -338,8 +341,5 @@ def pullback_geodesic_check(times, samples, provider: ChristoffelProvider) -> fl
 
     vel = (samples[2:] - samples[:-2]) / (2.0 * dt)
     acc = (samples[2:] - 2.0 * samples[1:-1] + samples[:-2]) / (dt * dt)
-    worst = 0.0
-    for x, v, a in zip(samples[1:-1].tolist(), vel.tolist(), acc.tolist()):
-        for r in _add_christoffel_term(a, provider.symbols(x), v):
-            worst = max(worst, abs(r))
-    return worst
+    residual = _add_christoffel_term(list(acc.T), provider.symbols(list(samples[1:-1].T)), list(vel.T))
+    return float(np.max(np.abs(residual)))

@@ -44,7 +44,10 @@ names it.  It keeps code 2 because, like a config error, it stops the run
 before any output is complete and is not a fault of the numerics, so a
 script that tells 2 from 3 keeps telling them apart.  In a
 ``sweep``, a config whose run fails in any other way prints
-``internal error: ...`` and reports exit 1 while the others finish.
+``internal error: ...`` and reports exit 1 while the others finish;
+so does a config whose worker process dies (``worker process died``),
+together with every config that the broken pool then leaves without a
+result.
 Each config's stdout and stderr are captured where it runs and printed
 in config order, whatever ``--jobs`` is, so a sweep's output is
 deterministic too.
@@ -63,6 +66,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -881,6 +885,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _sweep_result(future, job) -> tuple[str, int, str, str]:
+    """A worker's ``_run_one_sweep`` result, or exit 1 and ``internal error`` for a config whose worker died."""
+    try:
+        return future.result()
+    except BrokenProcessPool:
+        return job[0], EXIT_INTERNAL, "", f"internal error: {job[0]}: worker process died\n"
+
+
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         return _config_error(f"--jobs: expected an integer >= 1, got {args.jobs}")
@@ -892,7 +904,8 @@ def _cmd_sweep(args) -> int:
     workers = min(args.jobs, len(jobs), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one_sweep, jobs))
+            futures = [pool.submit(_run_one_sweep, job) for job in jobs]
+            results = [_sweep_result(future, job) for future, job in zip(futures, jobs)]
     else:
         results = [_run_one_sweep(j) for j in jobs]
     for _, _, stdout, stderr in results:

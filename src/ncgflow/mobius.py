@@ -80,7 +80,8 @@ class SpherePoint:
 
         numpy divides a complex128 by a real through its reciprocal, which
         overflows for a subnormal scale, so such a ratio is first scaled by
-        the exact power of two ``_SUBNORMAL_LIFT``.
+        the exact power of two ``_SUBNORMAL_LIFT``.  A quotient that
+        overflows is the point at infinity, with no warning from numpy.
         """
         scale = max(abs(num), abs(den))
         if scale == 0.0:
@@ -90,7 +91,8 @@ class SpherePoint:
         num, den = num / scale, den / scale
         if den == 0.0:
             return cls.infinity()
-        return cls(num / den)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cls(num / den)
 
     @property
     def is_infinity(self) -> bool:

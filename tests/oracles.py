@@ -22,6 +22,10 @@ calculus, the divergence condition and the M2 Bloch coordinates that only
 the tests use.  ``m2_kflow_oracle``
 and ``zn2_transport_oracle`` are closed forms, through scipy's ``expm``, of
 the M2 K-flow and of the Z_2 transport, for any initial data.
+``pullback_check_oracle`` is the per-sample loop of
+``classical.pullback_geodesic_check``, on Python floats and ``math``'s sin
+and cos, before the check went to coordinate columns; it keeps its
+``max(worst, abs(r))``, so a nan residual does not show in it.
 ``burgers_rate`` is the burgers right-hand side through the gathers of
 ``spatial_derivative``, the byte reference of the buffered kernel.
 ``call_stage`` is the stage of any callable ``g`` on lists, one call per
@@ -40,6 +44,7 @@ import scipy.linalg
 
 from ncgflow import Mat2Element, OneForm, apply_vf, d, flow, spatial_derivative, state_eval
 from ncgflow.algebra import _shift_indices
+from ncgflow.classical import _add_christoffel_term
 from ncgflow.connection import _zn_beta, _zn_dkm, _zn_dkp, _zn_dm
 from ncgflow.svgplot import _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE, _expand, _fmt
 
@@ -359,6 +364,19 @@ def line_chart_oracle(
 
     out.append("</svg>")
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+
+
+def pullback_check_oracle(times, samples, provider) -> float:
+    """The geodesic residual of uniformly sampled points, one sample at a time (see the module docstring)."""
+    samples = np.asarray(samples, dtype=np.float64)
+    dt = times[1] - times[0]
+    vel = (samples[2:] - samples[:-2]) / (2.0 * dt)
+    acc = (samples[2:] - 2.0 * samples[1:-1] + samples[:-2]) / (dt * dt)
+    worst = 0.0
+    for x, v, a in zip(samples[1:-1].tolist(), vel.tolist(), acc.tolist()):
+        for r in _add_christoffel_term(a, provider.symbols(x), v):
+            worst = max(worst, abs(r))
+    return worst
 
 
 def burgers_rate(v, dx, stencil):

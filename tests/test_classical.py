@@ -17,7 +17,13 @@ from ncgflow import (
     spatial_derivative,
     speed_squared,
 )
-from oracles import burgers_rate, great_circle, great_circle_initial_velocity, transport_characteristics_sine
+from oracles import (
+    burgers_rate,
+    great_circle,
+    great_circle_initial_velocity,
+    pullback_check_oracle,
+    transport_characteristics_sine,
+)
 
 
 def test_flat_space_straight_line():
@@ -317,6 +323,34 @@ def test_pullback_check_converges_quadratically():
         residuals.append(pullback_geodesic_check(times, curve(times), round_sphere()))
     assert 3.5 <= residuals[0] / residuals[1] <= 4.5
     assert 3.5 <= residuals[1] / residuals[2] <= 4.5
+
+
+@pytest.mark.parametrize("provider", [round_sphere(), flat_space(1), flat_space(3)], ids=["sphere", "flat1", "flat3"])
+def test_pullback_check_on_columns_agrees_with_the_per_sample_loop(provider):
+    """numpy's sin and cos may differ from ``math``'s by an ulp, so the two agree to 1e-15 relative."""
+    rng = np.random.default_rng(36)
+    for dt in (0.5, 1e-2, 1e-4):
+        times = np.arange(200) * dt
+        samples = rng.uniform(0.05, math.pi - 0.05, (200, provider.dim))
+        want = pullback_check_oracle(times, samples, provider)
+        assert abs(pullback_geodesic_check(times, samples, provider) - want) <= 1e-15 * want
+    curve = great_circle(0.7)
+    times = np.arange(0.3, 2.3, 1e-2)
+    want = pullback_check_oracle(times, curve(times), round_sphere())
+    assert abs(pullback_geodesic_check(times, curve(times), round_sphere()) - want) <= 1e-15 * want
+
+
+def test_pullback_check_of_nan_samples_is_nan():
+    times = np.arange(0.0, 2.0, 1e-2)
+    samples = great_circle(0.7)(times)
+    all_nan = samples.copy()
+    all_nan[:, 0] = math.nan  # every theta: the per-sample loop read 0.0 here
+    assert pullback_check_oracle(times, all_nan, round_sphere()) == 0.0
+    assert math.isnan(pullback_geodesic_check(times, all_nan, round_sphere()))
+    one_nan = samples.copy()
+    one_nan[50, 1] = math.nan
+    assert math.isnan(pullback_geodesic_check(times, one_nan, round_sphere()))
+    assert math.isnan(pullback_geodesic_check(times, one_nan, flat_space(2)))
 
 
 def test_pullback_check_input_validation():

@@ -1,9 +1,11 @@
 import builtins
+import concurrent.futures
 import json
 import contextlib
 import functools
 import importlib.util
 import math
+import multiprocessing
 import operator
 import os
 import re
@@ -780,6 +782,13 @@ def test_sweep_refuses_configs_that_share_a_stem(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+def _done(fn, item) -> concurrent.futures.Future:
+    """A future that already holds ``fn(item)``: a pool's submit, run in this process."""
+    future = concurrent.futures.Future()
+    future.set_result(fn(item))
+    return future
+
+
 def _fake_pool(monkeypatch, cpus):
     """Stand in for the process pool and the CPU count; returns the max_workers of each pool started."""
     started = []
@@ -794,8 +803,8 @@ def _fake_pool(monkeypatch, cpus):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, item):
+            return _done(fn, item)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
@@ -847,7 +856,7 @@ def test_sweep_reports_an_internal_error_per_config(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(cli, "integrate_burgers", boom)
     # with --jobs 2 the jobs run in this process, through a stand-in for the pool
     monkeypatch.setattr(cli, "ProcessPoolExecutor",
-                        lambda max_workers: contextlib.nullcontext(types.SimpleNamespace(map=map)))
+                        lambda max_workers: contextlib.nullcontext(types.SimpleNamespace(submit=_done)))
     paths = [tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"]
     paths[0].write_text(json.dumps({"scenario": "m2row", "t_end": 0.01}))
     paths[1].write_text(json.dumps({"scenario": "classical-burgers", "n_grid": 16, "t_end": 0.01}))
@@ -858,6 +867,31 @@ def test_sweep_reports_an_internal_error_per_config(tmp_path, monkeypatch, capsy
     assert "Traceback" not in err
     assert [line.rsplit(": ", 1)[1] for line in out.splitlines()[-3:]] == ["exit 0", "exit 1", "exit 0"]
     assert (tmp_path / "s" / "a" / "trajectory.csv").exists() and (tmp_path / "s" / "c" / "trajectory.csv").exists()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the workers inherit the stand-in by fork")
+def test_a_sweep_worker_that_dies_is_an_internal_error_of_its_config(tmp_path, monkeypatch, capsys):
+    paths = _sweep_configs(tmp_path, 3)
+    run_one = cli._run_one_sweep
+
+    def dies_on_b(payload):
+        if payload[0] == str(paths[1]):
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and not all(
+                    (tmp_path / "s" / stem / "trajectory.csv").exists() for stem in "ac"):
+                time.sleep(0.01)
+            time.sleep(1.0)  # the other worker sends c's result
+            os._exit(9)
+        return run_one(payload)
+
+    dies_on_b.__module__, dies_on_b.__qualname__ = cli.__name__, "_run_one_sweep"  # pickled by name, found in the fork
+    monkeypatch.setattr(cli, "_run_one_sweep", dies_on_b)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert main(["sweep", "--configs", *map(str, paths), "--out", str(tmp_path / "s"), "--jobs", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"internal error: {paths[1]}: worker process died\n"
+    assert out.count("scenario m2row") == 2
+    assert out.splitlines()[-3:] == [f"{paths[0]}: exit 0", f"{paths[1]}: exit 1", f"{paths[2]}: exit 0"]
 
 
 _FIELDS = {

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,18 @@ def test_from_ratio_of_subnormal_numpy_complexes_is_the_point_of_python_complexe
     want = SpherePoint.from_ratio(complex(num), complex(den))
     got = SpherePoint.from_ratio(np.complex128(num), np.complex128(den))
     assert sphere_distance(got, want) <= 1e-15
+
+
+@pytest.mark.parametrize("num, den", [(1.0, 1e-320), (1.0 + 1.0j, 1e-320j), (1e300 + 1e300j, 1e-300 + 1e-300j),
+                                      (-3.0, complex(-0.0, 5e-324))])
+def test_a_quotient_that_overflows_is_infinity_with_no_numpy_warning(num, den):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert SpherePoint.from_ratio(np.complex128(num), np.complex128(den)).is_infinity
+        assert SpherePoint.from_ratio(complex(num), complex(den)).is_infinity
+        mat = np.array([[num, 0.0], [0.0, den]], dtype=complex)
+        assert mobius_apply(mat, np.complex128(1.0)).is_infinity
+        assert mobius_apply(mat, SpherePoint(np.complex128(1.0))).is_infinity
 
 
 def test_riccati_linear_drift():
