@@ -322,7 +322,9 @@ def pullback_geodesic_check(times, samples, provider: ChristoffelProvider) -> fl
     with second-order centred differences; it vanishes (to O(dt^2)) iff
     the curve is a geodesic.  The provider's symbols and the contraction
     apply to whole coordinate columns, and a nan residual anywhere makes
-    the result nan.
+    the result nan.  A sample on a pole of the sphere (sin theta = 0) has
+    an infinite cot there, so its residual is inf or nan, without a
+    warning.
     """
     times = np.asarray(times, dtype=np.float64)
     samples = np.asarray(samples, dtype=np.float64)
@@ -341,5 +343,6 @@ def pullback_geodesic_check(times, samples, provider: ChristoffelProvider) -> fl
 
     vel = (samples[2:] - samples[:-2]) / (2.0 * dt)
     acc = (samples[2:] - 2.0 * samples[1:-1] + samples[:-2]) / (dt * dt)
-    residual = _add_christoffel_term(list(acc.T), provider.symbols(list(samples[1:-1].T)), list(vel.T))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual = _add_christoffel_term(list(acc.T), provider.symbols(list(samples[1:-1].T)), list(vel.T))
     return float(np.max(np.abs(residual)))

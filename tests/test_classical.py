@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,9 +57,9 @@ def test_geodesic_rhs_shape():
     assert dv.shape == (2,)
 
 
-def _generic_contraction(provider, x, v, acc):
-    """acc^i + Gamma^i_jk(x) v^j v^k, one lookup of each index triple in the provider's symbols."""
-    symbols = {(i, j, k): g for i, j, k, g in provider.symbols(x)}
+def _generic_contraction(provider, x, v, acc, symbols=None):
+    """acc^i + Gamma^i_jk(x) v^j v^k, one lookup of each index triple in the provider's symbols (at x, or given)."""
+    symbols = {(i, j, k): g for i, j, k, g in (provider.symbols(x) if symbols is None else symbols)}
     out = []
     for i in range(provider.dim):
         r = acc[i]
@@ -85,7 +86,10 @@ def test_geodesic_rhs_equals_generic_contraction(provider):
     samples = rng.uniform(0.5, 2.5, (times.shape[0], provider.dim))
     vel = (samples[2:] - samples[:-2]) / 0.25
     acc = (samples[2:] - 2.0 * samples[1:-1] + samples[:-2]) / 0.125**2
-    worst = max(np.abs(_generic_contraction(provider, x, v, a)).max() for x, v, a in zip(samples[1:-1], vel, acc))
+    # the symbols with the check's own numpy sin and cos of whole columns, which may differ from math's by an ulp
+    columns = provider.symbols(list(samples[1:-1].T))
+    worst = max(np.abs(_generic_contraction(provider, None, v, a, [(i, j, k, g[n]) for i, j, k, g in columns])).max()
+                for n, (v, a) in enumerate(zip(vel, acc)))
     assert pullback_geodesic_check(times, samples, provider) == worst
 
 
@@ -351,6 +355,17 @@ def test_pullback_check_of_nan_samples_is_nan():
     one_nan[50, 1] = math.nan
     assert math.isnan(pullback_geodesic_check(times, one_nan, round_sphere()))
     assert math.isnan(pullback_geodesic_check(times, one_nan, flat_space(2)))
+
+
+def test_pullback_check_of_a_sample_on_the_pole_is_inf_or_nan_without_a_warning():
+    times = np.arange(0.0, 1.0, 0.125)
+    samples = np.column_stack([times - 0.5, 0.25 * times])  # through the pole theta = 0 at t = 0.5
+    moving, still = samples.copy(), samples.copy()
+    still[:, 1] = 1.0  # dphi = 0: cot * 0 at the pole
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pullback_geodesic_check(times, moving, round_sphere()) == math.inf
+        assert math.isnan(pullback_geodesic_check(times, still, round_sphere()))
 
 
 def test_pullback_check_input_validation():

@@ -877,12 +877,13 @@ def test_a_sweep_worker_that_dies_is_an_internal_error_of_its_config(tmp_path, m
     def dies_on_b(payload):
         if payload[0] == str(paths[1]):
             deadline = time.monotonic() + 60
-            while time.monotonic() < deadline and not all(
-                    (tmp_path / "s" / stem / "trajectory.csv").exists() for stem in "ac"):
+            while time.monotonic() < deadline and not all((tmp_path / f"{stem}.done").exists() for stem in "ac"):
                 time.sleep(0.01)
-            time.sleep(1.0)  # the other worker sends c's result
+            time.sleep(0.2)  # the other worker puts c's finished result on the pipe
             os._exit(9)
-        return run_one(payload)
+        result = run_one(payload)
+        (tmp_path / f"{Path(payload[0]).stem}.done").touch()
+        return result
 
     dies_on_b.__module__, dies_on_b.__qualname__ = cli.__name__, "_run_one_sweep"  # pickled by name, found in the fork
     monkeypatch.setattr(cli, "_run_one_sweep", dies_on_b)

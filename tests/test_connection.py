@@ -1,4 +1,4 @@
-import dis
+import ast
 import math
 
 import numpy as np
@@ -25,7 +25,7 @@ from ncgflow import (
     zn_transport_rhs,
 )
 from ncgflow import connection
-from ncgflow.flow import _names
+from ncgflow.flow import _compile_rk4, _names
 from oracles import divergence_pairing, m2_flow_oracle, m2_transport_oracle, zn_system
 
 TOL = 1e-12
@@ -174,24 +174,29 @@ def test_the_compiled_m2_rates_agree_with_the_term_by_term_oracles(y):
     assert m2_transport_rhs(Mat2Element(m), field).entries.ravel().tobytes() == got[8:].tobytes()
 
 
-def _arithmetic(code) -> list:
-    """The binary and unary arithmetic instructions of compiled code."""
-    return [i for i in dis.get_instructions(code) if i.opname == "BINARY_OP" or i.opname.startswith("UNARY_NEG")]
+def _arithmetic(tree) -> list:
+    """The binary and negation operations of parsed source, but not those of constants alone, which compile folds."""
+
+    def constant(node) -> bool:
+        return (isinstance(node, ast.Constant) or isinstance(node, ast.BinOp) and constant(node.left)
+                and constant(node.right) or isinstance(node, ast.UnaryOp) and constant(node.operand))
+
+    return [node for node in ast.walk(tree) if (isinstance(node, ast.BinOp) or isinstance(node, ast.UnaryOp)
+                                                 and isinstance(node.op, ast.USub)) and not constant(node)]
 
 
-def test_the_m2_stage_and_step_stay_in_their_operation_counts():
+def test_the_m2_stage_and_step_stay_in_their_operation_counts(monkeypatch):
     """50 operations a stage in the A-matrix form (77 term by term), 359 a fused rk4 step (467).
 
-    The step counts the operations on the lines after the loop head of the
-    compiled run, but not the row index of a sampled write.
+    The operations are counted in the source text of the stage and of the
+    compiled run; the step's are those in the body of its loop over the
+    steps, but not the row index of a sampled write.
     """
-    inputs = _names("s", 12)
-    lines = connection._m2_stage("t", inputs, _names("ka", 12))
-    namespace = {}
-    exec(compile("\n".join([f"def stage({', '.join(inputs)}):", *("    " + line for line in lines), ""]),
-                 "<stage>", "exec"), namespace)
-    assert len(_arithmetic(namespace["stage"])) <= 50
-    run = connection._m2_kernels().rk4
-    loop = next(i.positions.lineno for i in dis.get_instructions(run) if i.opname == "FOR_ITER")
-    step = [i for i in _arithmetic(run) if i.positions.lineno > loop and i.argrepr != "//"]
+    stage = ast.parse("\n".join(connection._m2_stage("t", _names("s", 12), _names("ka", 12))))
+    assert len(_arithmetic(stage)) <= 50
+    sources = []
+    monkeypatch.setattr("ncgflow.flow._compile", lambda source, name, **names: sources.append(source))
+    _compile_rk4(12, connection._m2_stage, (), complex)
+    loop = next(node for node in ast.walk(ast.parse(sources[0])) if isinstance(node, ast.For))
+    step = [op for line in loop.body for op in _arithmetic(line) if not isinstance(op.op, ast.FloorDiv)]
     assert len(step) <= 360
