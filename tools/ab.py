@@ -3,10 +3,11 @@
     python tools/ab.py REF [--workloads NAME ...] [--pairs 15] [--seed 1] [--json FILE]
 
 REF is a git revision of this repository, whose ``src/ncgflow`` is exported
-with ``git archive`` (no network).  Both sides are loaded into this process as two packages, ``ncgflow_ref``
-and ``ncgflow_this`` (the package imports only relatively), and each op of
-a workload is the ``cli.main`` call that the benchmark times, on the
-inputs that ``perfbench/workloads.py`` generates from the seed.  Every op
+with ``git archive`` (no network).  Both sides are loaded into this process
+as two packages, ``ncgflow_ref`` and ``ncgflow_this`` (the package imports
+only relatively), and each op of a workload is the ``cli.main`` call
+that the benchmark times, on the inputs that ``perfbench/workloads.py``
+generates from the seed.  Every op
 runs once per side to warm that side's caches; those runs also give the
 CSV bytes and exit code of each op, compared between the sides.  Then each
 pair is one round of the workload on both sides: the ops in a random
