@@ -21,8 +21,6 @@ raises :class:`AlgebraMismatchError`.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 __all__ = [
@@ -56,22 +54,17 @@ def _locked(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=4)
 def _shift_indices(n: int, steps: int) -> np.ndarray:
     """Index array realising R_a: ``f[_shift_indices(n, a)][i] == f[(i + a) % n]``.
 
-    Much cheaper than np.roll on small arrays.  Besides ``ZnElement.shift``,
-    the Z_n run series and ``classical.spatial_derivative``, the public
+    Much cheaper than np.roll on small arrays.  ``ZnElement.shift``, the
+    Z_n run series and ``classical.spatial_derivative``, the public
     reference of the burgers stencil, gather through it; the burgers run
     itself steps in a ghost-padded layout, filled by slice copies, and
-    never gathers.
-    ``spatial_derivative`` gathers through 4 keys (n, +-1 and +-2, at
-    either stencil, the 2nd-order one reading only +-1) and a
-    Z_n run's series through 2, so 4 cached arrays hold the working set of
-    either, and a process keeps at most 4 n-entry int64 arrays alive
-    (32 MiB at ``cli.MAX_GRID``) however many sizes it gathers at.
+    never gathers.  Each call builds a fresh array: no run calls it per
+    step.
     """
-    return _locked((np.arange(n) + steps) % n)
+    return (np.arange(n) + steps) % n
 
 
 class _Element:

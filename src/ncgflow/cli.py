@@ -45,9 +45,9 @@ before any output is complete and is not a fault of the numerics, so a
 script that tells 2 from 3 keeps telling them apart.  In a
 ``sweep``, a config whose run fails in any other way prints
 ``internal error: ...`` and reports exit 1 while the others finish;
-so does a config whose worker process dies (``worker process died``),
-together with every config that the broken pool then leaves without a
-result.
+a config that a dying worker leaves without a result runs again alone in
+a fresh worker, and only if that worker dies too does it report exit 1
+and ``worker process died``.
 Each config's stdout and stderr are captured where it runs and printed
 in config order, whatever ``--jobs`` is, so a sweep's output is
 deterministic too.
@@ -347,12 +347,6 @@ def _complex_columns(labels, *names: str) -> list[str]:
     return [f"{name}_{label}_{part}" for name in names for label in labels for part in ("re", "im")]
 
 
-def _interleave(block: np.ndarray) -> np.ndarray:
-    """(T, ...) complex -> (T, 2k) float with re/im columns."""
-    flat = np.ascontiguousarray(block.reshape(block.shape[0], -1))
-    return flat.view(np.float64)
-
-
 def _lines(title: str, t: np.ndarray, names: list[str], block: np.ndarray) -> dict:
     """Chart of the columns of ``block`` (or of a 1-d ``block``) against t."""
     cols = block.reshape(len(t), -1)
@@ -544,11 +538,12 @@ def _m2_run(cfg: dict, outdir: Path) -> tuple:
     s, summary = _monitor(outdir, run, _M2_MONITORS)
     bloch_pts = s["bloch_series"]
     _write_table(outdir, "state.csv", t, ["s", "x", "y", "phi_one"], [bloch_pts, s["phi_one"]])
+    states = run.trajectory.states  # re/im interleaved already: k1 in columns 0-7, k2 in 8-15
     return t, [
-        ("fig2a.svg", _lines("k1 entries", t, _complex_columns(_M2_LABELS, "k1"), _interleave(run.k1))),
-        ("fig2b.svg", _lines("k2 entries", t, _complex_columns(_M2_LABELS, "k2"), _interleave(run.k2))),
+        ("fig2a.svg", _lines("k1 entries", t, header[:8], states[:, :8])),
+        ("fig2b.svg", _lines("k2 entries", t, header[8:16], states[:, 8:16])),
         ("fig2c.svg", _lines("[k1, k2] entries", t, _complex_columns(_M2_LABELS, "comm"),
-                             _interleave(run.commutator))),
+                             run.commutator.view(np.float64))),
         ("fig3a.svg", _lines("state coordinates", t, ["s", "x", "y"], bloch_pts)),
         ("fig3b.svg", _state_path(bloch_pts, "path in state space")),
         ("fig3c.svg", _lines("normalisation deviation", t, ["phi_one_dev"], s["phi_one_dev"])),
@@ -886,11 +881,20 @@ def _usable_cpus() -> int:
 
 
 def _sweep_result(future, job) -> tuple[str, int, str, str]:
-    """A worker's ``_run_one_sweep`` result, or exit 1 and ``internal error`` for a config whose worker died."""
+    """A worker's ``_run_one_sweep`` result.
+
+    A config that a broken pool leaves without a result runs again alone,
+    in a pool of one fresh worker; only if that worker dies too is it exit
+    1 and ``internal error``.
+    """
     try:
         return future.result()
     except BrokenProcessPool:
-        return job[0], EXIT_INTERNAL, "", f"internal error: {job[0]}: worker process died\n"
+        try:
+            with ProcessPoolExecutor(max_workers=1) as alone:
+                return alone.submit(_run_one_sweep, job).result()
+        except BrokenProcessPool:
+            return job[0], EXIT_INTERNAL, "", f"internal error: {job[0]}: worker process died\n"
 
 
 def _cmd_sweep(args) -> int:

@@ -56,14 +56,16 @@ below call.  The tests hold the array form byte for byte to the four
 functions called once each on gathered sample arrays.  On M2,
 ``_m2_temporaries`` (h1, h2, w, e1, e2, x1, x2) and ``_m2_system`` (the
 twelve rates of (K1, K2, m)) make ``_m2_stage``, 50 operations, which
-``_m2_kernels`` compiles the same way.
+``_m2_kernels`` compiles the same way; ``m2_coupled_rhs()`` is its
+per-call rhs on the packed float64 vector.
 
 The element entry points are ``solve_b`` (b = -dm/dt at m = 1),
 ``zn_rhs`` / ``m2_rhs`` (dK/dt as a vector field) and
 ``zn_transport_rhs`` / ``m2_transport_rhs`` (dm/dt).  Each checks its
 algebra and calls ``_coupled_rates``, the one place where elements are
-unpacked into the kernels; it raises ``AlgebraMismatchError`` unless K
-and m are of one algebra and group order.
+packed for a per-call rhs (``zn_coupled_rhs`` or ``m2_coupled_rhs``); it
+raises ``AlgebraMismatchError`` unless K and m are of one algebra and
+group order.
 
 ``reality_residual`` and ``braiding_residual`` quantify how far K is from
 satisfying the reality condition and from the braided compatibility
@@ -92,6 +94,7 @@ __all__ = [
     "reality_residual",
     "braiding_residual",
     "zn_coupled_rhs",
+    "m2_coupled_rhs",
 ]
 
 
@@ -188,6 +191,12 @@ def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
     return _zn_arrays(n).rhs
 
 
+def m2_coupled_rhs() -> Callable[[float, np.ndarray], np.ndarray]:
+    """Flat RHS for the coupled (K1, K2, m) M2 system: the compiled scalar rhs on the packed float64 vector."""
+    rhs = _m2_kernels().rhs
+    return lambda t, y: np.array(rhs(t, y.view(np.complex128).tolist()), dtype=np.complex128).view(np.float64)
+
+
 def _zn_arrays(n: int) -> _System:
     """The array system of Z_n (``flow._array_system``): ``_zn_array_stage(n)`` in three rows with one complex pad.
 
@@ -275,10 +284,9 @@ def _m2_kernels():
 def _coupled_rates(field: VectorField, m: AlgebraElement):
     """The data arrays of ``(dK1, dK2, dm)`` at (K, m); K and m must be of one algebra and group order."""
     field.k1._coerce(m)
+    rhs = zn_coupled_rhs(m.n) if isinstance(m, ZnElement) else m2_coupled_rhs()
     y = pack_complex(field.k1._data, field.k2._data, m._data)
-    if isinstance(m, ZnElement):
-        return zn_coupled_rhs(m.n)(0.0, y).view(np.complex128).reshape(3, -1)
-    return np.array(_m2_kernels().rhs(0.0, y.view(np.complex128).tolist())).reshape(3, 2, 2)
+    return rhs(0.0, y).view(np.complex128).reshape(3, *m._data.shape)
 
 
 def solve_b(field: VectorField) -> AlgebraElement:

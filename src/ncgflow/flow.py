@@ -632,15 +632,17 @@ def _dopri(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarra
     once at t = 0 and then six times per attempt.  The targets
     are the sampled steps, every ``stride``-th and ``n_steps``; towards
     each the attempts run until it is reached, and t is then reset to the
-    exact ``step * h``.  An attempt is accepted when the RMS of its error
-    estimate over ``ATOL + RTOL * max(|y|, |y5|)`` is at most 1, or when
-    its size is at most the floor ``1e-13 * max(1, t_target)`` (t_target is
-    the target's time), and the next size is the usual safety-factor rule
-    within 0.2x-5x, cut to the rest of the way to the target, so no attempt
-    is longer than ``stride * h``.  A size that falls below the floor
-    raises ``BlowupError`` ("non-finite state encountered" when the error
-    estimate is not finite), and so does a run that would make more than
-    ``MAX_ATTEMPTS_PER_STEP * n_steps`` attempts.
+    exact ``step * h``.  An attempt is accepted if and only if the RMS of
+    its error estimate over ``ATOL + RTOL * max(|y|, |y5|)`` is at most 1
+    (a nan estimate is rejected), and the next size is the usual
+    safety-factor rule within 0.2x-5x, cut to the rest of the way to the
+    target, so no attempt is longer than ``stride * h``.  A rejected
+    attempt whose next size falls below the floor ``1e-13 * max(1,
+    t_target)`` (t_target is the target's time) raises ``BlowupError``
+    ("non-finite state encountered" when the error estimate is not
+    finite, "adaptive step size underflow" otherwise) with the start of
+    the attempt as the last good time, and so does a run that would make
+    more than ``MAX_ATTEMPTS_PER_STEP * n_steps`` attempts.
     """
     block, coef = np.empty((8, y.shape[0])), np.ones((7, 8))  # coefficient rows: see _dopri_step
     y5, err, scale = np.empty((3, y.shape[0]))
@@ -664,14 +666,14 @@ def _dopri(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarra
                 attempts_left -= 1
                 hs = min(h_try, t_target - t)
                 err_norm, peak = _dopri_step(f, t, hs, h_coef, stages, y, ks, y5, read, err, scale)
-                if err_norm <= 1.0 or hs <= 1e-13 * max(1.0, t_target):
+                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+                h_try = hs * factor
+                if err_norm <= 1.0:
                     _check_peak(peak, t)
                     t += hs
                     y[:] = y5
                     ks[0] = ks[6]
-                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-                h_try = hs * factor
-                if h_try < 1e-13 * max(1.0, t_target):
+                elif h_try < 1e-13 * max(1.0, t_target):
                     if not math.isfinite(err_norm):  # fails error control at every step size
                         raise BlowupError("non-finite state encountered", t)
                     raise BlowupError("adaptive step size underflow", t)

@@ -10,7 +10,6 @@ so a failed write leaves no partial file.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 from functools import lru_cache
 
@@ -56,8 +55,6 @@ def output_file(path, *args, **kwargs):
 
 
 def _expand(lo: float, hi: float) -> tuple[float, float]:
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return -1.0, 1.0
     if hi <= lo:
         pad = max(1e-12, abs(lo) * 1e-3, 1e-3)
         return lo - pad, lo + pad

@@ -15,8 +15,10 @@ M2, its Bloch coordinates are
 K and m are integrated as one coupled system (``run_zn`` / ``run_m2``)
 rather than sequentially, so no interpolation error enters through K(t).
 The systems are written once, in ``connection``, together with their
-element-level entry points and ``zn_coupled_rhs``, the per-call
-right-hand side of the Z_n array system, which this module re-exports.
+element-level entry points and the per-call right-hand sides on the
+packed vector, ``zn_coupled_rhs`` (of the Z_n array system) and
+``m2_coupled_rhs`` (of the compiled M2 system), which this module
+re-exports.
 Both Z_n forms come from the same four site equations: compiled on
 scalars, or emitted as ufunc calls on arrays (``flow._array_rates``).
 
@@ -54,13 +56,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .algebra import AlgebraElement, _shift_indices, inner_product
 from .calculus import OneForm, VectorField, apply_vf, left_multiply_form
-from .connection import _m2_kernels, _zn_arrays, _zn_kernels, zn_coupled_rhs
+from .connection import _m2_kernels, _zn_arrays, _zn_kernels, m2_coupled_rhs, zn_coupled_rhs
 # The residual functions stay in this namespace: perfbench/spans.py wraps them here.
 from .connection import braiding_residual, reality_residual  # noqa: F401
 from .flow import Trajectory, integrate, pack_complex
@@ -107,13 +108,7 @@ def velocity_functional(m: AlgebraElement, field: VectorField, xi: OneForm) -> c
     return inner_product(apply_vf(field, left_multiply_form(m, xi)), m)
 
 
-# Coupled flat systems -----------------------------------------------------
-
-def m2_coupled_rhs() -> Callable[[float, np.ndarray], np.ndarray]:
-    """Flat RHS for the coupled (K1, K2, m) M2 system: the compiled scalar rhs on the packed float64 vector."""
-    rhs = _m2_kernels().rhs
-    return lambda t, y: np.array(rhs(t, y.view(np.complex128).tolist()), dtype=np.complex128).view(np.float64)
-
+# Packed states ------------------------------------------------------------
 
 def _as_complex(value, shape) -> np.ndarray:
     return np.asarray(value, dtype=np.complex128).reshape(shape)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from ncgflow import algebra, classical, flow
+from ncgflow import classical, flow
 from ncgflow import (
     GridField,
     flat_space,
@@ -239,17 +239,6 @@ def test_buffered_burgers_rhs_is_byte_identical_to_the_gather_form(n, stencil):
     run = integrate_burgers(field, t_end=0.02, h=1e-3, stride=3)
     ref = integrate(lambda t, y: burgers_rate(y, dx, stencil), field.values, 0.02, h=1e-3, stride=3)
     assert run.values.tobytes() == ref.states.tobytes()
-
-
-def test_the_shift_index_cache_stays_at_its_bound():
-    cache = algebra._shift_indices
-    for n in (16, 32, 48, 64, 80):  # 4 keys a derivative: (n, +-1) and (n, +-2)
-        spatial_derivative(sine_field(n).values, 2 * math.pi / n)
-        info = cache.cache_info()
-        assert info.currsize <= info.maxsize == 4
-    assert info.currsize == info.maxsize
-    spatial_derivative(sine_field(80).values, 2 * math.pi / 80)
-    assert cache.cache_info().misses == info.misses  # the last derivative's gathers are the cached ones
 
 
 def test_burgers_rhs_constant_field():

@@ -420,6 +420,71 @@ def test_rk45_attempt_budget_ends_a_run_whose_steps_shrink_to_the_floor(tmp_path
     assert f"adaptive step attempts exceeded {flow.MAX_ATTEMPTS_PER_STEP} per grid step" in err
 
 
+def test_an_rk45_run_whose_steps_lie_below_the_floor_finishes(tmp_path, capsys):
+    # 7 grid steps of 1.43e-14: rk4 runs them, and rk45 accepts each on its error estimate
+    cfg = {"scenario": "m2", "method": "rk45", "t_end": 1e-13, "step": 1.5e-14, "stride": 1}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "samples: 8\n" in capsys.readouterr().out
+
+
+def test_a_burgers_run_from_values(tmp_path, capsys):
+    values = [0.1 * math.sin(2 * math.pi * j / 16) for j in range(16)]
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps({"scenario": "classical-burgers", "values": values, "stencil": 2, "t_end": 0.01}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    header, data = _read_csv(tmp_path / "o" / "trajectory.csv")
+    assert header[1:] == [f"k_{j}" for j in range(16)] and data[0, 1:].tolist() == values
+    path.write_text(json.dumps({"scenario": "classical-burgers", "values": values[:15]}))
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "p")]) == 2
+    assert capsys.readouterr().err == "config error: field 'values': need at least 16 grid samples\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "config must be a JSON object"),
+    ('{"scenario": "zn", "n": ' + "7" * 5000 + "}", "is not valid JSON: "),  # past Python's 4300-digit limit
+], ids=["array", "long-integer"])
+def test_a_config_that_is_not_a_json_object_exits_2(text, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_preset_and_config_together_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "m2row"}))
+    assert main(["run", "--preset", "paper-fig1", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: --preset and --config are mutually exclusive\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_geodesic_whose_x_and_v_lengths_differ_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "classical-geodesic", "manifold": "flat", "x": [0, 0, 0], "v": [1, 0]}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: fields 'x'/'v': expected 3 components each\n"
+
+
+def test_a_chart_that_fails_warns_and_the_run_exits_0(tmp_path, capsys, monkeypatch):
+    line_chart = cli.line_chart
+
+    def fails_on_fig1c(path, **kwargs):
+        if path.name == "fig1c.svg":
+            raise ValueError("no room")
+        line_chart(path, **kwargs)
+
+    monkeypatch.setattr(cli, "line_chart", fails_on_fig1c)
+    assert main(["run", "--preset", "paper-fig1", "--t-end", "0.1", "--out", str(tmp_path / "o")]) == 0
+    out, err = capsys.readouterr()
+    assert err == "warning: could not write fig1c.svg: no room\n"
+    wrote = out.splitlines()[-1]
+    assert wrote.startswith("wrote trajectory.csv, ") and "fig1b.svg" in wrote and "fig1c" not in wrote
+    assert not (tmp_path / "o" / "fig1c.svg").exists() and (tmp_path / "o" / "fig1b.svg").exists()
+
+
 def test_run_m2_with_large_m_entries(tmp_path):
     # phi values near 1e12 carry round-off of order 1e-5 in their imaginary parts
     cfg = {
@@ -893,6 +958,28 @@ def test_a_sweep_worker_that_dies_is_an_internal_error_of_its_config(tmp_path, m
     assert err == f"internal error: {paths[1]}: worker process died\n"
     assert out.count("scenario m2row") == 2
     assert out.splitlines()[-3:] == [f"{paths[0]}: exit 0", f"{paths[1]}: exit 1", f"{paths[2]}: exit 0"]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the workers inherit the stand-in by fork")
+def test_a_dying_sweep_worker_leaves_the_running_configs_to_a_fresh_worker(tmp_path, monkeypatch, capsys):
+    paths = _sweep_configs(tmp_path, 3)
+    paths[0].write_text(json.dumps({"scenario": "m2", "t_end": 60}))  # still running when b's worker dies
+    run_one = cli._run_one_sweep
+
+    def dies_on_b(payload):
+        if payload[0] == str(paths[1]):
+            time.sleep(0.3)
+            os._exit(9)
+        return run_one(payload)
+
+    dies_on_b.__module__, dies_on_b.__qualname__ = cli.__name__, "_run_one_sweep"  # pickled by name, found in the fork
+    monkeypatch.setattr(cli, "_run_one_sweep", dies_on_b)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert main(["sweep", "--configs", *map(str, paths), "--out", str(tmp_path / "s"), "--jobs", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"internal error: {paths[1]}: worker process died\n"
+    assert out.splitlines()[-3:] == [f"{paths[0]}: exit 0", f"{paths[1]}: exit 1", f"{paths[2]}: exit 0"]
+    assert (tmp_path / "s" / "a" / "fig3c.svg").exists() and (tmp_path / "s" / "c" / "trajectory.csv").exists()
 
 
 _FIELDS = {

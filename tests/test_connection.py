@@ -138,6 +138,15 @@ def test_entry_points_reject_mismatched_operands():
         zn_transport_rhs(ZnElement([1, 2]), z3)
 
 
+
+def test_transport_entry_points_reject_an_m_of_the_other_algebra():
+    z3 = VectorField(ZnElement([1, 2, 3]), ZnElement([1, 1, 1]))
+    with pytest.raises(TypeError, match="^zn_transport_rhs expects a ZnElement$"):
+        zn_transport_rhs(I2, z3)
+    with pytest.raises(TypeError, match="^m2_transport_rhs expects a Mat2Element$"):
+        m2_transport_rhs(ZnElement([1, 2, 3]), VectorField(I2, I2))
+
+
 def _m2_cases():
     """(K1, K2, m) entry arrays: random, with signed zeros, subnormal, and with entries near 1e154."""
     rng = np.random.default_rng(36)

@@ -141,7 +141,7 @@ _BLOWUPS = {
     "rk4-6": ("rk4", lambda t, y: -y, [1.0, 2e9], 1.0, 1e-3, "state magnitude exceeded 1e+09", 0.0),
     "rk45-7": ("rk45", lambda t, y: -y, [1.0, np.nan], 1.0, 1e-3, "non-finite state", 0.0),
     "rk45-8": ("rk45", lambda t, y: -y, [np.inf, 1.0], 1.0, 1e-3, "non-finite state", 0.0),
-    # a step at the 1e-13 floor is accepted whatever its error estimate
+    # at the 1e-13 floor a nan error estimate rejects the attempt, and the cause is named
     "rk45-9": ("rk45", _nan_from(0.0, np.nan), [1.0], 5e-14, 5e-14, "non-finite state", 0.0),
     "rk45-10": ("rk45", _nan_from(0.0, np.inf), [1.0], 5e-14, 5e-14, "non-finite state", 0.0),
     "rk45-11": ("rk45", lambda t, y: y, [1e8, -0.5e8], 5.0, 1e-3, "state magnitude exceeded 1e+09", 2.302),
@@ -149,6 +149,8 @@ _BLOWUPS = {
     "rk45-13": ("rk45", lambda t, y: y * y, [2.0], 1.0, 1e-3, "state magnitude exceeded 1e+09", 0.49999999896698627),
     # a non-finite trial step fails error control until the step underflows; the cause is named
     "rk45-14": ("rk45", _nan_from(0.25, np.nan), [1.0, 2.0], 1.0, 1e-3, "non-finite state", 0.24999999999950268),
+    # a rejected attempt whose next size falls below the floor names its own start
+    "rk45-15": ("rk45", lambda t, y: -1e13 * y, [1.0], 1e-12, 5e-14, "adaptive step size underflow", 0.0),
 }
 
 
@@ -158,6 +160,29 @@ def test_blowup_message_and_last_good_time(method, f, y0, t_end, h, message, las
         integrate(f, np.array(y0), t_end, h=h, method=method)
     assert str(excinfo.value).startswith(message)
     assert excinfo.value.last_good_time == pytest.approx(last_good, rel=0, abs=1e-15)
+
+
+def _integrate_in(form: str, f, y0, t_end: float, **kwargs):
+    """``integrate`` of the array rhs f, or (``"scalars"``) of the same f on lists of Python floats as a compiled system."""
+    if form == "arrays":
+        return integrate(f, y0, t_end, **kwargs)
+    system = call_system(lambda t, y: f(t, np.array(y)).tolist(), len(y0), float)
+    return integrate(system.rhs, y0, t_end, system=system, **kwargs)
+
+
+@pytest.mark.parametrize("form", ["arrays", "scalars"])
+def test_rk45_accepts_an_attempt_below_the_floor_on_its_error_estimate(form):
+    y0 = np.array([1.0, 2.0])  # 7 grid steps of 1.43e-14, each below the floor of 1e-13
+    traj = _integrate_in(form, lambda t, y: 0.0 * y, y0, 1e-13, h=1.5e-14, method="rk45")
+    assert traj.states.tobytes() == np.tile(y0, (8, 1)).tobytes()
+
+
+@pytest.mark.parametrize("form", ["arrays", "scalars"])
+def test_rk45_step_size_underflows_at_a_jump(form):
+    jump = lambda t, y: np.full_like(y, 1e6 if t >= 0.5 else 0.0)
+    with pytest.raises(BlowupError, match="^adaptive step size underflow") as excinfo:
+        _integrate_in(form, jump, np.array([0.0]), 1.0, h=1e-3, stride=10, method="rk45")
+    assert excinfo.value.last_good_time == 0.4999999999998941
 
 
 def test_the_array_rk4_state_check_bounds_each_entry_not_the_sum_of_squares():

@@ -184,6 +184,14 @@ def test_riccati_pole_crossing():
     assert crossed, "trajectory should leave the unit disc"
 
 
+def test_riccati_from_outside_the_unit_disc():
+    # a start with |z0| > 1 steps in the inverted chart w = 1/z from the first step on
+    times, points = integrate_riccati(2.0, 1.0, -1.0, 1.0, h=1e-3, stride=10)
+    assert points[0].z == 2.0
+    for t, p in zip(times, points):
+        assert sphere_distance(p, mobius_exact(2.0, 1.0, -1.0, t)) <= 1e-8
+
+
 def test_riccati_chart_matches_row_transport():
     q0, q1, q2 = 0.3j, 1.0, -1.0
     run = run_row(0.0, 1.0, q0, q1, q2, t_end=2.0, h=1e-3, stride=20)

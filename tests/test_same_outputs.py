@@ -59,7 +59,7 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     benchmark = {path for path in configured if tmp_path in path.parents and path.parent.name != "edges"}
     assert len(benchmark) == 14 and benchmark <= set(configs)  # zn4096, zn64 and the 12 sweep configs
     edges = {path.stem: json.loads(path.read_text()) for path in configured if path.parent == tmp_path / "edges"}
-    assert len(edges) == 22  # the scalar-form, array-form, stencil, CSV-text, signed-zero and chart-exit edges
+    assert len(edges) == 23  # the scalar-form, array-form, stencil, CSV-text, signed-zero, chart-exit and floor edges
     burgers = {name: raw for name, raw in edges.items() if raw["scenario"] == "classical-burgers"}
     assert sorted((raw.get("stencil", 4), raw.get("method", "rk4")) for raw in burgers.values()) == [
         (2, "rk4"), (2, "rk4"), (2, "rk45"), (4, "rk4"), (4, "rk4"), (4, "rk4"), (4, "rk45")]  # both stencils, methods
@@ -88,5 +88,8 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     assert (edges["zn19-rk4-stride1"]["method"], edges["zn19-rk4-stride1"]["stride"]) == ("rk4", 1)
     exit3 = edges["zn18-exit3"]  # not admissible: it blows up before t_end
     assert exit3["k_minus"] == exit3["k_plus"] and exit3["t_end"] == 10.0 and exit3["method"] == "rk4"
+    below = edges["m2-rk45-below-floor"]  # every grid step is shorter than rk45's step floor of 1e-13
+    assert (below["scenario"], below["method"], below["stride"]) == ("m2", "rk45", 1)
+    assert below["t_end"] / round(below["t_end"] / below["step"]) < 1e-13
     assert len(checks) == 2 + 5 + 14
     assert {argv[0] for _, argv in runs} == {"run", "sweep", "validate"}

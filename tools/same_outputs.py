@@ -34,7 +34,9 @@ checkout's ``src`` on ``PYTHONPATH``.  The list is:
   write 0.0 for a sum of zeros; and two sphere geodesics that leave the
   chart (exit 3): one from theta = 0.5 heading to the pole at step
   1/16, so a stage lands exactly on theta = 0 (nan rates), and one from
-  theta = 0.01 whose velocity passes 1e9 within its first step;
+  theta = 0.01 whose velocity passes 1e9 within its first step; and an
+  M2 rk45 run of 7 grid steps of 1.43e-14, each below rk45's step floor
+  of 1e-13, which rk45 accepts on its error estimate alone;
 * ``validate`` on both presets, on the five scenario defaults and on every
   benchmark config above.
 
@@ -122,6 +124,7 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
                                    "q1": [-1.0, 0.0], "q2": [0.8, 0.0], "t_end": 0.5, "stride": 50},
         "geodesic-pole-stage-exit3": {**sphere_exit, "step": 0.0625},
         "geodesic-near-pole-exit3": {**sphere_exit, "x": [0.01, 0.0], "v": [-1.0, 0.5]},
+        "m2-rk45-below-floor": {"scenario": "m2", "method": "rk45", "t_end": 1e-13, "step": 1.5e-14, "stride": 1},
     }
     (workdir / "edges").mkdir()
     for name, raw in edges.items():
