@@ -45,9 +45,13 @@ before any output is complete and is not a fault of the numerics, so a
 script that tells 2 from 3 keeps telling them apart.  In a
 ``sweep``, a config whose run fails in any other way prints
 ``internal error: ...`` and reports exit 1 while the others finish;
-a config that a dying worker leaves without a result runs again alone in
-a fresh worker, and only if that worker dies too does it report exit 1
-and ``worker process died``.
+the configs that a dying worker leaves without a result run again, all
+in one fresh pool of at most ``--jobs`` workers; one that this pool
+leaves without a result too runs alone in a fresh worker, and only if
+that worker dies too does it report exit 1 and ``worker process died``.
+A sweep worker steps every Z_n array run in one block
+(``flow._keep_one_arc``), since the sweep spreads its configs over the
+CPUs already.
 Each config's stdout and stderr are captured where it runs and printed
 in config order, whatever ``--jobs`` is, so a sweep's output is
 deterministic too.
@@ -83,7 +87,8 @@ from .classical import (
     round_sphere,
     sine_field,
 )
-from .flow import MAX_SAMPLE_VALUES, MAX_SCALAR_STATE, MAX_STEPS, BlowupError, Trajectory, sample_count, step_count
+from .flow import (MAX_SAMPLE_VALUES, MAX_SCALAR_STATE, MAX_STEPS, BlowupError, Trajectory, _keep_one_arc,
+                   sample_count, step_count)
 from .mobius import METRIC_TOL, _metric_residual, metric_preservation_check, run_row
 from .svgplot import line_chart, output_file
 from .transport import M2Run, ZnRun, pack_m2_state, pack_zn_state, run_m2, run_zn
@@ -880,21 +885,38 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sweep_result(future, job) -> tuple[str, int, str, str]:
-    """A worker's ``_run_one_sweep`` result.
+def _pool_results(jobs: list, workers: int) -> list:
+    """Each job's ``_run_one_sweep`` result from one pool of ``workers`` fresh workers, None where the pool broke.
 
-    A config that a broken pool leaves without a result runs again alone,
-    in a pool of one fresh worker; only if that worker dies too is it exit
-    1 and ``internal error``.
+    Its workers run every ring in one block (``flow._keep_one_arc``): a
+    sweep spreads its configs over the CPUs already.
     """
-    try:
-        return future.result()
-    except BrokenProcessPool:
-        try:
-            with ProcessPoolExecutor(max_workers=1) as alone:
-                return alone.submit(_run_one_sweep, job).result()
-        except BrokenProcessPool:
-            return job[0], EXIT_INTERNAL, "", f"internal error: {job[0]}: worker process died\n"
+    with ProcessPoolExecutor(max_workers=workers, initializer=_keep_one_arc) as pool:
+        futures = [pool.submit(_run_one_sweep, job) for job in jobs]
+        results = []
+        for future in futures:
+            try:
+                results.append(future.result())
+            except BrokenProcessPool:
+                results.append(None)
+        return results
+
+
+def _sweep_results(jobs: list, workers: int) -> list:
+    """The ``_run_one_sweep`` result of each job, run in a pool of ``workers``.
+
+    The configs that a broken pool leaves without a result run again, all
+    in one fresh pool of at most ``workers``; one that this pool leaves
+    without a result too runs alone, in a pool of one fresh worker, and
+    only if that worker dies too is it exit 1 and ``internal error``.
+    """
+    results = _pool_results(jobs, workers)
+    left = [i for i, result in enumerate(results) if result is None]
+    if left:
+        for i, result in zip(left, _pool_results([jobs[i] for i in left], min(workers, len(left)))):
+            results[i] = result or _pool_results([jobs[i]], 1)[0] or (
+                jobs[i][0], EXIT_INTERNAL, "", f"internal error: {jobs[i][0]}: worker process died\n")
+    return results
 
 
 def _cmd_sweep(args) -> int:
@@ -906,12 +928,7 @@ def _cmd_sweep(args) -> int:
         return _config_error(f"configs would share the output directories {', '.join(shared)} under {args.out}")
     jobs = [(str(c), str(Path(args.out) / stem)) for c, stem in zip(args.configs, stems)]
     workers = min(args.jobs, len(jobs), _usable_cpus())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one_sweep, job) for job in jobs]
-            results = [_sweep_result(future, job) for future, job in zip(futures, jobs)]
-    else:
-        results = [_run_one_sweep(j) for j in jobs]
+    results = _sweep_results(jobs, workers) if workers > 1 else [_run_one_sweep(j) for j in jobs]
     for _, _, stdout, stderr in results:
         sys.stdout.write(stdout)
         sys.stderr.write(stderr)

@@ -38,11 +38,12 @@ with the stage written out four times per step; below
 ``transport.ZN_SCALAR_CROSSOVER`` sites that is cheaper than arrays.  The
 compiled source is made of site indices, fixed names and the ``repr`` of
 the equations' float constants, so it performs the equations' operations
-in their order.  ``_zn_array_stage(n)`` is the one array form: it makes
+in their order.  ``_zn_array_stage`` is the one array form: it makes
 the views of a ghost-padded layout of the packed state, three rows of
-n + 2 complex entries whose pads hold the neighbouring sites, and binds
-them to ``_zn_rates_of()``, the same four functions applied to ``_Expr``
-names of those views, whose expression trees are emitted
+n + 2 complex entries whose pads hold the neighbouring sites (of the
+whole ring, or of one arc of it, whose pads come from the neighbouring
+arcs), and binds them to ``_zn_rates_of()``, the same four functions
+applied to ``_Expr`` names of those views, whose expression trees are emitted
 (``flow._array_rates``) as one ufunc call per operation, in the same
 association and operand order, once per process: the emitted text names
 only views, so it is the same at every n.  So the equations are written
@@ -83,7 +84,7 @@ from typing import Callable
 
 from .algebra import I2, AlgebraElement, Mat2Element, ZnElement, commutator
 from .calculus import VectorField
-from .flow import _array_rates, _array_system, _assign, _Expr, _names, _stage_kernels, _System, pack_complex
+from .flow import _Arc, _array_rates, _array_system, _assign, _Expr, _names, _stage_kernels, _System, pack_complex
 
 __all__ = [
     "solve_b",
@@ -130,54 +131,71 @@ def _zn_dm(kp, km, m, beta, m_up, m_down):
 
 
 @functools.cache
-def _zn_rates_of():
-    """The factory of the Z_n stage's ``rates(t)`` (``flow._array_rates``), emitted once per process.
+def _zn_rates_of(ring: bool = False):
+    """The factory of the Z_n stage's ``rates(t)`` (``flow._array_rates``), emitted once per process and form.
 
     Its steps name only views, so the emitted text is the same at every n:
     the pad fill of (K_+, K_-, m), the four site functions applied to
     ``_Expr`` names of the views and the pad fill of beta between them.
+    In a block each pad fill is one copy; on an arc of a ring
+    (``ring``) it is a barrier and two copies, of the left pads from the
+    left neighbour and of the right pads from the right one.
     """
     kp, km, m, kp_up, km_down, m_up, m_down, beta, beta_up, beta_down = map(
         _Expr, ("kp", "km", "m", "kp_up", "km_down", "m_up", "m_down", "beta", "beta_up", "beta_down"))
-    return _array_rates([("ghost_pads", _Expr("ghost_sources")), ("beta", _zn_beta(kp, kp_up, km, km_down)),
-                         ("beta_pads", _Expr("beta_sources")), ("dkp", _zn_dkp(kp, beta, beta_down)),
-                         ("dkm", _zn_dkm(km, beta, beta_up)), ("dm", _zn_dm(kp, km, m, beta, m_up, m_down))],
-                        ("work",), complex)
+
+    def fill(pads: str) -> list:
+        if not ring:
+            return [(f"{pads}_pads", _Expr(f"{pads}_sources"))]
+        return [("barrier", None), (f"{pads}_left", _Expr(f"{pads}_left_source")),
+                (f"{pads}_right", _Expr(f"{pads}_right_source"))]
+
+    return _array_rates([*fill("ghost"), ("beta", _zn_beta(kp, kp_up, km, km_down)), *fill("beta"),
+                         ("dkp", _zn_dkp(kp, beta, beta_down)), ("dkm", _zn_dkm(km, beta, beta_up)),
+                         ("dm", _zn_dm(kp, km, m, beta, m_up, m_down))], ("work",), complex)
 
 
-def _zn_array_stage(n: int):
-    """The Z_n stage on arrays: ``bind(y, k)`` gives ``rates(t)``, the rates at y written into k.
+def _zn_array_stage(y: np.ndarray, k: np.ndarray, arc: _Arc | None = None):
+    """The Z_n stage on arrays: ``rates(t)``, the rates at y written into k, for a block or an arc of a ring.
 
     y and k are float64 buffers of 6 (n + 2) floats, the ghost-padded
-    layout of the packed state: three rows (K_+, K_-, m) of n + 2 complex
-    entries, with the sites at entries 1..n, entry 0 holding site n - 1
-    and entry n + 1 site 0 (at n = 1 both hold site 0), so every neighbour
-    R_{+-1} is a slice view, not a gather.  ``rates`` fills y's pads, each
-    pad pair by one copy between views, writes beta into padded scratch
-    of its own and its pads the same way, and then writes dK_+, dK_- and
-    dm into the sites of k, leaving k's pads as they are; it returns
-    nothing.  Its ufunc calls are those of ``_zn_rates_of()``, emitted
-    once per process from the four site functions, so they keep the
-    equations' association and operand order: numpy's complex multiply
-    uses FMA, so ``a * b`` and ``b * a`` can differ in the last bit, and
-    the rates are byte-identical to the four functions called once each
-    on gathered sample arrays.  Only the first stage of the process
-    compiles; ``bind`` only makes views, with beta and work scratch of its
-    own.
+    layout of n sites of the packed state: three rows (K_+, K_-, m) of
+    n + 2 complex entries, with the sites at entries 1..n, so every
+    neighbour R_{+-1} is a slice view, not a gather.  In a block (no
+    ``arc``) the n sites are the whole ring: entry 0 holds site n - 1
+    and entry n + 1 site 0 (at n = 1 both hold site 0), each pad pair
+    filled by one copy between views.  On an arc (``flow._Arc``) entry 0
+    holds the left neighbour's last site and entry n + 1 the right
+    neighbour's first, copied after the arc's barrier.  ``rates`` fills
+    y's pads, writes beta into padded scratch (its own in a block, the
+    arc's shared row on an arc) and its pads the same way, and then
+    writes dK_+, dK_- and dm into the sites of k, leaving k's pads as
+    they are; it returns nothing.  Its ufunc calls are those of
+    ``_zn_rates_of()``, emitted once per process from the four site
+    functions, so they keep the equations' association and operand
+    order: numpy's complex multiply uses FMA, so ``a * b`` and ``b * a``
+    can differ in the last bit, and the rates are byte-identical to the
+    four functions called once each on gathered sample arrays, on a
+    block or on arcs.  Binding only makes views, with work scratch of
+    its own.
     """
-    # the pads, entries 0 and n + 1, and their sources, sites n - 1 and 0 (entries n and 1)
-    pads, sources = slice(None, None, n + 1), slice(n, 0, 1 - n) if n > 1 else slice(1, 2)
-    rates_of = _zn_rates_of()
-
-    def bind(y: np.ndarray, k: np.ndarray):
-        ghost, beta = y.view(np.complex128).reshape(3, n + 2), np.empty(n + 2, dtype=np.complex128)
-        (kp, km, m), (dkp, dkm, dm) = ghost[:, 1:-1], k.view(np.complex128).reshape(3, n + 2)[:, 1:-1]
-        return rates_of(kp=kp, km=km, m=m, kp_up=ghost[0, 2:], km_down=ghost[1, :-2], m_up=ghost[2, 2:],
-                        m_down=ghost[2, :-2], dkp=dkp, dkm=dkm, dm=dm, ghost_pads=ghost[:, pads],
-                        ghost_sources=ghost[:, sources], beta=beta[1:-1], beta_up=beta[2:], beta_down=beta[:-2],
-                        beta_pads=beta[pads], beta_sources=beta[sources], work=np.empty(n, dtype=np.complex128))
-
-    return bind
+    n = y.shape[0] // 6 - 2
+    ghost = y.view(np.complex128).reshape(3, n + 2)
+    beta = np.empty(n + 2, dtype=np.complex128) if arc is None else arc.row.view(np.complex128)
+    (kp, km, m), (dkp, dkm, dm) = ghost[:, 1:-1], k.view(np.complex128).reshape(3, n + 2)[:, 1:-1]
+    views = dict(kp=kp, km=km, m=m, kp_up=ghost[0, 2:], km_down=ghost[1, :-2], m_up=ghost[2, 2:],
+                 m_down=ghost[2, :-2], dkp=dkp, dkm=dkm, dm=dm, beta=beta[1:-1], beta_up=beta[2:],
+                 beta_down=beta[:-2], work=np.empty(n, dtype=np.complex128))
+    if arc is None:
+        # the pads, entries 0 and n + 1, and their sources, sites n - 1 and 0 (entries n and 1)
+        pads, sources = slice(None, None, n + 1), slice(n, 0, 1 - n) if n > 1 else slice(1, 2)
+        return _zn_rates_of()(ghost_pads=ghost[:, pads], ghost_sources=ghost[:, sources], beta_pads=beta[pads],
+                              beta_sources=beta[sources], **views)
+    left, right = (x.view(np.complex128).reshape(3, -1) for x in (arc.left, arc.right))
+    left_beta, right_beta = arc.left_row.view(np.complex128), arc.right_row.view(np.complex128)
+    return _zn_rates_of(True)(ghost_left=ghost[:, 0], ghost_left_source=left[:, -2], ghost_right=ghost[:, -1],
+                              ghost_right_source=right[:, 1], beta_left=beta[:1], beta_left_source=left_beta[-2:-1],
+                              beta_right=beta[-1:], beta_right_source=right_beta[1:2], barrier=arc.barrier, **views)
 
 
 def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -198,14 +216,15 @@ def m2_coupled_rhs() -> Callable[[float, np.ndarray], np.ndarray]:
 
 
 def _zn_arrays(n: int) -> _System:
-    """The array system of Z_n (``flow._array_system``): ``_zn_array_stage(n)`` in three rows with one complex pad.
+    """The ring system of Z_n (``flow._array_system``): ``_zn_array_stage`` in three rows with one complex pad.
 
     Its rk4 run (``flow._rk4_arrays``) keeps the state, the stage inputs
     and the rates in the stage's ghost-padded layout, three rows with one
     complex entry (two floats) of pad at each end, so a stage is one call
-    and the rk4 combination copies nothing.
+    and the rk4 combination copies nothing; a long run steps two arcs of
+    the sites in that layout on two CPUs (``flow._rk4_ring``).
     """
-    return _array_system(_zn_array_stage(n), (3, 2), 6 * n)
+    return _array_system(_zn_array_stage, (3, 2), 6 * n, ring=True)
 
 
 def _zn_stage(n: int, t: str, inputs: list, rates: list) -> list:

@@ -26,7 +26,20 @@ two forms:
   each tree gives one ufunc call with ``out`` per operation, compiled
   into a factory of ``rates`` once per process for Z_n, whose steps name
   only views, and once per stage for burgers, so ``bind`` only makes
-  views;
+  views.  The Z_n system is a *ring* system (``_array_system(...,
+  ring=True)``): its stage can also bind one arc of the sites,
+  ``bind(x, k, arc)``, and a long enough rk4 run (``_arc_count``: Linux
+  on x86-64 with ``os.fork``, at least two usable CPUs, not in a sweep
+  worker, at least ``ARC_MIN_SITES`` sites and ``ARC_BREAK_EVEN``
+  site-steps) is ``_rk4_ring``: the sites cut into two contiguous arcs,
+  each in the ghost-padded layout in shared memory, the parent stepping
+  one and a forked helper the other.  A stage on an arc copies its
+  pads, and the pads of its beta scratch, from the neighbouring arcs'
+  edge sites right after a spin barrier on shared counters
+  (``_barrier``), so every site gets the ufunc calls of one block in
+  the same order and the run is byte for byte the run in one block.  A
+  floating-point event that would be reported, a dead helper or a ring
+  that waits more than it steps makes the run start again in one block;
 * a compiled system (``_stage_kernels``): ``rhs`` maps a list of the
   system's entries, Python complex numbers (the packed vector read as
   complex128) or Python floats, to a list of the same length.  For the
@@ -100,10 +113,16 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import numbers
+import os
+import platform
 import re
+import sys
+import threading
+import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -143,6 +162,25 @@ MAX_SAMPLE_VALUES = 2**27
 # complex entries) 10-17 ms and 2.8 MB.  Z_n on scalars, below
 # transport.ZN_SCALAR_CROSSOVER sites of 6 floats, fits.
 MAX_SCALAR_STATE = 256
+# A ring run (Z_n on arrays) takes two arcs on two CPUs from ARC_MIN_SITES sites
+# and ARC_BREAK_EVEN site-steps on (_arc_count).  The one-block time over the
+# two-arc time of a whole rk4 run (h 1e-3, stride 1000; medians of 9-11
+# alternated pairs in one process, one BLAS thread, on a 2-vCPU Xeon whose
+# speed varies) at 100 / 500 / 2,000 steps: 512 sites 0.48 / 0.71 / 0.87,
+# 1,024 sites 0.79 / 1.02 / 1.05 (1.08-1.12 at 4,000), 1,536 sites
+# 1.04 / 1.19 / 0.97 (0.91-1.21 at 2,667), 2,048 sites 0.76 / 0.97-1.17 /
+# 1.26-1.32 (1.01-1.21 at 1,000), 3,072 sites 1.15 / 1.33 / 1.34, 4,096 sites
+# 1.20 / 1.45 / 1.40 (1.44-1.55 at 1,000) and 8,192 sites 1.75 at 500.  The
+# fork and the first page faults cost a few ms per run and the barriers a few
+# microseconds per step, so short runs and small arcs lose; every run that
+# these constants select gained at least 1.2x.
+ARC_MIN_SITES = 2048
+ARC_BREAK_EVEN = 2048 * 2000
+_SPINS = 1000  # reads of a count before a ring barrier yields the CPU at each further read
+# A ring is redone in one block once its parent's yielding waits take more than
+# this share of its time, past its first _STARVED_AFTER_S (see _barrier).
+_STARVED, _STARVED_AFTER_S = 0.3, 0.05
+_one_arc = False  # set in sweep workers (_keep_one_arc)
 
 
 class BlowupError(RuntimeError):
@@ -182,7 +220,8 @@ def rk4_step(f: Rhs, t: float, y, h: float):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, stage, layout) -> None:
+def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, stage, layout,
+                ring: bool = False) -> None:
     """A whole rk4 run on arrays, stepped in place in a ghost-padded layout; see the module docstring.
 
     ``layout = (rows, pad)``: a buffer of the run holds the packed state
@@ -202,39 +241,72 @@ def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.n
     stage at t = 0 is ``f(0.0, y)`` (ValueError unless it has as many
     entries as ``y``), written into a rate buffer's sites, so a wrapper
     of f sees every array run; the other stages come from ``stage``, and
-    the loop reads them from ``ka`` and ``kb``, the buffers they are bound
-    to.  ``_plain_stage`` makes the stage of a plain f with layout ``(1, 0)``.
+    ``_rk4_loop`` steps them.  ``_plain_stage`` makes the stage of a plain
+    f with layout ``(1, 0)``.
 
-    The stage sum is accumulated as each stage arrives, so the run holds
-    at most two stages at a time, and its association is ``rk4_step``'s,
-    so the states are bit for bit those of a loop of ``rk4_step``.  Every
-    operation is a contiguous 1-d ufunc over whole buffers, with ``out``
-    positional and the step's constants (h / 2, h, 2 and h / 6) as 0-d
-    float64 arrays made once per run: a stage costs numpy's call overhead
-    more than its arithmetic, and with float64 buffers they select the
-    same loop and values as the Python floats would, without a
-    conversion per call; t stays a Python float.  A stage input buffer
-    is written only once its stage has been used: 2 k3 goes into k3's
-    own input buffer, after y4 = y + h k3 has been formed.  A new state
-    passes the state check at once when ``np.dot(state, state) <=
-    MAX_ABS**2``, one read pass: a rounded sum of squares is at least each
-    rounded square, and an inf or nan fails it.  Otherwise
-    ``_check_state`` applies the exact rule, taking its ``abs`` in
-    ``acc``, which is free between steps.
+    With ``ring`` the stage can also bind one arc of a ring
+    (``stage(x, k, arc)``, see ``_Arc``) and the layout's pad is one
+    site.  Where ``_arc_count`` gives more than one arc the run is
+    ``_rk4_ring``; if that run must be redone (``_Redo``), it is redone
+    here, in one block.
     """
     rows, pad = layout
+    arcs = _arc_count(y.shape[0] // (rows * pad), n_steps) if ring else 1
+    if arcs > 1:
+        try:
+            return _rk4_ring(f, y, h, n_steps, stride, out, stage, layout, arcs)
+        except _Redo:
+            pass
     width = y.shape[0] // rows + 2 * pad
-    state, y_a, y_b, acc, ka, kb = np.zeros((6, rows * width))
-    sites, k1_sites = (b.reshape(rows, width)[:, pad : width - pad] for b in (state, ka))
+    bufs = np.zeros((6, rows * width))  # state, y_a, y_b, acc, ka, kb
+    sites, k1_sites = (b.reshape(rows, width)[:, pad : width - pad] for b in (bufs[0], bufs[4]))
     sites[...] = y.reshape(rows, -1)
+    _first_stage(f, y, k1_sites)
+    out = out.reshape(out.shape[0], rows, -1)
+
+    def sample(row: int) -> None:
+        out[row] = sites
+
+    stages = stage(bufs[0], bufs[4]), stage(bufs[1], bufs[5]), stage(bufs[2], bufs[4])
+    _rk4_loop(bufs, stages, h, n_steps, stride, _check_block, sample)
+
+
+def _first_stage(f, y: np.ndarray, k1_sites: np.ndarray) -> None:
+    """``f(0.0, y)`` into the sites of the first rate buffer; ValueError unless it has as many entries as y."""
     k = f(0.0, y)
     _check_length(len(k), y.shape[0])
     np.copyto(k1_sites, np.reshape(k, k1_sites.shape))
-    out = out.reshape(out.shape[0], rows, -1)
-    first, second, third = stage(state, ka), stage(y_a, kb), stage(y_b, ka)
+
+
+def _rk4_loop(bufs, stages, h: float, n_steps: int, stride: int, check, sample) -> None:
+    """The steps of an array rk4 run on one block or one arc: the six buffers of ``_rk4_arrays`` and three stages.
+
+    ``bufs`` are the state, the two stage inputs y_a and y_b, the stage
+    sum acc and the rate buffers ka and kb, ka holding the first stage;
+    ``stages`` are the stages bound to (state, ka), (y_a, kb) and (y_b,
+    ka).  The stage sum is accumulated as each stage arrives, so the run
+    holds at most two stages at a time, and its association is
+    ``rk4_step``'s, so the states are bit for bit those of a loop of
+    ``rk4_step``.  Every operation is a contiguous 1-d ufunc over whole
+    buffers, with ``out`` positional and the step's constants (h / 2, h,
+    2 and h / 6) as 0-d float64 arrays made once per run: a stage costs
+    numpy's call overhead more than its arithmetic, and with float64
+    buffers they select the same loop and values as the Python floats
+    would, without a conversion per call; t stays a Python float.  A
+    stage input is written only in the combination before its own stage,
+    and 2 k3 goes into k3's own rate buffer once y4 = y + h k3 has been
+    formed, so an arc's inputs stay as they are from the stage that reads
+    them until every arc has passed the barriers of the next stage.
+    ``check(state, acc, t)`` checks each new state, with ``acc``, which
+    is free between steps, as scratch (``_check_block`` in one block), and
+    ``sample(row)`` then writes the state into row ``row`` of the sample
+    block at every ``stride``-th step and, as row -1, at the end.
+    """
+    state, y_a, y_b, acc, ka, kb = bufs
+    first, second, third = stages
     half = 0.5 * h
     c_half, c_h, c_two, c_sixth = (np.array(c) for c in (half, h, 2.0, h / 6.0))
-    add, multiply, bound = np.add, np.multiply, MAX_ABS * MAX_ABS
+    add, multiply = np.add, np.multiply
     for step in range(1, n_steps + 1):
         t = (step - 1) * h
         if step > 1:
@@ -249,17 +321,234 @@ def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.n
         third(t + half)  # k3 into ka
         multiply(c_h, ka, y_a)
         add(state, y_a, y_a)
-        multiply(c_two, ka, y_b)
-        add(acc, y_b, acc)
+        multiply(c_two, ka, ka)
+        add(acc, ka, acc)
         second(t + h)  # k4 into kb
         add(acc, kb, acc)
         multiply(c_sixth, acc, acc)
         add(state, acc, state)
-        if not np.dot(state, state) <= bound:
-            _check_state(state, t, acc)
+        check(state, acc, t)
         if step % stride == 0:
-            out[step // stride] = sites
-    out[-1] = sites
+            sample(step // stride)
+    sample(-1)
+
+
+def _check_block(state: np.ndarray, scratch: np.ndarray, t: float) -> None:
+    """The state check of a run in one block, ``scratch`` taking the ``abs`` of the slow path.
+
+    A state passes at once when ``np.dot(state, state) <= MAX_ABS**2``,
+    one read pass: a rounded sum of squares is at least each rounded
+    square, and an inf or nan fails it.  Otherwise ``_check_peak`` applies
+    the exact rule.
+    """
+    if not np.dot(state, state) <= MAX_ABS * MAX_ABS:
+        _check_peak(np.maximum.reduce(np.abs(state, scratch)), t)
+
+
+class _Redo(Exception):
+    """A ring run is given up and redone in one block: a helper died, or a floating-point event was to be reported."""
+
+
+class _Arc(NamedTuple):
+    """What a stage bound to one arc of a ring reads besides its own buffers.
+
+    ``left`` and ``right`` are the neighbouring arcs' buffers of the
+    stage's input; ``row``, ``left_row`` and ``right_row`` are one padded
+    row (``width`` floats) each of shared scratch, this arc's and its
+    neighbours' for the same binding; ``barrier()`` returns once every arc
+    has called it as often.  The stage calls ``barrier`` before it reads
+    a neighbour's sites, and only reads them right after it.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    row: np.ndarray
+    left_row: np.ndarray
+    right_row: np.ndarray
+    barrier: Callable
+
+
+def _arc_count(sites: int, n_steps: int) -> int:
+    """The arcs of a ring run of ``sites`` sites and ``n_steps`` steps: 2 where a second CPU pays, else 1.
+
+    Two arcs need Linux on x86-64 (the barrier relies on its stores
+    being seen in program order), ``os.fork``, a process with one Python
+    thread (a fork copies only the thread that calls it) and at least two
+    usable CPUs that is not a sweep worker (``_keep_one_arc``), at least
+    ``ARC_MIN_SITES`` sites, two at least, and ``ARC_BREAK_EVEN``
+    site-steps.
+    """
+    if _one_arc or sites < max(2, ARC_MIN_SITES) or sites * n_steps < ARC_BREAK_EVEN:
+        return 1
+    if sys.platform != "linux" or platform.machine() != "x86_64" or not hasattr(os, "fork"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return 2 if len(os.sched_getaffinity(0)) >= 2 else 1
+
+
+def _keep_one_arc() -> None:
+    """Run every later ring in one block: a sweep worker's CPUs are the sweep's."""
+    global _one_arc
+    _one_arc = True
+
+
+def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, stage, layout,
+              arcs: int) -> None:
+    """``_rk4_arrays`` on ``arcs`` contiguous arcs of the sites, one process each, byte for byte.
+
+    Each arc is held in the layout of ``_rk4_arrays`` in shared memory
+    (an anonymous ``mmap``), with three shared scratch rows, one per
+    binding.  The parent takes the first stage from f, fills every arc's
+    state and first rates and forks one helper per arc after the first;
+    the parent steps arc 0.  Each process runs ``_rk4_loop`` on its own
+    arc, whose stages (``stage(x, k, _Arc(...))``) copy their pads from
+    the neighbouring arcs after a barrier (``_barrier``): every site gets
+    the ufunc calls of one block, in the same order.  Each step ends with
+    the arc's exact state check (no ``np.dot``, which may start BLAS
+    threads), its stop flag raised on a failure, and a barrier, after
+    which every process sees whether any arc failed; if one did, each
+    applies ``_check_block`` to the state put together as one block, pads
+    and all, and the parent raises the ``BlowupError`` (or meets the
+    floating-point event) of one block at that step.  At each sampled
+    step the parent copies every arc's sites after that barrier, before
+    any arc writes its state again.
+
+    A floating-point event that the caller's ``np.errstate`` would
+    report (warn, raise, call, print or log) raises ``_Redo`` in the
+    process that meets it, so the redone run in one block reports it
+    exactly; so does a helper that dies or a fork that fails.  A helper
+    ends with ``os._exit``; the parent sets the abort flag unless the
+    run completed and waits for every helper in ``finally``.
+    """
+    rows, pad = layout
+    sites = y.shape[0] // (rows * pad)
+    cuts = [sites * j // arcs * pad for j in range(arcs + 1)]  # an arc's floats in each row
+    widths = [cuts[j + 1] - cuts[j] + 2 * pad for j in range(arcs)]
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (6 * rows + 3) * sum(widths)), np.float64)
+    blocks, scratch, offset = [], [], 0
+    for width in widths:  # an arc's six buffers, then its three scratch rows
+        blocks.append(shared[offset : offset + 6 * rows * width].reshape(6, -1))
+        offset += 6 * rows * width
+        scratch.append(shared[offset : offset + 3 * width].reshape(3, -1))
+        offset += 3 * width
+    site_views = [[b.reshape(rows, w)[:, pad : w - pad] for b in bufs] for bufs, w in zip(blocks, widths)]
+    control = memoryview(mmap.mmap(-1, 64 * (arcs + 1))).cast("q")  # see _barrier
+    stop = 8 * arcs + 1
+    out = out.reshape(out.shape[0], rows, -1)
+    parent, pids, done = os.getpid(), [], False
+
+    def one_block() -> np.ndarray:
+        """The state as ``_rk4_arrays`` holds it in one block: the end pads of the first and last arcs, every site."""
+        block = np.empty((rows, sites * pad + 2 * pad))
+        block[:, :pad] = blocks[0][0].reshape(rows, -1)[:, :pad]
+        block[:, -pad:] = blocks[-1][0].reshape(rows, -1)[:, -pad:]
+        for i, views in enumerate(site_views):
+            block[:, pad + cuts[i] : pad + cuts[i + 1]] = views[0]
+        return block.ravel()
+
+    def run_arc(j: int, alive: Callable) -> None:
+        barrier = _barrier(control, j, arcs, alive)
+        left, right = (j - 1) % arcs, (j + 1) % arcs
+
+        def check(state: np.ndarray, scratch: np.ndarray, t: float) -> None:
+            if not np.maximum.reduce(np.abs(state, scratch)) <= MAX_ABS:
+                control[stop] = 1  # before this arc's count
+            barrier()
+            if control[stop]:
+                block = one_block()
+                _check_block(block, np.empty_like(block), t)
+
+        def sample(row: int) -> None:
+            if j == 0:
+                for i, views in enumerate(site_views):
+                    out[row, :, cuts[i] : cuts[i + 1]] = views[0]
+
+        stages = tuple(stage(blocks[j][x], blocks[j][kx], _Arc(blocks[left][x], blocks[right][x], scratch[j][x],
+                                                                  scratch[left][x], scratch[right][x], barrier))
+                       for x, kx in ((0, 4), (1, 5), (2, 4)))
+        _rk4_loop(blocks[j], stages, h, n_steps, stride, check, sample)
+
+    def helpers_alive() -> bool:
+        for pid in pids:
+            if os.waitpid(pid, os.WNOHANG)[0]:
+                pids.remove(pid)
+                return False
+        return True
+
+    try:
+        with np.errstate(call=_redo, **{kind: "ignore" if mode == "ignore" else "call"
+                                        for kind, mode in np.geterr().items()}):
+            k = f(0.0, y)
+            _check_length(len(k), y.shape[0])
+            y_rows, k_rows = y.reshape(rows, -1), np.reshape(k, (rows, -1))
+            for j, views in enumerate(site_views):
+                views[0][...], views[4][...] = y_rows[:, cuts[j] : cuts[j + 1]], k_rows[:, cuts[j] : cuts[j + 1]]
+            for j in range(1, arcs):
+                try:
+                    pid = os.fork()
+                except OSError as exc:
+                    raise _Redo("fork failed") from exc
+                if not pid:
+                    code = 1
+                    try:
+                        run_arc(j, lambda: os.getppid() == parent)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+            run_arc(0, helpers_alive)
+        done = True
+    finally:
+        if not done:
+            control[8 * arcs] = 1  # abort
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _redo(kind: str, flag: int) -> None:
+    """The ``np.errstate`` call of a ring run: the event is reported by the run redone in one block."""
+    raise _Redo(f"floating-point {kind}")
+
+
+def _barrier(control, me: int, arcs: int, alive: Callable) -> Callable:
+    """The spin barrier of arc ``me`` of a ring on the shared int64 ``control`` counters.
+
+    Arc j's count is at ``8 j``, one 64-byte line each; ``8 arcs`` is the
+    abort flag and ``8 arcs + 1`` the stop flag of a failed state check.
+    A call raises the arc's count by one and spins until every other arc's
+    count has reached it.  After ``_SPINS`` reads of a count it yields the
+    CPU at each further read and checks the abort flag and ``alive()``, the
+    other side's liveness, raising ``_Redo`` on either unless the count
+    was reached after all.  The parent (arc 0) also raises ``_Redo`` once
+    its yielding waits have taken more than ``_STARVED`` of the time since
+    the barrier was made, past its first ``_STARVED_AFTER_S``: with more
+    runnable processes than CPUs an arc waits for a descheduled one at
+    every barrier, and the run is then faster in one block.
+    """
+    mine, abort = 8 * me, 8 * arcs
+    others = [8 * j for j in range(arcs) if j != me]
+    ticket, waited, start = 0, 0.0, time.perf_counter()
+
+    def barrier() -> None:
+        nonlocal ticket, waited
+        ticket += 1
+        control[mine] = ticket
+        for slot in others:
+            spins = 0
+            while control[slot] < ticket:
+                spins += 1
+                if spins > _SPINS:
+                    yielded = time.perf_counter()
+                    os.sched_yield()
+                    if (control[abort] or not alive()) and control[slot] < ticket:
+                        raise _Redo("a ring process stopped")
+                    now = time.perf_counter()
+                    waited += now - yielded
+                    if not me and waited > _STARVED * max(now - start, _STARVED_AFTER_S / _STARVED):
+                        raise _Redo("the ring waits more than it steps")
+
+    return barrier
 
 
 def _plain_stage(f):
@@ -408,7 +697,8 @@ def _array_rates(steps, scratch: tuple, scalars: type):
     scratch views than ``scratch`` names is an IndexError.  ``rates_of``
     takes the steps' targets and leaves and the scratch names as keywords
     (more are ignored) and returns ``rates(t)``, which runs the steps and
-    returns nothing.
+    returns nothing.  A step ``(name, None)`` is the call ``name()``, such
+    as the barrier of a ring's stage.
     """
     constants, lines, views = {}, [], set(scratch)
 
@@ -426,6 +716,10 @@ def _array_rates(steps, scratch: tuple, scalars: type):
         lines.append(f"{expr.ufunc}({', '.join(args)}, {target})")
 
     for target, expr in steps:
+        if expr is None:  # a call, such as a ring's barrier
+            lines.append(f"{target}()")
+            views.add(target)
+            continue
         leaves = set() if expr.operands else {expr.text}
         if expr.operands:
             emit(expr, target, tuple(scratch), leaves)
@@ -466,14 +760,15 @@ class _System:
                        self.floats)
 
 
-def _array_system(stage, layout, floats: int) -> _System:
+def _array_system(stage, layout, floats: int, ring: bool = False) -> _System:
     """The array system of ``stage`` in ``layout`` on a packed state of ``floats`` floats.
 
     ``rhs(t, y)`` copies y into the sites of its own padded buffer (zero
     at first), runs the stage there and returns a fresh copy of the
-    rates' sites; ``rk4`` is ``_rk4_arrays`` with the stage and layout
-    bound, ``rk45`` is ``_dopri``.  The stage's scratch and the rhs
-    buffers are shared by every call, so one system serves one
+    rates' sites; ``rk4`` is ``_rk4_arrays`` with the stage, layout and
+    ``ring`` bound (a ring system's stage also binds arcs, and its pad
+    is one site), ``rk45`` is ``_dopri``.  The stage's scratch and the
+    rhs buffers are shared by every call, so one system serves one
     integration at a time.
     """
     rows, pad = layout
@@ -487,7 +782,7 @@ def _array_system(stage, layout, floats: int) -> _System:
         rates(t)
         return rate_sites.flatten()
 
-    return _System(rhs, functools.partial(_rk4_arrays, stage=stage, layout=layout), _dopri, floats)
+    return _System(rhs, functools.partial(_rk4_arrays, stage=stage, layout=layout, ring=ring), _dopri, floats)
 
 
 def _stage_kernels(size: int, stage, params: tuple, scalars: type) -> _System:

@@ -859,7 +859,8 @@ def _fake_pool(monkeypatch, cpus):
     started = []
 
     class FakePool:  # a real pool would fork every worker at the first submit
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
+            assert initializer is flow._keep_one_arc  # a sweep worker steps every ring in one block
             started.append(max_workers)
 
         def __enter__(self):
@@ -921,7 +922,7 @@ def test_sweep_reports_an_internal_error_per_config(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(cli, "integrate_burgers", boom)
     # with --jobs 2 the jobs run in this process, through a stand-in for the pool
     monkeypatch.setattr(cli, "ProcessPoolExecutor",
-                        lambda max_workers: contextlib.nullcontext(types.SimpleNamespace(submit=_done)))
+                        lambda max_workers, initializer: contextlib.nullcontext(types.SimpleNamespace(submit=_done)))
     paths = [tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"]
     paths[0].write_text(json.dumps({"scenario": "m2row", "t_end": 0.01}))
     paths[1].write_text(json.dumps({"scenario": "classical-burgers", "n_grid": 16, "t_end": 0.01}))
@@ -980,6 +981,40 @@ def test_a_dying_sweep_worker_leaves_the_running_configs_to_a_fresh_worker(tmp_p
     assert err == f"internal error: {paths[1]}: worker process died\n"
     assert out.splitlines()[-3:] == [f"{paths[0]}: exit 0", f"{paths[1]}: exit 1", f"{paths[2]}: exit 0"]
     assert (tmp_path / "s" / "a" / "fig3c.svg").exists() and (tmp_path / "s" / "c" / "trajectory.csv").exists()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the workers inherit the stand-in by fork")
+def test_the_configs_a_dying_worker_leaves_run_again_in_one_fresh_pool(tmp_path, monkeypatch, capsys):
+    """b's worker dies once while c runs: b and c run again together, in one pool of the sweep's size."""
+    paths, started, died = _sweep_configs(tmp_path, 3), tmp_path / "c.started", tmp_path / "b.died"
+    run_one, pools = cli._run_one_sweep, []
+
+    def dies_once_on_b(payload):
+        if payload[0] == str(paths[2]) and not started.exists():
+            started.touch()
+            time.sleep(60)  # the broken pool ends this worker
+        if payload[0] == str(paths[1]) and not died.exists():
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and not started.exists():
+                time.sleep(0.01)
+            died.touch()
+            os._exit(9)
+        return run_one(payload)
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, initializer):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, initializer=initializer)
+
+    dies_once_on_b.__module__, dies_once_on_b.__qualname__ = cli.__name__, "_run_one_sweep"
+    monkeypatch.setattr(cli, "_run_one_sweep", dies_once_on_b)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert main(["sweep", "--configs", *map(str, paths), "--out", str(tmp_path / "s"), "--jobs", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert pools == [2, 2] and err == ""
+    assert out.splitlines()[-3:] == [f"{path}: exit 0" for path in paths]
+    assert all((tmp_path / "s" / stem / "trajectory.csv").exists() for stem in "abc")
 
 
 _FIELDS = {

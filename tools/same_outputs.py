@@ -93,6 +93,15 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
                 "m": [[[0.6, -0.0], [0.0, 0.0]], [[-0.0, -0.0], [0.8, 0.0]]]}
     sphere_exit = {"scenario": "classical-geodesic", "x": [0.5, 0.0], "v": [-1.0, 0.0], "t_end": 1.0}
     grid16 = [0.1 * math.sin(0.4 * i) + 0.03 * math.cos(0.9 * i) for i in range(16)]  # the smallest burgers grid
+    # 2,048 sites x 2,000 steps: the smallest run stepped as two arcs, split between sites 1,023 and 1,024
+    zn2048 = workloads.zn_config(np.random.default_rng(SEED), 2048, t_end=2.0, stride=500, method="rk4")
+    arcs = {key: [list(pair) for pair in zn2048[key]] for key in ("k_plus", "m")}
+    for i, (kp, m) in zip(range(1021, 1027), [((0.0, -0.0), (5e-324, -0.0)), ((-0.0, 0.0), (-0.0, -5e-324)),
+                                             ((-0.0, -0.0), (1e-310, 0.0)), ((0.0, 0.0), (-2e-320, 1e-315)),
+                                             ((-0.0, 0.0), (0.0, -0.0)), ((0.0, -0.0), (-5e-324, 5e-324))]):
+        arcs["k_plus"][i], arcs["m"][i] = list(kp), list(m)
+    # K_- = -(R_{+1} K_+)^*, so the data stays admissible; -0.0 parts stay signed
+    arcs["k_minus"] = [[-re, im] for re, im in arcs["k_plus"][1:] + arcs["k_plus"][:1]]
     edges = {
         "zn2-rk4": workloads.zn_config(np.random.default_rng(SEED), 2, t_end=2.0, stride=7, method="rk4"),
         "zn17-rk4": workloads.zn_config(np.random.default_rng(SEED), 17, t_end=1.0, stride=7, method="rk4"),
@@ -125,6 +134,8 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
         "geodesic-pole-stage-exit3": {**sphere_exit, "step": 0.0625},
         "geodesic-near-pole-exit3": {**sphere_exit, "x": [0.01, 0.0], "v": [-1.0, 0.5]},
         "m2-rk45-below-floor": {"scenario": "m2", "method": "rk45", "t_end": 1e-13, "step": 1.5e-14, "stride": 1},
+        "zn2048-two-arcs-exit3": {**zn2048, "t_end": 10.0, "k_minus": zn2048["k_plus"]},
+        "zn2048-two-arcs-signed-zeros-subnormal-m": {**zn2048, **arcs},
     }
     (workdir / "edges").mkdir()
     for name, raw in edges.items():
