@@ -111,6 +111,7 @@ most ``MAX_STEPS`` steps, and an rk45 run of n steps at most
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import mmap
@@ -471,7 +472,11 @@ def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.nda
 
     def helpers_alive() -> bool:
         for pid in pids:
-            if os.waitpid(pid, os.WNOHANG)[0]:
+            try:
+                ended = os.waitpid(pid, os.WNOHANG)[0]
+            except ChildProcessError:  # reaped already: SIGCHLD is ignored
+                ended = pid
+            if ended:
                 pids.remove(pid)
                 return False
         return True
@@ -503,7 +508,8 @@ def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.nda
         if not done:
             control[8 * arcs] = 1  # abort
         for pid in pids:
-            os.waitpid(pid, 0)
+            with contextlib.suppress(ChildProcessError):  # where SIGCHLD is ignored, after the helper has ended
+                os.waitpid(pid, 0)
 
 
 def _redo(kind: str, flag: int) -> None:

@@ -139,8 +139,8 @@ def test_a_floating_point_event_redoes_the_ring_in_one_block(rings, monkeypatch)
     assert rings == [2] and first_stages == [1, 1] and _no_child_left()  # one block; the ring, then one block
 
 
-def _barrier_that(act, monkeypatch):
-    """Patch ``flow._barrier`` so that ``act(me, calls)`` runs before each barrier of each arc."""
+def _barrier_that(act, monkeypatch, after=None):
+    """Patch ``flow._barrier`` so that ``act(me, calls)`` runs before each barrier of each arc, ``after`` after it."""
     real = flow._barrier
 
     def barrier_of(control, me, arcs, alive):
@@ -151,10 +151,21 @@ def _barrier_that(act, monkeypatch):
             calls += 1
             act(me, calls)
             barrier()
+            if after:
+                after(me, calls)
 
         return acting
 
     monkeypatch.setattr(flow, "_barrier", barrier_of)
+
+
+def test_a_neighbour_that_reads_its_pads_late_reads_the_same_sites(rings, monkeypatch):
+    """The helper copies its pads 2 ms after each barrier: the other arc writes no buffer that it reads meanwhile."""
+    y0 = _special(64)
+    one = _run(y0, monkeypatch, ONE_BLOCK, stride=1, t_end=0.005)
+    _barrier_that(lambda me, calls: None, monkeypatch, after=lambda me, calls: me == 1 and time.sleep(0.002))
+    assert _run(y0, monkeypatch, 0, stride=1, t_end=0.005).states.tobytes() == one.states.tobytes()
+    assert rings == [2] and _no_child_left()
 
 
 def test_a_helper_that_exits_mid_run_leaves_the_run_to_one_block(rings, monkeypatch):
@@ -217,6 +228,19 @@ def test_an_exception_in_the_parent_stops_the_helper(rings, monkeypatch):
     _barrier_that(stop_parent, monkeypatch)
     with pytest.raises(Stop):
         _run(_arbitrary(64), monkeypatch, 0)
+    assert rings == [2] and _no_child_left()
+
+
+def test_a_ring_completes_where_sigchld_is_ignored(rings, monkeypatch):
+    """The kernel reaps the helper itself, so a wait finds no child: the run still ends as one block's."""
+    y0 = _arbitrary(64)
+    one = _run(y0, monkeypatch, ONE_BLOCK)
+    _barrier_that(lambda me, calls: me == 1 and calls == 40 and time.sleep(0.3), monkeypatch)  # a waiting parent
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert _run(y0, monkeypatch, 0).states.tobytes() == one.states.tobytes()
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
     assert rings == [2] and _no_child_left()
 
 
