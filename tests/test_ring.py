@@ -174,7 +174,7 @@ def test_a_helper_that_exits_mid_run_leaves_the_run_to_one_block(rings, monkeypa
     first_stages = []
 
     def exit_helper(me, calls):
-        if me == 1 and calls == 40:
+        if me == 1 and calls == 5:
             os._exit(9)
 
     _barrier_that(exit_helper, monkeypatch)
@@ -195,8 +195,8 @@ def test_a_killed_helper_leaves_the_run_to_one_block(rings, monkeypatch):
             helpers.append(pid)
         return pid
 
-    def kill_helper(me, calls):
-        if me == 0 and calls == 30:
+    def kill_helper(me, calls):  # at the first barrier, before any wait could give the run to one block
+        if me == 0 and calls == 1:
             os.kill(helpers[0], signal.SIGKILL)
 
     monkeypatch.setattr(os, "fork", recording_fork)
@@ -221,8 +221,8 @@ def test_an_exception_in_the_parent_stops_the_helper(rings, monkeypatch):
     class Stop(Exception):
         pass
 
-    def stop_parent(me, calls):
-        if me == 0 and calls == 30:
+    def stop_parent(me, calls):  # at the first barrier, before any wait could give the run to one block
+        if me == 0 and calls == 1:
             raise Stop
 
     _barrier_that(stop_parent, monkeypatch)
