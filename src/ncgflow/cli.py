@@ -49,9 +49,9 @@ the configs that a dying worker leaves without a result run again, all
 in one fresh pool of at most ``--jobs`` workers; one that this pool
 leaves without a result too runs alone in a fresh worker, and only if
 that worker dies too does it report exit 1 and ``worker process died``.
-A sweep worker steps every Z_n array run in one block
-(``flow._keep_one_arc``), since the sweep spreads its configs over the
-CPUs already.
+A sweep worker, as any multiprocessing child, steps every Z_n array run
+in one block (``flow._two_arcs``), since the sweep spreads its configs
+over the CPUs already.
 Each config's stdout and stderr are captured where it runs and printed
 in config order, whatever ``--jobs`` is, so a sweep's output is
 deterministic too.
@@ -87,8 +87,7 @@ from .classical import (
     round_sphere,
     sine_field,
 )
-from .flow import (MAX_SAMPLE_VALUES, MAX_SCALAR_STATE, MAX_STEPS, BlowupError, Trajectory, _keep_one_arc,
-                   sample_count, step_count)
+from .flow import MAX_SAMPLE_VALUES, MAX_SCALAR_STATE, MAX_STEPS, BlowupError, Trajectory, sample_count, step_count
 from .mobius import METRIC_TOL, _metric_residual, metric_preservation_check, run_row
 from .svgplot import line_chart, output_file
 from .transport import M2Run, ZnRun, pack_m2_state, pack_zn_state, run_m2, run_zn
@@ -886,12 +885,8 @@ def _usable_cpus() -> int:
 
 
 def _pool_results(jobs: list, workers: int) -> list:
-    """Each job's ``_run_one_sweep`` result from one pool of ``workers`` fresh workers, None where the pool broke.
-
-    Its workers run every ring in one block (``flow._keep_one_arc``): a
-    sweep spreads its configs over the CPUs already.
-    """
-    with ProcessPoolExecutor(max_workers=workers, initializer=_keep_one_arc) as pool:
+    """Each job's ``_run_one_sweep`` result from one pool of ``workers`` fresh workers, None where the pool broke."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_one_sweep, job) for job in jobs]
         results = []
         for future in futures:

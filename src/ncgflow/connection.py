@@ -41,8 +41,8 @@ the equations' float constants, so it performs the equations' operations
 in their order.  ``_zn_array_stage`` is the one array form: it makes
 the views of a ghost-padded layout of the packed state, three rows of
 n + 2 complex entries whose pads hold the neighbouring sites (of the
-whole ring, or of one arc of it, whose pads come from the neighbouring
-arcs), and binds them to ``_zn_rates_of()``, the same four functions
+whole ring, or of one of its two arcs, whose pads come from the other
+arc), and binds them to ``_zn_rates_of()``, the same four functions
 applied to ``_Expr`` names of those views, whose expression trees are emitted
 (``flow._array_rates``) as one ufunc call per operation, in the same
 association and operand order, once per process: the emitted text names
@@ -137,18 +137,14 @@ def _zn_rates_of(ring: bool = False):
     Its steps name only views, so the emitted text is the same at every n:
     the pad fill of (K_+, K_-, m), the four site functions applied to
     ``_Expr`` names of the views and the pad fill of beta between them.
-    In a block each pad fill is one copy; on an arc of a ring
-    (``ring``) it is a barrier and two copies, of the left pads from the
-    left neighbour and of the right pads from the right one.
+    Each pad fill is one copy; on an arc of a ring (``ring``) a barrier
+    comes before it.
     """
     kp, km, m, kp_up, km_down, m_up, m_down, beta, beta_up, beta_down = map(
         _Expr, ("kp", "km", "m", "kp_up", "km_down", "m_up", "m_down", "beta", "beta_up", "beta_down"))
 
     def fill(pads: str) -> list:
-        if not ring:
-            return [(f"{pads}_pads", _Expr(f"{pads}_sources"))]
-        return [("barrier", None), (f"{pads}_left", _Expr(f"{pads}_left_source")),
-                (f"{pads}_right", _Expr(f"{pads}_right_source"))]
+        return [*([("barrier", None)] if ring else []), (f"{pads}_pads", _Expr(f"{pads}_sources"))]
 
     return _array_rates([*fill("ghost"), ("beta", _zn_beta(kp, kp_up, km, km_down)), *fill("beta"),
                          ("dkp", _zn_dkp(kp, beta, beta_down)), ("dkm", _zn_dkm(km, beta, beta_up)),
@@ -161,41 +157,40 @@ def _zn_array_stage(y: np.ndarray, k: np.ndarray, arc: _Arc | None = None):
     y and k are float64 buffers of 6 (n + 2) floats, the ghost-padded
     layout of n sites of the packed state: three rows (K_+, K_-, m) of
     n + 2 complex entries, with the sites at entries 1..n, so every
-    neighbour R_{+-1} is a slice view, not a gather.  In a block (no
-    ``arc``) the n sites are the whole ring: entry 0 holds site n - 1
-    and entry n + 1 site 0 (at n = 1 both hold site 0), each pad pair
-    filled by one copy between views.  On an arc (``flow._Arc``) entry 0
-    holds the left neighbour's last site and entry n + 1 the right
-    neighbour's first, copied after the arc's barrier.  ``rates`` fills
-    y's pads, writes beta into padded scratch (its own in a block, the
-    arc's shared row on an arc) and its pads the same way, and then
-    writes dK_+, dK_- and dm into the sites of k, leaving k's pads as
-    they are; it returns nothing.  Its ufunc calls are those of
-    ``_zn_rates_of()``, emitted once per process from the four site
-    functions, so they keep the equations' association and operand
-    order: numpy's complex multiply uses FMA, so ``a * b`` and ``b * a``
-    can differ in the last bit, and the rates are byte-identical to the
-    four functions called once each on gathered sample arrays, on a
-    block or on arcs.  Binding only makes views, with work scratch of
-    its own.
+    neighbour R_{+-1} is a slice view, not a gather.  The pads, entries 0
+    and n + 1, hold the last and the first site of the pads' source, the
+    s sites that neighbour these at both ends: in a block (no ``arc``)
+    the block itself, s = n, so entry 0 holds site n - 1 and entry n + 1
+    site 0; on an arc (``flow._Arc``) the other arc, read after the
+    arc's barrier.  Where s = 1 both pads hold that one site.  ``rates``
+    fills y's pads with one strided copy, writes beta into padded scratch
+    (its own in a block, the arc's shared row on an arc) and fills its
+    pads the same way from the source's beta, and then writes dK_+, dK_-
+    and dm into the sites of k, leaving k's pads as they are; it returns
+    nothing.  Its ufunc calls are those of ``_zn_rates_of()``, emitted
+    once per process from the four site functions, so they keep the
+    equations' association and operand order: numpy's complex multiply
+    uses FMA, so ``a * b`` and ``b * a`` can differ in the last bit, and
+    the rates are byte-identical to the four functions called once each
+    on gathered sample arrays, on a block or on arcs.  Binding only makes
+    views, with work scratch of its own.
     """
     n = y.shape[0] // 6 - 2
     ghost = y.view(np.complex128).reshape(3, n + 2)
-    beta = np.empty(n + 2, dtype=np.complex128) if arc is None else arc.row.view(np.complex128)
-    (kp, km, m), (dkp, dkm, dm) = ghost[:, 1:-1], k.view(np.complex128).reshape(3, n + 2)[:, 1:-1]
-    views = dict(kp=kp, km=km, m=m, kp_up=ghost[0, 2:], km_down=ghost[1, :-2], m_up=ghost[2, 2:],
-                 m_down=ghost[2, :-2], dkp=dkp, dkm=dkm, dm=dm, beta=beta[1:-1], beta_up=beta[2:],
-                 beta_down=beta[:-2], work=np.empty(n, dtype=np.complex128))
     if arc is None:
-        # the pads, entries 0 and n + 1, and their sources, sites n - 1 and 0 (entries n and 1)
-        pads, sources = slice(None, None, n + 1), slice(n, 0, 1 - n) if n > 1 else slice(1, 2)
-        return _zn_rates_of()(ghost_pads=ghost[:, pads], ghost_sources=ghost[:, sources], beta_pads=beta[pads],
-                              beta_sources=beta[sources], **views)
-    left, right = (x.view(np.complex128).reshape(3, -1) for x in (arc.left, arc.right))
-    left_beta, right_beta = arc.left_row.view(np.complex128), arc.right_row.view(np.complex128)
-    return _zn_rates_of(True)(ghost_left=ghost[:, 0], ghost_left_source=left[:, -2], ghost_right=ghost[:, -1],
-                              ghost_right_source=right[:, 1], beta_left=beta[:1], beta_left_source=left_beta[-2:-1],
-                              beta_right=beta[-1:], beta_right_source=right_beta[1:2], barrier=arc.barrier, **views)
+        beta = np.empty(n + 2, dtype=np.complex128)
+        source, beta_source = ghost, beta
+    else:
+        beta, beta_source = (row.view(np.complex128) for row in (arc.row, arc.other_row))
+        source = arc.other.view(np.complex128).reshape(3, -1)
+    s = source.shape[1] - 2
+    ends = slice(s, 0, 1 - s) if s > 1 else slice(1, 2)  # the source's sites s - 1 and 0, entries s and 1
+    (kp, km, m), (dkp, dkm, dm) = ghost[:, 1:-1], k.view(np.complex128).reshape(3, n + 2)[:, 1:-1]
+    return _zn_rates_of(arc is not None)(
+        ghost_pads=ghost[:, :: n + 1], ghost_sources=source[:, ends], beta_pads=beta[:: n + 1],
+        beta_sources=beta_source[ends], barrier=arc and arc.barrier, kp=kp, km=km, m=m, kp_up=ghost[0, 2:],
+        km_down=ghost[1, :-2], m_up=ghost[2, 2:], m_down=ghost[2, :-2], dkp=dkp, dkm=dkm, dm=dm, beta=beta[1:-1],
+        beta_up=beta[2:], beta_down=beta[:-2], work=np.empty(n, dtype=np.complex128))
 
 
 def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:

@@ -28,14 +28,14 @@ two forms:
   only views, and once per stage for burgers, so ``bind`` only makes
   views.  The Z_n system is a *ring* system (``_array_system(...,
   ring=True)``): its stage can also bind one arc of the sites,
-  ``bind(x, k, arc)``, and a long enough rk4 run (``_arc_count``: Linux
-  on x86-64 with ``os.fork``, at least two usable CPUs, not in a sweep
-  worker, at least ``ARC_MIN_SITES`` sites and ``ARC_BREAK_EVEN``
-  site-steps) is ``_rk4_ring``: the sites cut into two contiguous arcs,
-  each in the ghost-padded layout in shared memory, the parent stepping
-  one and a forked helper the other.  A stage on an arc copies its
-  pads, and the pads of its beta scratch, from the neighbouring arcs'
-  edge sites right after a spin barrier on shared counters
+  ``bind(x, k, arc)``, and a long enough rk4 run (``_two_arcs``: Linux
+  on x86-64 with ``os.fork``, at least two usable CPUs, not in a
+  multiprocessing child, at least ``ARC_MIN_SITES`` sites and
+  ``ARC_BREAK_EVEN`` site-steps) is ``_rk4_ring``: the sites cut into
+  two contiguous arcs, each in the ghost-padded layout in shared memory,
+  the parent stepping one and a forked helper the other.  A stage on an
+  arc copies its pads, and the pads of its beta scratch, from the other
+  arc's edge sites right after a spin barrier on shared counters
   (``_barrier``), so every site gets the ufunc calls of one block in
   the same order and the run is byte for byte the run in one block.  A
   floating-point event that would be reported, a dead helper or a ring
@@ -115,6 +115,7 @@ import contextlib
 import functools
 import math
 import mmap
+import multiprocessing
 import numbers
 import os
 import platform
@@ -164,7 +165,7 @@ MAX_SAMPLE_VALUES = 2**27
 # transport.ZN_SCALAR_CROSSOVER sites of 6 floats, fits.
 MAX_SCALAR_STATE = 256
 # A ring run (Z_n on arrays) takes two arcs on two CPUs from ARC_MIN_SITES sites
-# and ARC_BREAK_EVEN site-steps on (_arc_count).  The one-block time over the
+# and ARC_BREAK_EVEN site-steps on (_two_arcs).  The one-block time over the
 # two-arc time of a whole rk4 run (h 1e-3, stride 1000; medians of 9-11
 # alternated pairs in one process, one BLAS thread, on a 2-vCPU Xeon whose
 # speed varies) at 100 / 500 / 2,000 steps: 512 sites 0.48 / 0.71 / 0.87,
@@ -181,7 +182,6 @@ _SPINS = 1000  # reads of a count before a ring barrier yields the CPU at each f
 # A ring is redone in one block once its parent's yielding waits take more than
 # this share of its time, past its first _STARVED_AFTER_S (see _barrier).
 _STARVED, _STARVED_AFTER_S = 0.3, 0.05
-_one_arc = False  # set in sweep workers (_keep_one_arc)
 
 
 class BlowupError(RuntimeError):
@@ -247,15 +247,13 @@ def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.n
 
     With ``ring`` the stage can also bind one arc of a ring
     (``stage(x, k, arc)``, see ``_Arc``) and the layout's pad is one
-    site.  Where ``_arc_count`` gives more than one arc the run is
-    ``_rk4_ring``; if that run must be redone (``_Redo``), it is redone
-    here, in one block.
+    site.  Where ``_two_arcs`` holds the run is ``_rk4_ring``; if that
+    run must be redone (``_Redo``), it is redone here, in one block.
     """
     rows, pad = layout
-    arcs = _arc_count(y.shape[0] // (rows * pad), n_steps) if ring else 1
-    if arcs > 1:
+    if ring and _two_arcs(y.shape[0] // (rows * pad), n_steps):
         try:
-            return _rk4_ring(f, y, h, n_steps, stride, out, stage, layout, arcs)
+            return _rk4_ring(f, y, h, n_steps, stride, out, stage, layout)
         except _Redo:
             pass
     width = y.shape[0] // rows + 2 * pad
@@ -297,7 +295,7 @@ def _rk4_loop(bufs, stages, h: float, n_steps: int, stride: int, check, sample) 
     stage input is written only in the combination before its own stage,
     and 2 k3 goes into k3's own rate buffer once y4 = y + h k3 has been
     formed, so an arc's inputs stay as they are from the stage that reads
-    them until every arc has passed the barriers of the next stage.
+    them until the other arc has passed the barriers of the next stage.
     ``check(state, acc, t)`` checks each new state, with ``acc``, which
     is free between steps, as scratch (``_check_block`` in one block), and
     ``sample(row)`` then writes the state into row ``row`` of the sample
@@ -351,81 +349,71 @@ class _Redo(Exception):
 
 
 class _Arc(NamedTuple):
-    """What a stage bound to one arc of a ring reads besides its own buffers.
+    """What a stage bound to one of a ring's two arcs reads besides its own buffers.
 
-    ``left`` and ``right`` are the neighbouring arcs' buffers of the
-    stage's input; ``row``, ``left_row`` and ``right_row`` are one padded
-    row (``width`` floats) each of shared scratch, this arc's and its
-    neighbours' for the same binding; ``barrier()`` returns once every arc
-    has called it as often.  The stage calls ``barrier`` before it reads
-    a neighbour's sites, and only reads them right after it.
+    ``other`` is the other arc's buffer of the stage's input, whose sites
+    neighbour this arc's at both ends; ``row`` and ``other_row`` are one
+    padded row each of shared scratch, this arc's and the other's for the
+    same binding; ``barrier()`` returns once the other arc has called it as
+    often.  The stage calls ``barrier`` before it reads the other arc's
+    sites, and only reads them right after it.
     """
 
-    left: np.ndarray
-    right: np.ndarray
+    other: np.ndarray
     row: np.ndarray
-    left_row: np.ndarray
-    right_row: np.ndarray
+    other_row: np.ndarray
     barrier: Callable
 
 
-def _arc_count(sites: int, n_steps: int) -> int:
-    """The arcs of a ring run of ``sites`` sites and ``n_steps`` steps: 2 where a second CPU pays, else 1.
+def _two_arcs(sites: int, n_steps: int) -> bool:
+    """Whether a ring run of ``sites`` sites and ``n_steps`` steps takes two arcs: where a second CPU pays.
 
     Two arcs need Linux on x86-64 (the barrier relies on its stores
     being seen in program order), ``os.fork``, a process with one Python
     thread (a fork copies only the thread that calls it) and at least two
-    usable CPUs that is not a sweep worker (``_keep_one_arc``), at least
+    usable CPUs that is not a multiprocessing child, such as a sweep
+    worker (a sweep spreads its configs over the CPUs already), at least
     ``ARC_MIN_SITES`` sites, two at least, and ``ARC_BREAK_EVEN``
     site-steps.
     """
-    if _one_arc or sites < max(2, ARC_MIN_SITES) or sites * n_steps < ARC_BREAK_EVEN:
-        return 1
+    if sites < max(2, ARC_MIN_SITES) or sites * n_steps < ARC_BREAK_EVEN or multiprocessing.parent_process():
+        return False
     if sys.platform != "linux" or platform.machine() != "x86_64" or not hasattr(os, "fork"):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    return 2 if len(os.sched_getaffinity(0)) >= 2 else 1
+        return False
+    return threading.active_count() == 1 and len(os.sched_getaffinity(0)) >= 2
 
 
-def _keep_one_arc() -> None:
-    """Run every later ring in one block: a sweep worker's CPUs are the sweep's."""
-    global _one_arc
-    _one_arc = True
+def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, stage, layout) -> None:
+    """``_rk4_arrays`` on two contiguous arcs of the sites, one process each, byte for byte.
 
-
-def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, stage, layout,
-              arcs: int) -> None:
-    """``_rk4_arrays`` on ``arcs`` contiguous arcs of the sites, one process each, byte for byte.
-
-    Each arc is held in the layout of ``_rk4_arrays`` in shared memory
-    (an anonymous ``mmap``), with three shared scratch rows, one per
-    binding.  The parent takes the first stage from f, fills every arc's
-    state and first rates and forks one helper per arc after the first;
-    the parent steps arc 0.  Each process runs ``_rk4_loop`` on its own
-    arc, whose stages (``stage(x, k, _Arc(...))``) copy their pads from
-    the neighbouring arcs after a barrier (``_barrier``): every site gets
-    the ufunc calls of one block, in the same order.  Each step ends with
-    the arc's exact state check (no ``np.dot``, which may start BLAS
-    threads), its stop flag raised on a failure, and a barrier, after
-    which every process sees whether any arc failed; if one did, each
-    applies ``_check_block`` to the state put together as one block, pads
-    and all, and the parent raises the ``BlowupError`` (or meets the
-    floating-point event) of one block at that step.  At each sampled
-    step the parent copies every arc's sites after that barrier, before
-    any arc writes its state again.
+    The sites are cut at ``sites // 2``.  Each arc is held in the layout
+    of ``_rk4_arrays`` in shared memory (an anonymous ``mmap``), with three
+    shared scratch rows, one per binding.  The parent takes the first
+    stage from f, fills both arcs' state and first rates, forks one helper
+    for the second arc and steps the first.  Each process runs
+    ``_rk4_loop`` on its own arc, whose stages (``stage(x, k, _Arc(...))``)
+    copy their pads from the other arc after a barrier (``_barrier``):
+    every site gets the ufunc calls of one block, in the same order.  Each
+    step ends with the arc's exact state check (no ``np.dot``, which may
+    start BLAS threads), the stop flag raised on a failure, and a
+    barrier, after which both processes see whether either arc failed; if
+    one did, each applies ``_check_block`` to the state put together as
+    one block, pads and all, and the parent raises the ``BlowupError`` (or
+    meets the floating-point event) of one block at that step.  At each
+    sampled step the parent copies both arcs' sites after that barrier,
+    before either arc writes its state again.
 
     A floating-point event that the caller's ``np.errstate`` would
     report (warn, raise, call, print or log) raises ``_Redo`` in the
     process that meets it, so the redone run in one block reports it
-    exactly; so does a helper that dies or a fork that fails.  A helper
-    ends with ``os._exit``; the parent sets the abort flag unless the
-    run completed and waits for every helper in ``finally``.
+    exactly; so does a helper that dies or a fork that fails.  The helper
+    ends with ``os._exit``; the parent sets the abort flag unless the run
+    completed and waits for the helper in ``finally``.
     """
     rows, pad = layout
     sites = y.shape[0] // (rows * pad)
-    cuts = [sites * j // arcs * pad for j in range(arcs + 1)]  # an arc's floats in each row
-    widths = [cuts[j + 1] - cuts[j] + 2 * pad for j in range(arcs)]
+    cuts = (0, sites // 2 * pad, sites * pad)  # an arc's floats in each row
+    widths = [cuts[j + 1] - cuts[j] + 2 * pad for j in (0, 1)]
     shared = np.frombuffer(mmap.mmap(-1, 8 * (6 * rows + 3) * sum(widths)), np.float64)
     blocks, scratch, offset = [], [], 0
     for width in widths:  # an arc's six buffers, then its three scratch rows
@@ -434,29 +422,27 @@ def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.nda
         scratch.append(shared[offset : offset + 3 * width].reshape(3, -1))
         offset += 3 * width
     site_views = [[b.reshape(rows, w)[:, pad : w - pad] for b in bufs] for bufs, w in zip(blocks, widths)]
-    control = memoryview(mmap.mmap(-1, 64 * (arcs + 1))).cast("q")  # see _barrier
-    stop = 8 * arcs + 1
+    control = memoryview(mmap.mmap(-1, 64 * 3)).cast("q")  # see _barrier
     out = out.reshape(out.shape[0], rows, -1)
-    parent, pids, done = os.getpid(), [], False
+    parent, pid, done = os.getpid(), 0, False
 
     def one_block() -> np.ndarray:
-        """The state as ``_rk4_arrays`` holds it in one block: the end pads of the first and last arcs, every site."""
+        """The state as ``_rk4_arrays`` holds it in one block: the end pads of the two arcs, every site."""
         block = np.empty((rows, sites * pad + 2 * pad))
         block[:, :pad] = blocks[0][0].reshape(rows, -1)[:, :pad]
-        block[:, -pad:] = blocks[-1][0].reshape(rows, -1)[:, -pad:]
+        block[:, -pad:] = blocks[1][0].reshape(rows, -1)[:, -pad:]
         for i, views in enumerate(site_views):
             block[:, pad + cuts[i] : pad + cuts[i + 1]] = views[0]
         return block.ravel()
 
     def run_arc(j: int, alive: Callable) -> None:
-        barrier = _barrier(control, j, arcs, alive)
-        left, right = (j - 1) % arcs, (j + 1) % arcs
+        barrier = _barrier(control, j, alive)
 
         def check(state: np.ndarray, scratch: np.ndarray, t: float) -> None:
             if not np.maximum.reduce(np.abs(state, scratch)) <= MAX_ABS:
-                control[stop] = 1  # before this arc's count
+                control[17] = 1  # the stop flag, before this arc's count
             barrier()
-            if control[stop]:
+            if control[17]:
                 block = one_block()
                 _check_block(block, np.empty_like(block), t)
 
@@ -465,21 +451,18 @@ def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.nda
                 for i, views in enumerate(site_views):
                     out[row, :, cuts[i] : cuts[i + 1]] = views[0]
 
-        stages = tuple(stage(blocks[j][x], blocks[j][kx], _Arc(blocks[left][x], blocks[right][x], scratch[j][x],
-                                                                  scratch[left][x], scratch[right][x], barrier))
+        stages = tuple(stage(blocks[j][x], blocks[j][kx], _Arc(blocks[1 - j][x], scratch[j][x], scratch[1 - j][x],
+                                                                  barrier))
                        for x, kx in ((0, 4), (1, 5), (2, 4)))
         _rk4_loop(blocks[j], stages, h, n_steps, stride, check, sample)
 
-    def helpers_alive() -> bool:
-        for pid in pids:
-            try:
-                ended = os.waitpid(pid, os.WNOHANG)[0]
-            except ChildProcessError:  # reaped already: SIGCHLD is ignored
-                ended = pid
-            if ended:
-                pids.remove(pid)
-                return False
-        return True
+    def helper_alive() -> bool:
+        nonlocal pid
+        with contextlib.suppress(ChildProcessError):  # reaped already where SIGCHLD is ignored
+            if not os.waitpid(pid, os.WNOHANG)[0]:
+                return True
+        pid = 0
+        return False
 
     try:
         with np.errstate(call=_redo, **{kind: "ignore" if mode == "ignore" else "call"
@@ -489,25 +472,23 @@ def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.nda
             y_rows, k_rows = y.reshape(rows, -1), np.reshape(k, (rows, -1))
             for j, views in enumerate(site_views):
                 views[0][...], views[4][...] = y_rows[:, cuts[j] : cuts[j + 1]], k_rows[:, cuts[j] : cuts[j + 1]]
-            for j in range(1, arcs):
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                raise _Redo("fork failed") from exc
+            if not pid:
+                code = 1
                 try:
-                    pid = os.fork()
-                except OSError as exc:
-                    raise _Redo("fork failed") from exc
-                if not pid:
-                    code = 1
-                    try:
-                        run_arc(j, lambda: os.getppid() == parent)
-                        code = 0
-                    finally:
-                        os._exit(code)
-                pids.append(pid)
-            run_arc(0, helpers_alive)
+                    run_arc(1, lambda: os.getppid() == parent)
+                    code = 0
+                finally:
+                    os._exit(code)
+            run_arc(0, helper_alive)
         done = True
     finally:
         if not done:
-            control[8 * arcs] = 1  # abort
-        for pid in pids:
+            control[16] = 1  # the abort flag
+        if pid:
             with contextlib.suppress(ChildProcessError):  # where SIGCHLD is ignored, after the helper has ended
                 os.waitpid(pid, 0)
 
@@ -517,42 +498,40 @@ def _redo(kind: str, flag: int) -> None:
     raise _Redo(f"floating-point {kind}")
 
 
-def _barrier(control, me: int, arcs: int, alive: Callable) -> Callable:
-    """The spin barrier of arc ``me`` of a ring on the shared int64 ``control`` counters.
+def _barrier(control, me: int, alive: Callable) -> Callable:
+    """The spin barrier of arc ``me`` (0 or 1) of a ring on the shared int64 ``control`` counters.
 
-    Arc j's count is at ``8 j``, one 64-byte line each; ``8 arcs`` is the
-    abort flag and ``8 arcs + 1`` the stop flag of a failed state check.
-    A call raises the arc's count by one and spins until every other arc's
-    count has reached it.  After ``_SPINS`` reads of a count it yields the
-    CPU at each further read and checks the abort flag and ``alive()``, the
-    other side's liveness, raising ``_Redo`` on either unless the count
-    was reached after all.  The parent (arc 0) also raises ``_Redo`` once
-    its yielding waits have taken more than ``_STARVED`` of the time since
-    the barrier was made, past its first ``_STARVED_AFTER_S``: with more
+    Arc j's count is at ``8 j``, one 64-byte line each; 16 is the abort
+    flag and 17 the stop flag of a failed state check.  A call raises the
+    arc's count by one and spins until the other arc's count has reached
+    it.  After ``_SPINS`` reads of that count it yields the CPU at each
+    further read and checks the abort flag and ``alive()``, the other
+    side's liveness, raising ``_Redo`` on either unless the count was
+    reached after all.  The parent (arc 0) also raises ``_Redo`` once its
+    yielding waits have taken more than ``_STARVED`` of the time since the
+    barrier was made, past its first ``_STARVED_AFTER_S``: with more
     runnable processes than CPUs an arc waits for a descheduled one at
     every barrier, and the run is then faster in one block.
     """
-    mine, abort = 8 * me, 8 * arcs
-    others = [8 * j for j in range(arcs) if j != me]
+    mine, other = 8 * me, 8 - 8 * me
     ticket, waited, start = 0, 0.0, time.perf_counter()
 
     def barrier() -> None:
         nonlocal ticket, waited
         ticket += 1
         control[mine] = ticket
-        for slot in others:
-            spins = 0
-            while control[slot] < ticket:
-                spins += 1
-                if spins > _SPINS:
-                    yielded = time.perf_counter()
-                    os.sched_yield()
-                    if (control[abort] or not alive()) and control[slot] < ticket:
-                        raise _Redo("a ring process stopped")
-                    now = time.perf_counter()
-                    waited += now - yielded
-                    if not me and waited > _STARVED * max(now - start, _STARVED_AFTER_S / _STARVED):
-                        raise _Redo("the ring waits more than it steps")
+        spins = 0
+        while control[other] < ticket:
+            spins += 1
+            if spins > _SPINS:
+                yielded = time.perf_counter()
+                os.sched_yield()
+                if (control[16] or not alive()) and control[other] < ticket:
+                    raise _Redo("a ring process stopped")
+                now = time.perf_counter()
+                waited += now - yielded
+                if not me and waited > _STARVED * max(now - start, _STARVED_AFTER_S / _STARVED):
+                    raise _Redo("the ring waits more than it steps")
 
     return barrier
 
@@ -1023,9 +1002,9 @@ def sample_count(n_steps: int, stride: int) -> int:
     return n_steps // stride + 1 + (1 if n_steps % stride else 0)
 
 
-def _check_state(y: np.ndarray, t_good: float, scratch=None) -> None:
+def _check_state(y: np.ndarray, t_good: float) -> None:
     """The state rule on a 1-d float64 vector; ``np.maximum.reduce`` skips the Python wrapper of ``.max()``."""
-    _check_peak(np.maximum.reduce(np.abs(y, scratch)), t_good)
+    _check_peak(np.maximum.reduce(np.abs(y)), t_good)
 
 
 def _check_peak(peak: float, t_good: float) -> None:

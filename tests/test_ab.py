@@ -1,6 +1,7 @@
 """The paired A/B tool ``tools/ab.py``: its sign test, and an A/A run of one tiny op."""
 
 import importlib.util
+import os
 import shutil
 import subprocess
 import sys
@@ -28,6 +29,23 @@ def test_the_sign_test_and_its_verdicts(ab):
     assert ab.summary([1.1] * 10)["verdict"] == "worse"
     faster = ab.summary([0.9] * 8 + [1.1] * 2)
     assert (faster["verdict"], faster["better"], faster["pairs"]) == ("unresolved", 8, 10)
+
+
+def test_run_as_a_script_it_pins_blas_to_one_thread(ab, tmp_path):
+    """As ``perfbench/run.py`` does, so a one-block Z_n side checks its states on one BLAS thread."""
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os, runpy, sys\n"
+                     "tool, names = sys.argv[1], sys.argv[2:]\n"
+                     "sys.argv = [tool, '--help']\n"
+                     "try:\n"
+                     "    runpy.run_path(tool, run_name='__main__')\n"
+                     "except SystemExit:\n"
+                     "    print(' '.join(os.environ[name] for name in names))\n")
+    env = {**os.environ, **dict.fromkeys(ab.THREAD_VARS, "4")}
+    done = subprocess.run([sys.executable, str(probe), str(TOOL), *ab.THREAD_VARS], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout.splitlines()[-1] == " ".join(["1"] * len(ab.THREAD_VARS))
+    assert "usage: ab.py" in done.stdout
 
 
 def _head_is_the_working_tree() -> bool:

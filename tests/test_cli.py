@@ -859,8 +859,7 @@ def _fake_pool(monkeypatch, cpus):
     started = []
 
     class FakePool:  # a real pool would fork every worker at the first submit
-        def __init__(self, max_workers, initializer):
-            assert initializer is flow._keep_one_arc  # a sweep worker steps every ring in one block
+        def __init__(self, max_workers):
             started.append(max_workers)
 
         def __enter__(self):
@@ -922,7 +921,7 @@ def test_sweep_reports_an_internal_error_per_config(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(cli, "integrate_burgers", boom)
     # with --jobs 2 the jobs run in this process, through a stand-in for the pool
     monkeypatch.setattr(cli, "ProcessPoolExecutor",
-                        lambda max_workers, initializer: contextlib.nullcontext(types.SimpleNamespace(submit=_done)))
+                        lambda max_workers: contextlib.nullcontext(types.SimpleNamespace(submit=_done)))
     paths = [tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"]
     paths[0].write_text(json.dumps({"scenario": "m2row", "t_end": 0.01}))
     paths[1].write_text(json.dumps({"scenario": "classical-burgers", "n_grid": 16, "t_end": 0.01}))
@@ -1002,9 +1001,9 @@ def test_the_configs_a_dying_worker_leaves_run_again_in_one_fresh_pool(tmp_path,
         return run_one(payload)
 
     class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers):
             pools.append(max_workers)
-            super().__init__(max_workers=max_workers, initializer=initializer)
+            super().__init__(max_workers=max_workers)
 
     dies_once_on_b.__module__, dies_once_on_b.__qualname__ = cli.__name__, "_run_one_sweep"
     monkeypatch.setattr(cli, "_run_one_sweep", dies_once_on_b)

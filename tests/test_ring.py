@@ -1,6 +1,6 @@
-"""Ring runs of the Z_n array system: arcs of the sites stepped by forked helpers, byte for byte one block.
+"""Ring runs of the Z_n array system: two arcs of the sites, one stepped by a forked helper, byte for byte one block.
 
-The tests force arcs by patching ``flow.ARC_MIN_SITES`` and
+The tests force two arcs by patching ``flow.ARC_MIN_SITES`` and
 ``flow.ARC_BREAK_EVEN`` to 0 (as ``test_both_zn_forms_blow_up_alike``
 patches the scalar crossover) and compare each ring run with the same
 run in one block, the break-even patched out of reach.  After every ring run no child process is left.
@@ -31,18 +31,18 @@ ONE_BLOCK = 10**30  # a break-even that no run reaches
 
 @pytest.fixture
 def rings(monkeypatch):
-    """The ring runs that start, counted; two arcs from any size on."""
+    """The sites of each ring run that starts; two arcs from two sites on."""
     started = []
     real = flow._rk4_ring
 
-    def counting(*args, **kwargs):
-        started.append(args[-1])
-        return real(*args, **kwargs)
+    def counting(f, y, *args):
+        started.append(y.shape[0] // 6)
+        return real(f, y, *args)
 
     monkeypatch.setattr(flow, "_rk4_ring", counting)
     monkeypatch.setattr(flow, "ARC_MIN_SITES", 0)
     monkeypatch.setattr(flow, "ARC_BREAK_EVEN", 0)
-    if flow._arc_count(4, 1) != 2:
+    if not flow._two_arcs(4, 1):
         pytest.skip("two arcs need Linux on x86-64")
     return started
 
@@ -82,7 +82,7 @@ def _special(n):
     return transport.pack_zn_state(kp, km, m)
 
 
-@pytest.mark.parametrize("n", [4, 5, 64, 333])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 64, 333])  # at 2 and 3 an arc of one site fills both pads from one
 @pytest.mark.parametrize("data", [_admissible, _arbitrary, _special])
 def test_a_ring_run_is_byte_for_byte_one_block(n, data, rings, monkeypatch):
     y0 = data(n)
@@ -90,17 +90,7 @@ def test_a_ring_run_is_byte_for_byte_one_block(n, data, rings, monkeypatch):
         one = _run(y0, monkeypatch, ONE_BLOCK, stride=stride)
         two = _run(y0, monkeypatch, 0, stride=stride)
         assert two.states.tobytes() == one.states.tobytes() and two.times.tobytes() == one.times.tobytes()
-    assert rings == [2, 2, 2] and _no_child_left()
-
-
-@pytest.mark.parametrize("n", [5, 64])
-def test_three_arcs_are_byte_for_byte_one_block(n, rings, monkeypatch):
-    y0 = _special(n)
-    monkeypatch.setattr(flow, "_arc_count", lambda sites, n_steps: 3)
-    three = _run(y0, monkeypatch, 0, stride=1)
-    monkeypatch.setattr(flow, "_arc_count", lambda sites, n_steps: 1)
-    assert three.states.tobytes() == _run(y0, monkeypatch, 0, stride=1).states.tobytes()
-    assert rings == [3] and _no_child_left()
+    assert rings == [n] * 3 and _no_child_left()
 
 
 @pytest.mark.parametrize("n", [18, 64])
@@ -115,7 +105,7 @@ def test_a_ring_blows_up_as_one_block(n, rings, monkeypatch):
             _run(y0, monkeypatch, break_even, t_end=10.0, h=0.01, stride=5)
         seen.append((str(info.value), info.value.last_good_time))
     assert seen[0] == seen[1] and seen[0][0].startswith("state magnitude exceeded 1e+09 (last good time t=")
-    assert rings == [2] and _no_child_left()
+    assert rings == [n] and _no_child_left()
 
 
 def test_a_floating_point_event_redoes_the_ring_in_one_block(rings, monkeypatch):
@@ -136,15 +126,15 @@ def test_a_floating_point_event_redoes_the_ring_in_one_block(rings, monkeypatch)
         seen.append((str(info.value), [(w.category, str(w.message), w.filename, w.lineno) for w in caught]))
     assert seen[0] == seen[1] and seen[0][0] == "state magnitude exceeded 1e+09 (last good time t=4e+20)"
     assert [message for _, message, _, _ in seen[0][1]] == ["overflow encountered in dot"]
-    assert rings == [2] and first_stages == [1, 1] and _no_child_left()  # one block; the ring, then one block
+    assert rings == [64] and first_stages == [1, 1] and _no_child_left()  # one block; the ring, then one block
 
 
 def _barrier_that(act, monkeypatch, after=None):
     """Patch ``flow._barrier`` so that ``act(me, calls)`` runs before each barrier of each arc, ``after`` after it."""
     real = flow._barrier
 
-    def barrier_of(control, me, arcs, alive):
-        barrier, calls = real(control, me, arcs, alive), 0
+    def barrier_of(control, me, alive):
+        barrier, calls = real(control, me, alive), 0
 
         def acting():
             nonlocal calls
@@ -165,7 +155,7 @@ def test_a_neighbour_that_reads_its_pads_late_reads_the_same_sites(rings, monkey
     one = _run(y0, monkeypatch, ONE_BLOCK, stride=1, t_end=0.005)
     _barrier_that(lambda me, calls: None, monkeypatch, after=lambda me, calls: me == 1 and time.sleep(0.002))
     assert _run(y0, monkeypatch, 0, stride=1, t_end=0.005).states.tobytes() == one.states.tobytes()
-    assert rings == [2] and _no_child_left()
+    assert rings == [64] and _no_child_left()
 
 
 def test_a_helper_that_exits_mid_run_leaves_the_run_to_one_block(rings, monkeypatch):
@@ -181,7 +171,7 @@ def test_a_helper_that_exits_mid_run_leaves_the_run_to_one_block(rings, monkeypa
     real_first = flow._first_stage
     monkeypatch.setattr(flow, "_first_stage", lambda *args: first_stages.append(1) or real_first(*args))
     assert _run(y0, monkeypatch, 0, stride=1).states.tobytes() == one.states.tobytes()
-    assert rings == [2] and first_stages == [1] and _no_child_left()  # the ring, then one block
+    assert rings == [64] and first_stages == [1] and _no_child_left()  # the ring, then one block
 
 
 def test_a_killed_helper_leaves_the_run_to_one_block(rings, monkeypatch):
@@ -202,7 +192,7 @@ def test_a_killed_helper_leaves_the_run_to_one_block(rings, monkeypatch):
     monkeypatch.setattr(os, "fork", recording_fork)
     _barrier_that(kill_helper, monkeypatch)
     assert _run(y0, monkeypatch, 0, stride=2).states.tobytes() == one.states.tobytes()
-    assert rings == [2] and len(helpers) == 1 and _no_child_left()
+    assert rings == [64] and len(helpers) == 1 and _no_child_left()
 
 
 def test_a_ring_that_waits_more_than_it_steps_is_redone_in_one_block(rings, monkeypatch):
@@ -214,7 +204,7 @@ def test_a_ring_that_waits_more_than_it_steps_is_redone_in_one_block(rings, monk
     started = time.perf_counter()
     assert _run(y0, monkeypatch, 0, t_end=0.5).states.tobytes() == one.states.tobytes()
     assert time.perf_counter() - started < 500 * 9 * 0.005 / 10  # a tenth of the 500 steps' slow barriers
-    assert rings == [2] and first_stages == [1] and _no_child_left()  # the ring, then one block
+    assert rings == [64] and first_stages == [1] and _no_child_left()  # the ring, then one block
 
 
 def test_an_exception_in_the_parent_stops_the_helper(rings, monkeypatch):
@@ -228,7 +218,7 @@ def test_an_exception_in_the_parent_stops_the_helper(rings, monkeypatch):
     _barrier_that(stop_parent, monkeypatch)
     with pytest.raises(Stop):
         _run(_arbitrary(64), monkeypatch, 0)
-    assert rings == [2] and _no_child_left()
+    assert rings == [64] and _no_child_left()
 
 
 def test_a_ring_completes_where_sigchld_is_ignored(rings, monkeypatch):
@@ -241,7 +231,7 @@ def test_a_ring_completes_where_sigchld_is_ignored(rings, monkeypatch):
         assert _run(y0, monkeypatch, 0).states.tobytes() == one.states.tobytes()
     finally:
         signal.signal(signal.SIGCHLD, previous)
-    assert rings == [2] and _no_child_left()
+    assert rings == [64] and _no_child_left()
 
 
 def test_a_run_pinned_to_one_cpu_completes(rings, monkeypatch):
@@ -251,43 +241,44 @@ def test_a_run_pinned_to_one_cpu_completes(rings, monkeypatch):
     try:
         os.sched_setaffinity(0, {min(cpus)})
         monkeypatch.setattr(flow, "ARC_BREAK_EVEN", 0)
-        assert flow._arc_count(64, 10**6) == 1
+        assert not flow._two_arcs(64, 10**6)
         assert _run(y0, monkeypatch, 0).states.tobytes() == one.states.tobytes()
         assert rings == []
-        monkeypatch.setattr(flow, "_arc_count", lambda sites, n_steps: 2)
+        monkeypatch.setattr(flow, "_two_arcs", lambda sites, n_steps: True)
         assert _run(y0, monkeypatch, 0).states.tobytes() == one.states.tobytes()
-        assert rings == [2]
+        assert rings == [64]
     finally:
         os.sched_setaffinity(0, cpus)
     assert _no_child_left()
 
 
 def test_a_sweep_worker_keeps_one_arc():
-    probe = functools.partial(flow._arc_count, 4096, 2000)  # zn-large's Z_4096 run
-    if probe() != 2:
+    """A plain pool worker, with no initializer, keeps one arc: it is a multiprocessing child."""
+    probe = functools.partial(flow._two_arcs, 4096, 2000)  # zn-large's Z_4096 run
+    if not probe():
         pytest.skip("two arcs need Linux on x86-64")
-    with ProcessPoolExecutor(max_workers=1, initializer=flow._keep_one_arc) as pool:
-        assert pool.submit(probe).result() == 1
-    assert flow._one_arc is False  # the worker's flag, not this process's
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(probe).result() is False
+    assert probe() is True
 
 
 def test_the_selection_reads_the_sites_and_the_site_steps(monkeypatch):
-    if flow._arc_count(4096, 10**30) != 2:
+    if not flow._two_arcs(4096, 10**30):
         pytest.skip("two arcs need Linux on x86-64")
     cases = [(4096, 999), (4096, 1000), (2048, 2000), (2047, 10**9), (8192, 500), (64, 10**9)]
     monkeypatch.setattr(flow, "ARC_BREAK_EVEN", 4096 * 1000)
-    assert [flow._arc_count(*args) for args in cases] == [1, 2, 2, 1, 2, 1]
+    assert [flow._two_arcs(*args) for args in cases] == [False, True, True, False, True, False]
     monkeypatch.setattr(flow, "ARC_MIN_SITES", 0)
-    assert [flow._arc_count(*args) for args in [(1, 10**9), (2, 4096 * 500)]] == [1, 2]  # an arc holds a site
+    assert [flow._two_arcs(*args) for args in [(1, 10**9), (2, 4096 * 500)]] == [False, True]  # an arc holds a site
     release = threading.Event()
     waiting = threading.Thread(target=release.wait, args=(10,))
     waiting.start()
     try:
-        assert flow._arc_count(4096, 1000) == 1  # a fork copies only the calling thread
+        assert not flow._two_arcs(4096, 1000)  # a fork copies only the calling thread
     finally:
         release.set()
         waiting.join(timeout=10)
-    assert not waiting.is_alive() and flow._arc_count(4096, 1000) == 2
+    assert not waiting.is_alive() and flow._two_arcs(4096, 1000)
 
 
 _UFUNCS = ("add", "subtract", "multiply", "dot")

@@ -60,7 +60,7 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     assert len(benchmark) == 14 and benchmark <= set(configs)  # zn4096, zn64 and the 12 sweep configs
     edges = {path.stem: json.loads(path.read_text()) for path in configured if path.parent == tmp_path / "edges"}
     # the scalar-form, array-form, stencil, CSV-text, signed-zero, chart-exit, floor and two-arc edges
-    assert len(edges) == 25
+    assert len(edges) == 26
     burgers = {name: raw for name, raw in edges.items() if raw["scenario"] == "classical-burgers"}
     assert sorted((raw.get("stencil", 4), raw.get("method", "rk4")) for raw in burgers.values()) == [
         (2, "rk4"), (2, "rk4"), (2, "rk45"), (4, "rk4"), (4, "rk4"), (4, "rk4"), (4, "rk45")]  # both stencils, methods
@@ -70,7 +70,7 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     grid16 = burgers["burgers-grid16-stencil2-stride1"]  # the one pad on each side reads the grid ends
     assert (len(grid16["values"]), grid16["stencil"], grid16["method"], grid16["stride"]) == (16, 2, "rk4", 1)
     assert sorted(raw.get("n") for raw in edges.values() if raw["scenario"] == "zn") == [2, 3, 17, 18, 18, 18, 19,
-                                                                                       2048, 2048]
+                                                                                       2048, 2048, 2049]
     tiny = edges["zn3-signed-zeros-subnormal-phi"]  # -0, exact zeros, 3-digit exponents and a subnormal phi
     assert tiny["k_plus"][1] == [0.0, 0.0] and math.copysign(1.0, tiny["k_plus"][1][0]) == -1.0
     assert max(abs(part) for entry in tiny["m"] for part in entry) < 1e-159
@@ -99,6 +99,8 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     assert 5e-324 in [abs(part) for pair in zeros["m"][1021:1024] + zeros["m"][1024:1027] for part in pair]
     assert zeros["k_plus"][:1021] == arcs["k_plus"][:1021]  # the rest is the generated data, kept admissible
     assert zeros["k_minus"][:1020] == [[-re, im] for re, im in arcs["k_plus"][1:1021]]
+    odd = edges["zn2049-two-arcs"]  # two arcs of 1,024 and 1,025 sites: each reads pads from the other's length
+    assert (odd["n"], len(odd["m"]), odd["t_end"], odd["step"], odd["method"]) == (2049, 2049, 2.0, 1e-3, "rk4")
     below = edges["m2-rk45-below-floor"]  # every grid step is shorter than rk45's step floor of 1e-13
     assert (below["scenario"], below["method"], below["stride"]) == ("m2", "rk45", 1)
     assert below["t_end"] / round(below["t_end"] / below["step"]) < 1e-13

@@ -22,28 +22,37 @@ replaces the benchmark: both sides share numpy, the allocator and the
 garbage collector, and set-up time and peak memory are not measured.  A
 ``sweep`` forks its workers, which inherit both packages only where the
 start method is fork.  The exit status is 1 when some op's outputs
-differ between the sides, else 0.
+differ between the sides, else 0.  Run as a script it pins BLAS and
+OpenMP to one thread before numpy loads, as ``perfbench/run.py`` does.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import importlib
-import importlib.util
-import io
-import json
-import math
-import random
-import shutil
-import statistics
-import subprocess
-import sys
-import tarfile
-import tempfile
-import traceback
-from pathlib import Path
-from time import perf_counter
+import os
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+if __name__ == "__main__":
+    # One BLAS/OpenMP thread, as perfbench/run.py sets, so both sides run as the benchmark does; set before numpy loads.
+    for _var in THREAD_VARS:
+        os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import importlib  # noqa: E402
+import importlib.util  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import random  # noqa: E402
+import shutil  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tarfile  # noqa: E402
+import tempfile  # noqa: E402
+import traceback  # noqa: E402
+from pathlib import Path  # noqa: E402
+from time import perf_counter  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("ref", "this")
