@@ -45,8 +45,9 @@ before any output is complete and is not a fault of the numerics, so a
 script that tells 2 from 3 keeps telling them apart.  In a
 ``sweep``, a config whose run fails in any other way prints
 ``internal error: ...`` and reports exit 1 while the others finish;
-the configs that a dying worker leaves without a result run again, all
-in one fresh pool of at most ``--jobs`` workers; one that this pool
+the configs that a dying worker leaves without a result, or that the
+broken pool refuses to take, run again, all in one fresh pool of at most
+``--jobs`` workers; one that this pool
 leaves without a result too runs alone in a fresh worker, and only if
 that worker dies too does it report exit 1 and ``worker process died``.
 A sweep worker, as any multiprocessing child, steps every Z_n array run
@@ -885,16 +886,23 @@ def _usable_cpus() -> int:
 
 
 def _pool_results(jobs: list, workers: int) -> list:
-    """Each job's ``_run_one_sweep`` result from one pool of ``workers`` fresh workers, None where the pool broke."""
+    """Each job's ``_run_one_sweep`` result from one pool of ``workers`` fresh workers, None where the pool broke.
+
+    A pool that breaks while the jobs are submitted refuses every later
+    one, so those jobs get no result either.
+    """
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_one_sweep, job) for job in jobs]
+        futures = []
+        with contextlib.suppress(BrokenProcessPool):
+            for job in jobs:
+                futures.append(pool.submit(_run_one_sweep, job))
         results = []
         for future in futures:
             try:
                 results.append(future.result())
             except BrokenProcessPool:
                 results.append(None)
-        return results
+        return results + [None] * (len(jobs) - len(futures))
 
 
 def _sweep_results(jobs: list, workers: int) -> list:

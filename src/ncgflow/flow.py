@@ -37,9 +37,11 @@ two forms:
   arc copies its pads, and the pads of its beta scratch, from the other
   arc's edge sites right after a spin barrier on shared counters
   (``_barrier``), so every site gets the ufunc calls of one block in
-  the same order and the run is byte for byte the run in one block.  A
-  floating-point event that would be reported, a dead helper or a ring
-  that waits more than it steps makes the run start again in one block;
+  the same order and the run is byte for byte the run in one block.
+  Every abnormal end of a ring (a state that fails its check, a
+  floating-point event that would be reported, a failed fork, a dead
+  helper or a ring that waits more than it steps) makes the run start
+  again in one block, which gives one block's result;
 * a compiled system (``_stage_kernels``): ``rhs`` maps a list of the
   system's entries, Python complex numbers (the packed vector read as
   complex128) or Python floats, to a list of the same length.  For the
@@ -345,7 +347,13 @@ def _check_block(state: np.ndarray, scratch: np.ndarray, t: float) -> None:
 
 
 class _Redo(Exception):
-    """A ring run is given up and redone in one block: a helper died, or a floating-point event was to be reported."""
+    """A ring run is given up and redone in one block, which gives one block's result.
+
+    Its five causes: a state that fails its check, a floating-point event
+    that was to be reported, a failed fork, a ring process that has ended
+    (a dead helper, or the parent's abort) and a parent that waits more
+    than it steps.
+    """
 
 
 class _Arc(NamedTuple):
@@ -387,66 +395,53 @@ def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.nda
     """``_rk4_arrays`` on two contiguous arcs of the sites, one process each, byte for byte.
 
     The sites are cut at ``sites // 2``.  Each arc is held in the layout
-    of ``_rk4_arrays`` in shared memory (an anonymous ``mmap``), with three
-    shared scratch rows, one per binding.  The parent takes the first
-    stage from f, fills both arcs' state and first rates, forks one helper
-    for the second arc and steps the first.  Each process runs
+    of ``_rk4_arrays`` in an anonymous shared ``mmap`` of its own, with
+    three shared scratch rows, one per binding.  The parent takes the
+    first stage from f, fills both arcs' state and first rates, forks one
+    helper for the second arc and steps the first.  Each process runs
     ``_rk4_loop`` on its own arc, whose stages (``stage(x, k, _Arc(...))``)
     copy their pads from the other arc after a barrier (``_barrier``):
     every site gets the ufunc calls of one block, in the same order.  Each
     step ends with the arc's exact state check (no ``np.dot``, which may
-    start BLAS threads), the stop flag raised on a failure, and a
-    barrier, after which both processes see whether either arc failed; if
-    one did, each applies ``_check_block`` to the state put together as
-    one block, pads and all, and the parent raises the ``BlowupError`` (or
-    meets the floating-point event) of one block at that step.  At each
-    sampled step the parent copies both arcs' sites after that barrier,
-    before either arc writes its state again.
+    start BLAS threads).  At each sampled row both arcs pass one more
+    barrier, after which the parent copies both arcs' sites, before either
+    arc writes its state again.
 
-    A floating-point event that the caller's ``np.errstate`` would
-    report (warn, raise, call, print or log) raises ``_Redo`` in the
-    process that meets it, so the redone run in one block reports it
-    exactly; so does a helper that dies or a fork that fails.  The helper
-    ends with ``os._exit``; the parent sets the abort flag unless the run
-    completed and waits for the helper in ``finally``.
+    The run either completes or raises ``_Redo``, and ``_rk4_arrays``
+    then redoes it in one block, which gives one block's result: its
+    ``BlowupError`` with its last good time, its floating-point reports.
+    ``_Redo`` is raised in the process that meets a state that fails its
+    check or a floating-point event that the caller's ``np.errstate``
+    would report (warn, raise, call, print or log), and in the parent when
+    the fork fails; a barrier raises it when the other process has ended
+    or the parent waits more than it steps.  The helper ends with
+    ``os._exit(0)``, whose status nobody reads; the parent sets the abort
+    flag unless the run completed and waits for the helper in
+    ``finally``.
     """
     rows, pad = layout
     sites = y.shape[0] // (rows * pad)
     cuts = (0, sites // 2 * pad, sites * pad)  # an arc's floats in each row
-    widths = [cuts[j + 1] - cuts[j] + 2 * pad for j in (0, 1)]
-    shared = np.frombuffer(mmap.mmap(-1, 8 * (6 * rows + 3) * sum(widths)), np.float64)
-    blocks, scratch, offset = [], [], 0
-    for width in widths:  # an arc's six buffers, then its three scratch rows
-        blocks.append(shared[offset : offset + 6 * rows * width].reshape(6, -1))
-        offset += 6 * rows * width
-        scratch.append(shared[offset : offset + 3 * width].reshape(3, -1))
-        offset += 3 * width
-    site_views = [[b.reshape(rows, w)[:, pad : w - pad] for b in bufs] for bufs, w in zip(blocks, widths)]
+    blocks, scratch = [], []
+    for j in (0, 1):  # an arc's own mapping: its six buffers, then its three scratch rows
+        width = cuts[j + 1] - cuts[j] + 2 * pad
+        arc = np.frombuffer(mmap.mmap(-1, 8 * (6 * rows + 3) * width), np.float64).reshape(-1, width)
+        blocks.append(arc[: 6 * rows].reshape(6, -1))
+        scratch.append(arc[6 * rows :])
+    site_views = [[b.reshape(rows, -1)[:, pad:-pad] for b in bufs] for bufs in blocks]
     control = memoryview(mmap.mmap(-1, 64 * 3)).cast("q")  # see _barrier
     out = out.reshape(out.shape[0], rows, -1)
     parent, pid, done = os.getpid(), 0, False
-
-    def one_block() -> np.ndarray:
-        """The state as ``_rk4_arrays`` holds it in one block: the end pads of the two arcs, every site."""
-        block = np.empty((rows, sites * pad + 2 * pad))
-        block[:, :pad] = blocks[0][0].reshape(rows, -1)[:, :pad]
-        block[:, -pad:] = blocks[1][0].reshape(rows, -1)[:, -pad:]
-        for i, views in enumerate(site_views):
-            block[:, pad + cuts[i] : pad + cuts[i + 1]] = views[0]
-        return block.ravel()
 
     def run_arc(j: int, alive: Callable) -> None:
         barrier = _barrier(control, j, alive)
 
         def check(state: np.ndarray, scratch: np.ndarray, t: float) -> None:
             if not np.maximum.reduce(np.abs(state, scratch)) <= MAX_ABS:
-                control[17] = 1  # the stop flag, before this arc's count
-            barrier()
-            if control[17]:
-                block = one_block()
-                _check_block(block, np.empty_like(block), t)
+                raise _Redo("a state failed its check")
 
         def sample(row: int) -> None:
+            barrier()
             if j == 0:
                 for i, views in enumerate(site_views):
                     out[row, :, cuts[i] : cuts[i + 1]] = views[0]
@@ -477,12 +472,10 @@ def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.nda
             except OSError as exc:
                 raise _Redo("fork failed") from exc
             if not pid:
-                code = 1
                 try:
                     run_arc(1, lambda: os.getppid() == parent)
-                    code = 0
                 finally:
-                    os._exit(code)
+                    os._exit(0)
             run_arc(0, helper_alive)
         done = True
     finally:
@@ -501,8 +494,8 @@ def _redo(kind: str, flag: int) -> None:
 def _barrier(control, me: int, alive: Callable) -> Callable:
     """The spin barrier of arc ``me`` (0 or 1) of a ring on the shared int64 ``control`` counters.
 
-    Arc j's count is at ``8 j``, one 64-byte line each; 16 is the abort
-    flag and 17 the stop flag of a failed state check.  A call raises the
+    Arc j's count is at ``8 j``, one 64-byte line each, and 16 is the
+    abort flag, in a third line.  A call raises the
     arc's count by one and spins until the other arc's count has reached
     it.  After ``_SPINS`` reads of that count it yields the CPU at each
     further read and checks the abort flag and ``alive()``, the other

@@ -1016,6 +1016,24 @@ def test_the_configs_a_dying_worker_leaves_run_again_in_one_fresh_pool(tmp_path,
     assert all((tmp_path / "s" / stem / "trajectory.csv").exists() for stem in "abc")
 
 
+def test_the_configs_a_broken_pool_refuses_to_submit_run_again_in_one_fresh_pool(tmp_path, monkeypatch, capsys):
+    """The first pool breaks after a's submit, as one whose first worker dies at once: b and c run in the next."""
+    paths, started, submitted = _sweep_configs(tmp_path, 3), _fake_pool(monkeypatch, cpus=64), []
+
+    def breaks_after_the_first(pool, fn, item):
+        if started == [2] and submitted:
+            raise cli.BrokenProcessPool("A child process terminated abruptly")
+        submitted.append(item[0])
+        return _done(fn, item)
+
+    monkeypatch.setattr(cli.ProcessPoolExecutor, "submit", breaks_after_the_first)
+    assert main(["sweep", "--configs", *map(str, paths), "--out", str(tmp_path / "s"), "--jobs", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert started == [2, 2] and submitted == list(map(str, paths)) and err == ""
+    assert out.splitlines()[-3:] == [f"{path}: exit 0" for path in paths]
+    assert all((tmp_path / "s" / stem / "trajectory.csv").exists() for stem in "abc")
+
+
 _FIELDS = {
     "zn": ["n", "k_plus", "k_minus", "m"],
     "m2": ["k1", "k2", "m"],

@@ -95,7 +95,7 @@ def test_a_ring_run_is_byte_for_byte_one_block(n, data, rings, monkeypatch):
 
 @pytest.mark.parametrize("n", [18, 64])
 def test_a_ring_blows_up_as_one_block(n, rings, monkeypatch):
-    """K_- = K_+ is not admissible and grows past MAX_ABS: the arcs stop at the step where one block stops."""
+    """K_- = K_+ is not admissible and grows past MAX_ABS: the ring is redone in one block, whose error it raises."""
     rng = np.random.default_rng(7)
     kp, m = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
     y0 = transport.pack_zn_state(kp, kp, m)
@@ -108,11 +108,27 @@ def test_a_ring_blows_up_as_one_block(n, rings, monkeypatch):
     assert rings == [n] and _no_child_left()
 
 
+@pytest.mark.parametrize("arc, last_good", [(slice(0, 32), 5.0), (slice(32, 64), 3.45)])
+def test_a_blow_up_in_one_arc_alone_is_redone_in_one_block(arc, last_good, rings, monkeypatch):
+    """K_- = K_+ on the parent's arc or on the helper's alone: the arc whose check fails gives the run to one block."""
+    kp, km, m = _admissible(64).view(np.complex128).reshape(3, 64).copy()
+    km[arc] = kp[arc]
+    y0 = transport.pack_zn_state(kp, km, m)
+    seen, first_stages, real_first = [], [], flow._first_stage
+    monkeypatch.setattr(flow, "_first_stage", lambda *args: first_stages.append(1) or real_first(*args))
+    for break_even in (ONE_BLOCK, 0):
+        with pytest.raises(BlowupError) as info:
+            _run(y0, monkeypatch, break_even, t_end=40.0, h=0.01, stride=5)
+        seen.append((str(info.value), info.value.last_good_time))
+    assert seen == [(f"state magnitude exceeded 1e+09 (last good time t={last_good:g})", last_good)] * 2
+    assert rings == [64] and first_stages == [1, 1] and _no_child_left()  # one block; the ring, then one block
+
+
 def test_a_floating_point_event_redoes_the_ring_in_one_block(rings, monkeypatch):
     """Tiny data and huge steps: the failing step's sum of squares overflows in one block's check.
 
-    The ring meets that overflow when it checks its failing step as one
-    block, and the run redone in one block warns and raises as it always
+    The ring's own check of that step fails without the overflow, and the
+    run redone in one block meets it, so it warns and raises as it always
     did.
     """
     n = 64
@@ -147,6 +163,23 @@ def _barrier_that(act, monkeypatch, after=None):
         return acting
 
     monkeypatch.setattr(flow, "_barrier", barrier_of)
+
+
+@pytest.mark.parametrize("stride, barriers", [(1, 179), (3, 165), (7, 161)])
+def test_each_arc_passes_two_barriers_per_stage_and_one_per_sampled_row(stride, barriers, rings, monkeypatch):
+    """20 steps: 8 n - 2 barriers in the stages (f gives the first) and n // stride + 1 in the samples, on each arc."""
+    y0 = _arbitrary(64)
+    one = _run(y0, monkeypatch, ONE_BLOCK, stride=stride, t_end=0.02)
+    parent, (read, write) = [], os.pipe()  # the helper writes one byte per barrier
+    _barrier_that(lambda me, calls: os.write(write, b".") if me else parent.append(calls), monkeypatch)
+    try:
+        assert _run(y0, monkeypatch, 0, stride=stride, t_end=0.02).states.tobytes() == one.states.tobytes()
+    finally:
+        os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        helper = len(pipe.read())
+    assert (len(parent), helper) == (barriers, barriers) and barriers == 8 * 20 - 2 + 20 // stride + 1
+    assert rings == [64] and _no_child_left()
 
 
 def test_a_neighbour_that_reads_its_pads_late_reads_the_same_sites(rings, monkeypatch):

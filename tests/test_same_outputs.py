@@ -60,7 +60,7 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     assert len(benchmark) == 14 and benchmark <= set(configs)  # zn4096, zn64 and the 12 sweep configs
     edges = {path.stem: json.loads(path.read_text()) for path in configured if path.parent == tmp_path / "edges"}
     # the scalar-form, array-form, stencil, CSV-text, signed-zero, chart-exit, floor and two-arc edges
-    assert len(edges) == 26
+    assert len(edges) == 27
     burgers = {name: raw for name, raw in edges.items() if raw["scenario"] == "classical-burgers"}
     assert sorted((raw.get("stencil", 4), raw.get("method", "rk4")) for raw in burgers.values()) == [
         (2, "rk4"), (2, "rk4"), (2, "rk45"), (4, "rk4"), (4, "rk4"), (4, "rk4"), (4, "rk45")]  # both stencils, methods
@@ -70,7 +70,7 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     grid16 = burgers["burgers-grid16-stencil2-stride1"]  # the one pad on each side reads the grid ends
     assert (len(grid16["values"]), grid16["stencil"], grid16["method"], grid16["stride"]) == (16, 2, "rk4", 1)
     assert sorted(raw.get("n") for raw in edges.values() if raw["scenario"] == "zn") == [2, 3, 17, 18, 18, 18, 19,
-                                                                                       2048, 2048, 2049]
+                                                                                       2048, 2048, 2048, 2049]
     tiny = edges["zn3-signed-zeros-subnormal-phi"]  # -0, exact zeros, 3-digit exponents and a subnormal phi
     assert tiny["k_plus"][1] == [0.0, 0.0] and math.copysign(1.0, tiny["k_plus"][1][0]) == -1.0
     assert max(abs(part) for entry in tiny["m"] for part in entry) < 1e-159
@@ -92,6 +92,9 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     assert exit3["k_minus"] == exit3["k_plus"] and exit3["t_end"] == 10.0 and exit3["method"] == "rk4"
     arcs = edges["zn2048-two-arcs-exit3"]  # two arcs from 2,048 sites and 2,048 x 2,000 site-steps; blows up
     assert arcs["k_minus"] == arcs["k_plus"] and (arcs["t_end"], arcs["step"], arcs["method"]) == (10.0, 1e-3, "rk4")
+    helper = edges["zn2048-two-arcs-exit3-helper-arc"]  # K_- = K_+ on the second arc alone; blows up there
+    assert helper["k_minus"][1024:] == arcs["k_plus"][1024:] and helper["k_minus"][:1024] != arcs["k_plus"][:1024]
+    assert helper == {**arcs, "k_minus": helper["k_minus"]}  # t_end 10, like the edge that blows up on both arcs
     zeros = edges["zn2048-two-arcs-signed-zeros-subnormal-m"]  # the smallest two-arc run, special values at the cut
     assert (zeros["t_end"], zeros["step"], zeros["method"]) == (2.0, 1e-3, "rk4")
     parts = [part for key in ("k_plus", "k_minus", "m") for pair in zeros[key][1020:1028] for part in pair]

@@ -36,10 +36,12 @@ checkout's ``src`` on ``PYTHONPATH``.  The list is:
   1/16, so a stage lands exactly on theta = 0 (nan rates), and one from
   theta = 0.01 whose velocity passes 1e9 within its first step; and an
   M2 rk45 run of 7 grid steps of 1.43e-14, each below rk45's step floor
-  of 1e-13, which rk45 accepts on its error estimate alone; and three
+  of 1e-13, which rk45 accepts on its error estimate alone; and four
   Z_n rk4 runs long enough to step as two arcs: 2,048 sites that blow
-  up (exit 3), 2,048 sites with signed zeros and subnormal m at the cut,
-  and 2,049 sites, cut into arcs of 1,024 and 1,025 sites;
+  up (exit 3), 2,048 sites that blow up on the second arc alone (k_minus
+  = k_plus on sites 1,024 to 2,047 only, exit 3), 2,048 sites with signed
+  zeros and subnormal m at the cut, and 2,049 sites, cut into arcs of
+  1,024 and 1,025 sites;
 * ``validate`` on both presets, on the five scenario defaults and on every
   benchmark config above.
 
@@ -138,6 +140,9 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
         "geodesic-near-pole-exit3": {**sphere_exit, "x": [0.01, 0.0], "v": [-1.0, 0.5]},
         "m2-rk45-below-floor": {"scenario": "m2", "method": "rk45", "t_end": 1e-13, "step": 1.5e-14, "stride": 1},
         "zn2048-two-arcs-exit3": {**zn2048, "t_end": 10.0, "k_minus": zn2048["k_plus"]},
+        # K_- = K_+ on the second arc's sites alone: the helper's arc blows up
+        "zn2048-two-arcs-exit3-helper-arc": {**zn2048, "t_end": 10.0,
+                                             "k_minus": zn2048["k_minus"][:1024] + zn2048["k_plus"][1024:]},
         "zn2048-two-arcs-signed-zeros-subnormal-m": {**zn2048, **arcs},
         # 2,049 sites: arcs of 1,024 and 1,025 sites, so each arc's pads read a source of another length
         "zn2049-two-arcs": workloads.zn_config(np.random.default_rng(SEED), 2049, t_end=2.0, stride=500, method="rk4"),
