@@ -38,10 +38,9 @@ two forms:
   arc's edge sites right after a spin barrier on shared counters
   (``_barrier``), so every site gets the ufunc calls of one block in
   the same order and the run is byte for byte the run in one block.
-  Every abnormal end of a ring (a state that fails its check, a
-  floating-point event that would be reported, a failed fork, a dead
-  helper or a ring that waits more than it steps) makes the run start
-  again in one block, which gives one block's result;
+  Every abnormal end of a ring (a state that fails its check, a failed
+  fork, a dead helper or a ring that waits more than it steps) makes the
+  run start again in one block, which gives one block's result;
 * a compiled system (``_stage_kernels``): ``rhs`` maps a list of the
   system's entries, Python complex numbers (the packed vector read as
   complex128) or Python floats, to a list of the same length.  For the
@@ -91,14 +90,17 @@ compiled system's rk4 run never calls f.
 ``integrate`` checks its arguments and the initial state, builds the
 time grid and the sample block, preallocated from the step count and the
 stride, and hands the whole run to one call of the system's stepper of
-``method``.  Each stepper takes ``(f, y, h, n_steps, stride, out)``, the
-packed float64 state and sample block, and owns its loop: from t = 0 it
-takes ``n_steps`` steps of h (rk45 lands on the sampled steps of the
-same grid with adaptive substeps), checks every accepted state, writes
-the state after step k into row ``k // stride`` of ``out`` when
-``stride`` divides k and the final state into the last row; row 0 holds
-the initial state already.  The default method is fixed-step classical
-RK4; ``method="rk45"`` is an adaptive
+``method``, inside ``np.errstate(all="ignore")``: numpy reports no
+floating-point event of a run, in either form or method, and a state
+that an overflow or an invalid operation makes non-finite or too large
+ends the run in :class:`BlowupError`.  Each stepper takes ``(f, y, h,
+n_steps, stride, out)``, the packed float64 state and sample block, and
+owns its loop: from t = 0 it takes ``n_steps`` steps of h (rk45 lands
+on the sampled steps of the same grid with adaptive substeps), checks
+every accepted state, writes the state after step k into row ``k //
+stride`` of ``out`` when ``stride`` divides k and the final state into
+the last row; row 0 holds the initial state already.  The default
+method is fixed-step classical RK4; ``method="rk45"`` is an adaptive
 Dormand-Prince 4(5) pair.  rk45 lands only on the sampled steps (every
 ``stride``-th and the last), so an attempt can grow to ``stride * h``
 and its states depend on the stride.  On the scenario defaults with
@@ -250,13 +252,14 @@ def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.n
     With ``ring`` the stage can also bind one arc of a ring
     (``stage(x, k, arc)``, see ``_Arc``) and the layout's pad is one
     site.  Where ``_two_arcs`` holds the run is ``_rk4_ring``; if that
-    run must be redone (``_Redo``), it is redone here, in one block.
+    run must be redone (``_Redo``, or an arc's ``BlowupError``), it is
+    redone here, in one block, which raises one block's error.
     """
     rows, pad = layout
     if ring and _two_arcs(y.shape[0] // (rows * pad), n_steps):
         try:
             return _rk4_ring(f, y, h, n_steps, stride, out, stage, layout)
-        except _Redo:
+        except (_Redo, BlowupError):
             pass
     width = y.shape[0] // rows + 2 * pad
     bufs = np.zeros((6, rows * width))  # state, y_a, y_b, acc, ka, kb
@@ -269,7 +272,7 @@ def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.n
         out[row] = sites
 
     stages = stage(bufs[0], bufs[4]), stage(bufs[1], bufs[5]), stage(bufs[2], bufs[4])
-    _rk4_loop(bufs, stages, h, n_steps, stride, _check_block, sample)
+    _rk4_loop(bufs, stages, h, n_steps, stride, sample)
 
 
 def _first_stage(f, y: np.ndarray, k1_sites: np.ndarray) -> None:
@@ -279,7 +282,7 @@ def _first_stage(f, y: np.ndarray, k1_sites: np.ndarray) -> None:
     np.copyto(k1_sites, np.reshape(k, k1_sites.shape))
 
 
-def _rk4_loop(bufs, stages, h: float, n_steps: int, stride: int, check, sample) -> None:
+def _rk4_loop(bufs, stages, h: float, n_steps: int, stride: int, sample) -> None:
     """The steps of an array rk4 run on one block or one arc: the six buffers of ``_rk4_arrays`` and three stages.
 
     ``bufs`` are the state, the two stage inputs y_a and y_b, the stage
@@ -298,8 +301,10 @@ def _rk4_loop(bufs, stages, h: float, n_steps: int, stride: int, check, sample) 
     and 2 k3 goes into k3's own rate buffer once y4 = y + h k3 has been
     formed, so an arc's inputs stay as they are from the stage that reads
     them until the other arc has passed the barriers of the next stage.
-    ``check(state, acc, t)`` checks each new state, with ``acc``, which
-    is free between steps, as scratch (``_check_block`` in one block), and
+    Each new state gets the exact state rule, its peak ``max |entry|``
+    taken with ``acc``, which is free between steps, as scratch, and an
+    inf or nan failing it too; ``_check_state`` then raises
+    ``BlowupError`` with the start of the step as the last good time.
     ``sample(row)`` then writes the state into row ``row`` of the sample
     block at every ``stride``-th step and, as row -1, at the end.
     """
@@ -307,7 +312,7 @@ def _rk4_loop(bufs, stages, h: float, n_steps: int, stride: int, check, sample) 
     first, second, third = stages
     half = 0.5 * h
     c_half, c_h, c_two, c_sixth = (np.array(c) for c in (half, h, 2.0, h / 6.0))
-    add, multiply = np.add, np.multiply
+    add, multiply, absolute, peak_of = np.add, np.multiply, np.absolute, np.maximum.reduce
     for step in range(1, n_steps + 1):
         t = (step - 1) * h
         if step > 1:
@@ -328,31 +333,20 @@ def _rk4_loop(bufs, stages, h: float, n_steps: int, stride: int, check, sample) 
         add(acc, kb, acc)
         multiply(c_sixth, acc, acc)
         add(state, acc, state)
-        check(state, acc, t)
+        if not peak_of(absolute(state, acc)) <= MAX_ABS:
+            _check_state(state, t)
         if step % stride == 0:
             sample(step // stride)
     sample(-1)
 
 
-def _check_block(state: np.ndarray, scratch: np.ndarray, t: float) -> None:
-    """The state check of a run in one block, ``scratch`` taking the ``abs`` of the slow path.
-
-    A state passes at once when ``np.dot(state, state) <= MAX_ABS**2``,
-    one read pass: a rounded sum of squares is at least each rounded
-    square, and an inf or nan fails it.  Otherwise ``_check_peak`` applies
-    the exact rule.
-    """
-    if not np.dot(state, state) <= MAX_ABS * MAX_ABS:
-        _check_peak(np.maximum.reduce(np.abs(state, scratch)), t)
-
-
 class _Redo(Exception):
     """A ring run is given up and redone in one block, which gives one block's result.
 
-    Its five causes: a state that fails its check, a floating-point event
-    that was to be reported, a failed fork, a ring process that has ended
-    (a dead helper, or the parent's abort) and a parent that waits more
-    than it steps.
+    Its three causes: a failed fork, a ring process that has ended (a
+    dead helper, or the parent's abort) and a parent that waits more than
+    it steps.  An arc whose state fails its check raises ``BlowupError``,
+    and the ring is redone in one block on that too.
     """
 
 
@@ -401,20 +395,19 @@ def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.nda
     helper for the second arc and steps the first.  Each process runs
     ``_rk4_loop`` on its own arc, whose stages (``stage(x, k, _Arc(...))``)
     copy their pads from the other arc after a barrier (``_barrier``):
-    every site gets the ufunc calls of one block, in the same order.  Each
-    step ends with the arc's exact state check (no ``np.dot``, which may
-    start BLAS threads).  At each sampled row both arcs pass one more
-    barrier, after which the parent copies both arcs' sites, before either
-    arc writes its state again.
+    every site gets the ufunc calls of one block, in the same order, and
+    each step ends with the state check of one block on the arc.  At each
+    sampled row both arcs pass one more barrier, after which the parent
+    copies both arcs' sites, before either arc writes its state again.
 
-    The run either completes or raises ``_Redo``, and ``_rk4_arrays``
-    then redoes it in one block, which gives one block's result: its
-    ``BlowupError`` with its last good time, its floating-point reports.
-    ``_Redo`` is raised in the process that meets a state that fails its
-    check or a floating-point event that the caller's ``np.errstate``
-    would report (warn, raise, call, print or log), and in the parent when
-    the fork fails; a barrier raises it when the other process has ended
-    or the parent waits more than it steps.  The helper ends with
+    The run either completes or raises ``_Redo`` or ``BlowupError``, and
+    ``_rk4_arrays`` then redoes it in one block, which gives one block's
+    result: its ``BlowupError`` with its last good time.  An arc whose
+    state fails its check raises ``BlowupError`` in its own process, the
+    parent raises ``_Redo`` when the fork fails, and a barrier raises it
+    when the other process has ended or the parent waits more than it
+    steps.  ``integrate``'s ``np.errstate`` reports no floating-point
+    event, so neither process prints a warning.  The helper ends with
     ``os._exit(0)``, whose status nobody reads; the parent sets the abort
     flag unless the run completed and waits for the helper in
     ``finally``.
@@ -436,10 +429,6 @@ def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.nda
     def run_arc(j: int, alive: Callable) -> None:
         barrier = _barrier(control, j, alive)
 
-        def check(state: np.ndarray, scratch: np.ndarray, t: float) -> None:
-            if not np.maximum.reduce(np.abs(state, scratch)) <= MAX_ABS:
-                raise _Redo("a state failed its check")
-
         def sample(row: int) -> None:
             barrier()
             if j == 0:
@@ -449,7 +438,7 @@ def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.nda
         stages = tuple(stage(blocks[j][x], blocks[j][kx], _Arc(blocks[1 - j][x], scratch[j][x], scratch[1 - j][x],
                                                                   barrier))
                        for x, kx in ((0, 4), (1, 5), (2, 4)))
-        _rk4_loop(blocks[j], stages, h, n_steps, stride, check, sample)
+        _rk4_loop(blocks[j], stages, h, n_steps, stride, sample)
 
     def helper_alive() -> bool:
         nonlocal pid
@@ -460,23 +449,21 @@ def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.nda
         return False
 
     try:
-        with np.errstate(call=_redo, **{kind: "ignore" if mode == "ignore" else "call"
-                                        for kind, mode in np.geterr().items()}):
-            k = f(0.0, y)
-            _check_length(len(k), y.shape[0])
-            y_rows, k_rows = y.reshape(rows, -1), np.reshape(k, (rows, -1))
-            for j, views in enumerate(site_views):
-                views[0][...], views[4][...] = y_rows[:, cuts[j] : cuts[j + 1]], k_rows[:, cuts[j] : cuts[j + 1]]
+        k = f(0.0, y)
+        _check_length(len(k), y.shape[0])
+        y_rows, k_rows = y.reshape(rows, -1), np.reshape(k, (rows, -1))
+        for j, views in enumerate(site_views):
+            views[0][...], views[4][...] = y_rows[:, cuts[j] : cuts[j + 1]], k_rows[:, cuts[j] : cuts[j + 1]]
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            raise _Redo("fork failed") from exc
+        if not pid:
             try:
-                pid = os.fork()
-            except OSError as exc:
-                raise _Redo("fork failed") from exc
-            if not pid:
-                try:
-                    run_arc(1, lambda: os.getppid() == parent)
-                finally:
-                    os._exit(0)
-            run_arc(0, helper_alive)
+                run_arc(1, lambda: os.getppid() == parent)
+            finally:
+                os._exit(0)
+        run_arc(0, helper_alive)
         done = True
     finally:
         if not done:
@@ -484,11 +471,6 @@ def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.nda
         if pid:
             with contextlib.suppress(ChildProcessError):  # where SIGCHLD is ignored, after the helper has ended
                 os.waitpid(pid, 0)
-
-
-def _redo(kind: str, flag: int) -> None:
-    """The ``np.errstate`` call of a ring run: the event is reported by the run redone in one block."""
-    raise _Redo(f"floating-point {kind}")
 
 
 def _barrier(control, me: int, alive: Callable) -> Callable:
@@ -927,31 +909,29 @@ def _dopri(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarra
     y, ks, h_coef = block[0], block[1:], coef[:, 1:]
     _store(rows[0], f(0.0, y5 if read is None else read()))
     h_try, attempts_left = h, MAX_ATTEMPTS_PER_STEP * n_steps
-    # a non-finite stage ends in BlowupError below; numpy need not warn about it first
-    with np.errstate(invalid="ignore", over="ignore"):
-        for step in range(stride, n_steps + stride, stride):  # the sampled steps: past n_steps, land on it
-            t = (step - stride) * h
-            step = min(step, n_steps)
-            t_target = step * h
-            while t < t_target - 1e-14 * max(1.0, t_target):
-                if not attempts_left:
-                    raise BlowupError(f"adaptive step attempts exceeded {MAX_ATTEMPTS_PER_STEP} per grid step", t)
-                attempts_left -= 1
-                hs = min(h_try, t_target - t)
-                err_norm, peak = _dopri_step(f, t, hs, h_coef, stages, y, ks, y5, read, err, scale)
-                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-                h_try = hs * factor
-                if err_norm <= 1.0:
-                    _check_peak(peak, t)
-                    t += hs
-                    y[:] = y5
-                    ks[0] = ks[6]
-                elif h_try < 1e-13 * max(1.0, t_target):
-                    if not math.isfinite(err_norm):  # fails error control at every step size
-                        raise BlowupError("non-finite state encountered", t)
-                    raise BlowupError("adaptive step size underflow", t)
-            if step % stride == 0:
-                out[step // stride] = y
+    for step in range(stride, n_steps + stride, stride):  # the sampled steps: past n_steps, land on it
+        t = (step - stride) * h
+        step = min(step, n_steps)
+        t_target = step * h
+        while t < t_target - 1e-14 * max(1.0, t_target):
+            if not attempts_left:
+                raise BlowupError(f"adaptive step attempts exceeded {MAX_ATTEMPTS_PER_STEP} per grid step", t)
+            attempts_left -= 1
+            hs = min(h_try, t_target - t)
+            err_norm, peak = _dopri_step(f, t, hs, h_coef, stages, y, ks, y5, read, err, scale)
+            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+            h_try = hs * factor
+            if err_norm <= 1.0:
+                _check_peak(peak, t)
+                t += hs
+                y[:] = y5
+                ks[0] = ks[6]
+            elif h_try < 1e-13 * max(1.0, t_target):
+                if not math.isfinite(err_norm):  # fails error control at every step size
+                    raise BlowupError("non-finite state encountered", t)
+                raise BlowupError("adaptive step size underflow", t)
+        if step % stride == 0:
+            out[step // stride] = y
     out[-1] = y
 
 
@@ -1038,7 +1018,12 @@ def integrate(
     ``rk45``: rk4 on a compiled system never calls f; rk4 on an array
     system calls f once, for the first stage, and then the system's
     stage (a plain f's stage calls f); ``rk45`` calls f once at t=0 and then
-    six times per attempted step.  Deterministic for fixed inputs.
+    six times per attempted step.  The run, f's calls included, is the one
+    place that sets numpy's floating-point policy: it runs inside
+    ``np.errstate(all="ignore")``, whatever the caller's, so no overflow,
+    invalid operation, division by zero or underflow is reported, and a
+    state that one makes non-finite or larger than ``MAX_ABS`` is the run's
+    ``BlowupError``.  Deterministic for fixed inputs.
     """
     n_steps = step_count(t_end, h)
     stride = _check_stride(stride)
@@ -1059,5 +1044,6 @@ def integrate(
     sampled[-1] = n_steps
     states = np.empty((rows, y.shape[0]))
     states[0] = y
-    (system.rk45 if method == "rk45" else system.rk4)(f, y, h_eff, n_steps, stride, states)
+    with np.errstate(all="ignore"):
+        (system.rk45 if method == "rk45" else system.rk4)(f, y, h_eff, n_steps, stride, states)
     return Trajectory(sampled * h_eff, states)

@@ -406,6 +406,30 @@ def test_blowup_exits_3(tmp_path, capsys):
     assert "blowup" in capsys.readouterr().err.lower()
 
 
+def _tiny_zn(n: int) -> dict:
+    """Z_n data of modulus 4.4e-21 and steps of 1e20: one step of the run overflows."""
+    z = 4.4e-21 * np.exp(1j * np.random.default_rng(3).uniform(0.0, 6.3, (3, n)))
+    return {"scenario": "zn", "n": n, **{key: [[v.real, v.imag] for v in row] for key, row in
+                                          zip(("k_plus", "k_minus", "m"), z)}, "step": 1e20, "t_end": 3e21, "stride": 1}
+
+
+@pytest.mark.parametrize("raw", [
+    _tiny_zn(18),  # the array form
+    _tiny_zn(17),  # the scalar form
+    {"scenario": "classical-burgers", "amplitude": 1e8, "step": 1e20, "t_end": 3e20, "stride": 1},
+], ids=["zn18-arrays", "zn17-scalars", "burgers-arrays"])
+def test_a_run_that_overflows_prints_only_documented_lines(raw, tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert [str(w.message) for w in caught] == []
+    assert err and all(line.startswith(("warning:", "numerical blowup:")) for line in err), err
+    assert err[-1].startswith("numerical blowup:")
+
+
 def test_rk45_attempt_budget_ends_a_run_whose_steps_shrink_to_the_floor(tmp_path, capsys):
     # q1 = 2^63 drives |m| up so fast that the step controller shrinks toward the 1e-13 floor;
     # without the budget the run would make about t_end / 1e-13 attempts

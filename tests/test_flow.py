@@ -188,8 +188,8 @@ def test_rk45_step_size_underflows_at_a_jump(form):
 def test_the_array_rk4_state_check_bounds_each_entry_not_the_sum_of_squares():
     """Entries of at most MAX_ABS pass whatever their sum of squares; one ulp above it does not.
 
-    The run's fast test is ``state . state <= MAX_ABS**2``, which such a
-    state fails, so the exact rule must decide.
+    The run checks each state by its peak ``max |entry|``, the exact rule,
+    so a state whose sum of squares exceeds ``MAX_ABS**2`` passes.
     """
     y0 = np.array([1e9, -1e9, 9e8, 9e8])  # sum of squares 3.6e18
     traj = integrate(lambda t, y: 0.0 * y, y0, 1.0, h=0.25)
@@ -855,7 +855,7 @@ def test_fused_zn_array_run_blows_up_as_the_per_call_run(scale, h, message, last
         assert str(info.value) == f"{message} (last good time t={last_good:.6g})"
         assert info.value.last_good_time == last_good
         seen.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
-    assert seen[1] == seen[0]  # the fused run warns exactly where the per-call run does
+    assert seen == [[], []]  # integrate reports no floating-point event of either run
 
 
 _FLOATS = call_system(lambda t, y: [0.5 * y[i - 1] - v * t for i, v in enumerate(y)], 3, float)

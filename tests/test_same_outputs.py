@@ -59,18 +59,21 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     benchmark = {path for path in configured if tmp_path in path.parents and path.parent.name != "edges"}
     assert len(benchmark) == 14 and benchmark <= set(configs)  # zn4096, zn64 and the 12 sweep configs
     edges = {path.stem: json.loads(path.read_text()) for path in configured if path.parent == tmp_path / "edges"}
-    # the scalar-form, array-form, stencil, CSV-text, signed-zero, chart-exit, floor and two-arc edges
-    assert len(edges) == 27
+    # the scalar-form, array-form, stencil, CSV-text, signed-zero, chart-exit, floor, two-arc and overflow edges
+    assert len(edges) == 29
     burgers = {name: raw for name, raw in edges.items() if raw["scenario"] == "classical-burgers"}
+    # both stencils and both methods
     assert sorted((raw.get("stencil", 4), raw.get("method", "rk4")) for raw in burgers.values()) == [
-        (2, "rk4"), (2, "rk4"), (2, "rk45"), (4, "rk4"), (4, "rk4"), (4, "rk4"), (4, "rk45")]  # both stencils, methods
+        (2, "rk4"), (2, "rk4"), (2, "rk45"), (4, "rk4"), (4, "rk4"), (4, "rk4"), (4, "rk4"), (4, "rk45")]
     assert (burgers["burgers-exit3"]["amplitude"], burgers["burgers-exit3"]["step"]) == (1.0, 0.1)  # past the limit
     grid16 = burgers["burgers-grid16-stride1"]  # the smallest grid: both pad pairs read the grid ends
     assert (len(grid16["values"]), grid16["stencil"], grid16["method"], grid16["stride"]) == (16, 4, "rk4", 1)
     grid16 = burgers["burgers-grid16-stencil2-stride1"]  # the one pad on each side reads the grid ends
     assert (len(grid16["values"]), grid16["stencil"], grid16["method"], grid16["stride"]) == (16, 2, "rk4", 1)
-    assert sorted(raw.get("n") for raw in edges.values() if raw["scenario"] == "zn") == [2, 3, 17, 18, 18, 18, 19,
-                                                                                       2048, 2048, 2048, 2049]
+    assert sorted(raw.get("n") for raw in edges.values() if raw["scenario"] == "zn") == [2, 3, 17, 18, 18, 18, 18,
+                                                                                       19, 2048, 2048, 2048, 2049]
+    for name in ("zn18-huge-step-exit3", "burgers-huge-step-exit3"):  # array-form runs whose steps overflow a stage
+        assert (edges[name]["step"], edges[name]["stride"], edges[name].get("method", "rk4")) == (1e20, 1, "rk4")
     tiny = edges["zn3-signed-zeros-subnormal-phi"]  # -0, exact zeros, 3-digit exponents and a subnormal phi
     assert tiny["k_plus"][1] == [0.0, 0.0] and math.copysign(1.0, tiny["k_plus"][1][0]) == -1.0
     assert max(abs(part) for entry in tiny["m"] for part in entry) < 1e-159

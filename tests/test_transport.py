@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from oracles import (
     bloch_point,
     m2_kflow_oracle,
     m2_transport_oracle,
+    transport_characteristics_sine,
     zn2_transport_oracle,
     zn3_transport_oracle,
     zn_sites_oracle,
@@ -475,3 +478,30 @@ def test_both_zn_forms_blow_up_alike(n, monkeypatch):
         seen.append((str(info.value), info.value.last_good_time))
     assert seen[0] == seen[1]
     assert seen[0][0].startswith("state magnitude exceeded 1e+09 (last good time t=")
+
+
+# Measured max |Re K_+ - u| at n = 64, 128, ..., 1,024 (h 0.1, tau 0.15), each bounded at twice its value
+_CLASSICAL_LIMIT = {64: 2.07e-3, 128: 5.25e-4, 256: 1.32e-4, 512: 3.29e-5, 1024: 8.23e-6}
+
+
+def test_large_zn_tends_to_inviscid_burgers_at_second_order():
+    """Real Z_n data of unit moduli, K_+ = exp(i arccos u0), tend to u_tau + u u_x = 0 as n grows.
+
+    Under reality, K_-(i) = -conj K_+(i+1), each |K_+(i)| stays 1 and the
+    phases obey, with x = i/n and tau = 2t/n, the inviscid Burgers equation
+    for u = Re K_+ up to O(1/n^2).  From u0 = sin(2 pi x) / 2 to tau = 0.15,
+    before the shock at 1 / pi, Re K_+ meets the characteristics solution,
+    an oracle that shares no equation with the Z_n system, and the error
+    falls four-fold per doubling of n.  Every run is the array form.
+    """
+    tau, errors = 0.15, []
+    for n, measured in _CLASSICAL_LIMIT.items():
+        x = np.arange(n) / n
+        k_plus = np.exp(1j * np.arccos(0.5 * np.sin(2 * math.pi * x)))
+        run = run_zn(k_plus, -np.conj(np.roll(k_plus, -1)), np.full(n, n**-0.5 + 0j), t_end=tau * n / 2, h=0.1,
+                     stride=10**6)
+        u = transport_characteristics_sine(2 * math.pi * x, 2 * math.pi * tau, 0.5)
+        errors.append(np.max(np.abs(run.k_plus[-1].real - u)))
+        assert errors[-1] <= 2 * measured, n
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all((1.9 <= orders) & (orders <= 2.1)), orders

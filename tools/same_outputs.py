@@ -41,7 +41,10 @@ checkout's ``src`` on ``PYTHONPATH``.  The list is:
   up (exit 3), 2,048 sites that blow up on the second arc alone (k_minus
   = k_plus on sites 1,024 to 2,047 only, exit 3), 2,048 sites with signed
   zeros and subnormal m at the cut, and 2,049 sites, cut into arcs of
-  1,024 and 1,025 sites;
+  1,024 and 1,025 sites; and two array-form runs whose huge steps
+  overflow a stage (exit 3, with no floating-point warning on stderr):
+  Z_18 rk4 from entries of modulus 4.4e-21 at step 1e20, and burgers rk4
+  at amplitude 1e8 and step 1e20;
 * ``validate`` on both presets, on the five scenario defaults and on every
   benchmark config above.
 
@@ -107,6 +110,7 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
         arcs["k_plus"][i], arcs["m"][i] = list(kp), list(m)
     # K_- = -(R_{+1} K_+)^*, so the data stays admissible; -0.0 parts stay signed
     arcs["k_minus"] = [[-re, im] for re, im in arcs["k_plus"][1:] + arcs["k_plus"][:1]]
+    tiny = 4.4e-21 * np.exp(1j * np.random.default_rng(3).uniform(0.0, 6.3, (3, 18)))  # Z_18 at steps of 1e20
     edges = {
         "zn2-rk4": workloads.zn_config(np.random.default_rng(SEED), 2, t_end=2.0, stride=7, method="rk4"),
         "zn17-rk4": workloads.zn_config(np.random.default_rng(SEED), 17, t_end=1.0, stride=7, method="rk4"),
@@ -146,6 +150,11 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
         "zn2048-two-arcs-signed-zeros-subnormal-m": {**zn2048, **arcs},
         # 2,049 sites: arcs of 1,024 and 1,025 sites, so each arc's pads read a source of another length
         "zn2049-two-arcs": workloads.zn_config(np.random.default_rng(SEED), 2049, t_end=2.0, stride=500, method="rk4"),
+        "zn18-huge-step-exit3": {"scenario": "zn", "n": 18, "step": 1e20, "t_end": 3e21, "stride": 1,
+                                 **{key: [[z.real, z.imag] for z in row]
+                                    for key, row in zip(("k_plus", "k_minus", "m"), tiny)}},
+        "burgers-huge-step-exit3": {"scenario": "classical-burgers", "amplitude": 1e8, "step": 1e20, "t_end": 3e20,
+                                    "stride": 1},
     }
     (workdir / "edges").mkdir()
     for name, raw in edges.items():
