@@ -301,10 +301,10 @@ def _rk4_loop(bufs, stages, h: float, n_steps: int, stride: int, sample) -> None
     and 2 k3 goes into k3's own rate buffer once y4 = y + h k3 has been
     formed, so an arc's inputs stay as they are from the stage that reads
     them until the other arc has passed the barriers of the next stage.
-    Each new state gets the exact state rule, its peak ``max |entry|``
-    taken with ``acc``, which is free between steps, as scratch, and an
-    inf or nan failing it too; ``_check_state`` then raises
-    ``BlowupError`` with the start of the step as the last good time.
+    Each new state is checked by the exact rule: its peak ``max |entry|``,
+    taken with ``acc`` (free between steps) as scratch, must be at most
+    ``MAX_ABS``, which an inf or nan fails; otherwise ``_check_state``
+    raises ``BlowupError`` with the start of the step as the last good time.
     ``sample(row)`` then writes the state into row ``row`` of the sample
     block at every ``stride``-th step and, as row -1, at the end.
     """
