@@ -26,6 +26,23 @@ C(Z_n) is commutative, so the ``K_+ m`` and ``K_- m`` terms of the Z_n
 transport cancel against those of ``-m b`` and every Z_n kernel evaluates
 ``dm/dt = K_+ R_{-1}m + K_- R_{+1}m - beta m``.
 
+The classical limit of Z_n, as this package reads the paper's "motivated
+from classical geometry".  Under reality, ``K_-(i) = -conj K_+(i+1)``,
+so ``g_i = K_+(i) + K_-(i-1) = 2i Im K_+(i)``, beta at site i is
+``(g_i + g_{i+1}) / 2`` and ``d log K_+(i)/dt = (g_{i-1} - g_{i+1}) / 2``
+is imaginary.  So each ``|K_+(i)| = r_i`` stays constant, and the phases
+``K_+(i) = r_i exp(i theta_i)`` obey ``theta_i' = r_{i-1} sin theta_{i-1}
+- r_{i+1} sin theta_{i+1}``.  With ``r_i = r``, ``x = i/n`` and
+``tau = 2t/n`` this is ``theta_tau + (r sin theta)_x = 0`` up to
+O(1/n^2), so ``u = r cos theta = Re K_+`` solves the inviscid equation
+``u_tau + u u_x = 0`` (the velocity-field equation on the flat line that
+``classical`` integrates), and the state's density ``rho = n |m(i)|^2``
+at ``x = (i + 1/2)/n`` solves the continuity equation ``rho_tau + (u
+rho)_x = 0``.  Before the shock both hold at second order in 1/n; the
+tests hold large Z_n runs to the characteristics solutions of the two
+equations (Goodman and Lax, Comm. Pure Appl. Math. 41 (1988), on such
+dispersive limits).
+
 Each algebra's equations are written once.  On Z_n they are four
 elementwise functions, ``_zn_beta`` (beta at a site from its four
 neighbours) and the three rates ``_zn_dkp``, ``_zn_dkm`` and ``_zn_dm``.

@@ -40,7 +40,8 @@ two forms:
   the same order and the run is byte for byte the run in one block.
   Every abnormal end of a ring (a state that fails its check, a failed
   fork, a dead helper or a ring that waits more than it steps) makes the
-  run start again in one block, which gives one block's result;
+  run start again in one block, from the ring's own first stage, which
+  gives one block's result;
 * a compiled system (``_stage_kernels``): ``rhs`` maps a list of the
   system's entries, Python complex numbers (the packed vector read as
   complex128) or Python floats, to a list of the same length.  For the
@@ -84,7 +85,9 @@ passes the system's ``rhs`` (or a wrapper of it) as f, the positional
 argument, so a wrapper of ``integrate`` that wraps f (as the benchmark's
 tracer does, naming the Z_n right-hand sides by ``len(y0)``) sees every
 call that rk45 makes, every stage of a plain f's rk4 run and the first
-stage of an array system's rk4 run, which ``_rk4_arrays`` takes from f; a
+stage of an array system's rk4 run, which ``_rk4_arrays`` takes from f:
+an array system's rk4 run calls f once, for its first stage, in one
+block, on two arcs and when a ring is redone in one block alike.  A
 compiled system's rk4 run never calls f.
 
 ``integrate`` checks its arguments and the initial state, builds the
@@ -244,42 +247,59 @@ def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.n
     inputs is a copy of a site of an accepted state or 0, and the state
     check on the whole state buffer is the check on its sites.  The first
     stage at t = 0 is ``f(0.0, y)`` (ValueError unless it has as many
-    entries as ``y``), written into a rate buffer's sites, so a wrapper
-    of f sees every array run; the other stages come from ``stage``, and
-    ``_rk4_loop`` steps them.  ``_plain_stage`` makes the stage of a plain
-    f with layout ``(1, 0)``.
+    entries as ``y``), f's one call in the run, so a wrapper of f sees
+    every array run; the other stages come from ``stage``, and
+    ``_rk4_loop`` steps them.  ``y``, that first stage and ``out`` are
+    viewed as rows once; ``_fill`` writes the state and the first stage
+    into the run's buffers and ``_bind`` binds its three stages.
+    ``_plain_stage`` makes the stage of a plain f with layout ``(1, 0)``.
 
     With ``ring`` the stage can also bind one arc of a ring
     (``stage(x, k, arc)``, see ``_Arc``) and the layout's pad is one
-    site.  Where ``_two_arcs`` holds the run is ``_rk4_ring``; if that
-    run must be redone (``_Redo``, or an arc's ``BlowupError``), it is
-    redone here, in one block, which raises one block's error.
+    site.  Where ``_two_arcs`` holds the run is ``_rk4_ring`` on those
+    rows; if that run must be redone (``_Redo``, or an arc's
+    ``BlowupError``), it is redone here, in one block, from the same
+    first stage, so f is still called once, and the block raises one
+    block's error.
     """
     rows, pad = layout
-    if ring and _two_arcs(y.shape[0] // (rows * pad), n_steps):
+    k = f(0.0, y)
+    _check_length(len(k), y.shape[0])
+    y, k, out = y.reshape(rows, -1), np.reshape(k, (rows, -1)), out.reshape(out.shape[0], rows, -1)
+    if ring and _two_arcs(y.shape[1] // pad, n_steps):
         try:
-            return _rk4_ring(f, y, h, n_steps, stride, out, stage, layout)
+            return _rk4_ring(y, k, h, n_steps, stride, out, stage, pad)
         except (_Redo, BlowupError):
             pass
-    width = y.shape[0] // rows + 2 * pad
-    bufs = np.zeros((6, rows * width))  # state, y_a, y_b, acc, ka, kb
-    sites, k1_sites = (b.reshape(rows, width)[:, pad : width - pad] for b in (bufs[0], bufs[4]))
-    sites[...] = y.reshape(rows, -1)
-    _first_stage(f, y, k1_sites)
-    out = out.reshape(out.shape[0], rows, -1)
+    bufs = np.zeros((6, rows * (y.shape[1] + 2 * pad)))  # state, y_a, y_b, acc, ka, kb
+    sites = _fill(bufs, y, k, pad)
 
     def sample(row: int) -> None:
         out[row] = sites
 
-    stages = stage(bufs[0], bufs[4]), stage(bufs[1], bufs[5]), stage(bufs[2], bufs[4])
-    _rk4_loop(bufs, stages, h, n_steps, stride, sample)
+    _rk4_loop(bufs, _bind(stage, bufs, None), h, n_steps, stride, sample)
 
 
-def _first_stage(f, y: np.ndarray, k1_sites: np.ndarray) -> None:
-    """``f(0.0, y)`` into the sites of the first rate buffer; ValueError unless it has as many entries as y."""
-    k = f(0.0, y)
-    _check_length(len(k), y.shape[0])
-    np.copyto(k1_sites, np.reshape(k, k1_sites.shape))
+def _fill(bufs: np.ndarray, y: np.ndarray, k: np.ndarray, pad: int) -> np.ndarray:
+    """Copy the state ``y`` and the first stage ``k``, rows of sites, into the state and ka sites of ``bufs``.
+
+    ``bufs`` are the six buffers of ``_rk4_loop`` (one block's, or one
+    arc's), each holding as many rows as ``y`` with ``pad`` floats before
+    and after each row's sites.  Returns the view of the state's sites.
+    """
+    sites = bufs.reshape(6, y.shape[0], -1)[::4, :, pad : -pad or None]  # the state's and ka's
+    np.copyto(sites, (y, k))
+    return sites[0]
+
+
+def _bind(stage, bufs: np.ndarray, arc: Callable | None) -> tuple:
+    """The three stages of ``_rk4_loop``, ``stage`` bound to (state, ka), (y_a, kb) and (y_b, ka) of ``bufs``.
+
+    In one block ``arc`` is None; on an arc of a ring ``arc(x)`` gives
+    the ``_Arc`` of the input buffer x, bound as the stage's third
+    argument.
+    """
+    return tuple(stage(bufs[x], bufs[kx], *(() if arc is None else (arc(x),))) for x, kx in ((0, 4), (1, 5), (2, 4)))
 
 
 def _rk4_loop(bufs, stages, h: float, n_steps: int, stride: int, sample) -> None:
@@ -385,45 +405,47 @@ def _two_arcs(sites: int, n_steps: int) -> bool:
     return threading.active_count() == 1 and len(os.sched_getaffinity(0)) >= 2
 
 
-def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, stage, layout) -> None:
+def _rk4_ring(y: np.ndarray, k: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, stage,
+              pad: int) -> None:
     """``_rk4_arrays`` on two contiguous arcs of the sites, one process each, byte for byte.
 
-    The sites are cut at ``sites // 2``.  Each arc is held in the layout
-    of ``_rk4_arrays`` in an anonymous shared ``mmap`` of its own, with
-    three shared scratch rows, one per binding.  The parent takes the
-    first stage from f, fills both arcs' state and first rates, forks one
+    ``y``, ``k`` and ``out`` are ``_rk4_arrays``'s rows: the initial
+    state and the first stage, f's one call, as rows of sites, and the
+    sample block as rows per sample; each row has ``pad`` floats per site
+    (the layout's pad).  The sites are cut at ``sites // 2``.  Each arc is
+    held in the layout of ``_rk4_arrays`` in an anonymous shared ``mmap``
+    of its own, with three shared scratch rows, one per binding.  The
+    parent fills both arcs' state and first rates (``_fill``), forks one
     helper for the second arc and steps the first.  Each process runs
-    ``_rk4_loop`` on its own arc, whose stages (``stage(x, k, _Arc(...))``)
-    copy their pads from the other arc after a barrier (``_barrier``):
-    every site gets the ufunc calls of one block, in the same order, and
-    each step ends with the state check of one block on the arc.  At each
-    sampled row both arcs pass one more barrier, after which the parent
-    copies both arcs' sites, before either arc writes its state again.
+    ``_rk4_loop`` on its own arc, whose stages (``_bind`` with the arc's
+    ``_Arc``) copy their pads from the other arc after a barrier
+    (``_barrier``): every site gets the ufunc calls of one block, in the
+    same order, and each step ends with the state check of one block on
+    the arc.  At each sampled row both arcs pass one more barrier, after
+    which the parent copies both arcs' sites, before either arc writes its
+    state again.
 
     The run either completes or raises ``_Redo`` or ``BlowupError``, and
-    ``_rk4_arrays`` then redoes it in one block, which gives one block's
-    result: its ``BlowupError`` with its last good time.  An arc whose
-    state fails its check raises ``BlowupError`` in its own process, the
-    parent raises ``_Redo`` when the fork fails, and a barrier raises it
-    when the other process has ended or the parent waits more than it
-    steps.  ``integrate``'s ``np.errstate`` reports no floating-point
-    event, so neither process prints a warning.  The helper ends with
-    ``os._exit(0)``, whose status nobody reads; the parent sets the abort
-    flag unless the run completed and waits for the helper in
+    ``_rk4_arrays`` then redoes it in one block from the same first stage,
+    which gives one block's result: its ``BlowupError`` with its last good
+    time.  An arc whose state fails its check raises ``BlowupError`` in
+    its own process, the parent raises ``_Redo`` when the fork fails, and
+    a barrier raises it when the other process has ended or the parent
+    waits more than it steps.  ``integrate``'s ``np.errstate`` reports no
+    floating-point event, so neither process prints a warning.  The helper
+    ends with ``os._exit(0)``, whose status nobody reads; the parent sets
+    the abort flag unless the run completed and waits for the helper in
     ``finally``.
     """
-    rows, pad = layout
-    sites = y.shape[0] // (rows * pad)
-    cuts = (0, sites // 2 * pad, sites * pad)  # an arc's floats in each row
-    blocks, scratch = [], []
+    cuts = (0, y.shape[1] // (2 * pad) * pad, y.shape[1])  # an arc's floats in each row
+    blocks, scratch, arc_sites = [], [], []
     for j in (0, 1):  # an arc's own mapping: its six buffers, then its three scratch rows
         width = cuts[j + 1] - cuts[j] + 2 * pad
-        arc = np.frombuffer(mmap.mmap(-1, 8 * (6 * rows + 3) * width), np.float64).reshape(-1, width)
-        blocks.append(arc[: 6 * rows].reshape(6, -1))
-        scratch.append(arc[6 * rows :])
-    site_views = [[b.reshape(rows, -1)[:, pad:-pad] for b in bufs] for bufs in blocks]
+        arc = np.frombuffer(mmap.mmap(-1, 8 * (6 * y.shape[0] + 3) * width), np.float64).reshape(-1, width)
+        blocks.append(arc[:-3].reshape(6, -1))
+        scratch.append(arc[-3:])
+        arc_sites.append(_fill(blocks[j], y[:, cuts[j] : cuts[j + 1]], k[:, cuts[j] : cuts[j + 1]], pad))
     control = memoryview(mmap.mmap(-1, 64 * 3)).cast("q")  # see _barrier
-    out = out.reshape(out.shape[0], rows, -1)
     parent, pid, done = os.getpid(), 0, False
 
     def run_arc(j: int, alive: Callable) -> None:
@@ -432,13 +454,13 @@ def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.nda
         def sample(row: int) -> None:
             barrier()
             if j == 0:
-                for i, views in enumerate(site_views):
-                    out[row, :, cuts[i] : cuts[i + 1]] = views[0]
+                for i, sites in enumerate(arc_sites):
+                    out[row, :, cuts[i] : cuts[i + 1]] = sites
 
-        stages = tuple(stage(blocks[j][x], blocks[j][kx], _Arc(blocks[1 - j][x], scratch[j][x], scratch[1 - j][x],
-                                                                  barrier))
-                       for x, kx in ((0, 4), (1, 5), (2, 4)))
-        _rk4_loop(blocks[j], stages, h, n_steps, stride, sample)
+        def arc(x: int) -> _Arc:
+            return _Arc(blocks[1 - j][x], scratch[j][x], scratch[1 - j][x], barrier)
+
+        _rk4_loop(blocks[j], _bind(stage, blocks[j], arc), h, n_steps, stride, sample)
 
     def helper_alive() -> bool:
         nonlocal pid
@@ -449,11 +471,6 @@ def _rk4_ring(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.nda
         return False
 
     try:
-        k = f(0.0, y)
-        _check_length(len(k), y.shape[0])
-        y_rows, k_rows = y.reshape(rows, -1), np.reshape(k, (rows, -1))
-        for j, views in enumerate(site_views):
-            views[0][...], views[4][...] = y_rows[:, cuts[j] : cuts[j + 1]], k_rows[:, cuts[j] : cuts[j + 1]]
         try:
             pid = os.fork()
         except OSError as exc:

@@ -213,12 +213,10 @@ def mobius_expm_oracle(z0, q1, q2, t):
     return mat[0, 0] * num + mat[0, 1] * den, mat[1, 0] * num + mat[1, 1] * den
 
 
-def transport_characteristics_sine(x, t, eps, newton_iters=60):
-    """Exact pre-shock solution of dK/dt = -K K' for K(x, 0) = eps sin x.
+def _sine_foot(x, t, eps, newton_iters):
+    """The foot x0 of the characteristic x0 + eps sin(x0) t = x through (x, t), by Newton from x0 = x.
 
-    K is constant along the characteristic x0 + K0(x0) t, so the value at
-    (x, t) is eps sin(x0) where x0 solves x0 + eps sin(x0) t = x; that
-    equation is strictly monotone for eps * t < 1 and Newton from x0 = x
+    The equation is strictly monotone in x0 for eps * t < 1, so Newton
     converges.
     """
     x = np.asarray(x, dtype=float)
@@ -230,7 +228,30 @@ def transport_characteristics_sine(x, t, eps, newton_iters=60):
         x0 -= step
         if np.max(np.abs(step)) < 1e-14:
             break
-    return eps * np.sin(x0)
+    return x0
+
+
+def transport_characteristics_sine(x, t, eps, newton_iters=60):
+    """Exact pre-shock solution of dK/dt = -K K' for K(x, 0) = eps sin x.
+
+    K is constant along the characteristic x0 + K0(x0) t, so the value at
+    (x, t) is eps sin(x0) where x0 solves x0 + eps sin(x0) t = x
+    (``_sine_foot``).
+    """
+    return eps * np.sin(_sine_foot(x, t, eps, newton_iters))
+
+
+def density_characteristics_sine(x, t, eps, rho0, newton_iters=60):
+    """Exact pre-shock density of rho_t + (K rho)_x = 0, carried by the K of ``transport_characteristics_sine``.
+
+    The mass between two characteristics stays between them, so the
+    density at (x, t) is rho0(x0) / (dx/dx0), with x0 the foot that
+    ``transport_characteristics_sine`` finds and dx/dx0 = 1 + eps cos(x0) t
+    the stretch of the characteristics x0 + eps sin(x0) t.  ``rho0`` is the
+    initial density, a function of an array of points.
+    """
+    x0 = _sine_foot(x, t, eps, newton_iters)
+    return rho0(x0) / (1.0 + eps * np.cos(x0) * t)
 
 
 def great_circle(inclination):

@@ -6,6 +6,7 @@ patches the scalar crossover) and compare each ring run with the same
 run in one block, the break-even patched out of reach.  After every ring run no child process is left.
 """
 
+import contextlib
 import functools
 import math
 import os
@@ -35,9 +36,9 @@ def rings(monkeypatch):
     started = []
     real = flow._rk4_ring
 
-    def counting(f, y, *args):
-        started.append(y.shape[0] // 6)
-        return real(f, y, *args)
+    def counting(y, *args):  # y is the state as three rows of two floats per site
+        started.append(y.shape[1] // 2)
+        return real(y, *args)
 
     monkeypatch.setattr(flow, "_rk4_ring", counting)
     monkeypatch.setattr(flow, "ARC_MIN_SITES", 0)
@@ -53,11 +54,20 @@ def _no_child_left():
     return True
 
 
-def _run(y0, monkeypatch, break_even, **kwargs):
-    """The trajectory of an rk4 run of the Z_n array system from y0 at the given break-even."""
+def _run(y0, monkeypatch, break_even, calls=None, **kwargs):
+    """The trajectory of an rk4 run of the Z_n array system from y0 at the given break-even.
+
+    The time of each call of the run's f is appended to ``calls``.
+    """
     monkeypatch.setattr(flow, "ARC_BREAK_EVEN", break_even)
     system = connection._zn_arrays(y0.shape[0] // 6)
-    return integrate(system.rhs, y0, kwargs.pop("t_end", 0.04), system=system, **{"h": 1e-3, "stride": 3, **kwargs})
+    calls = [] if calls is None else calls
+
+    def f(t, y):
+        calls.append(t)
+        return system.rhs(t, y)
+
+    return integrate(f, y0, kwargs.pop("t_end", 0.04), system=system, **{"h": 1e-3, "stride": 3, **kwargs})
 
 
 def _admissible(n, seed=5):
@@ -114,14 +124,13 @@ def test_a_blow_up_in_one_arc_alone_is_redone_in_one_block(arc, last_good, rings
     kp, km, m = _admissible(64).view(np.complex128).reshape(3, 64).copy()
     km[arc] = kp[arc]
     y0 = transport.pack_zn_state(kp, km, m)
-    seen, first_stages, real_first = [], [], flow._first_stage
-    monkeypatch.setattr(flow, "_first_stage", lambda *args: first_stages.append(1) or real_first(*args))
+    seen, calls = [], []
     for break_even in (ONE_BLOCK, 0):
         with pytest.raises(BlowupError) as info:
-            _run(y0, monkeypatch, break_even, t_end=40.0, h=0.01, stride=5)
+            _run(y0, monkeypatch, break_even, calls, t_end=40.0, h=0.01, stride=5)
         seen.append((str(info.value), info.value.last_good_time))
     assert seen == [(f"state magnitude exceeded 1e+09 (last good time t={last_good:g})", last_good)] * 2
-    assert rings == [64] and first_stages == [1, 1] and _no_child_left()  # one block; the ring, then one block
+    assert rings == [64] and calls == [0.0, 0.0] and _no_child_left()  # one block; the ring, then one block
 
 
 def test_a_floating_point_event_redoes_the_ring_in_one_block(rings, monkeypatch):
@@ -133,15 +142,38 @@ def test_a_floating_point_event_redoes_the_ring_in_one_block(rings, monkeypatch)
     """
     n = 64
     y0 = transport.pack_zn_state(*(2e-40 * np.exp(1j * np.random.default_rng(3).uniform(0.0, 6.3, (3, n)))))
-    seen, first_stages, real_first = [], [], flow._first_stage
-    monkeypatch.setattr(flow, "_first_stage", lambda *args: first_stages.append(1) or real_first(*args))
+    seen, calls = [], []
     for break_even in (ONE_BLOCK, 0):
         with warnings.catch_warnings(record=True) as caught, pytest.raises(BlowupError) as info:
             warnings.simplefilter("always")
-            _run(y0, monkeypatch, break_even, t_end=30e40, h=1e40, stride=1)
+            _run(y0, monkeypatch, break_even, calls, t_end=30e40, h=1e40, stride=1)
         seen.append((str(info.value), info.value.last_good_time, [str(w.message) for w in caught]))
     assert seen[0] == seen[1] and seen[0][::2] == ("non-finite state encountered (last good time t=2e+40)", [])
-    assert rings == [64] and first_stages == [1, 1] and _no_child_left()  # one block; the ring, then one block
+    assert rings == [64] and calls == [0.0, 0.0] and _no_child_left()  # one block; the ring, then one block
+
+
+def _failing_fork():
+    raise OSError("fork failed")
+
+
+@pytest.mark.parametrize("case", ["one block", "two arcs", "failed fork", "blow-up on an arc"])
+def test_every_array_rk4_run_calls_f_once(case, rings, monkeypatch):
+    """f gives the first stage and nothing more: in one block, on two arcs and in a ring redone in one block.
+
+    A failed fork is a ``_Redo``; K_- = K_+ on the helper's arc alone
+    makes that arc raise ``BlowupError``.  Either way the block that
+    redoes the run starts from the ring's first stage.
+    """
+    kp, km, m = _admissible(64).view(np.complex128).reshape(3, 64).copy()
+    if case == "blow-up on an arc":
+        km[32:] = kp[32:]
+    if case == "failed fork":
+        monkeypatch.setattr(os, "fork", _failing_fork)
+    calls = []
+    with pytest.raises(BlowupError) if case == "blow-up on an arc" else contextlib.nullcontext():
+        _run(transport.pack_zn_state(kp, km, m), monkeypatch, ONE_BLOCK if case == "one block" else 0, calls,
+             t_end=5.0, h=0.01, stride=5)
+    assert calls == [0.0] and rings == ([] if case == "one block" else [64]) and _no_child_left()
 
 
 def _barrier_that(act, monkeypatch, after=None):
@@ -192,18 +224,15 @@ def test_a_neighbour_that_reads_its_pads_late_reads_the_same_sites(rings, monkey
 
 def test_a_helper_that_exits_mid_run_leaves_the_run_to_one_block(rings, monkeypatch):
     y0 = _arbitrary(64)
-    one = _run(y0, monkeypatch, ONE_BLOCK, stride=1)
-    first_stages = []
+    one, f_calls = _run(y0, monkeypatch, ONE_BLOCK, stride=1), []
 
     def exit_helper(me, calls):
         if me == 1 and calls == 5:
             os._exit(9)
 
     _barrier_that(exit_helper, monkeypatch)
-    real_first = flow._first_stage
-    monkeypatch.setattr(flow, "_first_stage", lambda *args: first_stages.append(1) or real_first(*args))
-    assert _run(y0, monkeypatch, 0, stride=1).states.tobytes() == one.states.tobytes()
-    assert rings == [64] and first_stages == [1] and _no_child_left()  # the ring, then one block
+    assert _run(y0, monkeypatch, 0, f_calls, stride=1).states.tobytes() == one.states.tobytes()
+    assert rings == [64] and f_calls == [0.0] and _no_child_left()  # the ring, then one block
 
 
 def test_a_killed_helper_leaves_the_run_to_one_block(rings, monkeypatch):
@@ -229,14 +258,13 @@ def test_a_killed_helper_leaves_the_run_to_one_block(rings, monkeypatch):
 
 def test_a_ring_that_waits_more_than_it_steps_is_redone_in_one_block(rings, monkeypatch):
     """A helper that is slow at every barrier, as a descheduled one is: the parent gives the run to one block."""
-    y0, first_stages, real_first = _arbitrary(64), [], flow._first_stage
+    y0, f_calls = _arbitrary(64), []
     one = _run(y0, monkeypatch, ONE_BLOCK, t_end=0.5)
     _barrier_that(lambda me, calls: me == 1 and time.sleep(0.005), monkeypatch)
-    monkeypatch.setattr(flow, "_first_stage", lambda *args: first_stages.append(1) or real_first(*args))
     started = time.perf_counter()
-    assert _run(y0, monkeypatch, 0, t_end=0.5).states.tobytes() == one.states.tobytes()
+    assert _run(y0, monkeypatch, 0, f_calls, t_end=0.5).states.tobytes() == one.states.tobytes()
     assert time.perf_counter() - started < 500 * 9 * 0.005 / 10  # a tenth of the 500 steps' slow barriers
-    assert rings == [64] and first_stages == [1] and _no_child_left()  # the ring, then one block
+    assert rings == [64] and f_calls == [0.0] and _no_child_left()  # the ring, then one block
 
 
 def test_an_exception_in_the_parent_stops_the_helper(rings, monkeypatch):

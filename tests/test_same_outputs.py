@@ -60,7 +60,7 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     assert len(benchmark) == 14 and benchmark <= set(configs)  # zn4096, zn64 and the 12 sweep configs
     edges = {path.stem: json.loads(path.read_text()) for path in configured if path.parent == tmp_path / "edges"}
     # the scalar-form, array-form, stencil, CSV-text, signed-zero, chart-exit, floor, two-arc and overflow edges
-    assert len(edges) == 29
+    assert len(edges) == 30
     burgers = {name: raw for name, raw in edges.items() if raw["scenario"] == "classical-burgers"}
     # both stencils and both methods
     assert sorted((raw.get("stencil", 4), raw.get("method", "rk4")) for raw in burgers.values()) == [
@@ -71,7 +71,8 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     grid16 = burgers["burgers-grid16-stencil2-stride1"]  # the one pad on each side reads the grid ends
     assert (len(grid16["values"]), grid16["stencil"], grid16["method"], grid16["stride"]) == (16, 2, "rk4", 1)
     assert sorted(raw.get("n") for raw in edges.values() if raw["scenario"] == "zn") == [2, 3, 17, 18, 18, 18, 18,
-                                                                                       19, 2048, 2048, 2048, 2049]
+                                                                                       19, 2048, 2048, 2048, 2049,
+                                                                                       4096]
     for name in ("zn18-huge-step-exit3", "burgers-huge-step-exit3"):  # array-form runs whose steps overflow a stage
         assert (edges[name]["step"], edges[name]["stride"], edges[name].get("method", "rk4")) == (1e20, 1, "rk4")
     tiny = edges["zn3-signed-zeros-subnormal-phi"]  # -0, exact zeros, 3-digit exponents and a subnormal phi
@@ -107,6 +108,10 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     assert zeros["k_minus"][:1020] == [[-re, im] for re, im in arcs["k_plus"][1:1021]]
     odd = edges["zn2049-two-arcs"]  # two arcs of 1,024 and 1,025 sites: each reads pads from the other's length
     assert (odd["n"], len(odd["m"]), odd["t_end"], odd["step"], odd["method"]) == (2049, 2049, 2.0, 1e-3, "rk4")
+    limit = edges["zn4096-classical-limit"]  # the data of the large-n oracle: 3,072 steps of 0.1, two arcs if it can
+    assert (limit["n"], limit["step"], round(limit["t_end"] / limit["step"]), limit.get("method", "rk4")) == (
+        4096, 0.1, 3072, "rk4")
+    assert max(abs(abs(complex(*pair)) - 1.0) for pair in limit["k_plus"]) < 1e-15
     below = edges["m2-rk45-below-floor"]  # every grid step is shorter than rk45's step floor of 1e-13
     assert (below["scenario"], below["method"], below["stride"]) == ("m2", "rk45", 1)
     assert below["t_end"] / round(below["t_end"] / below["step"]) < 1e-13

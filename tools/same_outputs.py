@@ -44,7 +44,10 @@ checkout's ``src`` on ``PYTHONPATH``.  The list is:
   1,024 and 1,025 sites; and two array-form runs whose huge steps
   overflow a stage (exit 3, with no floating-point warning on stderr):
   Z_18 rk4 from entries of modulus 4.4e-21 at step 1e20, and burgers rk4
-  at amplitude 1e8 and step 1e20;
+  at amplitude 1e8 and step 1e20; and Z_4096 rk4 near its classical
+  limit (the data of ``tests/test_transport.py``'s large-n oracle: unit
+  moduli, Re K_+ = sin(2 pi x) / 2, a uniform m, step 0.1 to t = 307.2,
+  3,072 steps, stride 1,024), the large-n array form and the ring;
 * ``validate`` on both presets, on the five scenario defaults and on every
   benchmark config above.
 
@@ -111,6 +114,9 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
     # K_- = -(R_{+1} K_+)^*, so the data stays admissible; -0.0 parts stay signed
     arcs["k_minus"] = [[-re, im] for re, im in arcs["k_plus"][1:] + arcs["k_plus"][:1]]
     tiny = 4.4e-21 * np.exp(1j * np.random.default_rng(3).uniform(0.0, 6.3, (3, 18)))  # Z_18 at steps of 1e20
+    # Z_4096 near its classical limit: unit moduli, Re K_+ = sin(2 pi x) / 2, uniform m, to tau = 2 t / n = 0.15
+    limit = np.exp(1j * np.arccos(0.5 * np.sin(2 * math.pi * np.arange(4096) / 4096)))
+    limit = (limit, -np.conj(np.roll(limit, -1)), np.full(4096, 4096**-0.5 + 0j))
     edges = {
         "zn2-rk4": workloads.zn_config(np.random.default_rng(SEED), 2, t_end=2.0, stride=7, method="rk4"),
         "zn17-rk4": workloads.zn_config(np.random.default_rng(SEED), 17, t_end=1.0, stride=7, method="rk4"),
@@ -155,6 +161,9 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
                                     for key, row in zip(("k_plus", "k_minus", "m"), tiny)}},
         "burgers-huge-step-exit3": {"scenario": "classical-burgers", "amplitude": 1e8, "step": 1e20, "t_end": 3e20,
                                     "stride": 1},
+        "zn4096-classical-limit": {"scenario": "zn", "n": 4096, "step": 0.1, "t_end": 0.15 * 4096 / 2, "stride": 1024,
+                                   **{key: [[z.real, z.imag] for z in row]
+                                      for key, row in zip(("k_plus", "k_minus", "m"), limit)}},
     }
     (workdir / "edges").mkdir()
     for name, raw in edges.items():
