@@ -50,9 +50,6 @@ broken pool refuses to take, run again, all in one fresh pool of at most
 ``--jobs`` workers; one that this pool
 leaves without a result too runs alone in a fresh worker, and only if
 that worker dies too does it report exit 1 and ``worker process died``.
-A sweep worker, as any multiprocessing child, steps every Z_n array run
-in one block (``flow._two_arcs``), since the sweep spreads its configs
-over the CPUs already.
 Each config's stdout and stderr are captured where it runs and printed
 in config order, whatever ``--jobs`` is, so a sweep's output is
 deterministic too.

@@ -57,9 +57,8 @@ compiled source is made of site indices, fixed names and the ``repr`` of
 the equations' float constants, so it performs the equations' operations
 in their order.  ``_zn_array_stage`` is the one array form: it makes
 the views of a ghost-padded layout of the packed state, three rows of
-n + 2 complex entries whose pads hold the neighbouring sites (of the
-whole ring, or of one of its two arcs, whose pads come from the other
-arc), and binds them to ``_zn_rates_of()``, the same four functions
+n + 2 complex entries whose pads hold the cyclically neighbouring
+sites, and binds them to ``_zn_rates_of()``, the same four functions
 applied to ``_Expr`` names of those views, whose expression trees are emitted
 (``flow._array_rates``) as one ufunc call per operation, in the same
 association and operand order, once per process: the emitted text names
@@ -101,7 +100,7 @@ from typing import Callable
 
 from .algebra import I2, AlgebraElement, Mat2Element, ZnElement, commutator
 from .calculus import VectorField
-from .flow import _Arc, _array_rates, _array_system, _assign, _Expr, _names, _stage_kernels, _System, pack_complex
+from .flow import _array_rates, _array_system, _assign, _Expr, _names, _stage_kernels, _System, pack_complex
 
 __all__ = [
     "solve_b",
@@ -148,66 +147,52 @@ def _zn_dm(kp, km, m, beta, m_up, m_down):
 
 
 @functools.cache
-def _zn_rates_of(ring: bool = False):
-    """The factory of the Z_n stage's ``rates(t)`` (``flow._array_rates``), emitted once per process and form.
+def _zn_rates_of():
+    """The factory of the Z_n stage's ``rates(t)`` (``flow._array_rates``), emitted once per process.
 
     Its steps name only views, so the emitted text is the same at every n:
     the pad fill of (K_+, K_-, m), the four site functions applied to
     ``_Expr`` names of the views and the pad fill of beta between them.
-    Each pad fill is one copy; on an arc of a ring (``ring``) a barrier
-    comes before it.
+    Each pad fill is one copy.
     """
     kp, km, m, kp_up, km_down, m_up, m_down, beta, beta_up, beta_down = map(
         _Expr, ("kp", "km", "m", "kp_up", "km_down", "m_up", "m_down", "beta", "beta_up", "beta_down"))
-
-    def fill(pads: str) -> list:
-        return [*([("barrier", None)] if ring else []), (f"{pads}_pads", _Expr(f"{pads}_sources"))]
-
-    return _array_rates([*fill("ghost"), ("beta", _zn_beta(kp, kp_up, km, km_down)), *fill("beta"),
-                         ("dkp", _zn_dkp(kp, beta, beta_down)), ("dkm", _zn_dkm(km, beta, beta_up)),
-                         ("dm", _zn_dm(kp, km, m, beta, m_up, m_down))], ("work",), complex)
+    return _array_rates([("ghost_pads", _Expr("ghost_sources")), ("beta", _zn_beta(kp, kp_up, km, km_down)),
+                         ("beta_pads", _Expr("beta_sources")), ("dkp", _zn_dkp(kp, beta, beta_down)),
+                         ("dkm", _zn_dkm(km, beta, beta_up)), ("dm", _zn_dm(kp, km, m, beta, m_up, m_down))],
+                        ("work",), complex)
 
 
-def _zn_array_stage(y: np.ndarray, k: np.ndarray, arc: _Arc | None = None):
-    """The Z_n stage on arrays: ``rates(t)``, the rates at y written into k, for a block or an arc of a ring.
+def _zn_array_stage(y: np.ndarray, k: np.ndarray):
+    """The Z_n stage on arrays: ``rates(t)``, the rates at y written into k.
 
     y and k are float64 buffers of 6 (n + 2) floats, the ghost-padded
     layout of n sites of the packed state: three rows (K_+, K_-, m) of
     n + 2 complex entries, with the sites at entries 1..n, so every
     neighbour R_{+-1} is a slice view, not a gather.  The pads, entries 0
-    and n + 1, hold the last and the first site of the pads' source, the
-    s sites that neighbour these at both ends: in a block (no ``arc``)
-    the block itself, s = n, so entry 0 holds site n - 1 and entry n + 1
-    site 0; on an arc (``flow._Arc``) the other arc, read after the
-    arc's barrier.  Where s = 1 both pads hold that one site.  ``rates``
-    fills y's pads with one strided copy, writes beta into padded scratch
-    (its own in a block, the arc's shared row on an arc) and fills its
-    pads the same way from the source's beta, and then writes dK_+, dK_-
-    and dm into the sites of k, leaving k's pads as they are; it returns
-    nothing.  Its ufunc calls are those of ``_zn_rates_of()``, emitted
-    once per process from the four site functions, so they keep the
-    equations' association and operand order: numpy's complex multiply
-    uses FMA, so ``a * b`` and ``b * a`` can differ in the last bit, and
-    the rates are byte-identical to the four functions called once each
-    on gathered sample arrays, on a block or on arcs.  Binding only makes
-    views, with work scratch of its own.
+    and n + 1, hold the last and the first site, n - 1 and 0; where n = 1
+    both pads hold that one site.  ``rates`` fills y's pads with one
+    strided copy, writes beta into padded scratch of its own and fills
+    its pads the same way, and then writes dK_+, dK_- and dm into the
+    sites of k, leaving k's pads as they are; it returns nothing.  Its
+    ufunc calls are those of ``_zn_rates_of()``, emitted once per process
+    from the four site functions, so they keep the equations' association
+    and operand order: numpy's complex multiply uses FMA, so ``a * b``
+    and ``b * a`` can differ in the last bit, and the rates are
+    byte-identical to the four functions called once each on gathered
+    sample arrays.  Binding only makes views, with beta and work scratch
+    of its own.
     """
     n = y.shape[0] // 6 - 2
     ghost = y.view(np.complex128).reshape(3, n + 2)
-    if arc is None:
-        beta = np.empty(n + 2, dtype=np.complex128)
-        source, beta_source = ghost, beta
-    else:
-        beta, beta_source = (row.view(np.complex128) for row in (arc.row, arc.other_row))
-        source = arc.other.view(np.complex128).reshape(3, -1)
-    s = source.shape[1] - 2
-    ends = slice(s, 0, 1 - s) if s > 1 else slice(1, 2)  # the source's sites s - 1 and 0, entries s and 1
+    beta = np.empty(n + 2, dtype=np.complex128)
+    ends = slice(n, 0, 1 - n) if n > 1 else slice(1, 2)  # sites n - 1 and 0, entries n and 1
     (kp, km, m), (dkp, dkm, dm) = ghost[:, 1:-1], k.view(np.complex128).reshape(3, n + 2)[:, 1:-1]
-    return _zn_rates_of(arc is not None)(
-        ghost_pads=ghost[:, :: n + 1], ghost_sources=source[:, ends], beta_pads=beta[:: n + 1],
-        beta_sources=beta_source[ends], barrier=arc and arc.barrier, kp=kp, km=km, m=m, kp_up=ghost[0, 2:],
-        km_down=ghost[1, :-2], m_up=ghost[2, 2:], m_down=ghost[2, :-2], dkp=dkp, dkm=dkm, dm=dm, beta=beta[1:-1],
-        beta_up=beta[2:], beta_down=beta[:-2], work=np.empty(n, dtype=np.complex128))
+    return _zn_rates_of()(
+        ghost_pads=ghost[:, :: n + 1], ghost_sources=ghost[:, ends], beta_pads=beta[:: n + 1],
+        beta_sources=beta[ends], kp=kp, km=km, m=m, kp_up=ghost[0, 2:], km_down=ghost[1, :-2], m_up=ghost[2, 2:],
+        m_down=ghost[2, :-2], dkp=dkp, dkm=dkm, dm=dm, beta=beta[1:-1], beta_up=beta[2:], beta_down=beta[:-2],
+        work=np.empty(n, dtype=np.complex128))
 
 
 def zn_coupled_rhs(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -228,15 +213,14 @@ def m2_coupled_rhs() -> Callable[[float, np.ndarray], np.ndarray]:
 
 
 def _zn_arrays(n: int) -> _System:
-    """The ring system of Z_n (``flow._array_system``): ``_zn_array_stage`` in three rows with one complex pad.
+    """The array system of Z_n (``flow._array_system``): ``_zn_array_stage`` in three rows with one complex pad.
 
     Its rk4 run (``flow._rk4_arrays``) keeps the state, the stage inputs
     and the rates in the stage's ghost-padded layout, three rows with one
     complex entry (two floats) of pad at each end, so a stage is one call
-    and the rk4 combination copies nothing; a long run steps two arcs of
-    the sites in that layout on two CPUs (``flow._rk4_ring``).
+    and the rk4 combination copies nothing.
     """
-    return _array_system(_zn_array_stage, (3, 2), 6 * n, ring=True)
+    return _array_system(_zn_array_stage, (3, 2), 6 * n)
 
 
 def _zn_stage(n: int, t: str, inputs: list, rates: list) -> list:

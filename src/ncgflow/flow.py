@@ -26,22 +26,7 @@ two forms:
   each tree gives one ufunc call with ``out`` per operation, compiled
   into a factory of ``rates`` once per process for Z_n, whose steps name
   only views, and once per stage for burgers, so ``bind`` only makes
-  views.  The Z_n system is a *ring* system (``_array_system(...,
-  ring=True)``): its stage can also bind one arc of the sites,
-  ``bind(x, k, arc)``, and a long enough rk4 run (``_two_arcs``: Linux
-  on x86-64 with ``os.fork``, at least two usable CPUs, not in a
-  multiprocessing child, at least ``ARC_MIN_SITES`` sites and
-  ``ARC_BREAK_EVEN`` site-steps) is ``_rk4_ring``: the sites cut into
-  two contiguous arcs, each in the ghost-padded layout in shared memory,
-  the parent stepping one and a forked helper the other.  A stage on an
-  arc copies its pads, and the pads of its beta scratch, from the other
-  arc's edge sites right after a spin barrier on shared counters
-  (``_barrier``), so every site gets the ufunc calls of one block in
-  the same order and the run is byte for byte the run in one block.
-  Every abnormal end of a ring (a state that fails its check, a failed
-  fork, a dead helper or a ring that waits more than it steps) makes the
-  run start again in one block, from the ring's own first stage, which
-  gives one block's result;
+  views;
 * a compiled system (``_stage_kernels``): ``rhs`` maps a list of the
   system's entries, Python complex numbers (the packed vector read as
   complex128) or Python floats, to a list of the same length.  For the
@@ -86,9 +71,8 @@ argument, so a wrapper of ``integrate`` that wraps f (as the benchmark's
 tracer does, naming the Z_n right-hand sides by ``len(y0)``) sees every
 call that rk45 makes, every stage of a plain f's rk4 run and the first
 stage of an array system's rk4 run, which ``_rk4_arrays`` takes from f:
-an array system's rk4 run calls f once, for its first stage, in one
-block, on two arcs and when a ring is redone in one block alike.  A
-compiled system's rk4 run never calls f.
+an array system's rk4 run calls f once, for its first stage.  A compiled
+system's rk4 run never calls f.
 
 ``integrate`` checks its arguments and the initial state, builds the
 time grid and the sample block, preallocated from the step count and the
@@ -118,20 +102,12 @@ most ``MAX_STEPS`` steps, and an rk45 run of n steps at most
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import mmap
-import multiprocessing
 import numbers
-import os
-import platform
 import re
-import sys
-import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -171,24 +147,6 @@ MAX_SAMPLE_VALUES = 2**27
 # complex entries) 10-17 ms and 2.8 MB.  Z_n on scalars, below
 # transport.ZN_SCALAR_CROSSOVER sites of 6 floats, fits.
 MAX_SCALAR_STATE = 256
-# A ring run (Z_n on arrays) takes two arcs on two CPUs from ARC_MIN_SITES sites
-# and ARC_BREAK_EVEN site-steps on (_two_arcs).  The one-block time over the
-# two-arc time of a whole rk4 run (h 1e-3, stride 1000; medians of 9-11
-# alternated pairs in one process, one BLAS thread, on a 2-vCPU Xeon whose
-# speed varies) at 100 / 500 / 2,000 steps: 512 sites 0.48 / 0.71 / 0.87,
-# 1,024 sites 0.79 / 1.02 / 1.05 (1.08-1.12 at 4,000), 1,536 sites
-# 1.04 / 1.19 / 0.97 (0.91-1.21 at 2,667), 2,048 sites 0.76 / 0.97-1.17 /
-# 1.26-1.32 (1.01-1.21 at 1,000), 3,072 sites 1.15 / 1.33 / 1.34, 4,096 sites
-# 1.20 / 1.45 / 1.40 (1.44-1.55 at 1,000) and 8,192 sites 1.75 at 500.  The
-# fork and the first page faults cost a few ms per run and the barriers a few
-# microseconds per step, so short runs and small arcs lose; every run that
-# these constants select gained at least 1.2x.
-ARC_MIN_SITES = 2048
-ARC_BREAK_EVEN = 2048 * 2000
-_SPINS = 1000  # reads of a count before a ring barrier yields the CPU at each further read
-# A ring is redone in one block once its parent's yielding waits take more than
-# this share of its time, past its first _STARVED_AFTER_S (see _barrier).
-_STARVED, _STARVED_AFTER_S = 0.3, 0.05
 
 
 class BlowupError(RuntimeError):
@@ -228,108 +186,54 @@ def rk4_step(f: Rhs, t: float, y, h: float):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, stage, layout,
-                ring: bool = False) -> None:
+def _rk4_arrays(f, y: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, stage, layout) -> None:
     """A whole rk4 run on arrays, stepped in place in a ghost-padded layout; see the module docstring.
 
     ``layout = (rows, pad)``: a buffer of the run holds the packed state
     split into ``rows`` equal rows, each with ``pad`` floats of ghost
     cells before and after its sites (``(1, 0)`` is the packed vector
-    itself).  The state, the two stage inputs, the two rate buffers and
-    the weighted stage sum ``k1 + 2 k2 + 2 k3 + k4`` are six such
-    buffers, zero at first and made once per run; ``y``, the packed
-    initial state, is only read, and the rows of ``out`` are written from
-    the state's sites.  ``stage(x, k)`` binds a stage to the input buffer
-    x and the rate buffer k and returns ``rates(t)``, which writes the
-    rates at x and time t into k's sites and returns nothing.  ``rates``
-    fills the pads of x that it reads and never writes the pads of k, so
-    a rate's pads stay 0, every pad of the state and the stage
-    inputs is a copy of a site of an accepted state or 0, and the state
-    check on the whole state buffer is the check on its sites.  The first
-    stage at t = 0 is ``f(0.0, y)`` (ValueError unless it has as many
-    entries as ``y``), f's one call in the run, so a wrapper of f sees
-    every array run; the other stages come from ``stage``, and
-    ``_rk4_loop`` steps them.  ``y``, that first stage and ``out`` are
-    viewed as rows once; ``_fill`` writes the state and the first stage
-    into the run's buffers and ``_bind`` binds its three stages.
+    itself).  The state, the two stage inputs y_a and y_b, the weighted
+    stage sum acc (``k1 + 2 k2 + 2 k3 + k4``) and the two rate buffers ka
+    and kb are six such buffers, zero at first and made once per run;
+    ``y``, the packed initial state, is only read, and the rows of ``out``
+    are written from the state's sites.  ``stage(x, k)`` binds a stage to
+    the input buffer x and the rate buffer k and returns ``rates(t)``,
+    which writes the rates at x and time t into k's sites and returns
+    nothing; it is bound once per run to (state, ka), (y_a, kb) and (y_b,
+    ka).  ``rates`` fills the pads of x that it reads and never writes
+    the pads of k, so a rate's pads stay 0, every pad of the state and the
+    stage inputs is a copy of a site of an accepted state or 0, and the
+    state check on the whole state buffer is the check on its sites.  The
+    first stage at t = 0 is ``f(0.0, y)`` (ValueError unless it has as
+    many entries as ``y``), f's one call in the run, so a wrapper of f
+    sees every array run; the other stages come from ``stage``.
     ``_plain_stage`` makes the stage of a plain f with layout ``(1, 0)``.
 
-    With ``ring`` the stage can also bind one arc of a ring
-    (``stage(x, k, arc)``, see ``_Arc``) and the layout's pad is one
-    site.  Where ``_two_arcs`` holds the run is ``_rk4_ring`` on those
-    rows; if that run must be redone (``_Redo``, or an arc's
-    ``BlowupError``), it is redone here, in one block, from the same
-    first stage, so f is still called once, and the block raises one
-    block's error.
+    The stage sum is accumulated as each stage arrives, so the run holds
+    at most two stages at a time, and its association is ``rk4_step``'s,
+    so the states are bit for bit those of a loop of ``rk4_step``.  Every
+    operation is a contiguous 1-d ufunc over whole buffers, with ``out``
+    positional and the step's constants (h / 2, h, 2 and h / 6) as 0-d
+    float64 arrays made once per run: a stage costs numpy's call overhead
+    more than its arithmetic, and with float64 buffers they select the
+    same loop and values as the Python floats would, without a conversion
+    per call; t stays a Python float.  Each new state is checked by the
+    exact rule: its peak ``max |entry|``, taken with acc (free between
+    steps) as scratch, must be at most ``MAX_ABS``, which an inf or nan
+    fails; otherwise ``_check_state`` raises ``BlowupError`` with the
+    start of the step as the last good time.  The state is then written
+    into row ``step // stride`` of ``out`` at every ``stride``-th step and
+    into the last row at the end.
     """
     rows, pad = layout
     k = f(0.0, y)
     _check_length(len(k), y.shape[0])
-    y, k, out = y.reshape(rows, -1), np.reshape(k, (rows, -1)), out.reshape(out.shape[0], rows, -1)
-    if ring and _two_arcs(y.shape[1] // pad, n_steps):
-        try:
-            return _rk4_ring(y, k, h, n_steps, stride, out, stage, pad)
-        except (_Redo, BlowupError):
-            pass
-    bufs = np.zeros((6, rows * (y.shape[1] + 2 * pad)))  # state, y_a, y_b, acc, ka, kb
-    sites = _fill(bufs, y, k, pad)
-
-    def sample(row: int) -> None:
-        out[row] = sites
-
-    _rk4_loop(bufs, _bind(stage, bufs, None), h, n_steps, stride, sample)
-
-
-def _fill(bufs: np.ndarray, y: np.ndarray, k: np.ndarray, pad: int) -> np.ndarray:
-    """Copy the state ``y`` and the first stage ``k``, rows of sites, into the state and ka sites of ``bufs``.
-
-    ``bufs`` are the six buffers of ``_rk4_loop`` (one block's, or one
-    arc's), each holding as many rows as ``y`` with ``pad`` floats before
-    and after each row's sites.  Returns the view of the state's sites.
-    """
-    sites = bufs.reshape(6, y.shape[0], -1)[::4, :, pad : -pad or None]  # the state's and ka's
-    np.copyto(sites, (y, k))
-    return sites[0]
-
-
-def _bind(stage, bufs: np.ndarray, arc: Callable | None) -> tuple:
-    """The three stages of ``_rk4_loop``, ``stage`` bound to (state, ka), (y_a, kb) and (y_b, ka) of ``bufs``.
-
-    In one block ``arc`` is None; on an arc of a ring ``arc(x)`` gives
-    the ``_Arc`` of the input buffer x, bound as the stage's third
-    argument.
-    """
-    return tuple(stage(bufs[x], bufs[kx], *(() if arc is None else (arc(x),))) for x, kx in ((0, 4), (1, 5), (2, 4)))
-
-
-def _rk4_loop(bufs, stages, h: float, n_steps: int, stride: int, sample) -> None:
-    """The steps of an array rk4 run on one block or one arc: the six buffers of ``_rk4_arrays`` and three stages.
-
-    ``bufs`` are the state, the two stage inputs y_a and y_b, the stage
-    sum acc and the rate buffers ka and kb, ka holding the first stage;
-    ``stages`` are the stages bound to (state, ka), (y_a, kb) and (y_b,
-    ka).  The stage sum is accumulated as each stage arrives, so the run
-    holds at most two stages at a time, and its association is
-    ``rk4_step``'s, so the states are bit for bit those of a loop of
-    ``rk4_step``.  Every operation is a contiguous 1-d ufunc over whole
-    buffers, with ``out`` positional and the step's constants (h / 2, h,
-    2 and h / 6) as 0-d float64 arrays made once per run: a stage costs
-    numpy's call overhead more than its arithmetic, and with float64
-    buffers they select the same loop and values as the Python floats
-    would, without a conversion per call; t stays a Python float.  A
-    stage input is written only in the combination before its own stage,
-    and 2 k3 goes into k3's own rate buffer once y4 = y + h k3 has been
-    formed, so an arc's inputs stay as they are from the stage that reads
-    them until the other arc has passed the barriers of the next stage.
-    Each new state is checked by the exact rule: its peak ``max |entry|``,
-    taken with ``acc`` (free between steps) as scratch, must be at most
-    ``MAX_ABS``, which an inf or nan fails; otherwise ``_check_state``
-    raises ``BlowupError`` with the start of the step as the last good time.
-    ``sample(row)`` then writes the state into row ``row`` of the sample
-    block at every ``stride``-th step and, as row -1, at the end.
-    """
+    bufs = np.zeros((6, rows * (y.shape[0] // rows + 2 * pad)))
     state, y_a, y_b, acc, ka, kb = bufs
-    first, second, third = stages
+    sites = bufs.reshape(6, rows, -1)[::4, :, pad : -pad or None]  # the state's and ka's
+    np.copyto(sites, (y.reshape(rows, -1), np.reshape(k, (rows, -1))))
+    sites, out = sites[0], out.reshape(out.shape[0], rows, -1)
+    first, second, third = (stage(x, rate) for x, rate in ((state, ka), (y_a, kb), (y_b, ka)))
     half = 0.5 * h
     c_half, c_h, c_two, c_sixth = (np.array(c) for c in (half, h, 2.0, h / 6.0))
     add, multiply, absolute, peak_of = np.add, np.multiply, np.absolute, np.maximum.reduce
@@ -356,176 +260,8 @@ def _rk4_loop(bufs, stages, h: float, n_steps: int, stride: int, sample) -> None
         if not peak_of(absolute(state, acc)) <= MAX_ABS:
             _check_state(state, t)
         if step % stride == 0:
-            sample(step // stride)
-    sample(-1)
-
-
-class _Redo(Exception):
-    """A ring run is given up and redone in one block, which gives one block's result.
-
-    Its three causes: a failed fork, a ring process that has ended (a
-    dead helper, or the parent's abort) and a parent that waits more than
-    it steps.  An arc whose state fails its check raises ``BlowupError``,
-    and the ring is redone in one block on that too.
-    """
-
-
-class _Arc(NamedTuple):
-    """What a stage bound to one of a ring's two arcs reads besides its own buffers.
-
-    ``other`` is the other arc's buffer of the stage's input, whose sites
-    neighbour this arc's at both ends; ``row`` and ``other_row`` are one
-    padded row each of shared scratch, this arc's and the other's for the
-    same binding; ``barrier()`` returns once the other arc has called it as
-    often.  The stage calls ``barrier`` before it reads the other arc's
-    sites, and only reads them right after it.
-    """
-
-    other: np.ndarray
-    row: np.ndarray
-    other_row: np.ndarray
-    barrier: Callable
-
-
-def _two_arcs(sites: int, n_steps: int) -> bool:
-    """Whether a ring run of ``sites`` sites and ``n_steps`` steps takes two arcs: where a second CPU pays.
-
-    Two arcs need Linux on x86-64 (the barrier relies on its stores
-    being seen in program order), ``os.fork``, a process with one Python
-    thread (a fork copies only the thread that calls it) and at least two
-    usable CPUs that is not a multiprocessing child, such as a sweep
-    worker (a sweep spreads its configs over the CPUs already), at least
-    ``ARC_MIN_SITES`` sites, two at least, and ``ARC_BREAK_EVEN``
-    site-steps.
-    """
-    if sites < max(2, ARC_MIN_SITES) or sites * n_steps < ARC_BREAK_EVEN or multiprocessing.parent_process():
-        return False
-    if sys.platform != "linux" or platform.machine() != "x86_64" or not hasattr(os, "fork"):
-        return False
-    return threading.active_count() == 1 and len(os.sched_getaffinity(0)) >= 2
-
-
-def _rk4_ring(y: np.ndarray, k: np.ndarray, h: float, n_steps: int, stride: int, out: np.ndarray, stage,
-              pad: int) -> None:
-    """``_rk4_arrays`` on two contiguous arcs of the sites, one process each, byte for byte.
-
-    ``y``, ``k`` and ``out`` are ``_rk4_arrays``'s rows: the initial
-    state and the first stage, f's one call, as rows of sites, and the
-    sample block as rows per sample; each row has ``pad`` floats per site
-    (the layout's pad).  The sites are cut at ``sites // 2``.  Each arc is
-    held in the layout of ``_rk4_arrays`` in an anonymous shared ``mmap``
-    of its own, with three shared scratch rows, one per binding.  The
-    parent fills both arcs' state and first rates (``_fill``), forks one
-    helper for the second arc and steps the first.  Each process runs
-    ``_rk4_loop`` on its own arc, whose stages (``_bind`` with the arc's
-    ``_Arc``) copy their pads from the other arc after a barrier
-    (``_barrier``): every site gets the ufunc calls of one block, in the
-    same order, and each step ends with the state check of one block on
-    the arc.  At each sampled row both arcs pass one more barrier, after
-    which the parent copies both arcs' sites, before either arc writes its
-    state again.
-
-    The run either completes or raises ``_Redo`` or ``BlowupError``, and
-    ``_rk4_arrays`` then redoes it in one block from the same first stage,
-    which gives one block's result: its ``BlowupError`` with its last good
-    time.  An arc whose state fails its check raises ``BlowupError`` in
-    its own process, the parent raises ``_Redo`` when the fork fails, and
-    a barrier raises it when the other process has ended or the parent
-    waits more than it steps.  ``integrate``'s ``np.errstate`` reports no
-    floating-point event, so neither process prints a warning.  The helper
-    ends with ``os._exit(0)``, whose status nobody reads; the parent sets
-    the abort flag unless the run completed and waits for the helper in
-    ``finally``.
-    """
-    cuts = (0, y.shape[1] // (2 * pad) * pad, y.shape[1])  # an arc's floats in each row
-    blocks, scratch, arc_sites = [], [], []
-    for j in (0, 1):  # an arc's own mapping: its six buffers, then its three scratch rows
-        width = cuts[j + 1] - cuts[j] + 2 * pad
-        arc = np.frombuffer(mmap.mmap(-1, 8 * (6 * y.shape[0] + 3) * width), np.float64).reshape(-1, width)
-        blocks.append(arc[:-3].reshape(6, -1))
-        scratch.append(arc[-3:])
-        arc_sites.append(_fill(blocks[j], y[:, cuts[j] : cuts[j + 1]], k[:, cuts[j] : cuts[j + 1]], pad))
-    control = memoryview(mmap.mmap(-1, 64 * 3)).cast("q")  # see _barrier
-    parent, pid, done = os.getpid(), 0, False
-
-    def run_arc(j: int, alive: Callable) -> None:
-        barrier = _barrier(control, j, alive)
-
-        def sample(row: int) -> None:
-            barrier()
-            if j == 0:
-                for i, sites in enumerate(arc_sites):
-                    out[row, :, cuts[i] : cuts[i + 1]] = sites
-
-        def arc(x: int) -> _Arc:
-            return _Arc(blocks[1 - j][x], scratch[j][x], scratch[1 - j][x], barrier)
-
-        _rk4_loop(blocks[j], _bind(stage, blocks[j], arc), h, n_steps, stride, sample)
-
-    def helper_alive() -> bool:
-        nonlocal pid
-        with contextlib.suppress(ChildProcessError):  # reaped already where SIGCHLD is ignored
-            if not os.waitpid(pid, os.WNOHANG)[0]:
-                return True
-        pid = 0
-        return False
-
-    try:
-        try:
-            pid = os.fork()
-        except OSError as exc:
-            raise _Redo("fork failed") from exc
-        if not pid:
-            try:
-                run_arc(1, lambda: os.getppid() == parent)
-            finally:
-                os._exit(0)
-        run_arc(0, helper_alive)
-        done = True
-    finally:
-        if not done:
-            control[16] = 1  # the abort flag
-        if pid:
-            with contextlib.suppress(ChildProcessError):  # where SIGCHLD is ignored, after the helper has ended
-                os.waitpid(pid, 0)
-
-
-def _barrier(control, me: int, alive: Callable) -> Callable:
-    """The spin barrier of arc ``me`` (0 or 1) of a ring on the shared int64 ``control`` counters.
-
-    Arc j's count is at ``8 j``, one 64-byte line each, and 16 is the
-    abort flag, in a third line.  A call raises the
-    arc's count by one and spins until the other arc's count has reached
-    it.  After ``_SPINS`` reads of that count it yields the CPU at each
-    further read and checks the abort flag and ``alive()``, the other
-    side's liveness, raising ``_Redo`` on either unless the count was
-    reached after all.  The parent (arc 0) also raises ``_Redo`` once its
-    yielding waits have taken more than ``_STARVED`` of the time since the
-    barrier was made, past its first ``_STARVED_AFTER_S``: with more
-    runnable processes than CPUs an arc waits for a descheduled one at
-    every barrier, and the run is then faster in one block.
-    """
-    mine, other = 8 * me, 8 - 8 * me
-    ticket, waited, start = 0, 0.0, time.perf_counter()
-
-    def barrier() -> None:
-        nonlocal ticket, waited
-        ticket += 1
-        control[mine] = ticket
-        spins = 0
-        while control[other] < ticket:
-            spins += 1
-            if spins > _SPINS:
-                yielded = time.perf_counter()
-                os.sched_yield()
-                if (control[16] or not alive()) and control[other] < ticket:
-                    raise _Redo("a ring process stopped")
-                now = time.perf_counter()
-                waited += now - yielded
-                if not me and waited > _STARVED * max(now - start, _STARVED_AFTER_S / _STARVED):
-                    raise _Redo("the ring waits more than it steps")
-
-    return barrier
+            out[step // stride] = sites
+    out[-1] = sites
 
 
 def _plain_stage(f):
@@ -674,8 +410,7 @@ def _array_rates(steps, scratch: tuple, scalars: type):
     scratch views than ``scratch`` names is an IndexError.  ``rates_of``
     takes the steps' targets and leaves and the scratch names as keywords
     (more are ignored) and returns ``rates(t)``, which runs the steps and
-    returns nothing.  A step ``(name, None)`` is the call ``name()``, such
-    as the barrier of a ring's stage.
+    returns nothing.
     """
     constants, lines, views = {}, [], set(scratch)
 
@@ -693,10 +428,6 @@ def _array_rates(steps, scratch: tuple, scalars: type):
         lines.append(f"{expr.ufunc}({', '.join(args)}, {target})")
 
     for target, expr in steps:
-        if expr is None:  # a call, such as a ring's barrier
-            lines.append(f"{target}()")
-            views.add(target)
-            continue
         leaves = set() if expr.operands else {expr.text}
         if expr.operands:
             emit(expr, target, tuple(scratch), leaves)
@@ -737,14 +468,13 @@ class _System:
                        self.floats)
 
 
-def _array_system(stage, layout, floats: int, ring: bool = False) -> _System:
+def _array_system(stage, layout, floats: int) -> _System:
     """The array system of ``stage`` in ``layout`` on a packed state of ``floats`` floats.
 
     ``rhs(t, y)`` copies y into the sites of its own padded buffer (zero
     at first), runs the stage there and returns a fresh copy of the
-    rates' sites; ``rk4`` is ``_rk4_arrays`` with the stage, layout and
-    ``ring`` bound (a ring system's stage also binds arcs, and its pad
-    is one site), ``rk45`` is ``_dopri``.  The stage's scratch and the
+    rates' sites; ``rk4`` is ``_rk4_arrays`` with the stage and layout
+    bound, ``rk45`` is ``_dopri``.  The stage's scratch and the
     rhs buffers are shared by every call, so one system serves one
     integration at a time.
     """
@@ -759,7 +489,7 @@ def _array_system(stage, layout, floats: int, ring: bool = False) -> _System:
         rates(t)
         return rate_sites.flatten()
 
-    return _System(rhs, functools.partial(_rk4_arrays, stage=stage, layout=layout, ring=ring), _dopri, floats)
+    return _System(rhs, functools.partial(_rk4_arrays, stage=stage, layout=layout), _dopri, floats)
 
 
 def _stage_kernels(size: int, stage, params: tuple, scalars: type) -> _System:

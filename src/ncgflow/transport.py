@@ -38,15 +38,7 @@ Between the two Z_n forms, the cost of the scalar
 form grows with n while that of the array form is nearly flat at small n;
 the constant was set where a whole rk4 run cost the same in both, and the
 array form now breaks even a few sites lower (see the constant).  A Z_n
-run needs at least one site.  A long Z_n rk4 run on arrays, from
-``flow.ARC_MIN_SITES`` sites and ``flow.ARC_BREAK_EVEN`` sites times
-steps on, is cut into two arcs of the ring of sites, stepped by this
-process and one forked helper on a second CPU (``flow._rk4_ring``):
-each arc copies the other arc's edge sites into its pads after a spin
-barrier on shared counters, two barriers per stage, so the bytes are
-those of one block.  Only a process that sees at least two usable CPUs
-on Linux x86-64 takes two arcs, and never a multiprocessing child such as
-a sweep worker, since a sweep spreads its configs over the CPUs already.  Either way the state handed to
+run needs at least one site.  Either way the state handed to
 ``integrate`` is the packed float64 vector of ``pack_zn_state`` /
 ``pack_m2_state``, so a wrapper of ``integrate`` reads the same ``y0``
 (the benchmark's tracer names a Z_n right-hand side by ``len(y0) // 6``).

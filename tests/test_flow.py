@@ -4,6 +4,7 @@ import functools
 import io
 import math
 import operator
+import os
 import re
 import tokenize
 import warnings
@@ -856,6 +857,54 @@ def test_fused_zn_array_run_blows_up_as_the_per_call_run(scale, h, message, last
         assert info.value.last_good_time == last_good
         seen.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
     assert seen == [[], []]  # integrate reports no floating-point event of either run
+
+
+def test_an_array_rk4_run_calls_f_once():
+    """f gives the first stage of a Z_64 array run and nothing more; the system's stage gives the others."""
+    y0, system, calls = _zn_state(64), connection._zn_arrays(64), []
+
+    def f(t, y):
+        calls.append(t)
+        return system.rhs(t, y)
+
+    integrate(f, y0, 5.0, h=0.01, stride=5, system=system)
+    assert calls == [0.0]
+
+
+_UFUNCS = ("add", "subtract", "multiply", "absolute", "dot")
+
+
+def _no_fork():
+    pytest.fail("an array rk4 run forked a process")
+
+
+@pytest.mark.parametrize("n, steps", [(64, 10000), (4096, 1000)])  # zn-large's Z_64 steps; 4,096 x 1,000 site-steps
+def test_a_zn_array_rk4_run_makes_one_blocks_ufunc_calls(n, steps, monkeypatch):
+    """13 ufunc calls per stage (4 add, 3 subtract, 6 multiply), 13 per step's combination (7 add, 6 multiply)
+    and one absolute per step's check, with no dot, which may start BLAS threads, and no process forked."""
+    counts, y0 = dict.fromkeys(_UFUNCS, 0), _zn_state(n)
+
+    def counting(name):
+        real = getattr(np, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in _UFUNCS:
+        monkeypatch.setattr(np, name, counting(name))
+    monkeypatch.setattr(os, "fork", _no_fork)
+    connection._zn_rates_of.cache_clear()  # emitted again, with the counting ufuncs bound
+    try:
+        system = connection._zn_arrays(n)
+        integrate(system.rhs, y0, steps * 1e-3, h=1e-3, stride=100, system=system)
+    finally:
+        connection._zn_rates_of.cache_clear()
+    stages = 4 * steps  # the first from f, which runs the same stage
+    assert counts == {"add": 4 * stages + 7 * steps, "subtract": 3 * stages, "multiply": 6 * stages + 6 * steps,
+                      "absolute": steps, "dot": 0}
 
 
 _FLOATS = call_system(lambda t, y: [0.5 * y[i - 1] - v * t for i, v in enumerate(y)], 3, float)

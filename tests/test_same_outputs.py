@@ -59,7 +59,7 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     benchmark = {path for path in configured if tmp_path in path.parents and path.parent.name != "edges"}
     assert len(benchmark) == 14 and benchmark <= set(configs)  # zn4096, zn64 and the 12 sweep configs
     edges = {path.stem: json.loads(path.read_text()) for path in configured if path.parent == tmp_path / "edges"}
-    # the scalar-form, array-form, stencil, CSV-text, signed-zero, chart-exit, floor, two-arc and overflow edges
+    # the scalar-form, array-form, stencil, CSV-text, signed-zero, chart-exit, floor, large-n and overflow edges
     assert len(edges) == 30
     burgers = {name: raw for name, raw in edges.items() if raw["scenario"] == "classical-burgers"}
     # both stencils and both methods
@@ -94,21 +94,21 @@ def test_validate_runs_cover_the_scenario_defaults_presets_and_benchmark_configs
     assert (edges["zn19-rk4-stride1"]["method"], edges["zn19-rk4-stride1"]["stride"]) == ("rk4", 1)
     exit3 = edges["zn18-exit3"]  # not admissible: it blows up before t_end
     assert exit3["k_minus"] == exit3["k_plus"] and exit3["t_end"] == 10.0 and exit3["method"] == "rk4"
-    arcs = edges["zn2048-two-arcs-exit3"]  # two arcs from 2,048 sites and 2,048 x 2,000 site-steps; blows up
-    assert arcs["k_minus"] == arcs["k_plus"] and (arcs["t_end"], arcs["step"], arcs["method"]) == (10.0, 1e-3, "rk4")
-    helper = edges["zn2048-two-arcs-exit3-helper-arc"]  # K_- = K_+ on the second arc alone; blows up there
-    assert helper["k_minus"][1024:] == arcs["k_plus"][1024:] and helper["k_minus"][:1024] != arcs["k_plus"][:1024]
-    assert helper == {**arcs, "k_minus": helper["k_minus"]}  # t_end 10, like the edge that blows up on both arcs
-    zeros = edges["zn2048-two-arcs-signed-zeros-subnormal-m"]  # the smallest two-arc run, special values at the cut
+    big = edges["zn2048-exit3"]  # 2,048 sites x 2,000 steps on arrays; blows up
+    assert big["k_minus"] == big["k_plus"] and (big["t_end"], big["step"], big["method"]) == (10.0, 1e-3, "rk4")
+    upper = edges["zn2048-exit3-upper-half"]  # K_- = K_+ on sites 1,024 to 2,047 alone; blows up there
+    assert upper["k_minus"][1024:] == big["k_plus"][1024:] and upper["k_minus"][:1024] != big["k_plus"][:1024]
+    assert upper == {**big, "k_minus": upper["k_minus"]}  # t_end 10, like the edge that blows up on every site
+    zeros = edges["zn2048-signed-zeros-subnormal-m"]  # special values at sites 1,021 to 1,026
     assert (zeros["t_end"], zeros["step"], zeros["method"]) == (2.0, 1e-3, "rk4")
     parts = [part for key in ("k_plus", "k_minus", "m") for pair in zeros[key][1020:1028] for part in pair]
     assert {math.copysign(1.0, part) for part in parts if part == 0.0} == {1.0, -1.0}
     assert 5e-324 in [abs(part) for pair in zeros["m"][1021:1024] + zeros["m"][1024:1027] for part in pair]
-    assert zeros["k_plus"][:1021] == arcs["k_plus"][:1021]  # the rest is the generated data, kept admissible
-    assert zeros["k_minus"][:1020] == [[-re, im] for re, im in arcs["k_plus"][1:1021]]
-    odd = edges["zn2049-two-arcs"]  # two arcs of 1,024 and 1,025 sites: each reads pads from the other's length
+    assert zeros["k_plus"][:1021] == big["k_plus"][:1021]  # the rest is the generated data, kept admissible
+    assert zeros["k_minus"][:1020] == [[-re, im] for re, im in big["k_plus"][1:1021]]
+    odd = edges["zn2049"]  # odd n
     assert (odd["n"], len(odd["m"]), odd["t_end"], odd["step"], odd["method"]) == (2049, 2049, 2.0, 1e-3, "rk4")
-    limit = edges["zn4096-classical-limit"]  # the data of the large-n oracle: 3,072 steps of 0.1, two arcs if it can
+    limit = edges["zn4096-classical-limit"]  # the data of the large-n oracle: 3,072 steps of 0.1
     assert (limit["n"], limit["step"], round(limit["t_end"] / limit["step"]), limit.get("method", "rk4")) == (
         4096, 0.1, 3072, "rk4")
     assert max(abs(abs(complex(*pair)) - 1.0) for pair in limit["k_plus"]) < 1e-15

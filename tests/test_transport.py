@@ -22,7 +22,7 @@ from ncgflow import (
     velocity_functional,
     zn_transport_rhs,
 )
-from ncgflow import flow, transport
+from ncgflow import transport
 from ncgflow.cli import main
 from ncgflow.connection import _zn_kernels
 from ncgflow.flow import Trajectory
@@ -527,15 +527,7 @@ def test_large_zn_tends_to_inviscid_burgers_at_second_order():
     assert np.all((1.9 <= rho_orders) & (rho_orders <= 2.1)), rho_orders
 
 
-@pytest.mark.parametrize("one_block", [True, False], ids=["one-block", "shipped-arcs"])
-def test_zn4096_holds_the_classical_limit_bounds(one_block, monkeypatch):
-    """Z_4096 over 3,072 steps holds both bounds in one block and with the shipped ``ARC_*`` constants.
-
-    The shipped constants take two arcs where two CPUs are usable, so on
-    such a host the second run is the ring's unless it is redone in one
-    block.
-    """
-    if one_block:
-        monkeypatch.setattr(flow, "ARC_BREAK_EVEN", 10**30)
+def test_zn4096_holds_the_classical_limit_bounds():
+    """Z_4096 over 3,072 steps, the array form, holds both bounds."""
     u_error, rho_error = _classical_limit_errors(4096)
     assert u_error <= 2 * _CLASSICAL_LIMIT_4096[0] and rho_error <= 2 * _CLASSICAL_LIMIT_4096[1], (u_error, rho_error)

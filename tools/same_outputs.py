@@ -37,17 +37,17 @@ checkout's ``src`` on ``PYTHONPATH``.  The list is:
   theta = 0.01 whose velocity passes 1e9 within its first step; and an
   M2 rk45 run of 7 grid steps of 1.43e-14, each below rk45's step floor
   of 1e-13, which rk45 accepts on its error estimate alone; and four
-  Z_n rk4 runs long enough to step as two arcs: 2,048 sites that blow
-  up (exit 3), 2,048 sites that blow up on the second arc alone (k_minus
-  = k_plus on sites 1,024 to 2,047 only, exit 3), 2,048 sites with signed
-  zeros and subnormal m at the cut, and 2,049 sites, cut into arcs of
-  1,024 and 1,025 sites; and two array-form runs whose huge steps
-  overflow a stage (exit 3, with no floating-point warning on stderr):
+  large Z_n rk4 runs at step 1e-3 on arrays: 2,048 sites that blow up
+  (exit 3), 2,048 sites that blow up on sites 1,024 to 2,047 alone
+  (k_minus = k_plus there only, exit 3), 2,048 sites with signed zeros
+  and subnormal m at sites 1,021 to 1,026, and 2,049 sites (odd n); and
+  two array-form runs whose huge steps overflow a stage (exit 3, with no
+  floating-point warning on stderr):
   Z_18 rk4 from entries of modulus 4.4e-21 at step 1e20, and burgers rk4
   at amplitude 1e8 and step 1e20; and Z_4096 rk4 near its classical
   limit (the data of ``tests/test_transport.py``'s large-n oracle: unit
   moduli, Re K_+ = sin(2 pi x) / 2, a uniform m, step 0.1 to t = 307.2,
-  3,072 steps, stride 1,024), the large-n array form and the ring;
+  3,072 steps, stride 1,024), the large-n array form;
 * ``validate`` on both presets, on the five scenario defaults and on every
   benchmark config above.
 
@@ -104,15 +104,15 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
                 "m": [[[0.6, -0.0], [0.0, 0.0]], [[-0.0, -0.0], [0.8, 0.0]]]}
     sphere_exit = {"scenario": "classical-geodesic", "x": [0.5, 0.0], "v": [-1.0, 0.0], "t_end": 1.0}
     grid16 = [0.1 * math.sin(0.4 * i) + 0.03 * math.cos(0.9 * i) for i in range(16)]  # the smallest burgers grid
-    # 2,048 sites x 2,000 steps: the smallest run stepped as two arcs, split between sites 1,023 and 1,024
+    # 2,048 sites x 2,000 steps, with signed zeros and subnormal m at sites 1,021 to 1,026 in the copy below
     zn2048 = workloads.zn_config(np.random.default_rng(SEED), 2048, t_end=2.0, stride=500, method="rk4")
-    arcs = {key: [list(pair) for pair in zn2048[key]] for key in ("k_plus", "m")}
+    special = {key: [list(pair) for pair in zn2048[key]] for key in ("k_plus", "m")}
     for i, (kp, m) in zip(range(1021, 1027), [((0.0, -0.0), (5e-324, -0.0)), ((-0.0, 0.0), (-0.0, -5e-324)),
                                              ((-0.0, -0.0), (1e-310, 0.0)), ((0.0, 0.0), (-2e-320, 1e-315)),
                                              ((-0.0, 0.0), (0.0, -0.0)), ((0.0, -0.0), (-5e-324, 5e-324))]):
-        arcs["k_plus"][i], arcs["m"][i] = list(kp), list(m)
+        special["k_plus"][i], special["m"][i] = list(kp), list(m)
     # K_- = -(R_{+1} K_+)^*, so the data stays admissible; -0.0 parts stay signed
-    arcs["k_minus"] = [[-re, im] for re, im in arcs["k_plus"][1:] + arcs["k_plus"][:1]]
+    special["k_minus"] = [[-re, im] for re, im in special["k_plus"][1:] + special["k_plus"][:1]]
     tiny = 4.4e-21 * np.exp(1j * np.random.default_rng(3).uniform(0.0, 6.3, (3, 18)))  # Z_18 at steps of 1e20
     # Z_4096 near its classical limit: unit moduli, Re K_+ = sin(2 pi x) / 2, uniform m, to tau = 2 t / n = 0.15
     limit = np.exp(1j * np.arccos(0.5 * np.sin(2 * math.pi * np.arange(4096) / 4096)))
@@ -149,13 +149,12 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
         "geodesic-pole-stage-exit3": {**sphere_exit, "step": 0.0625},
         "geodesic-near-pole-exit3": {**sphere_exit, "x": [0.01, 0.0], "v": [-1.0, 0.5]},
         "m2-rk45-below-floor": {"scenario": "m2", "method": "rk45", "t_end": 1e-13, "step": 1.5e-14, "stride": 1},
-        "zn2048-two-arcs-exit3": {**zn2048, "t_end": 10.0, "k_minus": zn2048["k_plus"]},
-        # K_- = K_+ on the second arc's sites alone: the helper's arc blows up
-        "zn2048-two-arcs-exit3-helper-arc": {**zn2048, "t_end": 10.0,
-                                             "k_minus": zn2048["k_minus"][:1024] + zn2048["k_plus"][1024:]},
-        "zn2048-two-arcs-signed-zeros-subnormal-m": {**zn2048, **arcs},
-        # 2,049 sites: arcs of 1,024 and 1,025 sites, so each arc's pads read a source of another length
-        "zn2049-two-arcs": workloads.zn_config(np.random.default_rng(SEED), 2049, t_end=2.0, stride=500, method="rk4"),
+        "zn2048-exit3": {**zn2048, "t_end": 10.0, "k_minus": zn2048["k_plus"]},
+        # K_- = K_+ on sites 1,024 to 2,047 alone: those sites blow up
+        "zn2048-exit3-upper-half": {**zn2048, "t_end": 10.0,
+                                    "k_minus": zn2048["k_minus"][:1024] + zn2048["k_plus"][1024:]},
+        "zn2048-signed-zeros-subnormal-m": {**zn2048, **special},
+        "zn2049": workloads.zn_config(np.random.default_rng(SEED), 2049, t_end=2.0, stride=500, method="rk4"),
         "zn18-huge-step-exit3": {"scenario": "zn", "n": 18, "step": 1e20, "t_end": 3e21, "stride": 1,
                                  **{key: [[z.real, z.imag] for z in row]
                                     for key, row in zip(("k_plus", "k_minus", "m"), tiny)}},
